@@ -13,6 +13,7 @@ componentwise and measures segment errors in the max-abs sense.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 from dataclasses import dataclass
@@ -128,9 +129,14 @@ class ScalarPath:
         return self.eval(t)
 
     def d(self, t: float):
-        for b in self.breakpoints:
-            if abs(t - b) <= 1e-14 * max(1.0, abs(b)):
-                return 0.0
+        bps = self.breakpoints
+        if bps:
+            # only the breakpoints on either side of t can be within the
+            # 1e-14 relative snapping distance
+            i = bisect.bisect_left(bps, t)
+            for b in bps[max(i - 1, 0):i + 1]:
+                if abs(t - b) <= 1e-14 * max(1.0, abs(b)):
+                    return 0.0
         if self.deriv is not None:
             return self.deriv(t)
         h = _fd_step(t)

@@ -7,16 +7,14 @@ breakpoints of the coefficient so a step never straddles a jump, and
 backward propagation (t < s) is done by stepping with negative h rather
 than by inverting a forward result.
 
-:class:`EvolutionOperator` adds a checkpointed query layer: propagators
-to a lattice of anchor times are memoized, so repeated queries cost one
-short integration per endpoint instead of a full pass.
+:class:`EvolutionOperator` answers many queries from one integration: it
+sweeps a fundamental solution Phi across a set of declared times, and
+every X(t, s) between them is Phi(t) Phi(s)^{-1}.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
-import threading
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -319,101 +317,60 @@ def comparison_bounds(
 
 
 class EvolutionOperator:
-    """Two-parameter propagator with memoized anchor checkpoints.
+    """Two-parameter propagator X(t, s) = Phi(t) Phi(s)^{-1} from one sweep.
 
-    Anchor times are the coefficient's breakpoints plus a uniform lattice
-    of spacing ``checkpoint_spacing``; the propagator Phi(a) = X(a, base)
-    is cached at each anchor, computed by chaining from the nearest cached
-    one.  A query X(t, s) then costs two short integrations and one small
-    solve: X(t, s) = Phi(t) Phi(s)^{-1}.  Cached values depend only on the
-    anchor lattice, never on query order, so concurrent queries return
-    exactly what sequential evaluation would.
+    The matrix equation is integrated once, forward from the earliest of
+    ``times`` to the latest, stopping at each of them; Phi(tau) =
+    X(tau, min(times)) is kept at every stop.  A query then costs one
+    small solve and one product, and integrates nothing.  Both arguments
+    of a query must be among ``times``, except that query(s, s) is the
+    identity exactly for any s.
+
+    An integration failure ends the sweep where it happened: the stops
+    reached before it can still be queried, and a query that needs a
+    later one raises the failure.  ``step_stats`` counts the sweep's work.
     """
 
     def __init__(
         self,
         source: CoefficientPath,
+        times: Sequence[float],
         tol: float = DEFAULT_ODE_TOL,
-        base: Optional[float] = None,
-        checkpoint_spacing: float = 1.0,
     ):
         self.source = source
-        self.tol = tol
         self.step_stats = StepStats()
-        self.checkpoint_spacing = float(checkpoint_spacing)
-        if base is None:
-            lo = source.domain.lo
-            base = lo if math.isfinite(lo) else 0.0
-        self.base = float(base)
-        self._phi = {self.base: np.eye(source.space.dim)}
-        self._anchor_list = [self.base]
-        self._lock = threading.Lock()
-
-    def _anchor_below(self, tau: float) -> float:
-        """Nearest lattice point at or below tau (lattice = base + k*spacing,
-        clipped into the domain, plus breakpoints handled by the stepper)."""
-        k = math.floor((tau - self.base) / self.checkpoint_spacing)
-        a = self.base + k * self.checkpoint_spacing
-        lo, hi = self.source.domain.lo, self.source.domain.hi
-        if math.isfinite(lo):
-            a = max(a, lo)
-        if math.isfinite(hi):
-            a = min(a, hi)
-        return a
-
-    def _phi_at(self, tau: float) -> np.ndarray:
-        """X(tau, base), extending the cached anchor chain as needed."""
-        with self._lock:
-            if tau in self._phi:
-                return self._phi[tau]
-            anchor = self._anchor_below(tau)
-            self._ensure_anchor(anchor)
-            phi_anchor = self._phi[anchor]
-            if tau == anchor:
-                return phi_anchor
-            y = self._run(anchor, tau, phi_anchor)
-            return y
-
-    def _ensure_anchor(self, anchor: float) -> None:
-        if anchor in self._phi:
+        self._failure: Optional[IntegrationError] = None
+        stops = sorted(set(float(t) for t in times))
+        self._phi = dict.fromkeys(stops)
+        if not stops:
             return
-        # walk from the nearest cached anchor toward the requested one,
-        # caching every lattice point passed so later queries are O(1)
-        idx = bisect.bisect_left(self._anchor_list, anchor)
-        below = self._anchor_list[idx - 1] if idx > 0 else None
-        above = self._anchor_list[idx] if idx < len(self._anchor_list) else None
-        if below is not None and (above is None or anchor - below <= above - anchor):
-            start = below
-        else:
-            start = above
-        cur_t, cur = start, self._phi[start]
-        step = self.checkpoint_spacing if anchor > start else -self.checkpoint_spacing
-        while cur_t != anchor:
-            nxt = cur_t + step
-            if (step > 0 and nxt > anchor) or (step < 0 and nxt < anchor):
-                nxt = anchor
-            cur = self._run(cur_t, nxt, cur)
-            cur_t = nxt
-            if cur_t not in self._phi:
-                self._phi[cur_t] = cur
-                bisect.insort(self._anchor_list, cur_t)
-
-    def _run(self, a: float, b: float, y0: np.ndarray) -> np.ndarray:
-        A = self.source
 
         def rhs(tau, y):
-            return np.asarray(A.eval(tau), dtype=float) @ y
+            return np.asarray(source.eval(tau), dtype=float) @ y
 
-        return _integrate_state(rhs, a, b, y0, A.breakpoints, self.tol,
-                                self.tol, self.step_stats, 2_000_000)
+        phi = np.eye(source.space.dim)
+        self._phi[stops[0]] = phi
+        try:
+            for a, b in zip(stops, stops[1:]):
+                phi = _integrate_state(rhs, a, b, phi, source.breakpoints,
+                                       tol, tol, self.step_stats, 2_000_000)
+                self._phi[b] = phi
+        except IntegrationError as exc:
+            self._failure = exc
+
+    def _phi_at(self, tau: float) -> np.ndarray:
+        if tau not in self._phi:
+            raise ValueError(f"t = {tau} is not one of the sweep's times")
+        phi = self._phi[tau]
+        if phi is None:
+            raise self._failure
+        return phi
 
     def query(self, t: float, s: float) -> Operator:
         """X(t, s).  query(s, s) is the identity exactly."""
         if t == s:
             return Operator.identity(self.source.space)
-        phi_t = self._phi_at(t)
-        phi_s = self._phi_at(s)
-        x = phi_t @ invert_matrix(phi_s)
+        x = self._phi_at(t) @ invert_matrix(self._phi_at(s))
         return Operator(x, self.source.space)
 
 

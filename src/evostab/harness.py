@@ -19,20 +19,15 @@ CSV headers per kind:
     transport     curve,L1,norm_P,beta,pass
     sine-curve    b,norm_P,beta,pass
     extend        x,v,gap,residual0,residual1
-
-``EVOSTAB_THREADS`` caps the worker pool used for independent rows;
-results are merged by index, so the output never depends on it.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -130,21 +125,6 @@ class Report:
     @property
     def passed(self) -> bool:
         return bool(self.summary.get("pass", False))
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("EVOSTAB_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_rows(fn: Callable, items: Sequence):
-    n = _threads()
-    if n <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +338,7 @@ def _run_evolve(config, seed, tol):
                 matrix_norm(x_inv.entries, kind), defect,
                 defect <= 100.0 * tol)
 
-    rows = _map_rows(one, pairs)
+    rows = [one(pair) for pair in pairs]
     row_pass = [bool(r[5]) for r in rows]
     summary = {
         "pass": all(row_pass),
@@ -430,8 +410,12 @@ def _run_verify(config, seed, tol):
         "gain": cert.gain,
         "variation": cert.variation,
         "overflow": cert.overflow,
+        "vacuous": math.isinf(cert.bound),
         "aborted": report.aborted,
+        "cost": asdict(report.stats),
     }
+    if summary["vacuous"]:
+        summary["log_log_bound"] = cert.log_log_bound
     return rows, row_pass, summary, {
         "sup_grid": cert.sup_grid, "tolerances": cert.tolerances,
         "certify_tol": cert_tol,
@@ -455,7 +439,7 @@ def _run_substitution(config, seed, tol):
         defect = substitution_check(B, f, s, t, space, tol)
         return (s, t, defect, defect <= 100.0 * tol)
 
-    rows = _map_rows(one, pairs)
+    rows = [one(pair) for pair in pairs]
     row_pass = [bool(r[3]) for r in rows]
     summary = {
         "pass": all(row_pass),
@@ -492,7 +476,7 @@ def _run_cov_check(config, seed, tol):
         res = cov_check(y, f, s, t, tol)
         return (s, t, res.defect, res.defect <= 10.0 * tol)
 
-    rows = _map_rows(one, pairs)
+    rows = [one(pair) for pair in pairs]
     row_pass = [bool(r[3]) for r in rows]
     summary = {
         "pass": all(row_pass),
@@ -552,7 +536,7 @@ def _run_transport(config, seed, tol):
         norm_p = matrix_norm(p.entries, w.space.norm_kind)
         return (i, L1, norm_p, beta, norm_p <= beta * (1.0 + 1e-6))
 
-    rows = _map_rows(one, list(enumerate(curves)))
+    rows = [one(item) for item in enumerate(curves)]
     row_pass = [bool(r[4]) for r in rows]
     summary = {
         "pass": all(row_pass),

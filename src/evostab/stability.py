@@ -41,7 +41,7 @@ from .calculus import (
     tv_l1_upper_bound,
 )
 from .errors import DomainViolationError, IntegrationError, RefinementError
-from .evolution import CoefficientPath, EvolutionOperator, evolve
+from .evolution import CoefficientPath, EvolutionOperator, StepStats, evolve
 from .expressions import parse_expression
 from .operators import VectorSpaceSpec, matrix_norm
 
@@ -186,6 +186,13 @@ class BoundCertificate:
             )
         object.__setattr__(self, "log_bound", log_bound)
         object.__setattr__(self, "overflow", overflow)
+
+    @property
+    def log_log_bound(self) -> float:
+        """ln(N^{3+2N} V), the log of the exponent in C: finite and
+        comparable where C itself overflows to +inf."""
+        log_v = math.log(self.variation) if self.variation > 0.0 else -math.inf
+        return (3.0 + 2.0 * self.gain) * math.log(self.gain) + log_v
 
     @staticmethod
     def from_parts(gain, variation, window, sup_grid, tolerances,
@@ -341,6 +348,7 @@ class VerificationReport:
     passed: bool
     bound: float
     aborted: Optional[str] = None
+    stats: StepStats = field(default_factory=StepStats)
 
 
 def verify_certificate(
@@ -352,10 +360,13 @@ def verify_certificate(
 ) -> VerificationReport:
     """Check ||X(t,s)^{+-1}|| <= bound at the given (s, t) pairs.
 
-    ``coefficient`` overrides the assembled system coefficient so frozen
-    approximants can be verified against the same certificate.  A pair
-    passes when max(||X||, ||X^-1||) <= bound * (1 + 1e-6); an integration
-    failure aborts with the rows completed so far.
+    All propagators come from one sweep across the pairs' endpoints
+    (:class:`EvolutionOperator`), whose integrator counts are returned as
+    ``stats``.  ``coefficient`` overrides the assembled system coefficient
+    so frozen approximants can be verified against the same certificate.
+    A pair passes when max(||X||, ||X^-1||) <= bound * (1 + 1e-6); an
+    integration failure aborts at the first pair whose endpoint the sweep
+    did not reach, keeping the rows before it.
     """
     pairs = [(float(s), float(t)) for s, t in sample_pairs]
     for s, t in pairs:
@@ -364,10 +375,7 @@ def verify_certificate(
         if s > t:
             raise ValueError(f"pair ({s}, {t}) must have s <= t")
     A = coefficient if coefficient is not None else assemble_A(sys)
-    span = cert.window.length()
-    spacing = span / 64.0 if span <= 64.0 else 1.0
-    ev = EvolutionOperator(A, tol=tol, base=cert.window.lo,
-                           checkpoint_spacing=max(spacing, 1e-9))
+    ev = EvolutionOperator(A, [tau for pair in pairs for tau in pair], tol=tol)
     kind = sys.space.norm_kind
     slack = cert.bound * (1.0 + 1e-6)
     rows = []
@@ -392,4 +400,5 @@ def verify_certificate(
     return VerificationReport(
         rows=tuple(rows), max_observed=max_obs, max_ratio=max_ratio,
         passed=passed, bound=cert.bound, aborted=aborted,
+        stats=ev.step_stats,
     )

@@ -18,7 +18,7 @@ from evostab.calculus import (
     tv_l1_upper_bound,
 )
 from evostab.errors import DomainViolationError, QuadratureError
-from evostab.library import example39_field
+from evostab.library import example39_field, make_scalar_path
 from evostab.operators import VectorSpaceSpec
 
 
@@ -57,6 +57,27 @@ def test_scalar_path_derivative_is_zero_at_breakpoints():
     assert f.d(0.0) == 0.0
     assert f.d(1.0) == pytest.approx(1.0, abs=1e-6)
     assert f.d(-1.0) == pytest.approx(-1.0, abs=1e-6)
+
+
+def test_scalar_path_derivative_matches_linear_breakpoint_scan():
+    f = make_scalar_path("sawtooth", Interval(0.0, math.inf))
+    bps = f.breakpoints
+    assert len(bps) == 512
+
+    def linear_scan_d(t):
+        for b in bps:
+            if abs(t - b) <= 1e-14 * max(1.0, abs(b)):
+                return 0.0
+        return f.deriv(t)
+
+    ts = [-1.0, 0.0, bps[-1] + 1.0]
+    for b in bps:
+        for k in (0.0, 0.5, 1.0, 1.5):
+            ts += [b - k * 1e-14 * b, b + k * 1e-14 * b]
+        ts += [math.nextafter(b, -math.inf), math.nextafter(b, math.inf),
+               b + 1.0]
+    for t in ts:
+        assert f.d(t) == linear_scan_d(t), t
 
 
 # ---------------------------------------------------------------------------

@@ -346,6 +346,23 @@ def test_verify_rejects_bad_pairs():
         verify_certificate(sys, cert, [(0.0, 11.0)])
 
 
+def test_verify_abort_keeps_rows_before_first_unreached_pair():
+    sys = SeparableSystem(G=unit_field(), f=sin_path(), I=Interval(0, 10),
+                          J=Interval(-1, 1), space=SP1)
+    cert = certify(sys, Interval(0, 10))
+    # a coefficient that is undefined past t = 5 stops the sweep there
+    broken = CoefficientPath(
+        eval=lambda t: np.array([[math.cos(t) if t < 5.0 else math.nan]]),
+        space=SP1)
+    pairs = [(1.0, 2.0), (0.0, 1.0), (1.0, 6.0), (0.0, 2.0)]
+    report = verify_certificate(sys, cert, pairs, coefficient=broken)
+    assert [(r.s, r.t) for r in report.rows] == pairs[:2]
+    assert report.rows[0].norm_X == pytest.approx(
+        math.exp(math.sin(2.0) - math.sin(1.0)), rel=1e-8)
+    assert "(1.0, 6.0)" in report.aborted
+    assert not report.passed
+
+
 def test_verify_accepts_frozen_coefficient_override():
     sys, window = _example_system_window(4.0)
     cert = certify(sys, window)
