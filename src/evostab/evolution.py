@@ -1,15 +1,17 @@
 """Evolution operators X(t, s) of x' = A(t) x, by numerical integration.
 
 The stepping core is an embedded Dormand-Prince 5(4) pair with standard
-PI-free step control; the operator equation Y' = A(t) Y is integrated on
-the full r-by-r matrix state.  Integration always restarts at declared
-breakpoints of the coefficient so a step never straddles a jump, and
-backward propagation (t < s) is done by stepping with negative h rather
-than by inverting a forward result.
+PI-free step control, each stage state and the error estimate one
+tableau-row product over the stage slopes.  One sweep crosses monotone
+stops and returns the state at each, carrying the step size and slope
+from stop to stop; it restarts at declared breakpoints of the
+coefficient so a step never straddles a jump.  Backward propagation
+(t < s) steps with negative h rather than inverting a forward result.
 
 :class:`EvolutionOperator` answers many queries from one integration: it
 sweeps a fundamental solution Phi across a set of declared times, and
-every X(t, s) between them is Phi(t) Phi(s)^{-1}.
+every X(t, s) between them is Phi(t) Phi(s)^{-1}.  :func:`sweep_vector`
+and :func:`param_evolution` sweep vectors and frozen-parameter columns.
 """
 
 from __future__ import annotations
@@ -26,21 +28,23 @@ from .operators import Operator, Vector, VectorSpaceSpec, invert_matrix, matrix_
 
 DEFAULT_ODE_TOL = 1e-10
 
-# Dormand-Prince 5(4) tableau
+# Dormand-Prince 5(4) tableau.  Row i of _DP_A (zero-padded) forms stage
+# i's state from the stages before it; _DP_B5 gives the 5th-order
+# solution and _DP_E its difference from the embedded 4th-order one.
 _DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
-          187 / 2100, 1 / 40)
-_DP_E = tuple(b5 - b4 for b5, b4 in zip(_DP_B5, _DP_B4))
+_DP_A = np.array([
+    (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+    (1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+    (3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0),
+    (44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0,
+     0.0),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0),
+])
+_DP_B5 = _DP_A[6]
+_DP_E = _DP_B5 - np.array((5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
+                           -92097 / 339200, 187 / 2100, 1 / 40))
 
 
 @dataclass
@@ -81,112 +85,126 @@ class CoefficientPath:
         return self.eval(t)
 
 
-def _rk_segment(rhs, t0, t1, y, rtol, atol, stats, max_steps, h0=None):
+def _rk_segment(rhs, t0, t1, y, rtol, atol, stats, max_steps, h0=None,
+                f0=None):
     """Adaptive DP5(4) from t0 to t1 on a breakpoint-free segment.
 
     ``y`` is any ndarray shape; the error norm is max over components of
-    |err| / (atol + rtol * |y|).
+    |err| / (atol + rtol * |y|).  ``h0`` and ``f0`` = rhs(t0, y) carry over
+    from the segment before, if any.  Returns y(t1), the step to start the
+    next segment with (the controller's proposal before it was clipped to
+    land on t1) and rhs(t1, y(t1)), or None where that is not at hand.
     """
     if t1 == t0:
-        return y
+        return y, h0, f0
     direction = 1.0 if t1 > t0 else -1.0
     span = abs(t1 - t0)
     t = t0
-    f0 = rhs(t0, y)
-    stats.rhs_evals += 1
-    if span <= 1e-13 * max(1.0, abs(t0), abs(t1)):
-        # degenerate segment (a few ulps, e.g. grid points that almost
-        # coincide with a breakpoint): one explicit step is exact to
-        # O(span^2) ~ 1e-26 and avoids a spurious underflow
-        stats.steps += 1
-        stats.segments += 1
-        return y + (t1 - t0) * f0
-    if h0 is None:
-        # initial step from the scaled state/slope ratio (Hairer's d0/d1):
-        # a wrong guess only costs one rejection, the controller recovers
-        scale = atol + rtol * np.abs(y)
-        d0 = float(np.max(np.abs(y) / scale))
-        d1 = float(np.max(np.abs(f0) / scale))
-        h = 0.1 * span if d1 == 0.0 else 0.01 * max(d0, 1.0) / d1
-        h = min(max(h, 1e-8 * span), 0.1 * span, span)
-    else:
-        h = min(abs(h0), span)
-    stats.segments += 1
-    k = [None] * 7
-    k[0] = f0
-    taken = 0
-    while True:
-        remaining = abs(t1 - t)
-        if remaining <= 0.0:
-            break
-        if h > remaining:
-            h = remaining
-        hd = direction * h
-        for i in range(1, 7):
-            yi = y
-            for j, a in enumerate(_DP_A[i]):
-                if a != 0.0:
-                    yi = yi + (hd * a) * k[j]
-            k[i] = rhs(t + _DP_C[i] * hd, yi)
-        stats.rhs_evals += 6
-        y5 = y
-        for i, b in enumerate(_DP_B5):
-            if b != 0.0:
-                y5 = y5 + (hd * b) * k[i]
-        err_vec = None
-        for i, e in enumerate(_DP_E):
-            if e != 0.0:
-                term = (hd * e) * k[i]
-                err_vec = term if err_vec is None else err_vec + term
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            err = float(np.max(np.abs(err_vec) / scale))
-        if not math.isfinite(err):
-            err = math.inf
-        taken += 1
-        if taken > max_steps:
-            raise IntegrationError(f"step budget exhausted near t = {t}", t)
-        if err <= 1.0:
-            t = t1 if h >= remaining else t + hd
-            y = y5
-            k[0] = k[6]  # first-same-as-last pair
+    shape = y.shape
+    K = np.empty((7, y.size))           # stage slopes, one row each
+    Kv = K.reshape((7,) + shape)
+    # overflowing or non-finite stages only ever reach the error estimate,
+    # which then rejects the step: numpy need not warn about them
+    with np.errstate(all="ignore"):
+        if f0 is None:
+            f0 = rhs(t0, y)
+            stats.rhs_evals += 1
+        Kv[0] = f0
+        if span <= 1e-13 * max(1.0, abs(t0), abs(t1)):
+            # degenerate segment (a few ulps, e.g. grid points that almost
+            # coincide with a breakpoint): one explicit step is exact to
+            # O(span^2) ~ 1e-26 and avoids a spurious underflow
             stats.steps += 1
-            if err == 0.0:
-                h *= 5.0
-            else:
-                h *= min(5.0, max(0.2, 0.9 * err ** -0.2))
+            stats.segments += 1
+            return y + (t1 - t0) * Kv[0], h0, None
+        if h0 is None:
+            # initial step from the scaled state/slope ratio (Hairer's
+            # d0/d1): a wrong guess only costs one rejection
+            scale = atol + rtol * np.abs(y)
+            d0 = float(np.max(np.abs(y) / scale))
+            d1 = float(np.max(np.abs(Kv[0]) / scale))
+            h = 0.1 * span if d1 == 0.0 else 0.01 * max(d0, 1.0) / d1
+            h = min(max(h, 1e-8 * span), 0.1 * span, span)
         else:
-            stats.rejected += 1
-            h *= max(0.1, 0.9 * err ** -0.2) if math.isfinite(err) else 0.1
-            # k[0] still holds rhs(t, y): the step was rejected, the state
-            # did not move.  Underflow is only meaningful here, where the
-            # controller is shrinking; accepted steps may grow freely.
-            if h < 1e-14 * max(1.0, abs(t)):
-                raise IntegrationError(
-                    f"step size underflow at t = {t} "
-                    "(stiffness or singularity)", t
-                )
-    return y
+            h = abs(h0)
+        stats.segments += 1
+        taken = 0
+        while True:
+            remaining = abs(t1 - t)
+            if remaining <= 0.0:
+                break
+            hs = min(h, remaining)
+            hd = direction * hs
+            ha = hd * _DP_A
+            for i in range(1, 7):
+                Kv[i] = rhs(t + _DP_C[i] * hd,
+                            y + (ha[i, :i] @ K[:i]).reshape(shape))
+            stats.rhs_evals += 6
+            y5 = y + ((hd * _DP_B5) @ K).reshape(shape)
+            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
+            err_vec = ((hd * _DP_E) @ K).reshape(shape)
+            err = float(np.max(np.abs(err_vec) / scale))
+            if not math.isfinite(err):
+                err = math.inf
+            taken += 1
+            if taken > max_steps:
+                raise IntegrationError(f"step budget exhausted near t = {t}", t)
+            if err <= 1.0:
+                y = y5
+                K[0] = K[6]  # first-same-as-last pair
+                stats.steps += 1
+                if hs == remaining:
+                    t = t1
+                    if hs < h:
+                        break  # clipped to land: h is still the proposal
+                else:
+                    t = t + hd
+                h = hs * (5.0 if err == 0.0
+                          else min(5.0, max(0.2, 0.9 * err ** -0.2)))
+            else:
+                stats.rejected += 1
+                h = hs * (max(0.1, 0.9 * err ** -0.2) if math.isfinite(err)
+                          else 0.1)
+                # K[0] still holds rhs(t, y): the step was rejected, the
+                # state did not move.  Underflow is only meaningful here,
+                # where the controller is shrinking.
+                if h < 1e-14 * max(1.0, abs(t)):
+                    raise IntegrationError(
+                        f"step size underflow at t = {t} "
+                        "(stiffness or singularity)", t
+                    )
+    return y, h, Kv[0]
 
 
-def _segment_times(s: float, t: float, breakpoints: Sequence[float]):
-    """Ordered cut times from s to t, split at interior breakpoints."""
-    if s == t:
-        return [s, t]
-    lo, hi = (s, t) if s < t else (t, s)
-    inner = [b for b in breakpoints if lo < b < hi]
-    times = [lo] + inner + [hi]
-    if s > t:
-        times = times[::-1]
-    return times
+def _sweep(rhs, stops, y0, breakpoints, rtol, atol, stats, max_steps):
+    """Integrate once across the monotone ``stops``, yielding the state at
+    each of them (``y0`` first).
+
+    Hops between stops are split at the interior ones of the (sorted)
+    ``breakpoints``.  The step size and the slope carry from one stop to
+    the next; only a segment that starts at a breakpoint restarts from the
+    initial-step estimate, so no step straddles a jump or reuses a slope
+    from across it.
+    """
+    stats = stats if stats is not None else StepStats()
+    y, h, f = y0, None, None
+    yield y
+    for a, b in zip(stops, stops[1:]):
+        inner = [c for c in breakpoints if min(a, b) < c < max(a, b)]
+        cuts = [a] + (inner if a < b else inner[::-1]) + [b]
+        for t0, t1 in zip(cuts, cuts[1:]):
+            if t0 in breakpoints:
+                h = f = None
+            y, h, f = _rk_segment(rhs, t0, t1, y, rtol, atol, stats,
+                                  max_steps, h, f)
+        yield y
 
 
-def _integrate_state(rhs, s, t, y0, breakpoints, rtol, atol, stats, max_steps):
-    y = y0
-    times = _segment_times(s, t, breakpoints)
-    for a, b in zip(times, times[1:]):
-        y = _rk_segment(rhs, a, b, y, rtol, atol, stats, max_steps)
-    return y
+def _linear_rhs(A: CoefficientPath):
+    """The right-hand side (tau, y) -> A(tau) y, for a state of any shape."""
+    def rhs(tau, y):
+        return np.asarray(A.eval(tau), dtype=float) @ y
+    return rhs
 
 
 def evolve(
@@ -202,15 +220,23 @@ def evolve(
     Integrates the matrix equation Y' = A Y with Y(s) = id; for t < s the
     integrator steps backward in time.
     """
-    r = A.space.dim
-    stats = stats if stats is not None else StepStats()
-
-    def rhs(tau, y):
-        return np.asarray(A.eval(tau), dtype=float) @ y
-
-    y = _integrate_state(rhs, s, t, np.eye(r), A.breakpoints, tol, tol,
-                         stats, max_steps)
+    y = list(_sweep(_linear_rhs(A), (s, t), np.eye(A.space.dim),
+                    A.breakpoints, tol, tol, stats, max_steps))[-1]
     return Operator(y, A.space)
+
+
+def sweep_vector(
+    A: CoefficientPath,
+    stops: Sequence[float],
+    v,
+    tol: float = DEFAULT_ODE_TOL,
+    stats: Optional[StepStats] = None,
+    max_steps: int = 2_000_000,
+) -> list:
+    """X(tau, stops[0]) v at every tau of the monotone ``stops``, as
+    ndarrays, from one integration of the vector equation across them."""
+    return list(_sweep(_linear_rhs(A), stops, np.array(v, dtype=float),
+                       A.breakpoints, tol, tol, stats, max_steps))
 
 
 def propagate_vector(
@@ -224,13 +250,7 @@ def propagate_vector(
 ) -> Vector:
     """X(t, s) v by direct integration of the vector equation
     (the full propagator matrix is never formed)."""
-    stats = stats if stats is not None else StepStats()
-
-    def rhs(tau, y):
-        return np.asarray(A.eval(tau), dtype=float) @ y
-
-    y = _integrate_state(rhs, s, t, np.array(v.entries, dtype=float),
-                         A.breakpoints, tol, tol, stats, max_steps)
+    y = sweep_vector(A, (s, t), v.entries, tol, stats, max_steps)[-1]
     return Vector(y, A.space)
 
 
@@ -245,16 +265,14 @@ def variation_of_parameters(
 ) -> Vector:
     """Solution at t of the inhomogeneous equation x' = A(t) x + g(t) with
     x(s) = x_s, integrated directly on the augmented right-hand side."""
-    stats = StepStats()
+    hom = _linear_rhs(A)
 
     def rhs(tau, y):
-        return np.asarray(A.eval(tau), dtype=float) @ y + np.asarray(
-            g(tau), dtype=float
-        )
+        return hom(tau, y) + np.asarray(g(tau), dtype=float)
 
     bps = tuple(sorted(set(A.breakpoints) | set(float(b) for b in g_breakpoints)))
-    y = _integrate_state(rhs, s, t, np.array(x_s.entries, dtype=float),
-                         bps, tol, tol, stats, 2_000_000)
+    y = list(_sweep(rhs, (s, t), np.array(x_s.entries, dtype=float), bps,
+                    tol, tol, None, 2_000_000))[-1]
     return Vector(y, A.space)
 
 
@@ -342,19 +360,12 @@ class EvolutionOperator:
         self._failure: Optional[IntegrationError] = None
         stops = sorted(set(float(t) for t in times))
         self._phi = dict.fromkeys(stops)
-        if not stops:
-            return
-
-        def rhs(tau, y):
-            return np.asarray(source.eval(tau), dtype=float) @ y
-
-        phi = np.eye(source.space.dim)
-        self._phi[stops[0]] = phi
+        sweep = _sweep(_linear_rhs(source), stops, np.eye(source.space.dim),
+                       source.breakpoints, tol, tol, self.step_stats,
+                       2_000_000)
         try:
-            for a, b in zip(stops, stops[1:]):
-                phi = _integrate_state(rhs, a, b, phi, source.breakpoints,
-                                       tol, tol, self.step_stats, 2_000_000)
-                self._phi[b] = phi
+            for tau, phi in zip(stops, sweep):
+                self._phi[tau] = phi
         except IntegrationError as exc:
             self._failure = exc
 
@@ -398,29 +409,26 @@ def param_evolution(
     space: VectorSpaceSpec,
     tol: float = DEFAULT_ODE_TOL,
     v_breakpoints: Sequence[float] = (),
+    stats: Optional[StepStats] = None,
 ) -> ParamEvolutionResult:
     """Solve the parameter-dependent family: for each frozen x, evolve in
-    v from v0 to every target.  Targets on the same side of v0 are reached
-    by chaining, so each column costs one sweep per direction."""
+    v from v0 to every target.  Each column takes one sweep per direction
+    from v0, stopping at that side's targets in order, so the step size
+    carries from one target to the next."""
     x_grid = tuple(float(x) for x in x_grid)
     v_targets = tuple(float(v) for v in v_targets)
-    stats = StepStats()
     columns = []
     for x in x_grid:
         def rhs(v, y, _x=x):
             return np.asarray(A(_x, v), dtype=float) @ y
 
         col = {}
-        for side in (
-            sorted([v for v in v_targets if v >= v0]),
-            sorted([v for v in v_targets if v < v0], reverse=True),
-        ):
-            cur_v, cur = v0, np.eye(space.dim)
-            for v in side:
-                cur = _integrate_state(rhs, cur_v, v, cur, v_breakpoints,
-                                       tol, tol, stats, 2_000_000)
-                cur_v = v
-                col[v] = cur
+        for side in (sorted(v for v in v_targets if v >= v0),
+                     sorted((v for v in v_targets if v < v0), reverse=True)):
+            stops = [v0] + side
+            col.update(zip(stops, _sweep(rhs, stops, np.eye(space.dim),
+                                         v_breakpoints, tol, tol, stats,
+                                         2_000_000)))
         columns.append([col[v] for v in v_targets])
     continuity = 0.0
     for left, right in zip(columns, columns[1:]):

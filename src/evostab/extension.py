@@ -31,8 +31,8 @@ from scipy.special import gammaln
 
 from .calculus import Interval
 from .errors import ApproximationError, ConstructionError
-from .evolution import CoefficientPath, param_evolution, propagate_vector
-from .operators import Vector, vector_norm
+from .evolution import CoefficientPath, StepStats, param_evolution, sweep_vector
+from .operators import vector_norm
 from .transport import ConnectionForm
 
 __all__ = [
@@ -92,17 +92,11 @@ def _vertical_coefficient(w: ConnectionForm, x: float) -> CoefficientPath:
     )
 
 
-def _horizontal_coefficient(w: ConnectionForm, v: float) -> CoefficientPath:
-    return CoefficientPath(
-        eval=lambda x: -np.asarray(w.omega1(x, v), dtype=float),
-        space=w.space, domain=w.m_interval,
-    )
-
-
-def _move_vertical(p: ExtensionProblem, x: float, v_from: float, v_to: float,
-                   vec: np.ndarray, tol: float) -> np.ndarray:
-    """Transport along the vertical segment at x, refusing to cross the
-    graph of f."""
+def _vertical_sweep(p, x, stops, vec, tol, stats) -> list:
+    """Section values at every v of the monotone ``stops``, from one
+    transport up or down the vertical at x that refuses to cross the graph
+    of f anywhere on its span."""
+    v_from, v_to = stops[0], stops[-1]
     if x > p.a and v_from != v_to:
         fx = float(p.f(x))
         if min(v_from, v_to) <= fx <= max(v_from, v_to):
@@ -110,16 +104,26 @@ def _move_vertical(p: ExtensionProblem, x: float, v_from: float, v_to: float,
                 f"vertical path at x = {x} from v = {v_from} to {v_to} "
                 f"crosses the graph (f(x) = {fx})"
             )
-    A = _vertical_coefficient(p.omega, x)
-    out = propagate_vector(A, v_from, v_to, Vector(vec, p.omega.space), tol)
-    return np.asarray(out.entries, dtype=float)
+    return sweep_vector(_vertical_coefficient(p.omega, x), stops, vec, tol,
+                        stats)
 
 
-def _move_horizontal(p: ExtensionProblem, v: float, x_from: float,
-                     x_to: float, vec: np.ndarray, tol: float) -> np.ndarray:
-    A = _horizontal_coefficient(p.omega, v)
-    out = propagate_vector(A, x_from, x_to, Vector(vec, p.omega.space), tol)
-    return np.asarray(out.entries, dtype=float)
+def _horizontal_sweep(p, v, stops, vec, tol, stats) -> list:
+    """Section values at every x of the monotone ``stops``, from one
+    transport along the horizontal at level v."""
+    A = CoefficientPath(
+        eval=lambda x: -np.asarray(p.omega.omega1(x, v), dtype=float),
+        space=p.omega.space, domain=p.omega.m_interval,
+    )
+    return sweep_vector(A, stops, vec, tol, stats)
+
+
+def _move_vertical(p: ExtensionProblem, x: float, v_from: float, v_to: float,
+                   vec: np.ndarray, tol: float,
+                   stats: Optional[StepStats] = None) -> np.ndarray:
+    """Transport along the vertical segment at x, refusing to cross the
+    graph of f."""
+    return _vertical_sweep(p, x, (v_from, v_to), vec, tol, stats)[-1]
 
 
 @dataclass(frozen=True)
@@ -143,6 +147,7 @@ def build_sigma(
     tol: float = 1e-10,
     verify: bool = True,
     report_only: bool = False,
+    stats: Optional[StepStats] = None,
 ) -> SigmaField:
     """Construct the parallel section by transporting the seed along axis
     paths that avoid the graph.
@@ -156,7 +161,7 @@ def build_sigma(
     With ``verify`` on, loop transports and fine-stencil residual probes
     check that transport off the graph is path-independent; failures
     raise ConstructionError unless ``report_only`` marks the output
-    unverified instead.
+    unverified instead.  ``stats``, if given, counts every integration.
     """
     xs = tuple(float(x) for x in x_grid)
     vs = tuple(float(v) for v in v_grid)
@@ -178,11 +183,11 @@ def build_sigma(
     values = np.full((nx, nv, r), np.nan)
 
     # seed moved to the two corridor levels at x_ref (x_ref < a: free fiber)
-    at_v0 = _move_vertical(p, x_ref, v_ref, p.v0, p.sigma_seed, tol)
-    at_v1 = _move_vertical(p, x_ref, v_ref, p.v1, p.sigma_seed, tol)
+    at_v0 = _move_vertical(p, x_ref, v_ref, p.v0, p.sigma_seed, tol, stats)
+    at_v1 = _move_vertical(p, x_ref, v_ref, p.v1, p.sigma_seed, tol, stats)
 
-    row_v0 = _sweep_corridor(p, p.v0, at_v0, xs, x_ref, tol)
-    row_v1 = _sweep_corridor(p, p.v1, at_v1, xs, x_ref, tol)
+    row_v0 = _sweep_corridor(p, p.v0, at_v0, xs, x_ref, tol, stats)
+    row_v1 = _sweep_corridor(p, p.v1, at_v1, xs, x_ref, tol, stats)
 
     ascending = sorted(range(nv), key=lambda i: vs[i])
     for ix, x in enumerate(xs):
@@ -194,17 +199,17 @@ def build_sigma(
             below = lambda v: True
             above = lambda v: False
         _fill_column(p, x, ix, vs, values, ascending, p.v0, row_v0[ix],
-                     below, tol)
+                     below, tol, stats)
         if x > p.a:
             _fill_column(p, x, ix, vs, values, ascending, p.v1, row_v1[ix],
-                         above, tol)
+                         above, tol, stats)
 
     loop_defect = math.nan
     probe_residual = math.nan
     verified = False
     if verify:
-        loop_defect = _loop_defect(p, tol)
-        probe_residual = _probe_residual(p, xs, vs, tol)
+        loop_defect = _loop_defect(p, tol, stats)
+        probe_residual = _probe_residual(p, xs, vs, tol, stats)
         verified = loop_defect <= 1e-7 and probe_residual <= 1e-6
         if not verified and not report_only:
             raise ConstructionError(
@@ -221,57 +226,48 @@ def build_sigma(
 
 
 def _fill_column(p, x, ix, vs, values, ascending, level, level_vec,
-                 allowed, tol):
-    """Chain vertical transports up and down from a corridor level,
-    writing every grid value on the corridor's side of the graph."""
-    cur_v, cur = level, level_vec
-    for iv in ascending:
-        v = vs[iv]
-        if v >= level and allowed(v):
-            cur = _move_vertical(p, x, cur_v, v, cur, tol)
-            cur_v = v
-            values[ix, iv] = cur
-    cur_v, cur = level, level_vec
-    for iv in ascending[::-1]:
-        v = vs[iv]
-        if v < level and allowed(v):
-            cur = _move_vertical(p, x, cur_v, v, cur, tol)
-            cur_v = v
-            values[ix, iv] = cur
+                 allowed, tol, stats):
+    """Sweep up and down the column from a corridor level, writing every
+    grid value on the corridor's side of the graph."""
+    up = [iv for iv in ascending if vs[iv] >= level and allowed(vs[iv])]
+    down = [iv for iv in ascending[::-1] if vs[iv] < level and allowed(vs[iv])]
+    for side in (up, down):
+        stops = [level] + [vs[iv] for iv in side]
+        states = _vertical_sweep(p, x, stops, level_vec, tol, stats)
+        for iv, state in zip(side, states[1:]):
+            values[ix, iv] = state
 
 
-def _sweep_corridor(p, level, start_vec, xs, x_ref, tol):
-    """Transport along the horizontal corridor at the given level,
-    caching the section at every grid x (incremental between neighbors)."""
-    r = p.omega.space.dim
-    out = np.empty((len(xs), r))
+def _sweep_corridor(p, level, start_vec, xs, x_ref, tol, stats):
+    """Transport along the horizontal corridor at the given level, one
+    sweep each way from x_ref, keeping the section at every grid x."""
+    out = np.empty((len(xs), p.omega.space.dim))
     order = sorted(range(len(xs)), key=lambda i: xs[i])
     right = [i for i in order if xs[i] >= x_ref]
     left = [i for i in order if xs[i] < x_ref][::-1]
     for side in (right, left):
-        cur_x, cur = x_ref, start_vec
-        for i in side:
-            cur = _move_horizontal(p, level, cur_x, xs[i], cur, tol)
-            cur_x = xs[i]
-            out[i] = cur
+        stops = [x_ref] + [xs[i] for i in side]
+        states = _horizontal_sweep(p, level, stops, start_vec, tol, stats)
+        for i, state in zip(side, states[1:]):
+            out[i] = state
     return out
 
 
-def _sigma_at(p: ExtensionProblem, x: float, v: float, tol: float) -> np.ndarray:
+def _sigma_at(p: ExtensionProblem, x: float, v: float, tol: float,
+              stats: Optional[StepStats] = None) -> np.ndarray:
     """Section value at an arbitrary off-graph point, by fresh routing."""
     x_ref, v_ref = p.p_ref
-    if x > p.a and v > float(p.f(x)):
-        vec = _move_vertical(p, x_ref, v_ref, p.v1, p.sigma_seed, tol)
-        vec = _move_horizontal(p, p.v1, x_ref, x, vec, tol)
-        return _move_vertical(p, x, p.v1, v, vec, tol)
-    vec = _move_vertical(p, x_ref, v_ref, p.v0, p.sigma_seed, tol)
-    vec = _move_horizontal(p, p.v0, x_ref, x, vec, tol)
-    return _move_vertical(p, x, p.v0, v, vec, tol)
+    level = p.v1 if x > p.a and v > float(p.f(x)) else p.v0
+    vec = _move_vertical(p, x_ref, v_ref, level, p.sigma_seed, tol, stats)
+    vec = _horizontal_sweep(p, level, (x_ref, x), vec, tol, stats)[-1]
+    return _move_vertical(p, x, level, v, vec, tol, stats)
 
 
-def _loop_defect(p: ExtensionProblem, tol: float) -> float:
+def _loop_defect(p: ExtensionProblem, tol: float,
+                 stats: Optional[StepStats]) -> float:
     """Max seed defect of rectangular loop transports inside the
-    complement of the graph."""
+    complement of the graph (none of them crosses the strip (v0, v1)
+    that holds it)."""
     M, J = p.omega.m_interval, p.omega.j_interval
     x_ref = p.p_ref[0]
     pad_j = 0.05 * J.length()
@@ -288,24 +284,17 @@ def _loop_defect(p: ExtensionProblem, tol: float) -> float:
         if not (x1 < x2 and va < vb):
             continue
         vec = p.sigma_seed.copy()
-        vec = _move_horizontal(p, va, x1, x2, vec, tol)
-        vec = _move_vertical_raw(p, x2, va, vb, vec, tol)
-        vec = _move_horizontal(p, vb, x2, x1, vec, tol)
-        vec = _move_vertical_raw(p, x1, vb, va, vec, tol)
+        vec = _horizontal_sweep(p, va, (x1, x2), vec, tol, stats)[-1]
+        vec = _move_vertical(p, x2, va, vb, vec, tol, stats)
+        vec = _horizontal_sweep(p, vb, (x2, x1), vec, tol, stats)[-1]
+        vec = _move_vertical(p, x1, vb, va, vec, tol, stats)
         worst = max(worst, vector_norm(vec - p.sigma_seed, kind)
                     / max(vector_norm(p.sigma_seed, kind), 1e-300))
     return worst
 
 
-def _move_vertical_raw(p, x, v_from, v_to, vec, tol):
-    """Vertical transport without the graph-crossing guard (used only for
-    loop rectangles constructed to avoid the strip)."""
-    A = _vertical_coefficient(p.omega, x)
-    out = propagate_vector(A, v_from, v_to, Vector(vec, p.omega.space), tol)
-    return np.asarray(out.entries, dtype=float)
-
-
-def _probe_residual(p: ExtensionProblem, xs, vs, tol: float) -> float:
+def _probe_residual(p: ExtensionProblem, xs, vs, tol: float,
+                    stats: Optional[StepStats]) -> float:
     """Max covariant-derivative residual of the constructed section over a
     few fine 3x3 stencils (central differences; the spacing balances
     truncation against transport noise)."""
@@ -330,7 +319,7 @@ def _probe_residual(p: ExtensionProblem, xs, vs, tol: float) -> float:
         grid = np.empty((3, 3, p.omega.space.dim))
         for i, x in enumerate(gx):
             for j, v in enumerate(gv):
-                grid[i, j] = _sigma_at(p, x, v, tol)
+                grid[i, j] = _sigma_at(p, x, v, tol, stats)
         for direction in (1, 2):
             res = parallel_residual(p.omega, grid, gx, gv, direction)
             worst = max(worst, float(res.values[1, 1]))
@@ -408,6 +397,7 @@ def extend_section(
     p: ExtensionProblem,
     sigma: SigmaField,
     tol: float = 1e-10,
+    stats: Optional[StepStats] = None,
 ) -> ExtensionResult:
     """Build both candidate extensions from the section's boundary rows
     and compare them.
@@ -423,8 +413,10 @@ def extend_section(
     def minus_omega2(x, v):
         return -np.asarray(p.omega.omega2(x, v), dtype=float)
 
-    fam0 = param_evolution(minus_omega2, xs, p.v0, vs, space, tol)
-    fam1 = param_evolution(minus_omega2, xs, p.v1, vs, space, tol)
+    fam0 = param_evolution(minus_omega2, xs, p.v0, vs, space, tol,
+                           stats=stats)
+    fam1 = param_evolution(minus_omega2, xs, p.v1, vs, space, tol,
+                           stats=stats)
     nx, nv, r = len(xs), len(vs), space.dim
     xi0 = np.empty((nx, nv, r))
     xi1 = np.empty((nx, nv, r))
@@ -470,10 +462,8 @@ def section_at(
     if not matches:
         raise ValueError(f"x = {x} is not a sigma grid column")
     ix = matches[0]
-    A = _vertical_coefficient(p.omega, xs[ix])
-    out = propagate_vector(A, p.v0, v, Vector(sigma.row_v0[ix], p.omega.space),
-                           tol)
-    return np.asarray(out.entries, dtype=float)
+    return sweep_vector(_vertical_coefficient(p.omega, xs[ix]), (p.v0, v),
+                        sigma.row_v0[ix], tol)[-1]
 
 
 def near_graph_mask(

@@ -34,7 +34,7 @@ import numpy as np
 from . import __version__
 from .calculus import Interval, OperatorField, ScalarPath, arc_length, cov_check
 from .errors import ConfigError
-from .evolution import CoefficientPath, evolve
+from .evolution import CoefficientPath, StepStats, evolve
 from .expressions import parse_expression
 from .library import (
     BUILTIN_CONNECTIONS,
@@ -365,7 +365,10 @@ def _run_certify(config, seed, tol):
         "bound": cert.bound,
         "overflow": cert.overflow,
         "variation_mode": cert.variation_mode,
+        "vacuous": math.isinf(cert.bound),
     }
+    if summary["vacuous"]:
+        summary["log_log_bound"] = cert.log_log_bound
     return [row], [cert.sup_converged], summary, {
         "sup_grid": cert.sup_grid, "tolerances": cert.tolerances,
         "provenance": cert.provenance,
@@ -605,6 +608,14 @@ def _extension_from_config(cfg, bag):
     return None
 
 
+def _grid_number(grid_cfg, name, default, cast, bag):
+    try:
+        return cast(grid_cfg.get(name, default))
+    except (TypeError, ValueError, OverflowError):
+        bag.append(f"grid.{name}: expected a number, got {grid_cfg[name]!r}")
+        return None
+
+
 def _run_extend(config, seed, tol):
     bag = []
     problem = _extension_from_config(config.get("problem"), bag)
@@ -612,14 +623,16 @@ def _run_extend(config, seed, tol):
     if not isinstance(grid_cfg, dict):
         bag.append("grid: expected an object")
         grid_cfg = {}
-    nx_left = int(grid_cfg.get("nx_left", 6))
-    nx_right = int(grid_cfg.get("nx_right", 10))
-    nv = int(grid_cfg.get("nv", 13))
-    x_floor = float(grid_cfg.get("x_floor", 1e-3))
+    nx_left = _grid_number(grid_cfg, "nx_left", 6, int, bag)
+    nx_right = _grid_number(grid_cfg, "nx_right", 10, int, bag)
+    nv = _grid_number(grid_cfg, "nv", 13, int, bag)
+    x_floor = _grid_number(grid_cfg, "x_floor", 1e-3, float, bag)
     for name, val in (("nx_left", nx_left), ("nx_right", nx_right),
                       ("nv", nv)):
-        _problems_if(val < 2, f"grid.{name}: need at least 2", bag)
-    _problems_if(x_floor <= 0, "grid.x_floor: must be positive", bag)
+        _problems_if(val is not None and val < 2,
+                     f"grid.{name}: need at least 2", bag)
+    _problems_if(x_floor is not None and not x_floor > 0,
+                 "grid.x_floor: must be positive", bag)
     if bag:
         raise ConfigError(bag)
     M, J = problem.omega.m_interval, problem.omega.j_interval
@@ -629,8 +642,9 @@ def _run_extend(config, seed, tol):
     xs_right = np.linspace(problem.a + x_floor, M.hi - pad_m, nx_right)
     xs = np.concatenate([xs_left, xs_right])
     vs = np.linspace(J.lo + pad_j, J.hi - pad_j, nv)
-    sigma = build_sigma(problem, xs, vs, tol)
-    result = extend_section(problem, sigma, tol)
+    stats = StepStats()
+    sigma = build_sigma(problem, xs, vs, tol, stats=stats)
+    result = extend_section(problem, sigma, tol, stats=stats)
     mask = near_graph_mask(problem.f, problem.a, xs, vs)
     # x-differences must not straddle the excluded strip around x = a:
     # recompute the reported residuals per uniform block
@@ -659,6 +673,7 @@ def _run_extend(config, seed, tol):
         "sigma_verified": sigma.verified,
         "worst_point": list(result.worst_point),
         "max_offgraph_residual": max(off_graph, default=0.0),
+        "cost": asdict(stats),
     }
     return rows, row_pass, summary, {
         "grid": {"nx": len(xs), "nv": nv, "x_floor": x_floor},

@@ -1,4 +1,5 @@
 import math
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -15,10 +16,12 @@ from evostab.evolution import (
     evolve,
     param_evolution,
     propagate_vector,
+    sweep_vector,
     variation_of_parameters,
 )
+from evostab.evolution import _rk_segment
 from evostab.calculus import signed_integrate
-from evostab.library import make_system
+from evostab.library import make_extension_problem, make_system
 from evostab.operators import Vector, VectorSpaceSpec, invert_matrix, matrix_norm
 from evostab.stability import assemble_A
 
@@ -120,6 +123,63 @@ def test_integration_failure_reports_location():
     with pytest.raises(IntegrationError) as err:
         evolve(A, 0.0, 1.0)
     assert 0.9 <= err.value.location <= 1.0
+
+
+def test_stage_kernel_matches_loop_reference():
+    # one DP5 step (loose tolerances, h0 = span) against the tableau
+    # applied coefficient by coefficient; only the summation order differs
+    A = smooth_corpus(seed=5, count=1, dims=(3,))[0]
+    a = [[], [1 / 5], [3 / 40, 9 / 40], [44 / 45, -56 / 15, 32 / 9],
+         [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
+         [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+         [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]]
+    c = [0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0]
+    t0, h = 0.3, 0.2
+    y0 = np.eye(3) + 0.1 * np.arange(9.0).reshape(3, 3)
+    k = []
+    for i in range(7):
+        yi = y0 + h * sum((aij * kj for aij, kj in zip(a[i], k)),
+                          np.zeros((3, 3)))
+        k.append(A.eval(t0 + c[i] * h) @ yi)
+    want = y0 + h * sum(b * kj for b, kj in zip(a[6], k))
+    stats = StepStats()
+    got, _, slope = _rk_segment(lambda t, y: A.eval(t) @ y, t0, t0 + h, y0,
+                                1.0, 1.0, stats, 10, h0=h)
+    assert stats.steps == 1 and stats.rejected == 0
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    assert np.max(np.abs(slope - k[6])) <= 1e-14 * np.max(np.abs(k[6]))
+
+
+def test_blow_up_raises_integration_error_without_warnings():
+    # x' = x / (5 - t)^2 blows up at t = 5: the state overflows before
+    # the controller gives up, and no numpy warning may escape on the way
+    A = CoefficientPath(eval=lambda t: np.array([[1.0 / (5.0 - t) ** 2]]),
+                        space=SP1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationError) as err:
+            evolve(A, 0.0, 6.0)
+    assert 4.9 <= err.value.location < 5.0
+
+
+def test_non_finite_stages_are_rejected_until_integration_error():
+    # an infinite coefficient from t = 1 on makes every stage that samples
+    # it non-finite, and the tableau's zero entries carry 0 * inf = nan
+    # into the 5th-order solution: such steps must all be rejected, so the
+    # state stays exact up to the failure just short of t = 1
+    def ev(t):
+        return np.array([[0.5 if t < 1.0 else math.inf]])
+
+    A = CoefficientPath(eval=ev, space=SP1)
+    stats = StepStats()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationError) as err:
+            sweep_vector(A, [0.0, 0.9, 2.0], [1.0], stats=stats)
+        assert sweep_vector(A, [0.0, 0.9], [1.0])[-1][0] == pytest.approx(
+            math.exp(0.45), rel=1e-9)
+    assert 0.9 < err.value.location < 1.0
+    assert stats.rejected > 0
 
 
 def test_propagate_vector_zero_stays_zero():
@@ -324,11 +384,67 @@ def test_sweep_matches_per_pair_evolve_on_example39():
 
 
 def test_sweep_cost_on_example39():
-    # one sweep over the 80 endpoints: 79 segments, and 23,503 right-hand
-    # sides measured with Python 3.11 and numpy 2.4; the bound leaves 6%
+    # one sweep over the 80 endpoints: 79 segments, and 23,173 right-hand
+    # sides measured with Python 3.11 and numpy 2.4; the bound leaves 8%
     _, _, ev = _example39_sweep()
     assert ev.step_stats.segments == 79
     assert ev.step_stats.rhs_evals <= 25_000
+
+
+@pytest.mark.parametrize("name", ["extension-gauge", "extension-twist"])
+def test_sweep_vector_matches_per_hop_propagation(name):
+    omega = make_extension_problem(name).omega
+    A = CoefficientPath(eval=lambda v: -omega.omega2(0.37, v),
+                        space=omega.space)
+    v = np.array([0.8, -0.3])
+    up = list(np.linspace(-1.5, 1.9, 13))
+    for stops in (up, up[::-1]):
+        swept = sweep_vector(A, stops, v, 1e-10)
+        hop = Vector(v, A.space)
+        for a, b, got in zip(stops, stops[1:], swept[1:]):
+            hop = propagate_vector(A, a, b, hop, 1e-10)
+            want = hop.entries
+            assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+
+def test_sweep_restarts_at_a_breakpoint_between_stops():
+    # piecewise-constant scalar coefficient with a jump at t = 1, which
+    # lies strictly between two stops (and is a stop in the second list)
+    def ev(t):
+        return np.array([[1.0 if t < 1.0 else -2.0]])
+
+    def exponent(t):
+        return min(t, 1.0) - 2.0 * max(t - 1.0, 0.0)
+
+    A = CoefficientPath(eval=ev, space=SP1, breakpoints=(1.0,))
+    for stops in ([0.0, 0.4, 1.7, 2.5], [0.0, 1.0, 2.0]):
+        for t, got in zip(stops, sweep_vector(A, stops, [1.0])):
+            assert got[0] == pytest.approx(math.exp(exponent(t)), rel=1e-8)
+    # nothing carries across the jump: the sweep is exactly two sweeps
+    # that meet at the breakpoint, in either direction
+    for stops, cut in (([0.0, 0.4, 1.7, 2.5], 2), ([2.5, 1.7, 0.4, 0.0], 2)):
+        whole = sweep_vector(A, stops, [1.0])
+        before = sweep_vector(A, stops[:cut] + [1.0], [1.0])
+        after = sweep_vector(A, [1.0] + stops[cut:], before[-1])
+        assert all(np.array_equal(w, p) for w, p in
+                   zip(whole, before[:-1] + after[1:]))
+
+
+def test_param_evolution_cost_on_extension_gauge_grid():
+    # the built-in extension-gauge grid (16 x 13), swept from both corridor
+    # levels: 5,900 right-hand sides measured with Python 3.11 and numpy
+    # 2.4 with the step carried from target to target (8,548 with a fresh
+    # start at every target); the bound leaves 10%
+    p = make_extension_problem("extension-gauge")
+    xs = np.concatenate([np.linspace(-1.8, -0.2, 6),
+                         np.linspace(1e-3, 1.8, 10)])
+    vs = np.linspace(-1.8, 1.8, 13)
+    stats = StepStats()
+    for level in (p.v0, p.v1):
+        param_evolution(lambda x, v: -p.omega.omega2(x, v), xs, level, vs,
+                        p.omega.space, 1e-10, stats=stats)
+    assert stats.segments == 400
+    assert stats.rhs_evals <= 6_500
 
 
 def test_step_stats_accumulate():

@@ -88,6 +88,19 @@ def test_certify_row_schema():
     assert n == pytest.approx(math.e ** 2, rel=1e-9)
     assert v == 0.0
     assert c == pytest.approx(math.e ** 4, rel=1e-9)
+    assert report.summary["vacuous"] is False
+    assert "log_log_bound" not in report.summary
+
+
+def test_certify_reports_vacuous_certificate():
+    # example39 over [0, 100]: N is in the hundreds, so C overflows
+    report = run_scenario("certify", {
+        "system": {"builtin": "example39"}, "window": [0.0, 100.0]})
+    s = report.summary
+    assert s["bound"] == math.inf and s["vacuous"] is True
+    n, v = s["gain"], s["variation"]
+    assert s["log_log_bound"] == pytest.approx(
+        (3 + 2 * n) * math.log(n) + math.log(v), rel=1e-12)
 
 
 def test_verify_expression_system_with_u_dependence():
@@ -155,6 +168,24 @@ def test_extend_scenario_summary_contract():
     assert report.passed
     assert report.summary["max_gap"] <= 1e-7
     assert report.columns == COLUMNS["extend"]
+    cost = report.summary["cost"]
+    assert set(cost) == {"steps", "rejected", "rhs_evals", "segments"}
+    assert cost["rhs_evals"] > cost["steps"] > 0
+
+
+@pytest.mark.parametrize("grid, field", [
+    ({"nx_left": "six"}, "grid.nx_left"),
+    ({"x_floor": "tiny"}, "grid.x_floor"),
+])
+def test_extend_rejects_non_numeric_grid(tmp_path, capsys, grid, field):
+    config = {"problem": {"builtin": "extension-gauge"}, "grid": grid}
+    with pytest.raises(ConfigError, match=field):
+        run_scenario("extend", config)
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(config))
+    assert cli_main(["extend", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+    assert field in capsys.readouterr().err
 
 
 def test_expression_connection_from_config():
