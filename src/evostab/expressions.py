@@ -10,23 +10,32 @@ Grammar (whitespace ignored):
 
 Functions: sin, cos, exp, atan, sqrt.  Constants: pi, e.  Variables are
 ``t`` and ``u`` (the second coordinate of two-argument fields binds to u).
-Expressions compile to plain Python closures of (t, u); no ``eval`` is
-involved anywhere.
+One parse compiles to closures of (t, u) twice, over two function tables:
+``math`` for scalar calls, and the numpy ufuncs for ``evaluate.many``,
+which takes arrays (a quadrature panel's nodes) in one call.  No ``eval``
+is involved anywhere.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import ExpressionError
 
-_FUNCTIONS = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "exp": math.exp,
-    "atan": math.atan,
-    "sqrt": math.sqrt,
+_BINARY = {  # closure factories, so that each node applies its operator inline
+    "+": lambda a, b: lambda t, u: a(t, u) + b(t, u),
+    "-": lambda a, b: lambda t, u: a(t, u) - b(t, u),
+    "*": lambda a, b: lambda t, u: a(t, u) * b(t, u),
+    "/": lambda a, b: lambda t, u: a(t, u) / b(t, u),
 }
+# math.pow raises where ** would turn a negative base complex
+_MATH = {"sin": math.sin, "cos": math.cos, "exp": math.exp,
+         "atan": math.atan, "sqrt": math.sqrt, "^": math.pow}
+_NUMPY = {"sin": np.sin, "cos": np.cos, "exp": np.exp,
+          "atan": np.arctan, "sqrt": np.sqrt, "^": np.power}
+_FUNCTIONS = sorted(k for k in _MATH if k.isalpha())
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 VARIABLES = ("t", "u")
 
@@ -76,8 +85,9 @@ def _tokenize(src: str):
 
 
 class _Parser:
-    def __init__(self, src: str):
+    def __init__(self, src: str, fns: dict):
         self.src = src
+        self.fns = fns
         self.tokens = _tokenize(src)
         self.pos = 0
 
@@ -103,27 +113,17 @@ class _Parser:
             )
         return fn
 
-    def expr(self):
-        fn = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.take()[0]
-            rhs = self.term()
-            if op == "+":
-                fn = (lambda a, b: lambda t, u: a(t, u) + b(t, u))(fn, rhs)
-            else:
-                fn = (lambda a, b: lambda t, u: a(t, u) - b(t, u))(fn, rhs)
+    def _left_assoc(self, operand, ops):
+        fn = operand()
+        while self.peek()[0] in ops:
+            fn = _BINARY[self.take()[0]](fn, operand())
         return fn
 
+    def expr(self):
+        return self._left_assoc(self.term, "+-")
+
     def term(self):
-        fn = self.unary()
-        while self.peek()[0] in ("*", "/"):
-            op = self.take()[0]
-            rhs = self.unary()
-            if op == "*":
-                fn = (lambda a, b: lambda t, u: a(t, u) * b(t, u))(fn, rhs)
-            else:
-                fn = (lambda a, b: lambda t, u: a(t, u) / b(t, u))(fn, rhs)
-        return fn
+        return self._left_assoc(self.unary, "*/")
 
     def unary(self):
         tok = self.peek()
@@ -140,7 +140,7 @@ class _Parser:
         if self.peek()[0] == "^":
             self.take()
             exponent = self.unary()
-            return lambda t, u: base(t, u) ** exponent(t, u)
+            return lambda t, u, _p=self.fns["^"]: _p(base(t, u), exponent(t, u))
         return base
 
     def atom(self):
@@ -163,11 +163,11 @@ class _Parser:
                 self.take("(")
                 arg = self.expr()
                 self.take(")")
-                f = _FUNCTIONS[value]
+                f = self.fns[value]
                 return lambda t, u, _f=f, _a=arg: _f(_a(t, u))
             raise ExpressionError(
                 f"unknown name {value!r} at position {pos} "
-                f"(variables: t, u; functions: {sorted(_FUNCTIONS)})"
+                f"(variables: t, u; functions: {_FUNCTIONS})"
             )
         raise ExpressionError(f"unexpected token at position {pos} in {self.src!r}")
 
@@ -177,11 +177,14 @@ def parse_expression(src: str):
 
     Raises ExpressionError with the offending position on bad input; the
     returned callable raises ExpressionError on domain faults (sqrt of a
-    negative number and the like).
+    negative number, a complex power and the like).  ``evaluate.many``
+    takes arrays; a batch with a floating-point fault is redone point by
+    point, so it raises exactly what the scalar call raises.
     """
     if not isinstance(src, str) or not src.strip():
         raise ExpressionError("expression must be a non-empty string")
-    raw = _Parser(src).parse()
+    raw = _Parser(src, _MATH).parse()
+    raw_many = _Parser(src, _NUMPY).parse()
 
     def evaluate(t: float, u: float = 0.0) -> float:
         try:
@@ -191,5 +194,13 @@ def parse_expression(src: str):
                 f"evaluation of {src!r} failed at (t={t}, u={u}): {exc}"
             ) from exc
 
+    def many(t, u):
+        try:
+            with np.errstate(all="raise", under="ignore"):
+                return np.asarray(raw_many(t, u), dtype=float)
+        except (FloatingPointError, ZeroDivisionError):
+            return np.vectorize(evaluate, otypes=[float])(t, u)
+
     evaluate.source = src
+    evaluate.many = many
     return evaluate

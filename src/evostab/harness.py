@@ -131,6 +131,10 @@ class Report:
 # config helpers
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _problems_if(cond: bool, msg: str, bag: list) -> None:
     if cond:
         bag.append(msg)
@@ -158,6 +162,16 @@ def _check_norm(cfg, bag) -> str:
     return norm
 
 
+def _number_list(cfg, key, bag) -> tuple:
+    """The optional list of finite numbers under ``key``, as floats."""
+    vals = cfg.get(key, [])
+    if not isinstance(vals, list) or not all(
+            _is_number(v) and math.isfinite(v) for v in vals):
+        bag.append(f"{key}: expected a list of numbers")
+        return ()
+    return tuple(float(v) for v in vals)
+
+
 def _expr_matrix(rows, bag, label):
     if (not isinstance(rows, list) or not rows
             or not all(isinstance(r, list) and len(r) == len(rows)
@@ -183,7 +197,14 @@ def _expr_matrix(rows, bag, label):
         return np.array([[compiled[i][j](t, u) for j in range(r)]
                          for i in range(r)])
 
+    def many(t, us):  # entries without u (exp(-t), constants) broadcast
+        out = np.empty((len(us), r, r))
+        for i, j in np.ndindex(r, r):
+            out[:, i, j] = compiled[i][j].many(t, us)
+        return out
+
     eval_matrix.dim = r
+    eval_matrix.many = many
     return eval_matrix
 
 
@@ -196,13 +217,8 @@ def _scalar_path_from(cfg, key, bag, domain) -> Optional[ScalarPath]:
     except Exception as exc:
         bag.append(f"{key}: {exc}")
         return None
-    bps = cfg.get(f"{key}_breakpoints", [])
-    if not isinstance(bps, list) or not all(
-            isinstance(b, (int, float)) for b in bps):
-        bag.append(f"{key}_breakpoints: expected a list of numbers")
-        bps = []
     return ScalarPath(eval=lambda t: f(t, 0.0),
-                      breakpoints=tuple(float(b) for b in bps),
+                      breakpoints=_number_list(cfg, f"{key}_breakpoints", bag),
                       domain=domain)
 
 
@@ -233,14 +249,15 @@ def _system_from_config(cfg, bag) -> Optional[SeparableSystem]:
     I = _check_interval(cfg, "I", bag, required=False) or Interval(-math.inf, math.inf)
     J = _check_interval(cfg, "J", bag)
     G_eval = _expr_matrix(cfg.get("G"), bag, "system.G")
+    G_bps = _number_list(cfg, "G_breakpoints", bag)
     f = _scalar_path_from(cfg, "f", bag, I)
     if None in (J, G_eval, f):
         return None
     space = VectorSpaceSpec(G_eval.dim, norm)
     field_obj = OperatorField(
-        eval=G_eval, space=space,
-        t_breakpoints=tuple(cfg.get("G_breakpoints", [])),
+        eval=G_eval, space=space, t_breakpoints=G_bps,
         u_independent=bool(cfg.get("u_independent", False)),
+        eval_u=G_eval.many,
     )
     return SeparableSystem(G=field_obj, f=f, I=I, J=J, space=space)
 
@@ -312,14 +329,14 @@ def _run_evolve(config, seed, tol):
     else:
         norm = _check_norm(config, bag)
         mat = _expr_matrix(config.get("A"), bag, "A")
+        bps = _number_list(config, "breakpoints", bag)
         domain = _check_interval(config, "domain", bag, required=False) \
             or Interval(-math.inf, math.inf)
         if mat is not None:
             A = CoefficientPath(
                 eval=lambda t: mat(t, 0.0),
                 space=VectorSpaceSpec(mat.dim, norm),
-                breakpoints=tuple(config.get("breakpoints", [])),
-                domain=domain,
+                breakpoints=bps, domain=domain,
             )
         else:
             A = None
@@ -509,7 +526,7 @@ def _curve_from_config(cfg, bag, index):
             bag.append(f"{label}.{key}: {exc}")
             paths.append(None)
             continue
-        bps = tuple(float(b) for b in cfg.get(f"{key}_breakpoints", []))
+        bps = _number_list(cfg, f"{key}_breakpoints", bag)
         paths.append(ScalarPath(eval=lambda t, _f=fn: _f(t, 0.0),
                                  breakpoints=bps, domain=dom))
     if None in paths:
@@ -608,12 +625,13 @@ def _extension_from_config(cfg, bag):
     return None
 
 
-def _grid_number(grid_cfg, name, default, cast, bag):
-    try:
-        return cast(grid_cfg.get(name, default))
-    except (TypeError, ValueError, OverflowError):
-        bag.append(f"grid.{name}: expected a number, got {grid_cfg[name]!r}")
+def _grid_number(grid_cfg, name, default, bag, count=False):
+    v = grid_cfg.get(name, default)
+    if not _is_number(v) or (count and not (float(v).is_integer() and v >= 2)):
+        what = "a whole number >= 2" if count else "a number"
+        bag.append(f"grid.{name}: expected {what}, got {v!r}")
         return None
+    return int(v) if count else float(v)
 
 
 def _run_extend(config, seed, tol):
@@ -623,14 +641,10 @@ def _run_extend(config, seed, tol):
     if not isinstance(grid_cfg, dict):
         bag.append("grid: expected an object")
         grid_cfg = {}
-    nx_left = _grid_number(grid_cfg, "nx_left", 6, int, bag)
-    nx_right = _grid_number(grid_cfg, "nx_right", 10, int, bag)
-    nv = _grid_number(grid_cfg, "nv", 13, int, bag)
-    x_floor = _grid_number(grid_cfg, "x_floor", 1e-3, float, bag)
-    for name, val in (("nx_left", nx_left), ("nx_right", nx_right),
-                      ("nv", nv)):
-        _problems_if(val is not None and val < 2,
-                     f"grid.{name}: need at least 2", bag)
+    nx_left = _grid_number(grid_cfg, "nx_left", 6, bag, count=True)
+    nx_right = _grid_number(grid_cfg, "nx_right", 10, bag, count=True)
+    nv = _grid_number(grid_cfg, "nv", 13, bag, count=True)
+    x_floor = _grid_number(grid_cfg, "x_floor", 1e-3, bag)
     _problems_if(x_floor is not None and not x_floor > 0,
                  "grid.x_floor: must be positive", bag)
     if bag:
@@ -702,7 +716,10 @@ def run_scenario(kind: str, config: dict, seed: int = 0,
         raise ConfigError([f"kind: unknown {kind!r} (have {KINDS})"])
     if not isinstance(config, dict):
         raise ConfigError(["config: expected a JSON object"])
-    tol = DEFAULT_TOLS[kind] if tol is None else float(tol)
+    tol = DEFAULT_TOLS[kind] if tol is None else tol
+    if not (_is_number(tol) and 0 < tol < math.inf):
+        raise ConfigError([f"tol: expected a finite number > 0, got {tol!r}"])
+    tol = float(tol)
     rows, row_pass, summary, extra = _RUNNERS[kind](config, int(seed), tol)
     provenance = {
         "tool": "evostab",

@@ -93,21 +93,25 @@ class Vector:
         object.__setattr__(self, "entries", v)
 
 
-def matrix_norm(a: np.ndarray, kind: str = EUCLIDEAN) -> float:
+def matrix_norm(a: np.ndarray, kind: str = EUCLIDEAN):
     """Operator norm of a bare matrix, induced by the given vector norm.
 
     one-norm: max absolute column sum; inf-norm: max absolute row sum;
-    euclidean: largest singular value.
+    euclidean: largest singular value.  A (n, r, r) stack of matrices
+    gives the (n,) array of their norms.
     """
+    stacked = a.ndim == 3
     if kind == EUCLIDEAN:
-        if a.shape == (1, 1):
-            return abs(a[0, 0])
-        return float(np.linalg.svd(a, compute_uv=False)[0])
-    if kind == ONE_NORM:
-        return float(np.max(np.sum(np.abs(a), axis=0)))
-    if kind == INF_NORM:
-        return float(np.max(np.sum(np.abs(a), axis=1)))
-    raise ValueError(f"unknown norm kind {kind!r}")
+        if a.shape[-2:] == (1, 1):
+            return np.abs(a[:, 0, 0]) if stacked else abs(a[0, 0])
+        norms = np.linalg.svd(a, compute_uv=False)[..., 0]
+    elif kind == ONE_NORM:
+        norms = np.max(np.sum(np.abs(a), axis=-2), axis=-1)
+    elif kind == INF_NORM:
+        norms = np.max(np.sum(np.abs(a), axis=-1), axis=-1)
+    else:
+        raise ValueError(f"unknown norm kind {kind!r}")
+    return norms if stacked else float(norms)
 
 
 def vector_norm(v: np.ndarray, kind: str = EUCLIDEAN) -> float:

@@ -1,9 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from evostab.calculus import (
+    _GAUSS_WEIGHTS,
+    _KRONROD_WEIGHTS,
     CovCheckResult,
     Interval,
     OperatorField,
@@ -16,10 +19,13 @@ from evostab.calculus import (
     signed_integrate,
     total_variation_path,
     tv_l1_upper_bound,
+    _gk15,
 )
 from evostab.errors import DomainViolationError, QuadratureError
+from evostab.harness import _system_from_config
 from evostab.library import example39_field, make_scalar_path
 from evostab.operators import VectorSpaceSpec
+from evostab.stability import certify
 
 
 # ---------------------------------------------------------------------------
@@ -342,3 +348,66 @@ def test_cov_check_non_monotone_and_kinked_paths():
     res3 = cov_check(lambda u: u * u + 1.0, g, 2.0, -1.0)
     assert res3.defect <= 1e-9
     assert float(res3.lhs) == pytest.approx(-float(res2.lhs), abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# panel-wise evaluation of the u-integrals
+
+CERTIFY_EXPR = {"G": [["atan(t)*u", "0.1*u"], ["sin(t*u)", "exp(-t)"]],
+                "f": "sin(3*t)", "J": [-1.0, 1.0], "norm": "euclidean"}
+
+
+def _expr_system_pair():
+    """The expression field with its batched evaluator, and the same field
+    evaluated one u at a time."""
+    bag = []
+    batched = _system_from_config(dict(CERTIFY_EXPR), bag)
+    assert not bag and batched.G.eval_u is not None
+    pointwise = dataclasses.replace(
+        batched, G=dataclasses.replace(batched.G, eval_u=None))
+    return batched, pointwise
+
+
+def test_gk15_panel_matches_tensordot_reference():
+    rng = np.random.default_rng(5)
+    for shape in [(), (3,), (2, 2), (4, 4, 2)]:
+        vals = rng.standard_normal((15,) + shape)
+        k, err = _gk15(lambda xs: vals, -0.3, 1.1)
+        h = 0.5 * (1.1 - -0.3)
+        k_ref = h * np.tensordot(_KRONROD_WEIGHTS, vals, axes=(0, 0))
+        g_ref = h * np.tensordot(_GAUSS_WEIGHTS, vals[1::2], axes=(0, 0))
+        assert np.array_equal(k, k_ref)
+        assert err == float(np.max(np.abs(k_ref - g_ref)))
+
+
+def test_expression_field_stacks_match_pointwise_evaluation():
+    batched, pointwise = _expr_system_pair()
+    us = np.linspace(-1.0, 1.0, 15)
+    for t in (0.0, 0.7, 1.9):
+        a, b = batched.G.eval_many(t, us), pointwise.G.eval_many(t, us)
+        assert a.shape == b.shape == (15, 2, 2)
+        np.testing.assert_allclose(a, b, rtol=1e-15, atol=1e-300)
+        np.testing.assert_allclose(batched.G.d1_many(t, us),
+                                   pointwise.G.d1_many(t, us),
+                                   rtol=1e-9, atol=1e-9)
+
+
+def test_batched_u_integrals_match_pointwise_on_expression_field():
+    batched, pointwise = _expr_system_pair()
+    J = batched.J
+    for t in (0.0, 0.55, 1.3, 2.0):
+        assert l1_norm_in_u(batched.G, t, J, 1e-8) == pytest.approx(
+            l1_norm_in_u(pointwise.G, t, J, 1e-8), rel=1e-11)
+    window = Interval(0.0, 2.0)
+    assert tv_l1_upper_bound(batched.G, window, J, 1e-8) == pytest.approx(
+        tv_l1_upper_bound(pointwise.G, window, J, 1e-8), rel=1e-11)
+
+
+def test_certify_of_expression_field_keeps_grid_gain_and_provenance():
+    batched, pointwise = _expr_system_pair()
+    window = Interval(0.0, 2.0)
+    a, b = certify(batched, window, 1e-8), certify(pointwise, window, 1e-8)
+    assert a.sup_grid == b.sup_grid
+    assert a.provenance == b.provenance == "grid-sampled"
+    assert math.log(a.gain) == pytest.approx(math.log(b.gain), rel=1e-12)
+    assert a.variation == pytest.approx(b.variation, rel=1e-11)

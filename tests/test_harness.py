@@ -176,6 +176,10 @@ def test_extend_scenario_summary_contract():
 @pytest.mark.parametrize("grid, field", [
     ({"nx_left": "six"}, "grid.nx_left"),
     ({"x_floor": "tiny"}, "grid.x_floor"),
+    ({"nx_left": 2.9}, "grid.nx_left"),
+    ({"nv": True}, "grid.nv"),
+    ({"nv": 1}, "grid.nv"),
+    ({"nx_right": "10"}, "grid.nx_right"),
 ])
 def test_extend_rejects_non_numeric_grid(tmp_path, capsys, grid, field):
     config = {"problem": {"builtin": "extension-gauge"}, "grid": grid}
@@ -357,3 +361,62 @@ def test_console_script_runs_in_subprocess(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "PASS" in proc.stdout
+
+
+def test_certify_complex_expression_exits_3(tmp_path, capsys):
+    cfg = tmp_path / "complex.json"
+    cfg.write_text(json.dumps({
+        "system": {"G": [["(0-8)^0.5"]], "f": "sin(t)", "J": [-1.0, 1.0]},
+        "window": [0.0, 1.0]}))
+    assert cli_main(["certify", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "evaluation of '(0-8)^0.5' failed" in err
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf, "1e-8"])
+def test_run_scenario_rejects_bad_tolerance(tol):
+    with pytest.raises(ConfigError, match="tol"):
+        run_scenario("evolve", TINY_EVOLVE, tol=tol)
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan"])
+def test_cli_bad_tolerance_exits_2(tmp_path, capsys, tol):
+    assert cli_main(["verify", "--config", "builtin:intro-cos",
+                     "--out", str(tmp_path), "--tol", tol]) == 2
+    assert "tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, config, field", [
+    ("evolve", dict(TINY_EVOLVE, breakpoints=["x"]), "breakpoints"),
+    ("certify", {"system": {"G": [["u"]], "f": "sin(t)", "J": [-1.0, 1.0],
+                            "G_breakpoints": ["x"]},
+                 "window": [0.0, 1.0]}, "G_breakpoints"),
+    ("certify", {"system": {"G": [["u"]], "f": "sin(t)", "J": [-1.0, 1.0],
+                            "f_breakpoints": [1.0, None]},
+                 "window": [0.0, 1.0]}, "f_breakpoints"),
+    ("transport", {"connection": {"builtin": "zero"},
+                   "curves": [{"gamma1": "t", "gamma2": "0",
+                               "domain": [-1.0, 1.0],
+                               "gamma1_breakpoints": ["x"]}]},
+     "gamma1_breakpoints"),
+])
+def test_breakpoint_lists_must_be_numbers(tmp_path, capsys, kind, config,
+                                          field):
+    with pytest.raises(ConfigError, match=field):
+        run_scenario(kind, config)
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(config))
+    assert cli_main([kind, "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+    assert field in capsys.readouterr().err
+
+
+def test_extend_accepts_whole_float_grid_counts():
+    report = run_scenario("extend", {
+        "problem": {"builtin": "extension-gauge"},
+        "grid": {"nx_left": 4.0, "nx_right": 6, "nv": 9.0},
+    })
+    assert report.provenance["grid"]["nx"] == 10
+    assert report.provenance["grid"]["nv"] == 9
+    assert len(report.rows) == 90

@@ -131,3 +131,13 @@ def test_space_validation():
         VectorSpaceSpec(0)
     with pytest.raises(ValueError):
         VectorSpaceSpec(2, "spectral")
+
+
+@pytest.mark.parametrize("kind", NORM_KINDS)
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 9])
+def test_stacked_matrix_norm_equals_per_matrix_calls(kind, dim):
+    rng = np.random.default_rng(77 + dim)
+    stack = rng.standard_normal((15, dim, dim)) * 10.0 ** rng.uniform(-3, 3, (15, 1, 1))
+    norms = matrix_norm(stack, kind)
+    assert norms.shape == (15,)
+    assert norms.tolist() == [matrix_norm(m, kind) for m in stack]
