@@ -11,7 +11,8 @@ coefficient so a step never straddles a jump.  Backward propagation
 :class:`EvolutionOperator` answers many queries from one integration: it
 sweeps a fundamental solution Phi across a set of declared times, and
 every X(t, s) between them is Phi(t) Phi(s)^{-1}.  :func:`sweep_vector`
-and :func:`param_evolution` sweep vectors and frozen-parameter columns.
+and :func:`param_evolution` sweep vectors and frozen-parameter columns;
+:func:`sweep_two_sided` sweeps a propagator together with its inverse.
 """
 
 from __future__ import annotations
@@ -237,6 +238,34 @@ def sweep_vector(
     ndarrays, from one integration of the vector equation across them."""
     return list(_sweep(_linear_rhs(A), stops, np.array(v, dtype=float),
                        A.breakpoints, tol, tol, stats, max_steps))
+
+
+def sweep_two_sided(
+    A: CoefficientPath,
+    stops: Sequence[float],
+    tol: float = DEFAULT_ODE_TOL,
+    stats: Optional[StepStats] = None,
+    max_steps: int = 2_000_000,
+):
+    """Yield (X(tau, tau0), X(tau0, tau)) at every tau of the monotone
+    ``stops``, tau0 = stops[0], from one integration across them.
+
+    The state stacks X over Y = X(tau0, tau), which solves the adjoint
+    equation Y' = -Y A(tau): each stage evaluates A once for both halves,
+    and one step controller covers both.  Y X = I holds up to truncation
+    error only.  A failure raises at the first stop it keeps from being
+    reached, after the pairs before it have been yielded.
+    """
+    n = A.space.dim
+
+    def rhs(tau, s):
+        a = np.asarray(A.eval(tau), dtype=float)
+        return np.concatenate((a @ s[:n], -(s[n:] @ a)))
+
+    eye = np.eye(n)
+    for s in _sweep(rhs, stops, np.concatenate((eye, eye)), A.breakpoints,
+                    tol, tol, stats, max_steps):
+        yield s[:n], s[n:]
 
 
 def propagate_vector(

@@ -406,9 +406,13 @@ def _run_verify(config, seed, tol):
             and isinstance(cert_cfg.get("variation"), (int, float))
             and cert_cfg["variation"] >= 0.0):
         bag.append("certificate: expected {gain >= 1, variation >= 0}")
+    cert_tol = config.get("certify_tol", DEFAULT_TOLS["certify"])
+    _problems_if(not (_is_number(cert_tol) and 0 < cert_tol < math.inf),
+                 f"certify_tol: expected a finite number > 0, got {cert_tol!r}",
+                 bag)
     if bag:
         raise ConfigError(bag)
-    cert_tol = float(config.get("certify_tol", DEFAULT_TOLS["certify"]))
+    cert_tol = float(cert_tol)
     if cert_cfg is not None:
         cert = BoundCertificate.from_parts(
             gain=float(cert_cfg["gain"]),
@@ -572,23 +576,27 @@ def _run_sine_curve(config, seed, tol):
     bag = []
     w = _connection_from_config(config.get("connection"), bag)
     a = config.get("a")
-    if not isinstance(a, (int, float)) or not a < 0:
-        bag.append("a: expected a negative number")
+    a_ok = isinstance(a, (int, float)) and a < 0
+    _problems_if(not a_ok, "a: expected a negative number", bag)
     b_list = config.get("b_list")
     if (not isinstance(b_list, list) or not b_list or not all(
-            isinstance(b, (int, float)) for b in b_list)):
-        bag.append("b_list: expected a non-empty list of numbers")
+            _is_number(b) and (not a_ok or a < b < 0) for b in b_list)):
+        bag.append("b_list: expected a non-empty list of numbers in (a, 0)")
     v_cfg = config.get("v")
     if (not isinstance(v_cfg, list) or not v_cfg or not all(
             isinstance(x, (int, float)) for x in v_cfg)):
         bag.append("v: expected a non-empty numeric vector")
+    floor = config.get("b_floor", -1e-4)
+    _problems_if(not (_is_number(floor) and math.isfinite(floor)
+                      and (not a_ok or floor > a)),
+                 f"b_floor: expected a finite number > a, got {floor!r}", bag)
     if bag:
         raise ConfigError(bag)
     if len(v_cfg) != w.space.dim:
         raise ConfigError([f"v: length {len(v_cfg)} does not match the "
                            f"connection dimension {w.space.dim}"])
     v = Vector(np.array([float(x) for x in v_cfg]), w.space)
-    floor = float(config.get("b_floor", -1e-4))
+    floor = float(floor)
     report = sine_curve_scenario(w, float(a), [float(b) for b in b_list], v,
                                  tol=tol, b_floor=floor)
     rows = [(r.b_requested, r.norm_P, r.beta_b, r.passed)
@@ -602,7 +610,9 @@ def _run_sine_curve(config, seed, tol):
                    "B12": report.bounds.B12,
                    "lambda_J": report.bounds.lambda_J,
                    "provenance": report.bounds.provenance},
+        "vacuous": math.isinf(report.bound),
         "errors": [r.error for r in report.rows if r.error],
+        "cost": asdict(report.stats),
     }
     return rows, row_pass, summary, {"b_floor": floor,
                                      "norm": w.space.norm_kind}

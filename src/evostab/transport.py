@@ -16,6 +16,12 @@ the rectangle and lam = lambda(J),
 
 beta grows doubly exponentially and saturates to +inf with an overflow
 flag when it leaves the float range.
+
+Transport does not depend on the parametrisation, so the transport back
+along the reversed curve is the inverse propagator.  The sine-curve
+scenario reads the forward and reverse transports to every endpoint off
+one two-sided sweep (:func:`evostab.evolution.sweep_two_sided`);
+:func:`reverse_curve` stays as the independent reverse-path route.
 """
 
 from __future__ import annotations
@@ -28,7 +34,13 @@ import numpy as np
 
 from .calculus import Interval, ScalarPath
 from .errors import DomainViolationError, IntegrationError
-from .evolution import CoefficientPath, evolve, propagate_vector
+from .evolution import (
+    CoefficientPath,
+    StepStats,
+    evolve,
+    propagate_vector,
+    sweep_two_sided,
+)
 from .operators import (
     Operator,
     Vector,
@@ -231,15 +243,14 @@ def sample_connection_bounds(
     def sups(n):
         xs = np.linspace(w.m_interval.lo, w.m_interval.hi, n)
         us = np.linspace(w.j_interval.lo, w.j_interval.hi, n)
-        s1 = s2 = s12 = 0.0
-        for x in xs:
-            for u in us:
-                s1 = max(s1, matrix_norm(
-                    np.asarray(w.omega1(x, u), dtype=float), kind))
-                s2 = max(s2, matrix_norm(
-                    np.asarray(w.omega2(x, u), dtype=float), kind))
-                s12 = max(s12, matrix_norm(w.d1w2(x, u), kind))
-        return np.array([s1, s2, s12])
+        points = [(x, u) for x in xs for u in us]
+        out = []
+        for f in (w.omega1, w.omega2, w.d1w2):
+            stack = np.array([np.asarray(f(x, u), dtype=float)
+                              for x, u in points])
+            # NaN norms are skipped, as a running max(sup, norm) skips them
+            out.append(np.fmax.reduce(matrix_norm(stack, kind), initial=0.0))
+        return np.array(out)
 
     n = max(int(resolution), 3)
     prev = sups(n)
@@ -283,6 +294,7 @@ class SineCurveReport:
     bound: float
     bounds: ConnectionBounds
     passed: bool
+    stats: StepStats
 
 
 def _sine_paths(a: float, b: float):
@@ -309,13 +321,24 @@ def sine_curve_scenario(
     verifying the two-sided bound 1/C <= ||P(v)|| / ||v|| <= C with
     C = beta(-a).
 
-    Each b is clamped to the cost floor ``b_floor``; the lower bound is
-    certified through the reverse path, whose transport norm must obey
-    the same C.  Integration failures are reported per-b and the scenario
-    continues.
+    Each b is clamped to the cost floor ``b_floor`` (which must lie above
+    a); the lower bound is certified through the reverse path, whose
+    transport norm must obey the same C.  Since parallel transport does
+    not depend on the parametrisation, the reverse transport P_rev(b) is
+    X(a, b), the inverse propagator: one two-sided sweep from a across
+    the sorted clamped b's yields P(b) and P_rev(b) at each of them, and
+    ``inverse_defect`` = ||P_rev P - I|| measures its truncation error.
+    Rows keep the order of ``b_list``.  An integration failure ends the
+    sweep: the rows it reached keep their values, and the rest report
+    the failure.  ``stats`` counts the sweep's work.
     """
     if not a < 0.0:
         raise ValueError("a must be negative")
+    if not b_floor > a:
+        raise ValueError(f"b_floor = {b_floor} not above a = {a}")
+    for b_req in b_list:
+        if not (a < b_req < 0.0):
+            raise ValueError(f"b = {b_req} not in ({a}, 0)")
     if not (w.m_interval.contains(a) and w.j_interval.contains(-1.0)
             and w.j_interval.contains(1.0)):
         raise DomainViolationError(
@@ -327,31 +350,36 @@ def sine_curve_scenario(
     slack = cap * (1.0 + 1e-6)
     kind = w.space.norm_kind
     v_norm = vector_norm(v.entries, kind)
+    stops = [a] + sorted(set(min(b_req, b_floor) for b_req in b_list))
+    coefficient = curve_coefficient(w, _sine_paths(a, stops[-1]))
+    stats = StepStats()
+    reached = {}
+    failure = None
+    try:
+        for b, pair in zip(stops, sweep_two_sided(coefficient, stops, tol,
+                                                  stats)):
+            reached[b] = pair
+    except IntegrationError as exc:
+        failure = str(exc)
     rows = []
     for b_req in b_list:
-        if not (a < b_req < 0.0):
-            raise ValueError(f"b = {b_req} not in ({a}, 0)")
         b_used = min(b_req, b_floor)
-        curve = _sine_paths(a, b_used)
         beta_b = beta_bound(bounds, b_used - a)
-        try:
-            p_op = parallel_transport(w, curve, tol)
-            p_rev = parallel_transport(w, reverse_curve(curve), tol)
-        except IntegrationError as exc:
+        if b_used not in reached:
             rows.append(SineCurveRow(
                 b_requested=b_req, b_used=b_used, norm_P=math.nan,
                 beta_b=beta_b, ratio=math.nan, norm_P_op=math.nan,
                 norm_P_rev=math.nan, inverse_defect=math.nan,
-                passed=False, error=str(exc),
+                passed=False, error=failure,
             ))
             continue
-        pv = p_op.entries @ v.entries
+        p_op, p_rev = reached[b_used]
+        pv = p_op @ v.entries
         norm_pv = vector_norm(pv, kind)
         ratio = norm_pv / v_norm if v_norm > 0 else 1.0
-        n_op = matrix_norm(p_op.entries, kind)
-        n_rev = matrix_norm(p_rev.entries, kind)
-        defect = matrix_norm(
-            p_rev.entries @ p_op.entries - np.eye(w.space.dim), kind)
+        n_op = matrix_norm(p_op, kind)
+        n_rev = matrix_norm(p_rev, kind)
+        defect = matrix_norm(p_rev @ p_op - np.eye(w.space.dim), kind)
         ok = (n_op <= slack and n_rev <= slack
               and ratio <= slack
               and ratio * slack >= 1.0)
@@ -362,5 +390,5 @@ def sine_curve_scenario(
         ))
     return SineCurveReport(
         rows=tuple(rows), bound=cap, bounds=bounds,
-        passed=all(r.passed for r in rows),
+        passed=all(r.passed for r in rows), stats=stats,
     )

@@ -158,6 +158,10 @@ def test_sine_curve_scenario_zero_connection():
     assert report.passed
     for row in report.rows:
         assert row[1] == pytest.approx(1.0, abs=1e-8)  # norm preserved
+    assert report.summary["vacuous"] is False
+    cost = report.summary["cost"]
+    assert set(cost) == {"steps", "rejected", "rhs_evals", "segments"}
+    assert cost["segments"] == 2 and cost["rhs_evals"] > cost["steps"] > 0
 
 
 def test_extend_scenario_summary_contract():
@@ -420,3 +424,27 @@ def test_extend_accepts_whole_float_grid_counts():
     assert report.provenance["grid"]["nx"] == 10
     assert report.provenance["grid"]["nv"] == 9
     assert len(report.rows) == 90
+
+
+SINE_ZERO = {"connection": {"builtin": "zero"}, "a": -1.0,
+             "b_list": [-0.5], "v": [1.0, 0.0]}
+
+
+@pytest.mark.parametrize("kind, config, field", [
+    ("sine-curve", dict(SINE_ZERO, b_floor="x"), "b_floor"),
+    ("sine-curve", dict(SINE_ZERO, b_floor=-2.0), "b_floor"),
+    ("sine-curve", dict(SINE_ZERO, b_floor=-1.0), "b_floor"),
+    ("sine-curve", dict(SINE_ZERO, b_floor=math.nan), "b_floor"),
+    ("sine-curve", dict(SINE_ZERO, b_list=[-0.5, 0.5]), "b_list"),
+    ("sine-curve", dict(SINE_ZERO, b_list=[-1.5]), "b_list"),
+    ("verify", dict(TINY_VERIFY, certify_tol=-1), "certify_tol"),
+    ("verify", dict(TINY_VERIFY, certify_tol="x"), "certify_tol"),
+    ("verify", dict(TINY_VERIFY, certify_tol=math.inf), "certify_tol"),
+])
+def test_bad_sine_curve_and_certify_settings_exit_2(tmp_path, capsys, kind,
+                                                    config, field):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(config))
+    assert cli_main([kind, "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+    assert field in capsys.readouterr().err

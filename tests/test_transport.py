@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,12 +6,14 @@ import pytest
 
 from evostab.calculus import Interval, ScalarPath, arc_length
 from evostab.errors import DomainViolationError
+from evostab.evolution import sweep_two_sided
 from evostab.library import (
     gauge_rotation_matrix,
     gauge_twist_matrix,
     make_connection,
 )
 from evostab.operators import Vector, VectorSpaceSpec, matrix_norm
+from evostab.transport import _sine_paths
 from evostab.transport import (
     BetaParts,
     ConnectionBounds,
@@ -18,6 +21,7 @@ from evostab.transport import (
     Curve,
     beta_bound,
     beta_parts,
+    curve_coefficient,
     parallel_transport,
     reverse_curve,
     sample_connection_bounds,
@@ -190,6 +194,46 @@ def test_sample_bounds_linear_fiber_field():
     assert b.B1 == 0.0
 
 
+def _pointwise_bounds(w, n=17):
+    """Reference for sample_connection_bounds: one matrix_norm call per
+    grid point and field, refined like it."""
+    def sups(n):
+        xs = np.linspace(w.m_interval.lo, w.m_interval.hi, n)
+        us = np.linspace(w.j_interval.lo, w.j_interval.hi, n)
+        out = np.zeros(3)
+        for x in xs:
+            for u in us:
+                for k, m in enumerate((w.omega1(x, u), w.omega2(x, u),
+                                       w.d1w2(x, u))):
+                    out[k] = max(out[k], matrix_norm(
+                        np.asarray(m, dtype=float), w.space.norm_kind))
+        return out
+
+    prev, converged = sups(n), False
+    while n < 513 and not converged:
+        n = 2 * n - 1
+        cur = sups(n)
+        converged = bool(np.all(
+            cur - prev <= 1e-2 * np.maximum(np.abs(cur), 1e-300)))
+        prev = cur
+    tag = f"{n}x{n}" + ("" if converged else ", unconverged")
+    return ConnectionBounds(*(1.05 * float(s) for s in prev),
+                            lambda_J=w.j_interval.length(),
+                            provenance=f"grid-sampled({tag})")
+
+
+@pytest.mark.parametrize("norm", ["euclidean", "one-norm", "inf-norm"])
+@pytest.mark.parametrize("name", ["scalar-decay", "gauge-twist",
+                                  "mixed-bounded"])
+def test_stacked_bounds_equal_pointwise_reference(name, norm):
+    w = make_connection(name, RECT_M, RECT_J, norm)
+    if name == "gauge-twist":  # the central-difference d/dx omega2 too
+        w = ConnectionForm(omega1=w.omega1, omega2=w.omega2,
+                           m_interval=w.m_interval,
+                           j_interval=w.j_interval, space=w.space)
+    assert sample_connection_bounds(w) == _pointwise_bounds(w)
+
+
 def test_sampled_bounds_dominate_finer_oracle_grid():
     w = make_connection("mixed-bounded", RECT_M, RECT_J)
     b = sample_connection_bounds(w, resolution=17)
@@ -298,3 +342,80 @@ def test_sine_scenario_validates_inputs():
     small = make_connection("zero", Interval(-0.5, 0.0), Interval(-2.0, 2.0))
     with pytest.raises(DomainViolationError):
         sine_curve_scenario(small, -1.0, [-0.5], v)
+
+
+def test_sine_sweep_reverse_matches_reverse_path_transport():
+    w = make_connection("gauge-twist")
+    for b in (-0.1, -0.01):
+        curve = _sine_paths(-1.0, b)
+        forward, reverse = list(sweep_two_sided(
+            curve_coefficient(w, curve), (-1.0, b), 1e-9))[-1]
+        p = parallel_transport(w, curve, 1e-9).entries
+        p_rev = parallel_transport(w, reverse_curve(curve), 1e-9).entries
+        assert np.max(np.abs(forward - p)) <= 1e-8
+        assert np.max(np.abs(reverse - p_rev)) <= 1e-8
+
+
+def test_two_sided_sweep_halves_are_inverse():
+    w = make_connection("mixed-bounded", RECT_M, RECT_J)
+    tol = 1e-9
+    stops = (0.0, 0.3, 0.7, 1.0)
+    pairs = list(sweep_two_sided(curve_coefficient(w, wiggle_curve(3.0)),
+                                 stops, tol))
+    assert len(pairs) == len(stops)
+    assert np.array_equal(pairs[0][0], np.eye(2))
+    for x, y in pairs[1:]:
+        assert matrix_norm(x - np.eye(2), "euclidean") > 0.1
+        assert matrix_norm(y @ x - np.eye(2), "euclidean") <= 100 * tol
+        assert matrix_norm(x @ y - np.eye(2), "euclidean") <= 100 * tol
+
+
+def test_sine_scenario_rows_keep_input_order_with_duplicates():
+    w = make_connection("gauge-twist")
+    v = Vector(np.array([1.0, 0.5]), SP2)
+    b_list = [-1e-2, -1e-6, -0.3, -1e-5, -1e-2]
+    report = sine_curve_scenario(w, -1.0, b_list, v, tol=1e-9,
+                                 b_floor=-1e-3)
+    assert [r.b_requested for r in report.rows] == b_list
+    assert [r.b_used for r in report.rows] == [-1e-2, -1e-3, -0.3, -1e-3,
+                                               -1e-2]
+    assert report.rows[0] == dataclasses.replace(report.rows[4],
+                                                 b_requested=-1e-2)
+    assert report.rows[1] == dataclasses.replace(report.rows[3],
+                                                 b_requested=-1e-6)
+    for row in report.rows:
+        alone = sine_curve_scenario(w, -1.0, [row.b_requested], v, tol=1e-9,
+                                    b_floor=-1e-3).rows[0]
+        assert row.norm_P == pytest.approx(alone.norm_P, rel=1e-6)
+        assert row.norm_P_rev == pytest.approx(alone.norm_P_rev, rel=1e-6)
+        assert 0.0 < row.inverse_defect <= 1e-5
+
+
+def test_sine_scenario_failure_keeps_rows_reached_before_it():
+    clean = make_connection("gauge-twist")
+    broken = dataclasses.replace(
+        clean, omega1=lambda x, u: np.full((2, 2), math.nan) if x > -0.05
+        else clean.omega1(x, u))
+    v = Vector(np.array([1.0, 0.5]), SP2)
+    bounds = sample_connection_bounds(clean)
+    b_list = [-0.01, -0.5, -0.1, -0.02]
+    good = sine_curve_scenario(clean, -1.0, b_list, v, bounds=bounds)
+    bad = sine_curve_scenario(broken, -1.0, b_list, v, bounds=bounds)
+    assert not bad.passed
+    assert bad.rows[1] == good.rows[1] and bad.rows[2] == good.rows[2]
+    for i in (0, 3):
+        assert not bad.rows[i].passed
+        assert math.isnan(bad.rows[i].norm_P)
+        assert "t = -0.05" in bad.rows[i].error
+    assert bad.stats.rhs_evals > 0
+
+
+def test_sine_scenario_cost_on_benchmark_configuration():
+    # one two-sided sweep; separate forward and reverse integrations per b
+    # took 31,908 right-hand sides
+    report = sine_curve_scenario(make_connection("gauge-twist"), -1.0,
+                                 [-1e-1, -1e-2, -1e-3],
+                                 Vector(np.array([1.0, 0.5]), SP2), tol=1e-8)
+    assert report.passed
+    assert report.stats.segments == 3
+    assert report.stats.rhs_evals <= 15_000
