@@ -245,7 +245,6 @@ def sweep_two_sided(
     stops: Sequence[float],
     tol: float = DEFAULT_ODE_TOL,
     stats: Optional[StepStats] = None,
-    max_steps: int = 2_000_000,
 ):
     """Yield (X(tau, tau0), X(tau0, tau)) at every tau of the monotone
     ``stops``, tau0 = stops[0], from one integration across them.
@@ -264,7 +263,7 @@ def sweep_two_sided(
 
     eye = np.eye(n)
     for s in _sweep(rhs, stops, np.concatenate((eye, eye)), A.breakpoints,
-                    tol, tol, stats, max_steps):
+                    tol, tol, stats, 2_000_000):
         yield s[:n], s[n:]
 
 

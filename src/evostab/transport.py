@@ -243,14 +243,14 @@ def sample_connection_bounds(
     def sups(n):
         xs = np.linspace(w.m_interval.lo, w.m_interval.hi, n)
         us = np.linspace(w.j_interval.lo, w.j_interval.hi, n)
-        points = [(x, u) for x in xs for u in us]
-        out = []
-        for f in (w.omega1, w.omega2, w.d1w2):
-            stack = np.array([np.asarray(f(x, u), dtype=float)
-                              for x, u in points])
-            # NaN norms are skipped, as a running max(sup, norm) skips them
-            out.append(np.fmax.reduce(matrix_norm(stack, kind), initial=0.0))
-        return np.array(out)
+        out = np.zeros(3)
+        # one stacked norm call per field and grid row keeps memory O(n);
+        # fmax skips NaN norms, as a running max(sup, norm) does
+        for x in xs:
+            for i, f in enumerate((w.omega1, w.omega2, w.d1w2)):
+                row = np.array([np.asarray(f(x, u), dtype=float) for u in us])
+                out[i] = np.fmax.reduce(matrix_norm(row, kind), initial=out[i])
+        return out
 
     n = max(int(resolution), 3)
     prev = sups(n)
