@@ -11,8 +11,13 @@ coefficient so a step never straddles a jump.  Backward propagation
 :class:`EvolutionOperator` answers many queries from one integration: it
 sweeps a fundamental solution Phi across a set of declared times, and
 every X(t, s) between them is Phi(t) Phi(s)^{-1}.  :func:`sweep_vector`
-and :func:`param_evolution` sweep vectors and frozen-parameter columns;
+sweeps vectors and :func:`param_evolution` frozen-parameter columns;
 :func:`sweep_two_sided` sweeps a propagator together with its inverse.
+
+A coefficient whose ``eval`` returns a (k, r, r) stack sweeps k systems
+that share their stops as one state, (k, r, r) for propagators or
+(k, r, 1) for vectors, under one step controller; its error norm is the
+max over all members, and each right-hand side covers the whole stack.
 """
 
 from __future__ import annotations
@@ -68,8 +73,9 @@ class StepStats:
 class CoefficientPath:
     """t -> A(t), the coefficient of a linear evolution equation.
 
-    ``eval`` returns a bare (r, r) ndarray; it must be bounded on compact
-    subsets of ``domain`` and piecewise continuous between breakpoints.
+    ``eval`` returns a bare (r, r) ndarray, or a (k, r, r) stack of k
+    coefficients swept together; it must be bounded on compact subsets of
+    ``domain`` and piecewise continuous between breakpoints.
     """
 
     eval: Callable[[float], np.ndarray]
@@ -440,33 +446,34 @@ def param_evolution(
     stats: Optional[StepStats] = None,
 ) -> ParamEvolutionResult:
     """Solve the parameter-dependent family: for each frozen x, evolve in
-    v from v0 to every target.  Each column takes one sweep per direction
-    from v0, stopping at that side's targets in order, so the step size
-    carries from one target to the next."""
+    v from v0 to every target.
+
+    All columns share their stops, so they are integrated as one stacked
+    (nx, r, r) state: one sweep per direction from v0, stopping at that
+    side's targets in order, under one step controller whose error norm
+    is the max over every column.  Each stage evaluates A at every x."""
     x_grid = tuple(float(x) for x in x_grid)
     v_targets = tuple(float(v) for v in v_targets)
-    columns = []
-    for x in x_grid:
-        def rhs(v, y, _x=x):
-            return np.asarray(A(_x, v), dtype=float) @ y
-
-        col = {}
-        for side in (sorted(v for v in v_targets if v >= v0),
-                     sorted((v for v in v_targets if v < v0), reverse=True)):
-            stops = [v0] + side
-            col.update(zip(stops, _sweep(rhs, stops, np.eye(space.dim),
-                                         v_breakpoints, tol, tol, stats,
-                                         2_000_000)))
-        columns.append([col[v] for v in v_targets])
-    continuity = 0.0
-    for left, right in zip(columns, columns[1:]):
-        for yl, yr in zip(left, right):
-            continuity = max(continuity,
-                             matrix_norm(yr - yl, space.norm_kind))
+    stack = CoefficientPath(
+        eval=lambda v: np.array([A(x, v) for x in x_grid], dtype=float),
+        space=space, breakpoints=v_breakpoints,
+    )
+    eye = np.tile(np.eye(space.dim), (len(x_grid), 1, 1))
+    at = {}
+    for side in (sorted(v for v in v_targets if v >= v0),
+                 sorted((v for v in v_targets if v < v0), reverse=True)):
+        stops = [v0] + side
+        at.update(zip(stops, _sweep(_linear_rhs(stack), stops, eye,
+                                    stack.breakpoints, tol, tol, stats,
+                                    2_000_000)))
+    props = np.stack([at[v] for v in v_targets], axis=1)  # (nx, nt, r, r)
+    diffs = (props[1:] - props[:-1]).reshape((-1,) + eye.shape[1:])
+    continuity = float(np.max(matrix_norm(diffs, space.norm_kind),
+                              initial=0.0))
     return ParamEvolutionResult(
         x_grid=x_grid,
         v0=float(v0),
         v_targets=v_targets,
-        propagators=columns,
+        propagators=[list(col) for col in props],
         continuity=continuity,
     )

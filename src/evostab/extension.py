@@ -15,6 +15,12 @@ the v1 corridor); this is well defined exactly when transport inside the
 complement is path-independent, which the builder verifies by loop
 transports and fine-stencil residual probes unless asked to only report.
 
+Fiber sweeps that share their stops are integrated as one stacked state
+under one step controller: the Y_j of every grid column at once, and the
+sigma columns (and probe stencils) that reach the same v's from the same
+corridor level.  The controller takes the max-norm error over all
+members, so each column is stepped at least as strictly as alone.
+
 Also here: the graph-approximation utility that replaces a continuous
 graph by a polynomial one agreeing at a chosen point and staying inside a
 tube, realized with Bernstein polynomials on a dyadic degree ladder.
@@ -85,27 +91,31 @@ class ExtensionProblem:
                 )
 
 
-def _vertical_coefficient(w: ConnectionForm, x: float) -> CoefficientPath:
-    return CoefficientPath(
-        eval=lambda v: -np.asarray(w.omega2(x, v), dtype=float),
+def _fiber_sweep(w: ConnectionForm, xs, stops, vecs, tol, stats) -> list:
+    """Section values at every v of the monotone ``stops``, one (k, r)
+    array each, from one stacked transport up or down the fibers over the
+    k x's of ``xs`` (``vecs`` holds their start values)."""
+    A = CoefficientPath(
+        eval=lambda v: -np.array([w.omega2(x, v) for x in xs], dtype=float),
         space=w.space, domain=w.j_interval,
     )
+    vecs = np.asarray(vecs, dtype=float)[..., None]
+    return [s[..., 0] for s in sweep_vector(A, stops, vecs, tol, stats)]
 
 
-def _vertical_sweep(p, x, stops, vec, tol, stats) -> list:
-    """Section values at every v of the monotone ``stops``, from one
-    transport up or down the vertical at x that refuses to cross the graph
-    of f anywhere on its span."""
+def _vertical_sweep(p, xs, stops, vecs, tol, stats) -> list:
+    """:func:`_fiber_sweep` that refuses to cross the graph of f: every
+    column is checked over the whole span before any is swept."""
     v_from, v_to = stops[0], stops[-1]
-    if x > p.a and v_from != v_to:
-        fx = float(p.f(x))
-        if min(v_from, v_to) <= fx <= max(v_from, v_to):
-            raise ConstructionError(
-                f"vertical path at x = {x} from v = {v_from} to {v_to} "
-                f"crosses the graph (f(x) = {fx})"
-            )
-    return sweep_vector(_vertical_coefficient(p.omega, x), stops, vec, tol,
-                        stats)
+    for x in xs:
+        if x > p.a and v_from != v_to:
+            fx = float(p.f(x))
+            if min(v_from, v_to) <= fx <= max(v_from, v_to):
+                raise ConstructionError(
+                    f"vertical path at x = {x} from v = {v_from} to {v_to} "
+                    f"crosses the graph (f(x) = {fx})"
+                )
+    return _fiber_sweep(p.omega, xs, stops, vecs, tol, stats)
 
 
 def _horizontal_sweep(p, v, stops, vec, tol, stats) -> list:
@@ -123,7 +133,7 @@ def _move_vertical(p: ExtensionProblem, x: float, v_from: float, v_to: float,
                    stats: Optional[StepStats] = None) -> np.ndarray:
     """Transport along the vertical segment at x, refusing to cross the
     graph of f."""
-    return _vertical_sweep(p, x, (v_from, v_to), vec, tol, stats)[-1]
+    return _vertical_sweep(p, (x,), (v_from, v_to), (vec,), tol, stats)[-1][0]
 
 
 @dataclass(frozen=True)
@@ -190,26 +200,22 @@ def build_sigma(
     row_v1 = _sweep_corridor(p, p.v1, at_v1, xs, x_ref, tol, stats)
 
     ascending = sorted(range(nv), key=lambda i: vs[i])
+    below, above = {}, {}
     for ix, x in enumerate(xs):
+        fx = float(p.f(x)) if x > p.a else math.inf
+        below[ix] = [iv for iv in ascending if vs[iv] < fx]
         if x > p.a:
-            fx = float(p.f(x))
-            below = lambda v, _f=fx: v < _f
-            above = lambda v, _f=fx: v > _f
-        else:
-            below = lambda v: True
-            above = lambda v: False
-        _fill_column(p, x, ix, vs, values, ascending, p.v0, row_v0[ix],
-                     below, tol, stats)
-        if x > p.a:
-            _fill_column(p, x, ix, vs, values, ascending, p.v1, row_v1[ix],
-                         above, tol, stats)
+            above[ix] = [iv for iv in ascending if vs[iv] > fx]
+    _fill_columns(p, xs, vs, values, p.v0, row_v0, below, tol, stats)
+    _fill_columns(p, xs, vs, values, p.v1, row_v1, above, tol, stats)
 
     loop_defect = math.nan
     probe_residual = math.nan
     verified = False
     if verify:
         loop_defect = _loop_defect(p, tol, stats)
-        probe_residual = _probe_residual(p, xs, vs, tol, stats)
+        probe_residual = _probe_residual(p, xs, {p.v0: at_v0, p.v1: at_v1},
+                                         tol, stats)
         verified = loop_defect <= 1e-7 and probe_residual <= 1e-6
         if not verified and not report_only:
             raise ConstructionError(
@@ -225,17 +231,24 @@ def build_sigma(
     )
 
 
-def _fill_column(p, x, ix, vs, values, ascending, level, level_vec,
-                 allowed, tol, stats):
-    """Sweep up and down the column from a corridor level, writing every
-    grid value on the corridor's side of the graph."""
-    up = [iv for iv in ascending if vs[iv] >= level and allowed(vs[iv])]
-    down = [iv for iv in ascending[::-1] if vs[iv] < level and allowed(vs[iv])]
-    for side in (up, down):
+def _fill_columns(p, xs, vs, values, level, level_vecs, allowed, tol,
+                  stats):
+    """Sweep up and down the columns from a corridor level, writing
+    ``values[ix, iv]`` for the ascending v-indices ``allowed[ix]`` of each
+    column ix.  Columns whose stops agree (same level, same v's) form one
+    group, swept as one stacked state from their ``level_vecs`` rows."""
+    groups = {}
+    for ix, ivs in allowed.items():
+        for side in ([iv for iv in ivs if vs[iv] >= level],
+                     [iv for iv in ivs[::-1] if vs[iv] < level]):
+            if side:
+                groups.setdefault(tuple(side), []).append(ix)
+    for side, ixs in groups.items():
         stops = [level] + [vs[iv] for iv in side]
-        states = _vertical_sweep(p, x, stops, level_vec, tol, stats)
+        states = _vertical_sweep(p, [xs[ix] for ix in ixs], stops,
+                                 level_vecs[ixs], tol, stats)
         for iv, state in zip(side, states[1:]):
-            values[ix, iv] = state
+            values[ixs, iv] = state
 
 
 def _sweep_corridor(p, level, start_vec, xs, x_ref, tol, stats):
@@ -293,11 +306,16 @@ def _loop_defect(p: ExtensionProblem, tol: float,
     return worst
 
 
-def _probe_residual(p: ExtensionProblem, xs, vs, tol: float,
+def _probe_residual(p: ExtensionProblem, xs, at_level: dict, tol: float,
                     stats: Optional[StepStats]) -> float:
     """Max covariant-derivative residual of the constructed section over a
     few fine 3x3 stencils (central differences; the spacing balances
-    truncation against transport noise)."""
+    truncation against transport noise).
+
+    Each stencil is routed as the grid is: from the seed's value at its
+    corridor level (``at_level``, keyed by level) along the corridor to
+    the stencil's three x's, then up or down their fibers in one stacked
+    sweep."""
     h = 4e-4
     M, J = p.omega.m_interval, p.omega.j_interval
     candidates = []
@@ -316,10 +334,12 @@ def _probe_residual(p: ExtensionProblem, xs, vs, tol: float,
             continue
         gx = (xc - h, xc, xc + h)
         gv = (vc - h, vc, vc + h)
+        level = p.v1 if xc > p.a and vc > float(p.f(xc)) else p.v0
+        row = _sweep_corridor(p, level, at_level[level], gx, p.p_ref[0], tol,
+                              stats)
         grid = np.empty((3, 3, p.omega.space.dim))
-        for i, x in enumerate(gx):
-            for j, v in enumerate(gv):
-                grid[i, j] = _sigma_at(p, x, v, tol, stats)
+        _fill_columns(p, gx, gv, grid, level, row,
+                      dict.fromkeys(range(3), [0, 1, 2]), tol, stats)
         for direction in (1, 2):
             res = parallel_residual(p.omega, grid, gx, gv, direction)
             worst = max(worst, float(res.values[1, 1]))
@@ -359,12 +379,8 @@ def parallel_residual(
     d = np.gradient(xi, coords, axis=axis,
                     edge_order=2 if len(coords) > 2 else 1)
     omega = w.omega1 if direction == 1 else w.omega2
-    kind = w.space.norm_kind
-    out = np.empty(xi.shape[:2])
-    for i, x in enumerate(xs):
-        for j, v in enumerate(vs):
-            resid = d[i, j] + np.asarray(omega(x, v), dtype=float) @ xi[i, j]
-            out[i, j] = vector_norm(resid, kind)
+    om = np.array([[omega(x, v) for v in vs] for x in xs], dtype=float)
+    out = vector_norm(d + (om @ xi[..., None])[..., 0], w.space.norm_kind)
     spacing = float(np.max(np.diff(coords))) if len(coords) > 1 else math.inf
     warning = None
     if spacing > 0.1:
@@ -417,22 +433,10 @@ def extend_section(
                            stats=stats)
     fam1 = param_evolution(minus_omega2, xs, p.v1, vs, space, tol,
                            stats=stats)
-    nx, nv, r = len(xs), len(vs), space.dim
-    xi0 = np.empty((nx, nv, r))
-    xi1 = np.empty((nx, nv, r))
-    for ix in range(nx):
-        s0 = sigma.row_v0[ix]
-        s1 = sigma.row_v1[ix]
-        for iv in range(nv):
-            xi0[ix, iv] = fam0.propagators[ix][iv] @ s0
-            xi1[ix, iv] = fam1.propagators[ix][iv] @ s1
-    kind = space.norm_kind
-    gap = np.empty((nx, nv))
-    for ix in range(nx):
-        for iv in range(nv):
-            gap[ix, iv] = vector_norm(xi1[ix, iv] - xi0[ix, iv], kind)
-    worst_flat = int(np.argmax(gap))
-    wix, wiv = divmod(worst_flat, nv)
+    xi0 = (np.array(fam0.propagators) @ sigma.row_v0[:, None, :, None])[..., 0]
+    xi1 = (np.array(fam1.propagators) @ sigma.row_v1[:, None, :, None])[..., 0]
+    gap = vector_norm(xi1 - xi0, space.norm_kind)
+    wix, wiv = divmod(int(np.argmax(gap)), len(vs))
     max_gap = float(gap[wix, wiv])
     theta0 = parallel_residual(p.omega, xi0, xs, vs, 1).values
     theta1 = parallel_residual(p.omega, xi1, xs, vs, 1).values
@@ -462,8 +466,8 @@ def section_at(
     if not matches:
         raise ValueError(f"x = {x} is not a sigma grid column")
     ix = matches[0]
-    return sweep_vector(_vertical_coefficient(p.omega, xs[ix]), (p.v0, v),
-                        sigma.row_v0[ix], tol)[-1]
+    return _fiber_sweep(p.omega, (xs[ix],), (p.v0, v), sigma.row_v0[ix:ix + 1],
+                        tol, None)[-1][0]
 
 
 def near_graph_mask(

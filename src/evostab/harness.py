@@ -5,20 +5,9 @@ substitution, transport, sine-curve, extend, cov-check) plus kind-specific
 parameters.  Matrix entries and scalar paths may be expression strings in
 the variables t and u; systems and connections may instead name built-ins.
 
-Reports are written as ``rows.csv`` (fixed per-kind headers, documented
-below) and ``summary.json``.  Runs are deterministic given the seed: the
-same configuration and seed produce byte-identical CSV.
-
-CSV headers per kind:
-
-    evolve        s,t,norm_X,norm_Xinv,inv_defect,pass
-    certify       N,V,C,window_lo,window_hi,converged,overflow
-    verify        s,t,norm_X,norm_Xinv,C,ratio
-    substitution  s,t,defect,pass
-    cov-check     s,t,defect,pass
-    transport     curve,L1,norm_P,beta,pass
-    sine-curve    b,norm_P,beta,pass
-    extend        x,v,gap,residual0,residual1
+Reports are written as ``rows.csv`` (fixed per-kind headers: see
+``COLUMNS``) and ``summary.json``.  Runs are deterministic given the seed:
+the same configuration and seed produce byte-identical CSV.
 """
 
 from __future__ import annotations
@@ -551,10 +540,11 @@ def _run_transport(config, seed, tol):
     if bag or any(c is None for c in curves):
         raise ConfigError(bag or ["curves: invalid entries"])
     bounds = sample_connection_bounds(w)
+    stats = StepStats()
 
     def one(item):
         i, curve = item
-        p = parallel_transport(w, curve, tol)
+        p = parallel_transport(w, curve, tol, stats=stats)
         L1 = arc_length(curve.gamma1, curve.a, curve.b)
         beta = beta_bound(bounds, L1)
         norm_p = matrix_norm(p.entries, w.space.norm_kind)
@@ -568,6 +558,7 @@ def _run_transport(config, seed, tol):
         "bounds": {"B1": bounds.B1, "B2": bounds.B2, "B12": bounds.B12,
                    "lambda_J": bounds.lambda_J,
                    "provenance": bounds.provenance},
+        "cost": asdict(stats),
     }
     return rows, row_pass, summary, {"norm": w.space.norm_kind}
 

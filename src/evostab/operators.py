@@ -114,7 +114,17 @@ def matrix_norm(a: np.ndarray, kind: str = EUCLIDEAN):
     return norms if stacked else float(norms)
 
 
-def vector_norm(v: np.ndarray, kind: str = EUCLIDEAN) -> float:
+def vector_norm(v: np.ndarray, kind: str = EUCLIDEAN):
+    """Norm of a vector.  A (..., r) stack of vectors gives the array of
+    their norms."""
+    if np.ndim(v) > 1:
+        if kind == EUCLIDEAN:
+            return np.linalg.norm(v, axis=-1)
+        if kind == ONE_NORM:
+            return np.sum(np.abs(v), axis=-1)
+        if kind == INF_NORM:
+            return np.max(np.abs(v), axis=-1, initial=0.0)
+        raise ValueError(f"unknown norm kind {kind!r}")
     if kind == EUCLIDEAN:
         return float(np.linalg.norm(v))
     if kind == ONE_NORM:

@@ -157,10 +157,11 @@ def curve_coefficient(w: ConnectionForm, g: Curve) -> CoefficientPath:
                            domain=Interval(g.a, g.b))
 
 
-def parallel_transport(w: ConnectionForm, g: Curve,
-                       tol: float = 1e-10) -> Operator:
-    """Transport operator along the curve, from gamma(a) to gamma(b)."""
-    return evolve(curve_coefficient(w, g), g.a, g.b, tol)
+def parallel_transport(w: ConnectionForm, g: Curve, tol: float = 1e-10,
+                       stats: Optional[StepStats] = None) -> Operator:
+    """Transport operator along the curve, from gamma(a) to gamma(b).
+    ``stats``, if given, counts the integration."""
+    return evolve(curve_coefficient(w, g), g.a, g.b, tol, stats)
 
 
 def transport_vector(w: ConnectionForm, g: Curve, v: Vector,

@@ -432,19 +432,45 @@ def test_sweep_restarts_at_a_breakpoint_between_stops():
 
 def test_param_evolution_cost_on_extension_gauge_grid():
     # the built-in extension-gauge grid (16 x 13), swept from both corridor
-    # levels: 5,900 right-hand sides measured with Python 3.11 and numpy
-    # 2.4 with the step carried from target to target (8,548 with a fresh
-    # start at every target); the bound leaves 10%
+    # levels as one stacked state per side: 12 + 13 non-empty hops, 605
+    # right-hand sides and 9,680 coefficient calls (605 x 16 columns)
+    # measured with Python 3.11 and numpy 2.4 (5,900 of each when every
+    # column was its own sweep); the call bound leaves 10%
     p = make_extension_problem("extension-gauge")
     xs = np.concatenate([np.linspace(-1.8, -0.2, 6),
                          np.linspace(1e-3, 1.8, 10)])
     vs = np.linspace(-1.8, 1.8, 13)
     stats = StepStats()
+    calls = 0
+
+    def coefficient(x, v):
+        nonlocal calls
+        calls += 1
+        return -p.omega.omega2(x, v)
+
     for level in (p.v0, p.v1):
-        param_evolution(lambda x, v: -p.omega.omega2(x, v), xs, level, vs,
-                        p.omega.space, 1e-10, stats=stats)
-    assert stats.segments == 400
+        param_evolution(coefficient, xs, level, vs, p.omega.space, 1e-10,
+                        stats=stats)
+    assert stats.segments == 25
     assert stats.rhs_evals <= 6_500
+    assert calls == 16 * stats.rhs_evals
+    assert calls <= 10_650
+
+
+@pytest.mark.parametrize("name", ["extension-gauge", "extension-twist"])
+def test_stacked_param_evolution_matches_per_column_evolve(name):
+    omega = make_extension_problem(name).omega
+    xs = [-1.7, -0.4, 0.05, 0.9, 1.6]
+    vs = [-1.8, -1.1, -0.2, 0.6, 1.3, 1.9]
+    res = param_evolution(lambda x, v: -omega.omega2(x, v), xs, 0.3, vs,
+                          omega.space, 1e-10)
+    for ix, x in enumerate(xs):
+        A = CoefficientPath(eval=lambda v, _x=x: -omega.omega2(_x, v),
+                            space=omega.space)
+        for iv, v in enumerate(vs):
+            want = evolve(A, 0.3, v, 1e-10).entries
+            got = res.propagators[ix][iv]
+            assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
 
 def test_step_stats_accumulate():

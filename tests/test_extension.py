@@ -19,7 +19,7 @@ from evostab.library import (
     make_connection,
     make_extension_problem,
 )
-from evostab.operators import VectorSpaceSpec
+from evostab.operators import VectorSpaceSpec, vector_norm
 
 SP2 = VectorSpaceSpec(2)
 
@@ -113,6 +113,48 @@ def test_crossing_guard_fires_on_bad_vertical_move():
     with pytest.raises(ConstructionError):
         # at x = 2/pi the graph sits at v = 1: moving 0 -> 1.5 crosses it
         _move_vertical(p, 2.0 / math.pi, 0.0, 1.5, p.sigma_seed, 1e-10)
+
+
+def test_grouped_column_fill_matches_per_column_sweeps():
+    # columns with equal stops are swept as one stacked state; each must
+    # match its own unstacked sweep from the corridor level
+    from evostab.evolution import CoefficientPath, sweep_vector
+    for name in ("extension-gauge", "extension-twist"):
+        p = make_extension_problem(name)
+        xs, vs = default_grids(p)
+        sig = build_sigma(p, xs, vs)
+        ascending = sorted(vs)
+        for ix, x in enumerate(xs):
+            A = CoefficientPath(eval=lambda v, _x=x: -p.omega.omega2(_x, v),
+                                space=p.omega.space)
+            fx = p.f(x) if x > p.a else math.inf
+            for level, row, ok in ((p.v0, sig.row_v0, lambda v: v < fx),
+                                   (p.v1, sig.row_v1, lambda v: v > fx)):
+                if x <= p.a and level == p.v1:
+                    continue
+                for side in ([v for v in ascending if v >= level and ok(v)],
+                             [v for v in ascending[::-1]
+                              if v < level and ok(v)]):
+                    states = sweep_vector(A, [level] + side, row[ix], 1e-10)
+                    for v, want in zip(side, states[1:]):
+                        got = sig.values[ix, list(vs).index(v)]
+                        assert (np.linalg.norm(got - want)
+                                <= 1e-9 * np.linalg.norm(want))
+
+
+def test_crossing_guard_names_the_column_inside_a_group():
+    # the guard runs per column before the group is swept: only
+    # x = 2/pi (graph at v = 1) crosses the span 0 -> 1.5
+    p = flat_problem()
+    from evostab.extension import _vertical_sweep
+    x_bad = 2.0 / math.pi
+    vecs = np.tile(p.sigma_seed, (3, 1))
+    with pytest.raises(ConstructionError, match=f"x = {x_bad} "):
+        _vertical_sweep(p, [-1.0, x_bad, 0.3], [0.0, 0.7, 1.5], vecs,
+                        1e-10, None)
+    ok = _vertical_sweep(p, [-1.0, 0.3], [0.0, 0.7, 1.5], vecs[:2],
+                         1e-10, None)
+    assert np.array_equal(ok[-1], vecs[:2])
 
 
 def test_non_flat_connection_is_refused_unless_report_only():
@@ -261,6 +303,23 @@ def test_residual_off_graph_bounded_on_extension_grid():
             r = parallel_residual(p.omega, theta_src[sl], block, vs, 1)
             off = r.values[~mask[sl]]
             assert np.max(off) <= 1e-4
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "one-norm", "inf-norm"])
+def test_residual_matches_pointwise_reference(kind):
+    p = make_extension_problem("extension-twist", kind)
+    xs = np.linspace(-1.5, -0.3, 7)
+    vs = np.linspace(-1.2, 1.2, 9)
+    rng = np.random.default_rng(5)
+    xi = rng.normal(size=(7, 9, 2))
+    for direction, omega in ((1, p.omega.omega1), (2, p.omega.omega2)):
+        res = parallel_residual(p.omega, xi, xs, vs, direction)
+        d = np.gradient(xi, xs if direction == 1 else vs,
+                        axis=direction - 1, edge_order=2)
+        for i, x in enumerate(xs):
+            for j, v in enumerate(vs):
+                want = vector_norm(d[i, j] + omega(x, v) @ xi[i, j], kind)
+                assert res.values[i, j] == pytest.approx(want, rel=1e-14)
 
 
 def test_residual_warns_on_coarse_grid():

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +32,14 @@ TINY_VERIFY = {
 
 def test_every_kind_has_documented_columns():
     assert set(COLUMNS) == set(KINDS)
+
+
+def test_readme_csv_headers_match_columns():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("CSV headers per kind:", 1)[1]
+    block = block.split("```", 2)[1]
+    documented = dict(line.split() for line in block.strip().splitlines())
+    assert documented == {k: ",".join(v) for k, v in COLUMNS.items()}
 
 
 def test_unknown_kind_rejected():
@@ -148,6 +157,9 @@ def test_transport_scenario_expression_curves():
     assert report.passed
     assert report.columns == COLUMNS["transport"]
     assert len(report.rows) == 2
+    cost = report.summary["cost"]
+    assert set(cost) == {"steps", "rejected", "rhs_evals", "segments"}
+    assert cost["rhs_evals"] > cost["steps"] > 0
 
 
 def test_sine_curve_scenario_zero_connection():

@@ -141,3 +141,15 @@ def test_stacked_matrix_norm_equals_per_matrix_calls(kind, dim):
     norms = matrix_norm(stack, kind)
     assert norms.shape == (15,)
     assert norms.tolist() == [matrix_norm(m, kind) for m in stack]
+
+
+@pytest.mark.parametrize("kind", NORM_KINDS)
+def test_stacked_vector_norm_matches_per_vector_calls(kind):
+    rng = np.random.default_rng(31)
+    stack = rng.standard_normal((4, 6, 3)) * 10.0 ** rng.uniform(-3, 3, (4, 6, 1))
+    norms = vector_norm(stack, kind)
+    assert norms.shape == (4, 6)
+    for i in range(4):
+        for j in range(6):
+            assert norms[i, j] == pytest.approx(vector_norm(stack[i, j], kind),
+                                                rel=1e-15)
