@@ -36,6 +36,10 @@ _MATH = {"sin": math.sin, "cos": math.cos, "exp": math.exp,
 _NUMPY = {"sin": np.sin, "cos": np.cos, "exp": np.exp,
           "atan": np.arctan, "sqrt": np.sqrt, "^": np.power}
 _FUNCTIONS = sorted(k for k in _MATH if k.isalpha())
+# the numpy evaluators run under this guard; a fault it raises sends the
+# batch back through the scalar evaluator
+_GUARD = {"all": "raise", "under": "ignore"}
+_FAULTS = (FloatingPointError, ZeroDivisionError)
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 VARIABLES = ("t", "u")
 
@@ -196,11 +200,24 @@ def parse_expression(src: str):
 
     def many(t, u):
         try:
-            with np.errstate(all="raise", under="ignore"):
+            with np.errstate(**_GUARD):
                 return np.asarray(raw_many(t, u), dtype=float)
-        except (FloatingPointError, ZeroDivisionError):
+        except _FAULTS:
             return np.vectorize(evaluate, otypes=[float])(t, u)
 
     evaluate.source = src
     evaluate.many = many
+    evaluate.raw_many = raw_many
     return evaluate
+
+
+def many_together(fs, t, u) -> list:
+    """``[f.many(t, u) for f in fs]`` for parsed expressions ``fs``, all
+    under one floating-point guard.  A fault redoes the list through each
+    f's own ``many``, so it raises exactly what the scalar call of the
+    first faulting f raises."""
+    try:
+        with np.errstate(**_GUARD):
+            return [np.asarray(f.raw_many(t, u), dtype=float) for f in fs]
+    except _FAULTS:
+        return [f.many(t, u) for f in fs]

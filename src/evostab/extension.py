@@ -19,7 +19,9 @@ Fiber sweeps that share their stops are integrated as one stacked state
 under one step controller: the Y_j of every grid column at once, and the
 sigma columns (and probe stencils) that reach the same v's from the same
 corridor level.  The controller takes the max-norm error over all
-members, so each column is stepped at least as strictly as alone.
+members, so each column is stepped at least as strictly as alone.  Each
+right-hand side takes omega2 over the whole stack from one
+``ConnectionForm.omega2_stack`` call.
 
 Also here: the graph-approximation utility that replaces a continuous
 graph by a polynomial one agreeing at a chosen point and staying inside a
@@ -37,7 +39,7 @@ from scipy.special import gammaln
 
 from .calculus import Interval
 from .errors import ApproximationError, ConstructionError
-from .evolution import CoefficientPath, StepStats, param_evolution, sweep_vector
+from .evolution import CoefficientPath, StepStats, sweep_vector
 from .operators import vector_norm
 from .transport import ConnectionForm
 
@@ -91,16 +93,20 @@ class ExtensionProblem:
                 )
 
 
-def _fiber_sweep(w: ConnectionForm, xs, stops, vecs, tol, stats) -> list:
-    """Section values at every v of the monotone ``stops``, one (k, r)
-    array each, from one stacked transport up or down the fibers over the
-    k x's of ``xs`` (``vecs`` holds their start values)."""
-    A = CoefficientPath(
-        eval=lambda v: -np.array([w.omega2(x, v) for x in xs], dtype=float),
-        space=w.space, domain=w.j_interval,
-    )
-    vecs = np.asarray(vecs, dtype=float)[..., None]
-    return [s[..., 0] for s in sweep_vector(A, stops, vecs, tol, stats)]
+def _fiber_sweep(w: ConnectionForm, xs, stops, start, tol, stats) -> list:
+    """Solutions of D2 Y = -omega2 Y at every v of the monotone ``stops``,
+    from one stacked sweep up or down the fibers over the k x's of ``xs``.
+    ``start`` holds their values at stops[0]: a (k, r) stack of section
+    values or a (k, r, r) stack of propagators; each state returned has
+    its shape."""
+    xs = np.asarray(xs, dtype=float)
+    A = CoefficientPath(eval=lambda v: -w.omega2_stack(xs, v),
+                        space=w.space, domain=w.j_interval)
+    start = np.asarray(start, dtype=float)
+    if start.ndim == 3:
+        return sweep_vector(A, stops, start, tol, stats)
+    return [s[..., 0] for s in sweep_vector(A, stops, start[..., None], tol,
+                                            stats)]
 
 
 def _vertical_sweep(p, xs, stops, vecs, tol, stats) -> list:
@@ -392,7 +398,10 @@ def parallel_residual(
 
 @dataclass(frozen=True)
 class ExtensionResult:
-    """Output of the two-sided extension sweep."""
+    """Output of the two-sided extension sweep: both candidate
+    extensions on the sigma grid, their gap, and the verdict.  Residuals
+    of xi0 and xi1 are left to the caller (:func:`parallel_residual`),
+    which knows where the grid's x-differences are meaningful."""
 
     x_grid: tuple
     v_grid: tuple
@@ -402,11 +411,6 @@ class ExtensionResult:
     max_gap: float
     accepted: bool
     worst_point: tuple
-    theta0: np.ndarray         # direction-1 residual norms of xi0
-    theta1: np.ndarray
-    Y0: list                   # propagators per (ix, iv)
-    Y1: list
-    continuity: float
 
 
 def extend_section(
@@ -418,35 +422,38 @@ def extend_section(
     """Build both candidate extensions from the section's boundary rows
     and compare them.
 
-    xi_j sweeps the fiber ODE from level v_j across the whole grid; the
-    extension is accepted when max ||xi1 - xi0|| <= 100 * tol.  A larger
-    gap is returned as data (worst point included), never silently
+    xi_j = Y_j sigma(., v_j), where the propagators Y_j of every grid
+    column come from an identity stack swept from level v_j through
+    :func:`_fiber_sweep`, one sweep up and one down; this is the state,
+    the stops and the controller of
+    :func:`evostab.evolution.param_evolution`, so the bits are the same.
+    The extension is accepted when max ||xi1 - xi0|| <= 100 * tol.  A
+    larger gap is returned as data (worst point included), never silently
     accepted.
     """
     xs, vs = sigma.x_grid, sigma.v_grid
     space = p.omega.space
+    eye = np.tile(np.eye(space.dim), (len(xs), 1, 1))
 
-    def minus_omega2(x, v):
-        return -np.asarray(p.omega.omega2(x, v), dtype=float)
+    def extension_from(level, row):
+        at = {}
+        for side in (sorted(v for v in vs if v >= level),
+                     sorted((v for v in vs if v < level), reverse=True)):
+            stops = [level] + side
+            at.update(zip(stops, _fiber_sweep(p.omega, xs, stops, eye, tol,
+                                              stats)))
+        Y = np.stack([at[v] for v in vs], axis=1)  # (nx, nv, r, r)
+        return (Y @ row[:, None, :, None])[..., 0]
 
-    fam0 = param_evolution(minus_omega2, xs, p.v0, vs, space, tol,
-                           stats=stats)
-    fam1 = param_evolution(minus_omega2, xs, p.v1, vs, space, tol,
-                           stats=stats)
-    xi0 = (np.array(fam0.propagators) @ sigma.row_v0[:, None, :, None])[..., 0]
-    xi1 = (np.array(fam1.propagators) @ sigma.row_v1[:, None, :, None])[..., 0]
+    xi0 = extension_from(p.v0, sigma.row_v0)
+    xi1 = extension_from(p.v1, sigma.row_v1)
     gap = vector_norm(xi1 - xi0, space.norm_kind)
     wix, wiv = divmod(int(np.argmax(gap)), len(vs))
     max_gap = float(gap[wix, wiv])
-    theta0 = parallel_residual(p.omega, xi0, xs, vs, 1).values
-    theta1 = parallel_residual(p.omega, xi1, xs, vs, 1).values
     return ExtensionResult(
         x_grid=xs, v_grid=vs, xi0=xi0, xi1=xi1, gap=gap, max_gap=max_gap,
         accepted=max_gap <= 100.0 * tol,
         worst_point=(xs[wix], vs[wiv]),
-        theta0=theta0, theta1=theta1,
-        Y0=fam0.propagators, Y1=fam1.propagators,
-        continuity=max(fam0.continuity, fam1.continuity),
     )
 
 

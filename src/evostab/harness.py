@@ -24,7 +24,7 @@ from . import __version__
 from .calculus import Interval, OperatorField, ScalarPath, arc_length, cov_check
 from .errors import ConfigError
 from .evolution import CoefficientPath, StepStats, evolve
-from .expressions import parse_expression
+from .expressions import many_together, parse_expression
 from .library import (
     BUILTIN_CONNECTIONS,
     BUILTIN_EXTENSIONS,
@@ -186,11 +186,13 @@ def _expr_matrix(rows, bag, label):
         return np.array([[compiled[i][j](t, u) for j in range(r)]
                          for i in range(r)])
 
+    entries = [c for row in compiled for c in row]
+
     def many(t, us):  # entries without u (exp(-t), constants) broadcast
-        out = np.empty((len(us), r, r))
-        for i, j in np.ndindex(r, r):
-            out[:, i, j] = compiled[i][j].many(t, us)
-        return out
+        out = np.empty((len(us), r * r))
+        for k, values in enumerate(many_together(entries, t, us)):
+            out[:, k] = values
+        return out.reshape(len(us), r, r)
 
     eval_matrix.dim = r
     eval_matrix.many = many

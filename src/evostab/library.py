@@ -188,6 +188,7 @@ def _gauge_rotation_connection(m_interval, j_interval, norm_kind, eps=0.1):
         omega2=lambda x, u: -eps * x * R,
         m_interval=m_interval, j_interval=j_interval, space=space,
         d1_omega2=lambda x, u: -eps * R,
+        omega2_many=lambda xs, u: (-eps * xs)[:, None, None] * R,
     )
 
 
@@ -211,11 +212,17 @@ def _gauge_twist_connection(m_interval, j_interval, norm_kind,
         m = e @ S @ e.T
         return -au * ax * (R @ m - m @ R)
 
+    def omega2_many(xs, u):  # omega2's operations in its order, stacked
+        c, s = np.cos(ax * xs), np.sin(ax * xs)
+        e = np.stack((np.stack((c, s), -1), np.stack((-s, c), -1)), -2)
+        return -au * (e @ S @ np.swapaxes(e, -1, -2))
+
     return ConnectionForm(
         omega1=lambda x, u: -ax * R,
         omega2=omega2,
         m_interval=m_interval, j_interval=j_interval, space=space,
         d1_omega2=d1_omega2,
+        omega2_many=omega2_many,
     )
 
 

@@ -63,6 +63,8 @@ class ConnectionForm:
 
     ``d1_omega2`` is the x-derivative of omega2 when known analytically;
     otherwise it is approximated by central differences where needed.
+    ``omega2_many(xs, u)``, when given, stacks omega2(x, u) over an array
+    of x at one fiber level u in one call.
     """
 
     omega1: Callable[[float, float], np.ndarray]
@@ -71,6 +73,14 @@ class ConnectionForm:
     j_interval: Interval
     space: VectorSpaceSpec
     d1_omega2: Optional[Callable[[float, float], np.ndarray]] = None
+    omega2_many: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
+
+    def omega2_stack(self, xs, u: float) -> np.ndarray:
+        """The (len(xs), r, r) stack of omega2(x, u) over the x in xs."""
+        xs = np.asarray(xs, dtype=float)
+        if self.omega2_many is not None:
+            return np.asarray(self.omega2_many(xs, u), dtype=float)
+        return np.array([self.omega2(x, u) for x in xs.tolist()], dtype=float)
 
     def d1w2(self, x: float, u: float) -> np.ndarray:
         if self.d1_omega2 is not None:

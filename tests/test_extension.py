@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from evostab.calculus import Interval
 from evostab.errors import ApproximationError, ConstructionError
+from evostab.evolution import StepStats, param_evolution
 from evostab.extension import (
     ExtensionProblem,
     build_sigma,
@@ -226,6 +228,46 @@ def test_extensions_agree_with_sigma_on_their_defining_sides():
                 assert np.max(np.abs(res.xi0[ix, iv] - sigma_val)) <= 1e-6
             elif v > fx:
                 assert np.max(np.abs(res.xi1[ix, iv] - sigma_val)) <= 1e-6
+
+
+@pytest.mark.parametrize("name", ["extension-gauge", "extension-twist"])
+def test_extend_section_matches_param_evolution_bit_for_bit(name):
+    # the per-point route: param_evolution's propagator columns times the
+    # section's corridor rows
+    p = make_extension_problem(name)
+    xs, vs = default_grids(p)
+    sig = build_sigma(p, xs, vs)
+    res = extend_section(p, sig)
+    for level, row, xi in ((p.v0, sig.row_v0, res.xi0),
+                           (p.v1, sig.row_v1, res.xi1)):
+        fam = param_evolution(lambda x, v: -p.omega.omega2(x, v), sig.x_grid,
+                              level, sig.v_grid, p.omega.space, 1e-10)
+        want = (np.array(fam.propagators) @ row[:, None, :, None])[..., 0]
+        assert np.array_equal(xi, want)
+
+
+def test_extend_section_evaluates_omega2_once_per_right_hand_side():
+    p = gauge_problem()
+    xs, vs = default_grids(p)
+    sig = build_sigma(p, xs, vs)
+    w = p.omega
+    calls = {"batched": 0, "pointwise": 0}
+
+    def batched(xs, u):
+        calls["batched"] += 1
+        return w.omega2_many(xs, u)
+
+    def pointwise(x, u):
+        calls["pointwise"] += 1
+        return w.omega2(x, u)
+
+    counted = dataclasses.replace(p, omega=dataclasses.replace(
+        w, omega2=pointwise, omega2_many=batched))
+    stats = StepStats()
+    res = extend_section(counted, sig, stats=stats)
+    assert calls["pointwise"] == 0
+    assert calls["batched"] == stats.rhs_evals > 0
+    assert np.array_equal(res.xi1, extend_section(p, sig).xi1)
 
 
 def test_extension_oscillating_graph_with_floor():

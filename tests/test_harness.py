@@ -4,15 +4,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from evostab.cli import main as cli_main
-from evostab.errors import ConfigError
+from evostab.errors import ConfigError, ExpressionError
+from evostab.expressions import parse_expression
 from evostab.harness import (
     BUILTIN_SCENARIOS,
     COLUMNS,
     KINDS,
     Report,
+    _expr_matrix,
     emit_report,
     run_scenario,
 )
@@ -388,6 +391,23 @@ def test_certify_complex_expression_exits_3(tmp_path, capsys):
                      "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert "evaluation of '(0-8)^0.5' failed" in err
+
+
+def test_expression_matrix_stack_faults_like_its_faulting_entry():
+    rows = [["1", "exp(-t)"], ["sqrt(u)", "t*u"]]
+    bag = []
+    G = _expr_matrix(rows, bag, "system.G")
+    assert not bag
+    us = np.array([0.25, 4.0, 9.0])
+    stack = G.many(0.5, us)
+    for i, j in np.ndindex(2, 2):
+        entry = parse_expression(rows[i][j]).many(0.5, us)
+        assert np.array_equal(stack[:, i, j], np.broadcast_to(entry, (3,)))
+    with pytest.raises(ExpressionError) as scalar:
+        parse_expression("sqrt(u)")(0.5, -1.0)
+    with pytest.raises(ExpressionError) as batch:
+        G.many(0.5, np.array([1.0, -1.0]))
+    assert str(batch.value) == str(scalar.value)
 
 
 @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf, "1e-8"])

@@ -419,3 +419,22 @@ def test_sine_scenario_cost_on_benchmark_configuration():
     assert report.passed
     assert report.stats.segments == 3
     assert report.stats.rhs_evals <= 15_000
+
+
+@pytest.mark.parametrize("name", ["zero", "scalar-decay", "gauge-rotation",
+                                  "gauge-twist", "mixed-bounded"])
+def test_omega2_stack_matches_pointwise_omega2(name):
+    # gauge-rotation and gauge-twist stack omega2 through their batched
+    # evaluators, which repeat omega2's operations elementwise; the other
+    # three stack omega2 itself.  gauge-twist is exact too because numpy's
+    # float64 cos and sin agree with math's bit for bit (x86-64, numpy 2.4)
+    w = make_connection(name, RECT_M, RECT_J)
+    assert (w.omega2_many is not None) == name.startswith("gauge-")
+    xs = np.concatenate([np.linspace(-2.0, 2.0, 41),
+                         np.random.default_rng(3).uniform(-2.0, 2.0, 200)])
+    for u in (-1.5, -0.3, 0.0, 1.2):
+        want = np.array([w.omega2(x, u) for x in xs.tolist()])
+        got = w.omega2_stack(xs, u)
+        assert got.shape == (len(xs), 2, 2)
+        assert np.array_equal(got, want)
+        assert np.array_equal(w.omega2_stack(tuple(xs[:3]), u), want[:3])
