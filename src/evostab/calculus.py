@@ -78,6 +78,15 @@ class Interval:
     def midpoint(self) -> float:
         return 0.5 * (self.lo + self.hi)
 
+    def first_outside(self, ts: np.ndarray, rel_tol: float) -> Optional[int]:
+        """Index of the first of the (non-empty) values ts that ``contains``
+        rejects with tol = rel_tol * max(1, |t|), or None."""
+        if self.lo <= ts.min() and ts.max() <= self.hi:  # False on a NaN
+            return None
+        tol = rel_tol * np.maximum(1.0, np.abs(ts))
+        inside = (self.lo - tol <= ts) & (ts <= self.hi + tol)
+        return None if inside.all() else int(np.argmin(inside))
+
 
 @dataclass(frozen=True)
 class Partition:
@@ -117,12 +126,16 @@ class ScalarPath:
     differences with step 1e-6 * max(1, |t|).  At a declared breakpoint
     the derivative is defined to be 0 (the value there never matters for
     integrals, but point queries are reproducible this way).
+    ``eval_many`` and ``deriv_many``, when given together, map an array of
+    times to the arrays of ``eval`` and ``deriv`` values, bit for bit.
     """
 
     eval: Callable[[float], float]
     deriv: Optional[Callable[[float], float]] = None
     breakpoints: tuple = ()
     domain: Interval = Interval(-math.inf, math.inf)
+    eval_many: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    deriv_many: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         bps = tuple(sorted(float(b) for b in self.breakpoints))
@@ -146,6 +159,23 @@ class ScalarPath:
             return self.deriv(t)
         h = _fd_step(t)
         return (self.eval(t + h) - self.eval(t - h)) / (2.0 * h)
+
+    @property
+    def batched(self) -> bool:
+        return self.eval_many is not None and self.deriv_many is not None
+
+    def d_many(self, ts: np.ndarray) -> np.ndarray:
+        """``d`` at the times in ts (a batched path only): 0 within the
+        same snapping distance of a breakpoint."""
+        if not self.breakpoints:
+            return np.asarray(self.deriv_many(ts), dtype=float)
+        out = np.array(self.deriv_many(ts), dtype=float)
+        bps = np.asarray(self.breakpoints)
+        i = np.searchsorted(bps, ts)
+        for j in (np.maximum(i - 1, 0), np.minimum(i, len(bps) - 1)):
+            b = bps[j]
+            out[np.abs(ts - b) <= 1e-14 * np.maximum(1.0, np.abs(b))] = 0.0
+        return out
 
 
 @dataclass(frozen=True)

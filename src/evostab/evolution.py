@@ -2,11 +2,16 @@
 
 The stepping core is an embedded Dormand-Prince 5(4) pair with standard
 PI-free step control, each stage state and the error estimate one
-tableau-row product over the stage slopes.  One sweep crosses monotone
-stops and returns the state at each, carrying the step size and slope
-from stop to stop; it restarts at declared breakpoints of the
-coefficient so a step never straddles a jump.  Backward propagation
-(t < s) steps with negative h rather than inverting a forward result.
+tableau-row product over the stage slopes.  Every equation integrated
+here is linear with a coefficient that does not depend on the state, so
+all stage coefficients of a step are known once its size is: the stepper
+takes A itself, fetches A at the step's stage times in one call
+(:meth:`CoefficientPath.eval_stack`) and forms each stage slope as
+A_i @ y_i.  One sweep crosses monotone stops and returns the state at
+each, carrying the step size and slope from stop to stop; it restarts at
+declared breakpoints of the coefficient so a step never straddles a
+jump.  Backward propagation (t < s) steps with negative h rather than
+inverting a forward result.
 
 :class:`EvolutionOperator` answers many queries from one integration: it
 sweeps a fundamental solution Phi across a set of declared times, and
@@ -17,7 +22,7 @@ sweeps vectors and :func:`param_evolution` frozen-parameter columns;
 A coefficient whose ``eval`` returns a (k, r, r) stack sweeps k systems
 that share their stops as one state, (k, r, r) for propagators or
 (k, r, 1) for vectors, under one step controller; its error norm is the
-max over all members, and each right-hand side covers the whole stack.
+max over all members, and each stage slope covers the whole stack.
 """
 
 from __future__ import annotations
@@ -51,6 +56,10 @@ _DP_A = np.array([
 _DP_B5 = _DP_A[6]
 _DP_E = _DP_B5 - np.array((5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                            -92097 / 339200, 187 / 2100, 1 / 40))
+# Stages 1..6 sit at five distinct nodes: c5 = c6 = 1 give the same float
+# t + h, so stage 6 reuses stage 5's coefficient.
+_STAGE_NODES = np.array(_DP_C[1:6])
+_STAGE_COEF = (None, 0, 1, 2, 3, 4, 4)
 
 
 @dataclass
@@ -76,12 +85,16 @@ class CoefficientPath:
     ``eval`` returns a bare (r, r) ndarray, or a (k, r, r) stack of k
     coefficients swept together; it must be bounded on compact subsets of
     ``domain`` and piecewise continuous between breakpoints.
+    ``eval_many(ts)``, when given, stacks eval(t) over an array of times
+    in one call, equal to the pointwise values bit for bit; the stepper
+    takes each step's stage coefficients from it.
     """
 
     eval: Callable[[float], np.ndarray]
     space: VectorSpaceSpec
     breakpoints: tuple = ()
     domain: Interval = Interval(-math.inf, math.inf)
+    eval_many: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         object.__setattr__(
@@ -91,16 +104,29 @@ class CoefficientPath:
     def __call__(self, t: float) -> np.ndarray:
         return self.eval(t)
 
+    def eval_stack(self, ts) -> np.ndarray:
+        """The stack of eval(t) over the t in ts, on a new leading axis."""
+        ts = np.asarray(ts, dtype=float)
+        if self.eval_many is not None:
+            return np.asarray(self.eval_many(ts), dtype=float)
+        return np.array([np.asarray(self.eval(t), dtype=float)
+                         for t in ts.tolist()])
 
-def _rk_segment(rhs, t0, t1, y, rtol, atol, stats, max_steps, h0=None,
+
+def _rk_segment(A, t0, t1, y, rtol, atol, stats, max_steps, h0=None,
                 f0=None):
-    """Adaptive DP5(4) from t0 to t1 on a breakpoint-free segment.
+    """Adaptive DP5(4) for y' = A(t) y from t0 to t1 on a breakpoint-free
+    segment of the coefficient path ``A``.
 
-    ``y`` is any ndarray shape; the error norm is max over components of
-    |err| / (atol + rtol * |y|).  ``h0`` and ``f0`` = rhs(t0, y) carry over
-    from the segment before, if any.  Returns y(t1), the step to start the
-    next segment with (the controller's proposal before it was clipped to
-    land on t1) and rhs(t1, y(t1)), or None where that is not at hand.
+    ``y`` is any ndarray shape that A(t) @ y keeps; the error norm is max
+    over components of |err| / (atol + rtol * |y|).  Each attempted step
+    takes its stage coefficients from one ``A.eval_stack`` call over the
+    five distinct stage times.  ``h0`` and the slope ``f0`` = A(t0) y carry
+    over from the segment before, if any.  Returns y(t1), the step to
+    start the next segment with (the controller's proposal before it was
+    clipped to land on t1) and the slope at t1, or None where that is not
+    at hand.  ``stats.rhs_evals`` counts stage slopes, 6 per attempted
+    step.
     """
     if t1 == t0:
         return y, h0, f0
@@ -114,7 +140,7 @@ def _rk_segment(rhs, t0, t1, y, rtol, atol, stats, max_steps, h0=None,
     # which then rejects the step: numpy need not warn about them
     with np.errstate(all="ignore"):
         if f0 is None:
-            f0 = rhs(t0, y)
+            f0 = np.asarray(A.eval(t0), dtype=float) @ y
             stats.rhs_evals += 1
         Kv[0] = f0
         if span <= 1e-13 * max(1.0, abs(t0), abs(t1)):
@@ -143,9 +169,10 @@ def _rk_segment(rhs, t0, t1, y, rtol, atol, stats, max_steps, h0=None,
             hs = min(h, remaining)
             hd = direction * hs
             ha = hd * _DP_A
+            coef = A.eval_stack(t + _STAGE_NODES * hd)
             for i in range(1, 7):
-                Kv[i] = rhs(t + _DP_C[i] * hd,
-                            y + (ha[i, :i] @ K[:i]).reshape(shape))
+                Kv[i] = coef[_STAGE_COEF[i]] @ (
+                    y + (ha[i, :i] @ K[:i]).reshape(shape))
             stats.rhs_evals += 6
             y5 = y + ((hd * _DP_B5) @ K).reshape(shape)
             scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
@@ -172,7 +199,7 @@ def _rk_segment(rhs, t0, t1, y, rtol, atol, stats, max_steps, h0=None,
                 stats.rejected += 1
                 h = hs * (max(0.1, 0.9 * err ** -0.2) if math.isfinite(err)
                           else 0.1)
-                # K[0] still holds rhs(t, y): the step was rejected, the
+                # K[0] still holds A(t) y: the step was rejected, the
                 # state did not move.  Underflow is only meaningful here,
                 # where the controller is shrinking.
                 if h < 1e-14 * max(1.0, abs(t)):
@@ -183,17 +210,18 @@ def _rk_segment(rhs, t0, t1, y, rtol, atol, stats, max_steps, h0=None,
     return y, h, Kv[0]
 
 
-def _sweep(rhs, stops, y0, breakpoints, rtol, atol, stats, max_steps):
-    """Integrate once across the monotone ``stops``, yielding the state at
-    each of them (``y0`` first).
+def _sweep(A, stops, y0, rtol, atol, stats, max_steps):
+    """Integrate y' = A(t) y once across the monotone ``stops``, yielding
+    the state at each of them (``y0`` first).
 
-    Hops between stops are split at the interior ones of the (sorted)
-    ``breakpoints``.  The step size and the slope carry from one stop to
+    Hops between stops are split at the interior ones of
+    ``A.breakpoints``.  The step size and the slope carry from one stop to
     the next; only a segment that starts at a breakpoint restarts from the
     initial-step estimate, so no step straddles a jump or reuses a slope
     from across it.
     """
     stats = stats if stats is not None else StepStats()
+    breakpoints = A.breakpoints
     y, h, f = y0, None, None
     yield y
     for a, b in zip(stops, stops[1:]):
@@ -202,16 +230,9 @@ def _sweep(rhs, stops, y0, breakpoints, rtol, atol, stats, max_steps):
         for t0, t1 in zip(cuts, cuts[1:]):
             if t0 in breakpoints:
                 h = f = None
-            y, h, f = _rk_segment(rhs, t0, t1, y, rtol, atol, stats,
+            y, h, f = _rk_segment(A, t0, t1, y, rtol, atol, stats,
                                   max_steps, h, f)
         yield y
-
-
-def _linear_rhs(A: CoefficientPath):
-    """The right-hand side (tau, y) -> A(tau) y, for a state of any shape."""
-    def rhs(tau, y):
-        return np.asarray(A.eval(tau), dtype=float) @ y
-    return rhs
 
 
 def evolve(
@@ -227,8 +248,8 @@ def evolve(
     Integrates the matrix equation Y' = A Y with Y(s) = id; for t < s the
     integrator steps backward in time.
     """
-    y = list(_sweep(_linear_rhs(A), (s, t), np.eye(A.space.dim),
-                    A.breakpoints, tol, tol, stats, max_steps))[-1]
+    y = list(_sweep(A, (s, t), np.eye(A.space.dim), tol, tol, stats,
+                    max_steps))[-1]
     return Operator(y, A.space)
 
 
@@ -242,8 +263,8 @@ def sweep_vector(
 ) -> list:
     """X(tau, stops[0]) v at every tau of the monotone ``stops``, as
     ndarrays, from one integration of the vector equation across them."""
-    return list(_sweep(_linear_rhs(A), stops, np.array(v, dtype=float),
-                       A.breakpoints, tol, tol, stats, max_steps))
+    return list(_sweep(A, stops, np.array(v, dtype=float), tol, tol, stats,
+                       max_steps))
 
 
 def sweep_two_sided(
@@ -253,24 +274,32 @@ def sweep_two_sided(
     stats: Optional[StepStats] = None,
 ):
     """Yield (X(tau, tau0), X(tau0, tau)) at every tau of the monotone
-    ``stops``, tau0 = stops[0], from one integration across them.
+    ``stops``, tau0 = stops[0], from one integration across them; ``A``
+    returns bare (r, r) matrices.
 
-    The state stacks X over Y = X(tau0, tau), which solves the adjoint
-    equation Y' = -Y A(tau): each stage evaluates A once for both halves,
-    and one step controller covers both.  Y X = I holds up to truncation
-    error only.  A failure raises at the first stop it keeps from being
-    reached, after the pairs before it have been yielded.
+    Y = X(tau0, tau) solves the adjoint equation Y' = -Y A(tau), so its
+    transpose solves the linear equation (Y^T)' = -A^T Y^T.  The sweep is
+    the plain linear one of the state [X; Y^T] under blockdiag(A, -A^T),
+    held as a 2-member stack: each step fetches A at its stage times once
+    for both halves, and one step controller covers both.  Y X = I holds
+    up to truncation error only.  A failure raises at the first stop it
+    keeps from being reached, after the pairs before it have been yielded.
     """
-    n = A.space.dim
+    def both(a):  # blockdiag(a, -a^T) as a 2-member stack, per time
+        out = np.empty(a.shape[:-2] + (2,) + a.shape[-2:])
+        out[..., 0, :, :] = a
+        np.negative(np.swapaxes(a, -1, -2), out=out[..., 1, :, :])
+        return out
 
-    def rhs(tau, s):
-        a = np.asarray(A.eval(tau), dtype=float)
-        return np.concatenate((a @ s[:n], -(s[n:] @ a)))
-
-    eye = np.eye(n)
-    for s in _sweep(rhs, stops, np.concatenate((eye, eye)), A.breakpoints,
-                    tol, tol, stats, 2_000_000):
-        yield s[:n], s[n:]
+    pair = CoefficientPath(
+        eval=lambda tau: both(np.asarray(A.eval(tau), dtype=float)),
+        space=A.space, breakpoints=A.breakpoints, domain=A.domain,
+        eval_many=lambda ts: both(A.eval_stack(ts)),
+    )
+    eye = np.eye(A.space.dim)
+    for s in _sweep(pair, stops, np.stack((eye, eye)), tol, tol, stats,
+                    2_000_000):
+        yield s[0], s[1].T.copy()
 
 
 def propagate_vector(
@@ -298,16 +327,23 @@ def variation_of_parameters(
     g_breakpoints: Sequence[float] = (),
 ) -> Vector:
     """Solution at t of the inhomogeneous equation x' = A(t) x + g(t) with
-    x(s) = x_s, integrated directly on the augmented right-hand side."""
-    hom = _linear_rhs(A)
+    x(s) = x_s, integrated directly as the linear equation of (x, 1) under
+    the augmented coefficient [[A, g], [0, 0]]."""
+    n = A.space.dim
 
-    def rhs(tau, y):
-        return hom(tau, y) + np.asarray(g(tau), dtype=float)
+    def augmented(tau):
+        out = np.zeros((n + 1, n + 1))
+        out[:n, :n] = A.eval(tau)
+        out[:n, n] = g(tau)
+        return out
 
-    bps = tuple(sorted(set(A.breakpoints) | set(float(b) for b in g_breakpoints)))
-    y = list(_sweep(rhs, (s, t), np.array(x_s.entries, dtype=float), bps,
-                    tol, tol, None, 2_000_000))[-1]
-    return Vector(y, A.space)
+    bps = tuple(set(A.breakpoints) | set(float(b) for b in g_breakpoints))
+    aug = CoefficientPath(eval=augmented,
+                          space=VectorSpaceSpec(n + 1, A.space.norm_kind),
+                          breakpoints=bps, domain=A.domain)
+    y0 = np.append(np.array(x_s.entries, dtype=float), 1.0)
+    y = list(_sweep(aug, (s, t), y0, tol, tol, None, 2_000_000))[-1]
+    return Vector(y[:n], A.space)
 
 
 @dataclass(frozen=True)
@@ -394,9 +430,8 @@ class EvolutionOperator:
         self._failure: Optional[IntegrationError] = None
         stops = sorted(set(float(t) for t in times))
         self._phi = dict.fromkeys(stops)
-        sweep = _sweep(_linear_rhs(source), stops, np.eye(source.space.dim),
-                       source.breakpoints, tol, tol, self.step_stats,
-                       2_000_000)
+        sweep = _sweep(source, stops, np.eye(source.space.dim), tol, tol,
+                       self.step_stats, 2_000_000)
         try:
             for tau, phi in zip(stops, sweep):
                 self._phi[tau] = phi
@@ -451,7 +486,8 @@ def param_evolution(
     All columns share their stops, so they are integrated as one stacked
     (nx, r, r) state: one sweep per direction from v0, stopping at that
     side's targets in order, under one step controller whose error norm
-    is the max over every column.  Each stage evaluates A at every x."""
+    is the max over every column.  Each evaluation of the stack covers
+    every x."""
     x_grid = tuple(float(x) for x in x_grid)
     v_targets = tuple(float(v) for v in v_targets)
     stack = CoefficientPath(
@@ -463,8 +499,7 @@ def param_evolution(
     for side in (sorted(v for v in v_targets if v >= v0),
                  sorted((v for v in v_targets if v < v0), reverse=True)):
         stops = [v0] + side
-        at.update(zip(stops, _sweep(_linear_rhs(stack), stops, eye,
-                                    stack.breakpoints, tol, tol, stats,
+        at.update(zip(stops, _sweep(stack, stops, eye, tol, tol, stats,
                                     2_000_000)))
     props = np.stack([at[v] for v in v_targets], axis=1)  # (nx, nt, r, r)
     diffs = (props[1:] - props[:-1]).reshape((-1,) + eye.shape[1:])

@@ -20,7 +20,7 @@ under one step controller: the Y_j of every grid column at once, and the
 sigma columns (and probe stencils) that reach the same v's from the same
 corridor level.  The controller takes the max-norm error over all
 members, so each column is stepped at least as strictly as alone.  Each
-right-hand side takes omega2 over the whole stack from one
+step takes omega2 over the whole stack at all its stage levels from one
 ``ConnectionForm.omega2_stack`` call.
 
 Also here: the graph-approximation utility that replaces a continuous
@@ -101,7 +101,8 @@ def _fiber_sweep(w: ConnectionForm, xs, stops, start, tol, stats) -> list:
     its shape."""
     xs = np.asarray(xs, dtype=float)
     A = CoefficientPath(eval=lambda v: -w.omega2_stack(xs, v),
-                        space=w.space, domain=w.j_interval)
+                        space=w.space, domain=w.j_interval,
+                        eval_many=lambda vs: -w.omega2_stack(xs, vs[:, None]))
     start = np.asarray(start, dtype=float)
     if start.ndim == 3:
         return sweep_vector(A, stops, start, tol, stats)
@@ -130,6 +131,7 @@ def _horizontal_sweep(p, v, stops, vec, tol, stats) -> list:
     A = CoefficientPath(
         eval=lambda x: -np.asarray(p.omega.omega1(x, v), dtype=float),
         space=p.omega.space, domain=p.omega.m_interval,
+        eval_many=lambda xs: -p.omega.omega1_stack(xs, v),
     )
     return sweep_vector(A, stops, vec, tol, stats)
 

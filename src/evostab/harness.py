@@ -336,11 +336,12 @@ def _run_evolve(config, seed, tol):
         raise ConfigError(bag)
     kind = A.space.norm_kind
     eye = np.eye(A.space.dim)
+    stats = StepStats()
 
     def one(pair):
         s, t = pair
-        x = evolve(A, s, t, tol)
-        x_inv = evolve(A, t, s, tol)
+        x = evolve(A, s, t, tol, stats)
+        x_inv = evolve(A, t, s, tol, stats)
         defect = matrix_norm(x.entries @ x_inv.entries - eye, kind)
         return (s, t, matrix_norm(x.entries, kind),
                 matrix_norm(x_inv.entries, kind), defect,
@@ -352,6 +353,7 @@ def _run_evolve(config, seed, tol):
         "pass": all(row_pass),
         "rows": len(rows),
         "max_inv_defect": max((r[4] for r in rows), default=0.0),
+        "cost": asdict(stats),
     }
     return rows, row_pass, summary, {"dim": A.space.dim, "norm": kind}
 
@@ -448,10 +450,11 @@ def _run_substitution(config, seed, tol):
         raise ConfigError(bag)
     space = VectorSpaceSpec(mat.dim, norm)
     B = lambda u: mat(u, u)
+    stats = StepStats()
 
     def one(pair):
         s, t = pair
-        defect = substitution_check(B, f, s, t, space, tol)
+        defect = substitution_check(B, f, s, t, space, tol, stats=stats)
         return (s, t, defect, defect <= 100.0 * tol)
 
     rows = [one(pair) for pair in pairs]
@@ -460,6 +463,7 @@ def _run_substitution(config, seed, tol):
         "pass": all(row_pass),
         "rows": len(rows),
         "max_defect": max((r[2] for r in rows), default=0.0),
+        "cost": asdict(stats),
     }
     return rows, row_pass, summary, {"dim": space.dim, "norm": norm}
 

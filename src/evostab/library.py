@@ -119,7 +119,8 @@ def _triangle_breakpoints(lo: float, hi: float) -> tuple:
 def make_scalar_path(name: str, window: Interval) -> ScalarPath:
     """Named scalar paths with range inside [-1, 1] on the window."""
     if name == "sin":
-        return ScalarPath(eval=math.sin, deriv=math.cos, domain=window)
+        return ScalarPath(eval=math.sin, deriv=math.cos, domain=window,
+                          eval_many=np.sin, deriv_many=np.cos)
     if name == "sin2t":
         return ScalarPath(eval=lambda t: math.sin(2.0 * t),
                           deriv=lambda t: 2.0 * math.cos(2.0 * t),
@@ -188,7 +189,8 @@ def _gauge_rotation_connection(m_interval, j_interval, norm_kind, eps=0.1):
         omega2=lambda x, u: -eps * x * R,
         m_interval=m_interval, j_interval=j_interval, space=space,
         d1_omega2=lambda x, u: -eps * R,
-        omega2_many=lambda xs, u: (-eps * xs)[:, None, None] * R,
+        omega1_many=lambda xs, us: (-eps * us)[..., None, None] * R,
+        omega2_many=lambda xs, us: (-eps * xs)[..., None, None] * R,
     )
 
 
@@ -212,16 +214,24 @@ def _gauge_twist_connection(m_interval, j_interval, norm_kind,
         m = e @ S @ e.T
         return -au * ax * (R @ m - m @ R)
 
-    def omega2_many(xs, u):  # omega2's operations in its order, stacked
+    def omega2_many(xs, us):  # omega2's operations in its order, stacked
         c, s = np.cos(ax * xs), np.sin(ax * xs)
-        e = np.stack((np.stack((c, s), -1), np.stack((-s, c), -1)), -2)
+        e = np.empty(xs.shape + (2, 2))
+        e[..., 0, 0], e[..., 0, 1], e[..., 1, 1] = c, s, c
+        np.negative(s, out=e[..., 1, 0])
         return -au * (e @ S @ np.swapaxes(e, -1, -2))
+
+    def omega1_many(xs, us):
+        out = np.empty(xs.shape + (2, 2))
+        out[...] = -ax * R
+        return out
 
     return ConnectionForm(
         omega1=lambda x, u: -ax * R,
         omega2=omega2,
         m_interval=m_interval, j_interval=j_interval, space=space,
         d1_omega2=d1_omega2,
+        omega1_many=omega1_many,
         omega2_many=omega2_many,
     )
 

@@ -78,16 +78,31 @@ def _checked_f_value(sys_J: Interval, f_val: float, t: float) -> float:
 
 
 def assemble_A(sys: SeparableSystem) -> CoefficientPath:
-    """The coefficient path t -> f'(t) G(t, f(t))."""
+    """The coefficient path t -> f'(t) G(t, f(t)).
+
+    For a batched path f the coefficient also evaluates a stack of times
+    in one call: f and f' over the array and one check of the values
+    against J, then G at each (t, f(t)).
+    """
     G, f, J = sys.G, sys.f, sys.J
 
     def eval_A(t):
         u = _checked_f_value(J, float(f(t)), t)
         return float(f.d(t)) * np.asarray(G.eval(t, u), dtype=float)
 
+    def eval_many(ts):
+        us = f.eval_many(ts)
+        i = J.first_outside(us, 1e-12)
+        if i is not None:
+            _checked_f_value(J, float(us[i]), float(ts[i]))
+        g = np.array([np.asarray(G.eval(t, u), dtype=float)
+                      for t, u in zip(ts.tolist(), us.tolist())])
+        return f.d_many(ts)[:, None, None] * g
+
     bps = tuple(sorted(set(f.breakpoints) | set(G.t_breakpoints)))
     return CoefficientPath(eval=eval_A, space=sys.space, breakpoints=bps,
-                           domain=sys.I)
+                           domain=sys.I,
+                           eval_many=eval_many if f.batched else None)
 
 
 @dataclass(frozen=True)
@@ -307,26 +322,27 @@ def substitution_check(
     space: VectorSpaceSpec,
     tol: float = 1e-10,
     B_breakpoints: Sequence[float] = (),
+    stats: Optional[StepStats] = None,
 ) -> float:
     """Defect of the substitution identity.
 
     Route one integrates the pulled-back system A = f'(t) B(f(t)) from s
     to t; route two integrates B itself between f(s) and f(t).  For exact
     arithmetic both give the same operator; the returned defect is the
-    operator-norm difference.
+    operator-norm difference.  ``stats``, if given, counts both routes.
     """
     A = CoefficientPath(
         eval=lambda tau: float(f.d(tau)) * np.asarray(B(float(f(tau))), dtype=float),
         space=space,
         breakpoints=f.breakpoints,
     )
-    x_direct = evolve(A, s, t, tol)
+    x_direct = evolve(A, s, t, tol, stats)
     B_path = CoefficientPath(
         eval=lambda u: np.asarray(B(u), dtype=float),
         space=space,
         breakpoints=B_breakpoints,
     )
-    y_pulled = evolve(B_path, float(f(s)), float(f(t)), tol)
+    y_pulled = evolve(B_path, float(f(s)), float(f(t)), tol, stats)
     return matrix_norm(x_direct.entries - y_pulled.entries, space.norm_kind)
 
 

@@ -57,14 +57,21 @@ __all__ = [
 ]
 
 
+def _filled(shape, values) -> np.ndarray:
+    out = np.empty(shape)
+    out[...] = values
+    return out
+
+
 @dataclass(frozen=True)
 class ConnectionForm:
     """Connection form (omega1, omega2) on the rectangle M x J.
 
     ``d1_omega2`` is the x-derivative of omega2 when known analytically;
     otherwise it is approximated by central differences where needed.
-    ``omega2_many(xs, u)``, when given, stacks omega2(x, u) over an array
-    of x at one fiber level u in one call.
+    ``omega1_many(xs, us)`` and ``omega2_many(xs, us)``, when given, stack
+    omega1 and omega2 over paired arrays of points (x, u) of one shape in
+    one call, equal to the pointwise values bit for bit.
     """
 
     omega1: Callable[[float, float], np.ndarray]
@@ -73,14 +80,30 @@ class ConnectionForm:
     j_interval: Interval
     space: VectorSpaceSpec
     d1_omega2: Optional[Callable[[float, float], np.ndarray]] = None
-    omega2_many: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
+    omega2_many: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    omega1_many: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
-    def omega2_stack(self, xs, u: float) -> np.ndarray:
-        """The (len(xs), r, r) stack of omega2(x, u) over the x in xs."""
-        xs = np.asarray(xs, dtype=float)
-        if self.omega2_many is not None:
-            return np.asarray(self.omega2_many(xs, u), dtype=float)
-        return np.array([self.omega2(x, u) for x in xs.tolist()], dtype=float)
+    def _stack(self, one, many, xs, us) -> np.ndarray:
+        xs, us = np.asarray(xs, dtype=float), np.asarray(us, dtype=float)
+        if xs.shape != us.shape:  # broadcast, cheaper than broadcast_arrays
+            shape = np.broadcast(xs, us).shape
+            xs, us = _filled(shape, xs), _filled(shape, us)
+        if many is not None:
+            return np.asarray(many(xs, us), dtype=float)
+        r = self.space.dim
+        return np.array([one(x, u) for x, u in zip(xs.ravel().tolist(),
+                                                   us.ravel().tolist())],
+                        dtype=float).reshape(xs.shape + (r, r))
+
+    def omega1_stack(self, xs, us) -> np.ndarray:
+        """The stack of omega1(x, u) over the points of xs and us,
+        broadcast together: shape (*shape, r, r)."""
+        return self._stack(self.omega1, self.omega1_many, xs, us)
+
+    def omega2_stack(self, xs, us) -> np.ndarray:
+        """The stack of omega2(x, u) over the points of xs and us,
+        broadcast together: shape (*shape, r, r)."""
+        return self._stack(self.omega2, self.omega2_many, xs, us)
 
     def d1w2(self, x: float, u: float) -> np.ndarray:
         if self.d1_omega2 is not None:
@@ -98,6 +121,16 @@ class ConnectionForm:
             raise DomainViolationError(
                 f"curve point ({x}, {u}) outside the connection rectangle"
             )
+
+    def check_points(self, xs: np.ndarray, us: np.ndarray) -> None:
+        """:meth:`check_point` over paired 1-D arrays: raises its error
+        at the first point in order that lies outside."""
+        bad = [i for i in (self.m_interval.first_outside(xs, 1e-12),
+                           self.j_interval.first_outside(us, 1e-12))
+               if i is not None]
+        if bad:
+            i = min(bad)
+            self.check_point(float(xs[i]), float(us[i]))
 
 
 @dataclass(frozen=True)
@@ -144,7 +177,13 @@ def reverse_curve(g: Curve) -> Curve:
 
 
 def curve_coefficient(w: ConnectionForm, g: Curve) -> CoefficientPath:
-    """Coefficient path of the transport equation along the curve."""
+    """Coefficient path of the transport equation along the curve.
+
+    When both components of the curve are batched paths, the path also
+    evaluates a stack of times in one call: both components and their
+    derivatives over the array, one domain check, and omega1 and omega2
+    through :meth:`ConnectionForm.omega1_stack` and ``omega2_stack``.
+    """
 
     def eval_A(t):
         x = float(g.gamma1(t))
@@ -162,9 +201,25 @@ def curve_coefficient(w: ConnectionForm, g: Curve) -> CoefficientPath:
             out = np.zeros((w.space.dim, w.space.dim))
         return -out
 
+    def eval_many(ts):
+        xs, us = g.gamma1.eval_many(ts), g.gamma2.eval_many(ts)
+        w.check_points(xs, us)
+        dx = g.gamma1.d_many(ts)[:, None, None]
+        du = g.gamma2.d_many(ts)[:, None, None]
+        t1 = w.omega1_stack(xs, us) * dx
+        t2 = w.omega2_stack(xs, us) * du
+        on1, on2 = dx != 0.0, du != 0.0
+        if on1.all() and on2.all():
+            return -(t1 + t2)
+        # the pointwise sum leaves out a term whose derivative is 0
+        return -np.where(on1, np.where(on2, t1 + t2, t1),
+                         np.where(on2, t2, 0.0))
+
+    batched = g.gamma1.batched and g.gamma2.batched
     return CoefficientPath(eval=eval_A, space=w.space,
                            breakpoints=g.breakpoints,
-                           domain=Interval(g.a, g.b))
+                           domain=Interval(g.a, g.b),
+                           eval_many=eval_many if batched else None)
 
 
 def parallel_transport(w: ConnectionForm, g: Curve, tol: float = 1e-10,
@@ -256,10 +311,12 @@ def sample_connection_bounds(
         us = np.linspace(w.j_interval.lo, w.j_interval.hi, n)
         out = np.zeros(3)
         # one stacked norm call per field and grid row keeps memory O(n);
-        # fmax skips NaN norms, as a running max(sup, norm) does
-        for x in xs:
-            for i, f in enumerate((w.omega1, w.omega2, w.d1w2)):
-                row = np.array([np.asarray(f(x, u), dtype=float) for u in us])
+        # omega1 and omega2 take each row from one batched call.  fmax
+        # skips NaN norms, as a running max(sup, norm) does
+        for x in xs.tolist():
+            rows = (w.omega1_stack(x, us), w.omega2_stack(x, us),
+                    np.array([w.d1w2(x, u) for u in us.tolist()]))
+            for i, row in enumerate(rows):
                 out[i] = np.fmax.reduce(matrix_norm(row, kind), initial=out[i])
         return out
 
@@ -310,11 +367,14 @@ class SineCurveReport:
 
 def _sine_paths(a: float, b: float):
     g1 = ScalarPath(eval=lambda t: t, deriv=lambda t: 1.0,
-                    domain=Interval(a, b))
+                    domain=Interval(a, b),
+                    eval_many=lambda ts: ts, deriv_many=np.ones_like)
     g2 = ScalarPath(
         eval=lambda t: math.sin(1.0 / t),
         deriv=lambda t: -math.cos(1.0 / t) / (t * t),
         domain=Interval(a, b),
+        eval_many=lambda ts: np.sin(1.0 / ts),
+        deriv_many=lambda ts: -np.cos(1.0 / ts) / (ts * ts),
     )
     return Curve(g1, g2, a, b)
 

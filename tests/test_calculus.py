@@ -411,3 +411,30 @@ def test_certify_of_expression_field_keeps_grid_gain_and_provenance():
     assert a.provenance == b.provenance == "grid-sampled"
     assert math.log(a.gain) == pytest.approx(math.log(b.gain), rel=1e-12)
     assert a.variation == pytest.approx(b.variation, rel=1e-11)
+
+
+def test_batched_path_derivative_keeps_the_breakpoint_rule():
+    # d_many is 0 wherever d is: within 1e-14 relative of a breakpoint,
+    # as at the stage times that land exactly on a segment end
+    bps = (-3.0, 0.0, 2.5, 1e3)
+    path = ScalarPath(eval=math.sin, deriv=math.cos, breakpoints=bps,
+                      eval_many=np.sin, deriv_many=np.cos)
+    ts = np.concatenate([
+        np.array(bps), np.array(bps) * (1 + 5e-15) + 5e-15,
+        np.array(bps) + 1e-9, np.linspace(-4.0, 1e3 + 1.0, 97)])
+    want = np.array([path.d(t) for t in ts.tolist()], dtype=float)
+    assert path.d_many(ts).tobytes() == want.tobytes()
+    assert np.count_nonzero(path.d_many(ts)[:8]) == 0
+    assert path.eval_many(ts).tobytes() == np.array(
+        [path(t) for t in ts.tolist()]).tobytes()
+
+
+def test_interval_first_outside_agrees_with_contains():
+    box = Interval(-1.0, 2.0)
+    ts = np.array([0.0, 2.0 + 1e-12, -1.0 - 3e-12, 5.0, math.nan])
+    rejected = [i for i, t in enumerate(ts.tolist())
+                if not box.contains(t, 1e-12 * max(1.0, abs(t)))]
+    assert rejected == [2, 3, 4]
+    assert box.first_outside(ts, 1e-12) == 2
+    assert box.first_outside(ts[:2], 1e-12) is None
+    assert box.first_outside(ts[4:], 1e-12) == 0

@@ -143,8 +143,8 @@ def test_stage_kernel_matches_loop_reference():
         k.append(A.eval(t0 + c[i] * h) @ yi)
     want = y0 + h * sum(b * kj for b, kj in zip(a[6], k))
     stats = StepStats()
-    got, _, slope = _rk_segment(lambda t, y: A.eval(t) @ y, t0, t0 + h, y0,
-                                1.0, 1.0, stats, 10, h0=h)
+    got, _, slope = _rk_segment(A, t0, t0 + h, y0, 1.0, 1.0, stats, 10,
+                                h0=h)
     assert stats.steps == 1 and stats.rejected == 0
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
     assert np.max(np.abs(slope - k[6])) <= 1e-14 * np.max(np.abs(k[6]))
@@ -432,10 +432,13 @@ def test_sweep_restarts_at_a_breakpoint_between_stops():
 
 def test_param_evolution_cost_on_extension_gauge_grid():
     # the built-in extension-gauge grid (16 x 13), swept from both corridor
-    # levels as one stacked state per side: 12 + 13 non-empty hops, 605
-    # right-hand sides and 9,680 coefficient calls (605 x 16 columns)
-    # measured with Python 3.11 and numpy 2.4 (5,900 of each when every
-    # column was its own sweep); the call bound leaves 10%
+    # levels as one stacked state per side: 12 + 13 non-empty hops and 605
+    # right-hand sides (6 x 100 attempted steps and 5 segment starts),
+    # measured with Python 3.11 and numpy 2.4 (5,900 when every column was
+    # its own sweep).  A step evaluates the coefficient at its 5 distinct
+    # stage times, so the stack is evaluated 5 x 100 + 5 = 505 times: 8,080
+    # calls over 16 columns (9,680 when every stage evaluated it); the call
+    # bound leaves 10%
     p = make_extension_problem("extension-gauge")
     xs = np.concatenate([np.linspace(-1.8, -0.2, 6),
                          np.linspace(1e-3, 1.8, 10)])
@@ -453,8 +456,8 @@ def test_param_evolution_cost_on_extension_gauge_grid():
                         stats=stats)
     assert stats.segments == 25
     assert stats.rhs_evals <= 6_500
-    assert calls == 16 * stats.rhs_evals
-    assert calls <= 10_650
+    assert calls == 16 * 505
+    assert calls <= 8_900
 
 
 @pytest.mark.parametrize("name", ["extension-gauge", "extension-twist"])
@@ -481,3 +484,47 @@ def test_step_stats_accumulate():
     merged = StepStats()
     merged.merge(stats)
     assert merged.steps == stats.steps
+
+
+def _counted(A):
+    calls = {"eval": 0, "many": 0}
+
+    def one(t):
+        calls["eval"] += 1
+        return A.eval(t)
+
+    def many(ts):
+        calls["many"] += 1
+        return A.eval_stack(ts)
+
+    return calls, one, many
+
+
+def test_one_batched_coefficient_call_per_attempted_step():
+    # the stage coefficients of a step come from one call over its 5
+    # distinct stage times; the pointwise eval only gives the slope that
+    # starts the segment
+    A = assemble_A(make_system("example39", f_name="sin"))
+    calls, one, many = _counted(A)
+    stats = StepStats()
+    x = evolve(CoefficientPath(eval=one, space=A.space, eval_many=many),
+               0.0, 30.0, 1e-10, stats)
+    assert stats.segments == 1 and stats.rejected > 0
+    assert calls == {"eval": 1, "many": stats.steps + stats.rejected}
+    assert stats.rhs_evals == 6 * (stats.steps + stats.rejected) + 1
+    assert np.array_equal(x.entries, evolve(A, 0.0, 30.0, 1e-10).entries)
+
+
+def test_pointwise_fallback_evaluates_five_stage_times_per_step():
+    # without a batched evaluator the stepper calls eval at the 5 distinct
+    # stage times: stage 6 shares stage 5's time t + h and its coefficient
+    A = assemble_A(make_system("example39", f_name="sin"))
+    calls, one, _ = _counted(A)
+    stats = StepStats()
+    x = evolve(CoefficientPath(eval=one, space=A.space), 0.0, 30.0, 1e-10,
+               stats)
+    attempted = stats.steps + stats.rejected
+    assert calls["eval"] == 5 * attempted + 1
+    assert stats.rhs_evals == 6 * attempted + 1
+    assert np.array_equal(x.entries, evolve(A, 0.0, 30.0, 1e-10).entries)
+

@@ -246,7 +246,11 @@ def test_extend_section_matches_param_evolution_bit_for_bit(name):
         assert np.array_equal(xi, want)
 
 
-def test_extend_section_evaluates_omega2_once_per_right_hand_side():
+def test_extend_section_evaluates_omega2_once_per_step():
+    # one batched omega2 call covers every column at all stage levels of an
+    # attempted step, and one more each segment start: on this grid 100
+    # attempted steps and 5 starts, 605 right-hand sides (as in
+    # test_param_evolution_cost_on_extension_gauge_grid)
     p = gauge_problem()
     xs, vs = default_grids(p)
     sig = build_sigma(p, xs, vs)
@@ -266,7 +270,8 @@ def test_extend_section_evaluates_omega2_once_per_right_hand_side():
     stats = StepStats()
     res = extend_section(counted, sig, stats=stats)
     assert calls["pointwise"] == 0
-    assert calls["batched"] == stats.rhs_evals > 0
+    assert stats.rhs_evals == 6 * 100 + 5
+    assert calls["batched"] == 100 + 5
     assert np.array_equal(res.xi1, extend_section(p, sig).xi1)
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -83,6 +84,15 @@ def test_evolve_scalar_cosine_rows_pass():
     assert len(report.rows) == 2
 
 
+def test_evolve_summary_reports_cost():
+    # one StepStats counts every pair's forward and backward integration
+    report = run_scenario("evolve", TINY_EVOLVE)
+    cost = report.summary["cost"]
+    assert set(cost) == {"steps", "rejected", "rhs_evals", "segments"}
+    assert cost["rhs_evals"] > cost["steps"] > 0
+    assert cost["segments"] == 2 * len(TINY_EVOLVE["pairs"])
+
+
 def test_verify_builtin_system_passes():
     report = run_scenario("verify", TINY_VERIFY, seed=11)
     assert report.passed
@@ -136,6 +146,9 @@ def test_substitution_scenario_with_expressions():
     })
     assert report.passed
     assert report.summary["max_defect"] <= 1e-8
+    cost = report.summary["cost"]
+    assert set(cost) == {"steps", "rejected", "rhs_evals", "segments"}
+    assert cost["rhs_evals"] > cost["steps"] > 0
 
 
 def test_cov_check_scenario_with_vector_expression():
@@ -380,6 +393,17 @@ def test_console_script_runs_in_subprocess(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "PASS" in proc.stdout
+
+
+def test_python_dash_m_evostab_runs_from_a_checkout():
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "evostab", "list"],
+        capture_output=True, text=True, cwd=root,
+        env={**os.environ, "PYTHONPATH": "src"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "sine-curve  (sine-curve)" in proc.stdout.splitlines()
 
 
 def test_certify_complex_expression_exits_3(tmp_path, capsys):

@@ -80,6 +80,34 @@ def test_assemble_rejects_path_escaping_J():
         A.eval(math.pi / 2)
 
 
+@pytest.mark.parametrize("field", ["example39", "intro-cos", "rotation"])
+def test_assembled_stack_with_sin_is_the_pointwise_stack_bit_for_bit(field):
+    # f = sin is batched (numpy's float64 sin and cos agree with math's
+    # bit for bit on x86-64, numpy 2.4); G is evaluated at each (t, f(t))
+    A = assemble_A(make_system(field, f_name="sin"))
+    assert A.eval_many is not None
+    rng = np.random.default_rng(8)
+    ts = np.concatenate([rng.uniform(0.0, 100.0, 500), [0.0, math.pi]])
+    want = np.array([A.eval(t) for t in ts.tolist()])
+    assert A.eval_stack(ts).tobytes() == want.tobytes()
+
+
+def test_assembled_stack_rejects_the_first_stage_escaping_J():
+    f = ScalarPath(eval=lambda t: 2.0 * math.sin(t),
+                   deriv=lambda t: 2.0 * math.cos(t),
+                   eval_many=lambda ts: 2.0 * np.sin(ts),
+                   deriv_many=lambda ts: 2.0 * np.cos(ts))
+    sys = SeparableSystem(G=unit_field(), f=f, I=Interval(0, 10),
+                          J=Interval(-1, 1), space=SP1)
+    A = assemble_A(sys)
+    A.eval(0.1)
+    with pytest.raises(DomainViolationError) as batched:
+        A.eval_stack(np.array([0.1, 1.0, 1.5]))
+    with pytest.raises(DomainViolationError) as pointwise:
+        A.eval(1.0)
+    assert str(batched.value) == str(pointwise.value)
+
+
 # ---------------------------------------------------------------------------
 # certificates
 

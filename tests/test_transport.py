@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from evostab.calculus import Interval, ScalarPath, arc_length
-from evostab.errors import DomainViolationError
-from evostab.evolution import sweep_two_sided
+from evostab.errors import DomainViolationError, IntegrationError
+from evostab.evolution import evolve, sweep_two_sided
 from evostab.library import (
     gauge_rotation_matrix,
     gauge_twist_matrix,
@@ -393,9 +393,10 @@ def test_sine_scenario_rows_keep_input_order_with_duplicates():
 
 def test_sine_scenario_failure_keeps_rows_reached_before_it():
     clean = make_connection("gauge-twist")
+    # omega1_many=None: the batched omega1 would not see the NaNs
     broken = dataclasses.replace(
         clean, omega1=lambda x, u: np.full((2, 2), math.nan) if x > -0.05
-        else clean.omega1(x, u))
+        else clean.omega1(x, u), omega1_many=None)
     v = Vector(np.array([1.0, 0.5]), SP2)
     bounds = sample_connection_bounds(clean)
     b_list = [-0.01, -0.5, -0.1, -0.02]
@@ -438,3 +439,166 @@ def test_omega2_stack_matches_pointwise_omega2(name):
         assert got.shape == (len(xs), 2, 2)
         assert np.array_equal(got, want)
         assert np.array_equal(w.omega2_stack(tuple(xs[:3]), u), want[:3])
+
+
+# ---------------------------------------------------------------------------
+# stage stacks: one coefficient call per step
+
+
+def _stage_times(a, b, n=400, seed=5):
+    # times of random DP5 steps inside [a, b], stage nodes included
+    rng = np.random.default_rng(seed)
+    t0 = rng.uniform(a, b, n)
+    h = rng.uniform(0.0, 1.0, n) * (b - t0)
+    nodes = np.array((1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0))
+    return (t0[:, None] + nodes * h[:, None]).ravel()
+
+
+@pytest.mark.parametrize("name", ["gauge-twist", "gauge-rotation"])
+def test_curve_coefficient_stack_is_the_pointwise_stack_bit_for_bit(name):
+    w = make_connection(name)
+    A = curve_coefficient(w, _sine_paths(-1.0, -1e-4))
+    assert A.eval_many is not None
+    ts = np.concatenate([_stage_times(-1.0, -1e-4), [-1.0, -1e-4]])
+    want = np.array([A.eval(t) for t in ts.tolist()])
+    got = A.eval_stack(ts)
+    assert got.shape == (len(ts), 2, 2)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_curve_coefficient_stack_leaves_out_terms_with_zero_derivative():
+    # gamma1 stands still on [0, 1] (kink at 1, where d is 0 by the
+    # breakpoint rule) and gamma2 on [2, 3]: the pointwise sum leaves the
+    # term out, and so must the stack, down to the sign of zero
+    w = make_connection("gauge-twist", RECT_M, RECT_J)
+    flat_then_sin = ScalarPath(
+        eval=lambda t: 0.0 if t <= 1.0 else math.sin(t - 1.0),
+        deriv=lambda t: 0.0 if t <= 1.0 else math.cos(t - 1.0),
+        breakpoints=(1.0,),
+        eval_many=lambda ts: np.where(ts <= 1.0, 0.0, np.sin(ts - 1.0)),
+        deriv_many=lambda ts: np.where(ts <= 1.0, 0.0, np.cos(ts - 1.0)))
+    still_late = ScalarPath(
+        eval=lambda t: 0.5 * math.sin(t) if t <= 2.0 else 0.5 * math.sin(2.0),
+        deriv=lambda t: 0.5 * math.cos(t) if t <= 2.0 else 0.0,
+        breakpoints=(2.0,),
+        eval_many=lambda ts: np.where(ts <= 2.0, 0.5 * np.sin(ts),
+                                      0.5 * math.sin(2.0)),
+        deriv_many=lambda ts: np.where(ts <= 2.0, 0.5 * np.cos(ts), 0.0))
+    for g1, g2 in ((flat_then_sin, still_late),
+                   (ScalarPath(eval=lambda t: 0.0, deriv=lambda t: 0.0,
+                               eval_many=np.zeros_like,
+                               deriv_many=np.zeros_like), still_late)):
+        A = curve_coefficient(w, Curve(g1, g2, 0.0, 3.0))
+        ts = np.concatenate([np.linspace(0.0, 3.0, 61), [1.0 + 1e-15]])
+        want = np.array([A.eval(t) for t in ts.tolist()])
+        assert A.eval_stack(ts).tobytes() == want.tobytes()
+
+
+def test_curve_coefficient_stack_raises_at_the_first_stage_outside():
+    w = make_connection("gauge-twist", RECT_M, Interval(-0.5, 0.5))
+    A = curve_coefficient(w, _sine_paths(-1.0, -0.1))
+    ts = np.array([-0.3, -0.25, -0.2])  # sin(1/t) = 0.19, 0.76, 0.96
+    A.eval(-0.3)
+    with pytest.raises(DomainViolationError) as batched:
+        A.eval_stack(ts)
+    with pytest.raises(DomainViolationError) as pointwise:
+        A.eval(-0.25)
+    assert str(batched.value) == str(pointwise.value)
+
+
+def test_curve_coefficient_without_batched_paths_has_no_batched_stack():
+    A = curve_coefficient(make_connection("gauge-twist", RECT_M, RECT_J),
+                          wiggle_curve(3.0))
+    assert A.eval_many is None
+    ts = np.linspace(0.0, 1.0, 7)
+    assert np.array_equal(A.eval_stack(ts),
+                          np.array([A.eval(t) for t in ts.tolist()]))
+
+
+@pytest.mark.parametrize("name", ["zero", "scalar-decay", "gauge-rotation",
+                                  "gauge-twist", "mixed-bounded"])
+def test_omega_stacks_over_paired_points_match_pointwise(name):
+    w = make_connection(name, RECT_M, RECT_J)
+    rng = np.random.default_rng(11)
+    xs = rng.uniform(-2.0, 2.0, (7, 3))
+    us = rng.uniform(-1.5, 1.5, (7, 3))
+    for one, stack in ((w.omega1, w.omega1_stack), (w.omega2, w.omega2_stack)):
+        want = np.array([one(x, u) for x, u in zip(xs.ravel().tolist(),
+                                                   us.ravel().tolist())])
+        got = stack(xs, us)
+        assert got.shape == (7, 3, 2, 2)
+        assert got.tobytes() == want.reshape(got.shape).tobytes()
+        # a scalar on either side broadcasts against the other
+        assert np.array_equal(stack(xs[0], 0.25),
+                              np.array([one(x, 0.25) for x in xs[0]]))
+        assert np.array_equal(stack(-0.5, us[0]),
+                              np.array([one(-0.5, u) for u in us[0]]))
+
+
+@pytest.mark.parametrize("norm", ["euclidean", "one-norm", "inf-norm"])
+@pytest.mark.parametrize("name", ["zero", "scalar-decay", "gauge-rotation",
+                                  "gauge-twist", "mixed-bounded"])
+def test_sampled_bounds_through_batched_rows_match_pointwise_rows(name, norm):
+    w = make_connection(name, norm_kind=norm)
+    pointwise = dataclasses.replace(w, omega1_many=None, omega2_many=None)
+    assert sample_connection_bounds(w) == sample_connection_bounds(pointwise)
+
+
+# [X; Y^T] two-sided sweep across criterion 10's stops at its tolerance:
+# the last pair (X, Y) as float.hex, from the sweep of the stacked state
+# [X; Y] under (tau, s) -> (A X, -Y A) that it replaced
+_TWO_SIDED_LAST = {
+    "zero": (
+        ["0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0",
+         "0x1.0000000000000p+0"],
+        ["0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0",
+         "0x1.0000000000000p+0"]),
+    "scalar-decay": (
+        ["0x1.fdc37cd1ca96ep-1", "0x0.0p+0", "0x0.0p+0",
+         "0x1.fdc37cd1ca96ep-1"],
+        ["0x1.011f7eb2393b1p+0", "0x0.0p+0", "0x0.0p+0",
+         "0x1.011f7eb2393b1p+0"]),
+    "gauge-rotation": (
+        ["0x1.fe312448ce130p-1", "-0x1.57ec2291c382dp-4",
+         "0x1.57ec2291c382dp-4", "0x1.fe312448ce130p-1"],
+        ["0x1.fe312448ce130p-1", "0x1.57ec2291c382dp-4",
+         "-0x1.57ec2291c382dp-4", "0x1.fe312448ce130p-1"]),
+    "gauge-twist": (
+        ["0x1.f61f25bd903fdp-1", "0x1.972e17221e3b5p-3",
+         "-0x1.95db0ed541b8fp-3", "0x1.f59dfa672792bp-1"],
+        ["0x1.f581dea7e36aep-1", "-0x1.97174b8b17d95p-3",
+         "0x1.95c44dea12e48p-3", "0x1.f60305ed7d07dp-1"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TWO_SIDED_LAST))
+def test_two_sided_sweep_keeps_the_previous_results(name):
+    stops = (-1.0, -0.1, -0.01, -0.001)
+    coefficient = curve_coefficient(make_connection(name),
+                                    _sine_paths(-1.0, stops[-1]))
+    x, y = list(sweep_two_sided(coefficient, stops, 1e-8))[-1]
+    want_x, want_y = _TWO_SIDED_LAST[name]
+    assert [v.hex() for v in x.ravel().tolist()] == want_x
+    assert [v.hex() for v in y.ravel().tolist()] == want_y
+    assert y.flags.c_contiguous
+
+
+def test_nan_coefficient_raises_at_the_same_t_batched_or_not():
+    # omega2 turns NaN past x = -0.3: every step that samples it is
+    # rejected until the step size underflows at the same t as when each
+    # stage called the coefficient on its own
+    w = make_connection("gauge-twist")
+
+    def omega2_many(xs, us):
+        out = w.omega2_many(xs, us)
+        out[xs > -0.3] = math.nan
+        return out
+
+    broken = dataclasses.replace(
+        w, omega2=lambda x, u: np.full((2, 2), math.nan) if x > -0.3
+        else w.omega2(x, u), omega2_many=omega2_many)
+    A = curve_coefficient(broken, _sine_paths(-1.0, -0.1))
+    for path in (A, dataclasses.replace(A, eval_many=None)):
+        with pytest.raises(IntegrationError) as err:
+            evolve(path, -1.0, -0.1, 1e-8)
+        assert err.value.location.hex() == "-0x1.3333333333710p-2"
