@@ -126,8 +126,10 @@ class ScalarPath:
     differences with step 1e-6 * max(1, |t|).  At a declared breakpoint
     the derivative is defined to be 0 (the value there never matters for
     integrals, but point queries are reproducible this way).
-    ``eval_many`` and ``deriv_many``, when given together, map an array of
-    times to the arrays of ``eval`` and ``deriv`` values, bit for bit.
+    ``eval_many`` and ``deriv_many``, when given, map an array of times to
+    the arrays of ``eval`` and ``deriv`` values, bit for bit; ``values``
+    and ``d_many`` take them where given and loop over the times where
+    not.
     """
 
     eval: Callable[[float], float]
@@ -160,13 +162,17 @@ class ScalarPath:
         h = _fd_step(t)
         return (self.eval(t + h) - self.eval(t - h)) / (2.0 * h)
 
-    @property
-    def batched(self) -> bool:
-        return self.eval_many is not None and self.deriv_many is not None
+    def values(self, ts: np.ndarray) -> np.ndarray:
+        """``eval`` at the times in ts, from ``eval_many`` where given."""
+        if self.eval_many is not None:
+            return np.asarray(self.eval_many(ts), dtype=float)
+        return np.array([self.eval(t) for t in ts.tolist()], dtype=float)
 
     def d_many(self, ts: np.ndarray) -> np.ndarray:
-        """``d`` at the times in ts (a batched path only): 0 within the
-        same snapping distance of a breakpoint."""
+        """``d`` at the times in ts, from ``deriv_many`` where given: 0
+        within the same snapping distance of a breakpoint."""
+        if self.deriv_many is None:
+            return np.array([self.d(t) for t in ts.tolist()], dtype=float)
         if not self.breakpoints:
             return np.asarray(self.deriv_many(ts), dtype=float)
         out = np.array(self.deriv_many(ts), dtype=float)

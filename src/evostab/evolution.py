@@ -5,13 +5,13 @@ PI-free step control, each stage state and the error estimate one
 tableau-row product over the stage slopes.  Every equation integrated
 here is linear with a coefficient that does not depend on the state, so
 all stage coefficients of a step are known once its size is: the stepper
-takes A itself, fetches A at the step's stage times in one call
-(:meth:`CoefficientPath.eval_stack`) and forms each stage slope as
-A_i @ y_i.  One sweep crosses monotone stops and returns the state at
-each, carrying the step size and slope from stop to stop; it restarts at
-declared breakpoints of the coefficient so a step never straddles a
-jump.  Backward propagation (t < s) steps with negative h rather than
-inverting a forward result.
+takes A itself, fetches A at the step's stage times in one call of
+``CoefficientPath.eval`` and forms each stage slope as A_i @ y_i.  One
+sweep crosses monotone stops and returns the state at each, carrying
+the step size and slope from stop to stop; it restarts at declared
+breakpoints of the coefficient so a step never straddles a jump.
+Backward propagation (t < s) steps with negative h rather than inverting
+a forward result.
 
 :class:`EvolutionOperator` answers many queries from one integration: it
 sweeps a fundamental solution Phi across a set of declared times, and
@@ -19,7 +19,7 @@ every X(t, s) between them is Phi(t) Phi(s)^{-1}.  :func:`sweep_vector`
 sweeps vectors and :func:`param_evolution` frozen-parameter columns;
 :func:`sweep_two_sided` sweeps a propagator together with its inverse.
 
-A coefficient whose ``eval`` returns a (k, r, r) stack sweeps k systems
+A coefficient that gives a (k, r, r) stack per time sweeps k systems
 that share their stops as one state, (k, r, r) for propagators or
 (k, r, 1) for vectors, under one step controller; its error norm is the
 max over all members, and each stage slope covers the whole stack.
@@ -33,7 +33,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .calculus import Interval, signed_integrate
+from .calculus import Interval, _integrate_nodes
 from .errors import IntegrationError
 from .operators import Operator, Vector, VectorSpaceSpec, invert_matrix, matrix_norm
 
@@ -82,19 +82,17 @@ class StepStats:
 class CoefficientPath:
     """t -> A(t), the coefficient of a linear evolution equation.
 
-    ``eval`` returns a bare (r, r) ndarray, or a (k, r, r) stack of k
-    coefficients swept together; it must be bounded on compact subsets of
-    ``domain`` and piecewise continuous between breakpoints.
-    ``eval_many(ts)``, when given, stacks eval(t) over an array of times
-    in one call, equal to the pointwise values bit for bit; the stepper
-    takes each step's stage coefficients from it.
+    ``eval(ts)`` maps a 1-D array of times to the stack of A over them on
+    a new leading axis: (len(ts), r, r), or (len(ts), k, r, r) for k
+    coefficients swept together.  A must be bounded on compact subsets of
+    ``domain`` and piecewise continuous between breakpoints.  A source
+    that only gives A one time at a time goes through :func:`stacked`.
     """
 
-    eval: Callable[[float], np.ndarray]
+    eval: Callable[[np.ndarray], np.ndarray]
     space: VectorSpaceSpec
     breakpoints: tuple = ()
     domain: Interval = Interval(-math.inf, math.inf)
-    eval_many: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         object.__setattr__(
@@ -102,15 +100,17 @@ class CoefficientPath:
         )
 
     def __call__(self, t: float) -> np.ndarray:
-        return self.eval(t)
+        """A(t): row 0 of the one-time stack."""
+        return np.asarray(self.eval(np.array([float(t)])), dtype=float)[0]
 
-    def eval_stack(self, ts) -> np.ndarray:
-        """The stack of eval(t) over the t in ts, on a new leading axis."""
-        ts = np.asarray(ts, dtype=float)
-        if self.eval_many is not None:
-            return np.asarray(self.eval_many(ts), dtype=float)
-        return np.array([np.asarray(self.eval(t), dtype=float)
-                         for t in ts.tolist()])
+
+def stacked(fn: Callable[[float], np.ndarray]):
+    """The ``CoefficientPath.eval`` of a pointwise t -> A(t): fn at each
+    time of the array, one call each, stacked on a new leading axis."""
+    def eval_each(ts):
+        return np.array([np.asarray(fn(t), dtype=float)
+                         for t in np.asarray(ts, dtype=float).tolist()])
+    return eval_each
 
 
 def _rk_segment(A, t0, t1, y, rtol, atol, stats, max_steps, h0=None,
@@ -120,8 +120,8 @@ def _rk_segment(A, t0, t1, y, rtol, atol, stats, max_steps, h0=None,
 
     ``y`` is any ndarray shape that A(t) @ y keeps; the error norm is max
     over components of |err| / (atol + rtol * |y|).  Each attempted step
-    takes its stage coefficients from one ``A.eval_stack`` call over the
-    five distinct stage times.  ``h0`` and the slope ``f0`` = A(t0) y carry
+    takes its stage coefficients from one ``A.eval`` call over the five
+    distinct stage times.  ``h0`` and the slope ``f0`` = A(t0) y carry
     over from the segment before, if any.  Returns y(t1), the step to
     start the next segment with (the controller's proposal before it was
     clipped to land on t1) and the slope at t1, or None where that is not
@@ -140,7 +140,7 @@ def _rk_segment(A, t0, t1, y, rtol, atol, stats, max_steps, h0=None,
     # which then rejects the step: numpy need not warn about them
     with np.errstate(all="ignore"):
         if f0 is None:
-            f0 = np.asarray(A.eval(t0), dtype=float) @ y
+            f0 = A(t0) @ y
             stats.rhs_evals += 1
         Kv[0] = f0
         if span <= 1e-13 * max(1.0, abs(t0), abs(t1)):
@@ -169,7 +169,7 @@ def _rk_segment(A, t0, t1, y, rtol, atol, stats, max_steps, h0=None,
             hs = min(h, remaining)
             hd = direction * hs
             ha = hd * _DP_A
-            coef = A.eval_stack(t + _STAGE_NODES * hd)
+            coef = np.asarray(A.eval(t + _STAGE_NODES * hd), dtype=float)
             for i in range(1, 7):
                 Kv[i] = coef[_STAGE_COEF[i]] @ (
                     y + (ha[i, :i] @ K[:i]).reshape(shape))
@@ -285,17 +285,15 @@ def sweep_two_sided(
     up to truncation error only.  A failure raises at the first stop it
     keeps from being reached, after the pairs before it have been yielded.
     """
-    def both(a):  # blockdiag(a, -a^T) as a 2-member stack, per time
+    def both(ts):  # blockdiag(a, -a^T) per time, as a 2-member stack
+        a = np.asarray(A.eval(ts), dtype=float)
         out = np.empty(a.shape[:-2] + (2,) + a.shape[-2:])
         out[..., 0, :, :] = a
         np.negative(np.swapaxes(a, -1, -2), out=out[..., 1, :, :])
         return out
 
-    pair = CoefficientPath(
-        eval=lambda tau: both(np.asarray(A.eval(tau), dtype=float)),
-        space=A.space, breakpoints=A.breakpoints, domain=A.domain,
-        eval_many=lambda ts: both(A.eval_stack(ts)),
-    )
+    pair = CoefficientPath(eval=both, space=A.space,
+                           breakpoints=A.breakpoints, domain=A.domain)
     eye = np.eye(A.space.dim)
     for s in _sweep(pair, stops, np.stack((eye, eye)), tol, tol, stats,
                     2_000_000):
@@ -330,11 +328,12 @@ def variation_of_parameters(
     x(s) = x_s, integrated directly as the linear equation of (x, 1) under
     the augmented coefficient [[A, g], [0, 0]]."""
     n = A.space.dim
+    g_stack = stacked(g)
 
-    def augmented(tau):
-        out = np.zeros((n + 1, n + 1))
-        out[:n, :n] = A.eval(tau)
-        out[:n, n] = g(tau)
+    def augmented(ts):
+        out = np.zeros((len(ts), n + 1, n + 1))
+        out[:, :n, :n] = A.eval(ts)
+        out[:, :n, n] = g_stack(ts)
         return out
 
     bps = tuple(set(A.breakpoints) | set(float(b) for b in g_breakpoints))
@@ -388,13 +387,11 @@ def comparison_bounds(
         raise ValueError("comparison bounds require s <= t")
     kind = c.A1.space.norm_kind
     bps = tuple(sorted(set(c.A1.breakpoints) | set(c.A2.breakpoints)))
-    integral = float(signed_integrate(
-        lambda tau: matrix_norm(
-            np.asarray(c.A2.eval(tau), dtype=float)
-            - np.asarray(c.A1.eval(tau), dtype=float),
-            kind,
-        ),
-        s, t, bps, tol,
+    integral = float(_integrate_nodes(
+        lambda ts: matrix_norm(np.asarray(c.A2.eval(ts), dtype=float)
+                               - np.asarray(c.A1.eval(ts), dtype=float),
+                               kind),
+        Interval(s, t), bps, tol,
     ))
     envelope = c.gain * math.exp(-c.rate * (t - s))
     arg = c.gain * integral
@@ -491,7 +488,7 @@ def param_evolution(
     x_grid = tuple(float(x) for x in x_grid)
     v_targets = tuple(float(v) for v in v_targets)
     stack = CoefficientPath(
-        eval=lambda v: np.array([A(x, v) for x in x_grid], dtype=float),
+        eval=stacked(lambda v: [A(x, v) for x in x_grid]),
         space=space, breakpoints=v_breakpoints,
     )
     eye = np.tile(np.eye(space.dim), (len(x_grid), 1, 1))

@@ -100,9 +100,8 @@ def _fiber_sweep(w: ConnectionForm, xs, stops, start, tol, stats) -> list:
     values or a (k, r, r) stack of propagators; each state returned has
     its shape."""
     xs = np.asarray(xs, dtype=float)
-    A = CoefficientPath(eval=lambda v: -w.omega2_stack(xs, v),
-                        space=w.space, domain=w.j_interval,
-                        eval_many=lambda vs: -w.omega2_stack(xs, vs[:, None]))
+    A = CoefficientPath(eval=lambda vs: -w.omega2_stack(xs, vs[:, None]),
+                        space=w.space, domain=w.j_interval)
     start = np.asarray(start, dtype=float)
     if start.ndim == 3:
         return sweep_vector(A, stops, start, tol, stats)
@@ -128,11 +127,8 @@ def _vertical_sweep(p, xs, stops, vecs, tol, stats) -> list:
 def _horizontal_sweep(p, v, stops, vec, tol, stats) -> list:
     """Section values at every x of the monotone ``stops``, from one
     transport along the horizontal at level v."""
-    A = CoefficientPath(
-        eval=lambda x: -np.asarray(p.omega.omega1(x, v), dtype=float),
-        space=p.omega.space, domain=p.omega.m_interval,
-        eval_many=lambda xs: -p.omega.omega1_stack(xs, v),
-    )
+    A = CoefficientPath(eval=lambda xs: -p.omega.omega1_stack(xs, v),
+                        space=p.omega.space, domain=p.omega.m_interval)
     return sweep_vector(A, stops, vec, tol, stats)
 
 
@@ -386,8 +382,8 @@ def parallel_residual(
     coords = xs if direction == 1 else vs
     d = np.gradient(xi, coords, axis=axis,
                     edge_order=2 if len(coords) > 2 else 1)
-    omega = w.omega1 if direction == 1 else w.omega2
-    om = np.array([[omega(x, v) for v in vs] for x in xs], dtype=float)
+    stack = w.omega1_stack if direction == 1 else w.omega2_stack
+    om = stack(xs[:, None], vs[None, :])
     out = vector_norm(d + (om @ xi[..., None])[..., 0], w.space.norm_kind)
     spacing = float(np.max(np.diff(coords))) if len(coords) > 1 else math.inf
     warning = None

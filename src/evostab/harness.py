@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .calculus import Interval, OperatorField, ScalarPath, arc_length, cov_check
 from .errors import ConfigError
-from .evolution import CoefficientPath, StepStats, evolve
+from .evolution import CoefficientPath, StepStats, evolve, stacked
 from .expressions import many_together, parse_expression
 from .library import (
     BUILTIN_CONNECTIONS,
@@ -188,11 +188,11 @@ def _expr_matrix(rows, bag, label):
 
     entries = [c for row in compiled for c in row]
 
-    def many(t, us):  # entries without u (exp(-t), constants) broadcast
-        out = np.empty((len(us), r * r))
-        for k, values in enumerate(many_together(entries, t, us)):
-            out[:, k] = values
-        return out.reshape(len(us), r, r)
+    def many(t, u):  # t a number or an array of u's shape; entries broadcast
+        out = np.empty(u.shape + (r * r,))
+        for k, values in enumerate(many_together(entries, t, u)):
+            out[..., k] = values
+        return out.reshape(u.shape + (r, r))
 
     eval_matrix.dim = r
     eval_matrix.many = many
@@ -325,7 +325,7 @@ def _run_evolve(config, seed, tol):
             or Interval(-math.inf, math.inf)
         if mat is not None:
             A = CoefficientPath(
-                eval=lambda t: mat(t, 0.0),
+                eval=stacked(lambda t: mat(t, 0.0)),
                 space=VectorSpaceSpec(mat.dim, norm),
                 breakpoints=bps, domain=domain,
             )
@@ -561,9 +561,7 @@ def _run_transport(config, seed, tol):
     summary = {
         "pass": all(row_pass),
         "rows": len(rows),
-        "bounds": {"B1": bounds.B1, "B2": bounds.B2, "B12": bounds.B12,
-                   "lambda_J": bounds.lambda_J,
-                   "provenance": bounds.provenance},
+        "bounds": asdict(bounds),
         "cost": asdict(stats),
     }
     return rows, row_pass, summary, {"norm": w.space.norm_kind}
@@ -603,10 +601,7 @@ def _run_sine_curve(config, seed, tol):
         "pass": report.passed,
         "rows": len(rows),
         "C": report.bound,
-        "bounds": {"B1": report.bounds.B1, "B2": report.bounds.B2,
-                   "B12": report.bounds.B12,
-                   "lambda_J": report.bounds.lambda_J,
-                   "provenance": report.bounds.provenance},
+        "bounds": asdict(report.bounds),
         "vacuous": math.isinf(report.bound),
         "errors": [r.error for r in report.rows if r.error],
         "cost": asdict(report.stats),

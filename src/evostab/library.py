@@ -184,13 +184,14 @@ def _gauge_rotation_connection(m_interval, j_interval, norm_kind, eps=0.1):
     """Flat by construction: the gauge is g(x, u) = exp(eps x u R)."""
     space = VectorSpaceSpec(2, norm_kind)
     R = ROTATION_GENERATOR
+    omega1 = lambda x, u: -eps * u * R
+    omega2 = lambda x, u: -eps * x * R
+    omega1.many = lambda xs, us: (-eps * us)[..., None, None] * R
+    omega2.many = lambda xs, us: (-eps * xs)[..., None, None] * R
     return ConnectionForm(
-        omega1=lambda x, u: -eps * u * R,
-        omega2=lambda x, u: -eps * x * R,
+        omega1=omega1, omega2=omega2,
         m_interval=m_interval, j_interval=j_interval, space=space,
         d1_omega2=lambda x, u: -eps * R,
-        omega1_many=lambda xs, us: (-eps * us)[..., None, None] * R,
-        omega2_many=lambda xs, us: (-eps * xs)[..., None, None] * R,
     )
 
 
@@ -214,25 +215,25 @@ def _gauge_twist_connection(m_interval, j_interval, norm_kind,
         m = e @ S @ e.T
         return -au * ax * (R @ m - m @ R)
 
-    def omega2_many(xs, us):  # omega2's operations in its order, stacked
+    def omega2_pairs(xs, us):  # omega2's operations in its order, stacked
         c, s = np.cos(ax * xs), np.sin(ax * xs)
         e = np.empty(xs.shape + (2, 2))
         e[..., 0, 0], e[..., 0, 1], e[..., 1, 1] = c, s, c
         np.negative(s, out=e[..., 1, 0])
         return -au * (e @ S @ np.swapaxes(e, -1, -2))
 
-    def omega1_many(xs, us):
+    def omega1_pairs(xs, us):
         out = np.empty(xs.shape + (2, 2))
         out[...] = -ax * R
         return out
 
+    omega1 = lambda x, u: -ax * R
+    omega1.many = omega1_pairs
+    omega2.many = omega2_pairs
     return ConnectionForm(
-        omega1=lambda x, u: -ax * R,
-        omega2=omega2,
+        omega1=omega1, omega2=omega2,
         m_interval=m_interval, j_interval=j_interval, space=space,
         d1_omega2=d1_omega2,
-        omega1_many=omega1_many,
-        omega2_many=omega2_many,
     )
 
 

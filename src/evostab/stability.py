@@ -41,12 +41,13 @@ from .calculus import (
     tv_l1_upper_bound,
 )
 from .errors import DomainViolationError, IntegrationError, RefinementError
-from .evolution import CoefficientPath, EvolutionOperator, StepStats, evolve
+from .evolution import (CoefficientPath, EvolutionOperator, StepStats, evolve,
+                        stacked)
 from .expressions import parse_expression
 from .operators import VectorSpaceSpec, matrix_norm
 
 __all__ = [
-    "SeparableSystem", "BoundCertificate", "FrozenSystem", "VerifyRow",
+    "SeparableSystem", "BoundCertificate", "VerifyRow",
     "VerificationReport", "assemble_A", "certify", "frozen_system",
     "substitution_check", "verify_certificate", "parse_expression",
 ]
@@ -80,18 +81,14 @@ def _checked_f_value(sys_J: Interval, f_val: float, t: float) -> float:
 def assemble_A(sys: SeparableSystem) -> CoefficientPath:
     """The coefficient path t -> f'(t) G(t, f(t)).
 
-    For a batched path f the coefficient also evaluates a stack of times
-    in one call: f and f' over the array and one check of the values
+    A stack of times takes f and f' over the array in one call each
+    (:meth:`ScalarPath.values` and ``d_many``), one check of the values
     against J, then G at each (t, f(t)).
     """
     G, f, J = sys.G, sys.f, sys.J
 
-    def eval_A(t):
-        u = _checked_f_value(J, float(f(t)), t)
-        return float(f.d(t)) * np.asarray(G.eval(t, u), dtype=float)
-
-    def eval_many(ts):
-        us = f.eval_many(ts)
+    def eval_A(ts):
+        us = f.values(ts)
         i = J.first_outside(us, 1e-12)
         if i is not None:
             _checked_f_value(J, float(us[i]), float(ts[i]))
@@ -101,23 +98,7 @@ def assemble_A(sys: SeparableSystem) -> CoefficientPath:
 
     bps = tuple(sorted(set(f.breakpoints) | set(G.t_breakpoints)))
     return CoefficientPath(eval=eval_A, space=sys.space, breakpoints=bps,
-                           domain=sys.I,
-                           eval_many=eval_many if f.batched else None)
-
-
-@dataclass(frozen=True)
-class FrozenSystem:
-    """A separable system with its field held constant on the segments of
-    a partition, plus the resulting coefficient path."""
-
-    base: SeparableSystem
-    partition: Partition
-    coefficient: CoefficientPath
-
-    @staticmethod
-    def build(sys: "SeparableSystem", partition: Partition) -> "FrozenSystem":
-        return FrozenSystem(base=sys, partition=partition,
-                            coefficient=frozen_system(sys, partition))
+                           domain=sys.I)
 
 
 def frozen_system(sys: SeparableSystem, partition: Partition) -> CoefficientPath:
@@ -139,24 +120,25 @@ def frozen_system(sys: SeparableSystem, partition: Partition) -> CoefficientPath
         return float(f.d(t)) * np.asarray(G.eval(pts[i], u), dtype=float)
 
     bps = tuple(sorted(set(f.breakpoints) | set(G.t_breakpoints) | set(pts[1:-1])))
-    return CoefficientPath(eval=eval_frozen, space=sys.space, breakpoints=bps,
-                           domain=Interval(pts[0], pts[-1]))
+    return CoefficientPath(eval=stacked(eval_frozen), space=sys.space,
+                           breakpoints=bps, domain=Interval(pts[0], pts[-1]))
 
 
-def _saturating_bound(gain: float, variation: float):
-    """C = gain^2 exp(gain^{3+2 gain} variation), saturated to +inf.
+def saturating_bound(gain: float, log_gain: float, variation: float):
+    """C = gain^2 exp(gain^{3+2 gain} variation), saturated to +inf, from
+    the gain and its log (each caller passes the log it has, so neither
+    goes through exp or log again): ln C = 2 ln gain + gain^{3+2 gain}
+    variation.
 
     Returns (bound, log_bound, overflow).
     """
-    log_gain = math.log(gain)
     if variation == 0.0:
         log_c = 2.0 * log_gain
-        return (math.exp(log_c) if log_c < 709.0 else math.inf,
-                log_c, log_c >= 709.0)
-    p = (3.0 + 2.0 * gain) * log_gain  # log of gain^{3+2 gain}
-    if p >= 709.0:
-        return math.inf, math.inf, True
-    log_c = 2.0 * log_gain + math.exp(p) * variation
+    else:
+        p = (3.0 + 2.0 * gain) * log_gain  # log of gain^{3+2 gain}
+        if p >= 709.0:
+            return math.inf, math.inf, True
+        log_c = 2.0 * log_gain + math.exp(p) * variation
     if log_c >= 709.0:
         return math.inf, log_c, True
     return math.exp(log_c), log_c, False
@@ -189,7 +171,8 @@ class BoundCertificate:
             raise ValueError("certificate gain must be >= 1")
         if self.variation < 0.0:
             raise ValueError("certificate variation must be >= 0")
-        bound, log_bound, overflow = _saturating_bound(self.gain, self.variation)
+        bound, log_bound, overflow = saturating_bound(
+            self.gain, math.log(self.gain), self.variation)
         same = (bound == self.bound) or (
             math.isfinite(bound) and math.isfinite(self.bound)
             and abs(bound - self.bound) <= 1e-12 * bound
@@ -213,7 +196,7 @@ class BoundCertificate:
     def from_parts(gain, variation, window, sup_grid, tolerances,
                    sup_converged=True, variation_mode="double-integral",
                    provenance="grid-sampled") -> "BoundCertificate":
-        bound, _, _ = _saturating_bound(gain, variation)
+        bound, _, _ = saturating_bound(gain, math.log(gain), variation)
         return BoundCertificate(
             gain=gain, variation=variation, bound=bound, window=window,
             sup_grid=sup_grid, tolerances=dict(tolerances),
@@ -332,13 +315,14 @@ def substitution_check(
     operator-norm difference.  ``stats``, if given, counts both routes.
     """
     A = CoefficientPath(
-        eval=lambda tau: float(f.d(tau)) * np.asarray(B(float(f(tau))), dtype=float),
+        eval=stacked(lambda tau: float(f.d(tau)) * np.asarray(B(float(f(tau))),
+                                                              dtype=float)),
         space=space,
         breakpoints=f.breakpoints,
     )
     x_direct = evolve(A, s, t, tol, stats)
     B_path = CoefficientPath(
-        eval=lambda u: np.asarray(B(u), dtype=float),
+        eval=stacked(B),
         space=space,
         breakpoints=B_breakpoints,
     )

@@ -48,6 +48,7 @@ from .operators import (
     matrix_norm,
     vector_norm,
 )
+from .stability import saturating_bound
 
 __all__ = [
     "ConnectionForm", "Curve", "ConnectionBounds", "BetaParts",
@@ -69,9 +70,11 @@ class ConnectionForm:
 
     ``d1_omega2`` is the x-derivative of omega2 when known analytically;
     otherwise it is approximated by central differences where needed.
-    ``omega1_many(xs, us)`` and ``omega2_many(xs, us)``, when given, stack
-    omega1 and omega2 over paired arrays of points (x, u) of one shape in
-    one call, equal to the pointwise values bit for bit.
+    An omega1 or omega2 callable may carry its batched evaluator as
+    ``.many(xs, us)``: omega over paired arrays of points (x, u) of one
+    shape in one call, equal to the pointwise values bit for bit.  The
+    stacks below take it where the field has one, so a field replaced by
+    ``dataclasses.replace`` brings its own.
     """
 
     omega1: Callable[[float, float], np.ndarray]
@@ -80,14 +83,13 @@ class ConnectionForm:
     j_interval: Interval
     space: VectorSpaceSpec
     d1_omega2: Optional[Callable[[float, float], np.ndarray]] = None
-    omega2_many: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    omega1_many: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
-    def _stack(self, one, many, xs, us) -> np.ndarray:
+    def _stack(self, one, xs, us) -> np.ndarray:
         xs, us = np.asarray(xs, dtype=float), np.asarray(us, dtype=float)
         if xs.shape != us.shape:  # broadcast, cheaper than broadcast_arrays
             shape = np.broadcast(xs, us).shape
             xs, us = _filled(shape, xs), _filled(shape, us)
+        many = getattr(one, "many", None)
         if many is not None:
             return np.asarray(many(xs, us), dtype=float)
         r = self.space.dim
@@ -98,12 +100,12 @@ class ConnectionForm:
     def omega1_stack(self, xs, us) -> np.ndarray:
         """The stack of omega1(x, u) over the points of xs and us,
         broadcast together: shape (*shape, r, r)."""
-        return self._stack(self.omega1, self.omega1_many, xs, us)
+        return self._stack(self.omega1, xs, us)
 
     def omega2_stack(self, xs, us) -> np.ndarray:
         """The stack of omega2(x, u) over the points of xs and us,
         broadcast together: shape (*shape, r, r)."""
-        return self._stack(self.omega2, self.omega2_many, xs, us)
+        return self._stack(self.omega2, xs, us)
 
     def d1w2(self, x: float, u: float) -> np.ndarray:
         if self.d1_omega2 is not None:
@@ -179,30 +181,15 @@ def reverse_curve(g: Curve) -> Curve:
 def curve_coefficient(w: ConnectionForm, g: Curve) -> CoefficientPath:
     """Coefficient path of the transport equation along the curve.
 
-    When both components of the curve are batched paths, the path also
-    evaluates a stack of times in one call: both components and their
-    derivatives over the array, one domain check, and omega1 and omega2
-    through :meth:`ConnectionForm.omega1_stack` and ``omega2_stack``.
+    A stack of times takes both components and their derivatives over
+    the array (:meth:`ScalarPath.values` and ``d_many``), one domain
+    check, and omega1 and omega2 through :meth:`ConnectionForm.omega1_stack`
+    and ``omega2_stack``.  A term whose derivative is 0 is left out of the
+    sum rather than added as 0 times omega.
     """
 
-    def eval_A(t):
-        x = float(g.gamma1(t))
-        u = float(g.gamma2(t))
-        w.check_point(x, u)
-        dx = float(g.gamma1.d(t))
-        du = float(g.gamma2.d(t))
-        out = None
-        if dx != 0.0:
-            out = np.asarray(w.omega1(x, u), dtype=float) * dx
-        if du != 0.0:
-            term = np.asarray(w.omega2(x, u), dtype=float) * du
-            out = term if out is None else out + term
-        if out is None:
-            out = np.zeros((w.space.dim, w.space.dim))
-        return -out
-
-    def eval_many(ts):
-        xs, us = g.gamma1.eval_many(ts), g.gamma2.eval_many(ts)
+    def eval_A(ts):
+        xs, us = g.gamma1.values(ts), g.gamma2.values(ts)
         w.check_points(xs, us)
         dx = g.gamma1.d_many(ts)[:, None, None]
         du = g.gamma2.d_many(ts)[:, None, None]
@@ -211,15 +198,12 @@ def curve_coefficient(w: ConnectionForm, g: Curve) -> CoefficientPath:
         on1, on2 = dx != 0.0, du != 0.0
         if on1.all() and on2.all():
             return -(t1 + t2)
-        # the pointwise sum leaves out a term whose derivative is 0
         return -np.where(on1, np.where(on2, t1 + t2, t1),
                          np.where(on2, t2, 0.0))
 
-    batched = g.gamma1.batched and g.gamma2.batched
     return CoefficientPath(eval=eval_A, space=w.space,
                            breakpoints=g.breakpoints,
-                           domain=Interval(g.a, g.b),
-                           eval_many=eval_many if batched else None)
+                           domain=Interval(g.a, g.b))
 
 
 def parallel_transport(w: ConnectionForm, g: Curve, tol: float = 1e-10,
@@ -270,17 +254,11 @@ def beta_parts(b: ConnectionBounds, L: float) -> BetaParts:
     gain = math.exp(log_gain) if log_gain < 709.0 else math.inf
     if not math.isfinite(gain):
         return BetaParts(gain, math.inf, math.inf, True)
-    variation_term = b.lambda_J * b.B12 * L
-    if variation_term == 0.0:
-        log_cap = 2.0 * log_gain
-    else:
-        p = (3.0 + 2.0 * gain) * log_gain  # log of gain^{3+2 gain}
-        inner = math.exp(p) if p < 709.0 else math.inf
-        log_cap = 2.0 * log_gain + inner * variation_term
-    cap = math.exp(log_cap) if log_cap < 709.0 else math.inf
-    if not math.isfinite(cap):
+    cap, log_cap, overflow = saturating_bound(gain, log_gain,
+                                              b.lambda_J * b.B12 * L)
+    if overflow:
         return BetaParts(gain, cap, math.inf, True)
-    log_beta = log_cap + cap * b.B1 * L
+    log_beta = log_cap + cap * b.B1 * L  # beta = C exp(C B1 L)
     beta = math.exp(log_beta) if log_beta < 709.0 else math.inf
     return BetaParts(gain, cap, beta, not math.isfinite(beta))
 

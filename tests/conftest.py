@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from evostab.calculus import Interval
-from evostab.evolution import CoefficientPath
+from evostab.evolution import CoefficientPath, stacked
 from evostab.operators import VectorSpaceSpec
 
 
@@ -32,7 +32,7 @@ def rk4_fixed(rhs, t0, t1, y0, h):
 
 def rk4_propagator(A: CoefficientPath, s: float, t: float, h: float) -> np.ndarray:
     """Fixed-step oracle for the propagator matrix."""
-    rhs = lambda tau, y: A.eval(tau) @ y
+    rhs = lambda tau, y: A(tau) @ y
     return rk4_fixed(rhs, s, t, np.eye(A.space.dim), h)
 
 
@@ -50,7 +50,7 @@ def random_smooth_coefficient(rng, dim, norm_kind="euclidean"):
         return C0 + C1 * math.sin(w1 * t) + C2 * math.cos(w2 * t)
 
     return CoefficientPath(
-        eval=eval_A,
+        eval=stacked(eval_A),
         space=VectorSpaceSpec(dim, norm_kind),
         domain=Interval(-math.inf, math.inf),
     )

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from evostab.calculus import Interval, Partition, ScalarPath, cov_check, integrate
-from evostab.evolution import CoefficientPath, evolve
+from evostab.evolution import CoefficientPath, evolve, stacked
 from evostab.extension import (
     build_sigma,
     extend_section,
@@ -58,7 +58,7 @@ def _line(num, ok, text):
 
 
 def test_criterion_01_scalar_cosine_system():
-    A = CoefficientPath(eval=lambda t: np.array([[math.cos(t)]]),
+    A = CoefficientPath(eval=stacked(lambda t: np.array([[math.cos(t)]])),
                         space=VectorSpaceSpec(1))
     rng = np.random.default_rng(101)
     pairs = rng.uniform(0.0, 20.0, size=(100, 2))
@@ -107,7 +107,7 @@ def test_criterion_03_standard_estimate_corpus():
         kind = A.space.norm_kind
         for _ in range(5):
             s, t = np.sort(rng.uniform(0.0, 3.0, size=2))
-            budget = integrate(lambda tau: matrix_norm(A.eval(tau), kind),
+            budget = integrate(lambda tau: matrix_norm(A(tau), kind),
                                Interval(s, t), tol=1e-9)
             cap = math.exp(budget) + 1e-6
             for m in (evolve(A, s, t), evolve(A, t, s)):
@@ -136,7 +136,7 @@ def test_criterion_04_certificate_dominates_settling_field():
     sys = make_system("example39")
     A = assemble_A(sys)
     kinks = [k * math.pi / 2 for k in range(1, 64, 2)]
-    naive = [integrate(lambda t: matrix_norm(A.eval(t), "euclidean"),
+    naive = [integrate(lambda t: matrix_norm(A(t), "euclidean"),
                        Interval(0.0, T), breakpoints=kinks, tol=1e-6,
                        max_segments=16384)
              for T in (25.0, 50.0, 100.0)]
@@ -179,7 +179,7 @@ def test_criterion_06_frozen_approximants():
         part = Partition(tuple(np.linspace(0.0, 8.0, n_seg + 1)))
         frozen = frozen_system(sys, part)
         defect = integrate(
-            lambda t: matrix_norm(direct.eval(t) - frozen.eval(t), kind),
+            lambda t: matrix_norm(direct(t) - frozen(t), kind),
             window, breakpoints=part.points[1:-1], tol=1e-8,
             max_segments=32768)
         defects.append(defect)

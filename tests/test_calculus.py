@@ -425,8 +425,15 @@ def test_batched_path_derivative_keeps_the_breakpoint_rule():
     want = np.array([path.d(t) for t in ts.tolist()], dtype=float)
     assert path.d_many(ts).tobytes() == want.tobytes()
     assert np.count_nonzero(path.d_many(ts)[:8]) == 0
-    assert path.eval_many(ts).tobytes() == np.array(
+    assert path.values(ts).tobytes() == np.array(
         [path(t) for t in ts.tolist()]).tobytes()
+    # without the batched evaluators both loop over the pointwise ones,
+    # the central-difference derivative included
+    for looped in (ScalarPath(eval=math.sin, deriv=math.cos, breakpoints=bps),
+                   ScalarPath(eval=math.sin, breakpoints=bps)):
+        want = np.array([looped.d(t) for t in ts.tolist()], dtype=float)
+        assert looped.d_many(ts).tobytes() == want.tobytes()
+        assert looped.values(ts).tobytes() == path.values(ts).tobytes()
 
 
 def test_interval_first_outside_agrees_with_contains():

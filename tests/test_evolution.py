@@ -16,6 +16,7 @@ from evostab.evolution import (
     evolve,
     param_evolution,
     propagate_vector,
+    stacked,
     sweep_vector,
     variation_of_parameters,
 )
@@ -34,12 +35,12 @@ ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 def scalar_cos_path():
-    return CoefficientPath(eval=lambda t: np.array([[math.cos(t)]]),
+    return CoefficientPath(eval=stacked(lambda t: np.array([[math.cos(t)]])),
                            space=SP1)
 
 
 def test_zero_coefficient_gives_identity():
-    A = CoefficientPath(eval=lambda t: np.zeros((3, 3)),
+    A = CoefficientPath(eval=stacked(lambda t: np.zeros((3, 3))),
                         space=VectorSpaceSpec(3))
     for s, t in [(0.0, 0.0), (-2.0, 5.0), (3.0, -1.0)]:
         x = evolve(A, s, t)
@@ -55,7 +56,7 @@ def test_scalar_cosine_closed_form():
 
 
 def test_constant_rotation_generator():
-    A = CoefficientPath(eval=lambda t: ROT, space=SP2)
+    A = CoefficientPath(eval=stacked(lambda t: ROT), space=SP2)
     x = evolve(A, 0.0, 1.3)
     expected = scipy.linalg.expm(1.3 * ROT)
     assert np.max(np.abs(x.entries - expected)) <= 1e-9
@@ -92,7 +93,7 @@ def test_growth_within_coefficient_l1_estimate(small_corpus):
         kind = A.space.norm_kind
         for s, t in [(0.0, 1.0), (0.5, 2.5)]:
             budget = signed_integrate(
-                lambda tau: matrix_norm(A.eval(tau), kind), s, t)
+                lambda tau: matrix_norm(A(tau), kind), s, t)
             for m in (evolve(A, s, t), evolve(A, t, s)):
                 assert matrix_norm(m.entries, kind) <= \
                     math.exp(budget) + 1e-6
@@ -111,15 +112,15 @@ def test_breakpoint_restart_handles_jump():
     def ev(t):
         return np.array([[1.0 if t < 1.0 else -2.0]])
 
-    A = CoefficientPath(eval=ev, space=SP1, breakpoints=(1.0,))
+    A = CoefficientPath(eval=stacked(ev), space=SP1, breakpoints=(1.0,))
     x = evolve(A, 0.0, 2.0)
     assert x.entries[0, 0] == pytest.approx(math.exp(1.0) * math.exp(-2.0),
                                             rel=1e-9)
 
 
 def test_integration_failure_reports_location():
-    A = CoefficientPath(eval=lambda t: np.array([[1.0 / (1.0 - t)]]),
-                        space=SP1)
+    A = CoefficientPath(
+        eval=stacked(lambda t: np.array([[1.0 / (1.0 - t)]])), space=SP1)
     with pytest.raises(IntegrationError) as err:
         evolve(A, 0.0, 1.0)
     assert 0.9 <= err.value.location <= 1.0
@@ -140,7 +141,7 @@ def test_stage_kernel_matches_loop_reference():
     for i in range(7):
         yi = y0 + h * sum((aij * kj for aij, kj in zip(a[i], k)),
                           np.zeros((3, 3)))
-        k.append(A.eval(t0 + c[i] * h) @ yi)
+        k.append(A(t0 + c[i] * h) @ yi)
     want = y0 + h * sum(b * kj for b, kj in zip(a[6], k))
     stats = StepStats()
     got, _, slope = _rk_segment(A, t0, t0 + h, y0, 1.0, 1.0, stats, 10,
@@ -153,8 +154,9 @@ def test_stage_kernel_matches_loop_reference():
 def test_blow_up_raises_integration_error_without_warnings():
     # x' = x / (5 - t)^2 blows up at t = 5: the state overflows before
     # the controller gives up, and no numpy warning may escape on the way
-    A = CoefficientPath(eval=lambda t: np.array([[1.0 / (5.0 - t) ** 2]]),
-                        space=SP1)
+    A = CoefficientPath(
+        eval=stacked(lambda t: np.array([[1.0 / (5.0 - t) ** 2]])),
+        space=SP1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(IntegrationError) as err:
@@ -170,7 +172,7 @@ def test_non_finite_stages_are_rejected_until_integration_error():
     def ev(t):
         return np.array([[0.5 if t < 1.0 else math.inf]])
 
-    A = CoefficientPath(eval=ev, space=SP1)
+    A = CoefficientPath(eval=stacked(ev), space=SP1)
     stats = StepStats()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -215,7 +217,7 @@ def test_vop_zero_forcing_reduces_to_propagation():
 
 
 def test_vop_zero_coefficient_integrates_forcing():
-    A = CoefficientPath(eval=lambda t: np.zeros((2, 2)), space=SP2)
+    A = CoefficientPath(eval=stacked(lambda t: np.zeros((2, 2))), space=SP2)
     g = np.array([0.5, -1.0])
     out = variation_of_parameters(A, lambda t: g, 1.0, 4.0,
                                   Vector(np.array([1.0, 1.0]), SP2))
@@ -224,7 +226,7 @@ def test_vop_zero_coefficient_integrates_forcing():
 
 
 def test_vop_scalar_closed_form():
-    A = CoefficientPath(eval=lambda t: np.array([[1.0]]), space=SP1)
+    A = CoefficientPath(eval=stacked(lambda t: np.array([[1.0]])), space=SP1)
     out = variation_of_parameters(A, lambda t: np.ones(1), 0.0, 1.0,
                                   Vector(np.zeros(1), SP1))
     assert out.entries[0] == pytest.approx(math.e - 1.0, abs=1e-9)
@@ -243,7 +245,7 @@ def test_comparison_equal_coefficients():
 
 
 def test_comparison_specializes_to_l1_estimate():
-    zero = CoefficientPath(eval=lambda t: np.zeros((1, 1)), space=SP1)
+    zero = CoefficientPath(eval=stacked(lambda t: np.zeros((1, 1))), space=SP1)
     A = scalar_cos_path()
     c = ComparisonInput(A1=zero, A2=A, gain=1.0, rate=0.0, sign=1)
     out = comparison_bounds(c, 0.0, 3.0)
@@ -252,8 +254,8 @@ def test_comparison_specializes_to_l1_estimate():
 
 
 def test_comparison_scalar_closed_form_verified_against_propagator():
-    zero = CoefficientPath(eval=lambda t: np.zeros((1, 1)), space=SP1)
-    one = CoefficientPath(eval=lambda t: np.ones((1, 1)), space=SP1)
+    zero = CoefficientPath(eval=stacked(lambda t: np.zeros((1, 1))), space=SP1)
+    one = CoefficientPath(eval=stacked(lambda t: np.ones((1, 1))), space=SP1)
     c = ComparisonInput(A1=zero, A2=one, gain=1.0, rate=0.0, sign=1)
     out = comparison_bounds(c, 0.0, 1.0)
     assert out.growth_bound == pytest.approx(math.e, rel=1e-10)
@@ -265,7 +267,8 @@ def test_comparison_scalar_closed_form_verified_against_propagator():
 def test_comparison_dominates_observed_norms(small_corpus):
     for A in small_corpus:
         zero = CoefficientPath(
-            eval=lambda t, _d=A.space.dim: np.zeros((_d, _d)), space=A.space)
+            eval=stacked(lambda t, _d=A.space.dim: np.zeros((_d, _d))),
+            space=A.space)
         c = ComparisonInput(A1=zero, A2=A, gain=1.0, rate=0.0, sign=1)
         for s, t in [(0.0, 1.5), (1.0, 2.0)]:
             out = comparison_bounds(c, s, t)
@@ -394,7 +397,7 @@ def test_sweep_cost_on_example39():
 @pytest.mark.parametrize("name", ["extension-gauge", "extension-twist"])
 def test_sweep_vector_matches_per_hop_propagation(name):
     omega = make_extension_problem(name).omega
-    A = CoefficientPath(eval=lambda v: -omega.omega2(0.37, v),
+    A = CoefficientPath(eval=stacked(lambda v: -omega.omega2(0.37, v)),
                         space=omega.space)
     v = np.array([0.8, -0.3])
     up = list(np.linspace(-1.5, 1.9, 13))
@@ -416,7 +419,7 @@ def test_sweep_restarts_at_a_breakpoint_between_stops():
     def exponent(t):
         return min(t, 1.0) - 2.0 * max(t - 1.0, 0.0)
 
-    A = CoefficientPath(eval=ev, space=SP1, breakpoints=(1.0,))
+    A = CoefficientPath(eval=stacked(ev), space=SP1, breakpoints=(1.0,))
     for stops in ([0.0, 0.4, 1.7, 2.5], [0.0, 1.0, 2.0]):
         for t, got in zip(stops, sweep_vector(A, stops, [1.0])):
             assert got[0] == pytest.approx(math.exp(exponent(t)), rel=1e-8)
@@ -468,7 +471,7 @@ def test_stacked_param_evolution_matches_per_column_evolve(name):
     res = param_evolution(lambda x, v: -omega.omega2(x, v), xs, 0.3, vs,
                           omega.space, 1e-10)
     for ix, x in enumerate(xs):
-        A = CoefficientPath(eval=lambda v, _x=x: -omega.omega2(_x, v),
+        A = CoefficientPath(eval=stacked(lambda v, _x=x: -omega.omega2(_x, v)),
                             space=omega.space)
         for iv, v in enumerate(vs):
             want = evolve(A, 0.3, v, 1e-10).entries
@@ -486,45 +489,41 @@ def test_step_stats_accumulate():
     assert merged.steps == stats.steps
 
 
-def _counted(A):
-    calls = {"eval": 0, "many": 0}
+def _counted(fn):
+    calls = {"n": 0}
 
-    def one(t):
-        calls["eval"] += 1
-        return A.eval(t)
+    def counted(*args):
+        calls["n"] += 1
+        return fn(*args)
 
-    def many(ts):
-        calls["many"] += 1
-        return A.eval_stack(ts)
-
-    return calls, one, many
+    return calls, counted
 
 
 def test_one_batched_coefficient_call_per_attempted_step():
     # the stage coefficients of a step come from one call over its 5
-    # distinct stage times; the pointwise eval only gives the slope that
-    # starts the segment
+    # distinct stage times; one more call, over the one time, gives the
+    # slope that starts the segment
     A = assemble_A(make_system("example39", f_name="sin"))
-    calls, one, many = _counted(A)
+    calls, many = _counted(A.eval)
     stats = StepStats()
-    x = evolve(CoefficientPath(eval=one, space=A.space, eval_many=many),
-               0.0, 30.0, 1e-10, stats)
+    x = evolve(CoefficientPath(eval=many, space=A.space), 0.0, 30.0, 1e-10,
+               stats)
+    attempted = stats.steps + stats.rejected
     assert stats.segments == 1 and stats.rejected > 0
-    assert calls == {"eval": 1, "many": stats.steps + stats.rejected}
-    assert stats.rhs_evals == 6 * (stats.steps + stats.rejected) + 1
+    assert calls["n"] == attempted + 1
+    assert stats.rhs_evals == 6 * attempted + 1
     assert np.array_equal(x.entries, evolve(A, 0.0, 30.0, 1e-10).entries)
 
 
 def test_pointwise_fallback_evaluates_five_stage_times_per_step():
-    # without a batched evaluator the stepper calls eval at the 5 distinct
-    # stage times: stage 6 shares stage 5's time t + h and its coefficient
+    # a pointwise source under stacked is called at the 5 distinct stage
+    # times: stage 6 shares stage 5's time t + h and its coefficient
     A = assemble_A(make_system("example39", f_name="sin"))
-    calls, one, _ = _counted(A)
+    calls, one = _counted(A)
     stats = StepStats()
-    x = evolve(CoefficientPath(eval=one, space=A.space), 0.0, 30.0, 1e-10,
-               stats)
+    x = evolve(CoefficientPath(eval=stacked(one), space=A.space), 0.0, 30.0,
+               1e-10, stats)
     attempted = stats.steps + stats.rejected
-    assert calls["eval"] == 5 * attempted + 1
+    assert calls["n"] == 5 * attempted + 1
     assert stats.rhs_evals == 6 * attempted + 1
     assert np.array_equal(x.entries, evolve(A, 0.0, 30.0, 1e-10).entries)
-

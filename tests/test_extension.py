@@ -120,15 +120,16 @@ def test_crossing_guard_fires_on_bad_vertical_move():
 def test_grouped_column_fill_matches_per_column_sweeps():
     # columns with equal stops are swept as one stacked state; each must
     # match its own unstacked sweep from the corridor level
-    from evostab.evolution import CoefficientPath, sweep_vector
+    from evostab.evolution import CoefficientPath, stacked, sweep_vector
     for name in ("extension-gauge", "extension-twist"):
         p = make_extension_problem(name)
         xs, vs = default_grids(p)
         sig = build_sigma(p, xs, vs)
         ascending = sorted(vs)
         for ix, x in enumerate(xs):
-            A = CoefficientPath(eval=lambda v, _x=x: -p.omega.omega2(_x, v),
-                                space=p.omega.space)
+            A = CoefficientPath(
+                eval=stacked(lambda v, _x=x: -p.omega.omega2(_x, v)),
+                space=p.omega.space)
             fx = p.f(x) if x > p.a else math.inf
             for level, row, ok in ((p.v0, sig.row_v0, lambda v: v < fx),
                                    (p.v1, sig.row_v1, lambda v: v > fx)):
@@ -259,14 +260,15 @@ def test_extend_section_evaluates_omega2_once_per_step():
 
     def batched(xs, u):
         calls["batched"] += 1
-        return w.omega2_many(xs, u)
+        return w.omega2.many(xs, u)
 
     def pointwise(x, u):
         calls["pointwise"] += 1
         return w.omega2(x, u)
 
+    pointwise.many = batched
     counted = dataclasses.replace(p, omega=dataclasses.replace(
-        w, omega2=pointwise, omega2_many=batched))
+        w, omega2=pointwise))
     stats = StepStats()
     res = extend_section(counted, sig, stats=stats)
     assert calls["pointwise"] == 0

@@ -1,6 +1,11 @@
+import dataclasses
+import importlib
+import inspect
 import json
 import math
 import os
+import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +21,7 @@ from evostab.harness import (
     COLUMNS,
     KINDS,
     Report,
+    _connection_from_config,
     _expr_matrix,
     emit_report,
     run_scenario,
@@ -44,6 +50,30 @@ def test_readme_csv_headers_match_columns():
     block = block.split("```", 2)[1]
     documented = dict(line.split() for line in block.strip().splitlines())
     assert documented == {k: ",".join(v) for k, v in COLUMNS.items()}
+
+
+def test_readme_class_attributes_resolve():
+    # every backticked `Class.attr` in the README whose head is a class of
+    # evostab names a method, property, attribute or dataclass field of it
+    import evostab
+    classes = {}
+    for info in pkgutil.iter_modules(evostab.__path__):
+        if info.name.startswith("_"):
+            continue
+        module = importlib.import_module(f"evostab.{info.name}")
+        classes.update((name, obj) for name, obj in vars(module).items()
+                       if inspect.isclass(obj)
+                       and obj.__module__.startswith("evostab."))
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    refs = [(head, attr) for head, attr
+            in re.findall(r"`([A-Za-z_]\w*)\.([A-Za-z_]\w*)", readme)
+            if head in classes]
+    assert refs
+    for head, attr in refs:
+        cls = classes[head]
+        fields = ({f.name for f in dataclasses.fields(cls)}
+                  if dataclasses.is_dataclass(cls) else set())
+        assert hasattr(cls, attr) or attr in fields, f"{head}.{attr}"
 
 
 def test_unknown_kind_rejected():
@@ -432,6 +462,28 @@ def test_expression_matrix_stack_faults_like_its_faulting_entry():
     with pytest.raises(ExpressionError) as batch:
         G.many(0.5, np.array([1.0, -1.0]))
     assert str(batch.value) == str(scalar.value)
+
+
+def test_expression_connection_stacks_over_paired_points():
+    # a config-defined connection takes its omega stacks from the
+    # expression matrices' numpy evaluators (``.many``), over points of
+    # any shape: the pointwise values to rounding
+    bag = []
+    w = _connection_from_config({
+        "omega1": [["sin(u)", "0.2*cos(t)"], ["-0.2*cos(t)", "cos(u)"]],
+        "omega2": [["0.15", "t*u"], ["exp(-t)", "-0.15"]],
+        "M": [-1.0, 1.0], "J": [-1.0, 1.0]}, bag)
+    assert not bag
+    rng = np.random.default_rng(4)
+    xs, us = rng.uniform(-1.0, 1.0, (2, 5, 3))
+    for one, stack in ((w.omega1, w.omega1_stack), (w.omega2, w.omega2_stack)):
+        want = np.array([one(x, u) for x, u in zip(xs.ravel().tolist(),
+                                                   us.ravel().tolist())])
+        got = stack(xs, us)
+        assert got.shape == (5, 3, 2, 2)
+        np.testing.assert_allclose(got, want.reshape(got.shape), rtol=1e-15,
+                                   atol=1e-15)
+        assert stack(xs[:, :1], us[0]).shape == (5, 3, 2, 2)
 
 
 @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf, "1e-8"])

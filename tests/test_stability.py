@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,12 +7,11 @@ import scipy.linalg
 
 from evostab.calculus import Interval, OperatorField, Partition, ScalarPath, integrate
 from evostab.errors import DomainViolationError
-from evostab.evolution import CoefficientPath, evolve
+from evostab.evolution import CoefficientPath, evolve, stacked
 from evostab.library import example39_field, make_scalar_path, make_system
 from evostab.operators import VectorSpaceSpec, matrix_norm
 from evostab.stability import (
     BoundCertificate,
-    FrozenSystem,
     SeparableSystem,
     assemble_A,
     certify,
@@ -47,7 +47,7 @@ def test_assemble_constant_path_gives_zero():
                           J=Interval(0, 1), space=SP1)
     A = assemble_A(sys)
     for t in (0.0, 1.7, 9.9):
-        assert np.array_equal(A.eval(t), np.zeros((1, 1)))
+        assert np.array_equal(A(t), np.zeros((1, 1)))
 
 
 def test_assemble_reproduces_scalar_cosine():
@@ -55,7 +55,7 @@ def test_assemble_reproduces_scalar_cosine():
                           J=Interval(-1, 1), space=SP1)
     A = assemble_A(sys)
     for t in (0.0, 0.5, 2.0):
-        assert A.eval(t)[0, 0] == pytest.approx(math.cos(t), rel=1e-12)
+        assert A(t)[0, 0] == pytest.approx(math.cos(t), rel=1e-12)
 
 
 def test_assemble_spot_checks_settling_field():
@@ -68,7 +68,7 @@ def test_assemble_spot_checks_settling_field():
             [2 * math.atan(t), math.sqrt(t + 1) - math.sqrt(t)],
             [-1.0 / (1 + t * t), 1 + math.exp(-t)],
         ])
-        assert np.max(np.abs(A.eval(t) - expected)) <= 1e-14
+        assert np.max(np.abs(A(t) - expected)) <= 1e-14
 
 
 def test_assemble_rejects_path_escaping_J():
@@ -77,19 +77,24 @@ def test_assemble_rejects_path_escaping_J():
                           J=Interval(-1, 1), space=SP1)
     A = assemble_A(sys)
     with pytest.raises(DomainViolationError):
-        A.eval(math.pi / 2)
+        A(math.pi / 2)
 
 
 @pytest.mark.parametrize("field", ["example39", "intro-cos", "rotation"])
 def test_assembled_stack_with_sin_is_the_pointwise_stack_bit_for_bit(field):
     # f = sin is batched (numpy's float64 sin and cos agree with math's
-    # bit for bit on x86-64, numpy 2.4); G is evaluated at each (t, f(t))
-    A = assemble_A(make_system(field, f_name="sin"))
-    assert A.eval_many is not None
+    # bit for bit on x86-64, numpy 2.4); G is evaluated at each (t, f(t)).
+    # The reference is the pointwise f'(t) G(t, f(t)) through math
+    sys = make_system(field, f_name="sin")
+    f, G = sys.f, sys.G
+    assert f.eval_many is not None and f.deriv_many is not None
+    A = assemble_A(sys)
     rng = np.random.default_rng(8)
     ts = np.concatenate([rng.uniform(0.0, 100.0, 500), [0.0, math.pi]])
-    want = np.array([A.eval(t) for t in ts.tolist()])
-    assert A.eval_stack(ts).tobytes() == want.tobytes()
+    want = np.array([float(f.d(t)) * np.asarray(G.eval(t, float(f(t))),
+                                                 dtype=float)
+                     for t in ts.tolist()])
+    assert A.eval(ts).tobytes() == want.tobytes()
 
 
 def test_assembled_stack_rejects_the_first_stage_escaping_J():
@@ -100,12 +105,16 @@ def test_assembled_stack_rejects_the_first_stage_escaping_J():
     sys = SeparableSystem(G=unit_field(), f=f, I=Interval(0, 10),
                           J=Interval(-1, 1), space=SP1)
     A = assemble_A(sys)
-    A.eval(0.1)
+    A(0.1)
     with pytest.raises(DomainViolationError) as batched:
-        A.eval_stack(np.array([0.1, 1.0, 1.5]))
+        A.eval(np.array([0.1, 1.0, 1.5]))
+    # the same path without its batched evaluators loops over f pointwise
+    looped = assemble_A(dataclasses.replace(
+        sys, f=dataclasses.replace(f, eval_many=None, deriv_many=None)))
     with pytest.raises(DomainViolationError) as pointwise:
-        A.eval(1.0)
+        looped.eval(np.array([0.1, 1.0, 1.5]))
     assert str(batched.value) == str(pointwise.value)
+    assert "f(1.0)" in str(batched.value)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +245,7 @@ def test_frozen_single_segment_of_time_independent_field_matches():
     frozen = frozen_system(sys, Partition((0.0, 10.0)))
     direct = assemble_A(sys)
     for t in (0.0, 3.3, 10.0):
-        assert np.allclose(frozen.eval(t), direct.eval(t), atol=1e-15)
+        assert np.allclose(frozen(t), direct(t), atol=1e-15)
 
 
 def test_frozen_segment_uses_left_endpoint_field():
@@ -245,20 +254,10 @@ def test_frozen_segment_uses_left_endpoint_field():
     frozen = frozen_system(sys, part)
     t = 3.0  # midpoint of [2, 4): field frozen at t = 2
     expected = math.cos(t) * sys.G.eval(2.0, math.sin(t))
-    assert np.max(np.abs(frozen.eval(t) - expected)) <= 1e-14
+    assert np.max(np.abs(frozen(t) - expected)) <= 1e-14
     # final partition point takes the last segment's value
     expected_end = math.cos(4.0) * sys.G.eval(2.0, math.sin(4.0))
-    assert np.max(np.abs(frozen.eval(4.0) - expected_end)) <= 1e-14
-
-
-def test_frozen_system_record_carries_its_pieces():
-    sys, _ = _example_system_window()
-    part = Partition((0.0, 4.0, 8.0))
-    rec = FrozenSystem.build(sys, part)
-    assert rec.base is sys and rec.partition is part
-    direct = frozen_system(sys, part)
-    for t in (1.0, 5.0, 8.0):
-        assert np.array_equal(rec.coefficient.eval(t), direct.eval(t))
+    assert np.max(np.abs(frozen(4.0) - expected_end)) <= 1e-14
 
 
 def test_builtin_paths_satisfy_the_derivative_invariant():
@@ -291,7 +290,7 @@ def test_frozen_defect_decreases_along_dyadic_meshes():
         part = Partition(tuple(np.linspace(window.lo, window.hi, n + 1)))
         frozen = frozen_system(sys, part)
         defect = integrate(
-            lambda t: matrix_norm(direct.eval(t) - frozen.eval(t), kind),
+            lambda t: matrix_norm(direct(t) - frozen(t), kind),
             window, breakpoints=part.points[1:-1], tol=1e-9,
             max_segments=16384)
         defects.append(defect)
@@ -314,7 +313,8 @@ def test_substitution_scalar_cosine_closed_form():
                            0.0, 2.5, SP1, tol=1e-10)
     assert d <= 1e-8
     # both routes also match the closed form
-    A = CoefficientPath(eval=lambda t: np.array([[math.cos(t)]]), space=SP1)
+    A = CoefficientPath(eval=stacked(lambda t: np.array([[math.cos(t)]])),
+                        space=SP1)
     x = evolve(A, 0.0, 2.5)
     assert x.entries[0, 0] == pytest.approx(math.exp(math.sin(2.5)),
                                             abs=1e-8)
@@ -325,7 +325,7 @@ def test_substitution_rotation_family_closed_form():
     B = lambda u: u * ROT
     d = substitution_check(B, f, 0.0, 1.2, SP2, tol=1e-10)
     assert d <= 1e-8
-    A = CoefficientPath(eval=lambda t: f.d(t) * B(f(t)), space=SP2)
+    A = CoefficientPath(eval=stacked(lambda t: f.d(t) * B(f(t))), space=SP2)
     x = evolve(A, 0.0, 1.2)
     angle = 0.5 * (f(1.2) ** 2 - f(0.0) ** 2)
     assert np.max(np.abs(x.entries - scipy.linalg.expm(angle * ROT))) <= 1e-8
@@ -380,7 +380,8 @@ def test_verify_abort_keeps_rows_before_first_unreached_pair():
     cert = certify(sys, Interval(0, 10))
     # a coefficient that is undefined past t = 5 stops the sweep there
     broken = CoefficientPath(
-        eval=lambda t: np.array([[math.cos(t) if t < 5.0 else math.nan]]),
+        eval=stacked(
+            lambda t: np.array([[math.cos(t) if t < 5.0 else math.nan]])),
         space=SP1)
     pairs = [(1.0, 2.0), (0.0, 1.0), (1.0, 6.0), (0.0, 2.0)]
     report = verify_certificate(sys, cert, pairs, coefficient=broken)

@@ -393,10 +393,9 @@ def test_sine_scenario_rows_keep_input_order_with_duplicates():
 
 def test_sine_scenario_failure_keeps_rows_reached_before_it():
     clean = make_connection("gauge-twist")
-    # omega1_many=None: the batched omega1 would not see the NaNs
     broken = dataclasses.replace(
         clean, omega1=lambda x, u: np.full((2, 2), math.nan) if x > -0.05
-        else clean.omega1(x, u), omega1_many=None)
+        else clean.omega1(x, u))
     v = Vector(np.array([1.0, 0.5]), SP2)
     bounds = sample_connection_bounds(clean)
     b_list = [-0.01, -0.5, -0.1, -0.02]
@@ -426,11 +425,12 @@ def test_sine_scenario_cost_on_benchmark_configuration():
                                   "gauge-twist", "mixed-bounded"])
 def test_omega2_stack_matches_pointwise_omega2(name):
     # gauge-rotation and gauge-twist stack omega2 through their batched
-    # evaluators, which repeat omega2's operations elementwise; the other
-    # three stack omega2 itself.  gauge-twist is exact too because numpy's
-    # float64 cos and sin agree with math's bit for bit (x86-64, numpy 2.4)
+    # evaluators (omega2.many), which repeat omega2's operations
+    # elementwise; the other three stack omega2 itself.  gauge-twist is
+    # exact too because numpy's float64 cos and sin agree with math's bit
+    # for bit (x86-64, numpy 2.4)
     w = make_connection(name, RECT_M, RECT_J)
-    assert (w.omega2_many is not None) == name.startswith("gauge-")
+    assert hasattr(w.omega2, "many") == name.startswith("gauge-")
     xs = np.concatenate([np.linspace(-2.0, 2.0, 41),
                          np.random.default_rng(3).uniform(-2.0, 2.0, 200)])
     for u in (-1.5, -0.3, 0.0, 1.2):
@@ -445,6 +445,28 @@ def test_omega2_stack_matches_pointwise_omega2(name):
 # stage stacks: one coefficient call per step
 
 
+def _pointwise_coefficient(w, g, t):
+    """-(omega1 gamma1' + omega2 gamma2') at one t, through the pointwise
+    fields and paths: a term whose derivative is 0 is left out."""
+    x, u = float(g.gamma1(t)), float(g.gamma2(t))
+    dx, du = float(g.gamma1.d(t)), float(g.gamma2.d(t))
+    out = None
+    if dx != 0.0:
+        out = np.asarray(w.omega1(x, u), dtype=float) * dx
+    if du != 0.0:
+        term = np.asarray(w.omega2(x, u), dtype=float) * du
+        out = term if out is None else out + term
+    if out is None:
+        out = np.zeros((w.space.dim, w.space.dim))
+    return -out
+
+
+def _looped(g):
+    """The curve g with its paths' batched evaluators taken away."""
+    strip = lambda p: dataclasses.replace(p, eval_many=None, deriv_many=None)
+    return Curve(strip(g.gamma1), strip(g.gamma2), g.a, g.b)
+
+
 def _stage_times(a, b, n=400, seed=5):
     # times of random DP5 steps inside [a, b], stage nodes included
     rng = np.random.default_rng(seed)
@@ -457,11 +479,11 @@ def _stage_times(a, b, n=400, seed=5):
 @pytest.mark.parametrize("name", ["gauge-twist", "gauge-rotation"])
 def test_curve_coefficient_stack_is_the_pointwise_stack_bit_for_bit(name):
     w = make_connection(name)
-    A = curve_coefficient(w, _sine_paths(-1.0, -1e-4))
-    assert A.eval_many is not None
+    g = _sine_paths(-1.0, -1e-4)
+    A = curve_coefficient(w, g)
     ts = np.concatenate([_stage_times(-1.0, -1e-4), [-1.0, -1e-4]])
-    want = np.array([A.eval(t) for t in ts.tolist()])
-    got = A.eval_stack(ts)
+    want = np.array([_pointwise_coefficient(w, g, t) for t in ts.tolist()])
+    got = A.eval(ts)
     assert got.shape == (len(ts), 2, 2)
     assert got.tobytes() == want.tobytes()
 
@@ -488,31 +510,41 @@ def test_curve_coefficient_stack_leaves_out_terms_with_zero_derivative():
                    (ScalarPath(eval=lambda t: 0.0, deriv=lambda t: 0.0,
                                eval_many=np.zeros_like,
                                deriv_many=np.zeros_like), still_late)):
-        A = curve_coefficient(w, Curve(g1, g2, 0.0, 3.0))
+        g = Curve(g1, g2, 0.0, 3.0)
+        A = curve_coefficient(w, g)
         ts = np.concatenate([np.linspace(0.0, 3.0, 61), [1.0 + 1e-15]])
-        want = np.array([A.eval(t) for t in ts.tolist()])
-        assert A.eval_stack(ts).tobytes() == want.tobytes()
+        want = np.array([_pointwise_coefficient(w, g, t)
+                         for t in ts.tolist()])
+        assert A.eval(ts).tobytes() == want.tobytes()
 
 
 def test_curve_coefficient_stack_raises_at_the_first_stage_outside():
     w = make_connection("gauge-twist", RECT_M, Interval(-0.5, 0.5))
-    A = curve_coefficient(w, _sine_paths(-1.0, -0.1))
+    g = _sine_paths(-1.0, -0.1)
+    A = curve_coefficient(w, g)
     ts = np.array([-0.3, -0.25, -0.2])  # sin(1/t) = 0.19, 0.76, 0.96
-    A.eval(-0.3)
+    A(-0.3)
     with pytest.raises(DomainViolationError) as batched:
-        A.eval_stack(ts)
+        A.eval(ts)
     with pytest.raises(DomainViolationError) as pointwise:
-        A.eval(-0.25)
+        curve_coefficient(w, _looped(g)).eval(ts)
     assert str(batched.value) == str(pointwise.value)
+    assert "(-0.25, " in str(batched.value)
 
 
 def test_curve_coefficient_without_batched_paths_has_no_batched_stack():
-    A = curve_coefficient(make_connection("gauge-twist", RECT_M, RECT_J),
-                          wiggle_curve(3.0))
-    assert A.eval_many is None
+    # paths without eval_many / deriv_many loop over their pointwise
+    # callables: the same stack as the batched paths, bit for bit
+    w = make_connection("gauge-twist")
+    g = _sine_paths(-1.0, -1e-4)
+    ts = np.concatenate([_stage_times(-1.0, -1e-4), [-1.0, -1e-4]])
+    assert (curve_coefficient(w, _looped(g)).eval(ts).tobytes()
+            == curve_coefficient(w, g).eval(ts).tobytes())
+    w = make_connection("gauge-twist", RECT_M, RECT_J)
+    g = wiggle_curve(3.0)
     ts = np.linspace(0.0, 1.0, 7)
-    assert np.array_equal(A.eval_stack(ts),
-                          np.array([A.eval(t) for t in ts.tolist()]))
+    assert np.array_equal(curve_coefficient(w, g).eval(ts), np.array(
+        [_pointwise_coefficient(w, g, t) for t in ts.tolist()]))
 
 
 @pytest.mark.parametrize("name", ["zero", "scalar-decay", "gauge-rotation",
@@ -540,7 +572,9 @@ def test_omega_stacks_over_paired_points_match_pointwise(name):
                                   "gauge-twist", "mixed-bounded"])
 def test_sampled_bounds_through_batched_rows_match_pointwise_rows(name, norm):
     w = make_connection(name, norm_kind=norm)
-    pointwise = dataclasses.replace(w, omega1_many=None, omega2_many=None)
+    # plain lambdas carry no batched evaluator
+    pointwise = dataclasses.replace(w, omega1=lambda x, u: w.omega1(x, u),
+                                    omega2=lambda x, u: w.omega2(x, u))
     assert sample_connection_bounds(w) == sample_connection_bounds(pointwise)
 
 
@@ -585,20 +619,28 @@ def test_two_sided_sweep_keeps_the_previous_results(name):
 
 def test_nan_coefficient_raises_at_the_same_t_batched_or_not():
     # omega2 turns NaN past x = -0.3: every step that samples it is
-    # rejected until the step size underflows at the same t as when each
-    # stage called the coefficient on its own
+    # rejected until the step size underflows at the same t whether the
+    # stack comes from the batched evaluators or from a loop over the
+    # pointwise fields and paths
     w = make_connection("gauge-twist")
 
-    def omega2_many(xs, us):
-        out = w.omega2_many(xs, us)
+    def nan_right(x, u):
+        return np.full((2, 2), math.nan) if x > -0.3 else w.omega2(x, u)
+
+    def nan_right_many(xs, us):
+        out = w.omega2.many(xs, us)
         out[xs > -0.3] = math.nan
         return out
 
-    broken = dataclasses.replace(
-        w, omega2=lambda x, u: np.full((2, 2), math.nan) if x > -0.3
-        else w.omega2(x, u), omega2_many=omega2_many)
-    A = curve_coefficient(broken, _sine_paths(-1.0, -0.1))
-    for path in (A, dataclasses.replace(A, eval_many=None)):
+    def batched(x, u):
+        return nan_right(x, u)
+
+    batched.many = nan_right_many
+    g = _sine_paths(-1.0, -0.1)
+    pointwise = dataclasses.replace(w, omega1=lambda x, u: w.omega1(x, u),
+                                    omega2=nan_right)
+    for path in (curve_coefficient(dataclasses.replace(w, omega2=batched), g),
+                 curve_coefficient(pointwise, _looped(g))):
         with pytest.raises(IntegrationError) as err:
             evolve(path, -1.0, -0.1, 1e-8)
         assert err.value.location.hex() == "-0x1.3333333333710p-2"
