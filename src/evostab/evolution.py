@@ -1,28 +1,37 @@
 """Evolution operators X(t, s) of x' = A(t) x, by numerical integration.
 
-The stepping core is an embedded Dormand-Prince 5(4) pair with standard
-PI-free step control, each stage state and the error estimate one
-tableau-row product over the stage slopes.  Every equation integrated
-here is linear with a coefficient that does not depend on the state, so
-all stage coefficients of a step are known once its size is: the stepper
-takes A itself, fetches A at the step's stage times in one call of
-``CoefficientPath.eval`` and forms each stage slope as A_i @ y_i.  One
-sweep crosses monotone stops and returns the state at each, carrying
-the step size and slope from stop to stop; it restarts at declared
-breakpoints of the coefficient so a step never straddles a jump.
-Backward propagation (t < s) steps with negative h rather than inverting
-a forward result.
+Every equation integrated here is linear with a coefficient that does
+not depend on the state, so the stepper is a Magnus method: a step is
+y <- exp(Omega) y, where Omega is the 6th-order exponent of Blanes, Casas
+& Ros (BIT 40, 2000) built from A at three Gauss-Legendre nodes and two
+commutators.  Error control is Richardson step doubling: each attempted
+step takes A at the nine nodes of the whole step and of its two halves
+from one call of ``CoefficientPath.eval``, forms the three exponents as
+one batched array computation and exponentiates them in one call
+(:func:`expm`: closed form for r <= 2, scipy beyond).  The two half steps
+give the accepted state, unextrapolated, so exp(-Omega) stays the exact
+inverse of a step; a skew A gives an orthogonal propagator and det X
+follows exp(int tr A) to within the Gauss quadrature of tr A.  The
+tolerance acts per step, not as a global bound.
+
+One sweep crosses monotone stops and returns the state at each, carrying
+the step size from stop to stop; it restarts at declared breakpoints of
+the coefficient so a step never straddles a jump.  The nodes are
+interior, so an undeclared jump can be stepped over by up to 6% of a
+step.  Backward propagation (t < s) steps with negative h rather than
+inverting a forward result.
 
 :class:`EvolutionOperator` answers many queries from one integration: it
-sweeps a fundamental solution Phi across a set of declared times, and
-every X(t, s) between them is Phi(t) Phi(s)^{-1}.  :func:`sweep_vector`
-sweeps vectors and :func:`param_evolution` frozen-parameter columns;
+sweeps a fundamental solution Phi across a set of declared times and
+carries Phi^{-1} along by the inverse exponentials, and every X(t, s)
+between them is Phi(t) Phi(s)^{-1}.  :func:`sweep_vector` sweeps vectors
+and :func:`param_evolution` frozen-parameter columns;
 :func:`sweep_two_sided` sweeps a propagator together with its inverse.
 
 A coefficient that gives a (k, r, r) stack per time sweeps k systems
 that share their stops as one state, (k, r, r) for propagators or
 (k, r, 1) for vectors, under one step controller; its error norm is the
-max over all members, and each stage slope covers the whole stack.
+max over all members, and each exponential covers the whole stack.
 """
 
 from __future__ import annotations
@@ -35,36 +44,32 @@ import numpy as np
 
 from .calculus import Interval, _integrate_nodes
 from .errors import IntegrationError
-from .operators import Operator, Vector, VectorSpaceSpec, invert_matrix, matrix_norm
+from .operators import Operator, Vector, VectorSpaceSpec, matrix_norm
 
 DEFAULT_ODE_TOL = 1e-10
 
-# Dormand-Prince 5(4) tableau.  Row i of _DP_A (zero-padded) forms stage
-# i's state from the stages before it; _DP_B5 gives the 5th-order
-# solution and _DP_E its difference from the embedded 4th-order one.
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_A = np.array([
-    (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
-    (1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
-    (3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0),
-    (44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0,
-     0.0),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0),
-])
-_DP_B5 = _DP_A[6]
-_DP_E = _DP_B5 - np.array((5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
-                           -92097 / 339200, 187 / 2100, 1 / 40))
-# Stages 1..6 sit at five distinct nodes: c5 = c6 = 1 give the same float
-# t + h, so stage 6 reuses stage 5's coefficient.
-_STAGE_NODES = np.array(_DP_C[1:6])
-_STAGE_COEF = (None, 0, 1, 2, 3, 4, 4)
+# The three Gauss-Legendre nodes on [0, 1], and the nine times of a step
+# of size h in units of h: those of the full step, then those of its two
+# halves.  _SPANS is the length of each of the three sub-steps.
+_GAUSS = np.array((0.5 - math.sqrt(15.0) / 10.0, 0.5,
+                   0.5 + math.sqrt(15.0) / 10.0))
+_NODES = np.concatenate((_GAUSS, 0.5 * _GAUSS, 0.5 + 0.5 * _GAUSS))
+_SPANS = np.array((1.0, 0.5, 0.5))
+# a segment's first step is cut until h ||A|| <= _FIRST_REACH on its nodes
+_FIRST_REACH = 1.0
+# the accepted state is not extrapolated, so its error is the estimate
+# itself: the controller aims at _SAFETY^7, about 8% of the tolerance
+_SAFETY = 0.7
 
 
 @dataclass
 class StepStats:
-    """Accumulated integrator diagnostics."""
+    """Accumulated integrator diagnostics.
+
+    ``rhs_evals`` counts coefficient values, the A matrices evaluated: 9
+    per attempted step.  It keeps its name, which the reports' ``cost``
+    carries.
+    """
 
     steps: int = 0
     rejected: int = 0
@@ -113,126 +118,210 @@ def stacked(fn: Callable[[float], np.ndarray]):
     return eval_each
 
 
-def _rk_segment(A, t0, t1, y, rtol, atol, stats, max_steps, h0=None,
-                f0=None):
-    """Adaptive DP5(4) for y' = A(t) y from t0 to t1 on a breakpoint-free
-    segment of the coefficient path ``A``.
+def expm(m: np.ndarray) -> np.ndarray:
+    """exp of every (r, r) matrix of the stack ``m`` (any leading shape).
 
-    ``y`` is any ndarray shape that A(t) @ y keeps; the error norm is max
-    over components of |err| / (atol + rtol * |y|).  Each attempted step
-    takes its stage coefficients from one ``A.eval`` call over the five
-    distinct stage times.  ``h0`` and the slope ``f0`` = A(t0) y carry
-    over from the segment before, if any.  Returns y(t1), the step to
-    start the next segment with (the controller's proposal before it was
-    clipped to land on t1) and the slope at t1, or None where that is not
-    at hand.  ``stats.rhs_evals`` counts stage slopes, 6 per attempted
-    step.
+    r = 1 is the scalar exponential and r = 2 the closed form of
+    :func:`_expm2`; larger r goes to ``scipy.linalg.expm``, imported only
+    here so that loading evostab does not load it.
+    """
+    r = m.shape[-1]
+    if r == 1:
+        return np.exp(m)
+    if r == 2:
+        return _expm2(m)
+    from scipy.linalg import expm as scipy_expm
+    return scipy_expm(m)
+
+
+def _expm2(m: np.ndarray) -> np.ndarray:
+    """exp of a stack of 2x2 matrices in closed form.
+
+    With tau the trace and N = M - tau/2 I, N^2 = q I for the discriminant
+    q = ((a - d)/2)^2 + bc, so exp(M) = e^{tau/2} [c(q) I + s(q) N] with
+    c = cosh sqrt(q), s = sinh sqrt(q) / sqrt(q) for q > 0, cos and sin of
+    sqrt(-q) for q < 0, and their Taylor series for |q| < 1e-2.
+    """
+    a, b = m[..., 0, 0], m[..., 0, 1]
+    c, d = m[..., 1, 0], m[..., 1, 1]
+    half = 0.5 * (a + d)
+    p = 0.5 * (a - d)
+    q = p * p + b * c
+    small = np.abs(q) < 1e-2
+    root = np.sqrt(np.where(small, 1.0, np.abs(q)))
+    grows = q > 0.0
+    ch = np.where(grows, np.cosh(root), np.cos(root))
+    sh = np.where(grows, np.sinh(root), np.sin(root)) / root
+    # the series to q^4 leave < 3e-17 for |q| < 1e-2
+    ch = np.where(small, 1.0 + q * (1 / 2 + q * (1 / 24 + q * (
+        1 / 720 + q / 40320))), ch)
+    sh = np.where(small, 1.0 + q * (1 / 6 + q * (1 / 120 + q * (
+        1 / 5040 + q / 362880))), sh)
+    scale = np.exp(half)
+    ch = scale * ch
+    sh = scale * sh
+    out = np.empty(m.shape)
+    out[..., 0, 0] = ch + sh * p
+    out[..., 0, 1] = sh * b
+    out[..., 1, 0] = sh * c
+    out[..., 1, 1] = ch - sh * p
+    return out
+
+
+def _commutator(x, y):
+    return x @ y - y @ x
+
+
+def _magnus_exponents(coef: np.ndarray, h: float) -> np.ndarray:
+    """The 6th-order Magnus exponents of a step h and of its two halves,
+    as a (3, ...) stack, from A at the step's nine ``_NODES`` (``coef``,
+    a (9, ...) stack).
+
+    Each is Blanes, Casas & Ros' commutator form on three Gauss-Legendre
+    values A1, A2, A3 of a sub-step of length k:
+
+        a1 = k A2,  a2 = (sqrt(15) k / 3)(A3 - A1),
+        a3 = (10 k / 3)(A3 - 2 A2 + A1),
+        C1 = [a1, a2],  C2 = -(1/60) [a1, 2 a3 + C1],
+        Omega = a1 + a3 / 12 + (1/240) [-20 a1 - a3 + C1, a2 + C2].
+    """
+    g = coef.reshape((3, 3) + coef.shape[1:])
+    a1, a2, a3 = g[:, 0], g[:, 1], g[:, 2]
+    k = (h * _SPANS).reshape((3,) + (1,) * (a1.ndim - 1))
+    al1 = k * a2
+    al2 = (math.sqrt(15.0) / 3.0) * k * (a3 - a1)
+    al3 = (10.0 / 3.0) * k * (a3 - 2.0 * a2 + a1)
+    omega = al1 + al3 / 12.0
+    if coef.shape[-1] == 1:
+        return omega  # 1x1 matrices commute
+    c1 = _commutator(al1, al2)
+    c2 = (-1.0 / 60.0) * _commutator(al1, 2.0 * al3 + c1)
+    return omega + _commutator(-20.0 * al1 - al3 + c1, al2 + c2) / 240.0
+
+
+def _magnus_segment(A, t0, t1, y, rtol, atol, stats, max_steps, h0=None,
+                    inv=None):
+    """Adaptive 6th-order Magnus stepping of y' = A(t) y from t0 to t1 on
+    a breakpoint-free segment of the coefficient path ``A``.
+
+    A step of size h is y <- exp(Omega_2) exp(Omega_1) y, two half steps;
+    the whole step exp(Omega) y is its Richardson partner, and
+    |exp(Omega) y - y_new| / 63 its error estimate.  The error norm is the
+    max over components of |err| / (atol + rtol * max(|y|, |y_new|)), and
+    the step factor _SAFETY err^(-1/7) is clamped to [0.2, 4].  A of all
+    three exponents comes from one ``A.eval`` call over the nine nodes,
+    and the three exponentials from one :func:`expm` call.  ``y`` is any
+    ndarray shape that A(t) @ y keeps.  ``inv``, when given, is carried
+    along as inv @ exp(-Omega_1) @ exp(-Omega_2): the inverse of the
+    propagator applied to y, to roundoff.
+
+    ``h0`` carries over from the segment before; without it, the first
+    step starts at the whole segment and is cut until h ||A|| <=
+    _FIRST_REACH at its nodes, so that one long step that aliases an
+    oscillating A is never accepted.  Returns y(t1), inv(t1) and the step
+    to start the next segment with (the controller's proposal before it
+    was clipped to land on t1).  ``stats.rhs_evals`` counts coefficient
+    values, 9 per attempted step.
     """
     if t1 == t0:
-        return y, h0, f0
+        return y, inv, h0
     direction = 1.0 if t1 > t0 else -1.0
     span = abs(t1 - t0)
+    # degenerate segment (a few ulps, e.g. grid points that almost coincide
+    # with a breakpoint): its one step is exact to O(span^7) and is taken
+    # without error control, which could only underflow there
+    degenerate = span <= 1e-13 * max(1.0, abs(t0), abs(t1))
+    first = h0 is None and not degenerate
+    h = span if h0 is None else abs(h0)
     t = t0
-    shape = y.shape
-    K = np.empty((7, y.size))           # stage slopes, one row each
-    Kv = K.reshape((7,) + shape)
-    # overflowing or non-finite stages only ever reach the error estimate,
-    # which then rejects the step: numpy need not warn about them
+    stats.segments += 1
+    taken = 0
+    # overflowing or non-finite exponents only ever reach the error
+    # estimate, which then rejects the step: numpy need not warn about them
     with np.errstate(all="ignore"):
-        if f0 is None:
-            f0 = A(t0) @ y
-            stats.rhs_evals += 1
-        Kv[0] = f0
-        if span <= 1e-13 * max(1.0, abs(t0), abs(t1)):
-            # degenerate segment (a few ulps, e.g. grid points that almost
-            # coincide with a breakpoint): one explicit step is exact to
-            # O(span^2) ~ 1e-26 and avoids a spurious underflow
-            stats.steps += 1
-            stats.segments += 1
-            return y + (t1 - t0) * Kv[0], h0, None
-        if h0 is None:
-            # initial step from the scaled state/slope ratio (Hairer's
-            # d0/d1): a wrong guess only costs one rejection
-            scale = atol + rtol * np.abs(y)
-            d0 = float(np.max(np.abs(y) / scale))
-            d1 = float(np.max(np.abs(Kv[0]) / scale))
-            h = 0.1 * span if d1 == 0.0 else 0.01 * max(d0, 1.0) / d1
-            h = min(max(h, 1e-8 * span), 0.1 * span, span)
-        else:
-            h = abs(h0)
-        stats.segments += 1
-        taken = 0
         while True:
             remaining = abs(t1 - t)
             if remaining <= 0.0:
                 break
             hs = min(h, remaining)
             hd = direction * hs
-            ha = hd * _DP_A
-            coef = np.asarray(A.eval(t + _STAGE_NODES * hd), dtype=float)
-            for i in range(1, 7):
-                Kv[i] = coef[_STAGE_COEF[i]] @ (
-                    y + (ha[i, :i] @ K[:i]).reshape(shape))
-            stats.rhs_evals += 6
-            y5 = y + ((hd * _DP_B5) @ K).reshape(shape)
-            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-            err_vec = ((hd * _DP_E) @ K).reshape(shape)
-            err = float(np.max(np.abs(err_vec) / scale))
-            if not math.isfinite(err):
-                err = math.inf
+            coef = np.asarray(A.eval(t + _NODES * hd), dtype=float)
+            stats.rhs_evals += 9
             taken += 1
             if taken > max_steps:
                 raise IntegrationError(f"step budget exhausted near t = {t}", t)
-            if err <= 1.0:
-                y = y5
-                K[0] = K[6]  # first-same-as-last pair
+            if first:
+                size = float(np.max(np.sum(np.abs(coef), axis=-1)))
+                if hs * size > _FIRST_REACH and math.isfinite(size):
+                    stats.rejected += 1
+                    h = _FIRST_REACH / size
+                    _check_underflow(h, t)
+                    continue
+            omega = _magnus_exponents(coef, hd)
+            if inv is not None:
+                omega = np.concatenate((omega, -omega[1:]))
+            e = expm(omega)
+            y_new = e[2] @ (e[1] @ y)
+            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+            err = float(np.max(np.abs(e[0] @ y - y_new) / scale)) / 63.0
+            if not math.isfinite(err):
+                err = math.inf
+            factor = 4.0 if err == 0.0 else min(
+                4.0, max(0.2, _SAFETY * err ** (-1.0 / 7.0)))
+            if err <= 1.0 or degenerate:
+                y = y_new
+                if inv is not None:
+                    inv = inv @ e[3] @ e[4]
+                first = False
                 stats.steps += 1
+                if degenerate:
+                    return y, inv, h0
                 if hs == remaining:
                     t = t1
                     if hs < h:
                         break  # clipped to land: h is still the proposal
                 else:
                     t = t + hd
-                h = hs * (5.0 if err == 0.0
-                          else min(5.0, max(0.2, 0.9 * err ** -0.2)))
+                h = hs * factor
             else:
                 stats.rejected += 1
-                h = hs * (max(0.1, 0.9 * err ** -0.2) if math.isfinite(err)
-                          else 0.1)
-                # K[0] still holds A(t) y: the step was rejected, the
-                # state did not move.  Underflow is only meaningful here,
-                # where the controller is shrinking.
-                if h < 1e-14 * max(1.0, abs(t)):
-                    raise IntegrationError(
-                        f"step size underflow at t = {t} "
-                        "(stiffness or singularity)", t
-                    )
-    return y, h, Kv[0]
+                h = hs * factor
+                _check_underflow(h, t)
+    return y, inv, h
 
 
-def _sweep(A, stops, y0, rtol, atol, stats, max_steps):
+def _check_underflow(h, t):
+    # only meaningful after a rejection, where the controller is shrinking
+    if h < 1e-14 * max(1.0, abs(t)):
+        raise IntegrationError(
+            f"step size underflow at t = {t} (stiffness or singularity)", t)
+
+
+def _sweep(A, stops, y0, rtol, atol, stats, max_steps, inverse=False):
     """Integrate y' = A(t) y once across the monotone ``stops``, yielding
-    the state at each of them (``y0`` first).
+    (y, inv) at each of them (``y0`` first).  ``inv`` is None, or with
+    ``inverse`` the inverse of the propagator from stops[0], carried from
+    the identity by the same exponentials as y.
 
     Hops between stops are split at the interior ones of
-    ``A.breakpoints``.  The step size and the slope carry from one stop to
-    the next; only a segment that starts at a breakpoint restarts from the
-    initial-step estimate, so no step straddles a jump or reuses a slope
-    from across it.
+    ``A.breakpoints``.  The step size carries from one stop to the next;
+    only a segment that starts at a breakpoint restarts with a bounded
+    first step, so no step straddles a jump.
     """
     stats = stats if stats is not None else StepStats()
     breakpoints = A.breakpoints
-    y, h, f = y0, None, None
-    yield y
+    y, h = y0, None
+    inv = np.eye(A.space.dim) if inverse else None
+    yield y, inv
     for a, b in zip(stops, stops[1:]):
         inner = [c for c in breakpoints if min(a, b) < c < max(a, b)]
         cuts = [a] + (inner if a < b else inner[::-1]) + [b]
         for t0, t1 in zip(cuts, cuts[1:]):
             if t0 in breakpoints:
-                h = f = None
-            y, h, f = _rk_segment(A, t0, t1, y, rtol, atol, stats,
-                                  max_steps, h, f)
-        yield y
+                h = None
+            y, inv, h = _magnus_segment(A, t0, t1, y, rtol, atol, stats,
+                                        max_steps, h, inv)
+        yield y, inv
 
 
 def evolve(
@@ -249,7 +338,7 @@ def evolve(
     integrator steps backward in time.
     """
     y = list(_sweep(A, (s, t), np.eye(A.space.dim), tol, tol, stats,
-                    max_steps))[-1]
+                    max_steps))[-1][0]
     return Operator(y, A.space)
 
 
@@ -263,8 +352,8 @@ def sweep_vector(
 ) -> list:
     """X(tau, stops[0]) v at every tau of the monotone ``stops``, as
     ndarrays, from one integration of the vector equation across them."""
-    return list(_sweep(A, stops, np.array(v, dtype=float), tol, tol, stats,
-                       max_steps))
+    return [y for y, _ in _sweep(A, stops, np.array(v, dtype=float), tol,
+                                 tol, stats, max_steps)]
 
 
 def sweep_two_sided(
@@ -277,27 +366,15 @@ def sweep_two_sided(
     ``stops``, tau0 = stops[0], from one integration across them; ``A``
     returns bare (r, r) matrices.
 
-    Y = X(tau0, tau) solves the adjoint equation Y' = -Y A(tau), so its
-    transpose solves the linear equation (Y^T)' = -A^T Y^T.  The sweep is
-    the plain linear one of the state [X; Y^T] under blockdiag(A, -A^T),
-    held as a 2-member stack: each step fetches A at its stage times once
-    for both halves, and one step controller covers both.  Y X = I holds
-    up to truncation error only.  A failure raises at the first stop it
-    keeps from being reached, after the pairs before it have been yielded.
+    Each accepted step X <- exp(Omega_2) exp(Omega_1) X also takes the
+    inverse along as Y <- Y exp(-Omega_1) exp(-Omega_2), from the step's
+    own exponents, so Y X = I holds to roundoff.  A failure raises at the
+    first stop it keeps from being reached, after the pairs before it have
+    been yielded.
     """
-    def both(ts):  # blockdiag(a, -a^T) per time, as a 2-member stack
-        a = np.asarray(A.eval(ts), dtype=float)
-        out = np.empty(a.shape[:-2] + (2,) + a.shape[-2:])
-        out[..., 0, :, :] = a
-        np.negative(np.swapaxes(a, -1, -2), out=out[..., 1, :, :])
-        return out
-
-    pair = CoefficientPath(eval=both, space=A.space,
-                           breakpoints=A.breakpoints, domain=A.domain)
     eye = np.eye(A.space.dim)
-    for s in _sweep(pair, stops, np.stack((eye, eye)), tol, tol, stats,
-                    2_000_000):
-        yield s[0], s[1].T.copy()
+    yield from _sweep(A, stops, eye, tol, tol, stats, 2_000_000,
+                      inverse=True)
 
 
 def propagate_vector(
@@ -341,7 +418,7 @@ def variation_of_parameters(
                           space=VectorSpaceSpec(n + 1, A.space.norm_kind),
                           breakpoints=bps, domain=A.domain)
     y0 = np.append(np.array(x_s.entries, dtype=float), 1.0)
-    y = list(_sweep(aug, (s, t), y0, tol, tol, None, 2_000_000))[-1]
+    y = list(_sweep(aug, (s, t), y0, tol, tol, None, 2_000_000))[-1][0]
     return Vector(y[:n], A.space)
 
 
@@ -406,8 +483,9 @@ class EvolutionOperator:
 
     The matrix equation is integrated once, forward from the earliest of
     ``times`` to the latest, stopping at each of them; Phi(tau) =
-    X(tau, min(times)) is kept at every stop.  A query then costs one
-    small solve and one product, and integrates nothing.  Both arguments
+    X(tau, min(times)) and its inverse, carried by the same exponentials,
+    are kept at every stop.  A query then costs one product, and
+    integrates and inverts nothing.  Both arguments
     of a query must be among ``times``, except that query(s, s) is the
     identity exactly for any s.
 
@@ -426,28 +504,28 @@ class EvolutionOperator:
         self.step_stats = StepStats()
         self._failure: Optional[IntegrationError] = None
         stops = sorted(set(float(t) for t in times))
-        self._phi = dict.fromkeys(stops)
+        self._phi = dict.fromkeys(stops)  # tau -> (Phi(tau), Phi(tau)^-1)
         sweep = _sweep(source, stops, np.eye(source.space.dim), tol, tol,
-                       self.step_stats, 2_000_000)
+                       self.step_stats, 2_000_000, inverse=True)
         try:
-            for tau, phi in zip(stops, sweep):
-                self._phi[tau] = phi
+            for tau, pair in zip(stops, sweep):
+                self._phi[tau] = pair
         except IntegrationError as exc:
             self._failure = exc
 
-    def _phi_at(self, tau: float) -> np.ndarray:
+    def _phi_at(self, tau: float) -> tuple:
         if tau not in self._phi:
             raise ValueError(f"t = {tau} is not one of the sweep's times")
-        phi = self._phi[tau]
-        if phi is None:
+        pair = self._phi[tau]
+        if pair is None:
             raise self._failure
-        return phi
+        return pair
 
     def query(self, t: float, s: float) -> Operator:
         """X(t, s).  query(s, s) is the identity exactly."""
         if t == s:
             return Operator.identity(self.source.space)
-        x = self._phi_at(t) @ invert_matrix(self._phi_at(s))
+        x = self._phi_at(t)[0] @ self._phi_at(s)[1]
         return Operator(x, self.source.space)
 
 
@@ -496,8 +574,8 @@ def param_evolution(
     for side in (sorted(v for v in v_targets if v >= v0),
                  sorted((v for v in v_targets if v < v0), reverse=True)):
         stops = [v0] + side
-        at.update(zip(stops, _sweep(stack, stops, eye, tol, tol, stats,
-                                    2_000_000)))
+        at.update(zip(stops, (y for y, _ in _sweep(stack, stops, eye, tol,
+                                                   tol, stats, 2_000_000))))
     props = np.stack([at[v] for v in v_targets], axis=1)  # (nx, nt, r, r)
     diffs = (props[1:] - props[:-1]).reshape((-1,) + eye.shape[1:])
     continuity = float(np.max(matrix_norm(diffs, space.norm_kind),

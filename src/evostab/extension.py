@@ -20,8 +20,8 @@ under one step controller: the Y_j of every grid column at once, and the
 sigma columns (and probe stencils) that reach the same v's from the same
 corridor level.  The controller takes the max-norm error over all
 members, so each column is stepped at least as strictly as alone.  Each
-step takes omega2 over the whole stack at all its stage levels from one
-``ConnectionForm.omega2_stack`` call.
+step takes omega2 over the whole stack at all its nine Magnus nodes from
+one ``ConnectionForm.omega2_stack`` call.
 
 Also here: the graph-approximation utility that replaces a continuous
 graph by a polynomial one agreeing at a chosen point and staying inside a

@@ -375,8 +375,10 @@ def sine_curve_scenario(
     transport norm must obey the same C.  Since parallel transport does
     not depend on the parametrisation, the reverse transport P_rev(b) is
     X(a, b), the inverse propagator: one two-sided sweep from a across
-    the sorted clamped b's yields P(b) and P_rev(b) at each of them, and
-    ``inverse_defect`` = ||P_rev P - I|| measures its truncation error.
+    the sorted clamped b's yields P(b) and P_rev(b) at each of them.
+    P_rev is carried by the inverse exponentials of P's own steps, so
+    ``inverse_defect`` = ||P_rev P - I|| sits at roundoff and does not
+    measure truncation error.
     Rows keep the order of ``b_list``.  An integration failure ends the
     sweep: the rows it reached keep their values, and the rest report
     the failure.  ``stats`` counts the sweep's work.

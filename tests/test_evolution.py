@@ -20,7 +20,7 @@ from evostab.evolution import (
     sweep_vector,
     variation_of_parameters,
 )
-from evostab.evolution import _rk_segment
+from evostab.evolution import _NODES, _magnus_exponents, _magnus_segment, expm
 from evostab.calculus import signed_integrate
 from evostab.library import make_extension_problem, make_system
 from evostab.operators import Vector, VectorSpaceSpec, invert_matrix, matrix_norm
@@ -126,29 +126,42 @@ def test_integration_failure_reports_location():
     assert 0.9 <= err.value.location <= 1.0
 
 
-def test_stage_kernel_matches_loop_reference():
-    # one DP5 step (loose tolerances, h0 = span) against the tableau
-    # applied coefficient by coefficient; only the summation order differs
+def _magnus6_by_hand(A, t, h):
+    # Blanes, Casas & Ros' 6th-order exponent on three Gauss-Legendre
+    # nodes, written out one matrix at a time
+    r = math.sqrt(15.0) / 10.0
+    A1, A2, A3 = (A(t + c * h) for c in (0.5 - r, 0.5, 0.5 + r))
+
+    def comm(x, y):
+        return x @ y - y @ x
+
+    a1 = h * A2
+    a2 = math.sqrt(15.0) * h / 3.0 * (A3 - A1)
+    a3 = 10.0 * h / 3.0 * (A3 - 2.0 * A2 + A1)
+    c1 = comm(a1, a2)
+    c2 = -comm(a1, 2.0 * a3 + c1) / 60.0
+    return a1 + a3 / 12.0 + comm(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
+
+
+def test_single_magnus_step_matches_formula():
+    # one accepted step (loose tolerances, h0 = span) is the product of the
+    # exponentials of its two half steps; the inverse carried with it is
+    # the product of their inverses in reverse order
     A = smooth_corpus(seed=5, count=1, dims=(3,))[0]
-    a = [[], [1 / 5], [3 / 40, 9 / 40], [44 / 45, -56 / 15, 32 / 9],
-         [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-         [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-         [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]]
-    c = [0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0]
     t0, h = 0.3, 0.2
     y0 = np.eye(3) + 0.1 * np.arange(9.0).reshape(3, 3)
-    k = []
-    for i in range(7):
-        yi = y0 + h * sum((aij * kj for aij, kj in zip(a[i], k)),
-                          np.zeros((3, 3)))
-        k.append(A(t0 + c[i] * h) @ yi)
-    want = y0 + h * sum(b * kj for b, kj in zip(a[6], k))
+    om1 = _magnus6_by_hand(A, t0, h / 2)
+    om2 = _magnus6_by_hand(A, t0 + h / 2, h / 2)
+    want = scipy.linalg.expm(om2) @ scipy.linalg.expm(om1) @ y0
+    want_inv = scipy.linalg.expm(-om1) @ scipy.linalg.expm(-om2)
     stats = StepStats()
-    got, _, slope = _rk_segment(A, t0, t0 + h, y0, 1.0, 1.0, stats, 10,
-                                h0=h)
+    got, got_inv, _ = _magnus_segment(A, t0, t0 + h, y0, 1.0, 1.0, stats,
+                                      10, h0=h, inv=np.eye(3))
     assert stats.steps == 1 and stats.rejected == 0
+    assert stats.rhs_evals == 9
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-    assert np.max(np.abs(slope - k[6])) <= 1e-14 * np.max(np.abs(k[6]))
+    assert np.max(np.abs(got_inv - want_inv)) <= 1e-14 * np.max(
+        np.abs(want_inv))
 
 
 def test_blow_up_raises_integration_error_without_warnings():
@@ -387,8 +400,8 @@ def test_sweep_matches_per_pair_evolve_on_example39():
 
 
 def test_sweep_cost_on_example39():
-    # one sweep over the 80 endpoints: 79 segments, and 23,173 right-hand
-    # sides measured with Python 3.11 and numpy 2.4; the bound leaves 8%
+    # one sweep over the 80 endpoints: 79 segments, and 2,817 coefficient
+    # values (313 attempted steps) measured with Python 3.11 and numpy 2.4
     _, _, ev = _example39_sweep()
     assert ev.step_stats.segments == 79
     assert ev.step_stats.rhs_evals <= 25_000
@@ -435,13 +448,11 @@ def test_sweep_restarts_at_a_breakpoint_between_stops():
 
 def test_param_evolution_cost_on_extension_gauge_grid():
     # the built-in extension-gauge grid (16 x 13), swept from both corridor
-    # levels as one stacked state per side: 12 + 13 non-empty hops and 605
-    # right-hand sides (6 x 100 attempted steps and 5 segment starts),
-    # measured with Python 3.11 and numpy 2.4 (5,900 when every column was
-    # its own sweep).  A step evaluates the coefficient at its 5 distinct
-    # stage times, so the stack is evaluated 5 x 100 + 5 = 505 times: 8,080
-    # calls over 16 columns (9,680 when every stage evaluated it); the call
-    # bound leaves 10%
+    # levels as one stacked state per side: 12 + 13 non-empty hops.  omega2
+    # does not depend on v, so one Magnus step is exact and each hop is one
+    # accepted step: 25 steps take A at 9 nodes each, 225 coefficient
+    # values, and the stack is evaluated 225 times, 3,600 calls over 16
+    # columns
     p = make_extension_problem("extension-gauge")
     xs = np.concatenate([np.linspace(-1.8, -0.2, 6),
                          np.linspace(1e-3, 1.8, 10)])
@@ -459,7 +470,9 @@ def test_param_evolution_cost_on_extension_gauge_grid():
                         stats=stats)
     assert stats.segments == 25
     assert stats.rhs_evals <= 6_500
-    assert calls == 16 * 505
+    assert stats.steps == 25 and stats.rejected == 0
+    assert stats.rhs_evals == 9 * 25
+    assert calls == 16 * 225
     assert calls <= 8_900
 
 
@@ -500,9 +513,8 @@ def _counted(fn):
 
 
 def test_one_batched_coefficient_call_per_attempted_step():
-    # the stage coefficients of a step come from one call over its 5
-    # distinct stage times; one more call, over the one time, gives the
-    # slope that starts the segment
+    # the coefficients of a step come from one call over its 9 nodes (the
+    # whole step's and its two halves'), and nothing else calls A
     A = assemble_A(make_system("example39", f_name="sin"))
     calls, many = _counted(A.eval)
     stats = StepStats()
@@ -510,20 +522,172 @@ def test_one_batched_coefficient_call_per_attempted_step():
                stats)
     attempted = stats.steps + stats.rejected
     assert stats.segments == 1 and stats.rejected > 0
-    assert calls["n"] == attempted + 1
-    assert stats.rhs_evals == 6 * attempted + 1
+    assert calls["n"] == attempted
+    assert stats.rhs_evals == 9 * attempted
     assert np.array_equal(x.entries, evolve(A, 0.0, 30.0, 1e-10).entries)
 
 
-def test_pointwise_fallback_evaluates_five_stage_times_per_step():
-    # a pointwise source under stacked is called at the 5 distinct stage
-    # times: stage 6 shares stage 5's time t + h and its coefficient
+def test_pointwise_fallback_evaluates_nine_nodes_per_step():
+    # a pointwise source under stacked is called at the 9 nodes of each
+    # attempted step
     A = assemble_A(make_system("example39", f_name="sin"))
     calls, one = _counted(A)
     stats = StepStats()
     x = evolve(CoefficientPath(eval=stacked(one), space=A.space), 0.0, 30.0,
                1e-10, stats)
     attempted = stats.steps + stats.rejected
-    assert calls["n"] == 5 * attempted + 1
-    assert stats.rhs_evals == 6 * attempted + 1
+    assert calls["n"] == 9 * attempted
+    assert stats.rhs_evals == 9 * attempted
     assert np.array_equal(x.entries, evolve(A, 0.0, 30.0, 1e-10).entries)
+
+
+def _rel(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+def test_closed_form_2x2_exp_matches_scipy():
+    # seeded stacks of the size of Magnus exponents (scipy's own error
+    # grows past 1e-14 for entries of order 1 and more), one per sign of
+    # the discriminant q = ((a - d)/2)^2 + bc, near q = 0 on both sides of
+    # the series cutoff, and nilpotent N = M - tr(M)/2 I with q = 0 exactly
+    rng = np.random.default_rng(7)
+    stacks = {}
+    m = 0.5 * rng.standard_normal((200, 2, 2))
+    m[:, 1, 0] = -m[:, 0, 1] * rng.uniform(1.5, 3.0, 200)
+    m[:, 1, 1] = m[:, 0, 0]
+    stacks["complex"] = m
+    m = 0.5 * rng.standard_normal((200, 2, 2))
+    m[:, 1, 0] = m[:, 0, 1]
+    stacks["real"] = m
+    m = 0.5 * rng.standard_normal((200, 2, 2))
+    p = 0.5 * (m[:, 0, 0] - m[:, 1, 1])
+    q = np.concatenate((rng.uniform(-2e-2, 2e-2, 100),
+                        rng.uniform(-1e-10, 1e-10, 100)))
+    m[:, 1, 0] = (q - p * p) / m[:, 0, 1]
+    stacks["near-zero"] = m
+    m = np.zeros((5, 2, 2))
+    m[:, 0, 1] = (1.0, -3.0, 0.5, 0.0, 2.0)
+    m[:, 0, 0] = m[:, 1, 1] = (0.0, 1.0, -2.0, 0.3, 0.0)
+    stacks["nilpotent"] = m
+    for name, m in stacks.items():
+        got = expm(m)
+        assert got.shape == m.shape
+        for g, w in zip(got, scipy.linalg.expm(m)):
+            assert _rel(g, w) <= 1e-14, name
+    # any leading stack shape, as the (nx, 2, 2) extension sweeps have
+    m = stacks["real"][:24].reshape(2, 3, 4, 2, 2)
+    assert np.array_equal(expm(m).reshape(24, 2, 2), expm(m.reshape(24, 2, 2)))
+
+
+def _two_by_two(ts):
+    ts = np.asarray(ts, dtype=float)
+    out = np.empty(ts.shape + (2, 2))
+    out[..., 0, 0] = np.sin(ts)
+    out[..., 0, 1] = 1.0 + 0.5 * np.cos(2.0 * ts)
+    out[..., 1, 0] = -1.0 + 0.3 * ts
+    out[..., 1, 1] = -0.2 * np.cos(ts)
+    return out
+
+
+def test_fixed_step_magnus_is_sixth_order():
+    # whole-step exponents at a fixed h on a non-commuting coefficient:
+    # halving h divides the error by 2^6 = 64
+    A = CoefficientPath(eval=_two_by_two, space=SP2)
+
+    def fixed(n):
+        h, x = 2.0 / n, np.eye(2)
+        for i in range(n):
+            omega = _magnus_exponents(A.eval(i * h + _NODES * h), h)[0]
+            x = expm(omega) @ x
+        return x
+
+    want = evolve(A, 0.0, 2.0, 1e-14).entries
+    errs = [np.max(np.abs(fixed(n) - want)) for n in (8, 16, 32)]
+    for coarse, fine in zip(errs, errs[1:]):
+        assert 56.0 <= coarse / fine <= 72.0
+
+
+def test_determinant_follows_the_trace_integral():
+    # det X(t, 0) = exp(int_0^t tr A) holds to roundoff: the commutators
+    # are traceless, and the Gauss nodes integrate this linear trace exactly
+    def ev(ts):
+        ts = np.asarray(ts, dtype=float)
+        tr = -0.01 + 2e-4 * ts
+        out = np.empty(ts.shape + (2, 2))
+        out[..., 0, 0] = 0.5 * tr + 0.1 * np.sin(ts)
+        out[..., 0, 1] = np.cos(ts) + 0.2
+        out[..., 1, 0] = -np.cos(ts) - 0.1 * np.sin(3.0 * ts)
+        out[..., 1, 1] = 0.5 * tr - 0.1 * np.sin(ts)
+        return out
+
+    stops = list(np.linspace(0.0, 100.0, 21))
+    A = CoefficientPath(eval=ev, space=SP2)
+    for t, x in zip(stops, sweep_vector(A, stops, np.eye(2))):
+        want = math.exp(-0.01 * t + 1e-4 * t * t)
+        assert abs(np.linalg.det(x) - want) <= 1e-13 * want
+
+
+def _skew3(ts):
+    ts = np.asarray(ts, dtype=float)
+    out = np.zeros(ts.shape + (3, 3))
+    out[..., 0, 1] = np.sin(ts)
+    out[..., 0, 2] = np.cos(0.7 * ts) + 0.5
+    out[..., 1, 2] = 0.3 * np.sin(2.1 * ts)
+    return out - np.swapaxes(out, -1, -2)
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_skew_coefficient_gives_orthogonal_propagators(r):
+    A = CoefficientPath(eval=lambda ts: _skew3(ts)[..., :r, :r],
+                        space=VectorSpaceSpec(r))
+    stops = list(np.linspace(0.0, 100.0, 21))
+    for x in sweep_vector(A, stops, np.eye(r)):
+        assert np.max(np.abs(x.T @ x - np.eye(r))) <= 1e-13
+
+
+def test_three_by_three_sweep_goes_through_scipy_expm(monkeypatch):
+    # A(t) = cos(t) B commutes with itself, so X(t, 0) = expm(sin(t) B);
+    # every exponential of the 3x3 sweep is scipy's, and none of a 2x2 one
+    calls = {"n": 0}
+    scipy_expm = scipy.linalg.expm
+
+    def counted(m):
+        calls["n"] += 1
+        return scipy_expm(m)
+
+    monkeypatch.setattr(scipy.linalg, "expm", counted)
+    B = np.array([[0.1, 1.0, -0.3], [-0.8, 0.0, 0.4], [0.2, -0.5, -0.2]])
+    A = CoefficientPath(eval=lambda ts: np.cos(ts)[:, None, None] * B,
+                        space=VectorSpaceSpec(3))
+    stops = [0.0, 1.0, 2.5, 4.0]
+    stats = StepStats()
+    for t, x in zip(stops, sweep_vector(A, stops, np.eye(3), stats=stats)):
+        want = scipy_expm(math.sin(t) * B)
+        assert np.max(np.abs(x - want)) <= 1e-9
+    # one call per step that got past the first-step cut
+    assert stats.steps <= calls["n"] <= stats.steps + stats.rejected
+    before = calls["n"]
+    evolve(CoefficientPath(eval=_two_by_two, space=SP2), 0.0, 3.0)
+    assert calls["n"] == before
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_non_finite_matrix_coefficient_ends_in_integration_error(r):
+    # closed-form and scipy exponentials of NaN exponents alike give a
+    # non-finite error estimate, rejections, then the failure: no warning.
+    # The Gauss nodes are interior, so the last accepted step may end a
+    # little past t = 1 (by at most 6% of its length)
+    base = 0.1 * np.eye(r)
+    base[0, 1] = 0.3
+
+    def ev(ts):
+        out = np.tile(base, (len(ts), 1, 1))
+        out[np.asarray(ts) >= 1.0, 0, r - 1] = math.nan
+        return out
+
+    A = CoefficientPath(eval=ev, space=VectorSpaceSpec(r))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationError) as err:
+            evolve(A, 0.0, 2.0)
+    assert 0.9 < err.value.location < 1.01

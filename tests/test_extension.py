@@ -248,10 +248,9 @@ def test_extend_section_matches_param_evolution_bit_for_bit(name):
 
 
 def test_extend_section_evaluates_omega2_once_per_step():
-    # one batched omega2 call covers every column at all stage levels of an
-    # attempted step, and one more each segment start: on this grid 100
-    # attempted steps and 5 starts, 605 right-hand sides (as in
-    # test_param_evolution_cost_on_extension_gauge_grid)
+    # one batched omega2 call covers every column at all nine nodes of an
+    # attempted step: on this grid 25 attempted steps, 225 coefficient
+    # values (as in test_param_evolution_cost_on_extension_gauge_grid)
     p = gauge_problem()
     xs, vs = default_grids(p)
     sig = build_sigma(p, xs, vs)
@@ -272,8 +271,8 @@ def test_extend_section_evaluates_omega2_once_per_step():
     stats = StepStats()
     res = extend_section(counted, sig, stats=stats)
     assert calls["pointwise"] == 0
-    assert stats.rhs_evals == 6 * 100 + 5
-    assert calls["batched"] == 100 + 5
+    assert stats.rhs_evals == 9 * 25
+    assert calls["batched"] == 25
     assert np.array_equal(res.xi1, extend_section(p, sig).xi1)
 
 

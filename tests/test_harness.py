@@ -436,6 +436,23 @@ def test_python_dash_m_evostab_runs_from_a_checkout():
     assert "sine-curve  (sine-curve)" in proc.stdout.splitlines()
 
 
+def test_importing_evostab_leaves_scipy_linalg_unloaded():
+    # the evolution module imports scipy.linalg only when it exponentiates
+    # a matrix larger than 2x2; loading it costs every run its import time
+    root = Path(__file__).resolve().parents[1]
+    mods = [m.name for m in pkgutil.iter_modules([str(root / "src/evostab")])
+            if m.name != "__main__"]
+    code = ("import sys\n"
+            + "".join(f"import evostab.{m}\n" for m in mods)
+            + "print('scipy.linalg' in sys.modules)")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        cwd=root, env={**os.environ, "PYTHONPATH": "src"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_certify_complex_expression_exits_3(tmp_path, capsys):
     cfg = tmp_path / "complex.json"
     cfg.write_text(json.dumps({
