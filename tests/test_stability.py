@@ -226,6 +226,53 @@ def test_certify_with_analytic_sup_bound():
     assert cert.gain == pytest.approx(math.e ** 2, rel=1e-12)
 
 
+
+# ---------------------------------------------------------------------------
+# refinements that do not settle
+
+_TIP = 1.0 / 3.0  # never a point of a dyadic grid on [0, 1]
+
+
+def _unsettled_system(G_eval, partial_t=None):
+    G = OperatorField(eval=G_eval, space=SP1, partial_t=partial_t,
+                      u_independent=True)
+    return SeparableSystem(G=G, f=make_scalar_path("constant", Interval(0, 1)),
+                           I=Interval(0, 1), J=Interval(-1, 1), space=SP1)
+
+
+def test_certify_reports_a_sup_unsettled_at_the_grid_cap():
+    # the cusp 2 - |t - 1/3|^0.1 (flat within 1e-5 of its tip) raises the
+    # sampled sup by more than 0.1% at every dyadic level: sampling stops
+    # at 4097 points with the last grid's sup, unconverged
+    def cusp(t, u):
+        return np.array([[2.0 - max(abs(t - _TIP), 1e-5) ** 0.1]])
+
+    def cusp_dt(t, u):
+        x = t - _TIP
+        if abs(x) <= 1e-5:
+            return np.array([[0.0]])
+        return np.array([[-0.1 * math.copysign(abs(x) ** -0.9, x)]])
+
+    cert = certify(_unsettled_system(cusp, cusp_dt), Interval(0.0, 1.0))
+    assert cert.sup_grid == 4097 and not cert.sup_converged
+    assert cert.variation_mode == "derivative"
+    assert cert.gain.hex() == "0x1.9075860a1513fp+4"
+    assert cert.variation.hex() == "0x1.3948d2709173ep+1"
+
+
+def test_certify_reports_an_unsettled_partition_sum():
+    # (t - 1/3) sin(1/(t - 1/3)) has unbounded variation: its partition
+    # sums never settle, and the certificate keeps the last one
+    def wobble(t, u):
+        x = t - _TIP
+        return np.array([[1.0 + x * math.sin(1.0 / x)]])
+
+    cert = certify(_unsettled_system(wobble), Interval(0.0, 1.0))
+    assert cert.variation_mode == "partition-sum-unconverged"
+    assert cert.sup_grid == 33 and not cert.sup_converged
+    assert cert.gain.hex() == "0x1.bf02aec398bd7p+4"
+    assert cert.variation.hex() == "0x1.107161c24336cp+4"
+
 # ---------------------------------------------------------------------------
 # frozen systems
 
