@@ -11,12 +11,13 @@ Integrands may return floats or ndarrays; the quadrature accumulates
 componentwise and measures segment errors in the max-abs sense.  The
 engine evaluates all 15 nodes of a panel in one call: node by node for
 ``integrate``, in one array call for the u-integrals of fields with a
-batched evaluator (``OperatorField.eval_u``).
+batched evaluator (``OperatorField.eval_u``) and for the path integrands
+of arc length and the change of variables (``ScalarPath.eval`` and
+``d_many``).
 """
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import math
 from dataclasses import dataclass
@@ -118,26 +119,34 @@ def _fd_step(t: float) -> float:
     return 1e-6 * max(1.0, abs(t))
 
 
+def stacked(fn: Callable[[float], object]):
+    """The array evaluator of a pointwise source t -> fn(t), for a
+    :class:`ScalarPath` or a ``CoefficientPath``: fn at each time of the
+    array, one call each, stacked on a new leading axis."""
+    def eval_each(ts):
+        return np.array([fn(t) for t in np.asarray(ts, dtype=float).tolist()],
+                        dtype=float)
+    return eval_each
+
+
 @dataclass(frozen=True)
 class ScalarPath:
     """A piecewise-C1 real (or vector-valued) function of one variable.
 
-    ``deriv`` is optional; without it derivatives fall back to central
-    differences with step 1e-6 * max(1, |t|).  At a declared breakpoint
+    ``eval(ts)`` maps a 1-D array of times to the array of the values
+    over them, (len(ts),) or (len(ts), k) for a vector-valued path, and
+    the optional ``deriv(ts)`` does the same for the derivative.  Without
+    ``deriv`` derivatives fall back to central differences with step
+    1e-6 * max(1, |t|).  Within 1e-14 relative of a declared breakpoint
     the derivative is defined to be 0 (the value there never matters for
-    integrals, but point queries are reproducible this way).
-    ``eval_many`` and ``deriv_many``, when given, map an array of times to
-    the arrays of ``eval`` and ``deriv`` values, bit for bit; ``values``
-    and ``d_many`` take them where given and loop over the times where
-    not.
+    integrals, but point queries are reproducible this way).  A source
+    that only gives one time at a time goes through :func:`stacked`.
     """
 
-    eval: Callable[[float], float]
-    deriv: Optional[Callable[[float], float]] = None
+    eval: Callable[[np.ndarray], np.ndarray]
+    deriv: Optional[Callable[[np.ndarray], np.ndarray]] = None
     breakpoints: tuple = ()
     domain: Interval = Interval(-math.inf, math.inf)
-    eval_many: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    deriv_many: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         bps = tuple(sorted(float(b) for b in self.breakpoints))
@@ -146,42 +155,40 @@ class ScalarPath:
         object.__setattr__(self, "breakpoints", bps)
 
     def __call__(self, t: float):
-        return self.eval(t)
+        """f(t): row 0 of the one-time array."""
+        return np.asarray(self.eval(np.array([float(t)])), dtype=float)[0]
 
     def d(self, t: float):
-        bps = self.breakpoints
-        if bps:
-            # only the breakpoints on either side of t can be within the
-            # 1e-14 relative snapping distance
-            i = bisect.bisect_left(bps, t)
-            for b in bps[max(i - 1, 0):i + 1]:
-                if abs(t - b) <= 1e-14 * max(1.0, abs(b)):
-                    return 0.0
-        if self.deriv is not None:
-            return self.deriv(t)
-        h = _fd_step(t)
-        return (self.eval(t + h) - self.eval(t - h)) / (2.0 * h)
-
-    def values(self, ts: np.ndarray) -> np.ndarray:
-        """``eval`` at the times in ts, from ``eval_many`` where given."""
-        if self.eval_many is not None:
-            return np.asarray(self.eval_many(ts), dtype=float)
-        return np.array([self.eval(t) for t in ts.tolist()], dtype=float)
+        """f'(t): row 0 of :meth:`d_many` at the one time."""
+        return self.d_many(np.array([float(t)]))[0]
 
     def d_many(self, ts: np.ndarray) -> np.ndarray:
-        """``d`` at the times in ts, from ``deriv_many`` where given: 0
-        within the same snapping distance of a breakpoint."""
-        if self.deriv_many is None:
-            return np.array([self.d(t) for t in ts.tolist()], dtype=float)
+        """The derivative at the times in ts: 0 within the snapping
+        distance of a breakpoint, where nothing is evaluated, and from
+        ``deriv`` or central differences elsewhere."""
         if not self.breakpoints:
-            return np.asarray(self.deriv_many(ts), dtype=float)
-        out = np.array(self.deriv_many(ts), dtype=float)
+            return self._slope(ts)
         bps = np.asarray(self.breakpoints)
         i = np.searchsorted(bps, ts)
+        keep = np.ones(ts.shape, dtype=bool)
         for j in (np.maximum(i - 1, 0), np.minimum(i, len(bps) - 1)):
             b = bps[j]
-            out[np.abs(ts - b) <= 1e-14 * np.maximum(1.0, np.abs(b))] = 0.0
+            keep &= np.abs(ts - b) > 1e-14 * np.maximum(1.0, np.abs(b))
+        if keep.all():
+            return self._slope(ts)
+        slope = self._slope(ts[keep])
+        out = np.zeros(ts.shape + slope.shape[1:])
+        out[keep] = slope
         return out
+
+    def _slope(self, ts: np.ndarray) -> np.ndarray:
+        if self.deriv is not None:
+            return np.asarray(self.deriv(ts), dtype=float)
+        h = 1e-6 * np.maximum(1.0, np.abs(ts))  # _fd_step at each time
+        up = np.asarray(self.eval(ts + h), dtype=float)
+        down = np.asarray(self.eval(ts - h), dtype=float)
+        h = h.reshape(h.shape + (1,) * (up.ndim - 1))
+        return (up - down) / (2.0 * h)
 
 
 @dataclass(frozen=True)
@@ -216,7 +223,7 @@ class OperatorField:
         b = np.asarray(self.eval(t - h, u), dtype=float)
         return (a - b) / (2.0 * h)
 
-    def eval_many(self, t: float, us: np.ndarray) -> np.ndarray:
+    def u_stack(self, t: float, us: np.ndarray) -> np.ndarray:
         """The (len(us), r, r) stack of G(t, u) over the u in us."""
         if self.eval_u is not None:
             return np.asarray(self.eval_u(t, us), dtype=float)
@@ -227,7 +234,7 @@ class OperatorField:
         if self.eval_u is None or self.partial_t is not None:
             return np.stack([self.d1(t, u) for u in us])
         h = _fd_step(t)
-        return (self.eval_many(t + h, us) - self.eval_many(t - h, us)) / (2.0 * h)
+        return (self.u_stack(t + h, us) - self.u_stack(t - h, us)) / (2.0 * h)
 
 
 def _gk15(gv, a: float, b: float):
@@ -330,8 +337,13 @@ def _segment_total(seg_values):
 def signed_integrate(g, s: float, t: float, breakpoints=(), tol=DEFAULT_TOL,
                      max_segments: int = 4096):
     """int_s^t g, with orientation (negated when t < s)."""
-    lo, hi = (s, t) if s <= t else (t, s)
-    val = integrate(g, Interval(lo, hi), breakpoints, tol, max_segments)
+    return _oriented(integrate, g, s, t, breakpoints, tol, max_segments)
+
+
+def _oriented(quad, g, s, t, *args):
+    """quad(g, interval, *args) over the interval between s and t,
+    negated when t < s."""
+    val = quad(g, Interval(min(s, t), max(s, t)), *args)
     return val if s <= t else -val
 
 
@@ -348,7 +360,7 @@ def l1_norm_in_u(
     if G.u_independent:
         return J.length() * matrix_norm(np.asarray(G.eval(t, J.midpoint()),
                                                    dtype=float), kind)
-    return _integrate_nodes(lambda us: matrix_norm(G.eval_many(t, us), kind),
+    return _integrate_nodes(lambda us: matrix_norm(G.u_stack(t, us), kind),
                             J, (), tol)
 
 
@@ -376,22 +388,41 @@ def total_variation_path(
             lambda t: matrix_norm(np.asarray(deriv(t), dtype=float), norm_kind),
             interval, breakpoints, tol,
         )
-    pts = np.array(_initial_cuts(interval.lo, interval.hi, breakpoints))
-    # a too-coarse start can alias oscillations into a spuriously stable
-    # sum, so densify before the convergence test kicks in
-    while len(pts) < 33:
-        pts = _refine_dyadic(pts)
-    prev = _partition_sum(G, pts, norm_kind)
-    cur = prev
-    for _ in range(max_doublings):
-        pts = _refine_dyadic(pts)
-        cur = _partition_sum(G, pts, norm_kind)
-        if cur - prev <= rel_stop * max(cur, 1e-300):
-            return cur
-        prev = cur
-    raise RefinementError(
-        "partition-sum variation did not stabilize", prev, cur
-    )
+    def levels():
+        pts = np.array(_initial_cuts(interval.lo, interval.hi, breakpoints))
+        # a too-coarse start can alias oscillations into a spuriously
+        # stable sum, so densify before the convergence test kicks in
+        while len(pts) < 33:
+            pts = _refine_dyadic(pts)
+        yield 0, _partition_sum(G, pts, norm_kind)
+        for k in range(1, max_doublings + 1):
+            pts = _refine_dyadic(pts)
+            yield k, _partition_sum(G, pts, norm_kind)
+
+    value, _, converged = refine_until_stable(
+        levels(), lambda prev, cur: cur - prev <= rel_stop * max(cur, 1e-300))
+    if not converged:
+        raise RefinementError("partition-sum variation did not stabilize",
+                              value, value)
+    return value
+
+
+def refine_until_stable(levels, stable):
+    """Walk a refinement from coarse to fine until it settles.
+
+    ``levels`` yields (level, value) pairs, each from its own
+    refinement, and ends where the caller's budget does;
+    ``stable(previous, value)`` is the caller's stop test.  Returns
+    (value, level, converged): the first value the test accepts and its
+    level, or else the last value and level with converged False.
+    """
+    levels = iter(levels)
+    level, prev = next(levels)
+    for level, value in levels:
+        if stable(prev, value):
+            return value, level, True
+        prev = value
+    return prev, level, False
 
 
 def _refine_dyadic(pts: np.ndarray) -> np.ndarray:
@@ -438,12 +469,12 @@ def arc_length(gamma: ScalarPath, a: float, b: float, tol: float = DEFAULT_TOL) 
     """Arc length of a piecewise-C1 path on [a, b] (total variation of the
     path; euclidean length when the path is vector-valued)."""
 
-    def speed(t):
-        v = gamma.d(t)
-        arr = np.asarray(v, dtype=float)
-        return abs(float(arr)) if arr.ndim == 0 else float(np.linalg.norm(arr))
+    def speed(ts):
+        v = gamma.d_many(ts)
+        return np.abs(v) if v.ndim == 1 else np.linalg.norm(v, axis=-1)
 
-    return integrate(speed, Interval(min(a, b), max(a, b)), gamma.breakpoints, tol)
+    return _integrate_nodes(speed, Interval(min(a, b), max(a, b)),
+                            gamma.breakpoints, tol)
 
 
 @dataclass(frozen=True)
@@ -463,12 +494,14 @@ def cov_check(
     """Numerical change-of-variables identity check.
 
     lhs = int_s^t f'(tau) y(f(tau)) dtau, rhs = int_{f(s)}^{f(t)} y(u) du;
-    both by adaptive quadrature, with the defect measured max-abs.
+    both by adaptive quadrature, with the defect measured max-abs.  Each
+    panel of the lhs takes f and f' over its nodes in one call each.
     """
-    lhs = signed_integrate(
-        lambda tau: np.asarray(y(f(tau)), dtype=float) * float(f.d(tau)),
-        s, t, f.breakpoints, tol,
-    )
+    def pulled_back(taus):
+        return np.stack([np.asarray(y(u), dtype=float) * d for u, d in
+                         zip(f.eval(taus).tolist(), f.d_many(taus).tolist())])
+
+    lhs = _oriented(_integrate_nodes, pulled_back, s, t, f.breakpoints, tol)
     rhs = signed_integrate(lambda u: np.asarray(y(u), dtype=float),
                            float(f(s)), float(f(t)), (), tol)
     defect = float(np.max(np.abs(np.asarray(lhs) - np.asarray(rhs))))

@@ -42,7 +42,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .calculus import Interval, _integrate_nodes
+from .calculus import Interval, stacked
 from .errors import IntegrationError
 from .operators import Operator, Vector, VectorSpaceSpec, matrix_norm
 
@@ -91,7 +91,8 @@ class CoefficientPath:
     a new leading axis: (len(ts), r, r), or (len(ts), k, r, r) for k
     coefficients swept together.  A must be bounded on compact subsets of
     ``domain`` and piecewise continuous between breakpoints.  A source
-    that only gives A one time at a time goes through :func:`stacked`.
+    that only gives A one time at a time goes through
+    :func:`evostab.calculus.stacked`.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
@@ -107,15 +108,6 @@ class CoefficientPath:
     def __call__(self, t: float) -> np.ndarray:
         """A(t): row 0 of the one-time stack."""
         return np.asarray(self.eval(np.array([float(t)])), dtype=float)[0]
-
-
-def stacked(fn: Callable[[float], np.ndarray]):
-    """The ``CoefficientPath.eval`` of a pointwise t -> A(t): fn at each
-    time of the array, one call each, stacked on a new leading axis."""
-    def eval_each(ts):
-        return np.array([np.asarray(fn(t), dtype=float)
-                         for t in np.asarray(ts, dtype=float).tolist()])
-    return eval_each
 
 
 def expm(m: np.ndarray) -> np.ndarray:
@@ -390,92 +382,6 @@ def propagate_vector(
     (the full propagator matrix is never formed)."""
     y = sweep_vector(A, (s, t), v.entries, tol, stats, max_steps)[-1]
     return Vector(y, A.space)
-
-
-def variation_of_parameters(
-    A: CoefficientPath,
-    g: Callable[[float], np.ndarray],
-    s: float,
-    t: float,
-    x_s: Vector,
-    tol: float = DEFAULT_ODE_TOL,
-    g_breakpoints: Sequence[float] = (),
-) -> Vector:
-    """Solution at t of the inhomogeneous equation x' = A(t) x + g(t) with
-    x(s) = x_s, integrated directly as the linear equation of (x, 1) under
-    the augmented coefficient [[A, g], [0, 0]]."""
-    n = A.space.dim
-    g_stack = stacked(g)
-
-    def augmented(ts):
-        out = np.zeros((len(ts), n + 1, n + 1))
-        out[:, :n, :n] = A.eval(ts)
-        out[:, :n, n] = g_stack(ts)
-        return out
-
-    bps = tuple(set(A.breakpoints) | set(float(b) for b in g_breakpoints))
-    aug = CoefficientPath(eval=augmented,
-                          space=VectorSpaceSpec(n + 1, A.space.norm_kind),
-                          breakpoints=bps, domain=A.domain)
-    y0 = np.append(np.array(x_s.entries, dtype=float), 1.0)
-    y = list(_sweep(aug, (s, t), y0, tol, tol, None, 2_000_000))[-1][0]
-    return Vector(y[:n], A.space)
-
-
-@dataclass(frozen=True)
-class ComparisonInput:
-    """Data for the two-system comparison estimate.
-
-    The hypothesis ||X1(t,s)^sign|| <= gain * exp(-rate (t-s)) for s <= t
-    is asserted by the caller, not proven here; it is recorded so reports
-    can echo it.
-    """
-
-    A1: CoefficientPath
-    A2: CoefficientPath
-    gain: float
-    rate: float
-    sign: int
-
-    def __post_init__(self):
-        if self.gain < 1.0:
-            raise ValueError("gain must be >= 1")
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-
-
-@dataclass(frozen=True)
-class ComparisonBounds:
-    growth_bound: float
-    difference_bound: float
-    coupling_integral: float
-
-
-def comparison_bounds(
-    c: ComparisonInput, s: float, t: float, tol: float = 1e-10
-) -> ComparisonBounds:
-    """Bounds on ||X2(t,s)^sign|| and ||X2^sign - X1^sign|| in terms of the
-    envelope of X1 and the L1 distance of the coefficients:
-
-        growth     = gain e^{-rate (t-s)} e^{gain * int ||A2 - A1||}
-        difference = gain e^{-rate (t-s)} (e^{gain * int ||A2 - A1||} - 1)
-    """
-    if s > t:
-        raise ValueError("comparison bounds require s <= t")
-    kind = c.A1.space.norm_kind
-    bps = tuple(sorted(set(c.A1.breakpoints) | set(c.A2.breakpoints)))
-    integral = float(_integrate_nodes(
-        lambda ts: matrix_norm(np.asarray(c.A2.eval(ts), dtype=float)
-                               - np.asarray(c.A1.eval(ts), dtype=float),
-                               kind),
-        Interval(s, t), bps, tol,
-    ))
-    envelope = c.gain * math.exp(-c.rate * (t - s))
-    arg = c.gain * integral
-    blow = math.exp(arg) if arg < 709.0 else math.inf
-    growth = envelope * blow
-    difference = envelope * (blow - 1.0) if math.isfinite(blow) else math.inf
-    return ComparisonBounds(growth, difference, integral)
 
 
 class EvolutionOperator:

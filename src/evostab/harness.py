@@ -21,9 +21,10 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .calculus import Interval, OperatorField, ScalarPath, arc_length, cov_check
+from .calculus import (Interval, OperatorField, ScalarPath, arc_length,
+                       cov_check, stacked)
 from .errors import ConfigError
-from .evolution import CoefficientPath, StepStats, evolve, stacked
+from .evolution import CoefficientPath, StepStats, evolve
 from .expressions import many_together, parse_expression
 from .library import (
     BUILTIN_CONNECTIONS,
@@ -129,16 +130,18 @@ def _problems_if(cond: bool, msg: str, bag: list) -> None:
         bag.append(msg)
 
 
-def _check_interval(cfg, key, bag, required=True):
+def _check_interval(cfg, key, bag, required=True, finite=True):
     if key not in cfg:
         if required:
             bag.append(f"{key}: missing")
         return None
     v = cfg[key]
     if (not isinstance(v, (list, tuple)) or len(v) != 2
-            or not all(isinstance(x, (int, float)) for x in v)
-            or not v[0] < v[1]):
+            or not all(_is_number(x) for x in v) or not v[0] < v[1]):
         bag.append(f"{key}: expected [lo, hi] with lo < hi, got {v!r}")
+        return None
+    if finite and not all(math.isfinite(x) for x in v):
+        bag.append(f"{key}: expected finite bounds, got {v!r}")
         return None
     return Interval(float(v[0]), float(v[1]))
 
@@ -199,16 +202,20 @@ def _expr_matrix(rows, bag, label):
     return eval_matrix
 
 
-def _scalar_path_from(cfg, key, bag, domain) -> Optional[ScalarPath]:
+def _expression_path(cfg, key, bag, domain, label=None) -> Optional[ScalarPath]:
+    """The path t -> expression(t) of the string under ``key``, with the
+    breakpoints under ``<key>_breakpoints``; its problems go into bag
+    under ``label`` (default: the key)."""
+    label = label or key
     if key not in cfg:
-        bag.append(f"{key}: missing")
+        bag.append(f"{label}: missing")
         return None
     try:
         f = parse_expression(str(cfg[key]))
     except Exception as exc:
-        bag.append(f"{key}: {exc}")
+        bag.append(f"{label}: {exc}")
         return None
-    return ScalarPath(eval=lambda t: f(t, 0.0),
+    return ScalarPath(eval=stacked(lambda t: f(t, 0.0)),
                       breakpoints=_number_list(cfg, f"{key}_breakpoints", bag),
                       domain=domain)
 
@@ -237,11 +244,12 @@ def _system_from_config(cfg, bag) -> Optional[SeparableSystem]:
         except (KeyError, ValueError) as exc:
             bag.append(f"system: {exc}")
             return None
-    I = _check_interval(cfg, "I", bag, required=False) or Interval(-math.inf, math.inf)
+    I = _check_interval(cfg, "I", bag, required=False, finite=False) \
+        or Interval(-math.inf, math.inf)
     J = _check_interval(cfg, "J", bag)
     G_eval = _expr_matrix(cfg.get("G"), bag, "system.G")
     G_bps = _number_list(cfg, "G_breakpoints", bag)
-    f = _scalar_path_from(cfg, "f", bag, I)
+    f = _expression_path(cfg, "f", bag, I)
     if None in (J, G_eval, f):
         return None
     space = VectorSpaceSpec(G_eval.dim, norm)
@@ -285,7 +293,7 @@ def _pairs_from_config(cfg, bag, rng, ordered=True):
         pairs = cfg["pairs"]
         if (not isinstance(pairs, list) or not pairs or not all(
                 isinstance(p, (list, tuple)) and len(p) == 2
-                and all(isinstance(x, (int, float)) for x in p)
+                and all(_is_number(x) and math.isfinite(x) for x in p)
                 for p in pairs)):
             bag.append("pairs: expected a non-empty list of [s, t]")
             return []
@@ -311,6 +319,25 @@ def _pairs_from_config(cfg, bag, rng, ordered=True):
 # runners
 
 
+def _tabulate(rows, stats=None, **extra):
+    """(rows, row_pass, summary) of a runner whose rows end in their
+    verdict; ``stats``, if given, goes into the summary as ``cost``."""
+    row_pass = [bool(r[-1]) for r in rows]
+    summary = {"pass": all(row_pass), "rows": len(rows), **extra}
+    if stats is not None:
+        summary["cost"] = asdict(stats)
+    return rows, row_pass, summary
+
+
+def _pair_rows(pairs, one, worst, stats=None):
+    """:func:`_tabulate` of the rows one(s, t) over the pairs, each
+    ending in a defect and its verdict; the summary gives the largest
+    defect under the key ``worst``."""
+    rows = [one(s, t) for s, t in pairs]
+    return _tabulate(rows, stats,
+                     **{worst: max((r[-2] for r in rows), default=0.0)})
+
+
 def _run_evolve(config, seed, tol):
     bag = []
     rng = np.random.default_rng(seed)
@@ -321,16 +348,13 @@ def _run_evolve(config, seed, tol):
         norm = _check_norm(config, bag)
         mat = _expr_matrix(config.get("A"), bag, "A")
         bps = _number_list(config, "breakpoints", bag)
-        domain = _check_interval(config, "domain", bag, required=False) \
+        domain = _check_interval(config, "domain", bag, required=False,
+                                 finite=False) \
             or Interval(-math.inf, math.inf)
-        if mat is not None:
-            A = CoefficientPath(
-                eval=stacked(lambda t: mat(t, 0.0)),
-                space=VectorSpaceSpec(mat.dim, norm),
-                breakpoints=bps, domain=domain,
-            )
-        else:
-            A = None
+        A = None if mat is None else CoefficientPath(
+            eval=stacked(lambda t: mat(t, 0.0)),
+            space=VectorSpaceSpec(mat.dim, norm), breakpoints=bps,
+            domain=domain)
     pairs = _pairs_from_config(config, bag, rng, ordered=False)
     if bag:
         raise ConfigError(bag)
@@ -338,24 +362,15 @@ def _run_evolve(config, seed, tol):
     eye = np.eye(A.space.dim)
     stats = StepStats()
 
-    def one(pair):
-        s, t = pair
-        x = evolve(A, s, t, tol, stats)
-        x_inv = evolve(A, t, s, tol, stats)
-        defect = matrix_norm(x.entries @ x_inv.entries - eye, kind)
-        return (s, t, matrix_norm(x.entries, kind),
-                matrix_norm(x_inv.entries, kind), defect,
+    def one(s, t):
+        x = evolve(A, s, t, tol, stats).entries
+        x_inv = evolve(A, t, s, tol, stats).entries
+        defect = matrix_norm(x @ x_inv - eye, kind)
+        return (s, t, matrix_norm(x, kind), matrix_norm(x_inv, kind), defect,
                 defect <= 100.0 * tol)
 
-    rows = [one(pair) for pair in pairs]
-    row_pass = [bool(r[5]) for r in rows]
-    summary = {
-        "pass": all(row_pass),
-        "rows": len(rows),
-        "max_inv_defect": max((r[4] for r in rows), default=0.0),
-        "cost": asdict(stats),
-    }
-    return rows, row_pass, summary, {"dim": A.space.dim, "norm": kind}
+    return _pair_rows(pairs, one, "max_inv_defect", stats) + (
+        {"dim": A.space.dim, "norm": kind},)
 
 
 def _run_certify(config, seed, tol):
@@ -391,6 +406,11 @@ def _run_verify(config, seed, tol):
     system = _system_from_config(config.get("system"), bag)
     window = _check_interval(config, "window", bag)
     pairs = _pairs_from_config(config, bag, rng, ordered=True)
+    outside = [p for p in pairs if window is not None
+               and not all(window.contains(x, 1e-12) for x in p)]
+    if outside:
+        bag.append(f"pairs: pair {outside[0]} outside the window "
+                   f"{config['window']!r}")
     cert_cfg = config.get("certificate")
     if cert_cfg is not None and not (
             isinstance(cert_cfg, dict)
@@ -444,7 +464,7 @@ def _run_substitution(config, seed, tol):
     rng = np.random.default_rng(seed)
     norm = _check_norm(config, bag)
     mat = _expr_matrix(config.get("B"), bag, "B")
-    f = _scalar_path_from(config, "f", bag, Interval(-math.inf, math.inf))
+    f = _expression_path(config, "f", bag, Interval(-math.inf, math.inf))
     pairs = _pairs_from_config(config, bag, rng, ordered=False)
     if bag:
         raise ConfigError(bag)
@@ -452,32 +472,23 @@ def _run_substitution(config, seed, tol):
     B = lambda u: mat(u, u)
     stats = StepStats()
 
-    def one(pair):
-        s, t = pair
+    def one(s, t):
         defect = substitution_check(B, f, s, t, space, tol, stats=stats)
         return (s, t, defect, defect <= 100.0 * tol)
 
-    rows = [one(pair) for pair in pairs]
-    row_pass = [bool(r[3]) for r in rows]
-    summary = {
-        "pass": all(row_pass),
-        "rows": len(rows),
-        "max_defect": max((r[2] for r in rows), default=0.0),
-        "cost": asdict(stats),
-    }
-    return rows, row_pass, summary, {"dim": space.dim, "norm": norm}
+    return _pair_rows(pairs, one, "max_defect", stats) + (
+        {"dim": space.dim, "norm": norm},)
 
 
 def _run_cov_check(config, seed, tol):
     bag = []
     rng = np.random.default_rng(seed)
-    f = _scalar_path_from(config, "f", bag, Interval(-math.inf, math.inf))
+    f = _expression_path(config, "f", bag, Interval(-math.inf, math.inf))
     y_cfg = config.get("y")
+    comps = []
     if not isinstance(y_cfg, list) or not y_cfg:
         bag.append("y: expected a non-empty list of expression strings")
-        comps = []
     else:
-        comps = []
         for i, s in enumerate(y_cfg):
             try:
                 comps.append(parse_expression(str(s)))
@@ -490,19 +501,12 @@ def _run_cov_check(config, seed, tol):
     def y(u):
         return np.array([c(u, u) for c in comps])
 
-    def one(pair):
-        s, t = pair
-        res = cov_check(y, f, s, t, tol)
-        return (s, t, res.defect, res.defect <= 10.0 * tol)
+    def one(s, t):
+        defect = cov_check(y, f, s, t, tol).defect
+        return (s, t, defect, defect <= 10.0 * tol)
 
-    rows = [one(pair) for pair in pairs]
-    row_pass = [bool(r[3]) for r in rows]
-    summary = {
-        "pass": all(row_pass),
-        "rows": len(rows),
-        "max_defect": max((r[2] for r in rows), default=0.0),
-    }
-    return rows, row_pass, summary, {"components": len(comps)}
+    return _pair_rows(pairs, one, "max_defect") + (
+        {"components": len(comps)},)
 
 
 def _curve_from_config(cfg, bag, index):
@@ -513,24 +517,11 @@ def _curve_from_config(cfg, bag, index):
     dom = _check_interval(cfg, "domain", bag)
     if dom is None:
         return None
-    paths = []
-    for key in ("gamma1", "gamma2"):
-        if key not in cfg:
-            bag.append(f"{label}.{key}: missing")
-            paths.append(None)
-            continue
-        try:
-            fn = parse_expression(str(cfg[key]))
-        except Exception as exc:
-            bag.append(f"{label}.{key}: {exc}")
-            paths.append(None)
-            continue
-        bps = _number_list(cfg, f"{key}_breakpoints", bag)
-        paths.append(ScalarPath(eval=lambda t, _f=fn: _f(t, 0.0),
-                                 breakpoints=bps, domain=dom))
-    if None in paths:
+    g1, g2 = (_expression_path(cfg, key, bag, dom, f"{label}.{key}")
+              for key in ("gamma1", "gamma2"))
+    if None in (g1, g2):
         return None
-    return Curve(paths[0], paths[1], dom.lo, dom.hi)
+    return Curve(g1, g2, dom.lo, dom.hi)
 
 
 def _run_transport(config, seed, tol):
@@ -547,24 +538,15 @@ def _run_transport(config, seed, tol):
         raise ConfigError(bag or ["curves: invalid entries"])
     bounds = sample_connection_bounds(w)
     stats = StepStats()
-
-    def one(item):
-        i, curve = item
+    rows = []
+    for i, curve in enumerate(curves):
         p = parallel_transport(w, curve, tol, stats=stats)
         L1 = arc_length(curve.gamma1, curve.a, curve.b)
         beta = beta_bound(bounds, L1)
         norm_p = matrix_norm(p.entries, w.space.norm_kind)
-        return (i, L1, norm_p, beta, norm_p <= beta * (1.0 + 1e-6))
-
-    rows = [one(item) for item in enumerate(curves)]
-    row_pass = [bool(r[4]) for r in rows]
-    summary = {
-        "pass": all(row_pass),
-        "rows": len(rows),
-        "bounds": asdict(bounds),
-        "cost": asdict(stats),
-    }
-    return rows, row_pass, summary, {"norm": w.space.norm_kind}
+        rows.append((i, L1, norm_p, beta, norm_p <= beta * (1.0 + 1e-6)))
+    return _tabulate(rows, stats, bounds=asdict(bounds)) + (
+        {"norm": w.space.norm_kind},)
 
 
 def _run_sine_curve(config, seed, tol):

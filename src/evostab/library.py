@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .calculus import Interval, OperatorField, ScalarPath
+from .calculus import Interval, OperatorField, ScalarPath, stacked
 from .extension import ExtensionProblem
 from .operators import EUCLIDEAN, VectorSpaceSpec
 from .stability import SeparableSystem
@@ -119,23 +119,23 @@ def _triangle_breakpoints(lo: float, hi: float) -> tuple:
 def make_scalar_path(name: str, window: Interval) -> ScalarPath:
     """Named scalar paths with range inside [-1, 1] on the window."""
     if name == "sin":
-        return ScalarPath(eval=math.sin, deriv=math.cos, domain=window,
-                          eval_many=np.sin, deriv_many=np.cos)
+        return ScalarPath(eval=np.sin, deriv=np.cos, domain=window)
     if name == "sin2t":
-        return ScalarPath(eval=lambda t: math.sin(2.0 * t),
-                          deriv=lambda t: 2.0 * math.cos(2.0 * t),
+        return ScalarPath(eval=stacked(lambda t: math.sin(2.0 * t)),
+                          deriv=stacked(lambda t: 2.0 * math.cos(2.0 * t)),
                           domain=window)
     if name == "sin-t-squared":
-        return ScalarPath(eval=lambda t: math.sin(t * t),
-                          deriv=lambda t: 2.0 * t * math.cos(t * t),
+        return ScalarPath(eval=stacked(lambda t: math.sin(t * t)),
+                          deriv=stacked(lambda t: 2.0 * t * math.cos(t * t)),
                           domain=window)
     if name == "sawtooth":
-        return ScalarPath(eval=_triangle_wave, deriv=_triangle_deriv,
+        return ScalarPath(eval=stacked(_triangle_wave),
+                          deriv=stacked(_triangle_deriv),
                           breakpoints=_triangle_breakpoints(window.lo, window.hi),
                           domain=window)
     if name == "constant":
-        return ScalarPath(eval=lambda t: 0.25, deriv=lambda t: 0.0,
-                          domain=window)
+        return ScalarPath(eval=stacked(lambda t: 0.25),
+                          deriv=stacked(lambda t: 0.0), domain=window)
     raise KeyError(f"unknown scalar path {name!r}")
 
 

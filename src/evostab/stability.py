@@ -24,7 +24,6 @@ verification against directly integrated propagators.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -37,12 +36,13 @@ from .calculus import (
     Partition,
     ScalarPath,
     l1_norm_in_u,
+    refine_until_stable,
+    stacked,
     total_variation_path,
     tv_l1_upper_bound,
 )
 from .errors import DomainViolationError, IntegrationError, RefinementError
-from .evolution import (CoefficientPath, EvolutionOperator, StepStats, evolve,
-                        stacked)
+from .evolution import CoefficientPath, EvolutionOperator, StepStats, evolve
 from .expressions import parse_expression
 from .operators import VectorSpaceSpec, matrix_norm
 
@@ -78,50 +78,51 @@ def _checked_f_value(sys_J: Interval, f_val: float, t: float) -> float:
     return f_val
 
 
-def assemble_A(sys: SeparableSystem) -> CoefficientPath:
-    """The coefficient path t -> f'(t) G(t, f(t)).
-
-    A stack of times takes f and f' over the array in one call each
-    (:meth:`ScalarPath.values` and ``d_many``), one check of the values
-    against J, then G at each (t, f(t)).
-    """
+def _pulled_back(sys: SeparableSystem, ts: np.ndarray, gts) -> np.ndarray:
+    """The stack of f'(t) G(s, f(t)) over the times t of ts, with s the
+    matching time of gts: f and f' over the array in one call each, one
+    check of the values against J, then G at each (s, f(t))."""
     G, f, J = sys.G, sys.f, sys.J
+    us = f.eval(ts)
+    i = J.first_outside(us, 1e-12)
+    if i is not None:
+        _checked_f_value(J, float(us[i]), float(ts[i]))
+    g = np.array([np.asarray(G.eval(s, u), dtype=float)
+                  for s, u in zip(gts.tolist(), us.tolist())])
+    return f.d_many(ts)[:, None, None] * g
 
-    def eval_A(ts):
-        us = f.values(ts)
-        i = J.first_outside(us, 1e-12)
-        if i is not None:
-            _checked_f_value(J, float(us[i]), float(ts[i]))
-        g = np.array([np.asarray(G.eval(t, u), dtype=float)
-                      for t, u in zip(ts.tolist(), us.tolist())])
-        return f.d_many(ts)[:, None, None] * g
 
-    bps = tuple(sorted(set(f.breakpoints) | set(G.t_breakpoints)))
-    return CoefficientPath(eval=eval_A, space=sys.space, breakpoints=bps,
-                           domain=sys.I)
+def assemble_A(sys: SeparableSystem) -> CoefficientPath:
+    """The coefficient path t -> f'(t) G(t, f(t)), over a stack of times
+    as :func:`_pulled_back` takes it."""
+    bps = tuple(sorted(set(sys.f.breakpoints) | set(sys.G.t_breakpoints)))
+    return CoefficientPath(eval=lambda ts: _pulled_back(sys, ts, ts),
+                           space=sys.space, breakpoints=bps, domain=sys.I)
 
 
 def frozen_system(sys: SeparableSystem, partition: Partition) -> CoefficientPath:
     """The piecewise-frozen coefficient: on [a_i, a_{i+1}) the field is
-    held at G(a_i, .); the final point a_n takes the last segment's value."""
-    G, f, J = sys.G, sys.f, sys.J
+    held at G(a_i, .); the final point a_n takes the last segment's value.
+    A stack of times takes f and f' as :func:`assemble_A` does."""
     pts = partition.points
     if partition.n < 1:
         raise ValueError("partition needs at least two points")
+    window = Interval(pts[0], pts[-1])
+    frozen_at = np.asarray(pts)
 
-    def eval_frozen(t):
-        if t < pts[0] or t > pts[-1]:
+    def eval_frozen(ts):
+        i = window.first_outside(ts, 0.0)
+        if i is not None:
             raise DomainViolationError(
-                f"t = {t} outside the frozen window [{pts[0]}, {pts[-1]}]"
-            )
-        i = bisect.bisect_right(pts, t) - 1
-        i = min(max(i, 0), len(pts) - 2)
-        u = _checked_f_value(J, float(f(t)), t)
-        return float(f.d(t)) * np.asarray(G.eval(pts[i], u), dtype=float)
+                f"t = {float(ts[i])} outside the frozen window "
+                f"[{pts[0]}, {pts[-1]}]")
+        seg = np.searchsorted(frozen_at, ts, side="right") - 1
+        return _pulled_back(sys, ts, frozen_at[np.clip(seg, 0, len(pts) - 2)])
 
-    bps = tuple(sorted(set(f.breakpoints) | set(G.t_breakpoints) | set(pts[1:-1])))
-    return CoefficientPath(eval=stacked(eval_frozen), space=sys.space,
-                           breakpoints=bps, domain=Interval(pts[0], pts[-1]))
+    bps = tuple(sorted(set(sys.f.breakpoints) | set(sys.G.t_breakpoints)
+                       | set(pts[1:-1])))
+    return CoefficientPath(eval=eval_frozen, space=sys.space,
+                           breakpoints=bps, domain=window)
 
 
 def saturating_bound(gain: float, log_gain: float, variation: float):
@@ -212,24 +213,21 @@ def _dyadic_sup(values_at, lo, hi, seed_points, rel_stop=1e-3,
     Returns (sup, n_points, converged).  New refinement levels only
     evaluate the fresh midpoints.
     """
-    pts = sorted(set([lo, hi] + [p for p in seed_points if lo < p < hi]))
-    while len(pts) < 17:
-        mids = [0.5 * (a + b) for a, b in zip(pts, pts[1:])]
-        pts = sorted(pts + mids)
-    best = max(values_at(p) for p in pts)
-    n = len(pts)
-    converged = False
-    while n < max_points:
-        mids = [0.5 * (a + b) for a, b in zip(pts, pts[1:])]
-        new_best = max(best, max(values_at(p) for p in mids))
-        pts = sorted(pts + mids)
-        n = len(pts)
-        if new_best - best <= rel_stop * max(abs(new_best), 1e-300):
-            best = new_best
-            converged = True
-            break
-        best = new_best
-    return best, n, converged
+    def levels():
+        pts = sorted(set([lo, hi] + [p for p in seed_points if lo < p < hi]))
+        while len(pts) < 17:
+            pts = sorted(pts + [0.5 * (a + b) for a, b in zip(pts, pts[1:])])
+        best = max(values_at(p) for p in pts)
+        yield len(pts), best
+        while len(pts) < max_points:
+            mids = [0.5 * (a + b) for a, b in zip(pts, pts[1:])]
+            best = max(best, max(values_at(p) for p in mids))
+            pts = sorted(pts + mids)
+            yield len(pts), best
+
+    return refine_until_stable(
+        levels(),
+        lambda prev, cur: cur - prev <= rel_stop * max(abs(cur), 1e-300))
 
 
 def certify(
@@ -265,26 +263,19 @@ def certify(
 
     if G.u_independent:
         u_mid = J.midpoint()
-        if G.partial_t is not None:
+        deriv = None if G.partial_t is None else (
+            lambda t: np.asarray(G.partial_t(t, u_mid), dtype=float))
+        variation_mode = "partition-sum" if deriv is None else "derivative"
+        try:
             variation = J.length() * total_variation_path(
                 lambda t: np.asarray(G.eval(t, u_mid), dtype=float),
-                window, G.t_breakpoints, tol,
-                deriv=lambda t: np.asarray(G.partial_t(t, u_mid), dtype=float),
+                window, G.t_breakpoints, tol, deriv=deriv,
                 norm_kind=sys.space.norm_kind,
             )
-            variation_mode = "derivative"
-        else:
-            try:
-                variation = J.length() * total_variation_path(
-                    lambda t: np.asarray(G.eval(t, u_mid), dtype=float),
-                    window, G.t_breakpoints, tol,
-                    norm_kind=sys.space.norm_kind,
-                )
-                variation_mode = "partition-sum"
-            except RefinementError as exc:
-                variation = float(exc.last) * J.length()
-                variation_mode = "partition-sum-unconverged"
-                conv = False
+        except RefinementError as exc:  # only partition sums refine
+            variation = float(exc.last) * J.length()
+            variation_mode = "partition-sum-unconverged"
+            conv = False
     else:
         variation = tv_l1_upper_bound(G, window, J, tol)
         variation_mode = "double-integral"
@@ -310,22 +301,19 @@ def substitution_check(
     """Defect of the substitution identity.
 
     Route one integrates the pulled-back system A = f'(t) B(f(t)) from s
-    to t; route two integrates B itself between f(s) and f(t).  For exact
+    to t, taking f and f' over each step's nodes in one call each; route
+    two integrates B itself between f(s) and f(t).  For exact
     arithmetic both give the same operator; the returned defect is the
     operator-norm difference.  ``stats``, if given, counts both routes.
     """
+    B_stack = stacked(B)
     A = CoefficientPath(
-        eval=stacked(lambda tau: float(f.d(tau)) * np.asarray(B(float(f(tau))),
-                                                              dtype=float)),
-        space=space,
-        breakpoints=f.breakpoints,
+        eval=lambda taus: f.d_many(taus)[:, None, None] * B_stack(f.eval(taus)),
+        space=space, breakpoints=f.breakpoints,
     )
     x_direct = evolve(A, s, t, tol, stats)
-    B_path = CoefficientPath(
-        eval=stacked(B),
-        space=space,
-        breakpoints=B_breakpoints,
-    )
+    B_path = CoefficientPath(eval=B_stack, space=space,
+                             breakpoints=B_breakpoints)
     y_pulled = evolve(B_path, float(f(s)), float(f(t)), tol, stats)
     return matrix_norm(x_direct.entries - y_pulled.entries, space.norm_kind)
 

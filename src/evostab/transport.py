@@ -32,7 +32,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .calculus import Interval, ScalarPath
+from .calculus import Interval, ScalarPath, refine_until_stable
 from .errors import DomainViolationError, IntegrationError
 from .evolution import (
     CoefficientPath,
@@ -163,33 +163,27 @@ def reverse_curve(g: Curve) -> Curve:
     """The same trace run backwards: tau -> gamma(a + b - tau)."""
     a, b = g.a, g.b
     flipped = tuple(sorted(a + b - t for t in g.breakpoints))
-    g1 = ScalarPath(
-        eval=lambda tau: g.gamma1.eval(a + b - tau),
-        deriv=(lambda tau: -g.gamma1.d(a + b - tau)),
-        breakpoints=flipped,
-        domain=Interval(a, b),
-    )
-    g2 = ScalarPath(
-        eval=lambda tau: g.gamma2.eval(a + b - tau),
-        deriv=(lambda tau: -g.gamma2.d(a + b - tau)),
-        breakpoints=flipped,
-        domain=Interval(a, b),
-    )
-    return Curve(g1, g2, a, b)
+
+    def flip(path):
+        return ScalarPath(eval=lambda taus: path.eval(a + b - taus),
+                          deriv=lambda taus: -path.d_many(a + b - taus),
+                          breakpoints=flipped, domain=Interval(a, b))
+
+    return Curve(flip(g.gamma1), flip(g.gamma2), a, b)
 
 
 def curve_coefficient(w: ConnectionForm, g: Curve) -> CoefficientPath:
     """Coefficient path of the transport equation along the curve.
 
     A stack of times takes both components and their derivatives over
-    the array (:meth:`ScalarPath.values` and ``d_many``), one domain
+    the array (``ScalarPath.eval`` and ``d_many``), one domain
     check, and omega1 and omega2 through :meth:`ConnectionForm.omega1_stack`
     and ``omega2_stack``.  A term whose derivative is 0 is left out of the
     sum rather than added as 0 times omega.
     """
 
     def eval_A(ts):
-        xs, us = g.gamma1.values(ts), g.gamma2.values(ts)
+        xs, us = g.gamma1.eval(ts), g.gamma2.eval(ts)
         w.check_points(xs, us)
         dx = g.gamma1.d_many(ts)[:, None, None]
         du = g.gamma2.d_many(ts)[:, None, None]
@@ -298,23 +292,21 @@ def sample_connection_bounds(
                 out[i] = np.fmax.reduce(matrix_norm(row, kind), initial=out[i])
         return out
 
-    n = max(int(resolution), 3)
-    prev = sups(n)
-    converged = False
-    while n < max_resolution:
-        n = 2 * n - 1
-        cur = sups(n)
-        if np.all(cur - prev <= rel_stop * np.maximum(np.abs(cur), 1e-300)):
-            prev = cur
-            converged = True
-            break
-        prev = cur
-    tag = f"grid-sampled({n}x{n})" if converged else \
-        f"grid-sampled({n}x{n}, unconverged)"
+    def levels():
+        n = max(int(resolution), 3)
+        yield n, sups(n)
+        while n < max_resolution:
+            n = 2 * n - 1
+            yield n, sups(n)
+
+    sup, n, converged = refine_until_stable(
+        levels(), lambda prev, cur: bool(np.all(
+            cur - prev <= rel_stop * np.maximum(np.abs(cur), 1e-300))))
+    tag = f"grid-sampled({n}x{n}{'' if converged else ', unconverged'})"
     return ConnectionBounds(
-        B1=inflation * float(prev[0]),
-        B2=inflation * float(prev[1]),
-        B12=inflation * float(prev[2]),
+        B1=inflation * float(sup[0]),
+        B2=inflation * float(sup[1]),
+        B12=inflation * float(sup[2]),
         lambda_J=w.j_interval.length(),
         provenance=tag,
     )
@@ -344,16 +336,11 @@ class SineCurveReport:
 
 
 def _sine_paths(a: float, b: float):
-    g1 = ScalarPath(eval=lambda t: t, deriv=lambda t: 1.0,
-                    domain=Interval(a, b),
-                    eval_many=lambda ts: ts, deriv_many=np.ones_like)
-    g2 = ScalarPath(
-        eval=lambda t: math.sin(1.0 / t),
-        deriv=lambda t: -math.cos(1.0 / t) / (t * t),
-        domain=Interval(a, b),
-        eval_many=lambda ts: np.sin(1.0 / ts),
-        deriv_many=lambda ts: -np.cos(1.0 / ts) / (ts * ts),
-    )
+    g1 = ScalarPath(eval=lambda ts: ts, deriv=np.ones_like,
+                    domain=Interval(a, b))
+    g2 = ScalarPath(eval=lambda ts: np.sin(1.0 / ts),
+                    deriv=lambda ts: -np.cos(1.0 / ts) / (ts * ts),
+                    domain=Interval(a, b))
     return Curve(g1, g2, a, b)
 
 

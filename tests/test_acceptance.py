@@ -10,7 +10,8 @@ import math
 import numpy as np
 import pytest
 
-from evostab.calculus import Interval, Partition, ScalarPath, cov_check, integrate
+from evostab.calculus import (Interval, Partition, ScalarPath, cov_check,
+                              integrate)
 from evostab.evolution import CoefficientPath, evolve, stacked
 from evostab.extension import (
     build_sigma,
@@ -201,24 +202,24 @@ def test_criterion_07_substitution_identity():
     tri = make_scalar_path("sawtooth", Interval(0.0, 10.0))
     cases = [
         (lambda u: np.array([[1.0]]), sp1,
-         ScalarPath(eval=math.sin, deriv=math.cos), 0.0, 2.5),
+         ScalarPath(eval=np.sin, deriv=np.cos), 0.0, 2.5),
         (lambda u: np.array([[u]]), sp1,
-         ScalarPath(eval=math.sin, deriv=math.cos), 0.0, 7.0),
+         ScalarPath(eval=np.sin, deriv=np.cos), 0.0, 7.0),
         (lambda u: np.array([[math.cos(u)]]), sp1,
          ScalarPath(eval=lambda t: t * t, deriv=lambda t: 2 * t), 0.0, 1.3),
         (lambda u: u * rot, sp2,
          ScalarPath(eval=lambda t: t * t, deriv=lambda t: 2 * t), 0.0, 1.2),
         (lambda u: u * rot, sp2,
-         ScalarPath(eval=math.sin, deriv=math.cos), 0.0, 9.0),
+         ScalarPath(eval=np.sin, deriv=np.cos), 0.0, 9.0),
         (lambda u: np.array([[u, 0.5], [-0.5, -u]]), sp2,
-         ScalarPath(eval=math.sin, deriv=math.cos), 1.0, 5.0),
+         ScalarPath(eval=np.sin, deriv=np.cos), 1.0, 5.0),
         (lambda u: np.array([[0.2, u], [u * u, -0.1]]), sp2,
-         ScalarPath(eval=abs, breakpoints=(0.0,)), -1.5, 1.5),
+         ScalarPath(eval=stacked(abs), breakpoints=(0.0,)), -1.5, 1.5),
         (lambda u: np.array([[math.exp(-u * u)]]), sp1, tri, 0.0, 9.5),
         (lambda u: np.array([[u, 0.0], [0.0, -u]]), sp2, tri, 0.5, 6.5),
         (lambda u: np.array([[0.3 * u]]), sp1,
-         ScalarPath(eval=lambda t: t ** 3 - t,
-                    deriv=lambda t: 3 * t * t - 1.0), -1.0, 1.0),
+         ScalarPath(eval=stacked(lambda t: t ** 3 - t),
+                    deriv=stacked(lambda t: 3 * t * t - 1.0)), -1.0, 1.0),
     ]
     worst = 0.0
     for B, space, f, s, t in cases:
@@ -230,11 +231,11 @@ def test_criterion_07_substitution_identity():
 
 def test_criterion_08_change_of_variables():
     tri = make_scalar_path("sawtooth", Interval(0.0, 10.0))
-    kinked = ScalarPath(eval=abs, breakpoints=(0.0,))
+    kinked = ScalarPath(eval=stacked(abs), breakpoints=(0.0,))
     cases = [
-        (lambda u: u, ScalarPath(eval=math.sin, deriv=math.cos), 0.0,
+        (lambda u: u, ScalarPath(eval=np.sin, deriv=np.cos), 0.0,
          math.pi / 2),
-        (lambda u: u * u, ScalarPath(eval=math.sin, deriv=math.cos),
+        (lambda u: u * u, ScalarPath(eval=np.sin, deriv=np.cos),
          0.0, 5.0),
         (lambda u: np.array([math.exp(u), 0.0]),
          ScalarPath(eval=lambda t: t * t, deriv=lambda t: 2 * t), 0.0, 1.0),
@@ -243,13 +244,14 @@ def test_criterion_08_change_of_variables():
         (lambda u: math.exp(-u), tri, 0.0, 9.0),
         (lambda u: np.array([u, math.sin(u)]), tri, 0.5, 7.5),
         (lambda u: 1.0 / (1.0 + u * u),
-         ScalarPath(eval=lambda t: 2.0 * math.sin(t),
-                    deriv=lambda t: 2.0 * math.cos(t)), 0.0, 6.0),
-        (lambda u: u ** 3, ScalarPath(eval=lambda t: 0.8, deriv=lambda t: 0.0),
+         ScalarPath(eval=stacked(lambda t: 2.0 * math.sin(t)),
+                    deriv=stacked(lambda t: 2.0 * math.cos(t))), 0.0, 6.0),
+        (lambda u: u ** 3, ScalarPath(eval=lambda t: np.full_like(t, 0.8),
+                                      deriv=np.zeros_like),
          -1.0, 4.0),
         (lambda u: math.atan(u),
-         ScalarPath(eval=lambda t: t ** 3 - t,
-                    deriv=lambda t: 3 * t * t - 1.0), -1.2, 1.2),
+         ScalarPath(eval=stacked(lambda t: t ** 3 - t),
+                    deriv=stacked(lambda t: 3 * t * t - 1.0)), -1.2, 1.2),
     ]
     worst = 0.0
     for y, f, s, t in cases:
@@ -294,14 +296,14 @@ def _curve_family(count=20):
         amp = 0.4 + 0.05 * (i % 7)
         phase = 0.3 * i
         g1 = ScalarPath(
-            eval=lambda t, _s=span: 1.6 * (t / _s) - 0.8,
-            deriv=lambda t, _s=span: 1.6 / _s,
+            eval=stacked(lambda t, _s=span: 1.6 * (t / _s) - 0.8),
+            deriv=stacked(lambda t, _s=span: 1.6 / _s),
         )
         g2 = ScalarPath(
-            eval=lambda t, _f=freq, _a=amp, _p=phase:
-                _a * math.sin(_f * math.pi * t + _p),
-            deriv=lambda t, _f=freq, _a=amp, _p=phase:
-                _a * _f * math.pi * math.cos(_f * math.pi * t + _p),
+            eval=stacked(lambda t, _f=freq, _a=amp, _p=phase:
+                _a * math.sin(_f * math.pi * t + _p)),
+            deriv=stacked(lambda t, _f=freq, _a=amp, _p=phase:
+                _a * _f * math.pi * math.cos(_f * math.pi * t + _p)),
         )
         out.append(Curve(g1, g2, 0.0, span))
     return out
@@ -340,11 +342,11 @@ def test_criterion_09_transport_bound():
 
 
 def _oscillation_pair(freq):
-    g1 = ScalarPath(eval=lambda t: t - 0.5, deriv=lambda t: 1.0)
+    g1 = ScalarPath(eval=lambda t: t - 0.5, deriv=np.ones_like)
     g2 = ScalarPath(
-        eval=lambda t, _f=freq: 0.5 * math.sin(_f * math.pi * t),
-        deriv=lambda t, _f=freq: 0.5 * _f * math.pi
-        * math.cos(_f * math.pi * t),
+        eval=stacked(lambda t, _f=freq: 0.5 * math.sin(_f * math.pi * t)),
+        deriv=stacked(lambda t, _f=freq: 0.5 * _f * math.pi
+        * math.cos(_f * math.pi * t)),
     )
     return Curve(g1, g2, 0.0, 1.0)
 

@@ -17,6 +17,7 @@ from evostab.calculus import (
     integrate,
     l1_norm_in_u,
     signed_integrate,
+    stacked,
     total_variation_path,
     tv_l1_upper_bound,
     _gk15,
@@ -52,14 +53,14 @@ def test_partition_mesh():
 
 
 def test_scalar_path_derivative_fallback():
-    f = ScalarPath(eval=lambda t: t * t)
+    f = ScalarPath(eval=stacked(lambda t: t * t))
     assert f.d(1.5) == pytest.approx(3.0, abs=1e-6)
-    g = ScalarPath(eval=math.sin, deriv=math.cos)
+    g = ScalarPath(eval=stacked(math.sin), deriv=stacked(math.cos))
     assert g.d(0.7) == math.cos(0.7)
 
 
 def test_scalar_path_derivative_is_zero_at_breakpoints():
-    f = ScalarPath(eval=abs, breakpoints=(0.0,))
+    f = ScalarPath(eval=stacked(abs), breakpoints=(0.0,))
     assert f.d(0.0) == 0.0
     assert f.d(1.0) == pytest.approx(1.0, abs=1e-6)
     assert f.d(-1.0) == pytest.approx(-1.0, abs=1e-6)
@@ -74,7 +75,7 @@ def test_scalar_path_derivative_matches_linear_breakpoint_scan():
         for b in bps:
             if abs(t - b) <= 1e-14 * max(1.0, abs(b)):
                 return 0.0
-        return f.deriv(t)
+        return f.deriv(np.array([t]))[0]
 
     ts = [-1.0, 0.0, bps[-1] + 1.0]
     for b in bps:
@@ -82,8 +83,10 @@ def test_scalar_path_derivative_matches_linear_breakpoint_scan():
             ts += [b - k * 1e-14 * b, b + k * 1e-14 * b]
         ts += [math.nextafter(b, -math.inf), math.nextafter(b, math.inf),
                b + 1.0]
-    for t in ts:
-        assert f.d(t) == linear_scan_d(t), t
+    want = [linear_scan_d(t) for t in ts]
+    for t, d in zip(ts, want):
+        assert f.d(t) == d, t
+    assert f.d_many(np.array(ts)).tobytes() == np.array(want).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -286,23 +289,24 @@ def test_tv_l1_bound_dominates_partition_sum():
 
 
 def test_arc_length_identity_path():
-    g = ScalarPath(eval=lambda t: t, deriv=lambda t: 1.0)
+    g = ScalarPath(eval=stacked(lambda t: t), deriv=stacked(lambda t: 1.0))
     assert arc_length(g, -1.0, 4.0) == pytest.approx(5.0, abs=1e-10)
 
 
 def test_arc_length_constant_path():
-    g = ScalarPath(eval=lambda t: 2.0, deriv=lambda t: 0.0)
+    g = ScalarPath(eval=stacked(lambda t: 2.0), deriv=stacked(lambda t: 0.0))
     assert arc_length(g, 0.0, 10.0) == 0.0
 
 
 def test_arc_length_sine():
-    g = ScalarPath(eval=math.sin, deriv=math.cos)
+    g = ScalarPath(eval=stacked(math.sin), deriv=stacked(math.cos))
     assert arc_length(g, 0.0, 2 * math.pi) == pytest.approx(4.0, abs=1e-9)
 
 
 def test_arc_length_vector_path():
-    g = ScalarPath(eval=lambda t: np.array([math.cos(t), math.sin(t)]),
-                   deriv=lambda t: np.array([-math.sin(t), math.cos(t)]))
+    g = ScalarPath(
+        eval=stacked(lambda t: np.array([math.cos(t), math.sin(t)])),
+        deriv=stacked(lambda t: np.array([-math.sin(t), math.cos(t)])))
     assert arc_length(g, 0.0, math.pi) == pytest.approx(math.pi, abs=1e-10)
 
 
@@ -311,7 +315,7 @@ def test_arc_length_vector_path():
 
 
 def test_cov_check_sine_substitution():
-    f = ScalarPath(eval=math.sin, deriv=math.cos)
+    f = ScalarPath(eval=stacked(math.sin), deriv=stacked(math.cos))
     res = cov_check(lambda u: u, f, 0.0, math.pi / 2)
     assert float(res.lhs) == pytest.approx(0.5, abs=1e-10)
     assert float(res.rhs) == pytest.approx(0.5, abs=1e-10)
@@ -319,7 +323,7 @@ def test_cov_check_sine_substitution():
 
 
 def test_cov_check_constant_path_is_zero():
-    f = ScalarPath(eval=lambda t: 0.7, deriv=lambda t: 0.0)
+    f = ScalarPath(eval=stacked(lambda t: 0.7), deriv=stacked(lambda t: 0.0))
     res = cov_check(lambda u: u * u, f, -1.0, 3.0)
     assert float(res.lhs) == 0.0
     assert float(res.rhs) == 0.0
@@ -337,11 +341,11 @@ def test_cov_check_vector_valued_closed_form():
 
 def test_cov_check_non_monotone_and_kinked_paths():
     # non-monotone: f = sin over a span with turning points
-    f = ScalarPath(eval=math.sin, deriv=math.cos)
+    f = ScalarPath(eval=stacked(math.sin), deriv=stacked(math.cos))
     res = cov_check(lambda u: math.cos(3.0 * u) + u, f, 0.0, 5.0)
     assert res.defect <= 1e-9
     # kinked: f = |t| with a declared breakpoint
-    g = ScalarPath(eval=abs, breakpoints=(0.0,))
+    g = ScalarPath(eval=stacked(abs), breakpoints=(0.0,))
     res2 = cov_check(lambda u: u * u + 1.0, g, -1.0, 2.0)
     assert res2.defect <= 1e-9
     # reversed orientation flips both sides
@@ -384,7 +388,7 @@ def test_expression_field_stacks_match_pointwise_evaluation():
     batched, pointwise = _expr_system_pair()
     us = np.linspace(-1.0, 1.0, 15)
     for t in (0.0, 0.7, 1.9):
-        a, b = batched.G.eval_many(t, us), pointwise.G.eval_many(t, us)
+        a, b = batched.G.u_stack(t, us), pointwise.G.u_stack(t, us)
         assert a.shape == b.shape == (15, 2, 2)
         np.testing.assert_allclose(a, b, rtol=1e-15, atol=1e-300)
         np.testing.assert_allclose(batched.G.d1_many(t, us),
@@ -414,26 +418,34 @@ def test_certify_of_expression_field_keeps_grid_gain_and_provenance():
 
 
 def test_batched_path_derivative_keeps_the_breakpoint_rule():
-    # d_many is 0 wherever d is: within 1e-14 relative of a breakpoint,
-    # as at the stage times that land exactly on a segment end
+    # d_many is 0 within 1e-14 relative of a breakpoint, as at the stage
+    # times that land exactly on a segment end, and deriv or the central
+    # difference elsewhere; d(t) is its row at the one time
     bps = (-3.0, 0.0, 2.5, 1e3)
-    path = ScalarPath(eval=math.sin, deriv=math.cos, breakpoints=bps,
-                      eval_many=np.sin, deriv_many=np.cos)
     ts = np.concatenate([
         np.array(bps), np.array(bps) * (1 + 5e-15) + 5e-15,
         np.array(bps) + 1e-9, np.linspace(-4.0, 1e3 + 1.0, 97)])
-    want = np.array([path.d(t) for t in ts.tolist()], dtype=float)
-    assert path.d_many(ts).tobytes() == want.tobytes()
-    assert np.count_nonzero(path.d_many(ts)[:8]) == 0
-    assert path.values(ts).tobytes() == np.array(
-        [path(t) for t in ts.tolist()]).tobytes()
-    # without the batched evaluators both loop over the pointwise ones,
-    # the central-difference derivative included
-    for looped in (ScalarPath(eval=math.sin, deriv=math.cos, breakpoints=bps),
-                   ScalarPath(eval=math.sin, breakpoints=bps)):
-        want = np.array([looped.d(t) for t in ts.tolist()], dtype=float)
-        assert looped.d_many(ts).tobytes() == want.tobytes()
-        assert looped.values(ts).tobytes() == path.values(ts).tobytes()
+
+    def snapped(t):
+        return any(abs(t - b) <= 1e-14 * max(1.0, abs(b)) for b in bps)
+
+    def central(t):
+        h = 1e-6 * max(1.0, abs(t))
+        return (math.sin(t + h) - math.sin(t - h)) / (2.0 * h)
+
+    for deriv, slope in ((np.cos, math.cos), (None, central)):
+        want = np.array([0.0 if snapped(t) else slope(t)
+                         for t in ts.tolist()])
+        for path in (ScalarPath(eval=np.sin, deriv=deriv, breakpoints=bps),
+                     ScalarPath(eval=stacked(math.sin),
+                                deriv=deriv and stacked(math.cos),
+                                breakpoints=bps)):
+            assert path.d_many(ts).tobytes() == want.tobytes()
+            assert np.count_nonzero(path.d_many(ts)[:8]) == 0
+            assert np.array([path.d(t) for t in ts.tolist()]).tobytes() \
+                == want.tobytes()
+            assert path.eval(ts).tobytes() == np.array(
+                [path(t) for t in ts.tolist()]).tobytes()
 
 
 def test_interval_first_outside_agrees_with_contains():

@@ -9,16 +9,13 @@ import scipy.linalg
 from evostab.errors import IntegrationError
 from evostab.evolution import (
     CoefficientPath,
-    ComparisonInput,
     EvolutionOperator,
     StepStats,
-    comparison_bounds,
     evolve,
     param_evolution,
     propagate_vector,
     stacked,
     sweep_vector,
-    variation_of_parameters,
 )
 from evostab.evolution import _NODES, _magnus_exponents, _magnus_segment, expm
 from evostab.calculus import signed_integrate
@@ -215,90 +212,6 @@ def test_propagate_vector_agrees_with_operator_route():
     via_vec = propagate_vector(A, 0.0, 2.0, Vector(v0, A.space))
     via_op = evolve(A, 0.0, 2.0).entries @ v0
     assert np.max(np.abs(via_vec.entries - via_op)) <= 1e-8
-
-
-# ---------------------------------------------------------------------------
-# variation of parameters
-
-
-def test_vop_zero_forcing_reduces_to_propagation():
-    A = scalar_cos_path()
-    x0 = Vector(np.array([2.0]), SP1)
-    hom = propagate_vector(A, 0.0, 2.0, x0)
-    vop = variation_of_parameters(A, lambda t: np.zeros(1), 0.0, 2.0, x0)
-    assert np.max(np.abs(vop.entries - hom.entries)) <= 1e-9
-
-
-def test_vop_zero_coefficient_integrates_forcing():
-    A = CoefficientPath(eval=stacked(lambda t: np.zeros((2, 2))), space=SP2)
-    g = np.array([0.5, -1.0])
-    out = variation_of_parameters(A, lambda t: g, 1.0, 4.0,
-                                  Vector(np.array([1.0, 1.0]), SP2))
-    assert np.allclose(out.entries, np.array([1.0, 1.0]) + 3.0 * g,
-                       atol=1e-10)
-
-
-def test_vop_scalar_closed_form():
-    A = CoefficientPath(eval=stacked(lambda t: np.array([[1.0]])), space=SP1)
-    out = variation_of_parameters(A, lambda t: np.ones(1), 0.0, 1.0,
-                                  Vector(np.zeros(1), SP1))
-    assert out.entries[0] == pytest.approx(math.e - 1.0, abs=1e-9)
-
-
-# ---------------------------------------------------------------------------
-# comparison bounds
-
-
-def test_comparison_equal_coefficients():
-    A = scalar_cos_path()
-    c = ComparisonInput(A1=A, A2=A, gain=2.0, rate=0.5, sign=1)
-    out = comparison_bounds(c, 0.0, 2.0)
-    assert out.difference_bound == 0.0
-    assert out.growth_bound == pytest.approx(2.0 * math.exp(-1.0))
-
-
-def test_comparison_specializes_to_l1_estimate():
-    zero = CoefficientPath(eval=stacked(lambda t: np.zeros((1, 1))), space=SP1)
-    A = scalar_cos_path()
-    c = ComparisonInput(A1=zero, A2=A, gain=1.0, rate=0.0, sign=1)
-    out = comparison_bounds(c, 0.0, 3.0)
-    budget = signed_integrate(lambda tau: abs(math.cos(tau)), 0.0, 3.0)
-    assert out.growth_bound == pytest.approx(math.exp(budget), rel=1e-9)
-
-
-def test_comparison_scalar_closed_form_verified_against_propagator():
-    zero = CoefficientPath(eval=stacked(lambda t: np.zeros((1, 1))), space=SP1)
-    one = CoefficientPath(eval=stacked(lambda t: np.ones((1, 1))), space=SP1)
-    c = ComparisonInput(A1=zero, A2=one, gain=1.0, rate=0.0, sign=1)
-    out = comparison_bounds(c, 0.0, 1.0)
-    assert out.growth_bound == pytest.approx(math.e, rel=1e-10)
-    assert out.difference_bound == pytest.approx(math.e - 1.0, rel=1e-9)
-    x = evolve(one, 0.0, 1.0)
-    assert x.entries[0, 0] <= out.growth_bound + 1e-9
-
-
-def test_comparison_dominates_observed_norms(small_corpus):
-    for A in small_corpus:
-        zero = CoefficientPath(
-            eval=stacked(lambda t, _d=A.space.dim: np.zeros((_d, _d))),
-            space=A.space)
-        c = ComparisonInput(A1=zero, A2=A, gain=1.0, rate=0.0, sign=1)
-        for s, t in [(0.0, 1.5), (1.0, 2.0)]:
-            out = comparison_bounds(c, s, t)
-            for m in (evolve(A, s, t), evolve(A, t, s)):
-                assert matrix_norm(m.entries, A.space.norm_kind) <= \
-                    out.growth_bound + 1e-6
-
-
-def test_comparison_input_validation():
-    A = scalar_cos_path()
-    with pytest.raises(ValueError):
-        ComparisonInput(A1=A, A2=A, gain=0.5, rate=0.0, sign=1)
-    with pytest.raises(ValueError):
-        ComparisonInput(A1=A, A2=A, gain=1.0, rate=0.0, sign=2)
-    c = ComparisonInput(A1=A, A2=A, gain=1.0, rate=0.0, sign=-1)
-    with pytest.raises(ValueError):
-        comparison_bounds(c, 2.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,16 @@ def test_readme_class_attributes_resolve():
         fields = ({f.name for f in dataclasses.fields(cls)}
                   if dataclasses.is_dataclass(cls) else set())
         assert hasattr(cls, attr) or attr in fields, f"{head}.{attr}"
+    # every backticked bare name in a layout-table row is an attribute of
+    # (one of) the row's evostab.<module>, so a deleted function cannot
+    # stay named there
+    rows = re.findall(r"^\| (`evostab\.[^|]*)\|(.*)\|$", readme, re.M)
+    assert len(rows) >= 9
+    for head, contents in rows:
+        modules = [importlib.import_module(f"evostab.{name}")
+                   for name in re.findall(r"`evostab\.(\w+)`", head)]
+        for name in re.findall(r"`([A-Za-z_]\w*)`", contents):
+            assert any(hasattr(m, name) for m in modules), (head, name)
 
 
 def test_unknown_kind_rejected():
@@ -573,3 +583,30 @@ def test_bad_sine_curve_and_certify_settings_exit_2(tmp_path, capsys, kind,
     assert cli_main([kind, "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 2
     assert field in capsys.readouterr().err
+
+
+INTRO_COS = '"system": {"builtin": "intro-cos"}'
+
+
+@pytest.mark.parametrize("kind, text, problem", [
+    ("verify", '{%s, "window": [0, 5], "pairs": [[0, 7]]}' % INTRO_COS,
+     "pairs: pair (0.0, 7.0) outside the window [0, 5]"),
+    ("verify", '{%s, "window": [0, 5], "pairs": [[NaN, 1]]}' % INTRO_COS,
+     "pairs: expected a non-empty list of [s, t]"),
+    ("verify", '{%s, "window": [0, 1e400], "num_pairs": 3}' % INTRO_COS,
+     "window: expected finite bounds, got [0, inf]"),
+    ("evolve", '{"A": [["cos(t)"]], "pairs": [[0, Infinity]]}',
+     "pairs: expected a non-empty list of [s, t]"),
+    ("evolve", '{"A": [["cos(t)"]], "pairs": [[0, true]]}',
+     "pairs: expected a non-empty list of [s, t]"),
+])
+def test_malformed_pairs_and_windows_exit_2(tmp_path, capsys, kind, text,
+                                           problem):
+    with pytest.raises(ConfigError) as err:
+        run_scenario(kind, json.loads(text))
+    assert problem in err.value.problems
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(text)
+    assert cli_main([kind, "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: {problem}" in capsys.readouterr().err

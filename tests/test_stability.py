@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from evostab.calculus import Interval, OperatorField, Partition, ScalarPath, integrate
+from evostab.calculus import (Interval, OperatorField, Partition, ScalarPath,
+                              integrate)
 from evostab.errors import DomainViolationError
 from evostab.evolution import CoefficientPath, evolve, stacked
 from evostab.library import example39_field, make_scalar_path, make_system
@@ -34,7 +35,7 @@ def unit_field(space=SP1):
 
 
 def sin_path():
-    return ScalarPath(eval=math.sin, deriv=math.cos)
+    return ScalarPath(eval=stacked(math.sin), deriv=stacked(math.cos))
 
 
 # ---------------------------------------------------------------------------
@@ -42,7 +43,7 @@ def sin_path():
 
 
 def test_assemble_constant_path_gives_zero():
-    f = ScalarPath(eval=lambda t: 0.3, deriv=lambda t: 0.0)
+    f = ScalarPath(eval=stacked(lambda t: 0.3), deriv=stacked(lambda t: 0.0))
     sys = SeparableSystem(G=unit_field(), f=f, I=Interval(0, 10),
                           J=Interval(0, 1), space=SP1)
     A = assemble_A(sys)
@@ -72,7 +73,8 @@ def test_assemble_spot_checks_settling_field():
 
 
 def test_assemble_rejects_path_escaping_J():
-    f = ScalarPath(eval=lambda t: 2.0 * math.sin(t), deriv=lambda t: 2.0 * math.cos(t))
+    f = ScalarPath(eval=stacked(lambda t: 2.0 * math.sin(t)),
+                   deriv=stacked(lambda t: 2.0 * math.cos(t)))
     sys = SeparableSystem(G=unit_field(), f=f, I=Interval(0, 10),
                           J=Interval(-1, 1), space=SP1)
     A = assemble_A(sys)
@@ -86,44 +88,68 @@ def test_assembled_stack_with_sin_is_the_pointwise_stack_bit_for_bit(field):
     # bit for bit on x86-64, numpy 2.4); G is evaluated at each (t, f(t)).
     # The reference is the pointwise f'(t) G(t, f(t)) through math
     sys = make_system(field, f_name="sin")
-    f, G = sys.f, sys.G
-    assert f.eval_many is not None and f.deriv_many is not None
+    G = sys.G
     A = assemble_A(sys)
     rng = np.random.default_rng(8)
     ts = np.concatenate([rng.uniform(0.0, 100.0, 500), [0.0, math.pi]])
-    want = np.array([float(f.d(t)) * np.asarray(G.eval(t, float(f(t))),
-                                                 dtype=float)
+    want = np.array([math.cos(t) * np.asarray(G.eval(t, math.sin(t)),
+                                              dtype=float)
                      for t in ts.tolist()])
     assert A.eval(ts).tobytes() == want.tobytes()
 
 
 def test_assembled_stack_rejects_the_first_stage_escaping_J():
-    f = ScalarPath(eval=lambda t: 2.0 * math.sin(t),
-                   deriv=lambda t: 2.0 * math.cos(t),
-                   eval_many=lambda ts: 2.0 * np.sin(ts),
-                   deriv_many=lambda ts: 2.0 * np.cos(ts))
+    f = ScalarPath(eval=lambda ts: 2.0 * np.sin(ts),
+                   deriv=lambda ts: 2.0 * np.cos(ts))
     sys = SeparableSystem(G=unit_field(), f=f, I=Interval(0, 10),
                           J=Interval(-1, 1), space=SP1)
     A = assemble_A(sys)
     A(0.1)
     with pytest.raises(DomainViolationError) as batched:
         A.eval(np.array([0.1, 1.0, 1.5]))
-    # the same path without its batched evaluators loops over f pointwise
-    looped = assemble_A(dataclasses.replace(
-        sys, f=dataclasses.replace(f, eval_many=None, deriv_many=None)))
+    # the same path from a pointwise source, one time at a time
+    looped = assemble_A(dataclasses.replace(sys, f=dataclasses.replace(
+        f, eval=stacked(lambda t: 2.0 * math.sin(t)),
+        deriv=stacked(lambda t: 2.0 * math.cos(t)))))
     with pytest.raises(DomainViolationError) as pointwise:
         looped.eval(np.array([0.1, 1.0, 1.5]))
     assert str(batched.value) == str(pointwise.value)
     assert "f(1.0)" in str(batched.value)
 
 
+
+def test_replaced_path_evaluator_reaches_every_caller():
+    # a ScalarPath has one evaluator per quantity, so a field replaced by
+    # dataclasses.replace leaves no stale batched twin behind
+    sin = make_scalar_path("sin", Interval(0.0, 10.0))
+    G = OperatorField(eval=lambda t, u: np.array([[u]]), space=SP1)
+    ts = np.array([0.3, 1.1, 2.0])
+    half = dataclasses.replace(sin, eval=lambda ts: 0.5 * np.sin(ts))
+    assert half(0.3) == 0.5 * math.sin(0.3)
+    A = assemble_A(SeparableSystem(G=G, f=half, I=Interval(0, 10),
+                                   J=Interval(-1, 1), space=SP1))
+    assert np.array_equal(A.eval(ts)[:, 0, 0], np.cos(ts) * 0.5 * np.sin(ts))
+    # without deriv, d and d_many difference the replaced evaluator
+    h = 1e-6 * np.maximum(1.0, ts)
+    fd = (0.5 * np.sin(ts + h) - 0.5 * np.sin(ts - h)) / (2.0 * h)
+    half_fd = dataclasses.replace(half, deriv=None)
+    assert np.array_equal(half_fd.d_many(ts), fd)
+    assert half_fd.d(0.3) == fd[0]
+    # a replaced deriv reaches d, d_many and the stack
+    slow = dataclasses.replace(sin, deriv=lambda ts: 0.25 * np.cos(ts))
+    assert np.array_equal(slow.d_many(ts), 0.25 * np.cos(ts))
+    assert slow.d(1.1) == 0.25 * math.cos(1.1)
+    A = assemble_A(SeparableSystem(G=G, f=slow, I=Interval(0, 10),
+                                   J=Interval(-1, 1), space=SP1))
+    assert np.array_equal(A.eval(ts)[:, 0, 0], 0.25 * np.cos(ts) * np.sin(ts))
+
 # ---------------------------------------------------------------------------
 # certificates
 
 
 def test_certificate_unit_field_forced_values():
-    f = ScalarPath(eval=lambda t: 0.5 + 0.4 * math.sin(t),
-                   deriv=lambda t: 0.4 * math.cos(t))
+    f = ScalarPath(eval=stacked(lambda t: 0.5 + 0.4 * math.sin(t)),
+                   deriv=stacked(lambda t: 0.4 * math.cos(t)))
     sys = SeparableSystem(G=unit_field(), f=f, I=Interval(0, 50),
                           J=Interval(0, 1), space=SP1)
     cert = certify(sys, Interval(0, 20))
@@ -138,8 +164,8 @@ def test_certificate_time_independent_field_has_zero_variation():
     G = OperatorField(eval=lambda t, u: m, space=SP2,
                       partial_t=lambda t, u: np.zeros((2, 2)),
                       u_independent=True)
-    f = ScalarPath(eval=lambda t: 0.5 * math.sin(t),
-                   deriv=lambda t: 0.5 * math.cos(t))
+    f = ScalarPath(eval=stacked(lambda t: 0.5 * math.sin(t)),
+                   deriv=stacked(lambda t: 0.5 * math.cos(t)))
     sys = SeparableSystem(G=G, f=f, I=Interval(0, 100), J=Interval(-1, 1),
                           space=SP2)
     cert = certify(sys, Interval(0, 30))
@@ -201,8 +227,8 @@ def test_certificate_u_dependent_field_uses_double_integral_route():
         eval=lambda t, u: np.array([[0.4 + 0.1 * math.sin(t) * u]]),
         space=SP1,
     )
-    f = ScalarPath(eval=lambda t: 0.9 * math.sin(t),
-                   deriv=lambda t: 0.9 * math.cos(t))
+    f = ScalarPath(eval=stacked(lambda t: 0.9 * math.sin(t)),
+                   deriv=stacked(lambda t: 0.9 * math.cos(t)))
     sys = SeparableSystem(G=G, f=f, I=Interval(0, 10), J=Interval(-1, 1),
                           space=SP1)
     cert = certify(sys, Interval(0, 4), tol=1e-8)
@@ -285,8 +311,8 @@ def _example_system_window(window_hi=8.0):
 def test_frozen_single_segment_of_time_independent_field_matches():
     m = np.array([[0.1, 0.0], [0.2, -0.1]])
     G = OperatorField(eval=lambda t, u: m, space=SP2, u_independent=True)
-    f = ScalarPath(eval=lambda t: 0.5 * math.sin(t),
-                   deriv=lambda t: 0.5 * math.cos(t))
+    f = ScalarPath(eval=stacked(lambda t: 0.5 * math.sin(t)),
+                   deriv=stacked(lambda t: 0.5 * math.cos(t)))
     sys = SeparableSystem(G=G, f=f, I=Interval(0, 10), J=Interval(-1, 1),
                           space=SP2)
     frozen = frozen_system(sys, Partition((0.0, 10.0)))
@@ -350,7 +376,7 @@ def test_frozen_defect_decreases_along_dyadic_meshes():
 
 
 def test_substitution_identity_path_is_trivially_exact():
-    f = ScalarPath(eval=lambda t: t, deriv=lambda t: 1.0)
+    f = ScalarPath(eval=stacked(lambda t: t), deriv=stacked(lambda t: 1.0))
     d = substitution_check(lambda u: np.array([[0.3]]), f, 0.0, 2.0, SP1)
     assert d <= 1e-8
 
@@ -389,7 +415,7 @@ def test_substitution_non_monotone_path():
 
 
 def test_verify_zero_system_max_is_one():
-    f = ScalarPath(eval=lambda t: 0.5, deriv=lambda t: 0.0)
+    f = ScalarPath(eval=stacked(lambda t: 0.5), deriv=stacked(lambda t: 0.0))
     sys = SeparableSystem(G=unit_field(), f=f, I=Interval(0, 10),
                           J=Interval(0, 1), space=SP1)
     cert = certify(sys, Interval(0, 10))

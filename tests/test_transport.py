@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from evostab.calculus import Interval, ScalarPath, arc_length
+from evostab.calculus import Interval, ScalarPath, arc_length, stacked
 from evostab.errors import DomainViolationError, IntegrationError
 from evostab.evolution import evolve, sweep_two_sided
 from evostab.library import (
@@ -40,19 +40,19 @@ def zero_connection():
 
 
 def line_curve(x0, x1, u0, u1, a=0.0, b=1.0):
-    g1 = ScalarPath(eval=lambda t: x0 + (x1 - x0) * (t - a) / (b - a),
-                    deriv=lambda t: (x1 - x0) / (b - a))
-    g2 = ScalarPath(eval=lambda t: u0 + (u1 - u0) * (t - a) / (b - a),
-                    deriv=lambda t: (u1 - u0) / (b - a))
+    g1 = ScalarPath(eval=stacked(lambda t: x0 + (x1 - x0) * (t - a) / (b - a)),
+                    deriv=stacked(lambda t: (x1 - x0) / (b - a)))
+    g2 = ScalarPath(eval=stacked(lambda t: u0 + (u1 - u0) * (t - a) / (b - a)),
+                    deriv=stacked(lambda t: (u1 - u0) / (b - a)))
     return Curve(g1, g2, a, b)
 
 
 def wiggle_curve(freq=1.0, a=0.0, b=1.0):
-    g1 = ScalarPath(eval=lambda t: 1.5 * (t - a) / (b - a) - 1.0,
-                    deriv=lambda t: 1.5 / (b - a))
-    g2 = ScalarPath(eval=lambda t: 0.8 * math.sin(freq * math.pi * t),
-                    deriv=lambda t: 0.8 * freq * math.pi
-                    * math.cos(freq * math.pi * t))
+    g1 = ScalarPath(eval=stacked(lambda t: 1.5 * (t - a) / (b - a) - 1.0),
+                    deriv=stacked(lambda t: 1.5 / (b - a)))
+    g2 = ScalarPath(eval=stacked(lambda t: 0.8 * math.sin(freq * math.pi * t)),
+                    deriv=stacked(lambda t: 0.8 * freq * math.pi
+                    * math.cos(freq * math.pi * t)))
     return Curve(g1, g2, a, b)
 
 
@@ -482,9 +482,11 @@ def _pointwise_coefficient(w, g, t):
 
 
 def _looped(g):
-    """The curve g with its paths' batched evaluators taken away."""
-    strip = lambda p: dataclasses.replace(p, eval_many=None, deriv_many=None)
-    return Curve(strip(g.gamma1), strip(g.gamma2), g.a, g.b)
+    """The curve g with its paths evaluated one time at a time."""
+    def loop(p):
+        return dataclasses.replace(p, eval=stacked(p), deriv=stacked(p.d))
+
+    return Curve(loop(g.gamma1), loop(g.gamma2), g.a, g.b)
 
 
 def _stage_times(a, b, n=400, seed=5):
@@ -514,22 +516,17 @@ def test_curve_coefficient_stack_leaves_out_terms_with_zero_derivative():
     # term out, and so must the stack, down to the sign of zero
     w = make_connection("gauge-twist", RECT_M, RECT_J)
     flat_then_sin = ScalarPath(
-        eval=lambda t: 0.0 if t <= 1.0 else math.sin(t - 1.0),
-        deriv=lambda t: 0.0 if t <= 1.0 else math.cos(t - 1.0),
-        breakpoints=(1.0,),
-        eval_many=lambda ts: np.where(ts <= 1.0, 0.0, np.sin(ts - 1.0)),
-        deriv_many=lambda ts: np.where(ts <= 1.0, 0.0, np.cos(ts - 1.0)))
+        eval=lambda ts: np.where(ts <= 1.0, 0.0, np.sin(ts - 1.0)),
+        deriv=lambda ts: np.where(ts <= 1.0, 0.0, np.cos(ts - 1.0)),
+        breakpoints=(1.0,))
     still_late = ScalarPath(
-        eval=lambda t: 0.5 * math.sin(t) if t <= 2.0 else 0.5 * math.sin(2.0),
-        deriv=lambda t: 0.5 * math.cos(t) if t <= 2.0 else 0.0,
-        breakpoints=(2.0,),
-        eval_many=lambda ts: np.where(ts <= 2.0, 0.5 * np.sin(ts),
-                                      0.5 * math.sin(2.0)),
-        deriv_many=lambda ts: np.where(ts <= 2.0, 0.5 * np.cos(ts), 0.0))
+        eval=lambda ts: np.where(ts <= 2.0, 0.5 * np.sin(ts),
+                                 0.5 * math.sin(2.0)),
+        deriv=lambda ts: np.where(ts <= 2.0, 0.5 * np.cos(ts), 0.0),
+        breakpoints=(2.0,))
     for g1, g2 in ((flat_then_sin, still_late),
-                   (ScalarPath(eval=lambda t: 0.0, deriv=lambda t: 0.0,
-                               eval_many=np.zeros_like,
-                               deriv_many=np.zeros_like), still_late)):
+                   (ScalarPath(eval=np.zeros_like, deriv=np.zeros_like),
+                    still_late)):
         g = Curve(g1, g2, 0.0, 3.0)
         A = curve_coefficient(w, g)
         ts = np.concatenate([np.linspace(0.0, 3.0, 61), [1.0 + 1e-15]])
@@ -553,8 +550,8 @@ def test_curve_coefficient_stack_raises_at_the_first_stage_outside():
 
 
 def test_curve_coefficient_without_batched_paths_has_no_batched_stack():
-    # paths without eval_many / deriv_many loop over their pointwise
-    # callables: the same stack as the batched paths, bit for bit
+    # paths from pointwise sources, one time at a time: the same stack as
+    # the paths that take the array, bit for bit
     w = make_connection("gauge-twist")
     g = _sine_paths(-1.0, -1e-4)
     ts = np.concatenate([_stage_times(-1.0, -1e-4), [-1.0, -1e-4]])
