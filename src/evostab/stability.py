@@ -78,17 +78,18 @@ def _checked_f_value(sys_J: Interval, f_val: float, t: float) -> float:
     return f_val
 
 
-def _pulled_back(sys: SeparableSystem, ts: np.ndarray, gts) -> np.ndarray:
+def _pulled_back(sys: SeparableSystem, ts: np.ndarray,
+                 g_times: np.ndarray) -> np.ndarray:
     """The stack of f'(t) G(s, f(t)) over the times t of ts, with s the
-    matching time of gts: f and f' over the array in one call each, one
-    check of the values against J, then G at each (s, f(t))."""
+    matching time of g_times: f and f' over the array in one call each,
+    one check of the values against J, then G at each (s, f(t))."""
     G, f, J = sys.G, sys.f, sys.J
     us = f.eval(ts)
     i = J.first_outside(us, 1e-12)
     if i is not None:
         _checked_f_value(J, float(us[i]), float(ts[i]))
     g = np.array([np.asarray(G.eval(s, u), dtype=float)
-                  for s, u in zip(gts.tolist(), us.tolist())])
+                  for s, u in zip(g_times.tolist(), us.tolist())])
     return f.d_many(ts)[:, None, None] * g
 
 
