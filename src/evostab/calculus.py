@@ -8,10 +8,12 @@ change-of-variables identity
     int_s^t f'(tau) y(f(tau)) dtau  =  int_{f(s)}^{f(t)} y(u) du.
 
 Integrands may return floats or ndarrays; the quadrature accumulates
-componentwise and measures segment errors in the max-abs sense.  The
-engine evaluates all 15 nodes of a panel in one call: node by node for
-``integrate``, in one array call for the u-integrals of fields with a
-batched evaluator (``OperatorField.eval_u``) and for the path integrands
+componentwise and measures segment errors in the max-abs sense, so a
+family of integrals (one per time, say) is integrated on shared panels.
+The engine evaluates all 15 nodes of a panel in one call: node by node
+for ``integrate``, and in one array call for the certificate's
+u-integrals over a family of times (``OperatorField.u_stack`` and
+``d1_many``), for derivative-mode variation, and for the path integrands
 of arc length and the change of variables (``ScalarPath.eval`` and
 ``d_many``).
 """
@@ -115,10 +117,6 @@ class Partition:
         return Partition(tuple(np.linspace(lo, hi, n + 1)))
 
 
-def _fd_step(t: float) -> float:
-    return 1e-6 * max(1.0, abs(t))
-
-
 def stacked(fn: Callable[[float], object]):
     """The array evaluator of a pointwise source t -> fn(t), for a
     :class:`ScalarPath` or a ``CoefficientPath``: fn at each time of the
@@ -184,7 +182,7 @@ class ScalarPath:
     def _slope(self, ts: np.ndarray) -> np.ndarray:
         if self.deriv is not None:
             return np.asarray(self.deriv(ts), dtype=float)
-        h = 1e-6 * np.maximum(1.0, np.abs(ts))  # _fd_step at each time
+        h = 1e-6 * np.maximum(1.0, np.abs(ts))
         up = np.asarray(self.eval(ts + h), dtype=float)
         down = np.asarray(self.eval(ts - h), dtype=float)
         h = h.reshape(h.shape + (1,) * (up.ndim - 1))
@@ -199,7 +197,8 @@ class OperatorField:
     t-derivative when available.  ``u_independent`` marks fields G(t, u)
     that do not actually depend on u, unlocking exact shortcuts for the
     L1-in-u norm and the variation computation.  ``eval_u(t, us)``, when
-    given, stacks G(t, u) over an array of u in one call.
+    given, stacks G(t, u) over arrays of t and u, broadcast against each
+    other, in one call.
     """
 
     eval: Callable[[float, float], np.ndarray]
@@ -207,37 +206,53 @@ class OperatorField:
     partial_t: Optional[Callable[[float, float], np.ndarray]] = None
     t_breakpoints: tuple = ()
     u_independent: bool = False
-    eval_u: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
+    eval_u: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         object.__setattr__(
             self, "t_breakpoints", tuple(sorted(float(b) for b in self.t_breakpoints))
         )
 
-    def d1(self, t: float, u: float) -> np.ndarray:
-        """Partial derivative in t, analytic or central-difference."""
-        if self.partial_t is not None:
-            return np.asarray(self.partial_t(t, u), dtype=float)
-        h = _fd_step(t)
-        a = np.asarray(self.eval(t + h, u), dtype=float)
-        b = np.asarray(self.eval(t - h, u), dtype=float)
-        return (a - b) / (2.0 * h)
-
-    def u_stack(self, t: float, us: np.ndarray) -> np.ndarray:
-        """The (len(us), r, r) stack of G(t, u) over the u in us."""
+    def u_stack(self, t, us) -> np.ndarray:
+        """The stack of G(t, u) over the times t and the values us,
+        broadcast against each other: of shape broadcast(t, us) + (r, r)."""
         if self.eval_u is not None:
             return np.asarray(self.eval_u(t, us), dtype=float)
-        return np.stack([np.asarray(self.eval(t, u), dtype=float) for u in us])
+        return _pointwise(self.eval, t, us)
 
-    def d1_many(self, t: float, us: np.ndarray) -> np.ndarray:
-        """The (len(us), r, r) stack of d1(t, u) over the u in us."""
-        if self.eval_u is None or self.partial_t is not None:
-            return np.stack([self.d1(t, u) for u in us])
-        h = _fd_step(t)
-        return (self.u_stack(t + h, us) - self.u_stack(t - h, us)) / (2.0 * h)
+    def d1_many(self, t, us) -> np.ndarray:
+        """The stack of the partial derivatives in t, broadcast as in
+        :meth:`u_stack`: analytic, or central differences with step
+        1e-6 * max(1, |t|)."""
+        if self.partial_t is not None:
+            return _pointwise(self.partial_t, t, us)
+        t = np.asarray(t, dtype=float)
+        h = 1e-6 * np.maximum(1.0, np.abs(t))
+        diff = self.u_stack(t + h, us) - self.u_stack(t - h, us)
+        return diff / (2.0 * h)[..., None, None]
 
 
-def _gk15(gv, a: float, b: float):
+def _pointwise(fn, t, us) -> np.ndarray:
+    """fn(t, u) over the broadcast arrays t and us, one call each."""
+    ts, us = np.broadcast_arrays(np.asarray(t, dtype=float),
+                                 np.asarray(us, dtype=float))
+    vals = np.array([fn(a, b) for a, b in zip(ts.ravel().tolist(),
+                                              us.ravel().tolist())],
+                    dtype=float)
+    return vals.reshape(ts.shape + vals.shape[1:])
+
+
+@dataclass
+class QuadStats:
+    """Deterministic quadrature counters: the Gauss-Kronrod panels
+    evaluated, and the integrand values they took: 15 per panel and
+    component, the members of a family of integrals being its components."""
+
+    quad_panels: int = 0
+    quad_nodes: int = 0
+
+
+def _gk15(gv, a: float, b: float, stats: Optional[QuadStats] = None):
     """One Gauss-Kronrod 15(7) panel: returns (kronrod value, error est).
 
     ``gv`` maps the array of 15 nodes to their values stacked on axis 0.
@@ -253,6 +268,9 @@ def _gk15(gv, a: float, b: float):
     k = h * np.dot(_KRONROD_ROW, stacked.reshape(15, -1)).reshape(shape)
     g7 = h * np.dot(_GAUSS_ROW, stacked[1::2].reshape(7, -1)).reshape(shape)
     err = float(np.max(np.abs(k - g7)))
+    if stats is not None:
+        stats.quad_panels += 1
+        stats.quad_nodes += stacked.size
     return k, err
 
 
@@ -285,8 +303,15 @@ def integrate(
 
 
 def _integrate_nodes(gv, interval: Interval, breakpoints=(),
-                     tol: float = DEFAULT_TOL, max_segments: int = 4096):
-    """``integrate`` of gv, which stacks the values at an array of nodes."""
+                     tol: float = DEFAULT_TOL, max_segments: int = 4096,
+                     stats: Optional[QuadStats] = None):
+    """``integrate`` of gv, which stacks the values at an array of nodes.
+
+    Array values integrate a family of integrals on shared panels: a
+    panel's error estimate is the largest over the family, so the summed
+    estimate of each member stays below ``tol``.  ``stats``, if given,
+    counts the panels and integrand values.
+    """
     if not interval.is_finite():
         raise DomainViolationError("quadrature requested over an unbounded interval")
     lo, hi = interval.lo, interval.hi
@@ -299,7 +324,7 @@ def _integrate_nodes(gv, interval: Interval, breakpoints=(),
     counter = 0
     total_err = 0.0
     for a, b in zip(cuts, cuts[1:]):
-        val, err = _gk15(gv, a, b)
+        val, err = _gk15(gv, a, b, stats)
         heapq.heappush(heap, (-err, counter, a, b))
         seg_values[counter] = (val, err)
         counter += 1
@@ -315,7 +340,7 @@ def _integrate_nodes(gv, interval: Interval, breakpoints=(),
         total_err -= seg_values.pop(idx)[1]
         m = 0.5 * (a + b)
         for lo2, hi2 in ((a, m), (m, b)):
-            val, err = _gk15(gv, lo2, hi2)
+            val, err = _gk15(gv, lo2, hi2, stats)
             heapq.heappush(heap, (-err, counter, lo2, hi2))
             seg_values[counter] = (val, err)
             counter += 1
@@ -349,19 +374,28 @@ def _oriented(quad, g, s, t, *args):
 
 def l1_norm_in_u(
     G: OperatorField,
-    t: float,
+    t,
     J: Interval,
     tol: float = DEFAULT_TOL,
-) -> float:
-    """int_J ||G(t, u)|| du, the L1-in-u operator norm at time t."""
+    stats: Optional[QuadStats] = None,
+):
+    """int_J ||G(t, u)|| du, the L1-in-u operator norm at time t.
+
+    An array of times gives the array of their norms, integrated together
+    on shared panels, each within ``tol``; a scalar t is row 0 of the
+    one-time array.  ``stats`` counts the panels as in _integrate_nodes.
+    """
     if not J.is_finite():
         raise DomainViolationError("L1 norm requested over an unbounded interval")
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
     kind = G.space.norm_kind
     if G.u_independent:
-        return J.length() * matrix_norm(np.asarray(G.eval(t, J.midpoint()),
-                                                   dtype=float), kind)
-    return _integrate_nodes(lambda us: matrix_norm(G.u_stack(t, us), kind),
-                            J, (), tol)
+        norms = J.length() * matrix_norm(G.u_stack(ts, J.midpoint()), kind)
+    else:
+        norms = _integrate_nodes(
+            lambda us: matrix_norm(G.u_stack(ts, us[:, None]), kind),
+            J, (), tol, stats=stats)
+    return norms if np.ndim(t) else float(norms[0])
 
 
 def total_variation_path(
@@ -373,31 +407,38 @@ def total_variation_path(
     norm_kind: str = EUCLIDEAN,
     rel_stop: float = 1e-4,
     max_doublings: int = 14,
+    stats: Optional[QuadStats] = None,
 ) -> float:
     """Total variation of an operator path t -> G(t) on a finite interval.
 
     With ``deriv`` given the variation equals int ||G'|| and is computed
-    by quadrature.  Otherwise partition sums over dyadically refined
-    grids give a monotone nondecreasing lower estimate, accepted once the
-    relative change between refinements drops below ``rel_stop``.
+    by quadrature, the derivative taken over each panel's nodes in one
+    call (``stats`` counts the panels).  Otherwise partition sums over
+    dyadically refined grids give a monotone nondecreasing lower
+    estimate, accepted once the relative change between refinements drops
+    below ``rel_stop``; each doubling evaluates G at the fresh midpoints
+    only.
     """
     if not interval.is_finite():
         raise DomainViolationError("variation requested over an unbounded interval")
     if deriv is not None:
-        return integrate(
-            lambda t: matrix_norm(np.asarray(deriv(t), dtype=float), norm_kind),
-            interval, breakpoints, tol,
-        )
+        slope = stacked(deriv)
+        return _integrate_nodes(lambda ts: matrix_norm(slope(ts), norm_kind),
+                                interval, breakpoints, tol, stats=stats)
+    path = stacked(G)
+
     def levels():
         pts = np.array(_initial_cuts(interval.lo, interval.hi, breakpoints))
         # a too-coarse start can alias oscillations into a spuriously
         # stable sum, so densify before the convergence test kicks in
         while len(pts) < 33:
             pts = _refine_dyadic(pts)
-        yield 0, _partition_sum(G, pts, norm_kind)
+        vals = path(pts)
+        yield 0, _partition_sum(vals, norm_kind)
         for k in range(1, max_doublings + 1):
+            vals = _interleave(vals, path(_midpoints(pts)))
             pts = _refine_dyadic(pts)
-            yield k, _partition_sum(G, pts, norm_kind)
+            yield k, _partition_sum(vals, norm_kind)
 
     value, _, converged = refine_until_stable(
         levels(), lambda prev, cur: cur - prev <= rel_stop * max(cur, 1e-300))
@@ -425,18 +466,28 @@ def refine_until_stable(levels, stable):
     return prev, level, False
 
 
-def _refine_dyadic(pts: np.ndarray) -> np.ndarray:
-    mids = 0.5 * (pts[:-1] + pts[1:])
-    out = np.empty(len(pts) + len(mids))
-    out[0::2] = pts
-    out[1::2] = mids
+def _midpoints(pts: np.ndarray) -> np.ndarray:
+    return 0.5 * (pts[:-1] + pts[1:])
+
+
+def _interleave(old: np.ndarray, fresh: np.ndarray) -> np.ndarray:
+    """old[0], fresh[0], old[1], ... along axis 0 (len(old) = len(fresh) + 1)."""
+    out = np.empty((len(old) + len(fresh),) + old.shape[1:])
+    out[0::2] = old
+    out[1::2] = fresh
     return out
 
 
-def _partition_sum(G, pts: np.ndarray, norm_kind: str) -> float:
-    vals = [np.asarray(G(t), dtype=float) for t in pts]
-    return float(sum(matrix_norm(b - a, norm_kind)
-                     for a, b in zip(vals, vals[1:])))
+def _refine_dyadic(pts: np.ndarray) -> np.ndarray:
+    return _interleave(pts, _midpoints(pts))
+
+
+def _partition_sum(vals: np.ndarray, norm_kind: str) -> float:
+    """The sum of the norms of neighbouring differences of the stack vals,
+    added left to right (cumsum is sequential, unlike numpy's pairwise
+    sum)."""
+    norms = matrix_norm(vals[1:] - vals[:-1], norm_kind)
+    return float(np.cumsum(norms)[-1])
 
 
 def tv_l1_upper_bound(
@@ -444,25 +495,29 @@ def tv_l1_upper_bound(
     I: Interval,
     J: Interval,
     tol: float = DEFAULT_TOL,
+    stats: Optional[QuadStats] = None,
 ) -> float:
     """Upper bound for the variation of t -> G(t, .) in the L1(J) metric:
     the double integral of ||d/dt G(t, u)|| over I x J, by iterated
-    adaptive quadrature."""
+    adaptive quadrature.  Each outer panel takes its 15 inner integrals as
+    one family on shared u-panels; ``stats`` counts the panels of both."""
     if not (I.is_finite() and J.is_finite()):
         raise DomainViolationError("double integral over an unbounded rectangle")
     kind = G.space.norm_kind
     if G.u_independent:
-        inner = lambda t: J.length() * matrix_norm(G.d1(t, J.midpoint()), kind)
-        return integrate(inner, I, G.t_breakpoints, tol)
-    # keep the inner integrals well below the outer tolerance so that the
-    # outer error estimate is not noise-limited
-    inner_tol = tol / (100.0 * max(I.length(), 1.0))
+        def inner(ts):
+            return J.length() * matrix_norm(G.d1_many(ts, J.midpoint()), kind)
+    else:
+        # keep the inner integrals well below the outer tolerance so that
+        # the outer error estimate is not noise-limited
+        inner_tol = tol / (100.0 * max(I.length(), 1.0))
 
-    def inner(t):
-        return _integrate_nodes(lambda us: matrix_norm(G.d1_many(t, us), kind),
-                                J, (), inner_tol)
+        def inner(ts):
+            return _integrate_nodes(
+                lambda us: matrix_norm(G.d1_many(ts, us[:, None]), kind),
+                J, (), inner_tol, stats=stats)
 
-    return integrate(inner, I, G.t_breakpoints, tol)
+    return _integrate_nodes(inner, I, G.t_breakpoints, tol, stats=stats)
 
 
 def arc_length(gamma: ScalarPath, a: float, b: float, tol: float = DEFAULT_TOL) -> float:

@@ -191,11 +191,12 @@ def _expr_matrix(rows, bag, label):
 
     entries = [c for row in compiled for c in row]
 
-    def many(t, u):  # t a number or an array of u's shape; entries broadcast
-        out = np.empty(u.shape + (r * r,))
+    def many(t, u):  # t and u numbers or arrays, broadcast together
+        shape = np.broadcast_shapes(np.shape(t), np.shape(u))
+        out = np.empty(shape + (r * r,))
         for k, values in enumerate(many_together(entries, t, u)):
             out[..., k] = values
-        return out.reshape(u.shape + (r, r))
+        return out.reshape(shape + (r, r))
 
     eval_matrix.dim = r
     eval_matrix.many = many
@@ -234,8 +235,13 @@ def _system_from_config(cfg, bag) -> Optional[SeparableSystem]:
         f_name = cfg.get("f", "sin")
         try:
             if name == "constant" and "matrix" in cfg:
-                field_obj = constant_field(np.asarray(cfg["matrix"],
-                                                      dtype=float), norm)
+                m = np.asarray(cfg["matrix"], dtype=float)
+                if not (m.ndim == 2 and 0 < len(m) == m.shape[1]
+                        and np.isfinite(m).all()):
+                    bag.append("system.matrix: expected a square matrix of "
+                               f"finite numbers, got {cfg['matrix']!r}")
+                    return None
+                field_obj = constant_field(m, norm)
                 I = Interval(0.0, math.inf)
                 return SeparableSystem(
                     G=field_obj, f=make_scalar_path(f_name, I), I=I,
@@ -391,6 +397,7 @@ def _run_certify(config, seed, tol):
         "overflow": cert.overflow,
         "variation_mode": cert.variation_mode,
         "vacuous": math.isinf(cert.bound),
+        "cost": asdict(cert.cost),
     }
     if summary["vacuous"]:
         summary["log_log_bound"] = cert.log_log_bound
@@ -449,7 +456,7 @@ def _run_verify(config, seed, tol):
         "overflow": cert.overflow,
         "vacuous": math.isinf(cert.bound),
         "aborted": report.aborted,
-        "cost": asdict(report.stats),
+        "cost": {**asdict(report.stats), **asdict(cert.cost)},
     }
     if summary["vacuous"]:
         summary["log_log_bound"] = cert.log_log_bound
@@ -555,6 +562,9 @@ def _run_sine_curve(config, seed, tol):
     a = config.get("a")
     a_ok = isinstance(a, (int, float)) and a < 0
     _problems_if(not a_ok, "a: expected a negative number", bag)
+    _problems_if(a_ok and not math.isfinite(a),
+                 f"a: expected a finite number, got {a!r}", bag)
+    a_ok = a_ok and math.isfinite(a)
     b_list = config.get("b_list")
     if (not isinstance(b_list, list) or not b_list or not all(
             _is_number(b) and (not a_ok or a < b < 0) for b in b_list)):
@@ -563,6 +573,8 @@ def _run_sine_curve(config, seed, tol):
     if (not isinstance(v_cfg, list) or not v_cfg or not all(
             isinstance(x, (int, float)) for x in v_cfg)):
         bag.append("v: expected a non-empty numeric vector")
+    elif not all(math.isfinite(x) for x in v_cfg):
+        bag.append(f"v: expected finite entries, got {v_cfg!r}")
     floor = config.get("b_floor", -1e-4)
     _problems_if(not (_is_number(floor) and math.isfinite(floor)
                       and (not a_ok or floor > a)),

@@ -3,8 +3,8 @@
 Everything downstream works on a normed space fixed by a
 :class:`VectorSpaceSpec` (dimension + norm choice).  Operators are dense
 r-by-r matrices; r is expected to be small, so norms are computed exactly
-(the euclidean operator norm through a full singular value decomposition
-rather than iteration).
+(the euclidean operator norm in closed form for r = 2, and through a full
+singular value decomposition rather than iteration for r >= 3).
 """
 
 from __future__ import annotations
@@ -93,18 +93,39 @@ class Vector:
         object.__setattr__(self, "entries", v)
 
 
+def _sigma_max_2x2(a: np.ndarray) -> np.ndarray:
+    """Largest singular value of 2x2 matrices, in closed form:
+    1/2 (|(a + d, b - c)| + |(a - d, b + c)|), the two hypotenuses being
+    the singular values' sum and difference."""
+    p, q = a[..., 0, 0], a[..., 0, 1]
+    r, s = a[..., 1, 0], a[..., 1, 1]
+    return 0.5 * (np.hypot(p + s, q - r) + np.hypot(p - s, q + r))
+
+
 def matrix_norm(a: np.ndarray, kind: str = EUCLIDEAN):
     """Operator norm of a bare matrix, induced by the given vector norm.
 
     one-norm: max absolute column sum; inf-norm: max absolute row sum;
-    euclidean: largest singular value.  A (n, r, r) stack of matrices
-    gives the (n,) array of their norms.
+    euclidean: largest singular value, in closed form for 2x2 matrices
+    and from a singular value decomposition for larger ones.  A stack of
+    matrices, of shape (..., r, r), gives the array of their norms, of
+    shape (...).  A matrix with a non-finite entry has a non-finite norm.
     """
-    stacked = a.ndim == 3
+    stacked = a.ndim >= 3
     if kind == EUCLIDEAN:
         if a.shape[-2:] == (1, 1):
-            return np.abs(a[:, 0, 0]) if stacked else abs(a[0, 0])
-        norms = np.linalg.svd(a, compute_uv=False)[..., 0]
+            return np.abs(a[..., 0, 0]) if stacked else abs(a[0, 0])
+        if a.shape[-2:] == (2, 2):
+            norms = _sigma_max_2x2(a)
+        else:
+            # the SVD gives NaN for an inf entry and raises on a NaN one;
+            # such matrices take their (inf or NaN) sum of |entries|
+            finite = np.isfinite(a).all(axis=(-2, -1))
+            norms = np.linalg.svd(np.where(finite[..., None, None], a, 0.0),
+                                  compute_uv=False)[..., 0]
+            if not finite.all():
+                norms = np.where(finite, norms,
+                                 np.sum(np.abs(a), axis=(-2, -1)))
     elif kind == ONE_NORM:
         norms = np.max(np.sum(np.abs(a), axis=-2), axis=-1)
     elif kind == INF_NORM:

@@ -34,6 +34,7 @@ from .calculus import (
     Interval,
     OperatorField,
     Partition,
+    QuadStats,
     ScalarPath,
     l1_norm_in_u,
     refine_until_stable,
@@ -154,6 +155,7 @@ class BoundCertificate:
     ``bound`` is always reproducible from ``gain`` and ``variation``; the
     constructor enforces that.  Certificates computed from grid samples
     are labeled estimates: the true sup may exceed the sampled one.
+    ``cost`` counts the quadrature panels that produced the numbers.
     """
 
     gain: float
@@ -167,6 +169,7 @@ class BoundCertificate:
     sup_converged: bool = True
     variation_mode: str = "double-integral"
     provenance: str = "grid-sampled"
+    cost: QuadStats = field(default_factory=QuadStats)
 
     def __post_init__(self):
         if self.gain < 1.0:
@@ -197,13 +200,13 @@ class BoundCertificate:
     @staticmethod
     def from_parts(gain, variation, window, sup_grid, tolerances,
                    sup_converged=True, variation_mode="double-integral",
-                   provenance="grid-sampled") -> "BoundCertificate":
+                   provenance="grid-sampled", cost=None) -> "BoundCertificate":
         bound, _, _ = saturating_bound(gain, math.log(gain), variation)
         return BoundCertificate(
             gain=gain, variation=variation, bound=bound, window=window,
             sup_grid=sup_grid, tolerances=dict(tolerances),
             sup_converged=sup_converged, variation_mode=variation_mode,
-            provenance=provenance,
+            provenance=provenance, cost=cost or QuadStats(),
         )
 
 
@@ -211,19 +214,21 @@ def _dyadic_sup(values_at, lo, hi, seed_points, rel_stop=1e-3,
                 max_points=4097):
     """Sup of a function by sampling on dyadically refined grids.
 
-    Returns (sup, n_points, converged).  New refinement levels only
-    evaluate the fresh midpoints.
+    ``values_at`` maps an array of points to the array of the values
+    there.  Returns (sup, n_points, converged).  Each refinement level
+    evaluates its fresh midpoints in one call.
     """
     def levels():
-        pts = sorted(set([lo, hi] + [p for p in seed_points if lo < p < hi]))
+        pts = np.array(sorted(set([lo, hi] + [p for p in seed_points
+                                              if lo < p < hi])))
         while len(pts) < 17:
-            pts = sorted(pts + [0.5 * (a + b) for a, b in zip(pts, pts[1:])])
-        best = max(values_at(p) for p in pts)
+            pts = np.sort(np.concatenate([pts, 0.5 * (pts[:-1] + pts[1:])]))
+        best = float(np.max(values_at(pts)))
         yield len(pts), best
         while len(pts) < max_points:
-            mids = [0.5 * (a + b) for a, b in zip(pts, pts[1:])]
-            best = max(best, max(values_at(p) for p in mids))
-            pts = sorted(pts + mids)
+            mids = 0.5 * (pts[:-1] + pts[1:])
+            best = max(best, float(np.max(values_at(mids))))
+            pts = np.sort(np.concatenate([pts, mids]))
             yield len(pts), best
 
     return refine_until_stable(
@@ -251,12 +256,13 @@ def certify(
         raise ValueError("window must lie inside the system's time interval")
     G, J = sys.G, sys.J
     l1_tol = min(1e-8, tol)
+    cost = QuadStats()
     if sup_l1_bound is not None:
         sup_val, n_grid, conv = float(sup_l1_bound), 0, True
         provenance = "analytic"
     else:
         sup_val, n_grid, conv = _dyadic_sup(
-            lambda t: l1_norm_in_u(G, t, J, l1_tol),
+            lambda ts: l1_norm_in_u(G, ts, J, l1_tol, cost),
             window.lo, window.hi, list(G.t_breakpoints),
         )
         provenance = "grid-sampled"
@@ -271,21 +277,21 @@ def certify(
             variation = J.length() * total_variation_path(
                 lambda t: np.asarray(G.eval(t, u_mid), dtype=float),
                 window, G.t_breakpoints, tol, deriv=deriv,
-                norm_kind=sys.space.norm_kind,
+                norm_kind=sys.space.norm_kind, stats=cost,
             )
         except RefinementError as exc:  # only partition sums refine
             variation = float(exc.last) * J.length()
             variation_mode = "partition-sum-unconverged"
             conv = False
     else:
-        variation = tv_l1_upper_bound(G, window, J, tol)
+        variation = tv_l1_upper_bound(G, window, J, tol, cost)
         variation_mode = "double-integral"
 
     return BoundCertificate.from_parts(
         gain=gain, variation=variation, window=window, sup_grid=n_grid,
         tolerances={"certify": tol, "l1": l1_tol},
         sup_converged=conv, variation_mode=variation_mode,
-        provenance=provenance,
+        provenance=provenance, cost=cost,
     )
 
 

@@ -264,6 +264,9 @@ def beta_bound(b: ConnectionBounds, L: float) -> float:
     return beta_parts(b, L).beta
 
 
+_FIELD_NAMES = ("omega1", "omega2", "d/dx omega2")
+
+
 def sample_connection_bounds(
     w: ConnectionForm,
     resolution: int = 17,
@@ -273,7 +276,8 @@ def sample_connection_bounds(
 ) -> ConnectionBounds:
     """Grid-sample sup norms of omega1, omega2, d/dx omega2 over the
     rectangle, refining dyadically until all three stabilize, then
-    inflate by 5%."""
+    inflate by 5%.  A sample with a non-finite entry raises
+    DomainViolationError naming its (x, u)."""
     if not (w.m_interval.is_finite() and w.j_interval.is_finite()):
         raise DomainViolationError("bounds sampling needs a finite rectangle")
     kind = w.space.norm_kind
@@ -283,13 +287,18 @@ def sample_connection_bounds(
         us = np.linspace(w.j_interval.lo, w.j_interval.hi, n)
         out = np.zeros(3)
         # one stacked norm call per field and grid row keeps memory O(n);
-        # omega1 and omega2 take each row from one batched call.  fmax
-        # skips NaN norms, as a running max(sup, norm) does
+        # omega1 and omega2 take each row from one batched call
         for x in xs.tolist():
             rows = (w.omega1_stack(x, us), w.omega2_stack(x, us),
                     np.array([w.d1w2(x, u) for u in us.tolist()]))
             for i, row in enumerate(rows):
-                out[i] = np.fmax.reduce(matrix_norm(row, kind), initial=out[i])
+                finite = np.isfinite(row).all(axis=(-2, -1))
+                if not finite.all():
+                    j = int(np.argmin(finite))
+                    raise DomainViolationError(
+                        f"{_FIELD_NAMES[i]} is not finite at (x, u) = "
+                        f"({x}, {us[j]})")
+                out[i] = max(out[i], matrix_norm(row, kind).max())
         return out
 
     def levels():

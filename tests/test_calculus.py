@@ -457,3 +457,35 @@ def test_interval_first_outside_agrees_with_contains():
     assert box.first_outside(ts, 1e-12) == 2
     assert box.first_outside(ts[:2], 1e-12) is None
     assert box.first_outside(ts[4:], 1e-12) == 0
+
+
+def test_l1_norm_over_an_array_of_times_matches_each_time():
+    # the family shares its panels, so each member may be refined past
+    # its own need; every member stays within tol of its own integral
+    batched, _ = _expr_system_pair()
+    J, tol = batched.J, 1e-8
+    ts = np.array([0.0, 0.3, 0.55, 1.3, 1.7, 2.0])
+    family = l1_norm_in_u(batched.G, ts, J, tol)
+    assert family.shape == ts.shape
+    for t, value in zip(ts, family):
+        assert abs(value - l1_norm_in_u(batched.G, float(t), J, tol)) <= tol
+    # a scalar time is row 0 of the one-time array
+    assert l1_norm_in_u(batched.G, 0.55, J, tol) == \
+        l1_norm_in_u(batched.G, np.array([0.55]), J, tol)[0]
+
+
+def test_tv_l1_bound_of_expression_field_matches_scipy_nquad():
+    from scipy import integrate as sp_integrate
+
+    # d/dt G = [[u/(1+t^2), 0], [u cos(t u), -exp(-t)]]
+    def norm_dG(u, t):
+        m = np.array([[u / (1.0 + t * t), 0.0],
+                      [u * math.cos(t * u), -math.exp(-t)]])
+        return np.linalg.svd(m, compute_uv=False)[0]
+
+    ref, _ = sp_integrate.nquad(norm_dG, [[-1.0, 1.0], [0.0, 2.0]],
+                                opts={"epsabs": 1e-13, "epsrel": 1e-13,
+                                      "limit": 200})
+    batched, _ = _expr_system_pair()
+    val = tv_l1_upper_bound(batched.G, Interval(0.0, 2.0), batched.J, 1e-8)
+    assert val == pytest.approx(ref, rel=1e-10)

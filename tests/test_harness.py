@@ -320,8 +320,12 @@ def test_emit_report_handles_infinite_bound(tmp_path):
     assert summary["log_log_bound"] == pytest.approx(
         (3.0 + 2.0 * n) * math.log(n) + math.log(v), rel=1e-12)
     cost = summary["cost"]
-    assert set(cost) == {"steps", "rejected", "rhs_evals", "segments"}
+    assert set(cost) == {"steps", "rejected", "rhs_evals", "segments",
+                         "quad_panels", "quad_nodes"}
     assert cost["rhs_evals"] > cost["steps"] > 0
+    # example39 is u-independent: its only quadrature is the
+    # derivative-mode variation, one integrand value per node
+    assert cost["quad_nodes"] == 15 * cost["quad_panels"] > 0
 
 
 def test_rows_csv_byte_identical_for_fixed_seed(tmp_path):
@@ -602,6 +606,12 @@ INTRO_COS = '"system": {"builtin": "intro-cos"}'
 ])
 def test_malformed_pairs_and_windows_exit_2(tmp_path, capsys, kind, text,
                                            problem):
+    _assert_config_error_exits_2(tmp_path, capsys, kind, text, problem)
+
+
+def _assert_config_error_exits_2(tmp_path, capsys, kind, text, problem):
+    """The config text names ``problem`` in a ConfigError, and the
+    command line prints it and exits 2."""
     with pytest.raises(ConfigError) as err:
         run_scenario(kind, json.loads(text))
     assert problem in err.value.problems
@@ -610,3 +620,44 @@ def test_malformed_pairs_and_windows_exit_2(tmp_path, capsys, kind, text,
     assert cli_main([kind, "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 2
     assert f"config error: {problem}" in capsys.readouterr().err
+
+
+SINE_ZERO_TEXT = '"connection": {"builtin": "zero"}, "b_list": [-0.5]'
+
+
+@pytest.mark.parametrize("kind, text, problem", [
+    ("certify", '{"system": {"builtin": "constant", "matrix": [[1, 2]]}, '
+                '"window": [0, 3]}',
+     "system.matrix: expected a square matrix of finite numbers, "
+     "got [[1, 2]]"),
+    ("verify", '{"system": {"builtin": "constant", "matrix": [[1, 2]]}, '
+               '"window": [0, 3], "num_pairs": 2}',
+     "system.matrix: expected a square matrix of finite numbers, "
+     "got [[1, 2]]"),
+    ("certify", '{"system": {"builtin": "constant", "matrix": [[NaN]]}, '
+                '"window": [0, 3]}',
+     "system.matrix: expected a square matrix of finite numbers, "
+     "got [[nan]]"),
+    ("sine-curve", '{%s, "a": -1e400, "v": [1.0, 0.0]}' % SINE_ZERO_TEXT,
+     "a: expected a finite number, got -inf"),
+    ("sine-curve", '{%s, "a": -1.0, "v": [NaN, 0.0]}' % SINE_ZERO_TEXT,
+     "v: expected finite entries, got [nan, 0.0]"),
+])
+def test_non_square_matrix_and_non_finite_sine_inputs_exit_2(
+        tmp_path, capsys, kind, text, problem):
+    _assert_config_error_exits_2(tmp_path, capsys, kind, text, problem)
+
+
+def test_certify_summary_counts_its_quadrature_panels():
+    # G = [[t u]] on J = [0, 1]: the sup takes two levels, 17 times and
+    # then 16 fresh midpoints, each level one family of u-integrals on
+    # one exact panel; the variation int int |u| du dt takes one outer
+    # panel, whose 15 times are one inner family on one panel
+    report = run_scenario("certify", {
+        "system": {"G": [["t*u"]], "f": "0.5", "J": [0.0, 1.0]},
+        "window": [0.0, 1.0]})
+    assert report.summary["gain"] == pytest.approx(math.exp(0.5), rel=1e-12)
+    assert report.summary["variation"] == pytest.approx(0.5, rel=1e-9)
+    assert report.summary["cost"] == {
+        "quad_panels": 2 + 1 + 1,
+        "quad_nodes": 15 * 17 + 15 * 16 + 15 + 15 * 15}

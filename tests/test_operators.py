@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evostab.errors import InvalidOperatorError, SingularOperatorError
 from evostab.operators import (
@@ -153,3 +155,39 @@ def test_stacked_vector_norm_matches_per_vector_calls(kind):
         for j in range(6):
             assert norms[i, j] == pytest.approx(vector_norm(stack[i, j], kind),
                                                 rel=1e-15)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    leading=st.sampled_from([(), (3,), (2, 4)]),
+    seed=st.integers(0, 2**32 - 1),
+    log_scale=st.floats(-150.0, 150.0),
+)
+def test_closed_form_2x2_norm_matches_svd(leading, seed, log_scale):
+    rng = np.random.default_rng(seed)
+    # entries of mixed magnitudes around 10^log_scale, rank-deficient
+    # and exactly-zero members included
+    a = rng.standard_normal(leading + (2, 2)) * 10.0 ** (
+        log_scale + rng.uniform(-3.0, 3.0, leading + (2, 2)))
+    a[rng.random(leading + (2, 2)) < 0.15] = 0.0
+    norms = matrix_norm(a, EUCLIDEAN)
+    want = np.linalg.svd(a, compute_uv=False)[..., 0]
+    assert np.shape(norms) == leading
+    np.testing.assert_allclose(norms, want, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_matrix_norm_of_non_finite_entry_is_non_finite(dim, bad):
+    # a stack keeps its finite members' norms; every kind is non-finite
+    # on the bad member, and a single matrix gives the same
+    rng = np.random.default_rng(dim)
+    stack = rng.standard_normal((4, dim, dim))
+    want = [matrix_norm(m, EUCLIDEAN) for m in stack]
+    stack[2, dim - 1, 0] = bad
+    for kind in NORM_KINDS:
+        norms = matrix_norm(stack, kind)
+        assert not np.isfinite(norms[2])
+        assert not np.isfinite(matrix_norm(stack[2], kind))
+    norms = matrix_norm(stack, EUCLIDEAN)
+    assert [norms[i] for i in (0, 1, 3)] == [want[i] for i in (0, 1, 3)]

@@ -665,3 +665,17 @@ def test_nan_coefficient_raises_at_the_same_t_batched_or_not():
         with pytest.raises(IntegrationError) as err:
             evolve(path, -1.0, -0.1, 1e-8)
         assert err.value.location.hex() == "-0x1.3333333333493p-2"
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_sampled_bounds_name_the_first_non_finite_sample(bad):
+    # omega1 = bad for x > -0.5: the first grid column past it is
+    # x = -1.05 + 9 * 1.05/16, and the first sample there is u = -1.3
+    clean = make_connection("gauge-rotation")
+    broken = dataclasses.replace(
+        clean, omega1=lambda x, u: np.full((2, 2), bad) if x > -0.5
+        else clean.omega1(x, u))
+    with pytest.raises(DomainViolationError,
+                       match=r"omega1 is not finite at \(x, u\) = "
+                             r"\(-0\.459375, -1\.3\)"):
+        sample_connection_bounds(broken)
