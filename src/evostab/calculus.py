@@ -12,10 +12,14 @@ componentwise and measures segment errors in the max-abs sense, so a
 family of integrals (one per time, say) is integrated on shared panels.
 The engine evaluates all 15 nodes of a panel in one call: node by node
 for ``integrate``, and in one array call for the certificate's
-u-integrals over a family of times (``OperatorField.u_stack`` and
+u-integrals over a family of times (``OperatorField.eval`` and
 ``d1_many``), for derivative-mode variation, and for the path integrands
 of arc length and the change of variables (``ScalarPath.eval`` and
-``d_many``).
+``d_many``).  A non-finite panel raises QuadratureError naming it.
+
+Every path and field here has one evaluator, over arrays; a source that
+only gives one point at a time goes through :func:`stacked` (paths) or
+:func:`pointwise` (fields).
 """
 
 from __future__ import annotations
@@ -127,6 +131,38 @@ def stacked(fn: Callable[[float], object]):
     return eval_each
 
 
+def pointwise(fn: Callable[[float, float], np.ndarray]):
+    """The array evaluator of a pointwise field source (t, u) -> fn(t, u),
+    an (r, r) matrix, for an :class:`OperatorField` or a connection form:
+    fn at each point of the arrays t and u, broadcast against each other,
+    one call each, of shape broadcast(t, u) + (r, r)."""
+    def eval_each(t, u):
+        t, u = np.asarray(t, dtype=float), np.asarray(u, dtype=float)
+        if t.shape != u.shape:  # filled: np.broadcast_arrays costs more
+            both = np.empty((2,) + np.broadcast(t, u).shape)
+            both[0], both[1] = t, u
+            t, u = both
+        vals = np.array([fn(a, b) for a, b in zip(t.ravel().tolist(),
+                                                  u.ravel().tolist())],
+                        dtype=float)
+        return vals.reshape(t.shape + vals.shape[1:])
+    return eval_each
+
+
+def central_difference(fn, t, *rest) -> np.ndarray:
+    """The derivative in t of fn(t, *rest) by central differences, with
+    step h = 1e-6 * max(1, |t|) at each time of the array t.  fn's values
+    carry their own axes (a vector's, a matrix's) after the shape that t
+    and ``rest`` broadcast to."""
+    t = np.asarray(t, dtype=float)
+    h = 1e-6 * np.maximum(1.0, np.abs(t))
+    diff = (np.asarray(fn(t + h, *rest), dtype=float)
+            - np.asarray(fn(t - h, *rest), dtype=float))
+    # h over the points, against values with axes of their own
+    own = diff.ndim - max(map(np.ndim, (t,) + rest))
+    return diff / (2.0 * h).reshape(h.shape + (1,) * own)
+
+
 @dataclass(frozen=True)
 class ScalarPath:
     """A piecewise-C1 real (or vector-valued) function of one variable.
@@ -134,11 +170,11 @@ class ScalarPath:
     ``eval(ts)`` maps a 1-D array of times to the array of the values
     over them, (len(ts),) or (len(ts), k) for a vector-valued path, and
     the optional ``deriv(ts)`` does the same for the derivative.  Without
-    ``deriv`` derivatives fall back to central differences with step
-    1e-6 * max(1, |t|).  Within 1e-14 relative of a declared breakpoint
-    the derivative is defined to be 0 (the value there never matters for
-    integrals, but point queries are reproducible this way).  A source
-    that only gives one time at a time goes through :func:`stacked`.
+    ``deriv`` derivatives fall back to :func:`central_difference`.
+    Within 1e-14 relative of a declared breakpoint the derivative is
+    defined to be 0 (the value there never matters for integrals, but
+    point queries are reproducible this way).  A source that only gives
+    one time at a time goes through :func:`stacked`.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
@@ -182,64 +218,39 @@ class ScalarPath:
     def _slope(self, ts: np.ndarray) -> np.ndarray:
         if self.deriv is not None:
             return np.asarray(self.deriv(ts), dtype=float)
-        h = 1e-6 * np.maximum(1.0, np.abs(ts))
-        up = np.asarray(self.eval(ts + h), dtype=float)
-        down = np.asarray(self.eval(ts - h), dtype=float)
-        h = h.reshape(h.shape + (1,) * (up.ndim - 1))
-        return (up - down) / (2.0 * h)
+        return central_difference(self.eval, ts)
 
 
 @dataclass(frozen=True)
 class OperatorField:
     """An operator-valued function of (t, u), continuous in u for each t.
 
-    ``eval`` returns a bare (r, r) ndarray.  ``partial_t`` is the analytic
-    t-derivative when available.  ``u_independent`` marks fields G(t, u)
-    that do not actually depend on u, unlocking exact shortcuts for the
-    L1-in-u norm and the variation computation.  ``eval_u(t, us)``, when
-    given, stacks G(t, u) over arrays of t and u, broadcast against each
-    other, in one call.
+    ``eval(ts, us)`` takes arrays of t and u that broadcast against each
+    other and returns the stack of G(t, u) over them, of shape
+    broadcast(ts, us) + (r, r); ``partial_t``, the analytic t-derivative
+    when available, takes and returns the same.  A source that only gives
+    one point at a time goes through :func:`pointwise`.  ``u_independent``
+    marks fields G(t, u) that do not actually depend on u, unlocking exact
+    shortcuts for the L1-in-u norm and the variation computation.
     """
 
-    eval: Callable[[float, float], np.ndarray]
+    eval: Callable[[np.ndarray, np.ndarray], np.ndarray]
     space: VectorSpaceSpec
-    partial_t: Optional[Callable[[float, float], np.ndarray]] = None
+    partial_t: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     t_breakpoints: tuple = ()
     u_independent: bool = False
-    eval_u: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         object.__setattr__(
             self, "t_breakpoints", tuple(sorted(float(b) for b in self.t_breakpoints))
         )
 
-    def u_stack(self, t, us) -> np.ndarray:
-        """The stack of G(t, u) over the times t and the values us,
-        broadcast against each other: of shape broadcast(t, us) + (r, r)."""
-        if self.eval_u is not None:
-            return np.asarray(self.eval_u(t, us), dtype=float)
-        return _pointwise(self.eval, t, us)
-
     def d1_many(self, t, us) -> np.ndarray:
         """The stack of the partial derivatives in t, broadcast as in
-        :meth:`u_stack`: analytic, or central differences with step
-        1e-6 * max(1, |t|)."""
+        ``eval``: analytic, or by :func:`central_difference`."""
         if self.partial_t is not None:
-            return _pointwise(self.partial_t, t, us)
-        t = np.asarray(t, dtype=float)
-        h = 1e-6 * np.maximum(1.0, np.abs(t))
-        diff = self.u_stack(t + h, us) - self.u_stack(t - h, us)
-        return diff / (2.0 * h)[..., None, None]
-
-
-def _pointwise(fn, t, us) -> np.ndarray:
-    """fn(t, u) over the broadcast arrays t and us, one call each."""
-    ts, us = np.broadcast_arrays(np.asarray(t, dtype=float),
-                                 np.asarray(us, dtype=float))
-    vals = np.array([fn(a, b) for a, b in zip(ts.ravel().tolist(),
-                                              us.ravel().tolist())],
-                    dtype=float)
-    return vals.reshape(ts.shape + vals.shape[1:])
+            return np.asarray(self.partial_t(t, us), dtype=float)
+        return central_difference(self.eval, t, us)
 
 
 @dataclass
@@ -258,7 +269,9 @@ def _gk15(gv, a: float, b: float, stats: Optional[QuadStats] = None):
     ``gv`` maps the array of 15 nodes to their values stacked on axis 0.
     The Kronrod-Gauss gap is used as-is for the error estimate; it is
     conservative on resolved panels, which only costs an extra bisection
-    level, never a silently optimistic result.
+    level, never a silently optimistic result.  A non-finite value makes
+    the estimate non-finite, which raises QuadratureError naming the
+    panel: a NaN estimate would otherwise pass every refinement test.
     """
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
@@ -268,6 +281,9 @@ def _gk15(gv, a: float, b: float, stats: Optional[QuadStats] = None):
     k = h * np.dot(_KRONROD_ROW, stacked.reshape(15, -1)).reshape(shape)
     g7 = h * np.dot(_GAUSS_ROW, stacked[1::2].reshape(7, -1)).reshape(shape)
     err = float(np.max(np.abs(k - g7)))
+    if not math.isfinite(err):
+        raise QuadratureError(
+            f"non-finite integrand on the panel [{a}, {b}]", k, err)
     if stats is not None:
         stats.quad_panels += 1
         stats.quad_nodes += stacked.size
@@ -390,20 +406,20 @@ def l1_norm_in_u(
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     kind = G.space.norm_kind
     if G.u_independent:
-        norms = J.length() * matrix_norm(G.u_stack(ts, J.midpoint()), kind)
+        norms = J.length() * matrix_norm(G.eval(ts, J.midpoint()), kind)
     else:
         norms = _integrate_nodes(
-            lambda us: matrix_norm(G.u_stack(ts, us[:, None]), kind),
+            lambda us: matrix_norm(G.eval(ts, us[:, None]), kind),
             J, (), tol, stats=stats)
     return norms if np.ndim(t) else float(norms[0])
 
 
 def total_variation_path(
-    G: Callable[[float], np.ndarray],
+    G: Callable[[np.ndarray], np.ndarray],
     interval: Interval,
     breakpoints: Sequence[float] = (),
     tol: float = DEFAULT_TOL,
-    deriv: Optional[Callable[[float], np.ndarray]] = None,
+    deriv: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     norm_kind: str = EUCLIDEAN,
     rel_stop: float = 1e-4,
     max_doublings: int = 14,
@@ -411,21 +427,20 @@ def total_variation_path(
 ) -> float:
     """Total variation of an operator path t -> G(t) on a finite interval.
 
-    With ``deriv`` given the variation equals int ||G'|| and is computed
-    by quadrature, the derivative taken over each panel's nodes in one
-    call (``stats`` counts the panels).  Otherwise partition sums over
-    dyadically refined grids give a monotone nondecreasing lower
-    estimate, accepted once the relative change between refinements drops
-    below ``rel_stop``; each doubling evaluates G at the fresh midpoints
-    only.
+    ``G`` and the optional ``deriv`` map an array of times to the stack of
+    the matrices there.  With ``deriv`` given the variation equals
+    int ||G'|| and is computed by quadrature, the derivative taken over
+    each panel's nodes in one call (``stats`` counts the panels).
+    Otherwise partition sums over dyadically refined grids give a
+    monotone nondecreasing lower estimate, accepted once the relative
+    change between refinements drops below ``rel_stop``; each doubling
+    evaluates G at the fresh midpoints only.
     """
     if not interval.is_finite():
         raise DomainViolationError("variation requested over an unbounded interval")
     if deriv is not None:
-        slope = stacked(deriv)
-        return _integrate_nodes(lambda ts: matrix_norm(slope(ts), norm_kind),
+        return _integrate_nodes(lambda ts: matrix_norm(deriv(ts), norm_kind),
                                 interval, breakpoints, tol, stats=stats)
-    path = stacked(G)
 
     def levels():
         pts = np.array(_initial_cuts(interval.lo, interval.hi, breakpoints))
@@ -433,10 +448,10 @@ def total_variation_path(
         # stable sum, so densify before the convergence test kicks in
         while len(pts) < 33:
             pts = _refine_dyadic(pts)
-        vals = path(pts)
+        vals = np.asarray(G(pts), dtype=float)
         yield 0, _partition_sum(vals, norm_kind)
         for k in range(1, max_doublings + 1):
-            vals = _interleave(vals, path(_midpoints(pts)))
+            vals = _interleave(vals, G(_midpoints(pts)))
             pts = _refine_dyadic(pts)
             yield k, _partition_sum(vals, norm_kind)
 

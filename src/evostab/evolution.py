@@ -25,8 +25,9 @@ inverting a forward result.
 sweeps a fundamental solution Phi across a set of declared times and
 carries Phi^{-1} along by the inverse exponentials, and every X(t, s)
 between them is Phi(t) Phi(s)^{-1}.  :func:`sweep_vector` sweeps vectors
-and :func:`param_evolution` frozen-parameter columns;
-:func:`sweep_two_sided` sweeps a propagator together with its inverse.
+and :func:`param_evolution` the propagators of frozen-parameter columns
+from both sides of a level; :func:`sweep_two_sided` sweeps a propagator
+together with its inverse.
 
 A coefficient that gives a (k, r, r) stack per time sweeps k systems
 that share their stops as one state, (k, r, r) for propagators or
@@ -42,9 +43,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .calculus import Interval, stacked
+from .calculus import Interval
 from .errors import IntegrationError
-from .operators import Operator, Vector, VectorSpaceSpec, matrix_norm
+from .operators import Operator, VectorSpaceSpec
 
 DEFAULT_ODE_TOL = 1e-10
 
@@ -369,21 +370,6 @@ def sweep_two_sided(
                       inverse=True)
 
 
-def propagate_vector(
-    A: CoefficientPath,
-    s: float,
-    t: float,
-    v: Vector,
-    tol: float = DEFAULT_ODE_TOL,
-    stats: Optional[StepStats] = None,
-    max_steps: int = 2_000_000,
-) -> Vector:
-    """X(t, s) v by direct integration of the vector equation
-    (the full propagator matrix is never formed)."""
-    y = sweep_vector(A, (s, t), v.entries, tol, stats, max_steps)[-1]
-    return Vector(y, A.space)
-
-
 class EvolutionOperator:
     """Two-parameter propagator X(t, s) = Phi(t) Phi(s)^{-1} from one sweep.
 
@@ -439,20 +425,18 @@ class EvolutionOperator:
 class ParamEvolutionResult:
     """Propagators of D2 X = A(x, .) X, X(x, v0) = id on a grid.
 
-    ``propagators[i][j]`` is X(x_grid[i], v_targets[j]).  ``continuity``
-    is the max operator-norm discrepancy between neighboring grid columns,
-    reported as a grid-level proxy for continuity in the parameter.
+    ``propagators[i, j]`` is X(x_grid[i], v_targets[j]), of shape
+    (len(x_grid), len(v_targets), r, r).
     """
 
     x_grid: tuple
     v0: float
     v_targets: tuple
-    propagators: list
-    continuity: float
+    propagators: np.ndarray
 
 
 def param_evolution(
-    A: Callable[[float, float], np.ndarray],
+    A: Callable[[np.ndarray, np.ndarray], np.ndarray],
     x_grid: Sequence[float],
     v0: float,
     v_targets: Sequence[float],
@@ -464,17 +448,18 @@ def param_evolution(
     """Solve the parameter-dependent family: for each frozen x, evolve in
     v from v0 to every target.
 
-    All columns share their stops, so they are integrated as one stacked
-    (nx, r, r) state: one sweep per direction from v0, stopping at that
-    side's targets in order, under one step controller whose error norm
-    is the max over every column.  Each evaluation of the stack covers
-    every x."""
+    ``A(xs, vs)`` takes arrays of x and v that broadcast against each
+    other and returns the stack of the matrices over them, as the fields
+    of a connection form do.  All columns share their stops, so they are
+    integrated as one stacked (nx, r, r) state: one sweep per direction
+    from v0, stopping at that side's targets in order, under one step
+    controller whose error norm is the max over every column.  Each step
+    takes A over every x at all its nodes from one call."""
     x_grid = tuple(float(x) for x in x_grid)
     v_targets = tuple(float(v) for v in v_targets)
-    stack = CoefficientPath(
-        eval=stacked(lambda v: [A(x, v) for x in x_grid]),
-        space=space, breakpoints=v_breakpoints,
-    )
+    xs = np.array(x_grid)
+    stack = CoefficientPath(eval=lambda vs: A(xs, vs[:, None]), space=space,
+                            breakpoints=v_breakpoints)
     eye = np.tile(np.eye(space.dim), (len(x_grid), 1, 1))
     at = {}
     for side in (sorted(v for v in v_targets if v >= v0),
@@ -482,14 +467,9 @@ def param_evolution(
         stops = [v0] + side
         at.update(zip(stops, (y for y, _ in _sweep(stack, stops, eye, tol,
                                                    tol, stats, 2_000_000))))
-    props = np.stack([at[v] for v in v_targets], axis=1)  # (nx, nt, r, r)
-    diffs = (props[1:] - props[:-1]).reshape((-1,) + eye.shape[1:])
-    continuity = float(np.max(matrix_norm(diffs, space.norm_kind),
-                              initial=0.0))
     return ParamEvolutionResult(
         x_grid=x_grid,
         v0=float(v0),
         v_targets=v_targets,
-        propagators=[list(col) for col in props],
-        continuity=continuity,
+        propagators=np.stack([at[v] for v in v_targets], axis=1),
     )

@@ -21,7 +21,7 @@ sigma columns (and probe stencils) that reach the same v's from the same
 corridor level.  The controller takes the max-norm error over all
 members, so each column is stepped at least as strictly as alone.  Each
 step takes omega2 over the whole stack at all its nine Magnus nodes from
-one ``ConnectionForm.omega2_stack`` call.
+one call of the field.
 
 Also here: the graph-approximation utility that replaces a continuous
 graph by a polynomial one agreeing at a chosen point and staying inside a
@@ -39,7 +39,8 @@ from scipy.special import gammaln
 
 from .calculus import Interval
 from .errors import ApproximationError, ConstructionError
-from .evolution import CoefficientPath, StepStats, sweep_vector
+from .evolution import (CoefficientPath, StepStats, param_evolution,
+                        sweep_vector)
 from .operators import vector_norm
 from .transport import ConnectionForm
 
@@ -100,7 +101,7 @@ def _fiber_sweep(w: ConnectionForm, xs, stops, start, tol, stats) -> list:
     values or a (k, r, r) stack of propagators; each state returned has
     its shape."""
     xs = np.asarray(xs, dtype=float)
-    A = CoefficientPath(eval=lambda vs: -w.omega2_stack(xs, vs[:, None]),
+    A = CoefficientPath(eval=lambda vs: -w.omega2(xs, vs[:, None]),
                         space=w.space, domain=w.j_interval)
     start = np.asarray(start, dtype=float)
     if start.ndim == 3:
@@ -127,7 +128,7 @@ def _vertical_sweep(p, xs, stops, vecs, tol, stats) -> list:
 def _horizontal_sweep(p, v, stops, vec, tol, stats) -> list:
     """Section values at every x of the monotone ``stops``, from one
     transport along the horizontal at level v."""
-    A = CoefficientPath(eval=lambda xs: -p.omega.omega1_stack(xs, v),
+    A = CoefficientPath(eval=lambda xs: -p.omega.omega1(xs, v),
                         space=p.omega.space, domain=p.omega.m_interval)
     return sweep_vector(A, stops, vec, tol, stats)
 
@@ -382,8 +383,8 @@ def parallel_residual(
     coords = xs if direction == 1 else vs
     d = np.gradient(xi, coords, axis=axis,
                     edge_order=2 if len(coords) > 2 else 1)
-    stack = w.omega1_stack if direction == 1 else w.omega2_stack
-    om = stack(xs[:, None], vs[None, :])
+    omega = w.omega1 if direction == 1 else w.omega2
+    om = omega(xs[:, None], vs[None, :])
     out = vector_norm(d + (om @ xi[..., None])[..., 0], w.space.norm_kind)
     spacing = float(np.max(np.diff(coords))) if len(coords) > 1 else math.inf
     warning = None
@@ -421,26 +422,18 @@ def extend_section(
     and compare them.
 
     xi_j = Y_j sigma(., v_j), where the propagators Y_j of every grid
-    column come from an identity stack swept from level v_j through
-    :func:`_fiber_sweep`, one sweep up and one down; this is the state,
-    the stops and the controller of
-    :func:`evostab.evolution.param_evolution`, so the bits are the same.
-    The extension is accepted when max ||xi1 - xi0|| <= 100 * tol.  A
-    larger gap is returned as data (worst point included), never silently
+    column come from :func:`evostab.evolution.param_evolution` of
+    -omega2 from level v_j, one stacked sweep up and one down.  The
+    extension is accepted when max ||xi1 - xi0|| <= 100 * tol.  A larger
+    gap is returned as data (worst point included), never silently
     accepted.
     """
     xs, vs = sigma.x_grid, sigma.v_grid
     space = p.omega.space
-    eye = np.tile(np.eye(space.dim), (len(xs), 1, 1))
 
     def extension_from(level, row):
-        at = {}
-        for side in (sorted(v for v in vs if v >= level),
-                     sorted((v for v in vs if v < level), reverse=True)):
-            stops = [level] + side
-            at.update(zip(stops, _fiber_sweep(p.omega, xs, stops, eye, tol,
-                                              stats)))
-        Y = np.stack([at[v] for v in vs], axis=1)  # (nx, nv, r, r)
+        Y = param_evolution(lambda x, v: -p.omega.omega2(x, v), xs, level,
+                            vs, space, tol, stats=stats).propagators
         return (Y @ row[:, None, :, None])[..., 0]
 
     xi0 = extension_from(p.v0, sigma.row_v0)

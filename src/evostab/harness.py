@@ -165,6 +165,9 @@ def _number_list(cfg, key, bag) -> tuple:
 
 
 def _expr_matrix(rows, bag, label):
+    """The array evaluator (t, u) -> matrix of a square list-of-lists of
+    expression strings, t and u numbers or arrays broadcast together, with
+    its dimension as ``.dim``; its problems go into bag under label."""
     if (not isinstance(rows, list) or not rows
             or not all(isinstance(r, list) and len(r) == len(rows)
                        for r in rows)):
@@ -184,23 +187,17 @@ def _expr_matrix(rows, bag, label):
     if any(c is None for row in compiled for c in row):
         return None
     r = len(compiled)
-
-    def eval_matrix(t, u):
-        return np.array([[compiled[i][j](t, u) for j in range(r)]
-                         for i in range(r)])
-
     entries = [c for row in compiled for c in row]
 
-    def many(t, u):  # t and u numbers or arrays, broadcast together
-        shape = np.broadcast_shapes(np.shape(t), np.shape(u))
+    def matrix(t, u):
+        shape = np.broadcast(t, u).shape
         out = np.empty(shape + (r * r,))
         for k, values in enumerate(many_together(entries, t, u)):
             out[..., k] = values
         return out.reshape(shape + (r, r))
 
-    eval_matrix.dim = r
-    eval_matrix.many = many
-    return eval_matrix
+    matrix.dim = r
+    return matrix
 
 
 def _expression_path(cfg, key, bag, domain, label=None) -> Optional[ScalarPath]:
@@ -262,7 +259,6 @@ def _system_from_config(cfg, bag) -> Optional[SeparableSystem]:
     field_obj = OperatorField(
         eval=G_eval, space=space, t_breakpoints=G_bps,
         u_independent=bool(cfg.get("u_independent", False)),
-        eval_u=G_eval.many,
     )
     return SeparableSystem(G=field_obj, f=f, I=I, J=J, space=space)
 
@@ -358,7 +354,7 @@ def _run_evolve(config, seed, tol):
                                  finite=False) \
             or Interval(-math.inf, math.inf)
         A = None if mat is None else CoefficientPath(
-            eval=stacked(lambda t: mat(t, 0.0)),
+            eval=lambda ts: mat(ts, 0.0),
             space=VectorSpaceSpec(mat.dim, norm), breakpoints=bps,
             domain=domain)
     pairs = _pairs_from_config(config, bag, rng, ordered=False)
@@ -476,7 +472,7 @@ def _run_substitution(config, seed, tol):
     if bag:
         raise ConfigError(bag)
     space = VectorSpaceSpec(mat.dim, norm)
-    B = lambda u: mat(u, u)
+    B = lambda us: mat(us, us)
     stats = StepStats()
 
     def one(s, t):

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .calculus import Interval, OperatorField, ScalarPath, stacked
+from .calculus import Interval, OperatorField, ScalarPath, pointwise, stacked
 from .extension import ExtensionProblem
 from .operators import EUCLIDEAN, VectorSpaceSpec
 from .stability import SeparableSystem
@@ -32,11 +32,34 @@ def _rot(theta: float) -> np.ndarray:
     return np.array([[c, s], [-s, c]])
 
 
+def _constant(m):
+    """The array evaluator of a field equal to the matrix m everywhere."""
+    m = np.asarray(m, dtype=float)
+
+    def fill(t, u):
+        out = np.empty(np.broadcast(t, u).shape + m.shape)
+        out[...] = m
+        return out
+
+    return fill
+
+
+def _spread(a, b) -> np.ndarray:
+    """a over the points of a and b broadcast against each other."""
+    a = np.asarray(a, dtype=float)
+    if a.shape == np.shape(b):
+        return a
+    out = np.empty(np.broadcast(a, b).shape)
+    out[...] = a
+    return out
+
+
 def example39_field(norm_kind: str = EUCLIDEAN) -> OperatorField:
     """The 2x2 slowly-settling field with monotone bounded entries
     (arctan / square-root gap / rational / exponential), independent of
     the second variable; its t-derivative is analytic (singular like
-    1/sqrt(t) at t = 0, which is integrable)."""
+    1/sqrt(t) at t = 0, which is integrable).  It is evaluated point by
+    point: numpy's arctan and exp differ from math's in the last bits."""
     space = VectorSpaceSpec(2, norm_kind)
 
     def val(t, u):
@@ -52,39 +75,27 @@ def example39_field(norm_kind: str = EUCLIDEAN) -> OperatorField:
             [2.0 * t / (1.0 + t * t) ** 2, -math.exp(-t)],
         ])
 
-    return OperatorField(eval=val, space=space, partial_t=d_dt,
-                         u_independent=True)
+    return OperatorField(eval=pointwise(val), space=space,
+                         partial_t=pointwise(d_dt), u_independent=True)
 
 
 def intro_cos_field(norm_kind: str = EUCLIDEAN) -> OperatorField:
     """The scalar unit field: with f = sin this reproduces x' = cos(t) x."""
-    space = VectorSpaceSpec(1, norm_kind)
-    return OperatorField(
-        eval=lambda t, u: np.array([[1.0]]),
-        space=space,
-        partial_t=lambda t, u: np.array([[0.0]]),
-        u_independent=True,
-    )
+    return constant_field(np.array([[1.0]]), norm_kind)
 
 
 def rotation_field(norm_kind: str = EUCLIDEAN) -> OperatorField:
     """Constant rotation generator as a 2x2 field."""
-    space = VectorSpaceSpec(2, norm_kind)
-    return OperatorField(
-        eval=lambda t, u: ROTATION_GENERATOR,
-        space=space,
-        partial_t=lambda t, u: np.zeros((2, 2)),
-        u_independent=True,
-    )
+    return constant_field(ROTATION_GENERATOR, norm_kind)
 
 
 def constant_field(matrix: np.ndarray, norm_kind: str = EUCLIDEAN) -> OperatorField:
     m = np.asarray(matrix, dtype=float)
     space = VectorSpaceSpec(m.shape[0], norm_kind)
     return OperatorField(
-        eval=lambda t, u: m,
+        eval=_constant(m),
         space=space,
-        partial_t=lambda t, u: np.zeros_like(m),
+        partial_t=_constant(np.zeros_like(m)),
         u_independent=True,
     )
 
@@ -160,38 +171,41 @@ _SINE_RECT = (Interval(-1.05, 0.0), Interval(-1.3, 1.3))
 
 def _zero_connection(m_interval, j_interval, norm_kind):
     space = VectorSpaceSpec(2, norm_kind)
-    z = np.zeros((2, 2))
+    z = _constant(np.zeros((2, 2)))
     return ConnectionForm(
-        omega1=lambda x, u: z, omega2=lambda x, u: z,
+        omega1=z, omega2=z,
         m_interval=m_interval, j_interval=j_interval, space=space,
-        d1_omega2=lambda x, u: z,
+        d1_omega2=z,
     )
 
 
 def _scalar_decay_connection(m_interval, j_interval, norm_kind, rate=0.3):
     space = VectorSpaceSpec(2, norm_kind)
-    eye = np.eye(2)
-    z = np.zeros((2, 2))
+    z = _constant(np.zeros((2, 2)))
     return ConnectionForm(
-        omega1=lambda x, u: z,
-        omega2=lambda x, u: rate * eye,
+        omega1=z,
+        omega2=_constant(rate * np.eye(2)),
         m_interval=m_interval, j_interval=j_interval, space=space,
-        d1_omega2=lambda x, u: z,
+        d1_omega2=z,
     )
 
 
 def _gauge_rotation_connection(m_interval, j_interval, norm_kind, eps=0.1):
-    """Flat by construction: the gauge is g(x, u) = exp(eps x u R)."""
+    """Flat by construction: the gauge is g(x, u) = exp(eps x u R), so
+    omega1 = -eps u R and omega2 = -eps x R."""
     space = VectorSpaceSpec(2, norm_kind)
     R = ROTATION_GENERATOR
-    omega1 = lambda x, u: -eps * u * R
-    omega2 = lambda x, u: -eps * x * R
-    omega1.many = lambda xs, us: (-eps * us)[..., None, None] * R
-    omega2.many = lambda xs, us: (-eps * xs)[..., None, None] * R
+
+    def omega1(xs, us):
+        return (-eps * _spread(us, xs))[..., None, None] * R
+
+    def omega2(xs, us):
+        return (-eps * _spread(xs, us))[..., None, None] * R
+
     return ConnectionForm(
         omega1=omega1, omega2=omega2,
         m_interval=m_interval, j_interval=j_interval, space=space,
-        d1_omega2=lambda x, u: -eps * R,
+        d1_omega2=_constant(-eps * R),
     )
 
 
@@ -201,37 +215,27 @@ def gauge_rotation_matrix(x: float, u: float, eps: float = 0.1) -> np.ndarray:
 
 def _gauge_twist_connection(m_interval, j_interval, norm_kind,
                             ax=0.2, au=0.15):
-    """Flat by construction: g(x, u) = exp(ax x R) exp(au u S)."""
+    """Flat by construction: g(x, u) = exp(ax x R) exp(au u S), so
+    omega1 = -ax R and omega2 = -au e S e^T with e = exp(ax x R)."""
     space = VectorSpaceSpec(2, norm_kind)
     R = ROTATION_GENERATOR
     S = _TWIST_SYM
 
-    def omega2(x, u):
-        e = _rot(ax * x)
-        return -au * (e @ S @ e.T)
-
-    def d1_omega2(x, u):
-        e = _rot(ax * x)
-        m = e @ S @ e.T
-        return -au * ax * (R @ m - m @ R)
-
-    def omega2_pairs(xs, us):  # omega2's operations in its order, stacked
+    def frame(xs, us):  # e S e^T over the points, e as _rot(ax x) builds it
+        xs = _spread(xs, us)
         c, s = np.cos(ax * xs), np.sin(ax * xs)
         e = np.empty(xs.shape + (2, 2))
         e[..., 0, 0], e[..., 0, 1], e[..., 1, 1] = c, s, c
         np.negative(s, out=e[..., 1, 0])
-        return -au * (e @ S @ np.swapaxes(e, -1, -2))
+        return e @ S @ np.swapaxes(e, -1, -2)
 
-    def omega1_pairs(xs, us):
-        out = np.empty(xs.shape + (2, 2))
-        out[...] = -ax * R
-        return out
+    def d1_omega2(xs, us):
+        m = frame(xs, us)
+        return -au * ax * (R @ m - m @ R)
 
-    omega1 = lambda x, u: -ax * R
-    omega1.many = omega1_pairs
-    omega2.many = omega2_pairs
     return ConnectionForm(
-        omega1=omega1, omega2=omega2,
+        omega1=_constant(-ax * R),
+        omega2=lambda xs, us: -au * frame(xs, us),
         m_interval=m_interval, j_interval=j_interval, space=space,
         d1_omega2=d1_omega2,
     )
@@ -261,9 +265,9 @@ def _mixed_bounded_connection(m_interval, j_interval, norm_kind,
                               [math.cos(x), math.sin(x)]])
 
     return ConnectionForm(
-        omega1=omega1, omega2=omega2,
+        omega1=pointwise(omega1), omega2=pointwise(omega2),
         m_interval=m_interval, j_interval=j_interval, space=space,
-        d1_omega2=d1_omega2,
+        d1_omega2=pointwise(d1_omega2),
     )
 
 

@@ -38,7 +38,6 @@ from .calculus import (
     ScalarPath,
     l1_norm_in_u,
     refine_until_stable,
-    stacked,
     total_variation_path,
     tv_l1_upper_bound,
 )
@@ -82,16 +81,14 @@ def _checked_f_value(sys_J: Interval, f_val: float, t: float) -> float:
 def _pulled_back(sys: SeparableSystem, ts: np.ndarray,
                  g_times: np.ndarray) -> np.ndarray:
     """The stack of f'(t) G(s, f(t)) over the times t of ts, with s the
-    matching time of g_times: f and f' over the array in one call each,
-    one check of the values against J, then G at each (s, f(t))."""
+    matching time of g_times: f, f' and G over the arrays in one call
+    each, after one check of the values against J."""
     G, f, J = sys.G, sys.f, sys.J
     us = f.eval(ts)
     i = J.first_outside(us, 1e-12)
     if i is not None:
         _checked_f_value(J, float(us[i]), float(ts[i]))
-    g = np.array([np.asarray(G.eval(s, u), dtype=float)
-                  for s, u in zip(g_times.tolist(), us.tolist())])
-    return f.d_many(ts)[:, None, None] * g
+    return f.d_many(ts)[:, None, None] * G.eval(g_times, us)
 
 
 def assemble_A(sys: SeparableSystem) -> CoefficientPath:
@@ -271,11 +268,11 @@ def certify(
     if G.u_independent:
         u_mid = J.midpoint()
         deriv = None if G.partial_t is None else (
-            lambda t: np.asarray(G.partial_t(t, u_mid), dtype=float))
+            lambda ts: G.partial_t(ts, u_mid))
         variation_mode = "partition-sum" if deriv is None else "derivative"
         try:
             variation = J.length() * total_variation_path(
-                lambda t: np.asarray(G.eval(t, u_mid), dtype=float),
+                lambda ts: G.eval(ts, u_mid),
                 window, G.t_breakpoints, tol, deriv=deriv,
                 norm_kind=sys.space.norm_kind, stats=cost,
             )
@@ -296,7 +293,7 @@ def certify(
 
 
 def substitution_check(
-    B: Callable[[float], np.ndarray],
+    B: Callable[[np.ndarray], np.ndarray],
     f: ScalarPath,
     s: float,
     t: float,
@@ -307,20 +304,20 @@ def substitution_check(
 ) -> float:
     """Defect of the substitution identity.
 
-    Route one integrates the pulled-back system A = f'(t) B(f(t)) from s
-    to t, taking f and f' over each step's nodes in one call each; route
-    two integrates B itself between f(s) and f(t).  For exact
-    arithmetic both give the same operator; the returned defect is the
-    operator-norm difference.  ``stats``, if given, counts both routes.
+    ``B`` maps an array of values u to the stack of B(u) over them, as a
+    ``CoefficientPath.eval`` does.  Route one integrates the pulled-back
+    system A = f'(t) B(f(t)) from s to t, taking f, f' and B over each
+    step's nodes in one call each; route two integrates B itself between
+    f(s) and f(t).  For exact arithmetic both give the same operator; the
+    returned defect is the operator-norm difference.  ``stats``, if
+    given, counts both routes.
     """
-    B_stack = stacked(B)
     A = CoefficientPath(
-        eval=lambda taus: f.d_many(taus)[:, None, None] * B_stack(f.eval(taus)),
+        eval=lambda taus: f.d_many(taus)[:, None, None] * B(f.eval(taus)),
         space=space, breakpoints=f.breakpoints,
     )
     x_direct = evolve(A, s, t, tol, stats)
-    B_path = CoefficientPath(eval=B_stack, space=space,
-                             breakpoints=B_breakpoints)
+    B_path = CoefficientPath(eval=B, space=space, breakpoints=B_breakpoints)
     y_pulled = evolve(B_path, float(f(s)), float(f(t)), tol, stats)
     return matrix_norm(x_direct.entries - y_pulled.entries, space.norm_kind)
 

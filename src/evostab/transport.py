@@ -32,13 +32,13 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .calculus import Interval, ScalarPath, refine_until_stable
+from .calculus import (Interval, ScalarPath, central_difference,
+                       refine_until_stable)
 from .errors import DomainViolationError, IntegrationError
 from .evolution import (
     CoefficientPath,
     StepStats,
     evolve,
-    propagate_vector,
     sweep_two_sided,
 )
 from .operators import (
@@ -58,62 +58,25 @@ __all__ = [
 ]
 
 
-def _filled(shape, values) -> np.ndarray:
-    out = np.empty(shape)
-    out[...] = values
-    return out
-
-
 @dataclass(frozen=True)
 class ConnectionForm:
     """Connection form (omega1, omega2) on the rectangle M x J.
 
-    ``d1_omega2`` is the x-derivative of omega2 when known analytically;
-    otherwise it is approximated by central differences where needed.
-    An omega1 or omega2 callable may carry its batched evaluator as
-    ``.many(xs, us)``: omega over paired arrays of points (x, u) of one
-    shape in one call, equal to the pointwise values bit for bit.  The
-    stacks below take it where the field has one, so a field replaced by
-    ``dataclasses.replace`` brings its own.
+    ``omega1(xs, us)`` and ``omega2(xs, us)`` take arrays of x and u that
+    broadcast against each other and return the stack of the matrices
+    over them, of shape broadcast(xs, us) + (r, r); ``d1_omega2``, the
+    x-derivative of omega2 when known analytically, takes and returns the
+    same.  Without it, central differences stand in where it is needed.
+    A source that only gives one point at a time goes through
+    :func:`evostab.calculus.pointwise`.
     """
 
-    omega1: Callable[[float, float], np.ndarray]
-    omega2: Callable[[float, float], np.ndarray]
+    omega1: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    omega2: Callable[[np.ndarray, np.ndarray], np.ndarray]
     m_interval: Interval
     j_interval: Interval
     space: VectorSpaceSpec
-    d1_omega2: Optional[Callable[[float, float], np.ndarray]] = None
-
-    def _stack(self, one, xs, us) -> np.ndarray:
-        xs, us = np.asarray(xs, dtype=float), np.asarray(us, dtype=float)
-        if xs.shape != us.shape:  # broadcast, cheaper than broadcast_arrays
-            shape = np.broadcast(xs, us).shape
-            xs, us = _filled(shape, xs), _filled(shape, us)
-        many = getattr(one, "many", None)
-        if many is not None:
-            return np.asarray(many(xs, us), dtype=float)
-        r = self.space.dim
-        return np.array([one(x, u) for x, u in zip(xs.ravel().tolist(),
-                                                   us.ravel().tolist())],
-                        dtype=float).reshape(xs.shape + (r, r))
-
-    def omega1_stack(self, xs, us) -> np.ndarray:
-        """The stack of omega1(x, u) over the points of xs and us,
-        broadcast together: shape (*shape, r, r)."""
-        return self._stack(self.omega1, xs, us)
-
-    def omega2_stack(self, xs, us) -> np.ndarray:
-        """The stack of omega2(x, u) over the points of xs and us,
-        broadcast together: shape (*shape, r, r)."""
-        return self._stack(self.omega2, xs, us)
-
-    def d1w2(self, x: float, u: float) -> np.ndarray:
-        if self.d1_omega2 is not None:
-            return np.asarray(self.d1_omega2(x, u), dtype=float)
-        h = 1e-6 * max(1.0, abs(x))
-        a = np.asarray(self.omega2(x + h, u), dtype=float)
-        b = np.asarray(self.omega2(x - h, u), dtype=float)
-        return (a - b) / (2.0 * h)
+    d1_omega2: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def check_point(self, x: float, u: float) -> None:
         tol_x = 1e-12 * max(1.0, abs(x))
@@ -176,10 +139,10 @@ def curve_coefficient(w: ConnectionForm, g: Curve) -> CoefficientPath:
     """Coefficient path of the transport equation along the curve.
 
     A stack of times takes both components and their derivatives over
-    the array (``ScalarPath.eval`` and ``d_many``), one domain
-    check, and omega1 and omega2 through :meth:`ConnectionForm.omega1_stack`
-    and ``omega2_stack``.  A term whose derivative is 0 is left out of the
-    sum rather than added as 0 times omega.
+    the array (``ScalarPath.eval`` and ``d_many``), one domain check, and
+    omega1 and omega2 over the points in one call each.  A term whose
+    derivative is 0 is left out of the sum rather than added as 0 times
+    omega.
     """
 
     def eval_A(ts):
@@ -187,8 +150,8 @@ def curve_coefficient(w: ConnectionForm, g: Curve) -> CoefficientPath:
         w.check_points(xs, us)
         dx = g.gamma1.d_many(ts)[:, None, None]
         du = g.gamma2.d_many(ts)[:, None, None]
-        t1 = w.omega1_stack(xs, us) * dx
-        t2 = w.omega2_stack(xs, us) * du
+        t1 = w.omega1(xs, us) * dx
+        t2 = w.omega2(xs, us) * du
         on1, on2 = dx != 0.0, du != 0.0
         if on1.all() and on2.all():
             return -(t1 + t2)
@@ -205,12 +168,6 @@ def parallel_transport(w: ConnectionForm, g: Curve, tol: float = 1e-10,
     """Transport operator along the curve, from gamma(a) to gamma(b).
     ``stats``, if given, counts the integration."""
     return evolve(curve_coefficient(w, g), g.a, g.b, tol, stats)
-
-
-def transport_vector(w: ConnectionForm, g: Curve, v: Vector,
-                     tol: float = 1e-10) -> Vector:
-    """Transport of a single fiber vector along the curve."""
-    return propagate_vector(curve_coefficient(w, g), g.a, g.b, v, tol)
 
 
 @dataclass(frozen=True)
@@ -276,21 +233,22 @@ def sample_connection_bounds(
 ) -> ConnectionBounds:
     """Grid-sample sup norms of omega1, omega2, d/dx omega2 over the
     rectangle, refining dyadically until all three stabilize, then
-    inflate by 5%.  A sample with a non-finite entry raises
-    DomainViolationError naming its (x, u)."""
+    inflate by 5%.  Each field takes a grid row from one call; without
+    ``d1_omega2``, d/dx omega2 is taken by central differences.  A sample
+    with a non-finite entry raises DomainViolationError naming its
+    (x, u)."""
     if not (w.m_interval.is_finite() and w.j_interval.is_finite()):
         raise DomainViolationError("bounds sampling needs a finite rectangle")
     kind = w.space.norm_kind
+    d1 = w.d1_omega2 or (lambda x, us: central_difference(w.omega2, x, us))
 
     def sups(n):
         xs = np.linspace(w.m_interval.lo, w.m_interval.hi, n)
         us = np.linspace(w.j_interval.lo, w.j_interval.hi, n)
         out = np.zeros(3)
-        # one stacked norm call per field and grid row keeps memory O(n);
-        # omega1 and omega2 take each row from one batched call
+        # one stacked norm call per field and grid row keeps memory O(n)
         for x in xs.tolist():
-            rows = (w.omega1_stack(x, us), w.omega2_stack(x, us),
-                    np.array([w.d1w2(x, u) for u in us.tolist()]))
+            rows = (w.omega1(x, us), w.omega2(x, us), d1(x, us))
             for i, row in enumerate(rows):
                 finite = np.isfinite(row).all(axis=(-2, -1))
                 if not finite.all():

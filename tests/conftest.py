@@ -10,8 +10,8 @@ import math
 import numpy as np
 import pytest
 
-from evostab.calculus import Interval
-from evostab.evolution import CoefficientPath, stacked
+from evostab.calculus import Interval, stacked
+from evostab.evolution import CoefficientPath
 from evostab.operators import VectorSpaceSpec
 
 
@@ -69,3 +69,69 @@ def smooth_corpus(seed, count, dims=(1, 2, 3, 4), norm_kind="euclidean"):
 def small_corpus():
     """Three small random systems for unit-level law checks."""
     return smooth_corpus(seed=1234, count=3, dims=(1, 2, 3))
+
+
+# ---------------------------------------------------------------------------
+# the built-in fields and connections one point at a time, transcribed
+# from their definitions with math: the formulas their array evaluators
+# must reproduce bit for bit
+
+_R = np.array([[0.0, 1.0], [-1.0, 0.0]])
+_S = np.array([[0.3, 0.1], [0.1, -0.2]])
+_Z = np.zeros((2, 2))
+
+
+def _twist_frame(x):
+    """e S e^T with e = exp(0.2 x R)."""
+    c, s = math.cos(0.2 * x), math.sin(0.2 * x)
+    e = np.array([[c, s], [-s, c]])
+    return e @ _S @ e.T
+
+
+def _twist_d1(x, u):
+    m = _twist_frame(x)
+    return -0.15 * 0.2 * (_R @ m - m @ _R)
+
+
+def _example39(t, u):
+    return np.array([[2.0 * math.atan(t), math.sqrt(t + 1.0) - math.sqrt(t)],
+                     [-1.0 / (1.0 + t * t), 1.0 + math.exp(-t)]])
+
+
+def _example39_dt(t, u):
+    root = 0.5 / math.sqrt(t + 1.0) - (0.5 / math.sqrt(t) if t > 0 else 0.0)
+    return np.array([[2.0 / (1.0 + t * t), root],
+                     [2.0 * t / (1.0 + t * t) ** 2, -math.exp(-t)]])
+
+
+# name -> (G, dG/dt) at (t, u)
+POINTWISE_FIELDS = {
+    "example39": (_example39, _example39_dt),
+    "intro-cos": (lambda t, u: np.array([[1.0]]),
+                  lambda t, u: np.array([[0.0]])),
+    "rotation": (lambda t, u: _R, lambda t, u: _Z),
+}
+
+# name -> (omega1, omega2, d/dx omega2) at (x, u)
+POINTWISE_CONNECTIONS = {
+    "zero": (lambda x, u: _Z, lambda x, u: _Z, lambda x, u: _Z),
+    "scalar-decay": (lambda x, u: _Z, lambda x, u: 0.3 * np.eye(2),
+                     lambda x, u: _Z),
+    "gauge-rotation": (lambda x, u: -0.1 * u * _R, lambda x, u: -0.1 * x * _R,
+                       lambda x, u: -0.1 * _R),
+    "gauge-twist": (lambda x, u: -0.2 * _R,
+                    lambda x, u: -0.15 * _twist_frame(x), _twist_d1),
+    "mixed-bounded": (
+        lambda x, u: 0.3 * np.array([[math.sin(u), 0.2 * math.cos(x)],
+                                     [-0.2 * math.cos(x), math.cos(u)]]),
+        lambda x, u: 0.15 * np.array([[math.cos(x), math.sin(x)],
+                                      [math.sin(x), -math.cos(x)]]),
+        lambda x, u: 0.15 * np.array([[-math.sin(x), math.cos(x)],
+                                      [math.cos(x), math.sin(x)]])),
+}
+
+# omega2 of the extension problems' connections
+POINTWISE_EXTENSION_OMEGA2 = {
+    "extension-gauge": lambda x, u: -0.25 * x * _R,
+    "extension-twist": POINTWISE_CONNECTIONS["gauge-twist"][1],
+}

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from evostab.calculus import (Interval, Partition, ScalarPath, cov_check,
-                              integrate)
-from evostab.evolution import CoefficientPath, evolve, stacked
+                              integrate, pointwise, stacked)
+from evostab.evolution import CoefficientPath, evolve
 from evostab.extension import (
     build_sigma,
     extend_section,
@@ -223,7 +223,8 @@ def test_criterion_07_substitution_identity():
     ]
     worst = 0.0
     for B, space, f, s, t in cases:
-        worst = max(worst, substitution_check(B, f, s, t, space, tol=1e-10))
+        worst = max(worst, substitution_check(stacked(B), f, s, t, space,
+                                              tol=1e-10))
     ok = worst <= 1e-6
     _line(7, ok, f"10 coefficient/path pairs, worst substitution defect "
                  f"{worst:.2e} <= 1e-6")
@@ -282,7 +283,8 @@ def _acceptance_connections():
             return _c * np.array([[math.sin(x + u), 0.0],
                                   [0.0, math.cos(x)]])
 
-        out.append(ConnectionForm(omega1=w1, omega2=w2, m_interval=M,
+        out.append(ConnectionForm(omega1=pointwise(w1),
+                                  omega2=pointwise(w2), m_interval=M,
                                   j_interval=J, space=sp))
     return out
 

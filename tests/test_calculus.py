@@ -16,6 +16,7 @@ from evostab.calculus import (
     cov_check,
     integrate,
     l1_norm_in_u,
+    pointwise,
     signed_integrate,
     stacked,
     total_variation_path,
@@ -23,10 +24,11 @@ from evostab.calculus import (
     _gk15,
 )
 from evostab.errors import DomainViolationError, QuadratureError
+from evostab.expressions import parse_expression
 from evostab.harness import _system_from_config
 from evostab.library import example39_field, make_scalar_path
 from evostab.operators import VectorSpaceSpec
-from evostab.stability import certify
+from evostab.stability import SeparableSystem, certify
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +131,29 @@ def test_integrate_unbounded_interval_rejected():
         integrate(math.sin, Interval(0.0, math.inf))
 
 
+def test_non_finite_integrand_raises_naming_its_panel():
+    # a NaN error estimate never exceeds tol, so without the check the
+    # refinement would stop and return NaN
+    with pytest.raises(QuadratureError,
+                       match=r"non-finite integrand on the panel \[0, 1\]"):
+        integrate(lambda t: math.nan if t > 0.5 else 1.0, Interval(0, 1))
+    with pytest.raises(QuadratureError, match=r"panel \[0.0, 2.0\]"):
+        integrate(lambda t: np.array([1.0, math.nan]), Interval(0.0, 2.0))
+
+
+def test_certify_of_a_non_finite_field_raises_quadrature_error():
+    # G = NaN for t > 1/2 depends on u as far as certify knows, so its
+    # gain is a family of u-integrals: the first family over the whole
+    # window meets the NaN on the u-panel [-1, 1]
+    G = OperatorField(eval=pointwise(
+        lambda t, u: np.array([[math.nan if t > 0.5 else 1.0]])),
+        space=VectorSpaceSpec(1))
+    sys = SeparableSystem(G=G, f=make_scalar_path("sin", Interval(0, 1)),
+                          I=Interval(0, 1), J=Interval(-1, 1), space=G.space)
+    with pytest.raises(QuadratureError, match=r"panel \[-1, 1\]"):
+        certify(sys, Interval(0, 1))
+
+
 def test_quadrature_failure_carries_best_estimate():
     # highly oscillatory with a tiny segment budget
     with pytest.raises(QuadratureError) as err:
@@ -151,13 +176,13 @@ def test_signed_integrate_orientation():
 
 def test_l1_norm_constant_unit_field():
     sp = VectorSpaceSpec(1)
-    G = OperatorField(eval=lambda t, u: np.array([[1.0]]), space=sp)
+    G = OperatorField(eval=pointwise(lambda t, u: np.array([[1.0]])), space=sp)
     assert l1_norm_in_u(G, 0.0, Interval(0.0, 2.0)) == pytest.approx(2.0)
 
 
 def test_l1_norm_linear_field():
     sp = VectorSpaceSpec(1)
-    G = OperatorField(eval=lambda t, u: np.array([[u]]), space=sp)
+    G = OperatorField(eval=pointwise(lambda t, u: np.array([[u]])), space=sp)
     assert l1_norm_in_u(G, 0.0, Interval(0.0, 1.0)) == pytest.approx(0.5)
 
 
@@ -165,11 +190,11 @@ def _midpoint_l1_oracle(field, t, J, panels=1_000_000):
     """Independent check: fixed-panel midpoint rule, vectorized over a
     stacked batch of matrices."""
     us = J.lo + (np.arange(panels) + 0.5) * (J.length() / panels)
-    mats = np.stack([field.eval(t, u) for u in us[::1000]])
+    mats = field.eval(t, us[::1000])
     # u-independent fields: all slices coincide, integral is exact
     if np.max(np.abs(mats - mats[0])) == 0.0:
         return J.length() * np.linalg.svd(mats[0], compute_uv=False)[0]
-    mats = np.stack([field.eval(t, u) for u in us])
+    mats = field.eval(t, us)
     norms = np.linalg.svd(mats, compute_uv=False)[:, 0]
     return float(norms.sum() * (J.length() / panels))
 
@@ -191,7 +216,7 @@ def test_l1_norm_u_dependent_field_matches_midpoint_oracle():
     def ev(t, u):
         return np.array([[math.sin(u), 0.3], [0.0, math.cos(u) * u]])
 
-    G = OperatorField(eval=ev, space=sp)
+    G = OperatorField(eval=pointwise(ev), space=sp)
     J = Interval(-1.0, 1.0)
     oracle = _midpoint_l1_oracle(G, 0.0, J, panels=200_000)
     assert l1_norm_in_u(G, 0.0, J, tol=1e-10) == pytest.approx(
@@ -203,27 +228,29 @@ def test_l1_norm_u_dependent_field_matches_midpoint_oracle():
 
 
 def test_variation_constant_is_zero():
-    val = total_variation_path(lambda t: np.eye(2), Interval(0.0, 5.0),
-                               deriv=lambda t: np.zeros((2, 2)))
+    val = total_variation_path(stacked(lambda t: np.eye(2)),
+                               Interval(0.0, 5.0),
+                               deriv=stacked(lambda t: np.zeros((2, 2))))
     assert val == 0.0
 
 
 def test_variation_linear_scalar():
-    val = total_variation_path(lambda t: np.array([[t]]), Interval(0.0, 3.0),
-                               deriv=lambda t: np.array([[1.0]]))
+    val = total_variation_path(lambda ts: ts[:, None, None],
+                               Interval(0.0, 3.0),
+                               deriv=lambda ts: np.ones((len(ts), 1, 1)))
     assert val == pytest.approx(3.0, abs=1e-10)
 
 
 def test_variation_sine_four_quarter_waves():
     val = total_variation_path(
-        lambda t: np.array([[math.sin(t)]]), Interval(0.0, 2 * math.pi),
-        deriv=lambda t: np.array([[math.cos(t)]]),
+        lambda ts: np.sin(ts)[:, None, None], Interval(0.0, 2 * math.pi),
+        deriv=lambda ts: np.cos(ts)[:, None, None],
     )
     assert val == pytest.approx(4.0, abs=1e-9)
 
 
 def test_variation_refinement_mode_is_monotone_lower_estimate():
-    G = lambda t: np.array([[math.sin(t)]])
+    G = stacked(lambda t: np.array([[math.sin(t)]]))
     interval = Interval(0.0, 2 * math.pi)
     est = total_variation_path(G, interval)
     assert est <= 4.0 + 1e-12
@@ -244,15 +271,15 @@ def test_variation_refinement_mode_is_monotone_lower_estimate():
 
 def test_tv_l1_bound_time_independent_is_zero():
     sp = VectorSpaceSpec(1)
-    G = OperatorField(eval=lambda t, u: np.array([[u]]), space=sp,
-                      partial_t=lambda t, u: np.array([[0.0]]))
+    G = OperatorField(eval=pointwise(lambda t, u: np.array([[u]])), space=sp,
+                      partial_t=pointwise(lambda t, u: np.array([[0.0]])))
     assert tv_l1_upper_bound(G, Interval(0.0, 1.0), Interval(0.0, 2.0)) == 0.0
 
 
 def test_tv_l1_bound_linear_in_t():
     sp = VectorSpaceSpec(1)
-    G = OperatorField(eval=lambda t, u: np.array([[t]]), space=sp,
-                      partial_t=lambda t, u: np.array([[1.0]]))
+    G = OperatorField(eval=pointwise(lambda t, u: np.array([[t]])), space=sp,
+                      partial_t=pointwise(lambda t, u: np.array([[1.0]])))
     val = tv_l1_upper_bound(G, Interval(0.0, 1.0), Interval(0.0, 2.0))
     assert val == pytest.approx(2.0, abs=1e-9)
 
@@ -268,7 +295,7 @@ def test_tv_l1_bound_dominates_partition_sum():
         return np.array([[2.0 / (1 + t * t), 0.0],
                          [0.0, -math.exp(-t)]])
 
-    G = OperatorField(eval=ev, space=sp, partial_t=d1)
+    G = OperatorField(eval=pointwise(ev), space=sp, partial_t=pointwise(d1))
     I, J = Interval(0.0, 4.0), Interval(-1.0, 1.0)
     bound = tv_l1_upper_bound(G, I, J, tol=1e-8)
     # partition-sum lower estimate of the L1 variation on 2^10 points
@@ -362,14 +389,17 @@ CERTIFY_EXPR = {"G": [["atan(t)*u", "0.1*u"], ["sin(t*u)", "exp(-t)"]],
 
 
 def _expr_system_pair():
-    """The expression field with its batched evaluator, and the same field
-    evaluated one u at a time."""
+    """The expression field as the config builds it, numpy over arrays,
+    and the same field evaluated one point at a time by the scalar
+    ``math`` evaluators of its entries."""
     bag = []
     batched = _system_from_config(dict(CERTIFY_EXPR), bag)
-    assert not bag and batched.G.eval_u is not None
-    pointwise = dataclasses.replace(
-        batched, G=dataclasses.replace(batched.G, eval_u=None))
-    return batched, pointwise
+    assert not bag
+    entries = [[parse_expression(s) for s in row] for row in CERTIFY_EXPR["G"]]
+    one = pointwise(lambda t, u: np.array([[e(t, u) for e in row]
+                                           for row in entries]))
+    return batched, dataclasses.replace(
+        batched, G=dataclasses.replace(batched.G, eval=one))
 
 
 def test_gk15_panel_matches_tensordot_reference():
@@ -388,7 +418,7 @@ def test_expression_field_stacks_match_pointwise_evaluation():
     batched, pointwise = _expr_system_pair()
     us = np.linspace(-1.0, 1.0, 15)
     for t in (0.0, 0.7, 1.9):
-        a, b = batched.G.u_stack(t, us), pointwise.G.u_stack(t, us)
+        a, b = batched.G.eval(t, us), pointwise.G.eval(t, us)
         assert a.shape == b.shape == (15, 2, 2)
         np.testing.assert_allclose(a, b, rtol=1e-15, atol=1e-300)
         np.testing.assert_allclose(batched.G.d1_many(t, us),

@@ -13,14 +13,12 @@ from evostab.evolution import (
     StepStats,
     evolve,
     param_evolution,
-    propagate_vector,
-    stacked,
     sweep_vector,
 )
 from evostab.evolution import _NODES, _magnus_exponents, _magnus_segment, expm
-from evostab.calculus import signed_integrate
+from evostab.calculus import pointwise, signed_integrate, stacked
 from evostab.library import make_extension_problem, make_system
-from evostab.operators import Vector, VectorSpaceSpec, invert_matrix, matrix_norm
+from evostab.operators import VectorSpaceSpec, invert_matrix, matrix_norm
 from evostab.stability import assemble_A
 
 from conftest import rk4_propagator, smooth_corpus
@@ -196,22 +194,22 @@ def test_non_finite_stages_are_rejected_until_integration_error():
 
 def test_propagate_vector_zero_stays_zero():
     A = scalar_cos_path()
-    v = propagate_vector(A, 0.0, 3.0, Vector(np.zeros(1), SP1))
-    assert np.array_equal(v.entries, np.zeros(1))
+    v = sweep_vector(A, (0.0, 3.0), np.zeros(1))[-1]
+    assert np.array_equal(v, np.zeros(1))
 
 
 def test_propagate_vector_scalar_closed_form():
     A = scalar_cos_path()
-    v = propagate_vector(A, 0.0, math.pi / 2, Vector(np.ones(1), SP1))
-    assert v.entries[0] == pytest.approx(math.e, abs=1e-9)
+    v = sweep_vector(A, (0.0, math.pi / 2), np.ones(1))[-1]
+    assert v[0] == pytest.approx(math.e, abs=1e-9)
 
 
 def test_propagate_vector_agrees_with_operator_route():
     A = smooth_corpus(seed=5, count=1, dims=(3,))[0]
     v0 = np.array([0.3, -1.2, 0.7])
-    via_vec = propagate_vector(A, 0.0, 2.0, Vector(v0, A.space))
+    via_vec = sweep_vector(A, (0.0, 2.0), v0)[-1]
     via_op = evolve(A, 0.0, 2.0).entries @ v0
-    assert np.max(np.abs(via_vec.entries - via_op)) <= 1e-8
+    assert np.max(np.abs(via_vec - via_op)) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -219,16 +217,16 @@ def test_propagate_vector_agrees_with_operator_route():
 
 
 def test_param_evolution_zero_everywhere_identity():
-    res = param_evolution(lambda x, v: np.zeros((2, 2)),
+    res = param_evolution(pointwise(lambda x, v: np.zeros((2, 2))),
                           [0.0, 0.5, 1.0], 0.0, [0.5, 1.0], SP2)
+    assert res.propagators.shape == (3, 2, 2, 2)
     for col in res.propagators:
         for mat in col:
             assert np.allclose(mat, np.eye(2), atol=1e-12)
-    assert res.continuity <= 1e-12
 
 
 def test_param_evolution_separable_scalar():
-    res = param_evolution(lambda x, v: np.array([[x]]),
+    res = param_evolution(pointwise(lambda x, v: np.array([[x]])),
                           [0.0, 0.7, 1.3], 0.5, [0.0, 1.5], SP1)
     for ix, x in enumerate(res.x_grid):
         for iv, v in enumerate(res.v_targets):
@@ -240,14 +238,13 @@ def test_param_evolution_separable_scalar():
 def test_param_evolution_rotation_family_closed_form():
     # A(x, v) = v R commutes across v: the sweep is a rotation by
     # (v^2 - v0^2)/2, independent of x
-    res = param_evolution(lambda x, v: v * ROT, [0.0, 1.0], 1.0,
+    res = param_evolution(pointwise(lambda x, v: v * ROT), [0.0, 1.0], 1.0,
                           [2.0, 0.5], SP2)
     for iv, v in enumerate(res.v_targets):
         angle = 0.5 * (v * v - 1.0)
         expected = scipy.linalg.expm(angle * ROT)
         for ix in range(2):
             assert np.max(np.abs(res.propagators[ix][iv] - expected)) <= 1e-9
-    assert res.continuity <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -323,16 +320,15 @@ def test_sweep_cost_on_example39():
 @pytest.mark.parametrize("name", ["extension-gauge", "extension-twist"])
 def test_sweep_vector_matches_per_hop_propagation(name):
     omega = make_extension_problem(name).omega
-    A = CoefficientPath(eval=stacked(lambda v: -omega.omega2(0.37, v)),
+    A = CoefficientPath(eval=lambda vs: -omega.omega2(0.37, vs),
                         space=omega.space)
     v = np.array([0.8, -0.3])
     up = list(np.linspace(-1.5, 1.9, 13))
     for stops in (up, up[::-1]):
         swept = sweep_vector(A, stops, v, 1e-10)
-        hop = Vector(v, A.space)
+        want = v
         for a, b, got in zip(stops, stops[1:], swept[1:]):
-            hop = propagate_vector(A, a, b, hop, 1e-10)
-            want = hop.entries
+            want = sweep_vector(A, (a, b), want, 1e-10)[-1]
             assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
 
@@ -364,19 +360,21 @@ def test_param_evolution_cost_on_extension_gauge_grid():
     # levels as one stacked state per side: 12 + 13 non-empty hops.  omega2
     # does not depend on v, so one Magnus step is exact and each hop is one
     # accepted step: 25 steps take A at 9 nodes each, 225 coefficient
-    # values, and the stack is evaluated 225 times, 3,600 calls over 16
-    # columns
+    # values, from 25 calls of the family over 9 nodes x 16 columns, 3,600
+    # points in all
     p = make_extension_problem("extension-gauge")
     xs = np.concatenate([np.linspace(-1.8, -0.2, 6),
                          np.linspace(1e-3, 1.8, 10)])
     vs = np.linspace(-1.8, 1.8, 13)
     stats = StepStats()
-    calls = 0
+    calls = points = 0
 
     def coefficient(x, v):
-        nonlocal calls
+        nonlocal calls, points
         calls += 1
-        return -p.omega.omega2(x, v)
+        out = -p.omega.omega2(x, v)
+        points += out[..., 0, 0].size
+        return out
 
     for level in (p.v0, p.v1):
         param_evolution(coefficient, xs, level, vs, p.omega.space, 1e-10,
@@ -385,8 +383,8 @@ def test_param_evolution_cost_on_extension_gauge_grid():
     assert stats.rhs_evals <= 6_500
     assert stats.steps == 25 and stats.rejected == 0
     assert stats.rhs_evals == 9 * 25
-    assert calls == 16 * 225
-    assert calls <= 8_900
+    assert calls == 25
+    assert points == 16 * 225
 
 
 @pytest.mark.parametrize("name", ["extension-gauge", "extension-twist"])

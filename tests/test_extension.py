@@ -1,10 +1,11 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from evostab.calculus import Interval
+from evostab.calculus import Interval, ScalarPath, pointwise
 from evostab.errors import ApproximationError, ConstructionError
 from evostab.evolution import StepStats, param_evolution
 from evostab.extension import (
@@ -22,6 +23,10 @@ from evostab.library import (
     make_extension_problem,
 )
 from evostab.operators import VectorSpaceSpec, vector_norm
+from evostab.transport import (Curve, curve_coefficient,
+                               sample_connection_bounds)
+
+from conftest import POINTWISE_EXTENSION_OMEGA2
 
 SP2 = VectorSpaceSpec(2)
 
@@ -120,7 +125,8 @@ def test_crossing_guard_fires_on_bad_vertical_move():
 def test_grouped_column_fill_matches_per_column_sweeps():
     # columns with equal stops are swept as one stacked state; each must
     # match its own unstacked sweep from the corridor level
-    from evostab.evolution import CoefficientPath, stacked, sweep_vector
+    from evostab.calculus import stacked
+    from evostab.evolution import CoefficientPath, sweep_vector
     for name in ("extension-gauge", "extension-twist"):
         p = make_extension_problem(name)
         xs, vs = default_grids(p)
@@ -233,47 +239,78 @@ def test_extensions_agree_with_sigma_on_their_defining_sides():
 
 @pytest.mark.parametrize("name", ["extension-gauge", "extension-twist"])
 def test_extend_section_matches_param_evolution_bit_for_bit(name):
-    # the per-point route: param_evolution's propagator columns times the
-    # section's corridor rows
+    # the per-point route: param_evolution of omega2's pointwise formula,
+    # its propagator columns times the section's corridor rows
     p = make_extension_problem(name)
     xs, vs = default_grids(p)
     sig = build_sigma(p, xs, vs)
     res = extend_section(p, sig)
+    omega2 = POINTWISE_EXTENSION_OMEGA2[name]
     for level, row, xi in ((p.v0, sig.row_v0, res.xi0),
                            (p.v1, sig.row_v1, res.xi1)):
-        fam = param_evolution(lambda x, v: -p.omega.omega2(x, v), sig.x_grid,
-                              level, sig.v_grid, p.omega.space, 1e-10)
-        want = (np.array(fam.propagators) @ row[:, None, :, None])[..., 0]
+        fam = param_evolution(pointwise(lambda x, v: -omega2(x, v)),
+                              sig.x_grid, level, sig.v_grid, p.omega.space,
+                              1e-10)
+        want = (fam.propagators @ row[:, None, :, None])[..., 0]
         assert np.array_equal(xi, want)
 
 
 def test_extend_section_evaluates_omega2_once_per_step():
-    # one batched omega2 call covers every column at all nine nodes of an
+    # one omega2 call covers every column at all nine nodes of an
     # attempted step: on this grid 25 attempted steps, 225 coefficient
     # values (as in test_param_evolution_cost_on_extension_gauge_grid)
     p = gauge_problem()
     xs, vs = default_grids(p)
     sig = build_sigma(p, xs, vs)
     w = p.omega
-    calls = {"batched": 0, "pointwise": 0}
+    calls = 0
 
-    def batched(xs, u):
-        calls["batched"] += 1
-        return w.omega2.many(xs, u)
+    def omega2(xs, us):
+        nonlocal calls
+        calls += 1
+        return w.omega2(xs, us)
 
-    def pointwise(x, u):
-        calls["pointwise"] += 1
-        return w.omega2(x, u)
-
-    pointwise.many = batched
     counted = dataclasses.replace(p, omega=dataclasses.replace(
-        w, omega2=pointwise))
+        w, omega2=omega2))
     stats = StepStats()
     res = extend_section(counted, sig, stats=stats)
-    assert calls["pointwise"] == 0
     assert stats.rhs_evals == 9 * 25
-    assert calls["batched"] == 25
+    assert calls == 25
     assert np.array_equal(res.xi1, extend_section(p, sig).xi1)
+
+
+def test_replaced_omega2_reaches_every_caller():
+    # a ConnectionForm has one evaluator per field: an omega2 replaced by
+    # dataclasses.replace is what curve coefficients, sampled bounds and
+    # extensions all read, also when it is a functools.wraps wrapper, which
+    # copies the wrapped function's attributes onto itself
+    p = gauge_problem()
+    w = p.omega
+
+    @functools.wraps(w.omega2)
+    def wrapped(xs, us):
+        return 2.0 * w.omega2(xs, us)
+
+    doubled = dataclasses.replace(w, omega2=wrapped)
+    plain = dataclasses.replace(
+        w, omega2=lambda xs, us: 2.0 * w.omega2(xs, us))
+    curve = Curve(ScalarPath(eval=lambda ts: ts, deriv=np.ones_like),
+                  ScalarPath(eval=lambda ts: 0.5 * ts,
+                             deriv=lambda ts: np.full_like(ts, 0.5)),
+                  0.0, 1.0)
+    ts = np.linspace(0.1, 0.9, 9)
+    got = curve_coefficient(doubled, curve).eval(ts)
+    assert np.array_equal(got, curve_coefficient(plain, curve).eval(ts))
+    np.testing.assert_allclose(got, -(w.omega1(ts, 0.5 * ts)
+                                      + w.omega2(ts, 0.5 * ts)), rtol=1e-15)
+    assert sample_connection_bounds(doubled).B2 == pytest.approx(
+        2.0 * sample_connection_bounds(w).B2, rel=1e-12)
+    xs, vs = default_grids(p)
+    sig = build_sigma(p, xs, vs)
+    ext = extend_section(dataclasses.replace(p, omega=doubled), sig)
+    want = extend_section(dataclasses.replace(p, omega=plain), sig)
+    assert np.array_equal(ext.xi0, want.xi0)
+    assert not np.allclose(ext.xi0, extend_section(p, sig).xi0)
 
 
 def test_extension_oscillating_graph_with_floor():

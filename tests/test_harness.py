@@ -484,32 +484,34 @@ def test_expression_matrix_stack_faults_like_its_faulting_entry():
     G = _expr_matrix(rows, bag, "system.G")
     assert not bag
     us = np.array([0.25, 4.0, 9.0])
-    stack = G.many(0.5, us)
+    stack = G(0.5, us)
     for i, j in np.ndindex(2, 2):
         entry = parse_expression(rows[i][j]).many(0.5, us)
         assert np.array_equal(stack[:, i, j], np.broadcast_to(entry, (3,)))
     with pytest.raises(ExpressionError) as scalar:
         parse_expression("sqrt(u)")(0.5, -1.0)
     with pytest.raises(ExpressionError) as batch:
-        G.many(0.5, np.array([1.0, -1.0]))
+        G(0.5, np.array([1.0, -1.0]))
     assert str(batch.value) == str(scalar.value)
 
 
 def test_expression_connection_stacks_over_paired_points():
     # a config-defined connection takes its omega stacks from the
-    # expression matrices' numpy evaluators (``.many``), over points of
-    # any shape: the pointwise values to rounding
+    # expression matrices' numpy evaluators, over points of any shape: the
+    # values of the entries' scalar math evaluators to rounding
     bag = []
-    w = _connection_from_config({
-        "omega1": [["sin(u)", "0.2*cos(t)"], ["-0.2*cos(t)", "cos(u)"]],
-        "omega2": [["0.15", "t*u"], ["exp(-t)", "-0.15"]],
-        "M": [-1.0, 1.0], "J": [-1.0, 1.0]}, bag)
+    cfg = {"omega1": [["sin(u)", "0.2*cos(t)"], ["-0.2*cos(t)", "cos(u)"]],
+           "omega2": [["0.15", "t*u"], ["exp(-t)", "-0.15"]],
+           "M": [-1.0, 1.0], "J": [-1.0, 1.0]}
+    w = _connection_from_config(cfg, bag)
     assert not bag
     rng = np.random.default_rng(4)
     xs, us = rng.uniform(-1.0, 1.0, (2, 5, 3))
-    for one, stack in ((w.omega1, w.omega1_stack), (w.omega2, w.omega2_stack)):
-        want = np.array([one(x, u) for x, u in zip(xs.ravel().tolist(),
-                                                   us.ravel().tolist())])
+    for rows, stack in ((cfg["omega1"], w.omega1), (cfg["omega2"], w.omega2)):
+        entries = [[parse_expression(s) for s in row] for row in rows]
+        want = np.array([[[e(x, u) for e in row] for row in entries]
+                         for x, u in zip(xs.ravel().tolist(),
+                                         us.ravel().tolist())])
         got = stack(xs, us)
         assert got.shape == (5, 3, 2, 2)
         np.testing.assert_allclose(got, want.reshape(got.shape), rtol=1e-15,

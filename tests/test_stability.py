@@ -6,9 +6,10 @@ import pytest
 import scipy.linalg
 
 from evostab.calculus import (Interval, OperatorField, Partition, ScalarPath,
-                              integrate)
+                              integrate, pointwise, stacked)
 from evostab.errors import DomainViolationError
-from evostab.evolution import CoefficientPath, evolve, stacked
+from evostab.evolution import CoefficientPath, evolve
+from evostab.harness import _system_from_config
 from evostab.library import example39_field, make_scalar_path, make_system
 from evostab.operators import VectorSpaceSpec, matrix_norm
 from evostab.stability import (
@@ -28,8 +29,8 @@ ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 def unit_field(space=SP1):
     return OperatorField(
-        eval=lambda t, u: np.eye(space.dim), space=space,
-        partial_t=lambda t, u: np.zeros((space.dim, space.dim)),
+        eval=pointwise(lambda t, u: np.eye(space.dim)), space=space,
+        partial_t=pointwise(lambda t, u: np.zeros((space.dim, space.dim))),
         u_independent=True,
     )
 
@@ -122,7 +123,7 @@ def test_replaced_path_evaluator_reaches_every_caller():
     # a ScalarPath has one evaluator per quantity, so a field replaced by
     # dataclasses.replace leaves no stale batched twin behind
     sin = make_scalar_path("sin", Interval(0.0, 10.0))
-    G = OperatorField(eval=lambda t, u: np.array([[u]]), space=SP1)
+    G = OperatorField(eval=pointwise(lambda t, u: np.array([[u]])), space=SP1)
     ts = np.array([0.3, 1.1, 2.0])
     half = dataclasses.replace(sin, eval=lambda ts: 0.5 * np.sin(ts))
     assert half(0.3) == 0.5 * math.sin(0.3)
@@ -143,6 +144,27 @@ def test_replaced_path_evaluator_reaches_every_caller():
                                    J=Interval(-1, 1), space=SP1))
     assert np.array_equal(A.eval(ts)[:, 0, 0], 0.25 * np.cos(ts) * np.sin(ts))
 
+
+def test_replaced_field_evaluator_reaches_certify_assemble_and_verify():
+    # an OperatorField has one evaluator, so the certificate and the
+    # propagators it bounds read the same G after dataclasses.replace
+    bag = []
+    sys = _system_from_config({"G": [["u", "0"], ["0", "1"]], "f": "sin(t)",
+                               "J": [-1.0, 1.0]}, bag)
+    assert not bag
+    five = lambda ts, us: 5.0 * np.broadcast_to(
+        np.eye(2), np.broadcast_shapes(np.shape(ts), np.shape(us)) + (2, 2))
+    sys = dataclasses.replace(sys, G=dataclasses.replace(sys.G, eval=five))
+    cert = certify(sys, Interval(0.0, 1.0))
+    assert cert.gain == pytest.approx(math.exp(10.0), rel=1e-12)
+    assert cert.variation == 0.0
+    np.testing.assert_allclose(assemble_A(sys)(0.3),
+                               5.0 * math.cos(0.3) * np.eye(2), rtol=1e-9)
+    report = verify_certificate(sys, cert, [(0.0, 1.0)])
+    assert report.passed
+    assert report.rows[0].norm_X == pytest.approx(
+        math.exp(5.0 * math.sin(1.0)), rel=1e-9)
+
 # ---------------------------------------------------------------------------
 # certificates
 
@@ -161,8 +183,8 @@ def test_certificate_unit_field_forced_values():
 
 def test_certificate_time_independent_field_has_zero_variation():
     m = np.array([[0.2, 0.1], [0.0, -0.3]])
-    G = OperatorField(eval=lambda t, u: m, space=SP2,
-                      partial_t=lambda t, u: np.zeros((2, 2)),
+    G = OperatorField(eval=pointwise(lambda t, u: m), space=SP2,
+                      partial_t=pointwise(lambda t, u: np.zeros((2, 2))),
                       u_independent=True)
     f = ScalarPath(eval=stacked(lambda t: 0.5 * math.sin(t)),
                    deriv=stacked(lambda t: 0.5 * math.cos(t)))
@@ -224,7 +246,7 @@ def test_certificate_u_dependent_field_uses_double_integral_route():
     #   d/dt G = 0.1 cos(t) u, so the variation bound is
     #   int_I |cos t| dt * int_-1^1 0.1 |u| du = 0.1 * int |cos|
     G = OperatorField(
-        eval=lambda t, u: np.array([[0.4 + 0.1 * math.sin(t) * u]]),
+        eval=pointwise(lambda t, u: np.array([[0.4 + 0.1 * math.sin(t) * u]])),
         space=SP1,
     )
     f = ScalarPath(eval=stacked(lambda t: 0.9 * math.sin(t)),
@@ -260,7 +282,8 @@ _TIP = 1.0 / 3.0  # never a point of a dyadic grid on [0, 1]
 
 
 def _unsettled_system(G_eval, partial_t=None):
-    G = OperatorField(eval=G_eval, space=SP1, partial_t=partial_t,
+    G = OperatorField(eval=pointwise(G_eval), space=SP1,
+                      partial_t=partial_t and pointwise(partial_t),
                       u_independent=True)
     return SeparableSystem(G=G, f=make_scalar_path("constant", Interval(0, 1)),
                            I=Interval(0, 1), J=Interval(-1, 1), space=SP1)
@@ -310,7 +333,8 @@ def _example_system_window(window_hi=8.0):
 
 def test_frozen_single_segment_of_time_independent_field_matches():
     m = np.array([[0.1, 0.0], [0.2, -0.1]])
-    G = OperatorField(eval=lambda t, u: m, space=SP2, u_independent=True)
+    G = OperatorField(eval=pointwise(lambda t, u: m), space=SP2,
+                      u_independent=True)
     f = ScalarPath(eval=stacked(lambda t: 0.5 * math.sin(t)),
                    deriv=stacked(lambda t: 0.5 * math.cos(t)))
     sys = SeparableSystem(G=G, f=f, I=Interval(0, 10), J=Interval(-1, 1),
@@ -377,12 +401,13 @@ def test_frozen_defect_decreases_along_dyadic_meshes():
 
 def test_substitution_identity_path_is_trivially_exact():
     f = ScalarPath(eval=stacked(lambda t: t), deriv=stacked(lambda t: 1.0))
-    d = substitution_check(lambda u: np.array([[0.3]]), f, 0.0, 2.0, SP1)
+    d = substitution_check(stacked(lambda u: np.array([[0.3]])), f, 0.0, 2.0,
+                           SP1)
     assert d <= 1e-8
 
 
 def test_substitution_scalar_cosine_closed_form():
-    d = substitution_check(lambda u: np.array([[1.0]]), sin_path(),
+    d = substitution_check(stacked(lambda u: np.array([[1.0]])), sin_path(),
                            0.0, 2.5, SP1, tol=1e-10)
     assert d <= 1e-8
     # both routes also match the closed form
@@ -396,7 +421,7 @@ def test_substitution_scalar_cosine_closed_form():
 def test_substitution_rotation_family_closed_form():
     f = ScalarPath(eval=lambda t: t * t, deriv=lambda t: 2.0 * t)
     B = lambda u: u * ROT
-    d = substitution_check(B, f, 0.0, 1.2, SP2, tol=1e-10)
+    d = substitution_check(stacked(B), f, 0.0, 1.2, SP2, tol=1e-10)
     assert d <= 1e-8
     A = CoefficientPath(eval=stacked(lambda t: f.d(t) * B(f(t))), space=SP2)
     x = evolve(A, 0.0, 1.2)
@@ -405,7 +430,9 @@ def test_substitution_rotation_family_closed_form():
 
 
 def test_substitution_non_monotone_path():
-    B = lambda u: np.array([[u, 0.2], [-0.2, -u]])
+    B = lambda us: np.stack([np.stack([us, np.full_like(us, 0.2)], -1),
+                             np.stack([np.full_like(us, -0.2), -us], -1)], -2)
+    assert np.array_equal(B(np.array([0.5])), [[[0.5, 0.2], [-0.2, -0.5]]])
     d = substitution_check(B, sin_path(), 0.0, 7.0, SP2, tol=1e-10)
     assert d <= 1e-8
 

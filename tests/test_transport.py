@@ -5,9 +5,10 @@ import re
 import numpy as np
 import pytest
 
-from evostab.calculus import Interval, ScalarPath, arc_length, stacked
+from evostab.calculus import (Interval, ScalarPath, arc_length,
+                              central_difference, pointwise, stacked)
 from evostab.errors import DomainViolationError, IntegrationError
-from evostab.evolution import evolve, sweep_two_sided
+from evostab.evolution import evolve, sweep_two_sided, sweep_vector
 from evostab.library import (
     gauge_rotation_matrix,
     gauge_twist_matrix,
@@ -27,8 +28,9 @@ from evostab.transport import (
     reverse_curve,
     sample_connection_bounds,
     sine_curve_scenario,
-    transport_vector,
 )
+
+from conftest import POINTWISE_CONNECTIONS
 
 SP2 = VectorSpaceSpec(2)
 RECT_M = Interval(-2.0, 2.0)
@@ -118,10 +120,11 @@ def test_path_composition_and_reverse():
 def test_transport_vector_route_matches_operator_route():
     w = make_connection("mixed-bounded", RECT_M, RECT_J)
     curve = wiggle_curve(1.0)
-    v = Vector(np.array([0.7, -0.2]), SP2)
-    via_vec = transport_vector(w, curve, v)
-    via_op = parallel_transport(w, curve).entries @ v.entries
-    assert np.max(np.abs(via_vec.entries - via_op)) <= 1e-9
+    v = np.array([0.7, -0.2])
+    via_vec = sweep_vector(curve_coefficient(w, curve), (curve.a, curve.b),
+                           v)[-1]
+    via_op = parallel_transport(w, curve).entries @ v
+    assert np.max(np.abs(via_vec - via_op)) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -183,11 +186,11 @@ def test_sample_bounds_zero_connection():
 
 def test_sample_bounds_linear_fiber_field():
     w = ConnectionForm(
-        omega1=lambda x, u: np.zeros((2, 2)),
-        omega2=lambda x, u: u * np.eye(2),
+        omega1=pointwise(lambda x, u: np.zeros((2, 2))),
+        omega2=pointwise(lambda x, u: u * np.eye(2)),
         m_interval=Interval(-1.0, 1.0), j_interval=Interval(-1.0, 1.0),
         space=SP2,
-        d1_omega2=lambda x, u: np.zeros((2, 2)),
+        d1_omega2=pointwise(lambda x, u: np.zeros((2, 2))),
     )
     b = sample_connection_bounds(w)
     assert b.B2 == pytest.approx(1.05, rel=1e-12)  # sup |u| = 1, inflated 5%
@@ -205,25 +208,38 @@ def test_sample_bounds_tag_an_unsettled_refinement():
 
     eye = np.eye(2)
     w = ConnectionForm(
-        omega1=lambda x, u: tip(x) * eye, omega2=lambda x, u: tip(u) * eye,
+        omega1=pointwise(lambda x, u: tip(x) * eye),
+        omega2=pointwise(lambda x, u: tip(u) * eye),
         m_interval=Interval(0.0, 1.0), j_interval=Interval(0.0, 1.0),
-        space=SP2, d1_omega2=lambda x, u: 0.0 * eye)
+        space=SP2, d1_omega2=pointwise(lambda x, u: 0.0 * eye))
     b = sample_connection_bounds(w, resolution=3, max_resolution=33)
     assert b.provenance == "grid-sampled(33x33, unconverged)"
     assert b.B1.hex() == b.B2.hex() == "0x1.6f4e0e3494c49p+0"
     assert b.B12 == 0.0
 
+def _central_d1(w, x, u):
+    """d/dx omega2 at one point by central differences, step
+    1e-6 max(1, |x|)."""
+    h = 1e-6 * max(1.0, abs(x))
+    return (w.omega2(x + h, u) - w.omega2(x - h, u)) / (2.0 * h)
+
+
 def _pointwise_bounds(w, n=17):
     """Reference for sample_connection_bounds: one matrix_norm call per
     grid point and field, refined like it."""
+    def d1(x, u):
+        if w.d1_omega2 is None:
+            return _central_d1(w, x, u)
+        return w.d1_omega2(x, u)
+
     def sups(n):
         xs = np.linspace(w.m_interval.lo, w.m_interval.hi, n)
         us = np.linspace(w.j_interval.lo, w.j_interval.hi, n)
         out = np.zeros(3)
-        for x in xs:
-            for u in us:
+        for x in xs.tolist():
+            for u in us.tolist():
                 for k, m in enumerate((w.omega1(x, u), w.omega2(x, u),
-                                       w.d1w2(x, u))):
+                                       d1(x, u))):
                     out[k] = max(out[k], matrix_norm(
                         np.asarray(m, dtype=float), w.space.norm_kind))
         return out
@@ -262,7 +278,7 @@ def test_sampled_bounds_dominate_finer_oracle_grid():
                for x in xs for u in us)
     sup2 = max(matrix_norm(np.asarray(w.omega2(x, u)), "euclidean")
                for x in xs for u in us)
-    sup12 = max(matrix_norm(w.d1w2(x, u), "euclidean")
+    sup12 = max(matrix_norm(w.d1_omega2(x, u), "euclidean")
                 for x in xs for u in us)
     # the 5% inflation must absorb anything the coarser grid missed
     assert b.B1 >= sup1 and b.B1 <= 1.05 * sup1 * 1.01
@@ -276,7 +292,11 @@ def test_finite_difference_d1_omega2_matches_analytic():
         m_interval=w.m_interval, j_interval=w.j_interval, space=w.space,
     )
     for x, u in [(-1.0, 0.3), (0.5, -1.2), (1.7, 0.0)]:
-        assert np.max(np.abs(w.d1w2(x, u) - w_no_analytic.d1w2(x, u))) <= 1e-5
+        fd = central_difference(w_no_analytic.omega2, x, u)
+        assert np.array_equal(fd, _central_d1(w_no_analytic, x, u))
+        assert np.max(np.abs(w.d1_omega2(x, u) - fd)) <= 1e-5
+    assert sample_connection_bounds(w_no_analytic).B12 == pytest.approx(
+        sample_connection_bounds(w).B12, rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -412,9 +432,13 @@ def test_sine_scenario_rows_keep_input_order_with_duplicates():
 
 def test_sine_scenario_failure_keeps_rows_reached_before_it():
     clean = make_connection("gauge-twist")
-    broken = dataclasses.replace(
-        clean, omega1=lambda x, u: np.full((2, 2), math.nan) if x > -0.05
-        else clean.omega1(x, u))
+
+    def nan_right(xs, us):
+        out = clean.omega1(xs, us)
+        out[np.broadcast_arrays(xs, us)[0] > -0.05] = math.nan
+        return out
+
+    broken = dataclasses.replace(clean, omega1=nan_right)
     v = Vector(np.array([1.0, 0.5]), SP2)
     bounds = sample_connection_bounds(clean)
     b_list = [-0.01, -0.5, -0.1, -0.02]
@@ -444,21 +468,20 @@ def test_sine_scenario_cost_on_benchmark_configuration():
 @pytest.mark.parametrize("name", ["zero", "scalar-decay", "gauge-rotation",
                                   "gauge-twist", "mixed-bounded"])
 def test_omega2_stack_matches_pointwise_omega2(name):
-    # gauge-rotation and gauge-twist stack omega2 through their batched
-    # evaluators (omega2.many), which repeat omega2's operations
-    # elementwise; the other three stack omega2 itself.  gauge-twist is
-    # exact too because numpy's float64 cos and sin agree with math's bit
-    # for bit (x86-64, numpy 2.4)
+    # gauge-rotation and gauge-twist repeat omega2's pointwise operations
+    # elementwise; mixed-bounded evaluates its formula point by point.
+    # gauge-twist is exact too because numpy's float64 cos and sin agree
+    # with math's bit for bit (x86-64, numpy 2.4)
     w = make_connection(name, RECT_M, RECT_J)
-    assert hasattr(w.omega2, "many") == name.startswith("gauge-")
+    formula = POINTWISE_CONNECTIONS[name][1]
     xs = np.concatenate([np.linspace(-2.0, 2.0, 41),
                          np.random.default_rng(3).uniform(-2.0, 2.0, 200)])
     for u in (-1.5, -0.3, 0.0, 1.2):
-        want = np.array([w.omega2(x, u) for x in xs.tolist()])
-        got = w.omega2_stack(xs, u)
+        want = np.array([formula(x, u) for x in xs.tolist()])
+        got = w.omega2(xs, u)
         assert got.shape == (len(xs), 2, 2)
         assert np.array_equal(got, want)
-        assert np.array_equal(w.omega2_stack(tuple(xs[:3]), u), want[:3])
+        assert np.array_equal(w.omega2(tuple(xs[:3]), u), want[:3])
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +594,7 @@ def test_omega_stacks_over_paired_points_match_pointwise(name):
     rng = np.random.default_rng(11)
     xs = rng.uniform(-2.0, 2.0, (7, 3))
     us = rng.uniform(-1.5, 1.5, (7, 3))
-    for one, stack in ((w.omega1, w.omega1_stack), (w.omega2, w.omega2_stack)):
+    for one, stack in zip(POINTWISE_CONNECTIONS[name], (w.omega1, w.omega2)):
         want = np.array([one(x, u) for x, u in zip(xs.ravel().tolist(),
                                                    us.ravel().tolist())])
         got = stack(xs, us)
@@ -589,10 +612,12 @@ def test_omega_stacks_over_paired_points_match_pointwise(name):
                                   "gauge-twist", "mixed-bounded"])
 def test_sampled_bounds_through_batched_rows_match_pointwise_rows(name, norm):
     w = make_connection(name, norm_kind=norm)
-    # plain lambdas carry no batched evaluator
-    pointwise = dataclasses.replace(w, omega1=lambda x, u: w.omega1(x, u),
-                                    omega2=lambda x, u: w.omega2(x, u))
-    assert sample_connection_bounds(w) == sample_connection_bounds(pointwise)
+    # the connection's formulas evaluated one point at a time
+    one1, one2, one12 = POINTWISE_CONNECTIONS[name]
+    looped = dataclasses.replace(w, omega1=pointwise(one1),
+                                 omega2=pointwise(one2),
+                                 d1_omega2=pointwise(one12))
+    assert sample_connection_bounds(w) == sample_connection_bounds(looped)
 
 
 # two-sided sweep across criterion 10's stops at its tolerance: the last
@@ -641,27 +666,25 @@ def test_two_sided_sweep_keeps_the_previous_results(name):
 def test_nan_coefficient_raises_at_the_same_t_batched_or_not():
     # omega2 turns NaN past x = -0.3: every step that samples it is
     # rejected until the step size underflows at the same t whether the
-    # stack comes from the batched evaluators or from a loop over the
-    # pointwise fields and paths
+    # stack comes from the array evaluators or from a loop over the
+    # pointwise formulas and paths
     w = make_connection("gauge-twist")
+    one1, one2, _ = POINTWISE_CONNECTIONS["gauge-twist"]
 
     def nan_right(x, u):
-        return np.full((2, 2), math.nan) if x > -0.3 else w.omega2(x, u)
+        return np.full((2, 2), math.nan) if x > -0.3 else one2(x, u)
 
     def nan_right_many(xs, us):
-        out = w.omega2.many(xs, us)
-        out[xs > -0.3] = math.nan
+        out = w.omega2(xs, us)
+        out[np.broadcast_arrays(xs, us)[0] > -0.3] = math.nan
         return out
 
-    def batched(x, u):
-        return nan_right(x, u)
-
-    batched.many = nan_right_many
     g = _sine_paths(-1.0, -0.1)
-    pointwise = dataclasses.replace(w, omega1=lambda x, u: w.omega1(x, u),
-                                    omega2=nan_right)
-    for path in (curve_coefficient(dataclasses.replace(w, omega2=batched), g),
-                 curve_coefficient(pointwise, _looped(g))):
+    looped = dataclasses.replace(w, omega1=pointwise(one1),
+                                 omega2=pointwise(nan_right))
+    for path in (curve_coefficient(dataclasses.replace(
+                     w, omega2=nan_right_many), g),
+                 curve_coefficient(looped, _looped(g))):
         with pytest.raises(IntegrationError) as err:
             evolve(path, -1.0, -0.1, 1e-8)
         assert err.value.location.hex() == "-0x1.3333333333493p-2"
@@ -672,9 +695,8 @@ def test_sampled_bounds_name_the_first_non_finite_sample(bad):
     # omega1 = bad for x > -0.5: the first grid column past it is
     # x = -1.05 + 9 * 1.05/16, and the first sample there is u = -1.3
     clean = make_connection("gauge-rotation")
-    broken = dataclasses.replace(
-        clean, omega1=lambda x, u: np.full((2, 2), bad) if x > -0.5
-        else clean.omega1(x, u))
+    broken = dataclasses.replace(clean, omega1=pointwise(
+        lambda x, u: np.full((2, 2), bad) if x > -0.5 else clean.omega1(x, u)))
     with pytest.raises(DomainViolationError,
                        match=r"omega1 is not finite at \(x, u\) = "
                              r"\(-0\.459375, -1\.3\)"):
