@@ -131,17 +131,26 @@ def stacked(fn: Callable[[float], object]):
     return eval_each
 
 
+def _spread(a, *others) -> np.ndarray:
+    """a filled out to the shape that a and ``others`` broadcast to, or a
+    itself when it has that shape already (np.broadcast_arrays costs more
+    than this fill)."""
+    a = np.asarray(a, dtype=float)
+    shape = np.broadcast(a, *others).shape
+    if a.shape == shape:
+        return a
+    out = np.empty(shape)
+    out[...] = a
+    return out
+
+
 def pointwise(fn: Callable[[float, float], np.ndarray]):
     """The array evaluator of a pointwise field source (t, u) -> fn(t, u),
     an (r, r) matrix, for an :class:`OperatorField` or a connection form:
     fn at each point of the arrays t and u, broadcast against each other,
     one call each, of shape broadcast(t, u) + (r, r)."""
     def eval_each(t, u):
-        t, u = np.asarray(t, dtype=float), np.asarray(u, dtype=float)
-        if t.shape != u.shape:  # filled: np.broadcast_arrays costs more
-            both = np.empty((2,) + np.broadcast(t, u).shape)
-            both[0], both[1] = t, u
-            t, u = both
+        t, u = _spread(t, u), _spread(u, t)
         vals = np.array([fn(a, b) for a, b in zip(t.ravel().tolist(),
                                                   u.ravel().tolist())],
                         dtype=float)

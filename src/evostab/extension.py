@@ -95,17 +95,13 @@ class ExtensionProblem:
 
 
 def _fiber_sweep(w: ConnectionForm, xs, stops, start, tol, stats) -> list:
-    """Solutions of D2 Y = -omega2 Y at every v of the monotone ``stops``,
-    from one stacked sweep up or down the fibers over the k x's of ``xs``.
-    ``start`` holds their values at stops[0]: a (k, r) stack of section
-    values or a (k, r, r) stack of propagators; each state returned has
-    its shape."""
+    """Section values, solutions of D2 Y = -omega2 Y, at every v of the
+    monotone ``stops``, from one stacked sweep up or down the fibers over
+    the k x's of ``xs``; ``start`` is their (k, r) stack at stops[0]."""
     xs = np.asarray(xs, dtype=float)
     A = CoefficientPath(eval=lambda vs: -w.omega2(xs, vs[:, None]),
                         space=w.space, domain=w.j_interval)
     start = np.asarray(start, dtype=float)
-    if start.ndim == 3:
-        return sweep_vector(A, stops, start, tol, stats)
     return [s[..., 0] for s in sweep_vector(A, stops, start[..., None], tol,
                                             stats)]
 

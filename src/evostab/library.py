@@ -10,7 +10,8 @@ import math
 
 import numpy as np
 
-from .calculus import Interval, OperatorField, ScalarPath, pointwise, stacked
+from .calculus import (Interval, OperatorField, ScalarPath, _spread, pointwise,
+                       stacked)
 from .extension import ExtensionProblem
 from .operators import EUCLIDEAN, VectorSpaceSpec
 from .stability import SeparableSystem
@@ -33,25 +34,12 @@ def _rot(theta: float) -> np.ndarray:
 
 
 def _constant(m):
-    """The array evaluator of a field equal to the matrix m everywhere."""
-    m = np.asarray(m, dtype=float)
-
-    def fill(t, u):
-        out = np.empty(np.broadcast(t, u).shape + m.shape)
-        out[...] = m
-        return out
-
-    return fill
-
-
-def _spread(a, b) -> np.ndarray:
-    """a over the points of a and b broadcast against each other."""
-    a = np.asarray(a, dtype=float)
-    if a.shape == np.shape(b):
-        return a
-    out = np.empty(np.broadcast(a, b).shape)
-    out[...] = a
-    return out
+    """The array evaluator of a field equal to the matrix m everywhere; m
+    is read-only, as a call at a single point returns m itself."""
+    m = np.array(m, dtype=float)
+    m.flags.writeable = False
+    return lambda t, u: _spread(m, np.expand_dims(t, (-2, -1)),
+                                np.expand_dims(u, (-2, -1)))
 
 
 def example39_field(norm_kind: str = EUCLIDEAN) -> OperatorField:

@@ -41,7 +41,8 @@ from .calculus import (
     total_variation_path,
     tv_l1_upper_bound,
 )
-from .errors import DomainViolationError, IntegrationError, RefinementError
+from .errors import (DomainViolationError, IntegrationError, QuadratureError,
+                     RefinementError)
 from .evolution import CoefficientPath, EvolutionOperator, StepStats, evolve
 from .expressions import parse_expression
 from .operators import VectorSpaceSpec, matrix_norm
@@ -224,7 +225,8 @@ def _dyadic_sup(values_at, lo, hi, seed_points, rel_stop=1e-3,
         yield len(pts), best
         while len(pts) < max_points:
             mids = 0.5 * (pts[:-1] + pts[1:])
-            best = max(best, float(np.max(values_at(mids))))
+            # np.maximum keeps a NaN that the built-in max would drop
+            best = float(np.maximum(best, np.max(values_at(mids))))
             pts = np.sort(np.concatenate([pts, mids]))
             yield len(pts), best
 
@@ -283,6 +285,13 @@ def certify(
     else:
         variation = tv_l1_upper_bound(G, window, J, tol, cost)
         variation_mode = "double-integral"
+    # the shortcuts of a u-independent field (the L1 norm as a product,
+    # partition sums) run no quadrature panel to catch a non-finite value
+    if not (math.isfinite(sup_val) and math.isfinite(variation)):
+        raise QuadratureError(
+            f"non-finite certificate on the window [{window.lo}, "
+            f"{window.hi}]: sup of the L1 norm {sup_val}, variation "
+            f"{variation}", variation, math.inf)
 
     return BoundCertificate.from_parts(
         gain=gain, variation=variation, window=window, sup_grid=n_grid,

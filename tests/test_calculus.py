@@ -141,17 +141,28 @@ def test_non_finite_integrand_raises_naming_its_panel():
         integrate(lambda t: np.array([1.0, math.nan]), Interval(0.0, 2.0))
 
 
+def _nan_system(bad, u_independent):
+    G = OperatorField(eval=pointwise(
+        lambda t, u: np.array([[math.nan if bad(t) else 1.0]])),
+        space=VectorSpaceSpec(1), u_independent=u_independent)
+    return SeparableSystem(G=G, f=make_scalar_path("sin", Interval(0, 1)),
+                           I=Interval(0, 1), J=Interval(-1, 1), space=G.space)
+
+
 def test_certify_of_a_non_finite_field_raises_quadrature_error():
     # G = NaN for t > 1/2 depends on u as far as certify knows, so its
     # gain is a family of u-integrals: the first family over the whole
     # window meets the NaN on the u-panel [-1, 1]
-    G = OperatorField(eval=pointwise(
-        lambda t, u: np.array([[math.nan if t > 0.5 else 1.0]])),
-        space=VectorSpaceSpec(1))
-    sys = SeparableSystem(G=G, f=make_scalar_path("sin", Interval(0, 1)),
-                          I=Interval(0, 1), J=Interval(-1, 1), space=G.space)
     with pytest.raises(QuadratureError, match=r"panel \[-1, 1\]"):
-        certify(sys, Interval(0, 1))
+        certify(_nan_system(lambda t: t > 0.5, False), Interval(0, 1))
+    # declared u-independent, its gain is |G| times the length of J and its
+    # variation a partition sum: no panel runs, the window is named
+    # (the sup keeps a NaN met only between the 17 points of its first grid)
+    for bad in (lambda t: t > 0.5, lambda t: 0.5 < t < 0.55):
+        with pytest.raises(QuadratureError,
+                           match=r"non-finite certificate on the window "
+                                 r"\[0, 1\]: sup of the L1 norm nan"):
+            certify(_nan_system(bad, True), Interval(0, 1))
 
 
 def test_quadrature_failure_carries_best_estimate():
