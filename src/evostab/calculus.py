@@ -35,6 +35,10 @@ from .errors import DomainViolationError, QuadratureError, RefinementError
 from .operators import EUCLIDEAN, VectorSpaceSpec, matrix_norm
 
 DEFAULT_TOL = 1e-10
+# partition-sum variation: the relative change between two doublings that
+# ends the refinement, and the number of doublings allowed
+_TV_REL_STOP = 1e-4
+_TV_MAX_DOUBLINGS = 14
 
 # 15-point Kronrod nodes on [-1, 1] and weights, with the embedded
 # 7-point Gauss rule on the odd-indexed nodes.
@@ -308,6 +312,12 @@ def _initial_cuts(lo: float, hi: float, breakpoints: Sequence[float]):
     return cuts
 
 
+def _values(y):
+    """The node evaluator of a pointwise integrand: y at each node, one
+    call each, stacked on axis 0."""
+    return lambda xs: np.stack([np.asarray(y(x), dtype=float) for x in xs])
+
+
 def integrate(
     g: Callable[[float], object],
     interval: Interval,
@@ -322,9 +332,8 @@ def integrate(
     estimate drops below ``tol`` (absolute).  Raises QuadratureError with
     the best estimate when the segment budget is exhausted.
     """
-    return _integrate_nodes(
-        lambda xs: np.stack([np.asarray(g(x), dtype=float) for x in xs]),
-        interval, breakpoints, tol, max_segments)
+    return _integrate_nodes(_values(g), interval, breakpoints, tol,
+                            max_segments)
 
 
 def _integrate_nodes(gv, interval: Interval, breakpoints=(),
@@ -384,16 +393,10 @@ def _segment_total(seg_values):
     return total
 
 
-def signed_integrate(g, s: float, t: float, breakpoints=(), tol=DEFAULT_TOL,
-                     max_segments: int = 4096):
-    """int_s^t g, with orientation (negated when t < s)."""
-    return _oriented(integrate, g, s, t, breakpoints, tol, max_segments)
-
-
-def _oriented(quad, g, s, t, *args):
-    """quad(g, interval, *args) over the interval between s and t,
-    negated when t < s."""
-    val = quad(g, Interval(min(s, t), max(s, t)), *args)
+def _oriented(quad, g, s, t, *args, **kwargs):
+    """quad(g, interval, *args, **kwargs) over the interval between s and
+    t, negated when t < s."""
+    val = quad(g, Interval(min(s, t), max(s, t)), *args, **kwargs)
     return val if s <= t else -val
 
 
@@ -430,8 +433,6 @@ def total_variation_path(
     tol: float = DEFAULT_TOL,
     deriv: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     norm_kind: str = EUCLIDEAN,
-    rel_stop: float = 1e-4,
-    max_doublings: int = 14,
     stats: Optional[QuadStats] = None,
 ) -> float:
     """Total variation of an operator path t -> G(t) on a finite interval.
@@ -442,8 +443,8 @@ def total_variation_path(
     each panel's nodes in one call (``stats`` counts the panels).
     Otherwise partition sums over dyadically refined grids give a
     monotone nondecreasing lower estimate, accepted once the relative
-    change between refinements drops below ``rel_stop``; each doubling
-    evaluates G at the fresh midpoints only.
+    change between refinements drops below 1e-4, within 14 doublings;
+    each doubling evaluates G at the fresh midpoints only.
     """
     if not interval.is_finite():
         raise DomainViolationError("variation requested over an unbounded interval")
@@ -459,13 +460,14 @@ def total_variation_path(
             pts = _refine_dyadic(pts)
         vals = np.asarray(G(pts), dtype=float)
         yield 0, _partition_sum(vals, norm_kind)
-        for k in range(1, max_doublings + 1):
+        for k in range(1, _TV_MAX_DOUBLINGS + 1):
             vals = _interleave(vals, G(_midpoints(pts)))
             pts = _refine_dyadic(pts)
             yield k, _partition_sum(vals, norm_kind)
 
     value, _, converged = refine_until_stable(
-        levels(), lambda prev, cur: cur - prev <= rel_stop * max(cur, 1e-300))
+        levels(),
+        lambda prev, cur: cur - prev <= _TV_REL_STOP * max(cur, 1e-300))
     if not converged:
         raise RefinementError("partition-sum variation did not stabilize",
                               value, value)
@@ -569,19 +571,22 @@ def cov_check(
     s: float,
     t: float,
     tol: float = DEFAULT_TOL,
+    stats: Optional[QuadStats] = None,
 ) -> CovCheckResult:
     """Numerical change-of-variables identity check.
 
     lhs = int_s^t f'(tau) y(f(tau)) dtau, rhs = int_{f(s)}^{f(t)} y(u) du;
     both by adaptive quadrature, with the defect measured max-abs.  Each
     panel of the lhs takes f and f' over its nodes in one call each.
+    ``stats``, if given, counts the panels of both integrals.
     """
     def pulled_back(taus):
         return np.stack([np.asarray(y(u), dtype=float) * d for u, d in
                          zip(f.eval(taus).tolist(), f.d_many(taus).tolist())])
 
-    lhs = _oriented(_integrate_nodes, pulled_back, s, t, f.breakpoints, tol)
-    rhs = signed_integrate(lambda u: np.asarray(y(u), dtype=float),
-                           float(f(s)), float(f(t)), (), tol)
+    lhs = _oriented(_integrate_nodes, pulled_back, s, t, f.breakpoints, tol,
+                    stats=stats)
+    rhs = _oriented(_integrate_nodes, _values(y), float(f(s)), float(f(t)),
+                    (), tol, stats=stats)
     defect = float(np.max(np.abs(np.asarray(lhs) - np.asarray(rhs))))
     return CovCheckResult(lhs=np.asarray(lhs), rhs=np.asarray(rhs), defect=defect)

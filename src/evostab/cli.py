@@ -5,7 +5,8 @@
 ``--config`` takes a JSON file path, or ``builtin:<name>`` for one of the
 shipped scenarios (intro-cos, example39, sine-curve, extension-gauge).
 Writes ``rows.csv`` and ``summary.json`` into the output directory and
-exits 0 exactly when every row passed.
+exits 0 exactly when every row passed.  The first line printed is the
+verdict; it reads ``PASS (vacuous)`` when the bound checked was +inf.
 """
 
 from __future__ import annotations
@@ -88,6 +89,8 @@ def main(argv=None) -> int:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
     status = "PASS" if report.passed else "FAIL"
+    if report.summary.get("vacuous"):
+        status += " (vacuous)"
     print(f"{status} {args.kind}: {len(report.rows)} rows -> {csv_path}")
     for key, value in sorted(report.summary.items()):
         if key not in ("pass",):

@@ -9,17 +9,6 @@ class InvalidOperatorError(EvoStabError):
     """An operator or vector has non-finite entries or a shape mismatch."""
 
 
-class SingularOperatorError(EvoStabError):
-    """Inversion refused: the matrix is singular or too ill-conditioned.
-
-    Carries the condition-number estimate that triggered the refusal.
-    """
-
-    def __init__(self, message, cond_estimate):
-        super().__init__(message)
-        self.cond_estimate = cond_estimate
-
-
 class QuadratureError(EvoStabError):
     """Adaptive quadrature failed to reach the requested tolerance.
 

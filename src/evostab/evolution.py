@@ -24,10 +24,11 @@ inverting a forward result.
 :class:`EvolutionOperator` answers many queries from one integration: it
 sweeps a fundamental solution Phi across a set of declared times and
 carries Phi^{-1} along by the inverse exponentials, and every X(t, s)
-between them is Phi(t) Phi(s)^{-1}.  :func:`sweep_vector` sweeps vectors
-and :func:`param_evolution` the propagators of frozen-parameter columns
-from both sides of a level; :func:`sweep_two_sided` sweeps a propagator
-together with its inverse.
+between them is Phi(t) Phi(s)^{-1}, forward and backward alike.  It is
+the one two-sided sweep: the certificate checks and the sine-curve
+transports both read their propagators and inverses off it.
+:func:`sweep_vector` sweeps vectors and :func:`param_evolution` the
+propagators of frozen-parameter columns from both sides of a level.
 
 A coefficient that gives a (k, r, r) stack per time sweeps k systems
 that share their stops as one state, (k, r, r) for propagators or
@@ -61,6 +62,8 @@ _FIRST_REACH = 1.0
 # the accepted state is not extrapolated, so its error is the estimate
 # itself: the controller aims at _SAFETY^7, about 8% of the tolerance
 _SAFETY = 0.7
+# attempted steps allowed in one segment before IntegrationError
+_MAX_STEPS = 2_000_000
 
 
 @dataclass
@@ -76,12 +79,6 @@ class StepStats:
     rejected: int = 0
     rhs_evals: int = 0
     segments: int = 0
-
-    def merge(self, other: "StepStats") -> None:
-        self.steps += other.steps
-        self.rejected += other.rejected
-        self.rhs_evals += other.rhs_evals
-        self.segments += other.segments
 
 
 @dataclass(frozen=True)
@@ -192,15 +189,14 @@ def _magnus_exponents(coef: np.ndarray, h: float) -> np.ndarray:
     return omega + _commutator(-20.0 * al1 - al3 + c1, al2 + c2) / 240.0
 
 
-def _magnus_segment(A, t0, t1, y, rtol, atol, stats, max_steps, h0=None,
-                    inv=None):
+def _magnus_segment(A, t0, t1, y, tol, stats, h0=None, inv=None):
     """Adaptive 6th-order Magnus stepping of y' = A(t) y from t0 to t1 on
     a breakpoint-free segment of the coefficient path ``A``.
 
     A step of size h is y <- exp(Omega_2) exp(Omega_1) y, two half steps;
     the whole step exp(Omega) y is its Richardson partner, and
     |exp(Omega) y - y_new| / 63 its error estimate.  The error norm is the
-    max over components of |err| / (atol + rtol * max(|y|, |y_new|)), and
+    max over components of |err| / (tol + tol * max(|y|, |y_new|)), and
     the step factor _SAFETY err^(-1/7) is clamped to [0.2, 4].  A of all
     three exponents comes from one ``A.eval`` call over the nine nodes,
     and the three exponentials from one :func:`expm` call.  ``y`` is any
@@ -241,7 +237,7 @@ def _magnus_segment(A, t0, t1, y, rtol, atol, stats, max_steps, h0=None,
             coef = np.asarray(A.eval(t + _NODES * hd), dtype=float)
             stats.rhs_evals += 9
             taken += 1
-            if taken > max_steps:
+            if taken > _MAX_STEPS:
                 raise IntegrationError(f"step budget exhausted near t = {t}", t)
             if first:
                 size = float(np.max(np.sum(np.abs(coef), axis=-1)))
@@ -255,7 +251,7 @@ def _magnus_segment(A, t0, t1, y, rtol, atol, stats, max_steps, h0=None,
                 omega = np.concatenate((omega, -omega[1:]))
             e = expm(omega)
             y_new = e[2] @ (e[1] @ y)
-            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+            scale = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
             err = float(np.max(np.abs(e[0] @ y - y_new) / scale)) / 63.0
             if not math.isfinite(err):
                 err = math.inf
@@ -290,7 +286,7 @@ def _check_underflow(h, t):
             f"step size underflow at t = {t} (stiffness or singularity)", t)
 
 
-def _sweep(A, stops, y0, rtol, atol, stats, max_steps, inverse=False):
+def _sweep(A, stops, y0, tol, stats, inverse=False):
     """Integrate y' = A(t) y once across the monotone ``stops``, yielding
     (y, inv) at each of them (``y0`` first).  ``inv`` is None, or with
     ``inverse`` the inverse of the propagator from stops[0], carried from
@@ -312,8 +308,7 @@ def _sweep(A, stops, y0, rtol, atol, stats, max_steps, inverse=False):
         for t0, t1 in zip(cuts, cuts[1:]):
             if t0 in breakpoints:
                 h = None
-            y, inv, h = _magnus_segment(A, t0, t1, y, rtol, atol, stats,
-                                        max_steps, h, inv)
+            y, inv, h = _magnus_segment(A, t0, t1, y, tol, stats, h, inv)
         yield y, inv
 
 
@@ -323,15 +318,13 @@ def evolve(
     t: float,
     tol: float = DEFAULT_ODE_TOL,
     stats: Optional[StepStats] = None,
-    max_steps: int = 2_000_000,
 ) -> Operator:
     """Propagator X(t, s) of x' = A(t) x, as an operator.
 
     Integrates the matrix equation Y' = A Y with Y(s) = id; for t < s the
     integrator steps backward in time.
     """
-    y = list(_sweep(A, (s, t), np.eye(A.space.dim), tol, tol, stats,
-                    max_steps))[-1][0]
+    y = list(_sweep(A, (s, t), np.eye(A.space.dim), tol, stats))[-1][0]
     return Operator(y, A.space)
 
 
@@ -341,33 +334,11 @@ def sweep_vector(
     v,
     tol: float = DEFAULT_ODE_TOL,
     stats: Optional[StepStats] = None,
-    max_steps: int = 2_000_000,
 ) -> list:
     """X(tau, stops[0]) v at every tau of the monotone ``stops``, as
     ndarrays, from one integration of the vector equation across them."""
     return [y for y, _ in _sweep(A, stops, np.array(v, dtype=float), tol,
-                                 tol, stats, max_steps)]
-
-
-def sweep_two_sided(
-    A: CoefficientPath,
-    stops: Sequence[float],
-    tol: float = DEFAULT_ODE_TOL,
-    stats: Optional[StepStats] = None,
-):
-    """Yield (X(tau, tau0), X(tau0, tau)) at every tau of the monotone
-    ``stops``, tau0 = stops[0], from one integration across them; ``A``
-    returns bare (r, r) matrices.
-
-    Each accepted step X <- exp(Omega_2) exp(Omega_1) X also takes the
-    inverse along as Y <- Y exp(-Omega_1) exp(-Omega_2), from the step's
-    own exponents, so Y X = I holds to roundoff.  A failure raises at the
-    first stop it keeps from being reached, after the pairs before it have
-    been yielded.
-    """
-    eye = np.eye(A.space.dim)
-    yield from _sweep(A, stops, eye, tol, tol, stats, 2_000_000,
-                      inverse=True)
+                                 stats)]
 
 
 class EvolutionOperator:
@@ -375,9 +346,11 @@ class EvolutionOperator:
 
     The matrix equation is integrated once, forward from the earliest of
     ``times`` to the latest, stopping at each of them; Phi(tau) =
-    X(tau, min(times)) and its inverse, carried by the same exponentials,
-    are kept at every stop.  A query then costs one product, and
-    integrates and inverts nothing.  Both arguments
+    X(tau, min(times)) and its inverse are kept at every stop.  Each
+    accepted step Phi <- exp(Omega_2) exp(Omega_1) Phi takes the inverse
+    along as Y <- Y exp(-Omega_1) exp(-Omega_2), from the step's own
+    exponents, so Y Phi = I holds to roundoff.  A query then costs one
+    product, and integrates and inverts nothing.  Both arguments
     of a query must be among ``times``, except that query(s, s) is the
     identity exactly for any s.
 
@@ -397,8 +370,8 @@ class EvolutionOperator:
         self._failure: Optional[IntegrationError] = None
         stops = sorted(set(float(t) for t in times))
         self._phi = dict.fromkeys(stops)  # tau -> (Phi(tau), Phi(tau)^-1)
-        sweep = _sweep(source, stops, np.eye(source.space.dim), tol, tol,
-                       self.step_stats, 2_000_000, inverse=True)
+        sweep = _sweep(source, stops, np.eye(source.space.dim), tol,
+                       self.step_stats, inverse=True)
         try:
             for tau, pair in zip(stops, sweep):
                 self._phi[tau] = pair
@@ -442,7 +415,6 @@ def param_evolution(
     v_targets: Sequence[float],
     space: VectorSpaceSpec,
     tol: float = DEFAULT_ODE_TOL,
-    v_breakpoints: Sequence[float] = (),
     stats: Optional[StepStats] = None,
 ) -> ParamEvolutionResult:
     """Solve the parameter-dependent family: for each frozen x, evolve in
@@ -458,15 +430,14 @@ def param_evolution(
     x_grid = tuple(float(x) for x in x_grid)
     v_targets = tuple(float(v) for v in v_targets)
     xs = np.array(x_grid)
-    stack = CoefficientPath(eval=lambda vs: A(xs, vs[:, None]), space=space,
-                            breakpoints=v_breakpoints)
+    stack = CoefficientPath(eval=lambda vs: A(xs, vs[:, None]), space=space)
     eye = np.tile(np.eye(space.dim), (len(x_grid), 1, 1))
     at = {}
     for side in (sorted(v for v in v_targets if v >= v0),
                  sorted((v for v in v_targets if v < v0), reverse=True)):
         stops = [v0] + side
         at.update(zip(stops, (y for y, _ in _sweep(stack, stops, eye, tol,
-                                                   tol, stats, 2_000_000))))
+                                                   stats))))
     return ParamEvolutionResult(
         x_grid=x_grid,
         v0=float(v0),

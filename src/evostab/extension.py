@@ -77,7 +77,8 @@ class ExtensionProblem:
         x_ref, v_ref = self.p_ref
         if not x_ref < self.a:
             raise ValueError("reference point must have x < a")
-        self.omega.check_point(x_ref, v_ref)
+        self.omega.check_inside(np.array([x_ref], dtype=float),
+                                np.array([v_ref], dtype=float))
         seed = np.asarray(self.sigma_seed, dtype=float)
         if seed.shape != (self.omega.space.dim,):
             raise ValueError("seed vector has the wrong dimension")
@@ -156,7 +157,6 @@ def build_sigma(
     x_grid: Sequence[float],
     v_grid: Sequence[float],
     tol: float = 1e-10,
-    verify: bool = True,
     report_only: bool = False,
     stats: Optional[StepStats] = None,
 ) -> SigmaField:
@@ -169,10 +169,10 @@ def build_sigma(
     (or at x = a, where the graph closure can fill a vertical segment)
     violates the construction's precondition.
 
-    With ``verify`` on, loop transports and fine-stencil residual probes
-    check that transport off the graph is path-independent; failures
-    raise ConstructionError unless ``report_only`` marks the output
-    unverified instead.  ``stats``, if given, counts every integration.
+    Loop transports and fine-stencil residual probes then check that
+    transport off the graph is path-independent; failures raise
+    ConstructionError unless ``report_only`` marks the output unverified
+    instead.  ``stats``, if given, counts every integration.
     """
     xs = tuple(float(x) for x in x_grid)
     vs = tuple(float(v) for v in v_grid)
@@ -210,21 +210,17 @@ def build_sigma(
     _fill_columns(p, xs, vs, values, p.v0, row_v0, below, tol, stats)
     _fill_columns(p, xs, vs, values, p.v1, row_v1, above, tol, stats)
 
-    loop_defect = math.nan
-    probe_residual = math.nan
-    verified = False
-    if verify:
-        loop_defect = _loop_defect(p, tol, stats)
-        probe_residual = _probe_residual(p, xs, {p.v0: at_v0, p.v1: at_v1},
-                                         tol, stats)
-        verified = loop_defect <= 1e-7 and probe_residual <= 1e-6
-        if not verified and not report_only:
-            raise ConstructionError(
-                "transport off the graph is not path-independent "
-                f"(loop defect {loop_defect:.3e}, probe residual "
-                f"{probe_residual:.3e}); a parallel section cannot be "
-                "constructed -- rerun with report_only=True to inspect"
-            )
+    loop_defect = _loop_defect(p, tol, stats)
+    probe_residual = _probe_residual(p, xs, {p.v0: at_v0, p.v1: at_v1},
+                                     tol, stats)
+    verified = loop_defect <= 1e-7 and probe_residual <= 1e-6
+    if not verified and not report_only:
+        raise ConstructionError(
+            "transport off the graph is not path-independent "
+            f"(loop defect {loop_defect:.3e}, probe residual "
+            f"{probe_residual:.3e}); a parallel section cannot be "
+            "constructed -- rerun with report_only=True to inspect"
+        )
     return SigmaField(
         x_grid=xs, v_grid=vs, values=values, row_v0=row_v0, row_v1=row_v1,
         verified=verified, loop_defect=loop_defect,
@@ -464,16 +460,19 @@ def section_at(
                         tol, None)[-1][0]
 
 
+# near_graph_mask marks the points this many v-spacings from the graph
+_MASK_SPACINGS = 2.0
+
+
 def near_graph_mask(
     f: Callable[[float], float],
     a: float,
     x_grid: Sequence[float],
     v_grid: Sequence[float],
-    spacing_multiple: float = 2.0,
 ) -> np.ndarray:
-    """Boolean grid marking points within ``spacing_multiple`` grid
-    spacings of the graph (x > a only); finite differences straddling the
-    graph are meaningless there."""
+    """Boolean grid marking points within two grid spacings of the graph
+    (x > a only); finite differences straddling the graph are
+    meaningless there."""
     xs = np.asarray(x_grid, dtype=float)
     vs = np.asarray(v_grid, dtype=float)
     dv = float(np.max(np.diff(vs))) if len(vs) > 1 else 0.0
@@ -482,7 +481,7 @@ def near_graph_mask(
         if x <= a:
             continue
         fx = float(f(x))
-        out[i] = np.abs(vs - fx) < spacing_multiple * dv
+        out[i] = np.abs(vs - fx) < _MASK_SPACINGS * dv
     return out
 
 
@@ -491,6 +490,8 @@ def near_graph_mask(
 
 
 _DEGREE_LADDER = (0,) + tuple(2 ** k for k in range(15))
+# the uniform grid on which an approximation's sup error is measured
+_SUP_GRID = 10001
 
 
 def _bernstein_eval(coeffs: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -570,13 +571,12 @@ def polynomial_graph_approx(
     b: float,
     tube: float,
     degree_cap: int = 2 ** 14,
-    check_points: int = 10001,
 ) -> BernsteinApprox:
     """Least dyadic-degree Bernstein approximation p of f with
     sup |p - f| < tube/2, shifted so that g = p + (f(b) - p(b)) matches f
     at b; then sup |g - f| < tube.
 
-    The sup is checked on a dense uniform grid.  Degrees run through
+    The sup is checked on a dense uniform grid of 10001 points.  Degrees run through
     0, 1, 2, 4, ..., ``degree_cap``; exhausting the ladder raises
     ApproximationError carrying the best error achieved.
     """
@@ -588,7 +588,7 @@ def polynomial_graph_approx(
     if not (lo <= b <= hi):
         raise ValueError("anchor b must lie in the interval")
     span = hi - lo
-    xs_dense = np.linspace(0.0, 1.0, check_points)
+    xs_dense = np.linspace(0.0, 1.0, _SUP_GRID)
     f_dense = np.array([float(f(lo + span * x)) for x in xs_dense])
     fb = float(f(b))
     xb = (b - lo) / span if span > 0 else 0.0

@@ -21,8 +21,8 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .calculus import (Interval, OperatorField, ScalarPath, arc_length,
-                       cov_check, stacked)
+from .calculus import (Interval, OperatorField, QuadStats, ScalarPath,
+                       arc_length, cov_check, stacked)
 from .errors import ConfigError
 from .evolution import CoefficientPath, StepStats, evolve
 from .expressions import many_together, parse_expression
@@ -232,7 +232,11 @@ def _system_from_config(cfg, bag) -> Optional[SeparableSystem]:
         f_name = cfg.get("f", "sin")
         try:
             if name == "constant" and "matrix" in cfg:
-                m = np.asarray(cfg["matrix"], dtype=float)
+                rows = cfg["matrix"]
+                numeric = isinstance(rows, list) and all(
+                    isinstance(r, list) and all(map(_is_number, r))
+                    for r in rows)
+                m = np.asarray(rows if numeric else [], dtype=float)
                 if not (m.ndim == 2 and 0 < len(m) == m.shape[1]
                         and np.isfinite(m).all()):
                     bag.append("system.matrix: expected a square matrix of "
@@ -253,12 +257,17 @@ def _system_from_config(cfg, bag) -> Optional[SeparableSystem]:
     G_eval = _expr_matrix(cfg.get("G"), bag, "system.G")
     G_bps = _number_list(cfg, "G_breakpoints", bag)
     f = _expression_path(cfg, "f", bag, I)
+    u_independent = cfg.get("u_independent", False)
+    if not isinstance(u_independent, bool):
+        bag.append("system.u_independent: expected true or false, got "
+                   f"{u_independent!r}")
+        return None
     if None in (J, G_eval, f):
         return None
     space = VectorSpaceSpec(G_eval.dim, norm)
     field_obj = OperatorField(
         eval=G_eval, space=space, t_breakpoints=G_bps,
-        u_independent=bool(cfg.get("u_independent", False)),
+        u_independent=u_independent,
     )
     return SeparableSystem(G=field_obj, f=f, I=I, J=J, space=space)
 
@@ -306,7 +315,7 @@ def _pairs_from_config(cfg, bag, rng, ordered=True):
         return out
     window = _check_interval(cfg, "window", bag)
     n = cfg.get("num_pairs")
-    if not isinstance(n, int) or n < 1:
+    if not (_is_number(n) and isinstance(n, int) and n >= 1):
         bag.append("num_pairs: expected a positive integer (or give pairs)")
         return []
     if window is None:
@@ -417,9 +426,9 @@ def _run_verify(config, seed, tol):
     cert_cfg = config.get("certificate")
     if cert_cfg is not None and not (
             isinstance(cert_cfg, dict)
-            and isinstance(cert_cfg.get("gain"), (int, float))
+            and _is_number(cert_cfg.get("gain"))
             and cert_cfg["gain"] >= 1.0
-            and isinstance(cert_cfg.get("variation"), (int, float))
+            and _is_number(cert_cfg.get("variation"))
             and cert_cfg["variation"] >= 0.0):
         bag.append("certificate: expected {gain >= 1, variation >= 0}")
     cert_tol = config.get("certify_tol", DEFAULT_TOLS["certify"])
@@ -504,11 +513,13 @@ def _run_cov_check(config, seed, tol):
     def y(u):
         return np.array([c(u, u) for c in comps])
 
+    stats = QuadStats()
+
     def one(s, t):
-        defect = cov_check(y, f, s, t, tol).defect
+        defect = cov_check(y, f, s, t, tol, stats).defect
         return (s, t, defect, defect <= 10.0 * tol)
 
-    return _pair_rows(pairs, one, "max_defect") + (
+    return _pair_rows(pairs, one, "max_defect", stats) + (
         {"components": len(comps)},)
 
 
@@ -556,7 +567,7 @@ def _run_sine_curve(config, seed, tol):
     bag = []
     w = _connection_from_config(config.get("connection"), bag)
     a = config.get("a")
-    a_ok = isinstance(a, (int, float)) and a < 0
+    a_ok = _is_number(a) and a < 0
     _problems_if(not a_ok, "a: expected a negative number", bag)
     _problems_if(a_ok and not math.isfinite(a),
                  f"a: expected a finite number, got {a!r}", bag)
@@ -566,8 +577,8 @@ def _run_sine_curve(config, seed, tol):
             _is_number(b) and (not a_ok or a < b < 0) for b in b_list)):
         bag.append("b_list: expected a non-empty list of numbers in (a, 0)")
     v_cfg = config.get("v")
-    if (not isinstance(v_cfg, list) or not v_cfg or not all(
-            isinstance(x, (int, float)) for x in v_cfg)):
+    if (not isinstance(v_cfg, list) or not v_cfg
+            or not all(map(_is_number, v_cfg))):
         bag.append("v: expected a non-empty numeric vector")
     elif not all(math.isfinite(x) for x in v_cfg):
         bag.append(f"v: expected finite entries, got {v_cfg!r}")

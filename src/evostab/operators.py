@@ -13,15 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidOperatorError, SingularOperatorError
+from .errors import InvalidOperatorError
 
 EUCLIDEAN = "euclidean"
 ONE_NORM = "one-norm"
 INF_NORM = "inf-norm"
 NORM_KINDS = (EUCLIDEAN, ONE_NORM, INF_NORM)
-
-#: refuse to invert above this condition number unless the caller overrides
-DEFAULT_COND_CAP = 1e12
 
 
 @dataclass(frozen=True)
@@ -66,11 +63,6 @@ class Operator:
     @staticmethod
     def identity(space: VectorSpaceSpec) -> "Operator":
         return Operator(np.eye(space.dim), space)
-
-    def __matmul__(self, other: "Operator") -> "Operator":
-        if other.space != self.space:
-            raise InvalidOperatorError("operators live in different spaces")
-        return Operator(self.entries @ other.entries, self.space)
 
 
 @dataclass(frozen=True)
@@ -153,46 +145,3 @@ def vector_norm(v: np.ndarray, kind: str = EUCLIDEAN):
     if kind == INF_NORM:
         return float(np.max(np.abs(v))) if len(v) else 0.0
     raise ValueError(f"unknown norm kind {kind!r}")
-
-
-def op_norm(m: Operator) -> float:
-    """Norm of an operator, induced by its space's vector norm."""
-    if not np.all(np.isfinite(m.entries)):
-        raise InvalidOperatorError("operator has non-finite entries")
-    return matrix_norm(m.entries, m.space.norm_kind)
-
-
-def invert_matrix(a: np.ndarray, cond_cap: float = DEFAULT_COND_CAP) -> np.ndarray:
-    """Invert a bare matrix, refusing when the 2-norm condition number
-    exceeds ``cond_cap``."""
-    if not np.all(np.isfinite(a)):
-        raise InvalidOperatorError("operator has non-finite entries")
-    if a.shape == (1, 1):
-        x = a[0, 0]
-        if x == 0.0:
-            raise SingularOperatorError("singular 1x1 operator", np.inf)
-        return np.array([[1.0 / x]])
-    sv = np.linalg.svd(a, compute_uv=False)
-    cond = np.inf if sv[-1] == 0.0 else float(sv[0] / sv[-1])
-    if cond > cond_cap:
-        raise SingularOperatorError(
-            f"condition number {cond:.3e} exceeds cap {cond_cap:.3e}", cond
-        )
-    x = np.linalg.inv(a)
-    # Newton polish: x <- x (2 id - a x) squares the residual, so a couple
-    # of steps push ||a x - id|| down to the 1e-10 * ||a|| contract even
-    # close to the conditioning cap.
-    eye = np.eye(a.shape[0])
-    target = 1e-10 * max(1.0, float(sv[0]))
-    for _ in range(3):
-        r = a @ x - eye
-        if float(np.max(np.abs(r))) <= target:
-            break
-        x = x @ (eye - r)
-    return x
-
-
-def invert(m: Operator, cond_cap: float = DEFAULT_COND_CAP) -> Operator:
-    """Inverse of an operator, with a conditioning guard and a residual
-    polish so that ||M M^-1 - id|| <= 1e-10 * ||M||."""
-    return Operator(invert_matrix(m.entries, cond_cap), m.space)

@@ -208,9 +208,10 @@ class BoundCertificate:
         )
 
 
-def _dyadic_sup(values_at, lo, hi, seed_points, rel_stop=1e-3,
-                max_points=4097):
-    """Sup of a function by sampling on dyadically refined grids.
+def _dyadic_sup(values_at, lo, hi, seed_points):
+    """Sup of a function by sampling on dyadically refined grids, until a
+    refinement moves it by at most 1e-3 relative or the grid reaches 4097
+    points.
 
     ``values_at`` maps an array of points to the array of the values
     there.  Returns (sup, n_points, converged).  Each refinement level
@@ -223,7 +224,7 @@ def _dyadic_sup(values_at, lo, hi, seed_points, rel_stop=1e-3,
             pts = np.sort(np.concatenate([pts, 0.5 * (pts[:-1] + pts[1:])]))
         best = float(np.max(values_at(pts)))
         yield len(pts), best
-        while len(pts) < max_points:
+        while len(pts) < 4097:
             mids = 0.5 * (pts[:-1] + pts[1:])
             # np.maximum keeps a NaN that the built-in max would drop
             best = float(np.maximum(best, np.max(values_at(mids))))
@@ -232,20 +233,18 @@ def _dyadic_sup(values_at, lo, hi, seed_points, rel_stop=1e-3,
 
     return refine_until_stable(
         levels(),
-        lambda prev, cur: cur - prev <= rel_stop * max(abs(cur), 1e-300))
+        lambda prev, cur: cur - prev <= 1e-3 * max(abs(cur), 1e-300))
 
 
 def certify(
     sys: SeparableSystem,
     window: Interval,
     tol: float = DEFAULT_CERT_TOL,
-    sup_l1_bound: Optional[float] = None,
 ) -> BoundCertificate:
     """Stability certificate of a separable system over a compact window.
 
     The gain comes from a dyadically refined sampled sup of the L1-in-u
-    norm (or from ``sup_l1_bound`` when the caller has an analytic bound);
-    the variation from the double-integral upper bound, or from
+    norm; the variation from the double-integral upper bound, or from
     lambda(J) * variation of t -> G(t) when the field does not depend on u.
     Only G, J and the window enter: the certificate is uniform in f.
     """
@@ -256,15 +255,10 @@ def certify(
     G, J = sys.G, sys.J
     l1_tol = min(1e-8, tol)
     cost = QuadStats()
-    if sup_l1_bound is not None:
-        sup_val, n_grid, conv = float(sup_l1_bound), 0, True
-        provenance = "analytic"
-    else:
-        sup_val, n_grid, conv = _dyadic_sup(
-            lambda ts: l1_norm_in_u(G, ts, J, l1_tol, cost),
-            window.lo, window.hi, list(G.t_breakpoints),
-        )
-        provenance = "grid-sampled"
+    sup_val, n_grid, conv = _dyadic_sup(
+        lambda ts: l1_norm_in_u(G, ts, J, l1_tol, cost),
+        window.lo, window.hi, list(G.t_breakpoints),
+    )
     gain = math.exp(sup_val)
 
     if G.u_independent:
@@ -296,8 +290,7 @@ def certify(
     return BoundCertificate.from_parts(
         gain=gain, variation=variation, window=window, sup_grid=n_grid,
         tolerances={"certify": tol, "l1": l1_tol},
-        sup_converged=conv, variation_mode=variation_mode,
-        provenance=provenance, cost=cost,
+        sup_converged=conv, variation_mode=variation_mode, cost=cost,
     )
 
 
@@ -308,7 +301,6 @@ def substitution_check(
     t: float,
     space: VectorSpaceSpec,
     tol: float = 1e-10,
-    B_breakpoints: Sequence[float] = (),
     stats: Optional[StepStats] = None,
 ) -> float:
     """Defect of the substitution identity.
@@ -326,7 +318,7 @@ def substitution_check(
         space=space, breakpoints=f.breakpoints,
     )
     x_direct = evolve(A, s, t, tol, stats)
-    B_path = CoefficientPath(eval=B, space=space, breakpoints=B_breakpoints)
+    B_path = CoefficientPath(eval=B, space=space)
     y_pulled = evolve(B_path, float(f(s)), float(f(t)), tol, stats)
     return matrix_norm(x_direct.entries - y_pulled.entries, space.norm_kind)
 

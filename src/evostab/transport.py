@@ -20,8 +20,9 @@ flag when it leaves the float range.
 Transport does not depend on the parametrisation, so the transport back
 along the reversed curve is the inverse propagator.  The sine-curve
 scenario reads the forward and reverse transports to every endpoint off
-one two-sided sweep (:func:`evostab.evolution.sweep_two_sided`);
-:func:`reverse_curve` stays as the independent reverse-path route.
+one sweep (:class:`evostab.evolution.EvolutionOperator`), as X(b, a) and
+X(a, b); :func:`reverse_curve` stays as the independent reverse-path
+route.
 """
 
 from __future__ import annotations
@@ -35,19 +36,9 @@ import numpy as np
 from .calculus import (Interval, ScalarPath, central_difference,
                        refine_until_stable)
 from .errors import DomainViolationError, IntegrationError
-from .evolution import (
-    CoefficientPath,
-    StepStats,
-    evolve,
-    sweep_two_sided,
-)
-from .operators import (
-    Operator,
-    Vector,
-    VectorSpaceSpec,
-    matrix_norm,
-    vector_norm,
-)
+from .evolution import CoefficientPath, EvolutionOperator, StepStats, evolve
+from .operators import (Operator, Vector, VectorSpaceSpec, matrix_norm,
+                        vector_norm)
 from .stability import saturating_bound
 
 __all__ = [
@@ -78,24 +69,18 @@ class ConnectionForm:
     space: VectorSpaceSpec
     d1_omega2: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
-    def check_point(self, x: float, u: float) -> None:
-        tol_x = 1e-12 * max(1.0, abs(x))
-        tol_u = 1e-12 * max(1.0, abs(u))
-        if not (self.m_interval.contains(x, tol_x)
-                and self.j_interval.contains(u, tol_u)):
-            raise DomainViolationError(
-                f"curve point ({x}, {u}) outside the connection rectangle"
-            )
-
-    def check_points(self, xs: np.ndarray, us: np.ndarray) -> None:
-        """:meth:`check_point` over paired 1-D arrays: raises its error
-        at the first point in order that lies outside."""
+    def check_inside(self, xs: np.ndarray, us: np.ndarray) -> None:
+        """Raise DomainViolationError unless every point (x, u) of the
+        paired 1-D arrays lies in the rectangle, up to 1e-12 relative;
+        the error names the first point in order that lies outside."""
         bad = [i for i in (self.m_interval.first_outside(xs, 1e-12),
                            self.j_interval.first_outside(us, 1e-12))
                if i is not None]
         if bad:
             i = min(bad)
-            self.check_point(float(xs[i]), float(us[i]))
+            raise DomainViolationError(
+                f"curve point ({float(xs[i])}, {float(us[i])}) outside the "
+                "connection rectangle")
 
 
 @dataclass(frozen=True)
@@ -115,11 +100,6 @@ class Curve:
     def breakpoints(self) -> tuple:
         return tuple(sorted(set(self.gamma1.breakpoints)
                             | set(self.gamma2.breakpoints)))
-
-    def restrict(self, a: float, b: float) -> "Curve":
-        if a < self.a - 1e-12 or b > self.b + 1e-12:
-            raise ValueError("restriction exceeds the curve's parameter range")
-        return Curve(self.gamma1, self.gamma2, a, b)
 
 
 def reverse_curve(g: Curve) -> Curve:
@@ -147,7 +127,7 @@ def curve_coefficient(w: ConnectionForm, g: Curve) -> CoefficientPath:
 
     def eval_A(ts):
         xs, us = g.gamma1.eval(ts), g.gamma2.eval(ts)
-        w.check_points(xs, us)
+        w.check_inside(xs, us)
         dx = g.gamma1.d_many(ts)[:, None, None]
         du = g.gamma2.d_many(ts)[:, None, None]
         t1 = w.omega1(xs, us) * dx
@@ -222,17 +202,19 @@ def beta_bound(b: ConnectionBounds, L: float) -> float:
 
 
 _FIELD_NAMES = ("omega1", "omega2", "d/dx omega2")
+# a grid refinement that moves no sampled sup by more than this share
+# ends the sampling; the sups are then inflated by _INFLATION
+_BOUNDS_REL_STOP = 1e-2
+_INFLATION = 1.05
 
 
 def sample_connection_bounds(
     w: ConnectionForm,
     resolution: int = 17,
-    rel_stop: float = 1e-2,
-    inflation: float = 1.05,
     max_resolution: int = 513,
 ) -> ConnectionBounds:
     """Grid-sample sup norms of omega1, omega2, d/dx omega2 over the
-    rectangle, refining dyadically until all three stabilize, then
+    rectangle, refining dyadically until all three stabilize to 1%, then
     inflate by 5%.  Each field takes a grid row from one call; without
     ``d1_omega2``, d/dx omega2 is taken by central differences.  A sample
     with a non-finite entry raises DomainViolationError naming its
@@ -268,12 +250,13 @@ def sample_connection_bounds(
 
     sup, n, converged = refine_until_stable(
         levels(), lambda prev, cur: bool(np.all(
-            cur - prev <= rel_stop * np.maximum(np.abs(cur), 1e-300))))
+            cur - prev <= _BOUNDS_REL_STOP * np.maximum(np.abs(cur),
+                                                        1e-300))))
     tag = f"grid-sampled({n}x{n}{'' if converged else ', unconverged'})"
     return ConnectionBounds(
-        B1=inflation * float(sup[0]),
-        B2=inflation * float(sup[1]),
-        B12=inflation * float(sup[2]),
+        B1=_INFLATION * float(sup[0]),
+        B2=_INFLATION * float(sup[1]),
+        B12=_INFLATION * float(sup[2]),
         lambda_J=w.j_interval.length(),
         provenance=tag,
     )
@@ -328,11 +311,12 @@ def sine_curve_scenario(
     a); the lower bound is certified through the reverse path, whose
     transport norm must obey the same C.  Since parallel transport does
     not depend on the parametrisation, the reverse transport P_rev(b) is
-    X(a, b), the inverse propagator: one two-sided sweep from a across
-    the sorted clamped b's yields P(b) and P_rev(b) at each of them.
-    P_rev is carried by the inverse exponentials of P's own steps, so
-    ``inverse_defect`` = ||P_rev P - I|| sits at roundoff and does not
-    measure truncation error.
+    X(a, b), the inverse propagator: one sweep from a across the sorted
+    clamped b's (:class:`EvolutionOperator`) yields P(b) = X(b, a) and
+    P_rev(b) at each of them.  P_rev is carried by the inverse
+    exponentials of P's own steps, so ``inverse_defect`` = ||P_rev P - I||
+    sits at roundoff and does not measure truncation error.
+
     Rows keep the order of ``b_list``.  An integration failure ends the
     sweep: the rows it reached keep their values, and the rest report
     the failure.  ``stats`` counts the sweep's work.
@@ -355,30 +339,23 @@ def sine_curve_scenario(
     slack = cap * (1.0 + 1e-6)
     kind = w.space.norm_kind
     v_norm = vector_norm(v.entries, kind)
-    stops = [a] + sorted(set(min(b_req, b_floor) for b_req in b_list))
-    coefficient = curve_coefficient(w, _sine_paths(a, stops[-1]))
-    stats = StepStats()
-    reached = {}
-    failure = None
-    try:
-        for b, pair in zip(stops, sweep_two_sided(coefficient, stops, tol,
-                                                  stats)):
-            reached[b] = pair
-    except IntegrationError as exc:
-        failure = str(exc)
+    b_used = [min(b_req, b_floor) for b_req in b_list]
+    ev = EvolutionOperator(curve_coefficient(w, _sine_paths(a, max(b_used))),
+                           [a] + b_used, tol)
     rows = []
-    for b_req in b_list:
-        b_used = min(b_req, b_floor)
-        beta_b = beta_bound(bounds, b_used - a)
-        if b_used not in reached:
+    for b_req, b in zip(b_list, b_used):
+        beta_b = beta_bound(bounds, b - a)
+        try:
+            p_op = ev.query(b, a).entries
+            p_rev = ev.query(a, b).entries
+        except IntegrationError as exc:
             rows.append(SineCurveRow(
-                b_requested=b_req, b_used=b_used, norm_P=math.nan,
+                b_requested=b_req, b_used=b, norm_P=math.nan,
                 beta_b=beta_b, ratio=math.nan, norm_P_op=math.nan,
                 norm_P_rev=math.nan, inverse_defect=math.nan,
-                passed=False, error=failure,
+                passed=False, error=str(exc),
             ))
             continue
-        p_op, p_rev = reached[b_used]
         pv = p_op @ v.entries
         norm_pv = vector_norm(pv, kind)
         ratio = norm_pv / v_norm if v_norm > 0 else 1.0
@@ -389,11 +366,11 @@ def sine_curve_scenario(
               and ratio <= slack
               and ratio * slack >= 1.0)
         rows.append(SineCurveRow(
-            b_requested=b_req, b_used=b_used, norm_P=norm_pv,
+            b_requested=b_req, b_used=b, norm_P=norm_pv,
             beta_b=beta_b, ratio=ratio, norm_P_op=n_op, norm_P_rev=n_rev,
             inverse_defect=defect, passed=ok,
         ))
     return SineCurveReport(
         rows=tuple(rows), bound=cap, bounds=bounds,
-        passed=all(r.passed for r in rows), stats=stats,
+        passed=all(r.passed for r in rows), stats=ev.step_stats,
     )

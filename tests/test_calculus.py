@@ -17,11 +17,11 @@ from evostab.calculus import (
     integrate,
     l1_norm_in_u,
     pointwise,
-    signed_integrate,
     stacked,
     total_variation_path,
     tv_l1_upper_bound,
     _gk15,
+    _oriented,
 )
 from evostab.errors import DomainViolationError, QuadratureError
 from evostab.expressions import parse_expression
@@ -175,8 +175,8 @@ def test_quadrature_failure_carries_best_estimate():
 
 
 def test_signed_integrate_orientation():
-    fwd = signed_integrate(math.cos, 0.0, math.pi / 2)
-    back = signed_integrate(math.cos, math.pi / 2, 0.0)
+    fwd = _oriented(integrate, math.cos, 0.0, math.pi / 2)
+    back = _oriented(integrate, math.cos, math.pi / 2, 0.0)
     assert fwd == pytest.approx(1.0, abs=1e-10)
     assert back == pytest.approx(-1.0, abs=1e-10)
 

@@ -434,6 +434,8 @@ def test_console_script_runs_in_subprocess(tmp_path):
         [sys.executable, "-m", "evostab.cli", "evolve",
          "--config", str(cfg), "--out", str(tmp_path / "sp")],
         capture_output=True, text=True,
+        cwd=Path(__file__).resolve().parents[1],
+        env={**os.environ, "PYTHONPATH": "src"},
     )
     assert proc.returncode == 0, proc.stderr
     assert "PASS" in proc.stdout
@@ -648,6 +650,51 @@ SINE_ZERO_TEXT = '"connection": {"builtin": "zero"}, "b_list": [-0.5]'
 def test_non_square_matrix_and_non_finite_sine_inputs_exit_2(
         tmp_path, capsys, kind, text, problem):
     _assert_config_error_exits_2(tmp_path, capsys, kind, text, problem)
+
+
+@pytest.mark.parametrize("kind, text, problem", [
+    ("certify", '{"system": {"G": [["u"]], "f": "0.5", "J": [-1, 1], '
+                '"u_independent": "false"}, "window": [0, 1]}',
+     "system.u_independent: expected true or false, got 'false'"),
+    ("verify", '{%s, "window": [0, 5], "num_pairs": true}' % INTRO_COS,
+     "num_pairs: expected a positive integer (or give pairs)"),
+    ("verify", '{%s, "window": [0, 5], "num_pairs": 2, "certificate": '
+               '{"gain": true, "variation": false}}' % INTRO_COS,
+     "certificate: expected {gain >= 1, variation >= 0}"),
+    ("sine-curve", '{%s, "a": -1.0, "v": [true, false]}' % SINE_ZERO_TEXT,
+     "v: expected a non-empty numeric vector"),
+    ("certify", '{"system": {"builtin": "constant", "matrix": [[true]]}, '
+                '"window": [0, 3]}',
+     "system.matrix: expected a square matrix of finite numbers, "
+     "got [[True]]"),
+])
+def test_booleans_are_not_read_as_numbers_or_flags(tmp_path, capsys, kind,
+                                                   text, problem):
+    _assert_config_error_exits_2(tmp_path, capsys, kind, text, problem)
+
+
+def test_cli_tags_a_vacuous_pass(tmp_path, capsys):
+    # the config of test_certify_reports_vacuous_certificate: C = inf
+    cfg = tmp_path / "vacuous.json"
+    cfg.write_text(json.dumps({"system": {"builtin": "example39"},
+                               "window": [0.0, 100.0]}))
+    assert cli_main(["certify", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first.startswith("PASS (vacuous) certify: 1 rows")
+    # a finite bound keeps the plain verdict
+    assert cli_main(["verify", "--config", "builtin:intro-cos",
+                     "--out", str(tmp_path / "p")]) == 0
+    assert capsys.readouterr().out.startswith("PASS verify: 100 rows")
+
+
+def test_cov_check_summary_counts_its_quadrature_panels():
+    # y = u on f = t over [0, 1] and back: each integral of a linear
+    # integrand is one exact panel of 15 nodes
+    report = run_scenario("cov-check", {
+        "f": "t", "y": ["u"], "pairs": [[0.0, 1.0], [1.0, 0.0]]})
+    assert report.passed
+    assert report.summary["cost"] == {"quad_panels": 4, "quad_nodes": 60}
 
 
 def test_certify_summary_counts_its_quadrature_panels():

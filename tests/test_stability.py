@@ -267,13 +267,6 @@ def test_certificate_u_dependent_field_uses_double_integral_route():
     assert report.passed
 
 
-def test_certify_with_analytic_sup_bound():
-    sys = make_system("intro-cos")
-    cert = certify(sys, Interval(0, 20), sup_l1_bound=2.0)
-    assert cert.provenance == "analytic"
-    assert cert.gain == pytest.approx(math.e ** 2, rel=1e-12)
-
-
 
 # ---------------------------------------------------------------------------
 # refinements that do not settle

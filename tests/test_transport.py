@@ -8,7 +8,7 @@ import pytest
 from evostab.calculus import (Interval, ScalarPath, arc_length,
                               central_difference, pointwise, stacked)
 from evostab.errors import DomainViolationError, IntegrationError
-from evostab.evolution import evolve, sweep_two_sided, sweep_vector
+from evostab.evolution import EvolutionOperator, evolve, sweep_vector
 from evostab.library import (
     gauge_rotation_matrix,
     gauge_twist_matrix,
@@ -108,8 +108,10 @@ def test_path_composition_and_reverse():
     w = make_connection("mixed-bounded", RECT_M, RECT_J)
     curve = wiggle_curve(2.0)
     whole = parallel_transport(w, curve, tol=1e-11)
-    first = parallel_transport(w, curve.restrict(0.0, 0.4), tol=1e-11)
-    second = parallel_transport(w, curve.restrict(0.4, 1.0), tol=1e-11)
+    first = parallel_transport(
+        w, Curve(curve.gamma1, curve.gamma2, 0.0, 0.4), tol=1e-11)
+    second = parallel_transport(
+        w, Curve(curve.gamma1, curve.gamma2, 0.4, 1.0), tol=1e-11)
     assert matrix_norm(second.entries @ first.entries - whole.entries,
                        "euclidean") <= 1e-8
     rev = parallel_transport(w, reverse_curve(curve), tol=1e-11)
@@ -387,8 +389,8 @@ def test_sine_sweep_reverse_matches_reverse_path_transport():
     w = make_connection("gauge-twist")
     for b in (-0.1, -0.01):
         curve = _sine_paths(-1.0, b)
-        forward, reverse = list(sweep_two_sided(
-            curve_coefficient(w, curve), (-1.0, b), 1e-9))[-1]
+        ev = EvolutionOperator(curve_coefficient(w, curve), (-1.0, b), 1e-9)
+        forward, reverse = ev.query(b, -1.0).entries, ev.query(-1.0, b).entries
         p = parallel_transport(w, curve, 1e-9).entries
         p_rev = parallel_transport(w, reverse_curve(curve), 1e-9).entries
         assert np.max(np.abs(forward - p)) <= 1e-8
@@ -399,9 +401,10 @@ def test_two_sided_sweep_halves_are_inverse():
     w = make_connection("mixed-bounded", RECT_M, RECT_J)
     tol = 1e-9
     stops = (0.0, 0.3, 0.7, 1.0)
-    pairs = list(sweep_two_sided(curve_coefficient(w, wiggle_curve(3.0)),
-                                 stops, tol))
-    assert len(pairs) == len(stops)
+    ev = EvolutionOperator(curve_coefficient(w, wiggle_curve(3.0)), stops,
+                           tol)
+    pairs = [(ev.query(b, 0.0).entries, ev.query(0.0, b).entries)
+             for b in stops]
     assert np.array_equal(pairs[0][0], np.eye(2))
     for x, y in pairs[1:]:
         assert matrix_norm(x - np.eye(2), "euclidean") > 0.1
@@ -654,7 +657,9 @@ def test_two_sided_sweep_keeps_the_previous_results(name):
     stops = (-1.0, -0.1, -0.01, -0.001)
     coefficient = curve_coefficient(make_connection(name),
                                     _sine_paths(-1.0, stops[-1]))
-    x, y = list(sweep_two_sided(coefficient, stops, 1e-8))[-1]
+    ev = EvolutionOperator(coefficient, stops, 1e-8)
+    x = ev.query(stops[-1], stops[0]).entries
+    y = ev.query(stops[0], stops[-1]).entries
     want_x, want_y = _TWO_SIDED_LAST[name]
     assert [v.hex() for v in x.ravel().tolist()] == want_x
     assert [v.hex() for v in y.ravel().tolist()] == want_y
