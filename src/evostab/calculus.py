@@ -193,7 +193,6 @@ class ScalarPath:
     eval: Callable[[np.ndarray], np.ndarray]
     deriv: Optional[Callable[[np.ndarray], np.ndarray]] = None
     breakpoints: tuple = ()
-    domain: Interval = Interval(-math.inf, math.inf)
 
     def __post_init__(self):
         bps = tuple(sorted(float(b) for b in self.breakpoints))

@@ -46,7 +46,10 @@ class IntegrationError(EvoStabError):
 
 
 class DomainViolationError(EvoStabError):
-    """A path or field was evaluated outside its declared domain."""
+    """Data was asked for where it is not defined: a point outside a
+    connection's rectangle or a value of f outside J, a time outside a
+    frozen window, an unbounded integration interval, or a non-finite
+    sample of a connection."""
 
 
 class ConstructionError(EvoStabError):

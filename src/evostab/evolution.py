@@ -44,7 +44,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .calculus import Interval
 from .errors import IntegrationError
 from .operators import Operator, VectorSpaceSpec
 
@@ -87,16 +86,15 @@ class CoefficientPath:
 
     ``eval(ts)`` maps a 1-D array of times to the stack of A over them on
     a new leading axis: (len(ts), r, r), or (len(ts), k, r, r) for k
-    coefficients swept together.  A must be bounded on compact subsets of
-    ``domain`` and piecewise continuous between breakpoints.  A source
-    that only gives A one time at a time goes through
+    coefficients swept together.  A must be bounded on compact sets of
+    times and piecewise continuous between breakpoints.  A source that
+    only gives A one time at a time goes through
     :func:`evostab.calculus.stacked`.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
     space: VectorSpaceSpec
     breakpoints: tuple = ()
-    domain: Interval = Interval(-math.inf, math.inf)
 
     def __post_init__(self):
         object.__setattr__(

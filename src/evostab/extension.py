@@ -101,7 +101,7 @@ def _fiber_sweep(w: ConnectionForm, xs, stops, start, tol, stats) -> list:
     the k x's of ``xs``; ``start`` is their (k, r) stack at stops[0]."""
     xs = np.asarray(xs, dtype=float)
     A = CoefficientPath(eval=lambda vs: -w.omega2(xs, vs[:, None]),
-                        space=w.space, domain=w.j_interval)
+                        space=w.space)
     start = np.asarray(start, dtype=float)
     return [s[..., 0] for s in sweep_vector(A, stops, start[..., None], tol,
                                             stats)]
@@ -126,7 +126,7 @@ def _horizontal_sweep(p, v, stops, vec, tol, stats) -> list:
     """Section values at every x of the monotone ``stops``, from one
     transport along the horizontal at level v."""
     A = CoefficientPath(eval=lambda xs: -p.omega.omega1(xs, v),
-                        space=p.omega.space, domain=p.omega.m_interval)
+                        space=p.omega.space)
     return sweep_vector(A, stops, vec, tol, stats)
 
 

@@ -14,26 +14,27 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Optional
+from types import SimpleNamespace
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import __version__
 from .calculus import (Interval, OperatorField, QuadStats, ScalarPath,
                        arc_length, cov_check, stacked)
-from .errors import ConfigError
+from .errors import ConfigError, ExpressionError
 from .evolution import CoefficientPath, StepStats, evolve
 from .expressions import many_together, parse_expression
 from .library import (
     BUILTIN_CONNECTIONS,
     BUILTIN_EXTENSIONS,
     BUILTIN_FIELDS,
+    BUILTIN_PATHS,
     constant_field,
     make_connection,
     make_extension_problem,
-    make_scalar_path,
     make_system,
 )
 from .operators import NORM_KINDS, Vector, VectorSpaceSpec, matrix_norm
@@ -118,76 +119,116 @@ class Report:
 
 
 # ---------------------------------------------------------------------------
-# config helpers
+# config tables
+
+
+_REQUIRED = object()
+
+
+@dataclass(frozen=True)
+class _Object:
+    """The key table of one config object: a row (key, default, type) per
+    key, rules over the typed values, the builder of the object, and
+    ``alt`` = (key, table), the table of an object that has that key."""
+    rows: tuple
+    rules: tuple = ()
+    build: Callable = lambda c: c
+    alt: tuple = ()
+
+
+def _read(table, cfg, bag, label=""):
+    """The typed value of the config object cfg under table, or None if
+    it has a problem; each problem goes into bag, named by its key path.
+
+    A key no row names is a problem.  An absent key is a problem if its
+    default is _REQUIRED, reads as None if its default is None, and else
+    takes its default.  A type is a table, [table] for a non-empty list
+    of such objects, or (read, *checks): the first (predicate, message)
+    check that fails on the raw value v names the key's problem, and if
+    none fails, read(v) is the typed value or raises ExpressionError.
+    Once every key has read cleanly, the rules take the typed values (as
+    attributes) and cfg in turn, and the first that returns a problem
+    names it; a rule may rely on the ones before it."""
+    if table.alt and isinstance(cfg, dict) and table.alt[0] in cfg:
+        table = table.alt[1]
+    if not isinstance(cfg, dict):
+        bag.append(f"{label[:-1] or 'config'}: expected an object")
+        return None
+    keys = [key for key, _, _ in table.rows]
+    start = len(bag)
+    bag.extend(f"{label}{key}: unknown key (have {keys})"
+               for key in cfg if key not in keys)
+    typed = {}
+    for key, default, kind in table.rows:
+        name, typed[key] = label + key, None
+        if key not in cfg and (default is None or default is _REQUIRED):
+            if default is _REQUIRED:
+                bag.append(f"{name}: missing")
+            continue
+        v = cfg.get(key, default)
+        if isinstance(kind, _Object):
+            typed[key] = _read(kind, v, bag, name + ".")
+        elif isinstance(kind, list):
+            if not (isinstance(v, list) and v):
+                bag.append(f"{name}: expected a non-empty list")
+                continue
+            typed[key] = [_read(kind[0], x, bag, f"{name}[{i}].")
+                          for i, x in enumerate(v)]
+        else:
+            read, *checks = kind
+            bad = next((msg for ok, msg in checks if not ok(v)), None)
+            if bad is not None:
+                bag.append(f"{name}: " + bad.format(v=v))
+                continue
+            try:
+                typed[key] = read(v)
+            except ExpressionError as exc:
+                bag.append(f"{name}: {exc}")
+    if len(bag) > start:
+        return None
+    c = SimpleNamespace(**typed)
+    problem = next((p for p in (rule(c, cfg) for rule in table.rules) if p),
+                   None)
+    if problem:
+        bag.append(label + problem)
+        return None
+    return table.build(c)
 
 
 def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _problems_if(cond: bool, msg: str, bag: list) -> None:
-    if cond:
-        bag.append(msg)
+def _finite(v) -> bool:
+    return _is_number(v) and math.isfinite(v)
 
 
-def _check_interval(cfg, key, bag, required=True, finite=True):
-    if key not in cfg:
-        if required:
-            bag.append(f"{key}: missing")
-        return None
-    v = cfg[key]
-    if (not isinstance(v, (list, tuple)) or len(v) != 2
-            or not all(_is_number(x) for x in v) or not v[0] < v[1]):
-        bag.append(f"{key}: expected [lo, hi] with lo < hi, got {v!r}")
-        return None
-    if finite and not all(math.isfinite(x) for x in v):
-        bag.append(f"{key}: expected finite bounds, got {v!r}")
-        return None
-    return Interval(float(v[0]), float(v[1]))
+def _list_of(item_ok):
+    """Whether a value is a non-empty list of items that pass item_ok."""
+    return lambda v: bool(isinstance(v, list) and v and all(map(item_ok, v)))
 
 
-def _check_norm(cfg, bag) -> str:
-    norm = cfg.get("norm", "euclidean")
-    if norm not in NORM_KINDS:
-        bag.append(f"norm: must be one of {NORM_KINDS}, got {norm!r}")
-        return "euclidean"
-    return norm
+def _square(entry_ok):
+    """Whether a value is a non-empty square list of lists of entries
+    that pass entry_ok."""
+    row_ok = _list_of(entry_ok)
+    return lambda v: _list_of(lambda r: row_ok(r) and len(r) == len(v))(v)
 
 
-def _number_list(cfg, key, bag) -> tuple:
-    """The optional list of finite numbers under ``key``, as floats."""
-    vals = cfg.get(key, [])
-    if not isinstance(vals, list) or not all(
-            _is_number(v) and math.isfinite(v) for v in vals):
-        bag.append(f"{key}: expected a list of numbers")
-        return ()
-    return tuple(float(v) for v in vals)
+def _parsed(src, where=""):
+    try:
+        return parse_expression(str(src))
+    except (ExpressionError, RecursionError) as exc:
+        raise ExpressionError(f"{where}{exc}") from None
 
 
-def _expr_matrix(rows, bag, label):
+def _expr_matrix(rows):
     """The array evaluator (t, u) -> matrix of a square list-of-lists of
     expression strings, t and u numbers or arrays broadcast together, with
-    its dimension as ``.dim``; its problems go into bag under label."""
-    if (not isinstance(rows, list) or not rows
-            or not all(isinstance(r, list) and len(r) == len(rows)
-                       for r in rows)):
-        bag.append(f"{label}: expected a square list-of-lists of "
-                   "expression strings")
-        return None
-    compiled = []
-    for i, row in enumerate(rows):
-        crow = []
-        for j, s in enumerate(row):
-            try:
-                crow.append(parse_expression(str(s)))
-            except Exception as exc:
-                bag.append(f"{label}[{i}][{j}]: {exc}")
-                crow.append(None)
-        compiled.append(crow)
-    if any(c is None for row in compiled for c in row):
-        return None
-    r = len(compiled)
-    entries = [c for row in compiled for c in row]
+    its dimension as ``.dim``."""
+    r = len(rows)
+    entries = [_parsed(s, f"entry [{i}][{j}]: ")
+               for i, row in enumerate(rows) for j, s in enumerate(row)]
 
     def matrix(t, u):
         shape = np.broadcast(t, u).shape
@@ -200,127 +241,180 @@ def _expr_matrix(rows, bag, label):
     return matrix
 
 
-def _expression_path(cfg, key, bag, domain, label=None) -> Optional[ScalarPath]:
-    """The path t -> expression(t) of the string under ``key``, with the
-    breakpoints under ``<key>_breakpoints``; its problems go into bag
-    under ``label`` (default: the key)."""
-    label = label or key
-    if key not in cfg:
-        bag.append(f"{label}: missing")
-        return None
-    try:
-        f = parse_expression(str(cfg[key]))
-    except Exception as exc:
-        bag.append(f"{label}: {exc}")
-        return None
+def _path(f, breakpoints) -> ScalarPath:
+    """The path t -> f(t, 0) of a parsed expression."""
     return ScalarPath(eval=stacked(lambda t: f(t, 0.0)),
-                      breakpoints=_number_list(cfg, f"{key}_breakpoints", bag),
-                      domain=domain)
+                      breakpoints=breakpoints)
 
 
-def _system_from_config(cfg, bag) -> Optional[SeparableSystem]:
-    if not isinstance(cfg, dict):
-        bag.append("system: expected an object")
-        return None
-    norm = _check_norm(cfg, bag)
-    if "builtin" in cfg:
-        name = cfg["builtin"]
-        if name not in BUILTIN_FIELDS:
-            bag.append(f"system.builtin: unknown field {name!r} "
-                       f"(have {sorted(BUILTIN_FIELDS)})")
-            return None
-        f_name = cfg.get("f", "sin")
-        try:
-            if name == "constant" and "matrix" in cfg:
-                rows = cfg["matrix"]
-                numeric = isinstance(rows, list) and all(
-                    isinstance(r, list) and all(map(_is_number, r))
-                    for r in rows)
-                m = np.asarray(rows if numeric else [], dtype=float)
-                if not (m.ndim == 2 and 0 < len(m) == m.shape[1]
-                        and np.isfinite(m).all()):
-                    bag.append("system.matrix: expected a square matrix of "
-                               f"finite numbers, got {cfg['matrix']!r}")
-                    return None
-                field_obj = constant_field(m, norm)
-                I = Interval(0.0, math.inf)
-                return SeparableSystem(
-                    G=field_obj, f=make_scalar_path(f_name, I), I=I,
-                    J=Interval(-1.0, 1.0), space=field_obj.space)
-            return make_system(name, norm, f_name)
-        except (KeyError, ValueError) as exc:
-            bag.append(f"system: {exc}")
-            return None
-    I = _check_interval(cfg, "I", bag, required=False, finite=False) \
-        or Interval(-math.inf, math.inf)
-    J = _check_interval(cfg, "J", bag)
-    G_eval = _expr_matrix(cfg.get("G"), bag, "system.G")
-    G_bps = _number_list(cfg, "G_breakpoints", bag)
-    f = _expression_path(cfg, "f", bag, I)
-    u_independent = cfg.get("u_independent", False)
-    if not isinstance(u_independent, bool):
-        bag.append("system.u_independent: expected true or false, got "
-                   f"{u_independent!r}")
-        return None
-    if None in (J, G_eval, f):
-        return None
-    space = VectorSpaceSpec(G_eval.dim, norm)
-    field_obj = OperatorField(
-        eval=G_eval, space=space, t_breakpoints=G_bps,
-        u_independent=u_independent,
-    )
-    return SeparableSystem(G=field_obj, f=f, I=I, J=J, space=space)
+def _named(names, what=""):
+    """The type of a built-in name."""
+    return (str, (lambda v: isinstance(v, str) and v in names,
+                  f"unknown {what}{{v!r}} (have {sorted(names)})"))
 
 
-def _connection_from_config(cfg, bag):
-    if not isinstance(cfg, dict):
-        bag.append("connection: expected an object")
-        return None
-    norm = _check_norm(cfg, bag)
-    m = _check_interval(cfg, "M", bag, required="builtin" not in cfg)
-    j = _check_interval(cfg, "J", bag, required="builtin" not in cfg)
-    if "builtin" in cfg:
-        name = cfg["builtin"]
-        if name not in BUILTIN_CONNECTIONS:
-            bag.append(f"connection.builtin: unknown {name!r} "
-                       f"(have {sorted(BUILTIN_CONNECTIONS)})")
-            return None
-        return make_connection(name, m, j, norm)
-    w1 = _expr_matrix(cfg.get("omega1"), bag, "connection.omega1")
-    w2 = _expr_matrix(cfg.get("omega2"), bag, "connection.omega2")
-    if None in (m, j, w1, w2):
-        return None
-    if w1.dim != w2.dim:
-        bag.append("connection: omega1 and omega2 dimensions differ")
-        return None
-    return ConnectionForm(
-        omega1=w1, omega2=w2, m_interval=m, j_interval=j,
-        space=VectorSpaceSpec(w1.dim, norm),
-    )
+_ORDERED = (lambda v: isinstance(v, (list, tuple)) and len(v) == 2
+            and all(map(_is_number, v)) and v[0] < v[1],
+            "expected [lo, hi] with lo < hi, got {v!r}")
+_INTERVAL = (lambda v: Interval(float(v[0]), float(v[1])), _ORDERED)
+_BOUNDED = _INTERVAL + ((lambda v: all(map(math.isfinite, v)),
+                         "expected finite bounds, got {v!r}"),)
+_POSITIVE = (float, (lambda v: _is_number(v) and 0 < v < math.inf,
+                     "expected a finite number > 0, got {v!r}"))
+_COUNT = (int, (lambda v: _is_number(v) and v >= 2
+                and (isinstance(v, int) or v.is_integer()),
+                "expected a whole number >= 2, got {v!r}"))
+_EXPRESSION = (_parsed,)
+_MATRIX = (_expr_matrix, (_square(lambda s: True), "expected a square "
+                          "list-of-lists of expression strings"))
+_BREAKPOINTS = (lambda v: tuple(map(float, v)),
+                (lambda v: isinstance(v, list) and all(map(_finite, v)),
+                 "expected a list of numbers"),
+                (lambda v: len(set(v)) == len(v),
+                 "expected distinct breakpoints, got {v!r}"))
+_NORM = ("norm", "euclidean", (str, (lambda v: v in NORM_KINDS,
+         f"must be one of {NORM_KINDS}, got {{v!r}}")))
 
 
-def _pairs_from_config(cfg, bag, rng, ordered=True):
-    if "pairs" in cfg:
-        pairs = cfg["pairs"]
-        if (not isinstance(pairs, list) or not pairs or not all(
-                isinstance(p, (list, tuple)) and len(p) == 2
-                and all(_is_number(x) and math.isfinite(x) for x in p)
-                for p in pairs)):
-            bag.append("pairs: expected a non-empty list of [s, t]")
-            return []
-        out = [(float(s), float(t)) for s, t in pairs]
-        if ordered and any(s > t for s, t in out):
-            bag.append("pairs: need s <= t in every pair")
-            return []
-        return out
-    window = _check_interval(cfg, "window", bag)
-    n = cfg.get("num_pairs")
-    if not (_is_number(n) and isinstance(n, int) and n >= 1):
-        bag.append("num_pairs: expected a positive integer (or give pairs)")
-        return []
-    if window is None:
-        return []
-    draws = rng.uniform(window.lo, window.hi, size=(n, 2))
+def _builtin_system(c) -> SeparableSystem:
+    system = make_system(c.builtin, c.norm, c.f)
+    if c.matrix is None:
+        return system
+    field = constant_field(c.matrix, c.norm)
+    return replace(system, G=field, space=field.space)
+
+
+def _expression_system(c) -> SeparableSystem:
+    space = VectorSpaceSpec(c.G.dim, c.norm)
+    field = OperatorField(eval=c.G, space=space, t_breakpoints=c.G_breakpoints,
+                          u_independent=c.u_independent)
+    return SeparableSystem(G=field, f=_path(c.f, c.f_breakpoints), I=c.I,
+                           J=c.J, space=space)
+
+
+_SYSTEM = _Object((
+    ("G", _REQUIRED, _MATRIX),
+    ("G_breakpoints", [], _BREAKPOINTS),
+    ("f", _REQUIRED, _EXPRESSION),
+    ("f_breakpoints", [], _BREAKPOINTS),
+    ("I", [-math.inf, math.inf], _INTERVAL),
+    ("J", _REQUIRED, _BOUNDED),
+    ("u_independent", False, (bool, (lambda v: isinstance(v, bool),
+                                     "expected true or false, got {v!r}"))),
+    _NORM,
+), build=_expression_system, alt=("builtin", _Object((
+    ("builtin", _REQUIRED, _named(BUILTIN_FIELDS, "field ")),
+    ("f", "sin", _named(BUILTIN_PATHS, "scalar path ")),
+    ("matrix", None, (lambda v: np.array(v, dtype=float), (_square(_finite),
+     "expected a square matrix of finite numbers, got {v!r}"))),
+    _NORM,
+), rules=(lambda c, cfg: c.matrix is not None and c.builtin != "constant"
+          and "matrix: only the constant field takes a matrix",),
+    build=_builtin_system)))
+
+_CONNECTION = _Object((
+    ("omega1", _REQUIRED, _MATRIX),
+    ("omega2", _REQUIRED, _MATRIX),
+    ("M", _REQUIRED, _BOUNDED),
+    ("J", _REQUIRED, _BOUNDED),
+    _NORM,
+), rules=(lambda c, cfg: c.omega1.dim != c.omega2.dim
+          and "omega2: dimension differs from omega1's",),
+    build=lambda c: ConnectionForm(
+        omega1=c.omega1, omega2=c.omega2, m_interval=c.M, j_interval=c.J,
+        space=VectorSpaceSpec(c.omega1.dim, c.norm)),
+    alt=("builtin", _Object((
+        ("builtin", _REQUIRED, _named(BUILTIN_CONNECTIONS)),
+        ("M", None, _BOUNDED),
+        ("J", None, _BOUNDED),
+        _NORM,
+    ), build=lambda c: make_connection(c.builtin, c.M, c.J, c.norm))))
+
+_CURVE = _Object((
+    ("gamma1", _REQUIRED, _EXPRESSION),
+    ("gamma1_breakpoints", [], _BREAKPOINTS),
+    ("gamma2", _REQUIRED, _EXPRESSION),
+    ("gamma2_breakpoints", [], _BREAKPOINTS),
+    ("domain", _REQUIRED, _BOUNDED),
+), build=lambda c: Curve(_path(c.gamma1, c.gamma1_breakpoints),
+                         _path(c.gamma2, c.gamma2_breakpoints),
+                         c.domain.lo, c.domain.hi))
+
+_PROBLEM = _Object((
+    ("builtin", _REQUIRED, _named(BUILTIN_EXTENSIONS)),
+    _NORM,
+), build=lambda c: make_extension_problem(c.builtin, c.norm))
+
+_GRID = _Object((
+    ("nx_left", 6, _COUNT),
+    ("nx_right", 10, _COUNT),
+    ("nv", 13, _COUNT),
+    ("x_floor", 1e-3, _POSITIVE),
+))
+
+# pairs (s, t), given or num_pairs drawn from the window
+_PAIRS = (
+    ("window", None, _BOUNDED),
+    ("pairs", None, (lambda v: [(float(s), float(t)) for s, t in v],
+                     (_list_of(lambda p: isinstance(p, (list, tuple))
+                               and len(p) == 2 and all(map(_finite, p))),
+                      "expected a non-empty list of [s, t]"))),
+    ("num_pairs", None, (int, (
+        lambda v: _is_number(v) and isinstance(v, int) and v >= 1,
+        "expected a positive integer (or give pairs)"))),
+)
+
+
+def _pairs_or_draws(c, cfg):
+    if c.pairs is None and c.num_pairs is None:
+        return "num_pairs: expected a positive integer (or give pairs)"
+    if c.pairs is None and c.window is None:
+        return "window: missing (needed to draw num_pairs)"
+
+
+def _window_in_I(c, cfg):
+    I = c.system.I
+    if not (I.contains(c.window.lo) and I.contains(c.window.hi)):
+        return (f"window: {cfg['window']!r} does not lie inside the "
+                f"system's time interval I = [{I.lo}, {I.hi}]")
+
+
+def _pairs_in_window(c, cfg):
+    outside = [p for p in c.pairs or ()
+               if not all(c.window.contains(x, 1e-12) for x in p)]
+    if outside:
+        return (f"pairs: pair {outside[0]} outside the window "
+                f"{cfg['window']!r}")
+
+
+def _x_floor_in_M(c, cfg):
+    M, a = c.problem.omega.m_interval, c.problem.a
+    top = M.hi - 0.05 * M.length() - a
+    if not c.grid.x_floor < top:
+        return (f"grid.x_floor: expected a number below {top} "
+                f"(M.hi - 0.05 |M| - a), got {c.grid.x_floor!r}")
+
+
+def _sine_curve_domain(c, cfg):
+    M, J = c.connection.m_interval, c.connection.j_interval
+    top = min(max(c.b_list), c.b_floor)  # the last x the curve reaches
+    if not (M.contains(c.a) and M.contains(top)):
+        return (f"connection.M: [{M.lo}, {M.hi}] must contain the curve's "
+                f"x-range [{c.a}, {top}]")
+    if not (J.contains(-1.0) and J.contains(1.0)):
+        return (f"connection.J: [{J.lo}, {J.hi}] must contain [-1, 1], "
+                "the range of sin(1/t)")
+    if len(c.v) != c.connection.space.dim:
+        return (f"v: length {len(c.v)} does not match the connection "
+                f"dimension {c.connection.space.dim}")
+
+
+def _pairs(c, seed, ordered):
+    """The config's pairs, or num_pairs pairs drawn from its window."""
+    if c.pairs is not None:
+        return c.pairs
+    draws = np.random.default_rng(seed).uniform(
+        c.window.lo, c.window.hi, size=(c.num_pairs, 2))
     if ordered:
         draws = np.sort(draws, axis=1)
     return [(float(s), float(t)) for s, t in draws]
@@ -349,26 +443,13 @@ def _pair_rows(pairs, one, worst, stats=None):
                      **{worst: max((r[-2] for r in rows), default=0.0)})
 
 
-def _run_evolve(config, seed, tol):
-    bag = []
-    rng = np.random.default_rng(seed)
-    if "system" in config:
-        system = _system_from_config(config.get("system"), bag)
-        A = assemble_A(system) if system is not None else None
+def _run_evolve(c, seed, tol):
+    if "system" in vars(c):
+        A = assemble_A(c.system)
     else:
-        norm = _check_norm(config, bag)
-        mat = _expr_matrix(config.get("A"), bag, "A")
-        bps = _number_list(config, "breakpoints", bag)
-        domain = _check_interval(config, "domain", bag, required=False,
-                                 finite=False) \
-            or Interval(-math.inf, math.inf)
-        A = None if mat is None else CoefficientPath(
-            eval=lambda ts: mat(ts, 0.0),
-            space=VectorSpaceSpec(mat.dim, norm), breakpoints=bps,
-            domain=domain)
-    pairs = _pairs_from_config(config, bag, rng, ordered=False)
-    if bag:
-        raise ConfigError(bag)
+        A = CoefficientPath(eval=lambda ts: c.A(ts, 0.0),
+                            space=VectorSpaceSpec(c.A.dim, c.norm),
+                            breakpoints=c.breakpoints)
     kind = A.space.norm_kind
     eye = np.eye(A.space.dim)
     stats = StepStats()
@@ -380,73 +461,44 @@ def _run_evolve(config, seed, tol):
         return (s, t, matrix_norm(x, kind), matrix_norm(x_inv, kind), defect,
                 defect <= 100.0 * tol)
 
-    return _pair_rows(pairs, one, "max_inv_defect", stats) + (
-        {"dim": A.space.dim, "norm": kind},)
+    return _pair_rows(_pairs(c, seed, False), one, "max_inv_defect",
+                      stats) + ({"dim": A.space.dim, "norm": kind},)
 
 
-def _run_certify(config, seed, tol):
-    bag = []
-    system = _system_from_config(config.get("system"), bag)
-    window = _check_interval(config, "window", bag)
-    if bag:
-        raise ConfigError(bag)
-    cert = certify(system, window, tol)
-    row = (cert.gain, cert.variation, cert.bound, window.lo, window.hi,
+def _certificate_summary(cert) -> dict:
+    """The summary entries of a certificate; a vacuous one (C = inf) adds
+    its finite ``log_log_bound``."""
+    out = {"gain": cert.gain, "variation": cert.variation,
+           "bound": cert.bound, "overflow": cert.overflow,
+           "vacuous": math.isinf(cert.bound)}
+    if out["vacuous"]:
+        out["log_log_bound"] = cert.log_log_bound
+    return out
+
+
+def _run_certify(c, seed, tol):
+    cert = certify(c.system, c.window, tol)
+    row = (cert.gain, cert.variation, cert.bound, c.window.lo, c.window.hi,
            cert.sup_converged, cert.overflow)
-    summary = {
-        "pass": cert.sup_converged,
-        "rows": 1,
-        "gain": cert.gain,
-        "variation": cert.variation,
-        "bound": cert.bound,
-        "overflow": cert.overflow,
-        "variation_mode": cert.variation_mode,
-        "vacuous": math.isinf(cert.bound),
-        "cost": asdict(cert.cost),
-    }
-    if summary["vacuous"]:
-        summary["log_log_bound"] = cert.log_log_bound
+    summary = {"pass": cert.sup_converged, "rows": 1,
+               "variation_mode": cert.variation_mode,
+               "cost": asdict(cert.cost), **_certificate_summary(cert)}
     return [row], [cert.sup_converged], summary, {
         "sup_grid": cert.sup_grid, "tolerances": cert.tolerances,
         "provenance": cert.provenance,
     }
 
 
-def _run_verify(config, seed, tol):
-    bag = []
-    rng = np.random.default_rng(seed)
-    system = _system_from_config(config.get("system"), bag)
-    window = _check_interval(config, "window", bag)
-    pairs = _pairs_from_config(config, bag, rng, ordered=True)
-    outside = [p for p in pairs if window is not None
-               and not all(window.contains(x, 1e-12) for x in p)]
-    if outside:
-        bag.append(f"pairs: pair {outside[0]} outside the window "
-                   f"{config['window']!r}")
-    cert_cfg = config.get("certificate")
-    if cert_cfg is not None and not (
-            isinstance(cert_cfg, dict)
-            and _is_number(cert_cfg.get("gain"))
-            and cert_cfg["gain"] >= 1.0
-            and _is_number(cert_cfg.get("variation"))
-            and cert_cfg["variation"] >= 0.0):
-        bag.append("certificate: expected {gain >= 1, variation >= 0}")
-    cert_tol = config.get("certify_tol", DEFAULT_TOLS["certify"])
-    _problems_if(not (_is_number(cert_tol) and 0 < cert_tol < math.inf),
-                 f"certify_tol: expected a finite number > 0, got {cert_tol!r}",
-                 bag)
-    if bag:
-        raise ConfigError(bag)
-    cert_tol = float(cert_tol)
-    if cert_cfg is not None:
+def _run_verify(c, seed, tol):
+    if c.certificate is not None:
         cert = BoundCertificate.from_parts(
-            gain=float(cert_cfg["gain"]),
-            variation=float(cert_cfg["variation"]),
-            window=window, sup_grid=0, tolerances={},
+            gain=float(c.certificate["gain"]),
+            variation=float(c.certificate["variation"]),
+            window=c.window, sup_grid=0, tolerances={},
             provenance="user-supplied")
     else:
-        cert = certify(system, window, cert_tol)
-    report = verify_certificate(system, cert, pairs, tol)
+        cert = certify(c.system, c.window, c.certify_tol)
+    report = verify_certificate(c.system, cert, _pairs(c, seed, True), tol)
     rows = [(r.s, r.t, r.norm_X, r.norm_Xinv, cert.bound, r.ratio)
             for r in report.rows]
     row_pass = [r.passed for r in report.rows]
@@ -455,63 +507,35 @@ def _run_verify(config, seed, tol):
         "rows": len(rows),
         "max_observed": report.max_observed,
         "max_ratio": report.max_ratio,
-        "bound": cert.bound,
-        "gain": cert.gain,
-        "variation": cert.variation,
-        "overflow": cert.overflow,
-        "vacuous": math.isinf(cert.bound),
         "aborted": report.aborted,
         "cost": {**asdict(report.stats), **asdict(cert.cost)},
+        **_certificate_summary(cert),
     }
-    if summary["vacuous"]:
-        summary["log_log_bound"] = cert.log_log_bound
     return rows, row_pass, summary, {
         "sup_grid": cert.sup_grid, "tolerances": cert.tolerances,
-        "certify_tol": cert_tol,
+        "certify_tol": c.certify_tol,
     }
 
 
-def _run_substitution(config, seed, tol):
-    bag = []
-    rng = np.random.default_rng(seed)
-    norm = _check_norm(config, bag)
-    mat = _expr_matrix(config.get("B"), bag, "B")
-    f = _expression_path(config, "f", bag, Interval(-math.inf, math.inf))
-    pairs = _pairs_from_config(config, bag, rng, ordered=False)
-    if bag:
-        raise ConfigError(bag)
-    space = VectorSpaceSpec(mat.dim, norm)
-    B = lambda us: mat(us, us)
+def _run_substitution(c, seed, tol):
+    space = VectorSpaceSpec(c.B.dim, c.norm)
+    B = lambda us: c.B(us, us)
+    f = _path(c.f, c.f_breakpoints)
     stats = StepStats()
 
     def one(s, t):
         defect = substitution_check(B, f, s, t, space, tol, stats=stats)
         return (s, t, defect, defect <= 100.0 * tol)
 
-    return _pair_rows(pairs, one, "max_defect", stats) + (
-        {"dim": space.dim, "norm": norm},)
+    return _pair_rows(_pairs(c, seed, False), one, "max_defect", stats) + (
+        {"dim": space.dim, "norm": c.norm},)
 
 
-def _run_cov_check(config, seed, tol):
-    bag = []
-    rng = np.random.default_rng(seed)
-    f = _expression_path(config, "f", bag, Interval(-math.inf, math.inf))
-    y_cfg = config.get("y")
-    comps = []
-    if not isinstance(y_cfg, list) or not y_cfg:
-        bag.append("y: expected a non-empty list of expression strings")
-    else:
-        for i, s in enumerate(y_cfg):
-            try:
-                comps.append(parse_expression(str(s)))
-            except Exception as exc:
-                bag.append(f"y[{i}]: {exc}")
-    pairs = _pairs_from_config(config, bag, rng, ordered=False)
-    if bag:
-        raise ConfigError(bag)
+def _run_cov_check(c, seed, tol):
+    f = _path(c.f, c.f_breakpoints)
 
     def y(u):
-        return np.array([c(u, u) for c in comps])
+        return np.array([comp(u, u) for comp in c.y])
 
     stats = QuadStats()
 
@@ -519,41 +543,16 @@ def _run_cov_check(config, seed, tol):
         defect = cov_check(y, f, s, t, tol, stats).defect
         return (s, t, defect, defect <= 10.0 * tol)
 
-    return _pair_rows(pairs, one, "max_defect", stats) + (
-        {"components": len(comps)},)
+    return _pair_rows(_pairs(c, seed, False), one, "max_defect", stats) + (
+        {"components": len(c.y)},)
 
 
-def _curve_from_config(cfg, bag, index):
-    label = f"curves[{index}]"
-    if not isinstance(cfg, dict):
-        bag.append(f"{label}: expected an object")
-        return None
-    dom = _check_interval(cfg, "domain", bag)
-    if dom is None:
-        return None
-    g1, g2 = (_expression_path(cfg, key, bag, dom, f"{label}.{key}")
-              for key in ("gamma1", "gamma2"))
-    if None in (g1, g2):
-        return None
-    return Curve(g1, g2, dom.lo, dom.hi)
-
-
-def _run_transport(config, seed, tol):
-    bag = []
-    w = _connection_from_config(config.get("connection"), bag)
-    curves_cfg = config.get("curves")
-    curves = []
-    if not isinstance(curves_cfg, list) or not curves_cfg:
-        bag.append("curves: expected a non-empty list")
-    else:
-        for i, c in enumerate(curves_cfg):
-            curves.append(_curve_from_config(c, bag, i))
-    if bag or any(c is None for c in curves):
-        raise ConfigError(bag or ["curves: invalid entries"])
+def _run_transport(c, seed, tol):
+    w = c.connection
     bounds = sample_connection_bounds(w)
     stats = StepStats()
     rows = []
-    for i, curve in enumerate(curves):
+    for i, curve in enumerate(c.curves):
         p = parallel_transport(w, curve, tol, stats=stats)
         L1 = arc_length(curve.gamma1, curve.a, curve.b)
         beta = beta_bound(bounds, L1)
@@ -563,38 +562,10 @@ def _run_transport(config, seed, tol):
         {"norm": w.space.norm_kind},)
 
 
-def _run_sine_curve(config, seed, tol):
-    bag = []
-    w = _connection_from_config(config.get("connection"), bag)
-    a = config.get("a")
-    a_ok = _is_number(a) and a < 0
-    _problems_if(not a_ok, "a: expected a negative number", bag)
-    _problems_if(a_ok and not math.isfinite(a),
-                 f"a: expected a finite number, got {a!r}", bag)
-    a_ok = a_ok and math.isfinite(a)
-    b_list = config.get("b_list")
-    if (not isinstance(b_list, list) or not b_list or not all(
-            _is_number(b) and (not a_ok or a < b < 0) for b in b_list)):
-        bag.append("b_list: expected a non-empty list of numbers in (a, 0)")
-    v_cfg = config.get("v")
-    if (not isinstance(v_cfg, list) or not v_cfg
-            or not all(map(_is_number, v_cfg))):
-        bag.append("v: expected a non-empty numeric vector")
-    elif not all(math.isfinite(x) for x in v_cfg):
-        bag.append(f"v: expected finite entries, got {v_cfg!r}")
-    floor = config.get("b_floor", -1e-4)
-    _problems_if(not (_is_number(floor) and math.isfinite(floor)
-                      and (not a_ok or floor > a)),
-                 f"b_floor: expected a finite number > a, got {floor!r}", bag)
-    if bag:
-        raise ConfigError(bag)
-    if len(v_cfg) != w.space.dim:
-        raise ConfigError([f"v: length {len(v_cfg)} does not match the "
-                           f"connection dimension {w.space.dim}"])
-    v = Vector(np.array([float(x) for x in v_cfg]), w.space)
-    floor = float(floor)
-    report = sine_curve_scenario(w, float(a), [float(b) for b in b_list], v,
-                                 tol=tol, b_floor=floor)
+def _run_sine_curve(c, seed, tol):
+    w = c.connection
+    report = sine_curve_scenario(w, c.a, c.b_list, Vector(c.v, w.space),
+                                 tol=tol, b_floor=c.b_floor)
     rows = [(r.b_requested, r.norm_P, r.beta_b, r.passed)
             for r in report.rows]
     row_pass = [r.passed for r in report.rows]
@@ -607,56 +578,18 @@ def _run_sine_curve(config, seed, tol):
         "errors": [r.error for r in report.rows if r.error],
         "cost": asdict(report.stats),
     }
-    return rows, row_pass, summary, {"b_floor": floor,
+    return rows, row_pass, summary, {"b_floor": c.b_floor,
                                      "norm": w.space.norm_kind}
 
 
-def _extension_from_config(cfg, bag):
-    if not isinstance(cfg, dict):
-        bag.append("problem: expected an object")
-        return None
-    if "builtin" in cfg:
-        name = cfg["builtin"]
-        if name not in BUILTIN_EXTENSIONS:
-            bag.append(f"problem.builtin: unknown {name!r} "
-                       f"(have {sorted(BUILTIN_EXTENSIONS)})")
-            return None
-        norm = _check_norm(cfg, bag)
-        return make_extension_problem(name, norm)
-    bag.append("problem: only builtin extension problems are supported "
-               f"(have {sorted(BUILTIN_EXTENSIONS)})")
-    return None
-
-
-def _grid_number(grid_cfg, name, default, bag, count=False):
-    v = grid_cfg.get(name, default)
-    if not _is_number(v) or (count and not (float(v).is_integer() and v >= 2)):
-        what = "a whole number >= 2" if count else "a number"
-        bag.append(f"grid.{name}: expected {what}, got {v!r}")
-        return None
-    return int(v) if count else float(v)
-
-
-def _run_extend(config, seed, tol):
-    bag = []
-    problem = _extension_from_config(config.get("problem"), bag)
-    grid_cfg = config.get("grid", {})
-    if not isinstance(grid_cfg, dict):
-        bag.append("grid: expected an object")
-        grid_cfg = {}
-    nx_left = _grid_number(grid_cfg, "nx_left", 6, bag, count=True)
-    nx_right = _grid_number(grid_cfg, "nx_right", 10, bag, count=True)
-    nv = _grid_number(grid_cfg, "nv", 13, bag, count=True)
-    x_floor = _grid_number(grid_cfg, "x_floor", 1e-3, bag)
-    _problems_if(x_floor is not None and not x_floor > 0,
-                 "grid.x_floor: must be positive", bag)
-    if bag:
-        raise ConfigError(bag)
+def _run_extend(c, seed, tol):
+    problem, nx_left, nv = c.problem, c.grid.nx_left, c.grid.nv
     M, J = problem.omega.m_interval, problem.omega.j_interval
     pad_m = 0.05 * M.length()
     pad_j = 0.05 * J.length()
     xs_left = np.linspace(M.lo + pad_m, problem.a - pad_m, nx_left)
-    xs_right = np.linspace(problem.a + x_floor, M.hi - pad_m, nx_right)
+    xs_right = np.linspace(problem.a + c.grid.x_floor, M.hi - pad_m,
+                           c.grid.nx_right)
     xs = np.concatenate([xs_left, xs_right])
     vs = np.linspace(J.lo + pad_j, J.hi - pad_j, nv)
     stats = StepStats()
@@ -693,21 +626,83 @@ def _run_extend(config, seed, tol):
         "cost": asdict(stats),
     }
     return rows, row_pass, summary, {
-        "grid": {"nx": len(xs), "nv": nv, "x_floor": x_floor},
+        "grid": {"nx": len(xs), "nv": nv, "x_floor": c.grid.x_floor},
         "loop_defect": sigma.loop_defect,
         "probe_residual": sigma.probe_residual,
     }
 
 
-_RUNNERS = {
-    "evolve": _run_evolve,
-    "certify": _run_certify,
-    "verify": _run_verify,
-    "substitution": _run_substitution,
-    "cov-check": _run_cov_check,
-    "transport": _run_transport,
-    "sine-curve": _run_sine_curve,
-    "extend": _run_extend,
+# each kind's runner and key table
+_SCENARIOS = {
+    "evolve": (_run_evolve, _Object((
+        ("A", _REQUIRED, _MATRIX), ("breakpoints", [], _BREAKPOINTS), _NORM,
+        *_PAIRS,
+    ), rules=(_pairs_or_draws,), alt=("system", _Object((
+        ("system", _REQUIRED, _SYSTEM), *_PAIRS), rules=(_pairs_or_draws,))))),
+    "certify": (_run_certify, _Object((
+        ("system", _REQUIRED, _SYSTEM), ("window", _REQUIRED, _BOUNDED),
+    ), rules=(_window_in_I,))),
+    "verify": (_run_verify, _Object((
+        ("system", _REQUIRED, _SYSTEM),
+        *_PAIRS,
+        ("certificate", None, (dict, (
+            lambda v: isinstance(v, dict) and set(v) == {"gain", "variation"}
+            and _is_number(v["gain"]) and v["gain"] >= 1.0
+            and _is_number(v["variation"]) and v["variation"] >= 0.0,
+            "expected {{gain >= 1, variation >= 0}}"))),
+        ("certify_tol", DEFAULT_TOLS["certify"], _POSITIVE),
+    ), rules=(
+        lambda c, cfg: c.window is None and "window: missing",
+        _pairs_or_draws,
+        lambda c, cfg: any(s > t for s, t in c.pairs or ())
+        and "pairs: need s <= t in every pair",
+        _pairs_in_window, _window_in_I,
+    ))),
+    "substitution": (_run_substitution, _Object((
+        ("B", _REQUIRED, _MATRIX),
+        ("f", _REQUIRED, _EXPRESSION),
+        ("f_breakpoints", [], _BREAKPOINTS),
+        _NORM,
+        *_PAIRS,
+    ), rules=(_pairs_or_draws,))),
+    "cov-check": (_run_cov_check, _Object((
+        ("f", _REQUIRED, _EXPRESSION),
+        ("f_breakpoints", [], _BREAKPOINTS),
+        ("y", _REQUIRED, (lambda v: [_parsed(s, f"entry [{i}]: ")
+                                     for i, s in enumerate(v)],
+                          (_list_of(lambda s: True), "expected a non-empty "
+                           "list of expression strings"))),
+        *_PAIRS,
+    ), rules=(_pairs_or_draws,))),
+    "transport": (_run_transport, _Object((
+        ("connection", _REQUIRED, _CONNECTION),
+        ("curves", _REQUIRED, [_CURVE]),
+    ))),
+    "sine-curve": (_run_sine_curve, _Object((
+        ("connection", _REQUIRED, _CONNECTION),
+        ("a", _REQUIRED, (float, (_finite, "expected a finite number, got "
+                                           "{v!r}"),
+                          (lambda v: v < 0, "expected a negative number"))),
+        ("b_list", _REQUIRED, (lambda v: [float(b) for b in v], (
+            _list_of(lambda b: _finite(b) and b < 0),
+            "expected a non-empty list of numbers in (a, 0)"))),
+        ("v", _REQUIRED, (lambda v: np.array(v, dtype=float),
+                          (_list_of(_is_number),
+                           "expected a non-empty numeric vector"),
+                          (lambda v: all(map(math.isfinite, v)),
+                           "expected finite entries, got {v!r}"))),
+        ("b_floor", -1e-4, (float, (_finite, "expected a finite number > a, "
+                                             "got {v!r}"))),
+    ), rules=(
+        lambda c, cfg: any(b <= c.a for b in c.b_list)
+        and "b_list: expected a non-empty list of numbers in (a, 0)",
+        lambda c, cfg: c.b_floor <= c.a
+        and f"b_floor: expected a finite number > a, got {c.b_floor!r}",
+        _sine_curve_domain,
+    ))),
+    "extend": (_run_extend, _Object((
+        ("problem", _REQUIRED, _PROBLEM), ("grid", {}, _GRID),
+    ), rules=(_x_floor_in_M,))),
 }
 
 
@@ -717,13 +712,16 @@ def run_scenario(kind: str, config: dict, seed: int = 0,
     assemble the report.  Deterministic given (config, seed)."""
     if kind not in KINDS:
         raise ConfigError([f"kind: unknown {kind!r} (have {KINDS})"])
-    if not isinstance(config, dict):
-        raise ConfigError(["config: expected a JSON object"])
     tol = DEFAULT_TOLS[kind] if tol is None else tol
     if not (_is_number(tol) and 0 < tol < math.inf):
         raise ConfigError([f"tol: expected a finite number > 0, got {tol!r}"])
     tol = float(tol)
-    rows, row_pass, summary, extra = _RUNNERS[kind](config, int(seed), tol)
+    bag = []
+    run, table = _SCENARIOS[kind]
+    typed = _read(table, config, bag)
+    if bag:
+        raise ConfigError(bag)
+    rows, row_pass, summary, extra = run(typed, int(seed), tol)
     provenance = {
         "tool": "evostab",
         "version": __version__,

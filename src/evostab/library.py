@@ -118,23 +118,20 @@ def _triangle_breakpoints(lo: float, hi: float) -> tuple:
 def make_scalar_path(name: str, window: Interval) -> ScalarPath:
     """Named scalar paths with range inside [-1, 1] on the window."""
     if name == "sin":
-        return ScalarPath(eval=np.sin, deriv=np.cos, domain=window)
+        return ScalarPath(eval=np.sin, deriv=np.cos)
     if name == "sin2t":
         return ScalarPath(eval=stacked(lambda t: math.sin(2.0 * t)),
-                          deriv=stacked(lambda t: 2.0 * math.cos(2.0 * t)),
-                          domain=window)
+                          deriv=stacked(lambda t: 2.0 * math.cos(2.0 * t)))
     if name == "sin-t-squared":
         return ScalarPath(eval=stacked(lambda t: math.sin(t * t)),
-                          deriv=stacked(lambda t: 2.0 * t * math.cos(t * t)),
-                          domain=window)
+                          deriv=stacked(lambda t: 2.0 * t * math.cos(t * t)))
     if name == "sawtooth":
         return ScalarPath(eval=stacked(_triangle_wave),
                           deriv=stacked(_triangle_deriv),
-                          breakpoints=_triangle_breakpoints(window.lo, window.hi),
-                          domain=window)
+                          breakpoints=_triangle_breakpoints(window.lo, window.hi))
     if name == "constant":
         return ScalarPath(eval=stacked(lambda t: 0.25),
-                          deriv=stacked(lambda t: 0.0), domain=window)
+                          deriv=stacked(lambda t: 0.0))
     raise KeyError(f"unknown scalar path {name!r}")
 
 

@@ -97,7 +97,7 @@ def assemble_A(sys: SeparableSystem) -> CoefficientPath:
     as :func:`_pulled_back` takes it."""
     bps = tuple(sorted(set(sys.f.breakpoints) | set(sys.G.t_breakpoints)))
     return CoefficientPath(eval=lambda ts: _pulled_back(sys, ts, ts),
-                           space=sys.space, breakpoints=bps, domain=sys.I)
+                           space=sys.space, breakpoints=bps)
 
 
 def frozen_system(sys: SeparableSystem, partition: Partition) -> CoefficientPath:
@@ -122,7 +122,7 @@ def frozen_system(sys: SeparableSystem, partition: Partition) -> CoefficientPath
     bps = tuple(sorted(set(sys.f.breakpoints) | set(sys.G.t_breakpoints)
                        | set(pts[1:-1])))
     return CoefficientPath(eval=eval_frozen, space=sys.space,
-                           breakpoints=bps, domain=window)
+                           breakpoints=bps)
 
 
 def saturating_bound(gain: float, log_gain: float, variation: float):

@@ -110,7 +110,7 @@ def reverse_curve(g: Curve) -> Curve:
     def flip(path):
         return ScalarPath(eval=lambda taus: path.eval(a + b - taus),
                           deriv=lambda taus: -path.d_many(a + b - taus),
-                          breakpoints=flipped, domain=Interval(a, b))
+                          breakpoints=flipped)
 
     return Curve(flip(g.gamma1), flip(g.gamma2), a, b)
 
@@ -119,7 +119,7 @@ def curve_coefficient(w: ConnectionForm, g: Curve) -> CoefficientPath:
     """Coefficient path of the transport equation along the curve.
 
     A stack of times takes both components and their derivatives over
-    the array (``ScalarPath.eval`` and ``d_many``), one domain check, and
+    the array (``ScalarPath.eval`` and ``d_many``), one rectangle check, and
     omega1 and omega2 over the points in one call each.  A term whose
     derivative is 0 is left out of the sum rather than added as 0 times
     omega.
@@ -139,8 +139,7 @@ def curve_coefficient(w: ConnectionForm, g: Curve) -> CoefficientPath:
                          np.where(on2, t2, 0.0))
 
     return CoefficientPath(eval=eval_A, space=w.space,
-                           breakpoints=g.breakpoints,
-                           domain=Interval(g.a, g.b))
+                           breakpoints=g.breakpoints)
 
 
 def parallel_transport(w: ConnectionForm, g: Curve, tol: float = 1e-10,
@@ -286,11 +285,9 @@ class SineCurveReport:
 
 
 def _sine_paths(a: float, b: float):
-    g1 = ScalarPath(eval=lambda ts: ts, deriv=np.ones_like,
-                    domain=Interval(a, b))
+    g1 = ScalarPath(eval=lambda ts: ts, deriv=np.ones_like)
     g2 = ScalarPath(eval=lambda ts: np.sin(1.0 / ts),
-                    deriv=lambda ts: -np.cos(1.0 / ts) / (ts * ts),
-                    domain=Interval(a, b))
+                    deriv=lambda ts: -np.cos(1.0 / ts) / (ts * ts))
     return Curve(g1, g2, a, b)
 
 

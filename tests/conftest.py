@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from evostab.calculus import Interval, stacked
+from evostab.calculus import stacked
 from evostab.evolution import CoefficientPath
 from evostab.operators import VectorSpaceSpec
 
@@ -52,7 +52,6 @@ def random_smooth_coefficient(rng, dim, norm_kind="euclidean"):
     return CoefficientPath(
         eval=stacked(eval_A),
         space=VectorSpaceSpec(dim, norm_kind),
-        domain=Interval(-math.inf, math.inf),
     )
 
 

@@ -25,7 +25,7 @@ from evostab.calculus import (
 )
 from evostab.errors import DomainViolationError, QuadratureError
 from evostab.expressions import parse_expression
-from evostab.harness import _system_from_config
+from evostab.harness import _SYSTEM, _read
 from evostab.library import example39_field, make_scalar_path
 from evostab.operators import VectorSpaceSpec
 from evostab.stability import SeparableSystem, certify
@@ -404,7 +404,7 @@ def _expr_system_pair():
     and the same field evaluated one point at a time by the scalar
     ``math`` evaluators of its entries."""
     bag = []
-    batched = _system_from_config(dict(CERTIFY_EXPR), bag)
+    batched = _read(_SYSTEM, dict(CERTIFY_EXPR), bag)
     assert not bag
     entries = [[parse_expression(s) for s in row] for row in CERTIFY_EXPR["G"]]
     one = pointwise(lambda t, u: np.array([[e(t, u) for e in row]

@@ -1,6 +1,9 @@
+import contextlib
+import copy
 import dataclasses
 import importlib
 import inspect
+import io
 import json
 import math
 import os
@@ -8,10 +11,13 @@ import pkgutil
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evostab.cli import main as cli_main
 from evostab.errors import ConfigError, ExpressionError
@@ -21,8 +27,11 @@ from evostab.harness import (
     COLUMNS,
     KINDS,
     Report,
-    _connection_from_config,
+    _CONNECTION,
+    _SCENARIOS,
+    _Object,
     _expr_matrix,
+    _read,
     emit_report,
     run_scenario,
 )
@@ -50,6 +59,47 @@ def test_readme_csv_headers_match_columns():
     block = block.split("```", 2)[1]
     documented = dict(line.split() for line in block.strip().splitlines())
     assert documented == {k: ",".join(v) for k, v in COLUMNS.items()}
+
+
+def _table_keys():
+    """{object: its keys} of the config tables: each kind, and each object
+    nested in one under the key that holds it (``curves[i]`` for a list's
+    items); an object with an alternative table has the keys of both."""
+    keys = {}
+
+    def walk(name, table):
+        for t in (table, *table.alt[1:]):
+            for key, _, kind in t.rows:
+                keys.setdefault(name, set()).add(key)
+                if isinstance(kind, _Object):
+                    walk(key, kind)
+                elif isinstance(kind, list):
+                    walk(f"{key}[i]", kind[0])
+
+    for kind, (_, table) in _SCENARIOS.items():
+        walk(kind, table)
+    return keys
+
+
+def test_readme_config_keys_match_the_tables():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Config keys", 1)[1].split("\n## ", 1)[0]
+    documented = {
+        name: set(re.findall(r"^\| `([^`]+)` \|", body, re.M))
+        for name, body in re.findall(r"^#### `([^`]+)`\n(.*?)(?=^#### |\Z)",
+                                     section, re.M | re.S)}
+    assert set(KINDS) <= set(documented)
+    assert documented == _table_keys()
+
+
+def test_readme_example_and_builtin_scenarios_pass_the_tables():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = json.loads(readme.split("```json", 1)[1].split("```", 1)[0])
+    configs = [("verify", example), *BUILTIN_SCENARIOS.values()]
+    for kind, config in configs:
+        bag = []
+        assert _read(_SCENARIOS[kind][1], config, bag) is not None, bag
+        assert not bag
 
 
 def test_readme_class_attributes_resolve():
@@ -252,6 +302,8 @@ def test_extend_scenario_summary_contract():
     ({"nv": True}, "grid.nv"),
     ({"nv": 1}, "grid.nv"),
     ({"nx_right": "10"}, "grid.nx_right"),
+    ({"x_floor": 100}, "grid.x_floor"),  # past M.hi = 2
+    ({"x_floor": 1e308}, "grid.x_floor"),
 ])
 def test_extend_rejects_non_numeric_grid(tmp_path, capsys, grid, field):
     config = {"problem": {"builtin": "extension-gauge"}, "grid": grid}
@@ -482,9 +534,7 @@ def test_certify_complex_expression_exits_3(tmp_path, capsys):
 
 def test_expression_matrix_stack_faults_like_its_faulting_entry():
     rows = [["1", "exp(-t)"], ["sqrt(u)", "t*u"]]
-    bag = []
-    G = _expr_matrix(rows, bag, "system.G")
-    assert not bag
+    G = _expr_matrix(rows)
     us = np.array([0.25, 4.0, 9.0])
     stack = G(0.5, us)
     for i, j in np.ndindex(2, 2):
@@ -505,7 +555,7 @@ def test_expression_connection_stacks_over_paired_points():
     cfg = {"omega1": [["sin(u)", "0.2*cos(t)"], ["-0.2*cos(t)", "cos(u)"]],
            "omega2": [["0.15", "t*u"], ["exp(-t)", "-0.15"]],
            "M": [-1.0, 1.0], "J": [-1.0, 1.0]}
-    w = _connection_from_config(cfg, bag)
+    w = _read(_CONNECTION, cfg, bag)
     assert not bag
     rng = np.random.default_rng(4)
     xs, us = rng.uniform(-1.0, 1.0, (2, 5, 3))
@@ -607,6 +657,24 @@ INTRO_COS = '"system": {"builtin": "intro-cos"}'
      "pairs: expected a non-empty list of [s, t]"),
     ("evolve", '{"A": [["cos(t)"]], "pairs": [[0, true]]}',
      "pairs: expected a non-empty list of [s, t]"),
+    ("certify", '{"system": {"G": [["u"]], "f": "sin(t)", "J": [-1, 1], '
+                '"I": [0, 1]}, "window": [0, 5]}',
+     "window: [0, 5] does not lie inside the system's time interval "
+     "I = [0.0, 1.0]"),
+    ("certify", '{"system": {"G": [["u"]], "f": "sin(t)", "J": [-1, 1], '
+                '"f_breakpoints": [0.5, 0.5]}, "window": [0, 1]}',
+     "system.f_breakpoints: expected distinct breakpoints, got [0.5, 0.5]"),
+    ("transport", '{"connection": {"builtin": "zero"}, "curves": [{"gamma1": '
+                  '"t", "gamma2": "0", "domain": [-1, 1], '
+                  '"gamma1_breakpoints": [0.5, 0.5]}]}',
+     "curves[0].gamma1_breakpoints: expected distinct breakpoints, "
+     "got [0.5, 0.5]"),
+    ("evolve", '{"A": [["cos(t)"]], "breakpoints": [0.5, 0.5], '
+               '"pairs": [[0, 1]]}',
+     "breakpoints: expected distinct breakpoints, got [0.5, 0.5]"),
+    ("evolve", '{"A": [["cos(t)"]], "domain": [0, 1], "pairs": [[5, 9]]}',
+     "domain: unknown key (have ['A', 'breakpoints', 'norm', 'window', "
+     "'pairs', 'num_pairs'])"),
 ])
 def test_malformed_pairs_and_windows_exit_2(tmp_path, capsys, kind, text,
                                            problem):
@@ -629,6 +697,65 @@ def _assert_config_error_exits_2(tmp_path, capsys, kind, text, problem):
 SINE_ZERO_TEXT = '"connection": {"builtin": "zero"}, "b_list": [-0.5]'
 
 
+def _paths(node, path=()):
+    """The paths (tuples of keys and indices) to every value in node."""
+    yield path
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+@st.composite
+def _mutated_configs(draw):
+    """A tiny valid config with one value dropped, retyped, or pushed out
+    of range, or with one unknown key added."""
+    kind, config = draw(st.sampled_from([
+        ("evolve", TINY_EVOLVE), ("verify", TINY_VERIFY),
+        ("sine-curve", SINE_ZERO)]))
+    config = copy.deepcopy(config)
+    path = draw(st.sampled_from(list(_paths(config))))
+    parent = config
+    for step in path[:-1]:
+        parent = parent[step]
+    value = parent[path[-1]] if path else config
+    how = draw(st.sampled_from(["drop", "retype", "range", "unknown"]))
+    if how == "unknown" and isinstance(value, dict):
+        value["bogus"] = 1
+    elif how == "drop" and path:
+        del parent[path[-1]]
+    elif how == "range" and path and isinstance(value, (int, float)):
+        parent[path[-1]] = draw(st.sampled_from(
+            [-1, 0, math.nan, math.inf, -math.inf]))
+    elif how == "retype" or how == "range":
+        new = draw(st.sampled_from(["x", True, None, [], {}, [["x"]], 1.5]))
+        if path:
+            parent[path[-1]] = new
+        else:
+            config = new
+    return kind, config
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_mutated_configs())
+def test_exit_code_contract_on_mutated_configs(case):
+    # 0, 1, 2 or 3; 2 exactly when a config error is printed; 1 only with
+    # a failed row
+    kind, config = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = cli_main([kind, "--config", str(cfg),
+                             "--out", str(Path(tmp) / "o")])
+    assert code in (0, 1, 2, 3)
+    assert (code == 2) == ("config error: " in err.getvalue()), err.getvalue()
+    if code == 1:
+        assert not all(run_scenario(kind, config).row_pass)
+
+
 @pytest.mark.parametrize("kind, text, problem", [
     ("certify", '{"system": {"builtin": "constant", "matrix": [[1, 2]]}, '
                 '"window": [0, 3]}',
@@ -646,6 +773,24 @@ SINE_ZERO_TEXT = '"connection": {"builtin": "zero"}, "b_list": [-0.5]'
      "a: expected a finite number, got -inf"),
     ("sine-curve", '{%s, "a": -1.0, "v": [NaN, 0.0]}' % SINE_ZERO_TEXT,
      "v: expected finite entries, got [nan, 0.0]"),
+    ("certify", '{"system": {"builtin": ["x"]}, "window": [0, 1]}',
+     "system.builtin: unknown field ['x'] "
+     "(have ['constant', 'example39', 'intro-cos', 'rotation'])"),
+    ("transport", '{"connection": {"builtin": ["zero"]}, "curves": '
+                  '[{"gamma1": "t", "gamma2": "0", "domain": [-1, 1]}]}',
+     "connection.builtin: unknown ['zero'] (have ['gauge-rotation', "
+     "'gauge-twist', 'mixed-bounded', 'scalar-decay', 'zero'])"),
+    ("sine-curve", '{"connection": {"builtin": "zero", "J": [0, 0.5]}, '
+                   '"b_list": [-0.5], "a": -1.0, "v": [1.0, 0.0]}',
+     "connection.J: [0.0, 0.5] must contain [-1, 1], the range of sin(1/t)"),
+    ("sine-curve", '{"connection": {"builtin": "zero", "M": [-1.05, -0.6]}, '
+                   '"b_list": [-0.5], "a": -1.0, "v": [1.0, 0.0]}',
+     "connection.M: [-1.05, -0.6] must contain the curve's x-range "
+     "[-1.0, -0.5]"),
+    ("sine-curve", '{%s, "a": -1.0, "v": [1.0, 0.0], "b_flor": 3}'
+                   % SINE_ZERO_TEXT,
+     "b_flor: unknown key (have ['connection', 'a', 'b_list', 'v', "
+     "'b_floor'])"),
 ])
 def test_non_square_matrix_and_non_finite_sine_inputs_exit_2(
         tmp_path, capsys, kind, text, problem):

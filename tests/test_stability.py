@@ -9,7 +9,7 @@ from evostab.calculus import (Interval, OperatorField, Partition, ScalarPath,
                               integrate, pointwise, stacked)
 from evostab.errors import DomainViolationError
 from evostab.evolution import CoefficientPath, evolve
-from evostab.harness import _system_from_config
+from evostab.harness import _SYSTEM, _read
 from evostab.library import example39_field, make_scalar_path, make_system
 from evostab.operators import VectorSpaceSpec, matrix_norm
 from evostab.stability import (
@@ -149,8 +149,8 @@ def test_replaced_field_evaluator_reaches_certify_assemble_and_verify():
     # an OperatorField has one evaluator, so the certificate and the
     # propagators it bounds read the same G after dataclasses.replace
     bag = []
-    sys = _system_from_config({"G": [["u", "0"], ["0", "1"]], "f": "sin(t)",
-                               "J": [-1.0, 1.0]}, bag)
+    sys = _read(_SYSTEM, {"G": [["u", "0"], ["0", "1"]], "f": "sin(t)",
+                          "J": [-1.0, 1.0]}, bag)
     assert not bag
     five = lambda ts, us: 5.0 * np.broadcast_to(
         np.eye(2), np.broadcast_shapes(np.shape(ts), np.shape(us)) + (2, 2))
