@@ -4,36 +4,43 @@ Every equation integrated here is linear with a coefficient that does
 not depend on the state, so the stepper is a Magnus method: a step is
 y <- exp(Omega) y, where Omega is the 6th-order exponent of Blanes, Casas
 & Ros (BIT 40, 2000) built from A at three Gauss-Legendre nodes and two
-commutators.  Error control is Richardson step doubling: each attempted
-step takes A at the nine nodes of the whole step and of its two halves
-from one call of ``CoefficientPath.eval``, forms the three exponents as
-one batched array computation and exponentiates them in one call
-(:func:`expm`: closed form for r <= 2, scipy beyond).  The two half steps
-give the accepted state, unextrapolated, so exp(-Omega) stays the exact
-inverse of a step; a skew A gives an orthogonal propagator and det X
-follows exp(int tr A) to within the Gauss quadrature of tr A.  The
-tolerance acts per step, not as a global bound.
-
-One sweep crosses monotone stops and returns the state at each, carrying
-the step size from stop to stop; it restarts at declared breakpoints of
-the coefficient so a step never straddles a jump.  The nodes are
+commutators.  Error control is Richardson step doubling: a step takes A
+at the nine nodes of the whole step and of its two halves, and its
+error is the whole step's distance from the two half steps, over 63.
+The two half steps give the accepted state, unextrapolated, so
+exp(-Omega) stays the exact inverse of a step; a skew A gives an
+orthogonal propagator and det X follows exp(int tr A) to within the
+Gauss quadrature of tr A.  Exponentials of a stack are one :func:`expm`
+call (closed form for r <= 2, scipy beyond).  The tolerance acts per
+step, not as a global bound.  Steps restart at declared breakpoints of
+the coefficient so that no step straddles a jump; the nodes are
 interior, so an undeclared jump can be stepped over by up to 6% of a
-step.  Backward propagation (t < s) steps with negative h rather than
-inverting a forward result.
+step.
 
-:class:`EvolutionOperator` answers many queries from one integration: it
-sweeps a fundamental solution Phi across a set of declared times and
-carries Phi^{-1} along by the inverse exponentials, and every X(t, s)
-between them is Phi(t) Phi(s)^{-1}, forward and backward alike.  It is
-the one two-sided sweep: the certificate checks and the sine-curve
-transports both read their propagators and inverses off it.
-:func:`sweep_vector` sweeps vectors and :func:`param_evolution` the
-propagators of frozen-parameter columns from both sides of a level.
+There are two drivers of that step.
 
-A coefficient that gives a (k, r, r) stack per time sweeps k systems
-that share their stops as one state, (k, r, r) for propagators or
-(k, r, 1) for vectors, under one step controller; its error norm is the
-max over all members, and each exponential covers the whole stack.
+:class:`EvolutionOperator` answers many queries from one windowed sweep
+(:func:`_window_sweep`).  It sweeps a fundamental solution Phi across
+the hull of a set of declared times, carrying Phi^{-1} along by the
+inverse exponentials, and every X(t, s) between them is
+Phi(t) Phi(s)^{-1}, forward and backward alike.  A step is judged on its
+own matrices, not on Phi, and a window of up to ``_WINDOW`` equal steps
+takes one ``A.eval`` call and one :func:`expm` call.  The step sequence
+depends only on (A, span, tol); each declared time is a side step off
+it, so no query depends on the other times.  It is the one two-sided
+sweep: the certificate checks and the sine-curve transports both read
+their propagators and inverses off it.
+
+:func:`evolve`, :func:`sweep_vector` and :func:`param_evolution` step on
+the state one step per call (:func:`_magnus_segment`), with the error
+measured on the state, and clip their steps to land on each stop;
+:func:`sweep_vector` and :func:`param_evolution` carry the step size
+from stop to stop.  Backward propagation (t < s) steps with negative h
+rather than inverting a forward result.  A coefficient that gives a
+(k, r, r) stack per time sweeps k systems that share their stops as one
+state, (k, r, r) for propagators or (k, r, 1) for vectors, under one
+step controller; its error norm is the max over all members, and each
+exponential covers the whole stack.
 """
 
 from __future__ import annotations
@@ -63,15 +70,27 @@ _FIRST_REACH = 1.0
 _SAFETY = 0.7
 # attempted steps allowed in one segment before IntegrationError
 _MAX_STEPS = 2_000_000
+# equal steps per window of the stop-blind sweep (_window_sweep): one
+# coefficient call and one expm call each
+_WINDOW = 16
+# a window's step may grow up to 8-fold, where one step's may 4-fold: its
+# accepted steps all vouch for the error model.  A segment's remainder
+# within _WINDOW steps of 9/8 the proposal is one window of stretched
+# steps, not a window and a short one
+_WINDOW_GROWTH = 8.0
+_WINDOW_STRETCH = 1.125
 
 
 @dataclass
 class StepStats:
     """Accumulated integrator diagnostics.
 
-    ``rhs_evals`` counts coefficient values, the A matrices evaluated: 9
-    per attempted step.  It keeps its name, which the reports' ``cost``
-    carries.
+    ``steps`` counts accepted steps and ``rejected`` the other attempted
+    ones: in a window of :func:`_window_sweep`, the first rejected step
+    and every step after it.  ``rhs_evals`` counts coefficient values,
+    the A matrices evaluated: 9 per attempted step, and 3 per side step
+    of a windowed sweep.  It keeps its name, which the reports' ``cost``
+    carries.  ``segments`` counts the breakpoint-free pieces swept.
     """
 
     steps: int = 0
@@ -160,34 +179,37 @@ def _commutator(x, y):
     return x @ y - y @ x
 
 
-def _magnus_exponents(coef: np.ndarray, h: float) -> np.ndarray:
-    """The 6th-order Magnus exponents of a step h and of its two halves,
-    as a (3, ...) stack, from A at the step's nine ``_NODES`` (``coef``,
-    a (9, ...) stack).
-
-    Each is Blanes, Casas & Ros' commutator form on three Gauss-Legendre
-    values A1, A2, A3 of a sub-step of length k:
+def _bcr_exponent(a1, a2, a3, k):
+    """Blanes, Casas & Ros' 6th-order exponent of a sub-step of length k
+    from A1, A2, A3, the values of A at its three Gauss-Legendre nodes
+    (stacks that broadcast against k):
 
         a1 = k A2,  a2 = (sqrt(15) k / 3)(A3 - A1),
         a3 = (10 k / 3)(A3 - 2 A2 + A1),
         C1 = [a1, a2],  C2 = -(1/60) [a1, 2 a3 + C1],
         Omega = a1 + a3 / 12 + (1/240) [-20 a1 - a3 + C1, a2 + C2].
     """
-    g = coef.reshape((3, 3) + coef.shape[1:])
-    a1, a2, a3 = g[:, 0], g[:, 1], g[:, 2]
-    k = (h * _SPANS).reshape((3,) + (1,) * (a1.ndim - 1))
     al1 = k * a2
     al2 = (math.sqrt(15.0) / 3.0) * k * (a3 - a1)
     al3 = (10.0 / 3.0) * k * (a3 - 2.0 * a2 + a1)
     omega = al1 + al3 / 12.0
-    if coef.shape[-1] == 1:
+    if a1.shape[-1] == 1:
         return omega  # 1x1 matrices commute
     c1 = _commutator(al1, al2)
     c2 = (-1.0 / 60.0) * _commutator(al1, 2.0 * al3 + c1)
     return omega + _commutator(-20.0 * al1 - al3 + c1, al2 + c2) / 240.0
 
 
-def _magnus_segment(A, t0, t1, y, tol, stats, h0=None, inv=None):
+def _magnus_exponents(coef: np.ndarray, h: float) -> np.ndarray:
+    """The exponents (:func:`_bcr_exponent`) of a step h and of its two
+    halves, as a (3, ...) stack, from A at the step's nine ``_NODES``
+    (``coef``, a (9, ...) stack)."""
+    g = coef.reshape((3, 3) + coef.shape[1:])
+    k = (h * _SPANS).reshape((3,) + (1,) * (g.ndim - 2))
+    return _bcr_exponent(g[:, 0], g[:, 1], g[:, 2], k)
+
+
+def _magnus_segment(A, t0, t1, y, tol, stats, h0=None):
     """Adaptive 6th-order Magnus stepping of y' = A(t) y from t0 to t1 on
     a breakpoint-free segment of the coefficient path ``A``.
 
@@ -198,20 +220,18 @@ def _magnus_segment(A, t0, t1, y, tol, stats, h0=None, inv=None):
     the step factor _SAFETY err^(-1/7) is clamped to [0.2, 4].  A of all
     three exponents comes from one ``A.eval`` call over the nine nodes,
     and the three exponentials from one :func:`expm` call.  ``y`` is any
-    ndarray shape that A(t) @ y keeps.  ``inv``, when given, is carried
-    along as inv @ exp(-Omega_1) @ exp(-Omega_2): the inverse of the
-    propagator applied to y, to roundoff.
+    ndarray shape that A(t) @ y keeps.
 
     ``h0`` carries over from the segment before; without it, the first
     step starts at the whole segment and is cut until h ||A|| <=
     _FIRST_REACH at its nodes, so that one long step that aliases an
-    oscillating A is never accepted.  Returns y(t1), inv(t1) and the step
-    to start the next segment with (the controller's proposal before it
+    oscillating A is never accepted.  Returns y(t1) and the step to start
+    the next segment with (the controller's proposal before it
     was clipped to land on t1).  ``stats.rhs_evals`` counts coefficient
     values, 9 per attempted step.
     """
     if t1 == t0:
-        return y, inv, h0
+        return y, h0
     direction = 1.0 if t1 > t0 else -1.0
     span = abs(t1 - t0)
     # degenerate segment (a few ulps, e.g. grid points that almost coincide
@@ -244,10 +264,7 @@ def _magnus_segment(A, t0, t1, y, tol, stats, h0=None, inv=None):
                     h = _FIRST_REACH / size
                     _check_underflow(h, t)
                     continue
-            omega = _magnus_exponents(coef, hd)
-            if inv is not None:
-                omega = np.concatenate((omega, -omega[1:]))
-            e = expm(omega)
+            e = expm(_magnus_exponents(coef, hd))
             y_new = e[2] @ (e[1] @ y)
             scale = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
             err = float(np.max(np.abs(e[0] @ y - y_new) / scale)) / 63.0
@@ -257,12 +274,10 @@ def _magnus_segment(A, t0, t1, y, tol, stats, h0=None, inv=None):
                 4.0, max(0.2, _SAFETY * err ** (-1.0 / 7.0)))
             if err <= 1.0 or degenerate:
                 y = y_new
-                if inv is not None:
-                    inv = inv @ e[3] @ e[4]
                 first = False
                 stats.steps += 1
                 if degenerate:
-                    return y, inv, h0
+                    return y, h0
                 if hs == remaining:
                     t = t1
                     if hs < h:
@@ -274,7 +289,7 @@ def _magnus_segment(A, t0, t1, y, tol, stats, h0=None, inv=None):
                 stats.rejected += 1
                 h = hs * factor
                 _check_underflow(h, t)
-    return y, inv, h
+    return y, h
 
 
 def _check_underflow(h, t):
@@ -284,11 +299,9 @@ def _check_underflow(h, t):
             f"step size underflow at t = {t} (stiffness or singularity)", t)
 
 
-def _sweep(A, stops, y0, tol, stats, inverse=False):
+def _sweep(A, stops, y0, tol, stats):
     """Integrate y' = A(t) y once across the monotone ``stops``, yielding
-    (y, inv) at each of them (``y0`` first).  ``inv`` is None, or with
-    ``inverse`` the inverse of the propagator from stops[0], carried from
-    the identity by the same exponentials as y.
+    y at each of them (``y0`` first).
 
     Hops between stops are split at the interior ones of
     ``A.breakpoints``.  The step size carries from one stop to the next;
@@ -298,16 +311,169 @@ def _sweep(A, stops, y0, tol, stats, inverse=False):
     stats = stats if stats is not None else StepStats()
     breakpoints = A.breakpoints
     y, h = y0, None
-    inv = np.eye(A.space.dim) if inverse else None
-    yield y, inv
+    yield y
     for a, b in zip(stops, stops[1:]):
         inner = [c for c in breakpoints if min(a, b) < c < max(a, b)]
         cuts = [a] + (inner if a < b else inner[::-1]) + [b]
         for t0, t1 in zip(cuts, cuts[1:]):
             if t0 in breakpoints:
                 h = None
-            y, inv, h = _magnus_segment(A, t0, t1, y, tol, stats, h, inv)
-        yield y, inv
+            y, h = _magnus_segment(A, t0, t1, y, tol, stats, h)
+        yield y
+
+
+def _window_sweep(A, stops, tol, stats):
+    """Integrate Phi' = A(t) Phi, Phi(stops[0]) = I, across the hull of
+    the sorted ``stops`` and yield (Phi, Phi^{-1}) at each of them.
+
+    The hull is split at the interior breakpoints of ``A``, and every
+    segment starts afresh with the first-step cut.  A segment is crossed
+    by windows of up to ``_WINDOW`` equal steps, each made of a whole
+    step and its two halves as in :func:`_magnus_segment`.  A step is
+    judged on its own matrices: its error is the largest entry of
+    |exp(Omega) - exp(Omega_2) exp(Omega_1)| / 63 against tol (1 + |.|),
+    so acceptance does not depend on Phi.  The steps before a window's
+    first rejected one are accepted.  The next window starts where they
+    end, so its step size comes from the errors of the last quarter of
+    the steps up to the rejected one, not from those of its first steps,
+    which may sit on a singular point of A; it grows by at most
+    ``_WINDOW_GROWTH``.  A second rejection of a first step at the same
+    point gauges the error's order from the two, so that the step shrinks
+    at once past such a point rather than by the factor 0.2 per window.
+    The step sequence thus depends on (A, hull, tol) alone.  A segment's
+    last window may stretch its steps by up to ``_WINDOW_STRETCH``, and a
+    window whose last boundary would round past the segment's end ends on
+    it exactly.
+
+    A stop inside an accepted step is reached by a side step: the
+    exponent over [step start, stop] from A at its three Gauss nodes,
+    applied to Phi at the step start.  Side steps never feed back into
+    the stepping, so the stops do not move the steps.  A window's one
+    ``A.eval`` call takes the three Gauss nodes of each of its sub-steps
+    (three per step) and of the side step to each stop it covers, and
+    its one :func:`expm` call the exponents of all of them and minus
+    those of the half and side steps, for the inverses.  A side step past
+    the window's first rejected step is discarded and taken again with a
+    later window.  A stop whose Phi or Phi^{-1} is not finite (a side step
+    into a NaN of A) ends the sweep.
+    """
+    stops = np.asarray(stops, dtype=float)
+    eye = np.eye(A.space.dim)
+    yield eye, eye
+    lo, hi = float(stops[0]), float(stops[-1])
+    phi, inv, j = eye, eye, 1
+    inner = [c for c in A.breakpoints if lo < c < hi]
+    cuts = [lo] + inner + [hi] if hi > lo else []
+    # overflowing or non-finite exponents only ever reach the error
+    # estimates, which then reject: numpy need not warn about them
+    with np.errstate(all="ignore"):
+        for t0, t1 in zip(cuts, cuts[1:]):
+            stats.segments += 1
+            t, h, first, taken, last_reject = t0, t1 - t0, True, 0, None
+            while t < t1:
+                remaining = t1 - t
+                # a span within 2^-40 of n steps is n stretched steps, not
+                # n steps and a sliver
+                n = max(1, math.ceil(remaining / h * (1.0 - 2.0 ** -40)))
+                if remaining <= _WINDOW * h * _WINDOW_STRETCH:
+                    n = min(n, _WINDOW)
+                    hs = remaining / n
+                    b = t + hs * np.arange(n + 1)
+                    b[-1] = t1
+                else:
+                    n, hs = _WINDOW, h
+                    b = np.minimum(t + hs * np.arange(n + 1), t1)
+                taken += n
+                if taken > _MAX_STEPS:
+                    raise IntegrationError(
+                        f"step budget exhausted near t = {t}", t)
+                lengths = np.diff(b)
+                half = 0.5 * lengths
+                # the stops in the window, each from the boundary at or
+                # before it; one on a boundary needs no side step
+                end = int(np.searchsorted(stops, b[-1], side="right"))
+                at = np.searchsorted(b, stops[j:end], side="right") - 1
+                side = stops[j:end] > b[at]
+                starts = b[at[side]]
+                spans = stops[j:end][side] - starts
+                m = len(spans)
+                starts = np.concatenate((b[:-1], b[:-1], b[:-1] + half, starts))
+                spans = np.concatenate((lengths, half, half, spans))
+                nodes = starts + np.multiply.outer(_GAUSS, spans)
+                coef = np.asarray(A.eval(nodes.ravel()), dtype=float)
+                stats.rhs_evals += nodes.size
+                coef = coef.reshape(nodes.shape + coef.shape[1:])
+                if first:
+                    size = float(np.max(np.sum(
+                        np.abs(coef[:, 0:3 * n:n]), axis=-1)))
+                    # the sizing above may stretch a cut step by rounding;
+                    # a cut that shrank it by no more would recur forever
+                    if (lengths[0] * size > _FIRST_REACH * (1.0 + 2.0 ** -20)
+                            and math.isfinite(size)):
+                        stats.rejected += n
+                        h = _FIRST_REACH / size
+                        _check_underflow(h, t)
+                        continue
+                omega = _bcr_exponent(coef[0], coef[1], coef[2], spans.reshape(
+                    spans.shape + (1,) * (coef.ndim - 2)))
+                e = expm(np.concatenate((omega, -omega[n:])))
+                e0, e1, e2 = e[:n], e[n:2 * n], e[2 * n:3 * n]
+                i1, i2 = e[3 * n + m:4 * n + m], e[4 * n + m:5 * n + m]
+                prod = e2 @ e1
+                scale = tol + tol * np.maximum(np.abs(e0), np.abs(prod))
+                err = np.max((np.abs(e0 - prod) / scale).reshape(n, -1),
+                             axis=1) / 63.0
+                bad = ~(err <= 1.0)  # NaN rejects too
+                k = int(np.argmax(bad)) if bad.any() else n
+                judged = err[:k + 1]
+                worst = float(np.max(judged[-max(1, len(judged) // 4):]))
+                if not math.isfinite(worst):
+                    worst = math.inf
+                factor = _WINDOW_GROWTH if worst == 0.0 else min(
+                    _WINDOW_GROWTH, max(0.2, _SAFETY * worst ** (-1.0 / 7.0)))
+                if k == 0 and last_reject is not None and 1.0 < worst < \
+                        last_reject[1] and last_reject[0] == t:
+                    # err ~ h^p with p from the two rejections, in [1, 7]
+                    p = min(7.0, max(1.0, math.log(last_reject[1] / worst)
+                                     / math.log(last_reject[2] / hs)))
+                    factor = min(factor, (_SAFETY ** 7 / worst) ** (1.0 / p))
+                last_reject = (t, worst, hs) if k == 0 else None
+                stats.steps += k
+                stats.rejected += n - k
+                # Phi and Phi^-1 at the accepted boundaries b[0..k],
+                # from running products of the steps by doubling
+                ahead, back, s = prod[:k], i1[:k] @ i2[:k], 1
+                while s < k:
+                    ahead = np.concatenate((ahead[:s], ahead[s:] @ ahead[:-s]))
+                    back = np.concatenate((back[:s], back[:-s] @ back[s:]))
+                    s *= 2
+                phis = np.concatenate(((phi,), ahead @ phi))
+                invs = np.concatenate(((inv,), inv @ back))
+                phi, inv = phis[k], invs[k]
+                # then at the stops in the accepted steps; a non-finite
+                # one ends the sweep
+                reached = int(np.searchsorted(stops[j:end], b[k], side="right"))
+                at, side = at[:reached], side[:reached]
+                xs, ys = phis[at], invs[at]
+                count = int(np.sum(side))
+                xs[side] = e[3 * n:3 * n + count] @ xs[side]
+                ys[side] = ys[side] @ e[5 * n + m:5 * n + m + count]
+                axes = tuple(range(1, xs.ndim))
+                finite = (np.isfinite(xs).all(axis=axes)
+                          & np.isfinite(ys).all(axis=axes))
+                for i in range(reached):
+                    if not finite[i]:
+                        start = float(b[at[i]])
+                        raise IntegrationError(
+                            f"non-finite propagator at the stop "
+                            f"{stops[j + i]}, reached from t = {start}", start)
+                    yield xs[i], ys[i]
+                j += reached
+                t = float(b[k])
+                first = first and k == 0
+                h = hs * factor
+                if k < n:
+                    _check_underflow(h, t)
 
 
 def evolve(
@@ -322,7 +488,7 @@ def evolve(
     Integrates the matrix equation Y' = A Y with Y(s) = id; for t < s the
     integrator steps backward in time.
     """
-    y = list(_sweep(A, (s, t), np.eye(A.space.dim), tol, stats))[-1][0]
+    y = list(_sweep(A, (s, t), np.eye(A.space.dim), tol, stats))[-1]
     return Operator(y, A.space)
 
 
@@ -335,22 +501,23 @@ def sweep_vector(
 ) -> list:
     """X(tau, stops[0]) v at every tau of the monotone ``stops``, as
     ndarrays, from one integration of the vector equation across them."""
-    return [y for y, _ in _sweep(A, stops, np.array(v, dtype=float), tol,
-                                 stats)]
+    return list(_sweep(A, stops, np.array(v, dtype=float), tol, stats))
 
 
 class EvolutionOperator:
     """Two-parameter propagator X(t, s) = Phi(t) Phi(s)^{-1} from one sweep.
 
-    The matrix equation is integrated once, forward from the earliest of
-    ``times`` to the latest, stopping at each of them; Phi(tau) =
-    X(tau, min(times)) and its inverse are kept at every stop.  Each
-    accepted step Phi <- exp(Omega_2) exp(Omega_1) Phi takes the inverse
-    along as Y <- Y exp(-Omega_1) exp(-Omega_2), from the step's own
-    exponents, so Y Phi = I holds to roundoff.  A query then costs one
-    product, and integrates and inverts nothing.  Both arguments
-    of a query must be among ``times``, except that query(s, s) is the
-    identity exactly for any s.
+    The matrix equation is integrated once, forward across the hull of
+    ``times`` (:func:`_window_sweep`); Phi(tau) = X(tau, min(times)) and
+    its inverse are kept at every one of them.  Each accepted step
+    Phi <- exp(Omega_2) exp(Omega_1) Phi takes the inverse along as
+    Y <- Y exp(-Omega_1) exp(-Omega_2), from the step's own exponents, so
+    Y Phi = I holds to roundoff.  The steps depend on (source, hull, tol)
+    only, and each of ``times`` is reached by a side step off them: a
+    query's bits do not depend on which other times were declared.  A
+    query then costs one product, and integrates and inverts nothing.
+    Both arguments of a query must be among ``times``, except that
+    query(s, s) is the identity exactly for any s.
 
     An integration failure ends the sweep where it happened: the stops
     reached before it can still be queried, and a query that needs a
@@ -368,8 +535,7 @@ class EvolutionOperator:
         self._failure: Optional[IntegrationError] = None
         stops = sorted(set(float(t) for t in times))
         self._phi = dict.fromkeys(stops)  # tau -> (Phi(tau), Phi(tau)^-1)
-        sweep = _sweep(source, stops, np.eye(source.space.dim), tol,
-                       self.step_stats, inverse=True)
+        sweep = _window_sweep(source, stops, tol, self.step_stats)
         try:
             for tau, pair in zip(stops, sweep):
                 self._phi[tau] = pair
@@ -434,8 +600,7 @@ def param_evolution(
     for side in (sorted(v for v in v_targets if v >= v0),
                  sorted((v for v in v_targets if v < v0), reverse=True)):
         stops = [v0] + side
-        at.update(zip(stops, (y for y, _ in _sweep(stack, stops, eye, tol,
-                                                   stats))))
+        at.update(zip(stops, _sweep(stack, stops, eye, tol, stats)))
     return ParamEvolutionResult(
         x_grid=x_grid,
         v0=float(v0),

@@ -353,10 +353,12 @@ def verify_certificate(
 ) -> VerificationReport:
     """Check ||X(t,s)^{+-1}|| <= bound at the given (s, t) pairs.
 
-    All propagators come from one sweep across the pairs' endpoints
-    (:class:`EvolutionOperator`), whose integrator counts are returned as
-    ``stats``.  ``coefficient`` overrides the assembled system coefficient
-    so frozen approximants can be verified against the same certificate.
+    All propagators come from one sweep of the certificate window that
+    stops at the pairs' endpoints (:class:`EvolutionOperator`), whose
+    integrator counts are returned as ``stats``; its steps do not depend
+    on the pairs, so neither does any row.  ``coefficient`` overrides the
+    assembled system coefficient so frozen approximants can be verified
+    against the same certificate.
     A pair passes when max(||X||, ||X^-1||) <= bound * (1 + 1e-6); an
     integration failure aborts at the first pair whose endpoint the sweep
     did not reach, keeping the rows before it.
@@ -368,7 +370,9 @@ def verify_certificate(
         if s > t:
             raise ValueError(f"pair ({s}, {t}) must have s <= t")
     A = coefficient if coefficient is not None else assemble_A(sys)
-    ev = EvolutionOperator(A, [tau for pair in pairs for tau in pair], tol=tol)
+    ends = (cert.window.lo, cert.window.hi) if cert.window.is_finite() else ()
+    ev = EvolutionOperator(A, [*ends, *(tau for pair in pairs for tau in pair)],
+                           tol=tol)
     kind = sys.space.norm_kind
     slack = cert.bound * (1.0 + 1e-6)
     rows = []

@@ -140,8 +140,9 @@ def _magnus6_by_hand(A, t, h):
 
 def test_single_magnus_step_matches_formula():
     # one accepted step (loose tolerances, h0 = span) is the product of the
-    # exponentials of its two half steps; the inverse carried with it is
-    # the product of their inverses in reverse order
+    # exponentials of its two half steps; the inverse that the two-sided
+    # sweep carries with it, there in one step as well, is the product of
+    # their inverses in reverse order
     A = smooth_corpus(seed=5, count=1, dims=(3,))[0]
     t0, h = 0.3, 0.2
     y0 = np.eye(3) + 0.1 * np.arange(9.0).reshape(3, 3)
@@ -150,11 +151,13 @@ def test_single_magnus_step_matches_formula():
     want = scipy.linalg.expm(om2) @ scipy.linalg.expm(om1) @ y0
     want_inv = scipy.linalg.expm(-om1) @ scipy.linalg.expm(-om2)
     stats = StepStats()
-    got, got_inv, _ = _magnus_segment(A, t0, t0 + h, y0, 1.0, stats,
-                                      h0=h, inv=np.eye(3))
+    got, _ = _magnus_segment(A, t0, t0 + h, y0, 1.0, stats, h0=h)
     assert stats.steps == 1 and stats.rejected == 0
     assert stats.rhs_evals == 9
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    ev = EvolutionOperator(A, [t0, t0 + h], tol=1.0)
+    assert ev.step_stats.steps == 1 and ev.step_stats.rejected == 0
+    got_inv = ev.query(t0, t0 + h).entries
     assert np.max(np.abs(got_inv - want_inv)) <= 1e-14 * np.max(
         np.abs(want_inv))
 
@@ -310,11 +313,123 @@ def test_sweep_matches_per_pair_evolve_on_example39():
 
 
 def test_sweep_cost_on_example39():
-    # one sweep over the 80 endpoints: 79 segments, and 2,817 coefficient
-    # values (313 attempted steps) measured with Python 3.11 and numpy 2.4
-    _, _, ev = _example39_sweep()
-    assert ev.step_stats.segments == 79
+    # one sweep of the endpoints' hull, which no breakpoint splits: one
+    # segment.  Measured with Python 3.11 and numpy 2.4: 3,510 coefficient
+    # values from 22 calls.  The sweep that clipped its steps to land on
+    # every stop took 2,817 values from 313 calls, one per attempted step
+    A, pairs, _ = _example39_sweep()
+    calls, many = _counted(A.eval)
+    ev = EvolutionOperator(CoefficientPath(eval=many, space=A.space),
+                           pairs.ravel(), tol=1e-10)
+    assert ev.step_stats.segments == 1
     assert ev.step_stats.rhs_evals <= 25_000
+    assert calls["n"] <= 31
+
+
+def test_query_does_not_depend_on_the_other_stops():
+    # the steps depend on (A, hull, tol) alone and a stop is reached by a
+    # side step, so 40 more stops on the same hull change no bit of X(t, s)
+    A = assemble_A(make_system("example39"))
+    s, t = 10.0, 60.0
+    extra = np.random.default_rng(5).uniform(s, t, size=40)
+    alone = EvolutionOperator(A, [s, t], tol=1e-10)
+    among = EvolutionOperator(A, [s, t, *extra], tol=1e-10)
+    for x, y in ((t, s), (s, t)):
+        assert alone.query(x, y).entries.tobytes() == \
+            among.query(x, y).entries.tobytes()
+    assert among.step_stats.steps == alone.step_stats.steps
+
+
+def _constant(m, breakpoints=()):
+    return CoefficientPath(eval=lambda ts: np.tile(m, (len(ts), 1, 1)),
+                           space=VectorSpaceSpec(len(m)),
+                           breakpoints=breakpoints)
+
+
+@pytest.mark.parametrize("t0, t1, breakpoints, attempted", [
+    # far from 0, where 0.3 is not a float step: after the first-step cut
+    # h = 0.03, and the 11 steps' last boundary is t1 itself
+    (1e6, 1e6 + 0.3, (), 12),
+    # segments of 3 and 2 ulps on either side of a breakpoint: one step each
+    (1.0 - 3 * math.ulp(1.0), 1.0 + 2 * math.ulp(1.0), (1.0,), 2),
+    # 16 h (1 + 2^-52) for the cut's h = 1: one window of 16 steps, not 16
+    # steps and a sliver, and no cut of a step stretched by rounding
+    (0.0, 16.0 * (1.0 + 2.0 ** -52), (), 17),
+])
+def test_window_ends_on_the_segment_end(t0, t1, breakpoints, attempted):
+    # a constant A = w J: every step is exact, so the attempts are the
+    # first-step cut (h = 1 / w) and the windows that cross the span
+    w = 100.0 / 3.0 if t0 == 1e6 else 1.0
+    ev = EvolutionOperator(_constant(w * ROT, breakpoints), [t0, t1])
+    stats = ev.step_stats
+    assert stats.steps + stats.rejected == attempted
+    assert stats.segments == 1 + len(breakpoints)
+    want = scipy.linalg.expm((t1 - t0) * w * ROT)
+    assert np.max(np.abs(ev.query(t1, t0).entries - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_non_finite_coefficient_ends_the_sweep_in_mid_window(r):
+    # A = NaN from t = 1 on, no breakpoint there.  The whole hull's first
+    # step has no node past 0.99; its cut gives h = 1/1.6, and the window
+    # of two steps that follows meets the NaN in its second step.  The
+    # sweep then ends within one step's overshoot of t = 1: the stops
+    # before stay queryable, the later ones raise
+    base = 0.4 * np.eye(r)
+    base[0, r - 1] = 1.2
+
+    def ev(ts):
+        calls.append(np.array(ts))
+        out = np.tile(base, (len(ts), 1, 1))
+        out[np.asarray(ts) >= 1.0, 0, r - 1] = math.nan
+        return out
+
+    calls = []
+    A = CoefficientPath(eval=ev, space=VectorSpaceSpec(r))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        op = EvolutionOperator(A, [0.0, 0.3, 0.6, 0.9, 1.02, 1.05])
+    # the first call past t = 1 is the cut's window: it samples the nine
+    # nodes of both its steps, and only the second step's reach t = 1
+    seen = next(ts for ts in calls if np.any(ts >= 1.0))
+    assert seen is calls[1]
+    for start, past in ((0.0, False), (0.525, True)):
+        nodes = start + 0.525 * _NODES
+        assert np.all(np.min(np.abs(seen[:, None] - nodes), axis=0) <= 1e-15)
+        assert np.any(nodes >= 1.0) == past
+    for s, t in ((0.0, 0.9), (0.3, 0.6), (0.9, 0.3)):
+        want = scipy.linalg.expm((t - s) * base)
+        assert np.max(np.abs(op.query(t, s).entries - want)) <= 1e-12
+    for s, t in ((0.0, 1.02), (1.05, 0.3)):
+        with pytest.raises(IntegrationError) as err:
+            op.query(t, s)
+        assert 1.0 - 1e-12 <= err.value.location <= 1.0 + 0.06 * 0.525
+
+
+def test_non_finite_side_step_ends_the_sweep():
+    # A = NaN on (0.63, 0.735) only.  The hull [0, 1.05] is one step, whose
+    # nodes miss that island and which is accepted; the side step to 0.735
+    # samples it at 0.652.  Stops up to 0.5 stay queryable, the later ones
+    # raise, and the failure names the step's start
+    base = np.array([[0.1, 0.3], [0.0, 0.1]])
+
+    def ev(ts):
+        out = np.tile(base, (len(ts), 1, 1))
+        ts = np.asarray(ts)
+        out[(0.63 < ts) & (ts < 0.735)] = math.nan
+        return out
+
+    A = CoefficientPath(eval=ev, space=SP2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        op = EvolutionOperator(A, [0.0, 0.5, 0.735, 1.05])
+    assert op.step_stats.steps == 1
+    want = scipy.linalg.expm(0.5 * base)
+    assert np.max(np.abs(op.query(0.5, 0.0).entries - want)) <= 1e-14
+    for t in (0.735, 1.05):
+        with pytest.raises(IntegrationError, match="non-finite") as err:
+            op.query(t, 0.0)
+        assert err.value.location == 0.0
 
 
 @pytest.mark.parametrize("name", ["extension-gauge", "extension-twist"])

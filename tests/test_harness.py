@@ -192,6 +192,25 @@ def test_verify_builtin_system_passes():
     assert "log_log_bound" not in report.summary
 
 
+def test_verify_row_does_not_depend_on_the_other_pairs(tmp_path):
+    # the sweep covers the certificate window whatever the pairs, so the
+    # rows of pairs P are the same bytes alone and among 30 more pairs Q
+    def rows(pairs, name):
+        report = run_scenario("verify", {
+            "system": {"builtin": "example39", "norm": "euclidean"},
+            "window": [0.0, 100.0], "pairs": pairs,
+        })
+        csv_path, _ = emit_report(report, tmp_path / name)
+        return csv_path.read_text().splitlines()[1:]
+
+    p = [[10.0, 60.0], [0.0, 100.0], [37.25, 37.25], [3.5, 91.0]]
+    q = np.sort(np.random.default_rng(4).uniform(0.0, 100.0, (30, 2)),
+                axis=1).tolist()
+    alone = rows(p, "p")
+    among = rows(q[:15] + p + q[15:], "pq")
+    assert alone == among[15:15 + len(p)]
+
+
 def test_certify_row_schema():
     report = run_scenario("certify", {
         "system": {"builtin": "intro-cos"}, "window": [0.0, 10.0]})
@@ -279,7 +298,7 @@ def test_sine_curve_scenario_zero_connection():
     assert report.summary["vacuous"] is False
     cost = report.summary["cost"]
     assert set(cost) == {"steps", "rejected", "rhs_evals", "segments"}
-    assert cost["segments"] == 2 and cost["rhs_evals"] > cost["steps"] > 0
+    assert cost["segments"] == 1 and cost["rhs_evals"] > cost["steps"] > 0
 
 
 def test_extend_scenario_summary_contract():
