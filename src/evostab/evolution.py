@@ -19,28 +19,24 @@ step.
 
 There are two drivers of that step.
 
-:class:`EvolutionOperator` answers many queries from one windowed sweep
-(:func:`_window_sweep`).  It sweeps a fundamental solution Phi across
-the hull of a set of declared times, carrying Phi^{-1} along by the
-inverse exponentials, and every X(t, s) between them is
-Phi(t) Phi(s)^{-1}, forward and backward alike.  A step is judged on its
-own matrices, not on Phi, and a window of up to ``_WINDOW`` equal steps
-takes one ``A.eval`` call and one :func:`expm` call.  The step sequence
-depends only on (A, span, tol); each declared time is a side step off
-it, so no query depends on the other times.  It is the one two-sided
-sweep: the certificate checks and the sine-curve transports both read
-their propagators and inverses off it.
+:func:`_window_sweep` serves every caller but :func:`evolve`.  It sweeps
+a fundamental solution Phi across the hull of a set of stops, carrying
+Phi^{-1} along by the inverse exponentials, and yields Phi y0 for a
+start state y0 at each stop.  A step is judged on its own matrices, not
+on the state, and a window of up to ``_WINDOW`` equal steps takes one
+``A.eval`` call and one :func:`expm` call.  The step sequence depends
+only on (A, span, tol), and each stop is a side step off it that no
+other stop moves.  :class:`EvolutionOperator` sweeps the identity, and
+every X(t, s) between its times is Phi(t) Phi(s)^{-1}: the certificate
+checks and the sine-curve transports read it.  :func:`sweep_vector` and
+:func:`param_evolution` sweep vectors and stacks, the extension's
+fibers and corridors among them; descending stops sweep t -> -A(-t).
+A (k, r, r) stack of A per time sweeps k systems that share their stops
+as one (k, r, c) state, and a step's error is the max over all of them.
 
-:func:`evolve`, :func:`sweep_vector` and :func:`param_evolution` step on
-the state one step per call (:func:`_magnus_segment`), with the error
-measured on the state, and clip their steps to land on each stop;
-:func:`sweep_vector` and :func:`param_evolution` carry the step size
-from stop to stop.  Backward propagation (t < s) steps with negative h
-rather than inverting a forward result.  A coefficient that gives a
-(k, r, r) stack per time sweeps k systems that share their stops as one
-state, (k, r, r) for propagators or (k, r, 1) for vectors, under one
-step controller; its error norm is the max over all members, and each
-exponential covers the whole stack.
+:func:`evolve` steps on the state one step per call
+(:func:`_magnus_segment`), with the error measured on the state, from s
+to t (backward for t < s), restarting at each breakpoint between them.
 """
 
 from __future__ import annotations
@@ -63,8 +59,10 @@ _GAUSS = np.array((0.5 - math.sqrt(15.0) / 10.0, 0.5,
                    0.5 + math.sqrt(15.0) / 10.0))
 _NODES = np.concatenate((_GAUSS, 0.5 * _GAUSS, 0.5 + 0.5 * _GAUSS))
 _SPANS = np.array((1.0, 0.5, 0.5))
-# a segment's first step is cut until h ||A|| <= _FIRST_REACH on its nodes
+# a segment's first step is cut until h ||A|| <= _FIRST_REACH on its nodes;
+# a windowed sweep forgives a step that rounding stretched by _FIRST_SLACK
 _FIRST_REACH = 1.0
+_FIRST_SLACK = 1.0 + 2.0 ** -20
 # the accepted state is not extrapolated, so its error is the estimate
 # itself: the controller aims at _SAFETY^7, about 8% of the tolerance
 _SAFETY = 0.7
@@ -87,10 +85,13 @@ class StepStats:
 
     ``steps`` counts accepted steps and ``rejected`` the other attempted
     ones: in a window of :func:`_window_sweep`, the first rejected step
-    and every step after it.  ``rhs_evals`` counts coefficient values,
-    the A matrices evaluated: 9 per attempted step, and 3 per side step
-    of a windowed sweep.  It keeps its name, which the reports' ``cost``
-    carries.  ``segments`` counts the breakpoint-free pieces swept.
+    and every step after it (a first-step cut rejects a whole window).
+    ``rhs_evals`` counts coefficient values, the A matrices evaluated: 9
+    per attempted step, and 3 per side step of a windowed sweep; one
+    value of a (k, r, r) stack counts once.  It keeps its name, which
+    the reports' ``cost`` carries.  ``segments`` counts the
+    breakpoint-free pieces swept: per sweep of ``_window_sweep``, the
+    pieces of its hull; per :func:`evolve`, those between s and t.
     """
 
     steps: int = 0
@@ -209,7 +210,7 @@ def _magnus_exponents(coef: np.ndarray, h: float) -> np.ndarray:
     return _bcr_exponent(g[:, 0], g[:, 1], g[:, 2], k)
 
 
-def _magnus_segment(A, t0, t1, y, tol, stats, h0=None):
+def _magnus_segment(A, t0, t1, y, tol, stats):
     """Adaptive 6th-order Magnus stepping of y' = A(t) y from t0 to t1 on
     a breakpoint-free segment of the coefficient path ``A``.
 
@@ -222,34 +223,24 @@ def _magnus_segment(A, t0, t1, y, tol, stats, h0=None):
     and the three exponentials from one :func:`expm` call.  ``y`` is any
     ndarray shape that A(t) @ y keeps.
 
-    ``h0`` carries over from the segment before; without it, the first
-    step starts at the whole segment and is cut until h ||A|| <=
-    _FIRST_REACH at its nodes, so that one long step that aliases an
-    oscillating A is never accepted.  Returns y(t1) and the step to start
-    the next segment with (the controller's proposal before it
-    was clipped to land on t1).  ``stats.rhs_evals`` counts coefficient
-    values, 9 per attempted step.
+    The first step starts at the whole segment and is cut until h ||A||
+    <= _FIRST_REACH at its nodes, so that one long step that aliases an
+    oscillating A is never accepted.  Returns y(t1).  ``stats.rhs_evals``
+    counts coefficient values, 9 per attempted step.
     """
-    if t1 == t0:
-        return y, h0
     direction = 1.0 if t1 > t0 else -1.0
     span = abs(t1 - t0)
     # degenerate segment (a few ulps, e.g. grid points that almost coincide
     # with a breakpoint): its one step is exact to O(span^7) and is taken
     # without error control, which could only underflow there
     degenerate = span <= 1e-13 * max(1.0, abs(t0), abs(t1))
-    first = h0 is None and not degenerate
-    h = span if h0 is None else abs(h0)
-    t = t0
+    first, h, t, taken = not degenerate, span, t0, 0
     stats.segments += 1
-    taken = 0
     # overflowing or non-finite exponents only ever reach the error
     # estimate, which then rejects the step: numpy need not warn about them
     with np.errstate(all="ignore"):
-        while True:
+        while t != t1:
             remaining = abs(t1 - t)
-            if remaining <= 0.0:
-                break
             hs = min(h, remaining)
             hd = direction * hs
             coef = np.asarray(A.eval(t + _NODES * hd), dtype=float)
@@ -276,20 +267,12 @@ def _magnus_segment(A, t0, t1, y, tol, stats, h0=None):
                 y = y_new
                 first = False
                 stats.steps += 1
-                if degenerate:
-                    return y, h0
-                if hs == remaining:
-                    t = t1
-                    if hs < h:
-                        break  # clipped to land: h is still the proposal
-                else:
-                    t = t + hd
-                h = hs * factor
+                t = t1 if hs == remaining else t + hd
             else:
                 stats.rejected += 1
-                h = hs * factor
-                _check_underflow(h, t)
-    return y, h
+                _check_underflow(hs * factor, t)
+            h = hs * factor
+    return y
 
 
 def _check_underflow(h, t):
@@ -299,32 +282,14 @@ def _check_underflow(h, t):
             f"step size underflow at t = {t} (stiffness or singularity)", t)
 
 
-def _sweep(A, stops, y0, tol, stats):
-    """Integrate y' = A(t) y once across the monotone ``stops``, yielding
-    y at each of them (``y0`` first).
-
-    Hops between stops are split at the interior ones of
-    ``A.breakpoints``.  The step size carries from one stop to the next;
-    only a segment that starts at a breakpoint restarts with a bounded
-    first step, so no step straddles a jump.
-    """
-    stats = stats if stats is not None else StepStats()
-    breakpoints = A.breakpoints
-    y, h = y0, None
-    yield y
-    for a, b in zip(stops, stops[1:]):
-        inner = [c for c in breakpoints if min(a, b) < c < max(a, b)]
-        cuts = [a] + (inner if a < b else inner[::-1]) + [b]
-        for t0, t1 in zip(cuts, cuts[1:]):
-            if t0 in breakpoints:
-                h = None
-            y, h = _magnus_segment(A, t0, t1, y, tol, stats, h)
-        yield y
-
-
-def _window_sweep(A, stops, tol, stats):
+def _window_sweep(A, stops, y0, tol, stats):
     """Integrate Phi' = A(t) Phi, Phi(stops[0]) = I, across the hull of
-    the sorted ``stops`` and yield (Phi, Phi^{-1}) at each of them.
+    the monotone ``stops`` and yield (Phi y0, Phi^{-1}) at each of them.
+    ``y0`` is the identity for a propagator, or a (r, c) or (k, r, c)
+    state for the (r, r) or (k, r, r) stacks of A.  Descending stops
+    sweep the reflected coefficient t -> -A(-t) over the negated stops:
+    that sweep has its own step sequence, and its failures are located
+    in the caller's t.
 
     The hull is split at the interior breakpoints of ``A``, and every
     segment starts afresh with the first-step cut.  A segment is crossed
@@ -332,36 +297,49 @@ def _window_sweep(A, stops, tol, stats):
     step and its two halves as in :func:`_magnus_segment`.  A step is
     judged on its own matrices: its error is the largest entry of
     |exp(Omega) - exp(Omega_2) exp(Omega_1)| / 63 against tol (1 + |.|),
-    so acceptance does not depend on Phi.  The steps before a window's
-    first rejected one are accepted.  The next window starts where they
-    end, so its step size comes from the errors of the last quarter of
-    the steps up to the rejected one, not from those of its first steps,
-    which may sit on a singular point of A; it grows by at most
-    ``_WINDOW_GROWTH``.  A second rejection of a first step at the same
-    point gauges the error's order from the two, so that the step shrinks
-    at once past such a point rather than by the factor 0.2 per window.
-    The step sequence thus depends on (A, hull, tol) alone.  A segment's
-    last window may stretch its steps by up to ``_WINDOW_STRETCH``, and a
-    window whose last boundary would round past the segment's end ends on
-    it exactly.
+    over every member of a stack, so acceptance does not depend on the
+    state.  The steps before a window's first rejected one are accepted.
+    The next window starts where they end, so its step size comes from
+    the errors of the last quarter of the steps up to the rejected one,
+    not from those of its first steps, which may sit on a singular point
+    of A; it grows by at most ``_WINDOW_GROWTH``.  A second rejection of
+    a first step at the same point gauges the error's order from the
+    two, so that the step shrinks at once past such a point rather than
+    by the factor 0.2 per window.  The step sequence thus depends on (A,
+    hull, tol) alone.  A segment's last window may stretch its steps by
+    up to ``_WINDOW_STRETCH`` (while the first step is still being cut,
+    by no more than the cut forgives), and a window whose last boundary
+    would round past the segment's end ends on it exactly.
 
     A stop inside an accepted step is reached by a side step: the
     exponent over [step start, stop] from A at its three Gauss nodes,
-    applied to Phi at the step start.  Side steps never feed back into
-    the stepping, so the stops do not move the steps.  A window's one
-    ``A.eval`` call takes the three Gauss nodes of each of its sub-steps
-    (three per step) and of the side step to each stop it covers, and
-    its one :func:`expm` call the exponents of all of them and minus
-    those of the half and side steps, for the inverses.  A side step past
-    the window's first rejected step is discarded and taken again with a
-    later window.  A stop whose Phi or Phi^{-1} is not finite (a side step
-    into a NaN of A) ends the sweep.
+    applied to the state at the step start.  Side steps never feed back
+    into the stepping, so the stops do not move the steps.  A window's
+    one ``A.eval`` call takes the three Gauss nodes of each of its
+    sub-steps (three per step) and of the side step to each stop it
+    covers, and its one :func:`expm` call the exponents of all of them
+    and minus those of the half and side steps, for the inverses.  A
+    side step past the window's first rejected step is discarded and
+    taken again with a later window.  A stop whose state or Phi^{-1} is
+    not finite (a side step into a NaN of A) ends the sweep.
     """
+    stats = stats if stats is not None else StepStats()
     stops = np.asarray(stops, dtype=float)
+    sign = -1.0 if stops[-1] < stops[0] else 1.0
+    caller_t = lambda t: sign * t + 0.0  # the caller's t, and never -0.0
+    if sign < 0.0:
+        A = CoefficientPath(eval=lambda ts, ev=A.eval: -np.asarray(
+            ev(-ts), dtype=float), space=A.space,
+            breakpoints=[-c for c in A.breakpoints])
+        stops = -stops
+    if np.any(np.diff(stops) < 0.0):
+        raise ValueError("the stops of a sweep must be monotone")
     eye = np.eye(A.space.dim)
-    yield eye, eye
+    phi, inv = y0, np.broadcast_to(eye, y0.shape[:-2] + eye.shape)
     lo, hi = float(stops[0]), float(stops[-1])
-    phi, inv, j = eye, eye, 1
+    j = int(np.searchsorted(stops, lo, side="right"))
+    for _ in range(j):
+        yield phi, inv
     inner = [c for c in A.breakpoints if lo < c < hi]
     cuts = [lo] + inner + [hi] if hi > lo else []
     # overflowing or non-finite exponents only ever reach the error
@@ -375,7 +353,10 @@ def _window_sweep(A, stops, tol, stats):
                 # a span within 2^-40 of n steps is n stretched steps, not
                 # n steps and a sliver
                 n = max(1, math.ceil(remaining / h * (1.0 - 2.0 ** -40)))
-                if remaining <= _WINDOW * h * _WINDOW_STRETCH:
+                # a stretch past the cut's slack would be cut back to h,
+                # and the same window would repeat until _MAX_STEPS
+                stretch = _FIRST_SLACK if first else _WINDOW_STRETCH
+                if remaining <= _WINDOW * h * stretch:
                     n = min(n, _WINDOW)
                     hs = remaining / n
                     b = t + hs * np.arange(n + 1)
@@ -385,8 +366,8 @@ def _window_sweep(A, stops, tol, stats):
                     b = np.minimum(t + hs * np.arange(n + 1), t1)
                 taken += n
                 if taken > _MAX_STEPS:
-                    raise IntegrationError(
-                        f"step budget exhausted near t = {t}", t)
+                    raise IntegrationError(f"step budget exhausted near t = "
+                                           f"{caller_t(t)}", caller_t(t))
                 lengths = np.diff(b)
                 half = 0.5 * lengths
                 # the stops in the window, each from the boundary at or
@@ -408,11 +389,11 @@ def _window_sweep(A, stops, tol, stats):
                         np.abs(coef[:, 0:3 * n:n]), axis=-1)))
                     # the sizing above may stretch a cut step by rounding;
                     # a cut that shrank it by no more would recur forever
-                    if (lengths[0] * size > _FIRST_REACH * (1.0 + 2.0 ** -20)
+                    if (lengths[0] * size > _FIRST_REACH * _FIRST_SLACK
                             and math.isfinite(size)):
                         stats.rejected += n
                         h = _FIRST_REACH / size
-                        _check_underflow(h, t)
+                        _check_underflow(h, caller_t(t))
                         continue
                 omega = _bcr_exponent(coef[0], coef[1], coef[2], spans.reshape(
                     spans.shape + (1,) * (coef.ndim - 2)))
@@ -463,17 +444,18 @@ def _window_sweep(A, stops, tol, stats):
                           & np.isfinite(ys).all(axis=axes))
                 for i in range(reached):
                     if not finite[i]:
-                        start = float(b[at[i]])
+                        start = caller_t(float(b[at[i]]))
                         raise IntegrationError(
                             f"non-finite propagator at the stop "
-                            f"{stops[j + i]}, reached from t = {start}", start)
+                            f"{caller_t(stops[j + i])}, reached from t = "
+                            f"{start}", start)
                     yield xs[i], ys[i]
                 j += reached
                 t = float(b[k])
                 first = first and k == 0
                 h = hs * factor
                 if k < n:
-                    _check_underflow(h, t)
+                    _check_underflow(h, caller_t(t))
 
 
 def evolve(
@@ -485,10 +467,16 @@ def evolve(
 ) -> Operator:
     """Propagator X(t, s) of x' = A(t) x, as an operator.
 
-    Integrates the matrix equation Y' = A Y with Y(s) = id; for t < s the
-    integrator steps backward in time.
+    Integrates the matrix equation Y' = A Y with Y(s) = id, one segment
+    between breakpoints at a time; for t < s the integrator steps
+    backward in time.
     """
-    y = list(_sweep(A, (s, t), np.eye(A.space.dim), tol, stats))[-1]
+    stats = stats if stats is not None else StepStats()
+    y = np.eye(A.space.dim)
+    inner = [c for c in A.breakpoints if min(s, t) < c < max(s, t)]
+    cuts = [s] + (inner if s < t else inner[::-1]) + [t] if s != t else []
+    for t0, t1 in zip(cuts, cuts[1:]):
+        y = _magnus_segment(A, t0, t1, y, tol, stats)
     return Operator(y, A.space)
 
 
@@ -500,8 +488,14 @@ def sweep_vector(
     stats: Optional[StepStats] = None,
 ) -> list:
     """X(tau, stops[0]) v at every tau of the monotone ``stops``, as
-    ndarrays, from one integration of the vector equation across them."""
-    return list(_sweep(A, stops, np.array(v, dtype=float), tol, stats))
+    ndarrays, from one windowed sweep across them (:func:`_window_sweep`).
+    ``v`` is a vector, a matrix, or for a (k, r, r) stack of A a (k, r, c)
+    stack of states."""
+    y = np.array(v, dtype=float)
+    if y.ndim == 1:
+        return [x[:, 0] for x in sweep_vector(A, stops, y[:, None], tol,
+                                              stats)]
+    return [x for x, _ in _window_sweep(A, stops, y, tol, stats)]
 
 
 class EvolutionOperator:
@@ -535,7 +529,8 @@ class EvolutionOperator:
         self._failure: Optional[IntegrationError] = None
         stops = sorted(set(float(t) for t in times))
         self._phi = dict.fromkeys(stops)  # tau -> (Phi(tau), Phi(tau)^-1)
-        sweep = _window_sweep(source, stops, tol, self.step_stats)
+        sweep = _window_sweep(source, stops, np.eye(source.space.dim), tol,
+                              self.step_stats)
         try:
             for tau, pair in zip(stops, sweep):
                 self._phi[tau] = pair
@@ -587,10 +582,12 @@ def param_evolution(
     ``A(xs, vs)`` takes arrays of x and v that broadcast against each
     other and returns the stack of the matrices over them, as the fields
     of a connection form do.  All columns share their stops, so they are
-    integrated as one stacked (nx, r, r) state: one sweep per direction
-    from v0, stopping at that side's targets in order, under one step
-    controller whose error norm is the max over every column.  Each step
-    takes A over every x at all its nodes from one call."""
+    integrated as one stacked (nx, r, r) state: one windowed sweep
+    (:func:`sweep_vector`) per direction from v0 across that side's
+    targets, whose step errors are the max over every column.  Each
+    window takes A over every x at all its nodes from one call, and the
+    targets are side steps, so a target's propagators do not depend on
+    the other targets."""
     x_grid = tuple(float(x) for x in x_grid)
     v_targets = tuple(float(v) for v in v_targets)
     xs = np.array(x_grid)
@@ -600,7 +597,7 @@ def param_evolution(
     for side in (sorted(v for v in v_targets if v >= v0),
                  sorted((v for v in v_targets if v < v0), reverse=True)):
         stops = [v0] + side
-        at.update(zip(stops, _sweep(stack, stops, eye, tol, stats)))
+        at.update(zip(stops, sweep_vector(stack, stops, eye, tol, stats)))
     return ParamEvolutionResult(
         x_grid=x_grid,
         v0=float(v0),

@@ -15,13 +15,13 @@ the v1 corridor); this is well defined exactly when transport inside the
 complement is path-independent, which the builder verifies by loop
 transports and fine-stencil residual probes unless asked to only report.
 
-Fiber sweeps that share their stops are integrated as one stacked state
-under one step controller: the Y_j of every grid column at once, and the
-sigma columns (and probe stencils) that reach the same v's from the same
-corridor level.  The controller takes the max-norm error over all
-members, so each column is stepped at least as strictly as alone.  Each
-step takes omega2 over the whole stack at all its nine Magnus nodes from
-one call of the field.
+Every fiber and corridor sweep is one windowed sweep across its stops
+(:func:`evostab.evolution.sweep_vector`).  Fiber sweeps that share their
+stops are one stacked state: the Y_j of every grid column at once, and
+the sigma columns (and probe stencils) that reach the same v's from the
+same corridor level.  A step's error is the max over all members, so
+each column is stepped at least as strictly as alone, and a window of
+steps takes omega2 over the whole stack from one call of the field.
 
 Also here: the graph-approximation utility that replaces a continuous
 graph by a polynomial one agreeing at a chosen point and staying inside a

@@ -256,9 +256,9 @@ def test_extend_section_matches_param_evolution_bit_for_bit(name):
 
 
 def test_extend_section_evaluates_omega2_once_per_step():
-    # one omega2 call covers every column at all nine nodes of an
-    # attempted step: on this grid 25 attempted steps, 225 coefficient
-    # values (as in test_param_evolution_cost_on_extension_gauge_grid)
+    # one omega2 call covers every column at all the nodes of a window of
+    # steps: on this grid 6 windows, 198 coefficient values (as in
+    # test_param_evolution_cost_on_extension_gauge_grid)
     p = gauge_problem()
     xs, vs = default_grids(p)
     sig = build_sigma(p, xs, vs)
@@ -274,8 +274,8 @@ def test_extend_section_evaluates_omega2_once_per_step():
         w, omega2=omega2))
     stats = StepStats()
     res = extend_section(counted, sig, stats=stats)
-    assert stats.rhs_evals == 9 * 25
-    assert calls == 25
+    assert stats == StepStats(steps=6, rejected=2, rhs_evals=198, segments=4)
+    assert calls == 6
     assert np.array_equal(res.xi1, extend_section(p, sig).xi1)
 
 
