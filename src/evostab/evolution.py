@@ -17,10 +17,8 @@ the coefficient so that no step straddles a jump; the nodes are
 interior, so an undeclared jump can be stepped over by up to 6% of a
 step.
 
-There are two drivers of that step.
-
-:func:`_window_sweep` serves every caller but :func:`evolve`.  It sweeps
-a fundamental solution Phi across the hull of a set of stops, carrying
+One driver runs that step, :func:`_window_sweep`.  It sweeps a
+fundamental solution Phi across the hull of a set of stops, carrying
 Phi^{-1} along by the inverse exponentials, and yields Phi y0 for a
 start state y0 at each stop.  A step is judged on its own matrices, not
 on the state, and a window of up to ``_WINDOW`` equal steps takes one
@@ -33,10 +31,9 @@ checks and the sine-curve transports read it.  :func:`sweep_vector` and
 fibers and corridors among them; descending stops sweep t -> -A(-t).
 A (k, r, r) stack of A per time sweeps k systems that share their stops
 as one (k, r, c) state, and a step's error is the max over all of them.
-
-:func:`evolve` steps on the state one step per call
-(:func:`_magnus_segment`), with the error measured on the state, from s
-to t (backward for t < s), restarting at each breakpoint between them.
+:func:`evolve` is the sweep of the identity over the two stops (s, t),
+so X(s, t) for t < s is an integration of its own, not the inverse of
+X(t, s).
 """
 
 from __future__ import annotations
@@ -52,13 +49,9 @@ from .operators import Operator, VectorSpaceSpec
 
 DEFAULT_ODE_TOL = 1e-10
 
-# The three Gauss-Legendre nodes on [0, 1], and the nine times of a step
-# of size h in units of h: those of the full step, then those of its two
-# halves.  _SPANS is the length of each of the three sub-steps.
+# the three Gauss-Legendre nodes on [0, 1]
 _GAUSS = np.array((0.5 - math.sqrt(15.0) / 10.0, 0.5,
                    0.5 + math.sqrt(15.0) / 10.0))
-_NODES = np.concatenate((_GAUSS, 0.5 * _GAUSS, 0.5 + 0.5 * _GAUSS))
-_SPANS = np.array((1.0, 0.5, 0.5))
 # a segment's first step is cut until h ||A|| <= _FIRST_REACH on its nodes;
 # a windowed sweep forgives a step that rounding stretched by _FIRST_SLACK
 _FIRST_REACH = 1.0
@@ -71,10 +64,9 @@ _MAX_STEPS = 2_000_000
 # equal steps per window of the stop-blind sweep (_window_sweep): one
 # coefficient call and one expm call each
 _WINDOW = 16
-# a window's step may grow up to 8-fold, where one step's may 4-fold: its
-# accepted steps all vouch for the error model.  A segment's remainder
-# within _WINDOW steps of 9/8 the proposal is one window of stretched
-# steps, not a window and a short one
+# a window's step may grow up to 8-fold: its accepted steps all vouch for
+# the error model.  A segment's remainder within _WINDOW steps of 9/8 the
+# proposal is one window of stretched steps, not a window and a short one
 _WINDOW_GROWTH = 8.0
 _WINDOW_STRETCH = 1.125
 
@@ -87,11 +79,10 @@ class StepStats:
     ones: in a window of :func:`_window_sweep`, the first rejected step
     and every step after it (a first-step cut rejects a whole window).
     ``rhs_evals`` counts coefficient values, the A matrices evaluated: 9
-    per attempted step, and 3 per side step of a windowed sweep; one
-    value of a (k, r, r) stack counts once.  It keeps its name, which
-    the reports' ``cost`` carries.  ``segments`` counts the
-    breakpoint-free pieces swept: per sweep of ``_window_sweep``, the
-    pieces of its hull; per :func:`evolve`, those between s and t.
+    per attempted step, and 3 per side step; one value of a (k, r, r)
+    stack counts once.  It keeps its name, which the reports' ``cost``
+    carries.  ``segments`` counts the breakpoint-free pieces of each
+    sweep's hull.
     """
 
     steps: int = 0
@@ -201,80 +192,6 @@ def _bcr_exponent(a1, a2, a3, k):
     return omega + _commutator(-20.0 * al1 - al3 + c1, al2 + c2) / 240.0
 
 
-def _magnus_exponents(coef: np.ndarray, h: float) -> np.ndarray:
-    """The exponents (:func:`_bcr_exponent`) of a step h and of its two
-    halves, as a (3, ...) stack, from A at the step's nine ``_NODES``
-    (``coef``, a (9, ...) stack)."""
-    g = coef.reshape((3, 3) + coef.shape[1:])
-    k = (h * _SPANS).reshape((3,) + (1,) * (g.ndim - 2))
-    return _bcr_exponent(g[:, 0], g[:, 1], g[:, 2], k)
-
-
-def _magnus_segment(A, t0, t1, y, tol, stats):
-    """Adaptive 6th-order Magnus stepping of y' = A(t) y from t0 to t1 on
-    a breakpoint-free segment of the coefficient path ``A``.
-
-    A step of size h is y <- exp(Omega_2) exp(Omega_1) y, two half steps;
-    the whole step exp(Omega) y is its Richardson partner, and
-    |exp(Omega) y - y_new| / 63 its error estimate.  The error norm is the
-    max over components of |err| / (tol + tol * max(|y|, |y_new|)), and
-    the step factor _SAFETY err^(-1/7) is clamped to [0.2, 4].  A of all
-    three exponents comes from one ``A.eval`` call over the nine nodes,
-    and the three exponentials from one :func:`expm` call.  ``y`` is any
-    ndarray shape that A(t) @ y keeps.
-
-    The first step starts at the whole segment and is cut until h ||A||
-    <= _FIRST_REACH at its nodes, so that one long step that aliases an
-    oscillating A is never accepted.  Returns y(t1).  ``stats.rhs_evals``
-    counts coefficient values, 9 per attempted step.
-    """
-    direction = 1.0 if t1 > t0 else -1.0
-    span = abs(t1 - t0)
-    # degenerate segment (a few ulps, e.g. grid points that almost coincide
-    # with a breakpoint): its one step is exact to O(span^7) and is taken
-    # without error control, which could only underflow there
-    degenerate = span <= 1e-13 * max(1.0, abs(t0), abs(t1))
-    first, h, t, taken = not degenerate, span, t0, 0
-    stats.segments += 1
-    # overflowing or non-finite exponents only ever reach the error
-    # estimate, which then rejects the step: numpy need not warn about them
-    with np.errstate(all="ignore"):
-        while t != t1:
-            remaining = abs(t1 - t)
-            hs = min(h, remaining)
-            hd = direction * hs
-            coef = np.asarray(A.eval(t + _NODES * hd), dtype=float)
-            stats.rhs_evals += 9
-            taken += 1
-            if taken > _MAX_STEPS:
-                raise IntegrationError(f"step budget exhausted near t = {t}", t)
-            if first:
-                size = float(np.max(np.sum(np.abs(coef), axis=-1)))
-                if hs * size > _FIRST_REACH and math.isfinite(size):
-                    stats.rejected += 1
-                    h = _FIRST_REACH / size
-                    _check_underflow(h, t)
-                    continue
-            e = expm(_magnus_exponents(coef, hd))
-            y_new = e[2] @ (e[1] @ y)
-            scale = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
-            err = float(np.max(np.abs(e[0] @ y - y_new) / scale)) / 63.0
-            if not math.isfinite(err):
-                err = math.inf
-            factor = 4.0 if err == 0.0 else min(
-                4.0, max(0.2, _SAFETY * err ** (-1.0 / 7.0)))
-            if err <= 1.0 or degenerate:
-                y = y_new
-                first = False
-                stats.steps += 1
-                t = t1 if hs == remaining else t + hd
-            else:
-                stats.rejected += 1
-                _check_underflow(hs * factor, t)
-            h = hs * factor
-    return y
-
-
 def _check_underflow(h, t):
     # only meaningful after a rejection, where the controller is shrinking
     if h < 1e-14 * max(1.0, abs(t)):
@@ -294,15 +211,18 @@ def _window_sweep(A, stops, y0, tol, stats):
     The hull is split at the interior breakpoints of ``A``, and every
     segment starts afresh with the first-step cut.  A segment is crossed
     by windows of up to ``_WINDOW`` equal steps, each made of a whole
-    step and its two halves as in :func:`_magnus_segment`.  A step is
-    judged on its own matrices: its error is the largest entry of
+    step exp(Omega) and its two halves exp(Omega_2) exp(Omega_1).  A
+    step is judged on its own matrices: its error is the largest entry of
     |exp(Omega) - exp(Omega_2) exp(Omega_1)| / 63 against tol (1 + |.|),
     over every member of a stack, so acceptance does not depend on the
     state.  The steps before a window's first rejected one are accepted.
     The next window starts where they end, so its step size comes from
     the errors of the last quarter of the steps up to the rejected one,
     not from those of its first steps, which may sit on a singular point
-    of A; it grows by at most ``_WINDOW_GROWTH``.  A second rejection of
+    of A; it grows by at most ``_WINDOW_GROWTH``.  After a rejection it
+    also heeds the worst finite error of the rejected step and of the
+    steps after it, which were taken at the same size: the first
+    rejected step need not be the worst of them.  A second rejection of
     a first step at the same point gauges the error's order from the
     two, so that the step shrinks at once past such a point rather than
     by the factor 0.2 per window.  The step sequence thus depends on (A,
@@ -408,6 +328,9 @@ def _window_sweep(A, stops, y0, tol, stats):
                 k = int(np.argmax(bad)) if bad.any() else n
                 judged = err[:k + 1]
                 worst = float(np.max(judged[-max(1, len(judged) // 4):]))
+                later = err[k:][np.isfinite(err[k:])]
+                if later.size:
+                    worst = max(worst, float(np.max(later)))
                 if not math.isfinite(worst):
                     worst = math.inf
                 factor = _WINDOW_GROWTH if worst == 0.0 else min(
@@ -465,19 +388,13 @@ def evolve(
     tol: float = DEFAULT_ODE_TOL,
     stats: Optional[StepStats] = None,
 ) -> Operator:
-    """Propagator X(t, s) of x' = A(t) x, as an operator.
-
-    Integrates the matrix equation Y' = A Y with Y(s) = id, one segment
-    between breakpoints at a time; for t < s the integrator steps
-    backward in time.
+    """Propagator X(t, s) of x' = A(t) x, as an operator: the last state
+    of the windowed sweep of Y' = A Y, Y(s) = id, over the stops (s, t)
+    (:func:`sweep_vector`).  For t < s that is the sweep of the reflected
+    coefficient, not the inverse of X(s, t).
     """
-    stats = stats if stats is not None else StepStats()
-    y = np.eye(A.space.dim)
-    inner = [c for c in A.breakpoints if min(s, t) < c < max(s, t)]
-    cuts = [s] + (inner if s < t else inner[::-1]) + [t] if s != t else []
-    for t0, t1 in zip(cuts, cuts[1:]):
-        y = _magnus_segment(A, t0, t1, y, tol, stats)
-    return Operator(y, A.space)
+    x = sweep_vector(A, (s, t), np.eye(A.space.dim), tol, stats)[-1]
+    return Operator(x, A.space)
 
 
 def sweep_vector(

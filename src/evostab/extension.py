@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .calculus import Interval
 from .errors import ApproximationError, ConstructionError
@@ -534,7 +533,7 @@ def _bernstein_eval(coeffs: np.ndarray, xs: np.ndarray) -> np.ndarray:
 
 def _log_binom_row(n: int) -> np.ndarray:
     """ln C(n, k) for k = 0..n via log-gamma."""
-    lf = gammaln(np.arange(1, n + 2, dtype=float))  # lf[k] = ln k!
+    lf = np.array([math.lgamma(k) for k in range(1, n + 2)])  # ln k!
     ks = np.arange(n + 1)
     return lf[n] - lf[ks] - lf[n - ks]
 

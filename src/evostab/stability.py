@@ -308,7 +308,7 @@ def substitution_check(
     ``B`` maps an array of values u to the stack of B(u) over them, as a
     ``CoefficientPath.eval`` does.  Route one integrates the pulled-back
     system A = f'(t) B(f(t)) from s to t, taking f, f' and B over each
-    step's nodes in one call each; route two integrates B itself between
+    window's nodes in one call each; route two integrates B itself between
     f(s) and f(t).  For exact arithmetic both give the same operator; the
     returned defect is the operator-norm difference.  ``stats``, if
     given, counts both routes.

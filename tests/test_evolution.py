@@ -15,7 +15,7 @@ from evostab.evolution import (
     param_evolution,
     sweep_vector,
 )
-from evostab.evolution import _NODES, _magnus_exponents, _magnus_segment, expm
+from evostab.evolution import _GAUSS, _bcr_exponent, expm
 from evostab.calculus import Interval, integrate, pointwise, stacked
 from evostab.library import make_extension_problem, make_system
 from evostab.operators import VectorSpaceSpec, matrix_norm
@@ -145,13 +145,12 @@ def test_single_magnus_step_matches_formula():
     # their inverses in reverse order
     A = smooth_corpus(seed=5, count=1, dims=(3,))[0]
     t0, h = 0.3, 0.2
-    y0 = np.eye(3) + 0.1 * np.arange(9.0).reshape(3, 3)
     om1 = _magnus6_by_hand(A, t0, h / 2)
     om2 = _magnus6_by_hand(A, t0 + h / 2, h / 2)
-    want = scipy.linalg.expm(om2) @ scipy.linalg.expm(om1) @ y0
+    want = scipy.linalg.expm(om2) @ scipy.linalg.expm(om1)
     want_inv = scipy.linalg.expm(-om1) @ scipy.linalg.expm(-om2)
     stats = StepStats()
-    got = _magnus_segment(A, t0, t0 + h, y0, 1.0, stats)
+    got = evolve(A, t0, t0 + h, tol=1.0, stats=stats).entries
     assert stats.steps == 1 and stats.rejected == 0
     assert stats.rhs_evals == 9
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
@@ -393,8 +392,9 @@ def test_non_finite_coefficient_ends_the_sweep_in_mid_window(r):
     # nodes of both its steps, and only the second step's reach t = 1
     seen = next(ts for ts in calls if np.any(ts >= 1.0))
     assert seen is calls[1]
+    nine = np.concatenate((_GAUSS, 0.5 * _GAUSS, 0.5 + 0.5 * _GAUSS))
     for start, past in ((0.0, False), (0.525, True)):
-        nodes = start + 0.525 * _NODES
+        nodes = start + 0.525 * nine
         assert np.all(np.min(np.abs(seen[:, None] - nodes), axis=0) <= 1e-15)
         assert np.any(nodes >= 1.0) == past
     for s, t in ((0.0, 0.9), (0.3, 0.6), (0.9, 0.3)):
@@ -628,18 +628,25 @@ def _counted(fn):
     return calls, counted
 
 
-def test_one_batched_coefficient_call_per_attempted_step():
-    # the coefficients of a step come from one call over its 9 nodes (the
-    # whole step's and its two halves'), and nothing else calls A
+def test_one_batched_coefficient_call_per_window():
+    # the coefficients of a window of up to 16 steps come from one call
+    # over the 9 nodes of each step (the whole step's and its two
+    # halves'); t is a boundary, not a side step, and nothing else calls A
     A = assemble_A(make_system("example39", f_name="sin"))
-    calls, many = _counted(A.eval)
+    sizes = []
+
+    def many(ts):
+        sizes.append(len(ts))
+        return A.eval(ts)
+
     stats = StepStats()
     x = evolve(CoefficientPath(eval=many, space=A.space), 0.0, 30.0, 1e-10,
                stats)
     attempted = stats.steps + stats.rejected
     assert stats.segments == 1 and stats.rejected > 0
-    assert calls["n"] == attempted
-    assert stats.rhs_evals == 9 * attempted
+    assert all(size % 9 == 0 and 9 <= size <= 9 * 16 for size in sizes)
+    assert len(sizes) < attempted / 4
+    assert sum(sizes) == stats.rhs_evals == 9 * attempted
     assert np.array_equal(x.entries, evolve(A, 0.0, 30.0, 1e-10).entries)
 
 
@@ -713,8 +720,8 @@ def test_fixed_step_magnus_is_sixth_order():
     def fixed(n):
         h, x = 2.0 / n, np.eye(2)
         for i in range(n):
-            omega = _magnus_exponents(A.eval(i * h + _NODES * h), h)[0]
-            x = expm(omega) @ x
+            coef = A.eval(i * h + _GAUSS * h)
+            x = expm(_bcr_exponent(coef[0], coef[1], coef[2], h)) @ x
         return x
 
     want = evolve(A, 0.0, 2.0, 1e-14).entries

@@ -174,6 +174,19 @@ def test_evolve_scalar_cosine_rows_pass():
     assert len(report.rows) == 2
 
 
+@pytest.mark.parametrize("tol", [1e-10, 1e-11])
+def test_evolve_example39_passes_every_row(tol):
+    # X(t, s) X(s, t) = I within 100 tol on [0, 30]: the worst defects are
+    # 3.2e-9 and 3.6e-10.  The per-state stepper that evolve had before
+    # the windowed sweep failed 2 and 5 of these 40 rows
+    report = run_scenario("evolve", {"system": {"builtin": "example39"},
+                                     "window": [0, 30], "num_pairs": 40},
+                          seed=1, tol=tol)
+    assert len(report.rows) == 40
+    assert all(row[-1] for row in report.rows)
+    assert report.passed
+
+
 def test_evolve_summary_reports_cost():
     # one StepStats counts every pair's forward and backward integration
     report = run_scenario("evolve", TINY_EVOLVE)
@@ -538,6 +551,21 @@ def test_importing_evostab_leaves_scipy_linalg_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_importing_the_harness_loads_no_scipy():
+    # the scenarios' modules use numpy and math alone; scipy's import
+    # (about 0.3 s) is left to the exponentials larger than 2x2
+    code = ("import sys\nimport evostab.harness\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m == 'scipy' or m.startswith('scipy.')))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        cwd=Path(__file__).resolve().parents[1],
+        env={**os.environ, "PYTHONPATH": "src"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_certify_complex_expression_exits_3(tmp_path, capsys):

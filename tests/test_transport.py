@@ -8,7 +8,8 @@ import pytest
 from evostab.calculus import (Interval, ScalarPath, arc_length,
                               central_difference, pointwise, stacked)
 from evostab.errors import DomainViolationError, IntegrationError
-from evostab.evolution import EvolutionOperator, evolve, sweep_vector
+from evostab.evolution import (EvolutionOperator, StepStats, evolve,
+                               sweep_vector)
 from evostab.library import (
     gauge_rotation_matrix,
     gauge_twist_matrix,
@@ -459,14 +460,16 @@ def test_sine_scenario_failure_keeps_rows_reached_before_it():
 
 def test_sine_scenario_cost_on_benchmark_configuration():
     # one two-sided sweep of [a, max b], which no breakpoint splits: one
-    # segment.  Separate forward and reverse integrations per b took
-    # 31,908 right-hand sides
+    # segment.  Measured with Python 3.11 and numpy 2.4.  A window sized
+    # after a rejection from the first rejected step alone took 740 steps
+    # and rejected 118 (7,779 coefficient values); separate forward and
+    # reverse integrations per b took 31,908 right-hand sides
     report = sine_curve_scenario(make_connection("gauge-twist"), -1.0,
                                  [-1e-1, -1e-2, -1e-3],
                                  Vector(np.array([1.0, 0.5]), SP2), tol=1e-8)
     assert report.passed
-    assert report.stats.segments == 1
-    assert report.stats.rhs_evals <= 15_000
+    assert report.stats == StepStats(steps=793, rejected=60, rhs_evals=7_704,
+                                     segments=1)
 
 
 @pytest.mark.parametrize("name", ["zero", "scalar-decay", "gauge-rotation",
@@ -626,9 +629,10 @@ def test_sampled_bounds_through_batched_rows_match_pointwise_rows(name, norm):
 
 # two-sided sweep across criterion 10's stops at its tolerance: the last
 # pair (X, Y) as float.hex.  Against a sweep at tol 1e-13, the error of
-# these is at most 5.2e-8; that of the values of the sweep that clipped
-# its steps to land on every stop was 1.0e-7, and that of the 5th-order
-# Runge-Kutta sweep of [X; Y^T] before it 2.0e-7
+# these is at most 2.8e-8.  That of the windowed sweep that sized a window
+# after a rejection from the first rejected step alone was 5.2e-8, that
+# of the sweep that clipped its steps to land on every stop 1.0e-7, and
+# that of the 5th-order Runge-Kutta sweep of [X; Y^T] before it 2.0e-7
 _TWO_SIDED_LAST = {
     "zero": (
         ["0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0",
@@ -636,20 +640,20 @@ _TWO_SIDED_LAST = {
         ["0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0",
          "0x1.0000000000000p+0"]),
     "scalar-decay": (
-        ["0x1.fdc37d466f65ep-1", "0x0.0p+0", "0x0.0p+0",
-         "0x1.fdc37d466f65ep-1"],
-        ["0x1.011f82da60aa2p+0", "0x0.0p+0", "0x0.0p+0",
-         "0x1.011f82da60aa2p+0"]),
+        ["0x1.fdc37dcc55247p-1", "0x0.0p+0", "0x0.0p+0",
+         "0x1.fdc37dcc55247p-1"],
+        ["0x1.011f8296d7168p+0", "0x0.0p+0", "0x0.0p+0",
+         "0x1.011f8296d7168p+0"]),
     "gauge-rotation": (
-        ["0x1.fe31244c7de7cp-1", "-0x1.57ec15c734abfp-4",
-         "0x1.57ec15c734addp-4", "0x1.fe31244c7dea7p-1"],
-        ["0x1.fe31244c7de7cp-1", "0x1.57ec15c734addp-4",
-         "-0x1.57ec15c734abfp-4", "0x1.fe31244c7dea7p-1"]),
+        ["0x1.fe31243576324p-1", "-0x1.57ec1e51b4e1ep-4",
+         "0x1.57ec1e51b4e37p-4", "0x1.fe31243576341p-1"],
+        ["0x1.fe31243576324p-1", "0x1.57ec1e51b4e37p-4",
+         "-0x1.57ec1e51b4e1ep-4", "0x1.fe31243576341p-1"]),
     "gauge-twist": (
-        ["0x1.f61f2a0480ae9p-1", "0x1.972e1d27eca5bp-3",
-         "-0x1.95db0d3bb58d4p-3", "0x1.f59dfbc78d017p-1"],
-        ["0x1.f581e1492d64ap-1", "-0x1.97174d225fa2ep-3",
-         "0x1.95c4503531187p-3", "0x1.f603084957e05p-1"]),
+        ["0x1.f61f2a664da43p-1", "0x1.972e1e1452f04p-3",
+         "-0x1.95db0c804d0e5p-3", "0x1.f59dfb87f6040p-1"],
+        ["0x1.f581e0e67e11dp-1", "-0x1.97174df238e76p-3",
+         "0x1.95c44f5d6b0b9p-3", "0x1.f6030887fa6ddp-1"]),
 }
 
 
@@ -693,7 +697,8 @@ def test_nan_coefficient_raises_at_the_same_t_batched_or_not():
                  curve_coefficient(looped, _looped(g))):
         with pytest.raises(IntegrationError) as err:
             evolve(path, -1.0, -0.1, 1e-8)
-        assert err.value.location.hex() == "-0x1.3333333333493p-2"
+        assert err.value.location.hex() == "-0x1.3333333333627p-2"
+        assert abs(err.value.location + 0.3) <= 1e-12
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
