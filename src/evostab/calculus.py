@@ -19,7 +19,9 @@ of arc length and the change of variables (``ScalarPath.eval`` and
 
 Every path and field here has one evaluator, over arrays; a source that
 only gives one point at a time goes through :func:`stacked` (paths) or
-:func:`pointwise` (fields).
+:func:`pointwise` (fields).  A built-in that keeps math's last bits takes
+its libm values from :func:`libm`, element by element, and does the rest
+of its algebra in numpy.
 """
 
 from __future__ import annotations
@@ -133,6 +135,19 @@ def stacked(fn: Callable[[float], object]):
         return np.array([fn(t) for t in np.asarray(ts, dtype=float).tolist()],
                         dtype=float)
     return eval_each
+
+
+def libm(fn: Callable[[float], float], t) -> np.ndarray:
+    """fn, a function of one float such as ``math.exp``, at each element
+    of the array t, one call each, in t's shape.  numpy's transcendental
+    functions may differ from math's in the last bits; its +, -, *, / and
+    sqrt cannot, as both round those correctly.  An evaluator that takes
+    its libm values from here and does its algebra in numpy so has the
+    bits of its per-point formula, and raises math's errors where that
+    formula did."""
+    t = np.asarray(t, dtype=float)
+    vals = np.fromiter(map(fn, t.ravel().tolist()), float, t.size)
+    return vals.reshape(t.shape)
 
 
 def _spread(a, *others) -> np.ndarray:

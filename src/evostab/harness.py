@@ -742,6 +742,8 @@ def run_scenario(kind: str, config: dict, seed: int = 0,
 
 
 def _format_cell(x) -> str:
+    if type(x) is float:  # most cells; np.float64's repr is not its value's
+        return repr(x)
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
@@ -758,7 +760,7 @@ def emit_report(report: Report, out_dir) -> tuple:
     csv_path = out / "rows.csv"
     lines = [",".join(report.columns)]
     for row in report.rows:
-        lines.append(",".join(_format_cell(x) for x in row))
+        lines.append(",".join([_format_cell(x) for x in row]))
     csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     summary_path = out / "summary.json"
     payload = _jsonable({

@@ -388,6 +388,19 @@ def test_emit_report_formats_booleans_and_floats(tmp_path):
     assert "0.0,1.0," in lines[1]
 
 
+def test_emit_report_cell_formats_by_type(tmp_path):
+    # np.float64 is a float whose repr is "np.float64(0.1)": it must still
+    # be written as its value
+    cells = [True, np.bool_(False), 3, np.int64(3), np.float64(0.1), -0.0,
+             math.nan, math.inf, "tag"]
+    report = Report(kind="verify", scenario={},
+                    columns=tuple(f"c{i}" for i in range(len(cells))),
+                    rows=[cells], row_pass=[True], summary={}, provenance={})
+    csv_path, _ = emit_report(report, tmp_path)
+    assert csv_path.read_text().splitlines()[1] == (
+        "true,false,3,3,0.1,-0.0,nan,inf,tag")
+
+
 def test_emit_report_handles_infinite_bound(tmp_path):
     report = run_scenario("verify", {
         "system": {"builtin": "example39"}, "window": [0.0, 5.0],

@@ -1,14 +1,21 @@
-"""The built-in fields and connections have one evaluator each, over
-arrays: it must equal the pointwise formula (conftest) bit for bit, on
-every shape the program calls it with."""
+"""The built-in fields, paths and connections have one evaluator each,
+over arrays: it must equal the pointwise formula (conftest, and the paths
+below) bit for bit, on every shape the program calls it with, and raise
+where the formula raised.  The built-in example39 verify keeps its bytes."""
+
+import hashlib
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evostab.library import (BUILTIN_FIELDS, constant_field,
-                             make_connection, make_extension_problem)
+from evostab.calculus import Interval
+from evostab.harness import BUILTIN_SCENARIOS, emit_report, run_scenario
+from evostab.library import (BUILTIN_FIELDS, BUILTIN_PATHS, constant_field,
+                             make_connection, make_extension_problem,
+                             make_scalar_path)
 
 from conftest import (POINTWISE_CONNECTIONS, POINTWISE_EXTENSION_OMEGA2,
                       POINTWISE_FIELDS)
@@ -69,3 +76,129 @@ def test_extension_omega2_is_its_pointwise_formula(name, x0, xs, us):
     omega2 = make_extension_problem(name).omega.omega2
     _assert_array_evaluator_is_the_formula(
         omega2, POINTWISE_EXTENSION_OMEGA2[name], x0, xs, us)
+
+
+# ---------------------------------------------------------------------------
+# the libm evaluators against their per-point formulas, on a seeded grid
+
+
+def _triangle_wave(t):
+    s = (t - 1.0) % 4.0
+    return 1.0 - s if s <= 2.0 else s - 3.0
+
+
+def _triangle_deriv(t):
+    s = (t - 1.0) % 4.0
+    return -1.0 if s < 2.0 else 1.0
+
+
+# the built-in paths one time at a time, as they were written with math:
+# name -> (f, f')
+POINTWISE_PATHS = {
+    "sin2t": (lambda t: math.sin(2.0 * t), lambda t: 2.0 * math.cos(2.0 * t)),
+    "sin-t-squared": (lambda t: math.sin(t * t),
+                      lambda t: 2.0 * t * math.cos(t * t)),
+    "sawtooth": (_triangle_wave, _triangle_deriv),
+    "constant": (lambda t: 0.25, lambda t: 0.0),
+}
+
+_RNG = np.random.default_rng(20)
+_EDGES = np.array([0.0, 5e-324, 1e-300, 1e6])
+# the sawtooth's breakpoints 1 + 2k on [-41, 41], each and 1 ulp either side
+_BREAKS = np.arange(-41.0, 42.0, 2.0)
+_BREAKS = np.concatenate([_BREAKS, np.nextafter(_BREAKS, np.inf),
+                          np.nextafter(_BREAKS, -np.inf)])
+# times >= 0 (example39's domain), and times of either sign
+_TIMES = np.concatenate([_EDGES, _RNG.uniform(0.0, 100.0, 3000),
+                         _RNG.uniform(0.0, 1e-6, 200)])
+_SIGNED = np.concatenate([_TIMES, -_TIMES, _BREAKS,
+                          _RNG.uniform(-50.0, 50.0, 3000)])
+
+
+def _shapes(ts, us):
+    """The shapes callers pass: scalars, (n,) against (n,), and (k, 15)
+    against (15,)."""
+    k = len(ts) // 15
+    return ((float(ts[1]), float(us[-1])), (ts, us[:len(ts)]),
+            (ts[:15 * k].reshape(k, 15), us[:15]))
+
+
+def _per_point(formula, *args):
+    """formula at each point of the broadcast arguments, stacked in their
+    shape."""
+    shape = np.broadcast(*args).shape
+    flat = [np.broadcast_to(a, shape).ravel().tolist() for a in args]
+    vals = np.array([formula(*p) for p in zip(*flat)], dtype=float)
+    return vals.reshape(shape + vals.shape[1:])
+
+
+def _assert_same_bits(got, want):
+    got = np.asarray(got)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_example39_is_its_formula_bit_for_bit():
+    field = BUILTIN_FIELDS["example39"]()
+    us = _RNG.uniform(-1.0, 1.0, len(_TIMES))
+    for t, u in _shapes(_TIMES, us):
+        for array_fn, formula in zip((field.eval, field.partial_t),
+                                     POINTWISE_FIELDS["example39"]):
+            _assert_same_bits(array_fn(t, u), _per_point(formula, t, u))
+
+
+@pytest.mark.parametrize("name", sorted(POINTWISE_PATHS))
+def test_path_is_its_formula_bit_for_bit(name):
+    assert name in BUILTIN_PATHS
+    path = make_scalar_path(name, Interval(-41.0, 41.0))
+    for t, _ in _shapes(_SIGNED, _SIGNED):
+        for array_fn, formula in zip((path.eval, path.deriv),
+                                     POINTWISE_PATHS[name]):
+            _assert_same_bits(array_fn(t), _per_point(formula, t))
+
+
+def test_mixed_bounded_is_its_formula_bit_for_bit():
+    w = make_connection("mixed-bounded")
+    us = _RNG.permutation(_SIGNED)
+    for x, u in _shapes(_SIGNED, us):
+        for array_fn, formula in zip((w.omega1, w.omega2, w.d1_omega2),
+                                     POINTWISE_CONNECTIONS["mixed-bounded"]):
+            _assert_same_bits(array_fn(x, u), _per_point(formula, x, u))
+
+
+@pytest.mark.parametrize("which, t, error", [
+    (0, -1e-300, ValueError), (0, -0.5, ValueError), (0, -2.0, ValueError),
+    (0, -math.inf, ValueError), (1, -1.0 - 1e-15, ValueError),
+    (1, -3.0, ValueError), (1, -math.inf, ValueError),
+    (1, -1.0, ZeroDivisionError),
+])
+def test_example39_raises_where_its_formula_raised(which, t, error):
+    field = BUILTIN_FIELDS["example39"]()
+    array_fn = (field.eval, field.partial_t)[which]
+    formula = POINTWISE_FIELDS["example39"][which]
+    with pytest.raises(error) as was:
+        formula(t, 0.0)
+    for arg in (t, np.array([2.0, t, 1.0]), np.full((2, 15), t)):
+        with pytest.raises(error) as got:
+            array_fn(arg, 0.0)
+        assert str(got.value) == str(was.value)
+
+
+def test_example39_derivative_is_finite_where_its_formula_was():
+    field = BUILTIN_FIELDS["example39"]()
+    t = np.array([-0.5, -1e-300, -0.999])
+    want = _per_point(POINTWISE_FIELDS["example39"][1], t, 0.0)
+    assert np.isfinite(want).all()
+    _assert_same_bits(field.partial_t(t, 0.0), want)
+
+
+def test_builtin_example39_verify_keeps_its_bytes_and_cost(tmp_path):
+    kind, config = BUILTIN_SCENARIOS["example39"]
+    report = run_scenario(kind, config, seed=7)
+    csv_path, _ = emit_report(report, tmp_path)
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == (
+        "a821ad7e170d05f9d4933390c831cb9b6dc85de9ff66845291057c8c4f8114f8")
+    cost = report.summary["cost"]
+    assert (cost["rhs_evals"], cost["steps"], cost["rejected"],
+            cost["quad_panels"], cost["quad_nodes"]) == (
+        16239, 400, 33, 103, 1545)
