@@ -1,9 +1,9 @@
 """Scalar and operator-valued 1-D calculus.
 
 Adaptive Gauss-Kronrod quadrature (pre-split at declared breakpoints),
-derivatives of piecewise-C1 data, total variation in both the derivative
-and the partition-refinement sense, arc length, and the numerical
-change-of-variables identity
+derivatives of piecewise-C1 data, total variation as the integral of the
+derivative's norm, arc length, and the numerical change-of-variables
+identity
 
     int_s^t f'(tau) y(f(tau)) dtau  =  int_{f(s)}^{f(t)} y(u) du.
 
@@ -26,21 +26,19 @@ of its algebra in numpy.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainViolationError, QuadratureError, RefinementError
+from .errors import DomainViolationError, QuadratureError
 from .operators import EUCLIDEAN, VectorSpaceSpec, matrix_norm
 
 DEFAULT_TOL = 1e-10
-# partition-sum variation: the relative change between two doublings that
-# ends the refinement, and the number of doublings allowed
-_TV_REL_STOP = 1e-4
-_TV_MAX_DOUBLINGS = 14
 
 # 15-point Kronrod nodes on [-1, 1] and weights, with the embedded
 # 7-point Gauss rule on the odd-indexed nodes.
@@ -227,8 +225,9 @@ class ScalarPath:
         """The derivative at the times in ts: 0 within the snapping
         distance of a breakpoint, where nothing is evaluated, and from
         ``deriv`` or central differences elsewhere."""
+        slope = self.deriv or (lambda ts: central_difference(self.eval, ts))
         if not self.breakpoints:
-            return self._slope(ts)
+            return np.asarray(slope(ts), dtype=float)
         bps = np.asarray(self.breakpoints)
         i = np.searchsorted(bps, ts)
         keep = np.ones(ts.shape, dtype=bool)
@@ -236,16 +235,11 @@ class ScalarPath:
             b = bps[j]
             keep &= np.abs(ts - b) > 1e-14 * np.maximum(1.0, np.abs(b))
         if keep.all():
-            return self._slope(ts)
-        slope = self._slope(ts[keep])
-        out = np.zeros(ts.shape + slope.shape[1:])
-        out[keep] = slope
+            return np.asarray(slope(ts), dtype=float)
+        kept = np.asarray(slope(ts[keep]), dtype=float)
+        out = np.zeros(ts.shape + kept.shape[1:])
+        out[keep] = kept
         return out
-
-    def _slope(self, ts: np.ndarray) -> np.ndarray:
-        if self.deriv is not None:
-            return np.asarray(self.deriv(ts), dtype=float)
-        return central_difference(self.eval, ts)
 
 
 @dataclass(frozen=True)
@@ -318,12 +312,8 @@ def _gk15(gv, a: float, b: float, stats: Optional[QuadStats] = None):
 
 
 def _initial_cuts(lo: float, hi: float, breakpoints: Sequence[float]):
-    cuts = [lo]
-    for b in sorted(set(float(x) for x in breakpoints)):
-        if lo < b < hi:
-            cuts.append(b)
-    cuts.append(hi)
-    return cuts
+    inner = sorted(b for b in set(map(float, breakpoints)) if lo < b < hi)
+    return [lo, *inner, hi]
 
 
 def _values(y):
@@ -400,11 +390,7 @@ def _integrate_nodes(gv, interval: Interval, breakpoints=(),
 
 
 def _segment_total(seg_values):
-    it = iter(seg_values.values())
-    total = next(it)[0]
-    for val, _ in it:
-        total = total + val
-    return total
+    return functools.reduce(operator.add, (v for v, _ in seg_values.values()))
 
 
 def _oriented(quad, g, s, t, *args, **kwargs):
@@ -449,43 +435,18 @@ def total_variation_path(
     norm_kind: str = EUCLIDEAN,
     stats: Optional[QuadStats] = None,
 ) -> float:
-    """Total variation of an operator path t -> G(t) on a finite interval.
-
-    ``G`` and the optional ``deriv`` map an array of times to the stack of
-    the matrices there.  With ``deriv`` given the variation equals
-    int ||G'|| and is computed by quadrature, the derivative taken over
-    each panel's nodes in one call (``stats`` counts the panels).
-    Otherwise partition sums over dyadically refined grids give a
-    monotone nondecreasing lower estimate, accepted once the relative
-    change between refinements drops below 1e-4, within 14 doublings;
-    each doubling evaluates G at the fresh midpoints only.
+    """Total variation of an operator path t -> G(t) on a finite interval:
+    int ||G'|| by quadrature, the derivative taken over each panel's
+    nodes in one call (``stats`` counts the panels).  ``G`` and the
+    optional ``deriv`` map an array of times to the stack of the matrices
+    there; without ``deriv``, G' is taken by :func:`central_difference`.
+    An unbounded variation exhausts the panels: QuadratureError.
     """
     if not interval.is_finite():
         raise DomainViolationError("variation requested over an unbounded interval")
-    if deriv is not None:
-        return _integrate_nodes(lambda ts: matrix_norm(deriv(ts), norm_kind),
-                                interval, breakpoints, tol, stats=stats)
-
-    def levels():
-        pts = np.array(_initial_cuts(interval.lo, interval.hi, breakpoints))
-        # a too-coarse start can alias oscillations into a spuriously
-        # stable sum, so densify before the convergence test kicks in
-        while len(pts) < 33:
-            pts = _refine_dyadic(pts)
-        vals = np.asarray(G(pts), dtype=float)
-        yield 0, _partition_sum(vals, norm_kind)
-        for k in range(1, _TV_MAX_DOUBLINGS + 1):
-            vals = _interleave(vals, G(_midpoints(pts)))
-            pts = _refine_dyadic(pts)
-            yield k, _partition_sum(vals, norm_kind)
-
-    value, _, converged = refine_until_stable(
-        levels(),
-        lambda prev, cur: cur - prev <= _TV_REL_STOP * max(cur, 1e-300))
-    if not converged:
-        raise RefinementError("partition-sum variation did not stabilize",
-                              value, value)
-    return value
+    slope = deriv or (lambda ts: central_difference(G, ts))
+    return _integrate_nodes(lambda ts: matrix_norm(slope(ts), norm_kind),
+                            interval, breakpoints, tol, stats=stats)
 
 
 def refine_until_stable(levels, stable):
@@ -506,30 +467,6 @@ def refine_until_stable(levels, stable):
     return prev, level, False
 
 
-def _midpoints(pts: np.ndarray) -> np.ndarray:
-    return 0.5 * (pts[:-1] + pts[1:])
-
-
-def _interleave(old: np.ndarray, fresh: np.ndarray) -> np.ndarray:
-    """old[0], fresh[0], old[1], ... along axis 0 (len(old) = len(fresh) + 1)."""
-    out = np.empty((len(old) + len(fresh),) + old.shape[1:])
-    out[0::2] = old
-    out[1::2] = fresh
-    return out
-
-
-def _refine_dyadic(pts: np.ndarray) -> np.ndarray:
-    return _interleave(pts, _midpoints(pts))
-
-
-def _partition_sum(vals: np.ndarray, norm_kind: str) -> float:
-    """The sum of the norms of neighbouring differences of the stack vals,
-    added left to right (cumsum is sequential, unlike numpy's pairwise
-    sum)."""
-    norms = matrix_norm(vals[1:] - vals[:-1], norm_kind)
-    return float(np.cumsum(norms)[-1])
-
-
 def tv_l1_upper_bound(
     G: OperatorField,
     I: Interval,
@@ -540,22 +477,24 @@ def tv_l1_upper_bound(
     """Upper bound for the variation of t -> G(t, .) in the L1(J) metric:
     the double integral of ||d/dt G(t, u)|| over I x J, by iterated
     adaptive quadrature.  Each outer panel takes its 15 inner integrals as
-    one family on shared u-panels; ``stats`` counts the panels of both."""
+    one family on shared u-panels; ``stats`` counts the panels of both.
+    A field that does not depend on u gives lambda(J) times the variation
+    of t -> G(t, mid J), one integral.  d/dt G is ``G.d1_many``."""
     if not (I.is_finite() and J.is_finite()):
         raise DomainViolationError("double integral over an unbounded rectangle")
     kind = G.space.norm_kind
     if G.u_independent:
-        def inner(ts):
-            return J.length() * matrix_norm(G.d1_many(ts, J.midpoint()), kind)
-    else:
-        # keep the inner integrals well below the outer tolerance so that
-        # the outer error estimate is not noise-limited
-        inner_tol = tol / (100.0 * max(I.length(), 1.0))
+        return J.length() * total_variation_path(
+            None, I, G.t_breakpoints, tol,
+            lambda ts: G.d1_many(ts, J.midpoint()), kind, stats)
+    # keep the inner integrals well below the outer tolerance so that the
+    # outer error estimate is not noise-limited
+    inner_tol = tol / (100.0 * max(I.length(), 1.0))
 
-        def inner(ts):
-            return _integrate_nodes(
-                lambda us: matrix_norm(G.d1_many(ts, us[:, None]), kind),
-                J, (), inner_tol, stats=stats)
+    def inner(ts):
+        return _integrate_nodes(
+            lambda us: matrix_norm(G.d1_many(ts, us[:, None]), kind),
+            J, (), inner_tol, stats=stats)
 
     return _integrate_nodes(inner, I, G.t_breakpoints, tol, stats=stats)
 

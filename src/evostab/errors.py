@@ -22,18 +22,6 @@ class QuadratureError(EvoStabError):
         self.error_bound = error_bound
 
 
-class RefinementError(EvoStabError):
-    """A partition/grid refinement loop failed to stabilize.
-
-    ``previous`` and ``last`` are the final two iterates.
-    """
-
-    def __init__(self, message, previous, last):
-        super().__init__(message)
-        self.previous = previous
-        self.last = last
-
-
 class IntegrationError(EvoStabError):
     """The ODE integrator could not continue (step-size underflow).
 

@@ -18,9 +18,11 @@ interior, so an undeclared jump can be stepped over by up to 6% of a
 step.
 
 One driver runs that step, :func:`_window_sweep`.  It sweeps a
-fundamental solution Phi across the hull of a set of stops, carrying
-Phi^{-1} along by the inverse exponentials, and yields Phi y0 for a
-start state y0 at each stop.  A step is judged on its own matrices, not
+fundamental solution Phi across the hull of a set of stops and yields
+Phi y0 for a start state y0 at each stop; the sweep of Phi itself, and
+only that one, carries Phi^{-1} along by the inverse exponentials.  A
+state that stops being finite ends the sweep at the window where that
+happened.  A step is judged on its own matrices, not
 on the state, and a window of up to ``_WINDOW`` equal steps takes one
 ``A.eval`` call and one :func:`expm` call.  The step sequence depends
 only on (A, span, tol), and each stop is a side step off it that no
@@ -202,8 +204,10 @@ def _check_underflow(h, t):
 def _window_sweep(A, stops, y0, tol, stats):
     """Integrate Phi' = A(t) Phi, Phi(stops[0]) = I, across the hull of
     the monotone ``stops`` and yield (Phi y0, Phi^{-1}) at each of them.
-    ``y0`` is the identity for a propagator, or a (r, c) or (k, r, c)
-    state for the (r, r) or (k, r, r) stacks of A.  Descending stops
+    ``y0`` is a (r, c) or (k, r, c) state for the (r, r) or (k, r, r)
+    stacks of A, and then the second of each pair is None; y0 = None
+    sweeps the propagator Phi itself, and only that sweep carries Phi^{-1}
+    along, by the inverse exponentials.  Descending stops
     sweep the reflected coefficient t -> -A(-t) over the negated stops:
     that sweep has its own step sequence, and its failures are located
     in the caller's t.
@@ -238,10 +242,13 @@ def _window_sweep(A, stops, y0, tol, stats):
     one ``A.eval`` call takes the three Gauss nodes of each of its
     sub-steps (three per step) and of the side step to each stop it
     covers, and its one :func:`expm` call the exponents of all of them
-    and minus those of the half and side steps, for the inverses.  A
-    side step past the window's first rejected step is discarded and
-    taken again with a later window.  A stop whose state or Phi^{-1} is
-    not finite (a side step into a NaN of A) ends the sweep.
+    (and minus those of the half and side steps, for Phi^{-1}).  A side
+    step past the window's first rejected step is discarded and taken
+    again with a later window.  A stop whose state or Phi^{-1} is not
+    finite (a side step into a NaN of A) ends the sweep, and so does a
+    window whose carried state or Phi^{-1} is not finite at its end (an
+    overflow): the failure is located at the last of its boundaries
+    where they were still finite.
     """
     stats = stats if stats is not None else StepStats()
     stops = np.asarray(stops, dtype=float)
@@ -254,8 +261,8 @@ def _window_sweep(A, stops, y0, tol, stats):
         stops = -stops
     if np.any(np.diff(stops) < 0.0):
         raise ValueError("the stops of a sweep must be monotone")
-    eye = np.eye(A.space.dim)
-    phi, inv = y0, np.broadcast_to(eye, y0.shape[:-2] + eye.shape)
+    inv = np.eye(A.space.dim) if y0 is None else None
+    phi = inv if y0 is None else y0
     lo, hi = float(stops[0]), float(stops[-1])
     j = int(np.searchsorted(stops, lo, side="right"))
     for _ in range(j):
@@ -317,9 +324,9 @@ def _window_sweep(A, stops, y0, tol, stats):
                         continue
                 omega = _bcr_exponent(coef[0], coef[1], coef[2], spans.reshape(
                     spans.shape + (1,) * (coef.ndim - 2)))
-                e = expm(np.concatenate((omega, -omega[n:])))
+                e = expm(omega if inv is None
+                         else np.concatenate((omega, -omega[n:])))
                 e0, e1, e2 = e[:n], e[n:2 * n], e[2 * n:3 * n]
-                i1, i2 = e[3 * n + m:4 * n + m], e[4 * n + m:5 * n + m]
                 prod = e2 @ e1
                 scale = tol + tol * np.maximum(np.abs(e0), np.abs(prod))
                 err = np.max((np.abs(e0 - prod) / scale).reshape(n, -1),
@@ -344,28 +351,46 @@ def _window_sweep(A, stops, y0, tol, stats):
                 last_reject = (t, worst, hs) if k == 0 else None
                 stats.steps += k
                 stats.rejected += n - k
-                # Phi and Phi^-1 at the accepted boundaries b[0..k],
-                # from running products of the steps by doubling
-                ahead, back, s = prod[:k], i1[:k] @ i2[:k], 1
+                # the state (and Phi^-1) at the accepted boundaries
+                # b[0..k], from running products of the steps by doubling
+                ahead, s = prod[:k], 1
+                if inv is not None:
+                    i1, i2 = e[3 * n + m:4 * n + m], e[4 * n + m:5 * n + m]
+                    back = i1[:k] @ i2[:k]
                 while s < k:
                     ahead = np.concatenate((ahead[:s], ahead[s:] @ ahead[:-s]))
-                    back = np.concatenate((back[:s], back[:-s] @ back[s:]))
+                    if inv is not None:
+                        back = np.concatenate((back[:s], back[:-s] @ back[s:]))
                     s *= 2
                 phis = np.concatenate(((phi,), ahead @ phi))
-                invs = np.concatenate(((inv,), inv @ back))
-                phi, inv = phis[k], invs[k]
+                phi = phis[k]
                 # then at the stops in the accepted steps; a non-finite
                 # one ends the sweep
                 reached = int(np.searchsorted(stops[j:end], b[k], side="right"))
                 at, side = at[:reached], side[:reached]
-                xs, ys = phis[at], invs[at]
                 count = int(np.sum(side))
+                xs = phis[at]
                 xs[side] = e[3 * n:3 * n + count] @ xs[side]
-                ys[side] = ys[side] @ e[5 * n + m:5 * n + m + count]
-                axes = tuple(range(1, xs.ndim))
-                finite = (np.isfinite(xs).all(axis=axes)
-                          & np.isfinite(ys).all(axis=axes))
+                axes = tuple(range(1, phis.ndim))
+                finite = np.isfinite(xs).all(axis=axes)
+                ys = [None] * reached
+                if inv is not None:
+                    invs = np.concatenate(((inv,), inv @ back))
+                    inv = invs[k]
+                    ys = invs[at]
+                    ys[side] = ys[side] @ e[5 * n + m:5 * n + m + count]
+                    finite &= np.isfinite(ys).all(axis=axes)
+                # a state that overflowed ends the sweep at the last
+                # boundary where it was finite, before the stops past it
+                broken = k + 1
+                if not np.isfinite(phi if inv is None else (phi, inv)).all():
+                    ok = np.isfinite(phis).all(axis=axes)
+                    if inv is not None:
+                        ok &= np.isfinite(invs).all(axis=axes)
+                    broken = int(np.argmin(ok))
                 for i in range(reached):
+                    if at[i] >= broken:
+                        break
                     if not finite[i]:
                         start = caller_t(float(b[at[i]]))
                         raise IntegrationError(
@@ -373,6 +398,11 @@ def _window_sweep(A, stops, y0, tol, stats):
                             f"{caller_t(stops[j + i])}, reached from t = "
                             f"{start}", start)
                     yield xs[i], ys[i]
+                if broken <= k:
+                    start = caller_t(float(b[broken - 1]))
+                    raise IntegrationError(
+                        f"non-finite propagator past t = {start}, in the "
+                        f"step to {caller_t(float(b[broken]))}", start)
                 j += reached
                 t = float(b[k])
                 first = first and k == 0
@@ -446,8 +476,7 @@ class EvolutionOperator:
         self._failure: Optional[IntegrationError] = None
         stops = sorted(set(float(t) for t in times))
         self._phi = dict.fromkeys(stops)  # tau -> (Phi(tau), Phi(tau)^-1)
-        sweep = _window_sweep(source, stops, np.eye(source.space.dim), tol,
-                              self.step_stats)
+        sweep = _window_sweep(source, stops, None, tol, self.step_stats)
         try:
             for tau, pair in zip(stops, sweep):
                 self._phi[tau] = pair

@@ -222,28 +222,46 @@ def _parsed(src, where=""):
         raise ExpressionError(f"{where}{exc}") from None
 
 
-def _expr_matrix(rows):
-    """The array evaluator (t, u) -> matrix of a square list-of-lists of
-    expression strings, t and u numbers or arrays broadcast together, with
-    its dimension as ``.dim``."""
-    r = len(rows)
-    entries = [_parsed(s, f"entry [{i}][{j}]: ")
-               for i, row in enumerate(rows) for j, s in enumerate(row)]
+def _matrix_of(fs, r: int):
+    """The array evaluator (t, u) -> matrix of the r*r entry evaluators
+    fs, row by row, t and u numbers or arrays broadcast together.  An
+    entry None is 0 and is not evaluated."""
+    ks = [k for k, f in enumerate(fs) if f is not None]
+    live = [fs[k] for k in ks]
+    fill = np.empty if len(live) == len(fs) else np.zeros
 
     def matrix(t, u):
         shape = np.broadcast(t, u).shape
-        out = np.empty(shape + (r * r,))
-        for k, values in enumerate(many_together(entries, t, u)):
+        out = fill(shape + (r * r,))
+        for k, values in zip(ks, many_together(live, t, u)):
             out[..., k] = values
         return out.reshape(shape + (r, r))
 
+    return matrix
+
+
+def _expr_matrix(rows):
+    """The array evaluator (t, u) -> matrix of a square list-of-lists of
+    expression strings, t and u numbers or arrays broadcast together, with
+    its dimension as ``.dim`` and its exact t-derivative as ``.partial_t``,
+    which leaves the entries constant in t at 0 without evaluating them."""
+    r = len(rows)
+    entries = [_parsed(s, f"entry [{i}][{j}]: ")
+               for i, row in enumerate(rows) for j, s in enumerate(row)]
+    matrix = _matrix_of(entries, r)
+    matrix.partial_t = _matrix_of([f.dt for f in entries], r)
     matrix.dim = r
     return matrix
 
 
 def _path(f, breakpoints) -> ScalarPath:
-    """The path t -> f(t, 0) of a parsed expression."""
-    return ScalarPath(eval=stacked(lambda t: f(t, 0.0)),
+    """The path t -> f(t, 0) of a parsed expression, with its exact
+    derivative (0 where f is constant in t)."""
+    def slope(ts):
+        out = np.zeros(np.shape(ts))
+        return out if f.dt is None else out + f.dt.many(ts, 0.0)
+
+    return ScalarPath(eval=stacked(lambda t: f(t, 0.0)), deriv=slope,
                       breakpoints=breakpoints)
 
 
@@ -286,7 +304,8 @@ def _builtin_system(c) -> SeparableSystem:
 
 def _expression_system(c) -> SeparableSystem:
     space = VectorSpaceSpec(c.G.dim, c.norm)
-    field = OperatorField(eval=c.G, space=space, t_breakpoints=c.G_breakpoints,
+    field = OperatorField(eval=c.G, space=space, partial_t=c.G.partial_t,
+                          t_breakpoints=c.G_breakpoints,
                           u_independent=c.u_independent)
     return SeparableSystem(G=field, f=_path(c.f, c.f_breakpoints), I=c.I,
                            J=c.J, space=space)

@@ -38,11 +38,9 @@ from .calculus import (
     ScalarPath,
     l1_norm_in_u,
     refine_until_stable,
-    total_variation_path,
     tv_l1_upper_bound,
 )
-from .errors import (DomainViolationError, IntegrationError, QuadratureError,
-                     RefinementError)
+from .errors import DomainViolationError, IntegrationError, QuadratureError
 from .evolution import CoefficientPath, EvolutionOperator, StepStats, evolve
 from .expressions import parse_expression
 from .operators import VectorSpaceSpec, matrix_norm
@@ -153,7 +151,10 @@ class BoundCertificate:
     ``bound`` is always reproducible from ``gain`` and ``variation``; the
     constructor enforces that.  Certificates computed from grid samples
     are labeled estimates: the true sup may exceed the sampled one.
-    ``cost`` counts the quadrature panels that produced the numbers.
+    ``variation_mode`` says how V was integrated: "double-integral" or,
+    for a field that does not depend on u, "derivative" (see
+    :func:`certify`).  ``cost`` counts the quadrature panels that
+    produced the numbers.
     """
 
     gain: float
@@ -244,9 +245,12 @@ def certify(
     """Stability certificate of a separable system over a compact window.
 
     The gain comes from a dyadically refined sampled sup of the L1-in-u
-    norm; the variation from the double-integral upper bound, or from
-    lambda(J) * variation of t -> G(t) when the field does not depend on u.
-    Only G, J and the window enter: the certificate is uniform in f.
+    norm; the variation from the double-integral upper bound
+    (``variation_mode`` "double-integral"), or from lambda(J) times the
+    integral of ||d/dt G(t, mid J)|| when the field does not depend on u
+    ("derivative").  Both take d/dt G from ``G.d1_many``: the field's
+    ``partial_t``, or central differences for a field without one.  Only
+    G, J and the window enter: the certificate is uniform in f.
     """
     if not window.is_finite():
         raise ValueError("certification window must be finite")
@@ -261,26 +265,10 @@ def certify(
     )
     gain = math.exp(sup_val)
 
-    if G.u_independent:
-        u_mid = J.midpoint()
-        deriv = None if G.partial_t is None else (
-            lambda ts: G.partial_t(ts, u_mid))
-        variation_mode = "partition-sum" if deriv is None else "derivative"
-        try:
-            variation = J.length() * total_variation_path(
-                lambda ts: G.eval(ts, u_mid),
-                window, G.t_breakpoints, tol, deriv=deriv,
-                norm_kind=sys.space.norm_kind, stats=cost,
-            )
-        except RefinementError as exc:  # only partition sums refine
-            variation = float(exc.last) * J.length()
-            variation_mode = "partition-sum-unconverged"
-            conv = False
-    else:
-        variation = tv_l1_upper_bound(G, window, J, tol, cost)
-        variation_mode = "double-integral"
-    # the shortcuts of a u-independent field (the L1 norm as a product,
-    # partition sums) run no quadrature panel to catch a non-finite value
+    variation = tv_l1_upper_bound(G, window, J, tol, cost)
+    variation_mode = "derivative" if G.u_independent else "double-integral"
+    # the shortcut of a u-independent field's L1 norm (a product) runs no
+    # quadrature panel to catch a non-finite value
     if not (math.isfinite(sup_val) and math.isfinite(variation)):
         raise QuadratureError(
             f"non-finite certificate on the window [{window.lo}, "

@@ -155,14 +155,20 @@ def test_certify_of_a_non_finite_field_raises_quadrature_error():
     # window meets the NaN on the u-panel [-1, 1]
     with pytest.raises(QuadratureError, match=r"panel \[-1, 1\]"):
         certify(_nan_system(lambda t: t > 0.5, False), Interval(0, 1))
-    # declared u-independent, its gain is |G| times the length of J and its
-    # variation a partition sum: no panel runs, the window is named
-    # (the sup keeps a NaN met only between the 17 points of its first grid)
+    # declared u-independent, its gain is |G| times the length of J, and
+    # its variation integrates the central-difference slope: the first
+    # panel over the whole window meets the NaN, which its nodes at and
+    # around t = 1/2 straddle
     for bad in (lambda t: t > 0.5, lambda t: 0.5 < t < 0.55):
-        with pytest.raises(QuadratureError,
-                           match=r"non-finite certificate on the window "
-                                 r"\[0, 1\]: sup of the L1 norm nan"):
+        with pytest.raises(QuadratureError, match=r"panel \[0, 1\]"):
             certify(_nan_system(bad, True), Interval(0, 1))
+    # a NaN that only the sampled sup sees (the slope takes G at t +- h,
+    # never at t = 1/2, a point of the sup's first grid): the window is
+    # named, and no certificate comes out
+    with pytest.raises(QuadratureError,
+                       match=r"non-finite certificate on the window "
+                             r"\[0, 1\]: sup of the L1 norm nan"):
+        certify(_nan_system(lambda t: t == 0.5, True), Interval(0, 1))
 
 
 def test_quadrature_failure_carries_best_estimate():
@@ -260,20 +266,19 @@ def test_variation_sine_four_quarter_waves():
     assert val == pytest.approx(4.0, abs=1e-9)
 
 
-def test_variation_refinement_mode_is_monotone_lower_estimate():
+def test_variation_without_deriv_integrates_central_differences():
+    # no deriv: the slope is taken by central differences, and the
+    # variation is still the integral of its norm, to within the
+    # differences' own error
     G = stacked(lambda t: np.array([[math.sin(t)]]))
-    interval = Interval(0.0, 2 * math.pi)
-    est = total_variation_path(G, interval)
-    assert est <= 4.0 + 1e-12
-    assert est == pytest.approx(4.0, rel=1e-3)
-    # partition sums grow under refinement
-    pts_coarse = np.linspace(0.0, 2 * math.pi, 33)
-    pts_fine = np.linspace(0.0, 2 * math.pi, 65)
-    s = lambda pts: sum(abs(math.sin(b) - math.sin(a))
-                        for a, b in zip(pts, pts[1:]))
-    assert s(pts_fine) >= s(pts_coarse) - 1e-12
-    # and the derivative-mode value dominates every partition sum
-    assert 4.0 >= s(pts_fine) - 1e-6
+    est = total_variation_path(G, Interval(0.0, 2 * math.pi))
+    assert est == pytest.approx(4.0, abs=1e-9)
+    # (t - 1/3) sin(1/(t - 1/3)) has unbounded variation: no value comes
+    # out, the panel budget runs out instead
+    tip = 1.0 / 3.0
+    wobble = stacked(lambda t: np.array([[(t - tip) * math.sin(1.0 / (t - tip))]]))
+    with pytest.raises(QuadratureError, match="did not converge"):
+        total_variation_path(wobble, Interval(0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -174,6 +174,36 @@ def test_blow_up_raises_integration_error_without_warnings():
     assert 4.9 <= err.value.location < 5.0
 
 
+def _fast_decay():
+    return CoefficientPath(eval=lambda ts: np.full((len(ts), 1, 1), -100.0),
+                           space=SP1)
+
+
+def test_vector_sweep_of_a_fast_decay_underflows_to_zero():
+    # x' = -100 x: e^-1000 underflows harmlessly to 0.0; the inverse
+    # e^1000 would overflow, and a vector sweep does not carry it
+    xs = sweep_vector(_fast_decay(), (0.0, 5.0, 10.0), [1.0])
+    assert xs[0][0] == 1.0
+    assert xs[1][0] == pytest.approx(math.exp(-500.0), rel=1e-9)
+    assert xs[2][0] == 0.0
+
+
+def test_propagator_overflow_is_located_at_its_window():
+    # the propagator carries Phi^-1 = e^{100 t}, which overflows past
+    # ln(max float) / 100 = 7.0978...: the sweep ends in the window where
+    # that happens, and the stop before it stays queryable
+    ev = EvolutionOperator(_fast_decay(), (0.0, 5.0, 10.0))
+    assert ev.query(5.0, 0.0).entries[0, 0] == pytest.approx(
+        math.exp(-500.0), rel=1e-9)
+    with pytest.raises(IntegrationError, match="non-finite propagator") as err:
+        ev.query(10.0, 0.0)
+    # the failure names the last step boundary where Phi^-1 was finite:
+    # one step (0.61 long here) before the overflow, inside its window
+    overflow = math.log(np.finfo(float).max) / 100.0
+    assert overflow - 1.0 < err.value.location < overflow
+    assert ev.step_stats.steps < 100
+
+
 def test_non_finite_stages_are_rejected_until_integration_error():
     # an infinite coefficient from t = 1 on makes every stage that samples
     # it non-finite, and the tableau's zero entries carry 0 * inf = nan

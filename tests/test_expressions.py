@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evostab.errors import ExpressionError
-from evostab.expressions import parse_expression
+from evostab.expressions import (compile_tree, derivative, parse_expression,
+                                 parse_tree)
 
 
 def test_numbers_and_arithmetic():
@@ -133,3 +136,112 @@ def test_complex_power_is_an_expression_error():
     assert parse_expression("(0-2)^3")(0.0) == -8.0
     assert parse_expression("(t-2)^u").many(0.0, np.array([2.0, 3.0])).tolist() \
         == [4.0, -8.0]
+
+
+def test_non_finite_numbers_are_refused():
+    with pytest.raises(ExpressionError, match="not finite"):
+        parse_expression("1e400*t")
+
+
+# ---------------------------------------------------------------------------
+# exact t-derivatives
+
+_NUMBERS = st.floats(0.1, 4.0).map(lambda x: repr(round(x, 3)))
+
+
+def _grow(inner):
+    return st.one_of(
+        inner.map(lambda a: f"(-{a})"),
+        st.tuples(inner, st.sampled_from("+-*/"), inner).map(
+            lambda x: f"({x[0]} {x[1]} {x[2]})"),
+        st.tuples(inner, st.sampled_from(["2", "3", "0.5"]) | inner).map(
+            lambda x: f"({x[0]})^({x[1]})"),
+        st.tuples(st.sampled_from(["sin", "cos", "exp", "atan", "sqrt"]),
+                  inner).map(lambda x: f"{x[0]}({x[1]})"),
+    )
+
+
+_EXPRESSIONS = st.recursive(
+    st.sampled_from(["t", "u", "pi", "e"]) | _NUMBERS, _grow, max_leaves=10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_EXPRESSIONS, st.floats(0.1, 2.0),
+       st.floats(0.1, 1.5) | st.floats(-1.5, -0.1))
+def test_derivative_agrees_with_mpmath_diff(src, t, u):
+    # where the value is finite, the compiled d/dt agrees with mpmath's
+    # numerical derivative of the same tree compiled over mpmath at 50
+    # digits, to 1e-12 relative to the larger of the two sides, the value
+    # and 1 (an expression constant in t may leave rounding in its d/dt)
+    mpmath = pytest.importorskip("mpmath")
+    f = parse_expression(src)
+    try:
+        value = f(t, u)
+    except ExpressionError:
+        return
+    if not math.isfinite(value):
+        return
+    try:
+        d = 0.0 if f.dt is None else f.dt(t, u)
+    except ExpressionError:
+        # d/dt alone faults where it is infinite or overflows, as that of
+        # (t - t)^t or sqrt(t - t) does; a fault is never a value
+        assert f.dt is not None
+        return
+    table = {"sin": mpmath.sin, "cos": mpmath.cos, "exp": mpmath.exp,
+             "atan": mpmath.atan, "sqrt": mpmath.sqrt, "^": mpmath.power,
+             "log": mpmath.log}
+    g = compile_tree(parse_tree(src), table)
+    with mpmath.workdps(50):
+        exact = float(mpmath.re(mpmath.diff(
+            lambda x: g(x, mpmath.mpf(u)), mpmath.mpf(t))))
+    assert abs(d - exact) <= 1e-12 * max(abs(exact), abs(value), 1.0)
+
+
+def test_derivative_tree_drops_zero_terms_and_unit_factors():
+    tree = lambda src: derivative(parse_tree(src))
+    assert tree("atan(t)*u") == (
+        "*", ("/", ("num", 1.0), ("+", ("num", 1.0), ("*", ("t",), ("t",)))),
+        ("u",))
+    assert tree("sin(t*u)") == ("*", ("cos", ("*", ("t",), ("u",))), ("u",))
+    assert tree("3*t + u") == ("num", 3.0)
+    assert tree("exp(-t)") == ("*", ("exp", ("neg", ("t",))), ("num", -1.0))
+    for constant in ("0.1*u", "sin(u)^2", "pi - e"):
+        assert tree(constant) is None
+        assert parse_expression(constant).dt is None
+
+
+def test_derivative_many_agrees_with_scalar_and_central_differences():
+    rng = np.random.default_rng(7)
+    t = rng.uniform(0.1, 3.0, 200)
+    u = rng.uniform(-2.0, 2.0, 200)
+    h = 1e-6
+    for src in ("atan(t)*u", "sin(t*u)", "exp(-t)", "(t*t + 1)^u", "2^t",
+                "t/(1 + u*t)", "sqrt(t*t + u*u)"):
+        f = parse_expression(src)
+        batch = f.dt.many(t, u)
+        assert batch.shape == t.shape
+        assert np.max(_ulps_apart(batch, [f.dt(a, b) for a, b in zip(t, u)])) \
+            <= 4.0
+        slope = (f.many(t + h, u) - f.many(t - h, u)) / (2.0 * h)
+        assert np.max(np.abs(batch - slope) / (1.0 + np.abs(batch))) <= 1e-8
+
+
+def test_derivative_fault_raises_the_value_fault_or_names_d_dt():
+    # where the value faults, its derivative raises the value's error
+    f = parse_expression("sqrt(t - 1)")
+    with pytest.raises(ExpressionError) as value:
+        f(0.5, 0.0)
+    with pytest.raises(ExpressionError) as batch:
+        f.dt.many(np.array([2.0, 0.5]), 0.0)
+    assert str(batch.value) == str(value.value)
+    # where only the derivative does (infinite at t = 1), one naming d/dt
+    with pytest.raises(ExpressionError,
+                       match=r"^evaluation of d/dt 'sqrt\(t - 1\)' failed "
+                             r"at \(t=1\.0, u=0\.0\): divide by zero"):
+        f.dt.many(np.array([2.0, 1.0]), 0.0)
+    # an overflow of the derivative alone is a fault too, never an inf
+    g = parse_expression("exp(t*t)")
+    assert math.isfinite(g(26.6))
+    with pytest.raises(ExpressionError, match="d/dt.*overflow"):
+        g.dt.many(np.array([1.0, 26.6]), 0.0)

@@ -1,15 +1,19 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.linalg
 
 from evostab.calculus import (Interval, OperatorField, Partition, ScalarPath,
                               integrate, pointwise, stacked)
-from evostab.errors import DomainViolationError
+from evostab.errors import (DomainViolationError, ExpressionError,
+                            QuadratureError)
 from evostab.evolution import CoefficientPath, evolve
-from evostab.harness import _SYSTEM, _read
+from evostab.cli import main as cli_main
+from evostab.harness import _SYSTEM, _read, run_scenario
 from evostab.library import example39_field, make_scalar_path, make_system
 from evostab.operators import VectorSpaceSpec, matrix_norm
 from evostab.stability import (
@@ -240,6 +244,55 @@ def test_certificate_ignores_the_scalar_path():
     assert c1.gain == c2.gain and c1.variation == c2.variation
 
 
+def _sigma_max(a, b, c, d):
+    """The largest singular value of [[a, b], [c, d]]."""
+    return 0.5 * (math.hypot(a + d, b - c) + math.hypot(a - d, b + c))
+
+
+def test_u_independent_expression_field_certifies_its_exact_variation():
+    # the parser's exact d/dt G puts a u-independent field in derivative
+    # mode; V = |J| int_0^10 ||d/dt G||, against scipy's quad of the
+    # analytic derivative (error estimate 7e-13)
+    config = {"system": {"G": [["atan(t)", "0.1"], ["sin(t)", "exp(-t)"]],
+                         "f": "t", "J": [-1, 1], "u_independent": True},
+              "window": [0, 10]}
+    summary = run_scenario("certify", config).summary
+    assert summary["variation_mode"] == "derivative"
+    oracle = 2.0 * scipy.integrate.quad(
+        lambda t: _sigma_max(1.0 / (1.0 + t * t), 0.0, math.cos(t),
+                             -math.exp(-t)),
+        0.0, 10.0, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+    assert oracle == pytest.approx(14.374632584185628, abs=1e-11)
+    assert abs(summary["variation"] - oracle) <= 1e-8
+
+
+def test_expression_field_certifies_a_long_window(tmp_path):
+    # the benchmark's u-dependent field on [0, 10]: with the exact
+    # derivative the inner u-integrals settle, and certify exits 0; V
+    # against nested scipy quads of the analytic d/dt G
+    config = {"system": {"G": [["atan(t)*u", "0.1*u"],
+                               ["sin(t*u)", "exp(-t)"]],
+                         "f": "sin(t)", "J": [-1, 1]},
+              "window": [0, 10]}
+    path = tmp_path / "certify.json"
+    path.write_text(json.dumps(config))
+    assert cli_main(["certify", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 0
+    summary = json.loads(
+        (tmp_path / "out" / "summary.json").read_text())["summary"]
+    assert summary["variation_mode"] == "double-integral"
+
+    def inner(t):
+        return scipy.integrate.quad(
+            lambda u: _sigma_max(u / (1.0 + t * t), 0.0, u * math.cos(t * u),
+                                 -math.exp(-t)),
+            -1.0, 1.0, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+
+    oracle = scipy.integrate.quad(inner, 0.0, 10.0, epsabs=1e-11,
+                                  epsrel=1e-13, limit=200)[0]
+    assert abs(summary["variation"] - oracle) <= 1e-8
+
+
 def test_certificate_u_dependent_field_uses_double_integral_route():
     # G(t, u) = 0.4 + 0.1 sin(t) u on J = [-1, 1]:
     #   ||G(t)||_L1 = int_-1^1 |0.4 + 0.1 sin(t) u| du, maximal at sin t = +-1
@@ -302,18 +355,25 @@ def test_certify_reports_a_sup_unsettled_at_the_grid_cap():
     assert cert.variation.hex() == "0x1.3948d2709173ep+1"
 
 
-def test_certify_reports_an_unsettled_partition_sum():
-    # (t - 1/3) sin(1/(t - 1/3)) has unbounded variation: its partition
-    # sums never settle, and the certificate keeps the last one
+def test_certify_of_an_unbounded_variation_raises_quadrature_error():
+    # (t - 1/3) sin(1/(t - 1/3)) has unbounded variation: its derivative's
+    # norm is not integrable at the tip, so the variation quadrature runs
+    # out of panels and no certificate comes out
     def wobble(t, u):
         x = t - _TIP
         return np.array([[1.0 + x * math.sin(1.0 / x)]])
 
-    cert = certify(_unsettled_system(wobble), Interval(0.0, 1.0))
-    assert cert.variation_mode == "partition-sum-unconverged"
-    assert cert.sup_grid == 33 and not cert.sup_converged
-    assert cert.gain.hex() == "0x1.bf02aec398bd7p+4"
-    assert cert.variation.hex() == "0x1.107161c24336cp+4"
+    with pytest.raises(QuadratureError, match="did not converge"):
+        certify(_unsettled_system(wobble), Interval(0.0, 1.0))
+    # the expression parser's exact derivative lets the panels home in on
+    # the tip itself, where the value faults, and its error names the tip
+    config = {"system": {"G": [["1 + (t - 1/3)*sin(1/(t - 1/3))"]],
+                         "f": "t", "J": [-1, 1], "I": [0, 1],
+                         "u_independent": True},
+              "window": [0, 1]}
+    with pytest.raises(ExpressionError, match=r"at \(t=0\.3333333333333333, "
+                                              r"u=0\.0\): float division"):
+        run_scenario("certify", config)
 
 # ---------------------------------------------------------------------------
 # frozen systems
