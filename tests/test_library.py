@@ -1,7 +1,7 @@
 """The built-in fields, paths and connections have one evaluator each,
 over arrays: it must equal the pointwise formula (conftest, and the paths
 below) bit for bit, on every shape the program calls it with, and raise
-where the formula raised.  The built-in example39 verify keeps its bytes."""
+where the formula raised.  The four built-in scenarios keep their bytes."""
 
 import hashlib
 import math
@@ -25,14 +25,17 @@ _CONSTANT = (lambda t, u: _M, lambda t, u: np.zeros((2, 2)))
 
 
 def _assert_array_evaluator_is_the_formula(array_fn, formula, t0, ts, us):
-    """array_fn against formula over scalar x (n,), (k,) x (n, 1) and
-    (n,) x (n,) arguments."""
+    """array_fn against formula over scalar x (n,), (k,) x (n, 1),
+    (k, 1) x (n,) (the bounds sampler's block of grid rows) and (n,) x (n,)
+    arguments."""
     ts, us = np.array(ts), np.array(us)
     paired = np.resize(ts, us.shape)
     cases = (
         (t0, us, [formula(t0, u) for u in us.tolist()]),
         (ts, us[:, None], [[formula(t, u) for t in ts.tolist()]
                            for u in us.tolist()]),
+        (ts[:, None], us, [[formula(t, u) for u in us.tolist()]
+                           for t in ts.tolist()]),
         (paired, us, [formula(t, u) for t, u in zip(paired.tolist(),
                                                      us.tolist())]),
     )
@@ -202,3 +205,17 @@ def test_builtin_example39_verify_keeps_its_bytes_and_cost(tmp_path):
     assert (cost["rhs_evals"], cost["steps"], cost["rejected"],
             cost["quad_panels"], cost["quad_nodes"]) == (
         16239, 400, 33, 103, 1545)
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("intro-cos",
+     "8df3db1201365d1a72de63b127dee910c8eab59291705139c4c8c9246bb0a123"),
+    ("sine-curve",
+     "15599154a19a7e36e6fe12cc9b90541160018d3381918a27a818564f358c89b5"),
+    ("extension-gauge",
+     "f9ffe215dc577c1548fd933e0b564389e024868900a922a2e32d75c37d7e0038"),
+])
+def test_builtin_scenario_keeps_its_bytes(tmp_path, name, digest):
+    kind, config = BUILTIN_SCENARIOS[name]
+    csv_path, _ = emit_report(run_scenario(kind, config, seed=7), tmp_path)
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == digest
