@@ -201,6 +201,19 @@ def _check_underflow(h, t):
             f"step size underflow at t = {t} (stiffness or singularity)", t)
 
 
+def _scan_last(a, mirrored=False):
+    """a[k-1] ... a[1] a[0] for the (k, ...) stack of matrices a (mirrored:
+    a[0] a[1] ... a[k-1]), bracketed as the last element of the doubling
+    scan in :func:`_window_sweep`, so with its bits: a right-aligned tree
+    of pairwise products."""
+    while len(a) > 1:
+        odd = len(a) % 2
+        hi, lo = a[odd + 1::2], a[odd::2]
+        pairs = lo @ hi if mirrored else hi @ lo
+        a = np.concatenate((a[:1], pairs)) if odd else pairs
+    return a[0]
+
+
 def _window_sweep(A, stops, y0, tol, stats):
     """Integrate Phi' = A(t) Phi, Phi(stops[0]) = I, across the hull of
     the monotone ``stops`` and yield (Phi y0, Phi^{-1}) at each of them.
@@ -249,6 +262,13 @@ def _window_sweep(A, stops, y0, tol, stats):
     window whose carried state or Phi^{-1} is not finite at its end (an
     overflow): the failure is located at the last of its boundaries
     where they were still finite.
+
+    The states at a window's accepted boundaries are running products of
+    its steps, formed by doubling.  When the accepted steps reach no
+    stop, only the end state (and Phi^{-1}) is formed, by the pairwise
+    product tree of :func:`_scan_last`, which has the bits of the
+    doubling scan's last element; an end that is not finite takes the
+    full path, which locates the failure.
     """
     stats = stats if stats is not None else StepStats()
     stops = np.asarray(stops, dtype=float)
@@ -351,58 +371,80 @@ def _window_sweep(A, stops, y0, tol, stats):
                 last_reject = (t, worst, hs) if k == 0 else None
                 stats.steps += k
                 stats.rejected += n - k
-                # the state (and Phi^-1) at the accepted boundaries
-                # b[0..k], from running products of the steps by doubling
-                ahead, s = prod[:k], 1
                 if inv is not None:
                     i1, i2 = e[3 * n + m:4 * n + m], e[4 * n + m:5 * n + m]
-                    back = i1[:k] @ i2[:k]
-                while s < k:
-                    ahead = np.concatenate((ahead[:s], ahead[s:] @ ahead[:-s]))
+                # accepted steps that reach no stop need only the state
+                # (and Phi^-1) at b[k]: the last products of the scan below
+                quiet = j == end or stops[j] > b[k]
+                if quiet and k:
+                    end_phi = _scan_last(prod[:k]) @ phi
+                    end_inv = None if inv is None else inv @ _scan_last(
+                        i1[:k] @ i2[:k], mirrored=True)
+                    # an end that is not finite is located below
+                    quiet = np.isfinite(end_phi).all() and (
+                        end_inv is None or np.isfinite(end_inv).all())
+                    if quiet:
+                        phi, inv = end_phi, end_inv
+                reached = 0
+                if not quiet:
+                    # the state (and Phi^-1) at the accepted boundaries
+                    # b[0..k], from running products of the steps by
+                    # doubling
+                    ahead, s = prod[:k], 1
                     if inv is not None:
-                        back = np.concatenate((back[:s], back[:-s] @ back[s:]))
-                    s *= 2
-                phis = np.concatenate(((phi,), ahead @ phi))
-                phi = phis[k]
-                # then at the stops in the accepted steps; a non-finite
-                # one ends the sweep
-                reached = int(np.searchsorted(stops[j:end], b[k], side="right"))
-                at, side = at[:reached], side[:reached]
-                count = int(np.sum(side))
-                xs = phis[at]
-                xs[side] = e[3 * n:3 * n + count] @ xs[side]
-                axes = tuple(range(1, phis.ndim))
-                finite = np.isfinite(xs).all(axis=axes)
-                ys = [None] * reached
-                if inv is not None:
-                    invs = np.concatenate(((inv,), inv @ back))
-                    inv = invs[k]
-                    ys = invs[at]
-                    ys[side] = ys[side] @ e[5 * n + m:5 * n + m + count]
-                    finite &= np.isfinite(ys).all(axis=axes)
-                # a state that overflowed ends the sweep at the last
-                # boundary where it was finite, before the stops past it
-                broken = k + 1
-                if not np.isfinite(phi if inv is None else (phi, inv)).all():
-                    ok = np.isfinite(phis).all(axis=axes)
+                        back = i1[:k] @ i2[:k]
+                    while s < k:
+                        ahead = np.concatenate((ahead[:s],
+                                                ahead[s:] @ ahead[:-s]))
+                        if inv is not None:
+                            back = np.concatenate((back[:s],
+                                                   back[:-s] @ back[s:]))
+                        s *= 2
+                    phis = np.concatenate(((phi,), ahead @ phi))
+                    phi = phis[k]
+                    # then at the stops in the accepted steps; a non-finite
+                    # one ends the sweep
+                    reached = int(np.searchsorted(stops[j:end], b[k],
+                                                  side="right"))
+                    at, side = at[:reached], side[:reached]
+                    count = int(np.sum(side))
+                    xs = phis[at]
+                    xs[side] = e[3 * n:3 * n + count] @ xs[side]
+                    axes = tuple(range(1, phis.ndim))
+                    finite = np.isfinite(xs).all(axis=axes)
+                    ys = [None] * reached
                     if inv is not None:
-                        ok &= np.isfinite(invs).all(axis=axes)
-                    broken = int(np.argmin(ok))
-                for i in range(reached):
-                    if at[i] >= broken:
-                        break
-                    if not finite[i]:
-                        start = caller_t(float(b[at[i]]))
+                        invs = np.concatenate(((inv,), inv @ back))
+                        inv = invs[k]
+                        ys = invs[at]
+                        ys[side] = ys[side] @ e[5 * n + m:5 * n + m + count]
+                        finite &= np.isfinite(ys).all(axis=axes)
+                    # a state that overflowed ends the sweep at the last
+                    # boundary where it was finite, before the stops past
+                    # it
+                    broken = k + 1
+                    if not np.isfinite(phi if inv is None
+                                       else (phi, inv)).all():
+                        ok = np.isfinite(phis).all(axis=axes)
+                        if inv is not None:
+                            ok &= np.isfinite(invs).all(axis=axes)
+                        broken = int(np.argmin(ok))
+                    for i in range(reached):
+                        if at[i] >= broken:
+                            break
+                        if not finite[i]:
+                            start = caller_t(float(b[at[i]]))
+                            raise IntegrationError(
+                                f"non-finite propagator at the stop "
+                                f"{caller_t(stops[j + i])}, reached from "
+                                f"t = {start}", start)
+                        yield xs[i], ys[i]
+                    if broken <= k:
+                        start = caller_t(float(b[broken - 1]))
                         raise IntegrationError(
-                            f"non-finite propagator at the stop "
-                            f"{caller_t(stops[j + i])}, reached from t = "
-                            f"{start}", start)
-                    yield xs[i], ys[i]
-                if broken <= k:
-                    start = caller_t(float(b[broken - 1]))
-                    raise IntegrationError(
-                        f"non-finite propagator past t = {start}, in the "
-                        f"step to {caller_t(float(b[broken]))}", start)
+                            f"non-finite propagator past t = {start}, in "
+                            f"the step to {caller_t(float(b[broken]))}",
+                            start)
                 j += reached
                 t = float(b[k])
                 first = first and k == 0

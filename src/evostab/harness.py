@@ -279,9 +279,15 @@ _BOUNDED = _INTERVAL + ((lambda v: all(map(math.isfinite, v)),
                          "expected finite bounds, got {v!r}"),)
 _POSITIVE = (float, (lambda v: _is_number(v) and 0 < v < math.inf,
                      "expected a finite number > 0, got {v!r}"))
+# the largest grid count and num_pairs a config may ask for; larger
+# ones are refused before anything is allocated
+_MAX_GRID_COUNT = 1000
+_MAX_PAIRS = 100_000
 _COUNT = (int, (lambda v: _is_number(v) and v >= 2
                 and (isinstance(v, int) or v.is_integer()),
-                "expected a whole number >= 2, got {v!r}"))
+                "expected a whole number >= 2, got {v!r}"),
+          (lambda v: v <= _MAX_GRID_COUNT,
+           f"expected at most {_MAX_GRID_COUNT}, got {{v!r}}"))
 _EXPRESSION = (_parsed,)
 _MATRIX = (_expr_matrix, (_square(lambda s: True), "expected a square "
                           "list-of-lists of expression strings"))
@@ -341,7 +347,8 @@ _CONNECTION = _Object((
           and "omega2: dimension differs from omega1's",),
     build=lambda c: ConnectionForm(
         omega1=c.omega1, omega2=c.omega2, m_interval=c.M, j_interval=c.J,
-        space=VectorSpaceSpec(c.omega1.dim, c.norm)),
+        space=VectorSpaceSpec(c.omega1.dim, c.norm),
+        d1_omega2=c.omega2.partial_t),
     alt=("builtin", _Object((
         ("builtin", _REQUIRED, _named(BUILTIN_CONNECTIONS)),
         ("M", None, _BOUNDED),
@@ -380,7 +387,9 @@ _PAIRS = (
                       "expected a non-empty list of [s, t]"))),
     ("num_pairs", None, (int, (
         lambda v: _is_number(v) and isinstance(v, int) and v >= 1,
-        "expected a positive integer (or give pairs)"))),
+        "expected a positive integer (or give pairs)"), (
+        lambda v: v <= _MAX_PAIRS,
+        f"expected at most {_MAX_PAIRS}, got {{v!r}}"))),
 )
 
 

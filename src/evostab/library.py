@@ -37,8 +37,8 @@ def _constant(m):
     is read-only, as a call at a single point returns m itself."""
     m = np.array(m, dtype=float)
     m.flags.writeable = False
-    return lambda t, u: _spread(m, np.expand_dims(t, (-2, -1)),
-                                np.expand_dims(u, (-2, -1)))
+    return lambda t, u: _spread(m, np.asarray(t)[..., None, None],
+                                np.asarray(u)[..., None, None])
 
 
 def _mat2(shape, a, b, c, d) -> np.ndarray:

@@ -15,7 +15,7 @@ from evostab.evolution import (
     param_evolution,
     sweep_vector,
 )
-from evostab.evolution import _GAUSS, _bcr_exponent, expm
+from evostab.evolution import _GAUSS, _bcr_exponent, _scan_last, expm
 from evostab.calculus import Interval, integrate, pointwise, stacked
 from evostab.library import make_extension_problem, make_system
 from evostab.operators import VectorSpaceSpec, matrix_norm
@@ -202,6 +202,56 @@ def test_propagator_overflow_is_located_at_its_window():
     overflow = math.log(np.finfo(float).max) / 100.0
     assert overflow - 1.0 < err.value.location < overflow
     assert ev.step_stats.steps < 100
+
+
+def test_overflow_in_a_window_without_stops_is_located_there():
+    # with stops (0, 1, 40), Phi^-1 = e^{100 t} of the propagator and the
+    # state e^{100 t} of x' = 100 x overflow past 7.0978..., in windows
+    # that reach no stop: the failure is located there, not at t = 40
+    overflow = math.log(np.finfo(float).max) / 100.0
+    growth = CoefficientPath(eval=lambda ts: np.full((len(ts), 1, 1), 100.0),
+                             space=SP1)
+    ev = EvolutionOperator(_fast_decay(), (0.0, 1.0, 40.0))
+    with pytest.raises(IntegrationError, match="non-finite propagator") as err:
+        ev.query(40.0, 0.0)
+    with pytest.raises(IntegrationError,
+                       match="non-finite propagator") as vector_err:
+        sweep_vector(growth, (0.0, 1.0, 40.0), [1.0])
+    for e in (err, vector_err):
+        assert overflow - 1.0 < e.value.location < overflow
+
+
+def _doubling_scan(a, mirrored=False):
+    """The running products of the stack a by doubling, as the sweep forms
+    the states at a window's boundaries: a[i] ... a[0] (mirrored:
+    a[0] ... a[i]) at index i."""
+    s = 1
+    while s < len(a):
+        step = a[:-s] @ a[s:] if mirrored else a[s:] @ a[:-s]
+        a = np.concatenate((a[:s], step))
+        s *= 2
+    return a
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 2), (3, 2, 2), (3, 3)])
+def test_scan_last_is_the_last_running_product_bit_for_bit(shape):
+    # a window that reaches no stop takes its end state from _scan_last,
+    # the others from the whole scan: the two must agree to the bit, and
+    # so must the state and Phi^-1 formed from them
+    rng = np.random.default_rng(20260)
+    states = [rng.normal(size=shape[:-1] + (c,)) for c in (1, 2)]
+    inv = rng.normal(size=shape)
+    for k in range(1, 17):
+        a = rng.normal(size=(k,) + shape)
+        ahead, back = _doubling_scan(a), _doubling_scan(a, mirrored=True)
+        last, first_last = _scan_last(a), _scan_last(a, mirrored=True)
+        assert last.tobytes() == ahead[-1].tobytes()
+        assert first_last.tobytes() == back[-1].tobytes()
+        for state in states:
+            assert (last @ state).tobytes() == np.concatenate(
+                ((state,), ahead @ state))[k].tobytes()
+        assert (inv @ first_last).tobytes() == np.concatenate(
+            ((inv,), inv @ back))[k].tobytes()
 
 
 def test_non_finite_stages_are_rejected_until_integration_error():

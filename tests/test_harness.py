@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evostab import transport
 from evostab.cli import main as cli_main
 from evostab.errors import ConfigError, ExpressionError
 from evostab.expressions import parse_expression
@@ -28,6 +29,8 @@ from evostab.harness import (
     KINDS,
     Report,
     _CONNECTION,
+    _MAX_GRID_COUNT,
+    _MAX_PAIRS,
     _SCENARIOS,
     _Object,
     _expr_matrix,
@@ -336,6 +339,9 @@ def test_extend_scenario_summary_contract():
     ({"nx_right": "10"}, "grid.nx_right"),
     ({"x_floor": 100}, "grid.x_floor"),  # past M.hi = 2
     ({"x_floor": 1e308}, "grid.x_floor"),
+    ({"nx_left": 1001}, "grid.nx_left"),
+    ({"nx_right": 10 ** 12}, "grid.nx_right"),
+    ({"nv": 1e300}, "grid.nv"),
 ])
 def test_extend_rejects_non_numeric_grid(tmp_path, capsys, grid, field):
     config = {"problem": {"builtin": "extension-gauge"}, "grid": grid}
@@ -346,6 +352,30 @@ def test_extend_rejects_non_numeric_grid(tmp_path, capsys, grid, field):
     assert cli_main(["extend", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 2
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, config", [
+    ("verify", dict(TINY_VERIFY, num_pairs=_MAX_PAIRS + 1)),
+    ("evolve", {"A": [["0"]], "window": [0.0, 1.0], "num_pairs": 10 ** 15}),
+])
+def test_huge_num_pairs_is_refused_before_drawing(tmp_path, capsys, kind,
+                                                  config):
+    with pytest.raises(ConfigError, match="num_pairs: expected at most"):
+        run_scenario(kind, config)
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(config))
+    assert cli_main([kind, "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+    assert "num_pairs" in capsys.readouterr().err
+
+
+def test_readme_states_the_count_caps():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for key in ("nx_left", "nx_right", "nv"):
+        assert re.search(rf"^\| `{key}` \|.*\| 2 to {_MAX_GRID_COUNT} \|$",
+                         readme, re.M)
+    rows = re.findall(r"^\| `num_pairs` \|.*$", readme, re.M)
+    assert rows and all(f"| 1 to {_MAX_PAIRS};" in r for r in rows)
 
 
 def test_expression_connection_from_config():
@@ -629,6 +659,29 @@ def test_expression_connection_stacks_over_paired_points():
         np.testing.assert_allclose(got, want.reshape(got.shape), rtol=1e-15,
                                    atol=1e-15)
         assert stack(xs[:, :1], us[0]).shape == (5, 3, 2, 2)
+
+
+def test_expression_connection_samples_its_exact_x_derivative(monkeypatch):
+    # omega2 = [[0, t u], [-t u, 0]] on [-1, 1]^2: d/dx omega2 is the
+    # expression matrix's exact partial_t, [[0, u], [-u, 0]], of norm |u|,
+    # so B12 is 1.05 * 1 exactly; central differences are never taken
+    def no_differences(*args):
+        raise AssertionError("central difference of omega2")
+
+    monkeypatch.setattr(transport, "central_difference", no_differences)
+    bag = []
+    w = _read(_CONNECTION, {"omega1": [["0", "1"], ["-1", "0"]],
+                            "omega2": [["0", "t*u"], ["-t*u", "0"]],
+                            "M": [-1.0, 1.0], "J": [-1.0, 1.0]}, bag)
+    assert not bag
+    calls = []
+    w = dataclasses.replace(
+        w, omega2=lambda x, u, f=w.omega2: calls.append(1) or f(x, u))
+    bounds = transport.sample_connection_bounds(w)
+    assert bounds.B12 == 1.05
+    # one omega2 call per level (17 and 33), none for d/dx omega2
+    assert bounds.provenance == "grid-sampled(33x33)"
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf, "1e-8"])

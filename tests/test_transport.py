@@ -16,6 +16,7 @@ from evostab.library import (
     make_connection,
 )
 from evostab.operators import Vector, VectorSpaceSpec, matrix_norm
+from evostab import transport
 from evostab.transport import _sine_paths
 from evostab.transport import (
     BetaParts,
@@ -270,6 +271,48 @@ def test_stacked_bounds_equal_pointwise_reference(name, norm):
                            m_interval=w.m_interval,
                            j_interval=w.j_interval, space=w.space)
     assert sample_connection_bounds(w) == _pointwise_bounds(w)
+
+
+@pytest.mark.parametrize("name", ["scalar-decay", "gauge-rotation",
+                                  "gauge-twist", "mixed-bounded"])
+def test_bounds_blocks_of_grid_rows_equal_pointwise_reference(
+        monkeypatch, name):
+    # 40 points per call: two rows per block at the 17-point level (the
+    # last block one row), one row per block at 33 and beyond
+    monkeypatch.setattr(transport, "_BOUNDS_BLOCK", 40)
+    w = make_connection(name, RECT_M, RECT_J)
+    for form in (w, dataclasses.replace(w, d1_omega2=None)):
+        assert sample_connection_bounds(form) == _pointwise_bounds(form)
+
+
+@pytest.mark.parametrize("block", [40, 2 ** 15])
+def test_bounds_blocks_name_the_first_bad_point_in_row_order(
+        monkeypatch, block):
+    # omega2 is NaN at the grid points (x[9], u[14]) and (x[12], u[2]) of
+    # the 17-point level, and omega1 at (x[12], u[0]): the first in row
+    # order is (x[9], u[14]), whether one call covers the level or its
+    # rows go in blocks of two, the bad rows in different blocks
+    monkeypatch.setattr(transport, "_BOUNDS_BLOCK", block)
+    clean = make_connection("gauge-rotation")
+    xs = np.linspace(clean.m_interval.lo, clean.m_interval.hi, 17)
+    us = np.linspace(clean.j_interval.lo, clean.j_interval.hi, 17)
+
+    def holes(field, points):
+        def eval_(x, u):
+            m = np.array(field(x, u), dtype=float)
+            x, u = np.broadcast_arrays(x, u)
+            for i, j in points:
+                m[(x == xs[i]) & (u == us[j])] = math.nan
+            return m
+        return eval_
+
+    broken = dataclasses.replace(
+        clean, omega1=holes(clean.omega1, [(12, 0)]),
+        omega2=holes(clean.omega2, [(9, 14), (12, 2)]))
+    with pytest.raises(DomainViolationError) as err:
+        sample_connection_bounds(broken)
+    assert str(err.value) == (
+        f"omega2 is not finite at (x, u) = ({xs.tolist()[9]}, {us[14]})")
 
 
 def test_sampled_bounds_dominate_finer_oracle_grid():
