@@ -41,6 +41,7 @@ X(t, s).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -141,7 +142,12 @@ def _expm2(m: np.ndarray) -> np.ndarray:
     With tau the trace and N = M - tau/2 I, N^2 = q I for the discriminant
     q = ((a - d)/2)^2 + bc, so exp(M) = e^{tau/2} [c(q) I + s(q) N] with
     c = cosh sqrt(q), s = sinh sqrt(q) / sqrt(q) for q > 0, cos and sin of
-    sqrt(-q) for q < 0, and their Taylor series for |q| < 1e-2.
+    sqrt(-q) for q < 0, and their Taylor series for |q| < 1e-2.  A regime
+    that no member of the stack is in is not computed: no sqrt and no
+    trig or hyperbolic function when every |q| < 1e-2, no series when
+    none is, and only cosh and sinh (cos and sin) when every q > 0 (none
+    is).  Each member goes through the same ufuncs whatever else its
+    stack holds, so its bits do not depend on the stack.
     """
     a, b = m[..., 0, 0], m[..., 0, 1]
     c, d = m[..., 1, 0], m[..., 1, 1]
@@ -149,15 +155,29 @@ def _expm2(m: np.ndarray) -> np.ndarray:
     p = 0.5 * (a - d)
     q = p * p + b * c
     small = np.abs(q) < 1e-2
-    root = np.sqrt(np.where(small, 1.0, np.abs(q)))
-    grows = q > 0.0
-    ch = np.where(grows, np.cosh(root), np.cos(root))
-    sh = np.where(grows, np.sinh(root), np.sin(root)) / root
-    # the series to q^4 leave < 3e-17 for |q| < 1e-2
-    ch = np.where(small, 1.0 + q * (1 / 2 + q * (1 / 24 + q * (
-        1 / 720 + q / 40320))), ch)
-    sh = np.where(small, 1.0 + q * (1 / 6 + q * (1 / 120 + q * (
-        1 / 5040 + q / 362880))), sh)
+    all_small = bool(small.all())
+    if not all_small:
+        root = np.sqrt(np.where(small, 1.0, np.abs(q)))
+        grows = q > 0.0
+        if grows.all():
+            ch, sh = np.cosh(root), np.sinh(root)
+        elif grows.any():
+            ch = np.where(grows, np.cosh(root), np.cos(root))
+            sh = np.where(grows, np.sinh(root), np.sin(root))
+        else:  # no q > 0, NaN included
+            ch, sh = np.cos(root), np.sin(root)
+        sh = sh / root
+    if all_small or small.any():
+        # the series to q^4 leave < 3e-17 for |q| < 1e-2
+        ch_small = 1.0 + q * (1 / 2 + q * (1 / 24 + q * (
+            1 / 720 + q / 40320)))
+        sh_small = 1.0 + q * (1 / 6 + q * (1 / 120 + q * (
+            1 / 5040 + q / 362880)))
+        if all_small:
+            ch, sh = ch_small, sh_small
+        else:
+            ch = np.where(small, ch_small, ch)
+            sh = np.where(small, sh_small, sh)
     scale = np.exp(half)
     ch = scale * ch
     sh = scale * sh
@@ -269,25 +289,38 @@ def _window_sweep(A, stops, y0, tol, stats):
     product tree of :func:`_scan_last`, which has the bits of the
     doubling scan's last element; an end that is not finite takes the
     full path, which locates the failure.
+
+    numpy takes only a window's stacks: the Gauss nodes, the ``A.eval``
+    call, the exponents and their :func:`expm`, the step products and
+    each step's error reduction.  Its scalar control runs on Python
+    floats, whose IEEE operations round as numpy's do: the boundaries
+    (t + hs i, or min(t + hs i, end)), lengths and halves are lists, the
+    stops are found by bisection and not at all in a window that holds
+    none, and the error verdict and step-size factor run on the list of
+    the steps' errors, where a NaN error rejects its step and counts as
+    an infinite worst error.  Stops that are not finite are refused with
+    ValueError, as are stops that are not monotone.
     """
     stats = stats if stats is not None else StepStats()
-    stops = np.asarray(stops, dtype=float)
+    stops = np.asarray(stops, dtype=float).tolist()
+    if not all(map(math.isfinite, stops)):
+        raise ValueError("the stops of a sweep must be finite")
     sign = -1.0 if stops[-1] < stops[0] else 1.0
     caller_t = lambda t: sign * t + 0.0  # the caller's t, and never -0.0
+    evaluate, breakpoints = A.eval, A.breakpoints
     if sign < 0.0:
-        A = CoefficientPath(eval=lambda ts, ev=A.eval: -np.asarray(
-            ev(-ts), dtype=float), space=A.space,
-            breakpoints=[-c for c in A.breakpoints])
-        stops = -stops
-    if np.any(np.diff(stops) < 0.0):
+        evaluate = lambda ts, ev=evaluate: -np.asarray(ev(-ts), dtype=float)
+        breakpoints = sorted(-c for c in breakpoints)
+        stops = [-x for x in stops]
+    if sorted(stops) != stops:
         raise ValueError("the stops of a sweep must be monotone")
     inv = np.eye(A.space.dim) if y0 is None else None
     phi = inv if y0 is None else y0
-    lo, hi = float(stops[0]), float(stops[-1])
-    j = int(np.searchsorted(stops, lo, side="right"))
+    lo, hi = stops[0], stops[-1]
+    j = bisect_right(stops, lo)
     for _ in range(j):
         yield phi, inv
-    inner = [c for c in A.breakpoints if lo < c < hi]
+    inner = [c for c in breakpoints if lo < c < hi]
     cuts = [lo] + inner + [hi] if hi > lo else []
     # overflowing or non-finite exponents only ever reach the error
     # estimates, which then reject: numpy need not warn about them
@@ -306,34 +339,36 @@ def _window_sweep(A, stops, y0, tol, stats):
                 if remaining <= _WINDOW * h * stretch:
                     n = min(n, _WINDOW)
                     hs = remaining / n
-                    b = t + hs * np.arange(n + 1)
-                    b[-1] = t1
+                    b = [t + hs * i for i in range(n)] + [t1]
                 else:
                     n, hs = _WINDOW, h
-                    b = np.minimum(t + hs * np.arange(n + 1), t1)
+                    b = [min(t + hs * i, t1) for i in range(n + 1)]
                 taken += n
                 if taken > _MAX_STEPS:
                     raise IntegrationError(f"step budget exhausted near t = "
                                            f"{caller_t(t)}", caller_t(t))
-                lengths = np.diff(b)
-                half = 0.5 * lengths
+                lengths = [y - x for x, y in zip(b, b[1:])]
+                half = [0.5 * x for x in lengths]
                 # the stops in the window, each from the boundary at or
-                # before it; one on a boundary needs no side step
-                end = int(np.searchsorted(stops, b[-1], side="right"))
-                at = np.searchsorted(b, stops[j:end], side="right") - 1
-                side = stops[j:end] > b[at]
-                starts = b[at[side]]
-                spans = stops[j:end][side] - starts
-                m = len(spans)
-                starts = np.concatenate((b[:-1], b[:-1], b[:-1] + half, starts))
-                spans = np.concatenate((lengths, half, half, spans))
+                # before it (at); the side steps are those off a boundary
+                end, at, side = j, [], []
+                if j < len(stops) and stops[j] <= b[-1]:
+                    end = bisect_right(stops, b[-1], j)
+                    at = [bisect_right(b, x) - 1 for x in stops[j:end]]
+                    side = [i for i, x in enumerate(stops[j:end])
+                            if x > b[at[i]]]
+                m = len(side)
+                starts = np.array(b[:-1] + b[:-1] + [
+                    x + y for x, y in zip(b, half)] + [
+                    b[at[i]] for i in side])
+                spans = np.array(lengths + half + half + [
+                    stops[j + i] - b[at[i]] for i in side])
                 nodes = starts + np.multiply.outer(_GAUSS, spans)
-                coef = np.asarray(A.eval(nodes.ravel()), dtype=float)
+                coef = np.asarray(evaluate(nodes.ravel()), dtype=float)
                 stats.rhs_evals += nodes.size
                 coef = coef.reshape(nodes.shape + coef.shape[1:])
                 if first:
-                    size = float(np.max(np.sum(
-                        np.abs(coef[:, 0:3 * n:n]), axis=-1)))
+                    size = float(np.abs(coef[:, 0:3 * n:n]).sum(axis=-1).max())
                     # the sizing above may stretch a cut step by rounding;
                     # a cut that shrank it by no more would recur forever
                     if (lengths[0] * size > _FIRST_REACH * _FIRST_SLACK
@@ -349,16 +384,18 @@ def _window_sweep(A, stops, y0, tol, stats):
                 e0, e1, e2 = e[:n], e[n:2 * n], e[2 * n:3 * n]
                 prod = e2 @ e1
                 scale = tol + tol * np.maximum(np.abs(e0), np.abs(prod))
-                err = np.max((np.abs(e0 - prod) / scale).reshape(n, -1),
-                             axis=1) / 63.0
-                bad = ~(err <= 1.0)  # NaN rejects too
-                k = int(np.argmax(bad)) if bad.any() else n
+                err = ((np.abs(e0 - prod) / scale).reshape(n, -1).max(
+                    axis=1) / 63.0).tolist()
+                k = 0
+                while k < n and err[k] <= 1.0:  # NaN rejects too
+                    k += 1
                 judged = err[:k + 1]
-                worst = float(np.max(judged[-max(1, len(judged) // 4):]))
-                later = err[k:][np.isfinite(err[k:])]
-                if later.size:
-                    worst = max(worst, float(np.max(later)))
-                if not math.isfinite(worst):
+                worst = max(judged[-max(1, len(judged) // 4):])
+                later = [x for x in err[k:] if math.isfinite(x)]
+                if later:
+                    worst = max(worst, *later)
+                # a NaN can only be the rejected step's, the last judged
+                if not math.isfinite(worst) or math.isnan(judged[-1]):
                     worst = math.inf
                 factor = _WINDOW_GROWTH if worst == 0.0 else min(
                     _WINDOW_GROWTH, max(0.2, _SAFETY * worst ** (-1.0 / 7.0)))
@@ -402,14 +439,15 @@ def _window_sweep(A, stops, y0, tol, stats):
                         s *= 2
                     phis = np.concatenate(((phi,), ahead @ phi))
                     phi = phis[k]
-                    # then at the stops in the accepted steps; a non-finite
-                    # one ends the sweep
-                    reached = int(np.searchsorted(stops[j:end], b[k],
-                                                  side="right"))
-                    at, side = at[:reached], side[:reached]
-                    count = int(np.sum(side))
+                    # then at the stops in the accepted steps (the side
+                    # steps among them first); a non-finite one ends the
+                    # sweep
+                    reached = bisect_right(stops, b[k], j, end) - j
+                    at = at[:reached]
+                    count = bisect_right(side, reached - 1)
                     xs = phis[at]
-                    xs[side] = e[3 * n:3 * n + count] @ xs[side]
+                    xs[side[:count]] = e[3 * n:3 * n + count] @ xs[
+                        side[:count]]
                     axes = tuple(range(1, phis.ndim))
                     finite = np.isfinite(xs).all(axis=axes)
                     ys = [None] * reached
@@ -417,8 +455,10 @@ def _window_sweep(A, stops, y0, tol, stats):
                         invs = np.concatenate(((inv,), inv @ back))
                         inv = invs[k]
                         ys = invs[at]
-                        ys[side] = ys[side] @ e[5 * n + m:5 * n + m + count]
+                        ys[side[:count]] = ys[side[:count]] @ e[
+                            5 * n + m:5 * n + m + count]
                         finite &= np.isfinite(ys).all(axis=axes)
+                    finite = finite.tolist()
                     # a state that overflowed ends the sweep at the last
                     # boundary where it was finite, before the stops past
                     # it
@@ -433,20 +473,19 @@ def _window_sweep(A, stops, y0, tol, stats):
                         if at[i] >= broken:
                             break
                         if not finite[i]:
-                            start = caller_t(float(b[at[i]]))
+                            start = caller_t(b[at[i]])
                             raise IntegrationError(
                                 f"non-finite propagator at the stop "
                                 f"{caller_t(stops[j + i])}, reached from "
                                 f"t = {start}", start)
                         yield xs[i], ys[i]
                     if broken <= k:
-                        start = caller_t(float(b[broken - 1]))
+                        start = caller_t(b[broken - 1])
                         raise IntegrationError(
                             f"non-finite propagator past t = {start}, in "
-                            f"the step to {caller_t(float(b[broken]))}",
-                            start)
+                            f"the step to {caller_t(b[broken])}", start)
                 j += reached
-                t = float(b[k])
+                t = b[k]
                 first = first and k == 0
                 h = hs * factor
                 if k < n:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -640,6 +641,23 @@ def test_sweep_restarts_at_a_breakpoint_between_stops():
         sweep_vector(A, [0.0, 2.0, 1.0], [1.0])
 
 
+@pytest.mark.parametrize("sweep", [
+    # the identity came back, as if the sweep had reached t = nan
+    lambda A: evolve(A, 0.0, math.nan),
+    # one state came back for three stops
+    lambda A: sweep_vector(A, [0.0, math.nan, 1.0], [1.0]),
+    # v came back twice
+    lambda A: sweep_vector(A, [math.nan, 1.0], [1.0]),
+    # "cannot convert float NaN to integer" from the first window's size
+    lambda A: sweep_vector(A, [0.0, math.inf], [1.0]),
+    # the query raised TypeError, with no failure to raise
+    lambda A: EvolutionOperator(A, [0.0, math.nan, 1.0]).query(1.0, 0.0),
+], ids=["evolve-nan", "nan-inside", "nan-first", "inf-last", "operator"])
+def test_non_finite_stops_are_refused(sweep):
+    with pytest.raises(ValueError, match="stops of a sweep must be finite"):
+        sweep(scalar_cos_path())
+
+
 def test_param_evolution_cost_on_extension_gauge_grid():
     # the built-in extension-gauge grid (16 x 13), swept from both corridor
     # levels as one stacked state per side: four windowed sweeps of one
@@ -782,6 +800,94 @@ def test_closed_form_2x2_exp_matches_scipy():
     assert np.array_equal(expm(m).reshape(24, 2, 2), expm(m.reshape(24, 2, 2)))
 
 
+def _expm2_all_branches(m):
+    # the closed form as it was before it was split by regime: every
+    # branch over the whole stack, then selected by np.where
+    a, b = m[..., 0, 0], m[..., 0, 1]
+    c, d = m[..., 1, 0], m[..., 1, 1]
+    half = 0.5 * (a + d)
+    p = 0.5 * (a - d)
+    q = p * p + b * c
+    small = np.abs(q) < 1e-2
+    root = np.sqrt(np.where(small, 1.0, np.abs(q)))
+    grows = q > 0.0
+    ch = np.where(grows, np.cosh(root), np.cos(root))
+    sh = np.where(grows, np.sinh(root), np.sin(root)) / root
+    ch = np.where(small, 1.0 + q * (1 / 2 + q * (1 / 24 + q * (
+        1 / 720 + q / 40320))), ch)
+    sh = np.where(small, 1.0 + q * (1 / 6 + q * (1 / 120 + q * (
+        1 / 5040 + q / 362880))), sh)
+    scale = np.exp(half)
+    ch = scale * ch
+    sh = scale * sh
+    out = np.empty(m.shape)
+    out[..., 0, 0] = ch + sh * p
+    out[..., 0, 1] = sh * b
+    out[..., 1, 0] = sh * c
+    out[..., 1, 1] = ch - sh * p
+    return out
+
+
+def _with_discriminants(q, rng):
+    # 2x2 matrices whose q = ((a - d)/2)^2 + bc are the given ones
+    m = rng.standard_normal((len(q), 2, 2))
+    m[:, 0, 1] = rng.uniform(0.5, 2.0, len(q))
+    p = 0.5 * (m[:, 0, 0] - m[:, 1, 1])
+    m[:, 1, 0] = (np.asarray(q) - p * p) / m[:, 0, 1]
+    return m
+
+
+def test_expm2_regimes_keep_the_bits_of_all_branches():
+    # the regime split skips whole branches, never an entry's own: every
+    # stack below, of every mix of regimes, keeps the bits of the closed
+    # form that computes all of them
+    rng = np.random.default_rng(23)
+    small = rng.uniform(-9e-3, 9e-3, 40)
+    grows = rng.uniform(1e-2, 30.0, 40)
+    turns = -rng.uniform(1e-2, 30.0, 40)
+    stacks = {
+        "all-small": small, "none-small": np.concatenate((grows, turns)),
+        "mixed": np.concatenate((small, grows, turns)),
+        "all-positive": grows, "all-negative": turns,
+        # one sign throughout, small members included
+        "small-and-positive": np.concatenate((np.abs(small[:5]), grows)),
+        "small-and-negative": np.concatenate((turns, -np.abs(small[:5]))),
+        "zero": np.zeros(3), "one-zero": np.concatenate(([0.0], grows)),
+    }
+    for name, q in stacks.items():
+        m = _with_discriminants(q, rng)
+        for shape in (m.shape, (len(q), 1, 2, 2)):
+            want = _expm2_all_branches(m.reshape(shape))
+            assert np.array_equal(expm(m.reshape(shape)), want), name
+    # a nilpotent N: q = 0 exactly
+    m = np.array([[[0.3, 2.0], [0.0, 0.3]], [[1.0, 0.0], [-4.0, 1.0]]])
+    assert np.array_equal(expm(m), _expm2_all_branches(m))
+    # one matrix, not a stack
+    for q in (0.0, 5e-3, 2.0, -2.0):
+        m = _with_discriminants([q], rng)[0]
+        assert np.array_equal(expm(m), _expm2_all_branches(m))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_expm2_regimes_keep_the_bits_of_non_finite_entries(bad):
+    # non-finite entries reach expm only inside the sweep, where numpy's
+    # warnings are off: compare there, NaN for NaN, in every mix of
+    # regimes.  Outside it, the split warns only where all branches did
+    rng = np.random.default_rng(29)
+    for q in ([1.0, 2.0], [-1.0, -2.0], [1e-3, -1e-3], [1e-3, 3.0, -3.0]):
+        for entry in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            m = _with_discriminants(q, rng)
+            m[0][entry] = bad
+            with np.errstate(all="ignore"):
+                want = _expm2_all_branches(m)
+                assert np.array_equal(expm(m), want, equal_nan=True)
+            try:
+                _expm2_all_branches(m)
+            except RuntimeWarning:
+                continue
+            assert np.array_equal(expm(m), want, equal_nan=True)
+
+
 def _two_by_two(ts):
     ts = np.asarray(ts, dtype=float)
     out = np.empty(ts.shape + (2, 2))
@@ -790,6 +896,118 @@ def _two_by_two(ts):
     out[..., 1, 0] = -1.0 + 0.3 * ts
     out[..., 1, 1] = -0.2 * np.cos(ts)
     return out
+
+
+def test_a_nan_error_is_the_worst_error_of_its_window():
+    # A is NaN past t = 1.  The first window after the cut takes steps of
+    # 1/8 from 0 and rejects its 9th, whose error is NaN: that NaN, not
+    # the roundoff-sized errors of the accepted steps before it, is the
+    # worst error, so the next window's steps are a fifth as long.  The
+    # counts are the sweep's when this verdict ran on numpy arrays; a
+    # NaN left out of the worst error lets the next step grow instead,
+    # which costs 28 more rejected steps (3,042 coefficient values)
+    base = 20.0 * np.array([[0.1, 0.3], [-0.2, 0.1]])
+
+    def ev(ts):
+        out = np.tile(base, (len(ts), 1, 1))
+        out[np.asarray(ts) > 1.0] = math.nan
+        return out
+
+    stats = StepStats()
+    with pytest.raises(IntegrationError, match="underflow") as err:
+        sweep_vector(CoefficientPath(eval=ev, space=SP2), [0.0, 3.0],
+                     [1.0, 0.5], 1e-10, stats)
+    assert err.value.location == 1.0
+    assert stats == StepStats(steps=8, rejected=302, rhs_evals=2790,
+                              segments=1)
+
+
+def _pin_path(breakpoints=()):
+    return CoefficientPath(eval=_two_by_two, space=SP2,
+                           breakpoints=breakpoints)
+
+
+def _pin_stack(ts):
+    # three coefficients swept together: a (len(ts), 3, 2, 2) stack
+    ts = np.asarray(ts, dtype=float)
+    return np.stack([_two_by_two(c * ts) for c in (1.0, 0.5, -0.7)], axis=1)
+
+
+# stop layouts of the windowed sweep, with the sha256 of the bytes of
+# their states and the sweep's (steps, rejected, rhs_evals, segments), as
+# the sweep gave them when its window control ran on numpy arrays
+STOP_LAYOUTS = {
+    "duplicate-stops": (
+        _pin_path(), [0.0, 1.5, 1.5, 3.0, 3.0],
+        "8d197b7ae48c29f1182ad5873eb3034cd3c6b77964e7bf1179cfc1560df1e3dd",
+        "982546bc0f3c3bbcd0c61a4514f2346be4a08404306c12d25b3504154604bec8",
+        (24, 7, 291, 1)),
+    # on [0, 6] the window after the first-step cuts ends at
+    # 2.008330818639583, and 3.134975776403193 is a step boundary inside
+    # the next window: past the cuts neither takes a side step (the 12
+    # values over the 495 of the stops (0, 6) are the cut windows')
+    "on-window-boundaries": (
+        _pin_path(), [0.0, 2.008330818639583, 3.134975776403193, 6.0],
+        "66d1db67d79f33cac9e52b4af9be5425cf858dc9f71d184f694ce8db019b3ed6",
+        "666de82c348864609cd2eea9cfd2c639ca2593da4efe63fc23338604479bfe11",
+        (43, 12, 507, 1)),
+    "hull-end-on-a-breakpoint": (
+        _pin_path((6.0,)), [0.0, 5.9, 6.0],
+        "52f7d51589160de1de4f522f3aa30513e37eba5ffcffd960db3c2737bcd2e7fc",
+        "88bae134640b0d549497ddbf737f67f5496b141a7737bda62f075fec239fb38a",
+        (43, 12, 504, 1)),
+    "one-stop": (
+        _pin_path(), [2.0],
+        "20e3c1076fa828cd3a7aafa7fd891ec746567cb51755be34c4f384a0929c9eb6",
+        "07ea47b9b2dfc1615fd554ebd45ff7ab2a36b5ab674c8e37f22df1ccf74f8422",
+        (0, 0, 0, 0)),
+    "descending": (
+        _pin_path((1.2,)), [5.0, 3.0, 0.5, -1.0],
+        "c4db688cecfbc8ac882d126883555c36b558ec90f4132900432de3f61faffce1",
+        "4a89479de8b733d2ca51dd7551c9e635a3d1482456cae8fcd573a35f09bb15ef",
+        (46, 13, 549, 2)),
+    "breakpoint-between-stops": (
+        _pin_path((1.2,)), [0.0, 1.0, 2.0, 3.5],
+        "d5fe74108cc9055905bc8fd3d9160650dc962f24998aef652aba2018b3778df4",
+        "ef5cc32945edd411ac397889d9be4db772c75630c41e577ecdff2c2823ab01e9",
+        (26, 9, 333, 2)),
+    "stacked-state": (
+        CoefficientPath(eval=_pin_stack, space=SP2), [0.0, 0.7, 0.7, 2.9],
+        "76b81f5127a6301fa4d301a3d52a5bd1ba82c4048b14dcf2e0876480c3fc2798",
+        None,
+        (23, 7, 288, 1)),
+}
+
+
+def _digest(arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+    return h.hexdigest()
+
+
+def _layout_digests(name):
+    A, stops = STOP_LAYOUTS[name][:2]
+    stacked_state = A.eval is _pin_stack
+    v = (0.1 * np.arange(12.0).reshape(3, 2, 2) - 0.4 if stacked_state
+         else np.array([[0.8, 0.2], [-0.3, 1.1]]))
+    stats = StepStats()
+    states = _digest(sweep_vector(A, stops, v, 1e-10, stats))
+    pairs = None
+    if not stacked_state:
+        ev = EvolutionOperator(A, stops, 1e-10)
+        # the same steps, whatever the side steps
+        assert (ev.step_stats.steps, ev.step_stats.rejected) == (
+            stats.steps, stats.rejected)
+        pairs = _digest(x for tau in sorted(set(stops))
+                        for x in ev._phi_at(tau))
+    return states, pairs, (stats.steps, stats.rejected, stats.rhs_evals,
+                           stats.segments)
+
+
+@pytest.mark.parametrize("name", sorted(STOP_LAYOUTS))
+def test_stop_layouts_keep_their_bytes(name):
+    assert _layout_digests(name) == STOP_LAYOUTS[name][2:]
 
 
 def test_fixed_step_magnus_is_sixth_order():

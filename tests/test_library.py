@@ -207,6 +207,14 @@ def test_builtin_example39_verify_keeps_its_bytes_and_cost(tmp_path):
         16239, 400, 33, 103, 1545)
 
 
+# (rhs_evals, steps, rejected, segments) of each built-in at seed 7
+BUILTIN_COSTS = {
+    "intro-cos": (2253, 48, 17, 1),
+    "sine-curve": (71625, 7899, 55, 1),
+    "extension-gauge": (1005, 49, 10, 39),
+}
+
+
 @pytest.mark.parametrize("name, digest", [
     ("intro-cos",
      "8df3db1201365d1a72de63b127dee910c8eab59291705139c4c8c9246bb0a123"),
@@ -217,5 +225,9 @@ def test_builtin_example39_verify_keeps_its_bytes_and_cost(tmp_path):
 ])
 def test_builtin_scenario_keeps_its_bytes(tmp_path, name, digest):
     kind, config = BUILTIN_SCENARIOS[name]
-    csv_path, _ = emit_report(run_scenario(kind, config, seed=7), tmp_path)
+    report = run_scenario(kind, config, seed=7)
+    csv_path, _ = emit_report(report, tmp_path)
     assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == digest
+    cost = report.summary["cost"]
+    assert (cost["rhs_evals"], cost["steps"], cost["rejected"],
+            cost["segments"]) == BUILTIN_COSTS[name]
