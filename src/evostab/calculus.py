@@ -284,31 +284,50 @@ class QuadStats:
     quad_nodes: int = 0
 
 
-def _gk15(gv, a: float, b: float, stats: Optional[QuadStats] = None):
-    """One Gauss-Kronrod 15(7) panel: returns (kronrod value, error est).
+def _gk15(gv, cuts, stats: Optional[QuadStats] = None):
+    """Gauss-Kronrod 15(7) panels between consecutive cuts: returns the
+    list of their (kronrod value, error est), in order.
 
-    ``gv`` maps the array of 15 nodes to their values stacked on axis 0.
-    The Kronrod-Gauss gap is used as-is for the error estimate; it is
-    conservative on resolved panels, which only costs an extra bisection
-    level, never a silently optimistic result.  A non-finite value makes
-    the estimate non-finite, which raises QuadratureError naming the
-    panel: a NaN estimate would otherwise pass every refinement test.
+    ``gv`` maps an array of nodes to their values stacked on axis 0.  It
+    takes each panel's nodes in one call, the same call for every panel;
+    each panel's sums, estimate, check and count are then formed from its
+    own rows, one panel at a time, so they are those of a call per panel.
+    If that call raises, the panels take a call each, in order, and the
+    first one that fails raises.  The Kronrod-Gauss gap is used as-is for
+    the error estimate; it is conservative on resolved panels, which only
+    costs an extra bisection level, never a silently optimistic result.
+    A non-finite value makes the estimate non-finite, which raises
+    QuadratureError naming the panel: a NaN estimate would otherwise pass
+    every refinement test.  An integrand with no components counts no
+    panel.
     """
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    stacked = np.asarray(gv(c + h * _KRONROD_NODES), dtype=float)
-    # np.tensordot(weights, stacked, axes=(0, 0)) bit for bit, minus its set-up
-    shape = stacked.shape[1:]
-    k = h * np.dot(_KRONROD_ROW, stacked.reshape(15, -1)).reshape(shape)
-    g7 = h * np.dot(_GAUSS_ROW, stacked[1::2].reshape(7, -1)).reshape(shape)
-    err = float(np.max(np.abs(k - g7)))
-    if not math.isfinite(err):
-        raise QuadratureError(
-            f"non-finite integrand on the panel [{a}, {b}]", k, err)
-    if stats is not None:
-        stats.quad_panels += 1
-        stats.quad_nodes += stacked.size
-    return k, err
+    panels = list(zip(cuts, cuts[1:]))
+    nodes = [0.5 * (a + b) + 0.5 * (b - a) * _KRONROD_NODES for a, b in panels]
+    try:
+        batch = np.asarray(gv(np.concatenate(nodes)), dtype=float)
+    except Exception:
+        if len(nodes) == 1:
+            raise
+        batch = None
+    out = []
+    for i, (a, b) in enumerate(panels):
+        h = 0.5 * (b - a)
+        stacked = (np.asarray(gv(nodes[i]), dtype=float) if batch is None
+                   else batch[15 * i:15 * i + 15])
+        # np.tensordot(weights, stacked, axes=(0, 0)) bit for bit, minus
+        # its set-up; one dot per panel, as a joint one moves last bits
+        shape = stacked.shape[1:]
+        k = h * np.dot(_KRONROD_ROW, stacked.reshape(15, -1)).reshape(shape)
+        g7 = h * np.dot(_GAUSS_ROW, stacked[1::2].reshape(7, -1)).reshape(shape)
+        err = float(np.max(np.abs(k - g7), initial=0.0))
+        if not math.isfinite(err):
+            raise QuadratureError(
+                f"non-finite integrand on the panel [{a}, {b}]", k, err)
+        if stats is not None and stacked.size:
+            stats.quad_panels += 1
+            stats.quad_nodes += stacked.size
+        out.append((k, err))
+    return out
 
 
 def _initial_cuts(lo: float, hi: float, breakpoints: Sequence[float]):
@@ -334,7 +353,9 @@ def integrate(
     The interval is first split at the declared breakpoints, then the
     segment with the worst error estimate is bisected until the summed
     estimate drops below ``tol`` (absolute).  Raises QuadratureError with
-    the best estimate when the segment budget is exhausted.
+    the best estimate when the segment budget is exhausted.  g is called
+    at one node at a time, each panel's nodes in one call of the node
+    evaluator, which a bisection's two halves share.
     """
     return _integrate_nodes(_values(g), interval, breakpoints, tol,
                             max_segments)
@@ -348,7 +369,10 @@ def _integrate_nodes(gv, interval: Interval, breakpoints=(),
     Array values integrate a family of integrals on shared panels: a
     panel's error estimate is the largest over the family, so the summed
     estimate of each member stays below ``tol``.  ``stats``, if given,
-    counts the panels and integrand values.
+    counts the panels and integrand values.  gv takes each panel's nodes
+    in one call, which the initial panels share, and so do the two
+    halves of each bisection (see _gk15): the split sequence, values,
+    counters and errors are those of one call per panel.
     """
     if not interval.is_finite():
         raise DomainViolationError("quadrature requested over an unbounded interval")
@@ -361,13 +385,14 @@ def _integrate_nodes(gv, interval: Interval, breakpoints=(),
     seg_values = {}     # id -> (value, err)
     counter = 0
     total_err = 0.0
-    for a, b in zip(cuts, cuts[1:]):
-        val, err = _gk15(gv, a, b, stats)
-        heapq.heappush(heap, (-err, counter, a, b))
-        seg_values[counter] = (val, err)
-        counter += 1
-        total_err += err
-    while total_err > tol:
+    while True:
+        for a, b, (val, err) in zip(cuts, cuts[1:], _gk15(gv, cuts, stats)):
+            heapq.heappush(heap, (-err, counter, a, b))
+            seg_values[counter] = (val, err)
+            counter += 1
+            total_err += err
+        if not total_err > tol:
+            break
         if len(heap) >= max_segments:
             raise QuadratureError(
                 f"quadrature did not converge: error bound {total_err:.3e} "
@@ -376,13 +401,7 @@ def _integrate_nodes(gv, interval: Interval, breakpoints=(),
             )
         _, idx, a, b = heapq.heappop(heap)
         total_err -= seg_values.pop(idx)[1]
-        m = 0.5 * (a + b)
-        for lo2, hi2 in ((a, m), (m, b)):
-            val, err = _gk15(gv, lo2, hi2, stats)
-            heapq.heappush(heap, (-err, counter, lo2, hi2))
-            seg_values[counter] = (val, err)
-            counter += 1
-            total_err += err
+        cuts = (a, 0.5 * (a + b), b)
     total = _segment_total(seg_values)
     if np.ndim(total) == 0:
         return float(total)
@@ -437,7 +456,8 @@ def total_variation_path(
 ) -> float:
     """Total variation of an operator path t -> G(t) on a finite interval:
     int ||G'|| by quadrature, the derivative taken over each panel's
-    nodes in one call (``stats`` counts the panels).  ``G`` and the
+    nodes in one call, shared by the two halves of a bisection
+    (``stats`` counts the panels).  ``G`` and the
     optional ``deriv`` map an array of times to the stack of the matrices
     there; without ``deriv``, G' is taken by :func:`central_difference`.
     An unbounded variation exhausts the panels: QuadratureError.
@@ -476,8 +496,10 @@ def tv_l1_upper_bound(
 ) -> float:
     """Upper bound for the variation of t -> G(t, .) in the L1(J) metric:
     the double integral of ||d/dt G(t, u)|| over I x J, by iterated
-    adaptive quadrature.  Each outer panel takes its 15 inner integrals as
-    one family on shared u-panels; ``stats`` counts the panels of both.
+    adaptive quadrature, each panel's nodes in one call, shared by the
+    two halves of a bisection.  Each outer panel takes its 15 inner
+    integrals as one family on u-panels of its own, even where two outer
+    panels share a call; ``stats`` counts the panels of both.
     A field that does not depend on u gives lambda(J) times the variation
     of t -> G(t, mid J), one integral.  d/dt G is ``G.d1_many``."""
     if not (I.is_finite() and J.is_finite()):
@@ -491,10 +513,16 @@ def tv_l1_upper_bound(
     # outer error estimate is not noise-limited
     inner_tol = tol / (100.0 * max(I.length(), 1.0))
 
-    def inner(ts):
+    def family(ts):
         return _integrate_nodes(
             lambda us: matrix_norm(G.d1_many(ts, us[:, None]), kind),
             J, (), inner_tol, stats=stats)
+
+    def inner(ts):
+        # the outer panels share a call, but each one's 15 times stay a
+        # family of their own, on u-panels of their own
+        return np.concatenate([family(ts[i:i + 15])
+                               for i in range(0, len(ts), 15)])
 
     return _integrate_nodes(inner, I, G.t_breakpoints, tol, stats=stats)
 

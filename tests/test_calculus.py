@@ -1,16 +1,21 @@
 import dataclasses
+import heapq
 import math
 
 import numpy as np
 import pytest
 
 from evostab.calculus import (
+    _GAUSS_ROW,
     _GAUSS_WEIGHTS,
+    _KRONROD_NODES,
+    _KRONROD_ROW,
     _KRONROD_WEIGHTS,
     CovCheckResult,
     Interval,
     OperatorField,
     Partition,
+    QuadStats,
     ScalarPath,
     arc_length,
     cov_check,
@@ -21,13 +26,17 @@ from evostab.calculus import (
     total_variation_path,
     tv_l1_upper_bound,
     _gk15,
+    _initial_cuts,
+    _integrate_nodes,
     _oriented,
+    _segment_total,
 )
-from evostab.errors import DomainViolationError, QuadratureError
+from evostab.errors import (DomainViolationError, ExpressionError,
+                            QuadratureError)
 from evostab.expressions import parse_expression
 from evostab.harness import _SYSTEM, _read
 from evostab.library import example39_field, make_scalar_path
-from evostab.operators import VectorSpaceSpec
+from evostab.operators import VectorSpaceSpec, matrix_norm
 from evostab.stability import SeparableSystem, certify
 
 
@@ -422,7 +431,7 @@ def test_gk15_panel_matches_tensordot_reference():
     rng = np.random.default_rng(5)
     for shape in [(), (3,), (2, 2), (4, 4, 2)]:
         vals = rng.standard_normal((15,) + shape)
-        k, err = _gk15(lambda xs: vals, -0.3, 1.1)
+        [(k, err)] = _gk15(lambda xs: vals, (-0.3, 1.1))
         h = 0.5 * (1.1 - -0.3)
         k_ref = h * np.tensordot(_KRONROD_WEIGHTS, vals, axes=(0, 0))
         g_ref = h * np.tensordot(_GAUSS_WEIGHTS, vals[1::2], axes=(0, 0))
@@ -535,3 +544,193 @@ def test_tv_l1_bound_of_expression_field_matches_scipy_nquad():
     batched, _ = _expr_system_pair()
     val = tv_l1_upper_bound(batched.G, Interval(0.0, 2.0), batched.J, 1e-8)
     assert val == pytest.approx(ref, rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# one integrand call per bisection, bit for bit with one call per panel
+
+
+def _gk15_one_panel(gv, a, b, stats=None):
+    """The Gauss-Kronrod panel as it was when each panel took a call of
+    its own: the oracle of the batched panels."""
+    c = 0.5 * (a + b)
+    h = 0.5 * (b - a)
+    stacked = np.asarray(gv(c + h * _KRONROD_NODES), dtype=float)
+    shape = stacked.shape[1:]
+    k = h * np.dot(_KRONROD_ROW, stacked.reshape(15, -1)).reshape(shape)
+    g7 = h * np.dot(_GAUSS_ROW, stacked[1::2].reshape(7, -1)).reshape(shape)
+    err = float(np.max(np.abs(k - g7)))
+    if not math.isfinite(err):
+        raise QuadratureError(
+            f"non-finite integrand on the panel [{a}, {b}]", k, err)
+    if stats is not None:
+        stats.quad_panels += 1
+        stats.quad_nodes += stacked.size
+    return k, err
+
+
+def _integrate_one_call_per_panel(gv, interval, breakpoints=(), tol=1e-10,
+                                  max_segments=4096, stats=None):
+    """``_integrate_nodes`` as it was with one integrand call per panel."""
+    lo, hi = interval.lo, interval.hi
+    cuts = _initial_cuts(lo, hi, breakpoints)
+    heap, seg_values, counter, total_err = [], {}, 0, 0.0
+    for a, b in zip(cuts, cuts[1:]):
+        val, err = _gk15_one_panel(gv, a, b, stats)
+        heapq.heappush(heap, (-err, counter, a, b))
+        seg_values[counter] = (val, err)
+        counter += 1
+        total_err += err
+    while total_err > tol:
+        if len(heap) >= max_segments:
+            raise QuadratureError(
+                f"quadrature did not converge: error bound {total_err:.3e} "
+                f"> tol {tol:.3e} with {len(heap)} segments",
+                _segment_total(seg_values), total_err,
+            )
+        _, idx, a, b = heapq.heappop(heap)
+        total_err -= seg_values.pop(idx)[1]
+        m = 0.5 * (a + b)
+        for lo2, hi2 in ((a, m), (m, b)):
+            val, err = _gk15_one_panel(gv, lo2, hi2, stats)
+            heapq.heappush(heap, (-err, counter, lo2, hi2))
+            seg_values[counter] = (val, err)
+            counter += 1
+            total_err += err
+    total = _segment_total(seg_values)
+    return float(total) if np.ndim(total) == 0 else total
+
+
+def _double_integral_one_call_per_panel(G, I, J, tol, stats):
+    """``tv_l1_upper_bound`` of a u-dependent field on the oracle."""
+    inner_tol = tol / (100.0 * max(I.length(), 1.0))
+    kind = G.space.norm_kind
+
+    def inner(ts):
+        return _integrate_one_call_per_panel(
+            lambda us: matrix_norm(G.d1_many(ts, us[:, None]), kind),
+            J, (), inner_tol, stats=stats)
+
+    return _integrate_one_call_per_panel(inner, I, G.t_breakpoints, tol,
+                                         stats=stats)
+
+
+def _outcome(quad, *args, **kwargs):
+    """What a quadrature leaves: the bytes and shape of its value and its
+    counters, or the type, message, estimate and bound of its error."""
+    stats = QuadStats()
+    try:
+        value = np.asarray(quad(*args, stats=stats, **kwargs))
+    except (QuadratureError, ExpressionError, ValueError) as e:
+        extra = (tuple(np.asarray(v, dtype=float).tobytes()
+                       for v in (e.best_estimate, e.error_bound))
+                 if isinstance(e, QuadratureError) else ())
+        return "raised", type(e), str(e), extra, stats
+    return "value", value.tobytes(), value.shape, stats
+
+
+def _assert_same_outcome(gv, interval, *args, **kwargs):
+    calls = []
+
+    def counted(xs):
+        calls.append(len(xs))
+        return gv(xs)
+
+    got = _outcome(_integrate_nodes, counted, interval, *args, **kwargs)
+    want = _outcome(_integrate_one_call_per_panel, gv, interval, *args,
+                    **kwargs)
+    assert got == want
+    return got, calls
+
+
+def _split_hit(right=None, left=None):
+    """An integrand on [0, 1] that needs a split, which is NaN or raises
+    ("nan", "raise") at 0.75 as ``right`` says, and at 0.25 as ``left``
+    says: the centres of the halves, neither a node of the panel [0, 1]."""
+    def gv(xs):
+        out = np.sin(40.0 * xs)
+        for x, what, side in ((0.25, left, "left"), (0.75, right, "right")):
+            if what == "raise" and (xs == x).any():
+                raise ExpressionError(f"the {side} half raised")
+            if what == "nan":
+                out = np.where(xs == x, math.nan, out)
+        return out
+    return gv
+
+
+# the comparisons run under the repository's error::RuntimeWarning filter:
+# none of these integrands may warn, on either route
+
+def test_batched_panels_match_one_call_per_panel_on_smooth_integrands():
+    got, calls = _assert_same_outcome(
+        lambda xs: np.exp(-xs) * np.sin(3.0 * xs), Interval(0.0, 5.0), (),
+        1e-13)
+    # one call for the first panel, then one per bisection, of both halves
+    assert calls[0] == 15 and set(calls[1:]) == {30}
+    assert got[-1].quad_panels == 2 * len(calls) - 1
+    # a family of three integrals on shared panels
+    _assert_same_outcome(
+        lambda xs: np.stack([np.sin(k * xs) / (1.0 + xs * xs)
+                             for k in (1.0, 2.5, 7.0)], axis=-1),
+        Interval(-2.0, 3.0), (), 1e-12)
+
+
+def test_batched_panels_match_one_call_per_panel_from_breakpoints():
+    kinks = [math.pi / 2 + k * math.pi for k in range(4)]
+    got, calls = _assert_same_outcome(
+        lambda xs: np.abs(np.cos(xs)), Interval(0.0, 12.0), kinks, 1e-12)
+    # the five initial panels take one call
+    assert calls[0] == 5 * 15
+
+
+def test_batched_panels_match_one_call_per_panel_on_example39():
+    # the 1/sqrt(t)-singular derivative of example39's field on [0, 100]
+    G = example39_field()
+    got, calls = _assert_same_outcome(
+        lambda ts: matrix_norm(G.d1_many(ts, 0.0), G.space.norm_kind),
+        Interval(0.0, 100.0), G.t_breakpoints, 1e-8)
+    assert got[-1] == QuadStats(103, 1545) and len(calls) == 52
+
+
+def test_batched_double_integral_matches_one_call_per_panel():
+    batched, _ = _expr_system_pair()
+    I, J = Interval(0.0, 2.0), batched.J
+    got = _outcome(tv_l1_upper_bound, batched.G, I, J, 1e-8)
+    want = _outcome(_double_integral_one_call_per_panel, batched.G, I, J,
+                    1e-8)
+    assert got == want
+    assert got[0] == "value" and got[-1] == QuadStats(196, 43050)
+
+
+def test_batched_panels_keep_the_first_failure():
+    # a NaN in the right half only: the left half is counted, the right
+    # one raises naming itself
+    got, _ = _assert_same_outcome(_split_hit(right="nan"), Interval(0, 1))
+    assert got[1] is QuadratureError and "[0.5, 1]" in got[2]
+    assert got[-1].quad_panels == 2
+    # the right half raises and the left half is not finite: the batched
+    # call raises, and the panels retried one call each give the left
+    # half's QuadratureError, as one call per panel did
+    got, calls = _assert_same_outcome(_split_hit(right="raise", left="nan"),
+                                      Interval(0, 1))
+    assert got[1] is QuadratureError and "[0, 0.5]" in got[2]
+    assert calls == [15, 30, 15]
+    # the other way round, the left half's own error comes first
+    got, _ = _assert_same_outcome(_split_hit(right="nan", left="raise"),
+                                  Interval(0, 1))
+    assert got[1:3] == (ExpressionError, "the left half raised")
+
+
+def test_batched_panels_keep_the_exhausted_budget():
+    got, _ = _assert_same_outcome(lambda xs: np.sin(500.0 * xs),
+                                  Interval(0.0, 10.0), (), 1e-14, 8)
+    assert got[1] is QuadratureError and "did not converge" in got[2]
+
+
+def test_integrands_with_no_components_integrate_to_empty_arrays():
+    stats = QuadStats()
+    batched, _ = _expr_system_pair()
+    norms = l1_norm_in_u(batched.G, np.array([]), batched.J, stats=stats)
+    assert norms.shape == (0,) and stats == QuadStats(0, 0)
+    value = integrate(lambda x: np.array([]), Interval(0.0, 1.0))
+    assert isinstance(value, np.ndarray) and value.shape == (0,)

@@ -3,6 +3,7 @@ over arrays: it must equal the pointwise formula (conftest, and the paths
 below) bit for bit, on every shape the program calls it with, and raise
 where the formula raised.  The four built-in scenarios keep their bytes."""
 
+import dataclasses
 import hashlib
 import math
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evostab.calculus import Interval
+from evostab.calculus import Interval, OperatorField
 from evostab.harness import BUILTIN_SCENARIOS, emit_report, run_scenario
 from evostab.library import (BUILTIN_FIELDS, BUILTIN_PATHS, constant_field,
                              make_connection, make_extension_problem,
@@ -205,6 +206,52 @@ def test_builtin_example39_verify_keeps_its_bytes_and_cost(tmp_path):
     assert (cost["rhs_evals"], cost["steps"], cost["rejected"],
             cost["quad_panels"], cost["quad_nodes"]) == (
         16239, 400, 33, 103, 1545)
+
+
+def test_example39_variation_takes_one_partial_t_call_per_bisection(
+        monkeypatch):
+    # the variation's first panel takes one call, then each of its 51
+    # bisections one call for both halves; the certificate does not
+    # depend on the pairs, so two will do
+    calls = []
+    make = BUILTIN_FIELDS["example39"]
+
+    def counted(norm_kind):
+        field = make(norm_kind)
+
+        def partial_t(t, u):
+            calls.append(np.shape(t))
+            return field.partial_t(t, u)
+        return dataclasses.replace(field, partial_t=partial_t)
+
+    monkeypatch.setitem(BUILTIN_FIELDS, "example39", counted)
+    kind, config = BUILTIN_SCENARIOS["example39"]
+    report = run_scenario(kind, {**config, "num_pairs": 2}, seed=7)
+    cost = report.summary["cost"]
+    assert (len(calls), cost["quad_panels"], cost["quad_nodes"]) == (
+        52, 103, 1545)
+
+
+def test_certify_expr_takes_one_d1_many_call_per_bisection(monkeypatch,
+                                                           tmp_path):
+    calls = []
+    d1_many = OperatorField.d1_many
+
+    def counted(self, t, us):
+        calls.append(np.shape(t))
+        return d1_many(self, t, us)
+
+    monkeypatch.setattr(OperatorField, "d1_many", counted)
+    report = run_scenario("certify", {
+        "system": {"G": [["atan(t)*u", "0.1*u"], ["sin(t*u)", "exp(-t)"]],
+                   "f": "sin(t)", "J": [-1.0, 1.0], "norm": "euclidean"},
+        "window": [0.0, 2.0]}, seed=0)
+    csv_path, _ = emit_report(report, tmp_path)
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == (
+        "b82073ee773e93f92cc1e0efd81e7c647949e5210a3174910ef29b30ddeea36d")
+    cost = report.summary["cost"]
+    assert (len(calls), cost["quad_panels"], cost["quad_nodes"]) == (
+        98, 226, 50475)
 
 
 # (rhs_evals, steps, rejected, segments) of each built-in at seed 7
