@@ -1,9 +1,9 @@
 """Scalar and operator-valued 1-D calculus.
 
 Adaptive Gauss-Kronrod quadrature (pre-split at declared breakpoints),
-derivatives of piecewise-C1 data, total variation as the integral of the
-derivative's norm, arc length, and the numerical change-of-variables
-identity
+piecewise-C1 paths and fields with their exact derivatives, total
+variation as the integral of the derivative's norm, arc length, and the
+numerical change-of-variables identity
 
     int_s^t f'(tau) y(f(tau)) dtau  =  int_{f(s)}^{f(t)} y(u) du.
 
@@ -17,11 +17,12 @@ u-integrals over a family of times (``OperatorField.eval`` and
 of arc length and the change of variables (``ScalarPath.eval`` and
 ``d_many``).  A non-finite panel raises QuadratureError naming it.
 
-Every path and field here has one evaluator, over arrays; a source that
-only gives one point at a time goes through :func:`stacked` (paths) or
-:func:`pointwise` (fields).  A built-in that keeps math's last bits takes
-its libm values from :func:`libm`, element by element, and does the rest
-of its algebra in numpy.
+Every path and field here has one evaluator, over arrays, and one of its
+exact derivative, which its builder supplies: nothing here differentiates
+numerically.  A source that only gives one point at a time goes through
+:func:`stacked` (paths) or :func:`pointwise` (fields).  A built-in that
+keeps math's last bits takes its libm values from :func:`libm`, element
+by element, and does the rest of its algebra in numpy.
 """
 
 from __future__ import annotations
@@ -175,28 +176,13 @@ def pointwise(fn: Callable[[float, float], np.ndarray]):
     return eval_each
 
 
-def central_difference(fn, t, *rest) -> np.ndarray:
-    """The derivative in t of fn(t, *rest) by central differences, with
-    step h = 1e-6 * max(1, |t|) at each time of the array t.  fn's values
-    carry their own axes (a vector's, a matrix's) after the shape that t
-    and ``rest`` broadcast to."""
-    t = np.asarray(t, dtype=float)
-    h = 1e-6 * np.maximum(1.0, np.abs(t))
-    diff = (np.asarray(fn(t + h, *rest), dtype=float)
-            - np.asarray(fn(t - h, *rest), dtype=float))
-    # h over the points, against values with axes of their own
-    own = diff.ndim - max(map(np.ndim, (t,) + rest))
-    return diff / (2.0 * h).reshape(h.shape + (1,) * own)
-
-
 @dataclass(frozen=True)
 class ScalarPath:
     """A piecewise-C1 real (or vector-valued) function of one variable.
 
     ``eval(ts)`` maps a 1-D array of times to the array of the values
     over them, (len(ts),) or (len(ts), k) for a vector-valued path, and
-    the optional ``deriv(ts)`` does the same for the derivative.  Without
-    ``deriv`` derivatives fall back to :func:`central_difference`.
+    ``deriv(ts)``, the exact derivative, does the same for it.
     Within 1e-14 relative of a declared breakpoint the derivative is
     defined to be 0 (the value there never matters for integrals, but
     point queries are reproducible this way).  A source that only gives
@@ -204,7 +190,7 @@ class ScalarPath:
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
-    deriv: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    deriv: Callable[[np.ndarray], np.ndarray]
     breakpoints: tuple = ()
 
     def __post_init__(self):
@@ -224,10 +210,9 @@ class ScalarPath:
     def d_many(self, ts: np.ndarray) -> np.ndarray:
         """The derivative at the times in ts: 0 within the snapping
         distance of a breakpoint, where nothing is evaluated, and from
-        ``deriv`` or central differences elsewhere."""
-        slope = self.deriv or (lambda ts: central_difference(self.eval, ts))
+        ``deriv`` elsewhere."""
         if not self.breakpoints:
-            return np.asarray(slope(ts), dtype=float)
+            return np.asarray(self.deriv(ts), dtype=float)
         bps = np.asarray(self.breakpoints)
         i = np.searchsorted(bps, ts)
         keep = np.ones(ts.shape, dtype=bool)
@@ -235,8 +220,8 @@ class ScalarPath:
             b = bps[j]
             keep &= np.abs(ts - b) > 1e-14 * np.maximum(1.0, np.abs(b))
         if keep.all():
-            return np.asarray(slope(ts), dtype=float)
-        kept = np.asarray(slope(ts[keep]), dtype=float)
+            return np.asarray(self.deriv(ts), dtype=float)
+        kept = np.asarray(self.deriv(ts[keep]), dtype=float)
         out = np.zeros(ts.shape + kept.shape[1:])
         out[keep] = kept
         return out
@@ -248,16 +233,17 @@ class OperatorField:
 
     ``eval(ts, us)`` takes arrays of t and u that broadcast against each
     other and returns the stack of G(t, u) over them, of shape
-    broadcast(ts, us) + (r, r); ``partial_t``, the analytic t-derivative
-    when available, takes and returns the same.  A source that only gives
-    one point at a time goes through :func:`pointwise`.  ``u_independent``
-    marks fields G(t, u) that do not actually depend on u, unlocking exact
-    shortcuts for the L1-in-u norm and the variation computation.
+    broadcast(ts, us) + (r, r); ``partial_t``, the exact t-derivative,
+    takes and returns the same.  A source that only gives one point at a
+    time goes through :func:`pointwise`.  ``u_independent`` marks fields
+    G(t, u) that do not depend on u, unlocking exact shortcuts for the
+    L1-in-u norm and the variation computation; an expression field
+    derives it from its entries.
     """
 
     eval: Callable[[np.ndarray, np.ndarray], np.ndarray]
     space: VectorSpaceSpec
-    partial_t: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    partial_t: Callable[[np.ndarray, np.ndarray], np.ndarray]
     t_breakpoints: tuple = ()
     u_independent: bool = False
 
@@ -268,10 +254,8 @@ class OperatorField:
 
     def d1_many(self, t, us) -> np.ndarray:
         """The stack of the partial derivatives in t, broadcast as in
-        ``eval``: analytic, or by :func:`central_difference`."""
-        if self.partial_t is not None:
-            return np.asarray(self.partial_t(t, us), dtype=float)
-        return central_difference(self.eval, t, us)
+        ``eval``: ``partial_t``'s, as an array."""
+        return np.asarray(self.partial_t(t, us), dtype=float)
 
 
 @dataclass
@@ -446,26 +430,24 @@ def l1_norm_in_u(
 
 
 def total_variation_path(
-    G: Callable[[np.ndarray], np.ndarray],
+    deriv: Callable[[np.ndarray], np.ndarray],
     interval: Interval,
     breakpoints: Sequence[float] = (),
     tol: float = DEFAULT_TOL,
-    deriv: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     norm_kind: str = EUCLIDEAN,
     stats: Optional[QuadStats] = None,
 ) -> float:
     """Total variation of an operator path t -> G(t) on a finite interval:
     int ||G'|| by quadrature, the derivative taken over each panel's
     nodes in one call, shared by the two halves of a bisection
-    (``stats`` counts the panels).  ``G`` and the
-    optional ``deriv`` map an array of times to the stack of the matrices
-    there; without ``deriv``, G' is taken by :func:`central_difference`.
-    An unbounded variation exhausts the panels: QuadratureError.
+    (``stats`` counts the panels).  ``deriv``, the exact G', maps an
+    array of times to the stack of the matrices there.  An unbounded
+    variation gives QuadratureError, not a value: its panels run out, or
+    close in on a point where G' is not finite.
     """
     if not interval.is_finite():
         raise DomainViolationError("variation requested over an unbounded interval")
-    slope = deriv or (lambda ts: central_difference(G, ts))
-    return _integrate_nodes(lambda ts: matrix_norm(slope(ts), norm_kind),
+    return _integrate_nodes(lambda ts: matrix_norm(deriv(ts), norm_kind),
                             interval, breakpoints, tol, stats=stats)
 
 
@@ -507,8 +489,8 @@ def tv_l1_upper_bound(
     kind = G.space.norm_kind
     if G.u_independent:
         return J.length() * total_variation_path(
-            None, I, G.t_breakpoints, tol,
-            lambda ts: G.d1_many(ts, J.midpoint()), kind, stats)
+            lambda ts: G.d1_many(ts, J.midpoint()), I, G.t_breakpoints,
+            tol, kind, stats)
     # keep the inner integrals well below the outer tolerance so that the
     # outer error estimate is not noise-limited
     inner_tol = tol / (100.0 * max(I.length(), 1.0))

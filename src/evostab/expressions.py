@@ -207,6 +207,12 @@ def derivative(node: tuple):
                               _op("/", _op("*", b, da), a)))
 
 
+def _reads_u(node: tuple) -> bool:
+    """Whether the tree ``node`` has a u in it (``0*u`` has)."""
+    return node == ("u",) or any(isinstance(a, tuple) and _reads_u(a)
+                                 for a in node[1:])
+
+
 def _guarded(raw, scalar):
     """The array evaluator of ``raw`` under the floating-point guard; a
     batch with a fault is redone point by point through ``scalar``."""
@@ -227,6 +233,7 @@ def parse_expression(src: str):
     negative number, a complex power and the like).  ``evaluate.many``
     takes arrays; a batch with a floating-point fault is redone point by
     point, so it raises exactly what the scalar call raises.
+    ``evaluate.reads_u`` says whether the expression has a u in it.
     ``evaluate.dt`` is the exact t-derivative, with a ``many`` of its
     own, or None for an expression constant in t.  It runs in numpy under
     the same guard: where the value faults it raises the value's error,
@@ -247,6 +254,7 @@ def parse_expression(src: str):
             ) from exc
 
     evaluate.source = src
+    evaluate.reads_u = _reads_u(tree)
     evaluate.raw_many = compile_tree(tree, _NUMPY)
     evaluate.many = _guarded(evaluate.raw_many, evaluate)
     evaluate.dt = None

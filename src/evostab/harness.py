@@ -243,14 +243,16 @@ def _matrix_of(fs, r: int):
 def _expr_matrix(rows):
     """The array evaluator (t, u) -> matrix of a square list-of-lists of
     expression strings, t and u numbers or arrays broadcast together, with
-    its dimension as ``.dim`` and its exact t-derivative as ``.partial_t``,
-    which leaves the entries constant in t at 0 without evaluating them."""
+    its dimension as ``.dim``, its exact t-derivative as ``.partial_t``,
+    which leaves the entries constant in t at 0 without evaluating them,
+    and as ``.u_independent`` whether no entry has a u in it."""
     r = len(rows)
     entries = [_parsed(s, f"entry [{i}][{j}]: ")
                for i, row in enumerate(rows) for j, s in enumerate(row)]
     matrix = _matrix_of(entries, r)
     matrix.partial_t = _matrix_of([f.dt for f in entries], r)
     matrix.dim = r
+    matrix.u_independent = not any(f.reads_u for f in entries)
     return matrix
 
 
@@ -312,7 +314,7 @@ def _expression_system(c) -> SeparableSystem:
     space = VectorSpaceSpec(c.G.dim, c.norm)
     field = OperatorField(eval=c.G, space=space, partial_t=c.G.partial_t,
                           t_breakpoints=c.G_breakpoints,
-                          u_independent=c.u_independent)
+                          u_independent=c.G.u_independent)
     return SeparableSystem(G=field, f=_path(c.f, c.f_breakpoints), I=c.I,
                            J=c.J, space=space)
 
@@ -324,8 +326,6 @@ _SYSTEM = _Object((
     ("f_breakpoints", [], _BREAKPOINTS),
     ("I", [-math.inf, math.inf], _INTERVAL),
     ("J", _REQUIRED, _BOUNDED),
-    ("u_independent", False, (bool, (lambda v: isinstance(v, bool),
-                                     "expected true or false, got {v!r}"))),
     _NORM,
 ), build=_expression_system, alt=("builtin", _Object((
     ("builtin", _REQUIRED, _named(BUILTIN_FIELDS, "field ")),
@@ -519,11 +519,10 @@ def _run_certify(c, seed, tol):
 
 def _run_verify(c, seed, tol):
     if c.certificate is not None:
-        cert = BoundCertificate.from_parts(
+        cert = BoundCertificate(
             gain=float(c.certificate["gain"]),
             variation=float(c.certificate["variation"]),
-            window=c.window, sup_grid=0, tolerances={},
-            provenance="user-supplied")
+            window=c.window, sup_grid=0, provenance="user-supplied")
     else:
         cert = certify(c.system, c.window, c.certify_tol)
     report = verify_certificate(c.system, cert, _pairs(c, seed, True), tol)
@@ -675,9 +674,9 @@ _SCENARIOS = {
         *_PAIRS,
         ("certificate", None, (dict, (
             lambda v: isinstance(v, dict) and set(v) == {"gain", "variation"}
-            and _is_number(v["gain"]) and v["gain"] >= 1.0
-            and _is_number(v["variation"]) and v["variation"] >= 0.0,
-            "expected {{gain >= 1, variation >= 0}}"))),
+            and _finite(v["gain"]) and v["gain"] >= 1.0
+            and _finite(v["variation"]) and v["variation"] >= 0.0,
+            "expected {{gain >= 1, variation >= 0}}, both finite"))),
         ("certify_tol", DEFAULT_TOLS["certify"], _POSITIVE),
     ), rules=(
         lambda c, cfg: c.window is None and "window: missing",

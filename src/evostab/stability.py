@@ -145,30 +145,30 @@ def saturating_bound(gain: float, log_gain: float, variation: float):
 
 @dataclass(frozen=True)
 class BoundCertificate:
-    """The numbers (gain, variation, bound) of a stability certificate,
-    plus the sampling metadata that produced them.
+    """The numbers (gain, variation) of a stability certificate, the
+    bound C they give, and the sampling metadata that produced them.
 
-    ``bound`` is always reproducible from ``gain`` and ``variation``; the
-    constructor enforces that.  Certificates computed from grid samples
-    are labeled estimates: the true sup may exceed the sampled one.
-    ``variation_mode`` says how V was integrated: "double-integral" or,
-    for a field that does not depend on u, "derivative" (see
-    :func:`certify`).  ``cost`` counts the quadrature panels that
-    produced the numbers.
+    ``bound``, ``log_bound`` and ``overflow`` are not arguments: they are
+    computed from ``gain`` and ``variation`` (:func:`saturating_bound`).
+    Certificates computed from grid samples are labeled estimates: the
+    true sup may exceed the sampled one.  ``variation_mode`` says how V
+    was integrated: "double-integral" or, for a field that does not
+    depend on u, "derivative" (see :func:`certify`).  ``cost`` counts the
+    quadrature panels that produced the numbers.
     """
 
     gain: float
     variation: float
-    bound: float
     window: Interval
     sup_grid: int
     tolerances: dict = field(default_factory=dict)
-    log_bound: float = 0.0
-    overflow: bool = False
     sup_converged: bool = True
     variation_mode: str = "double-integral"
     provenance: str = "grid-sampled"
     cost: QuadStats = field(default_factory=QuadStats)
+    bound: float = field(init=False)
+    log_bound: float = field(init=False)
+    overflow: bool = field(init=False)
 
     def __post_init__(self):
         if self.gain < 1.0:
@@ -177,15 +177,7 @@ class BoundCertificate:
             raise ValueError("certificate variation must be >= 0")
         bound, log_bound, overflow = saturating_bound(
             self.gain, math.log(self.gain), self.variation)
-        same = (bound == self.bound) or (
-            math.isfinite(bound) and math.isfinite(self.bound)
-            and abs(bound - self.bound) <= 1e-12 * bound
-        )
-        if not same:
-            raise ValueError(
-                f"stored bound {self.bound} disagrees with "
-                f"gain/variation ({bound})"
-            )
+        object.__setattr__(self, "bound", bound)
         object.__setattr__(self, "log_bound", log_bound)
         object.__setattr__(self, "overflow", overflow)
 
@@ -195,18 +187,6 @@ class BoundCertificate:
         comparable where C itself overflows to +inf."""
         log_v = math.log(self.variation) if self.variation > 0.0 else -math.inf
         return (3.0 + 2.0 * self.gain) * math.log(self.gain) + log_v
-
-    @staticmethod
-    def from_parts(gain, variation, window, sup_grid, tolerances,
-                   sup_converged=True, variation_mode="double-integral",
-                   provenance="grid-sampled", cost=None) -> "BoundCertificate":
-        bound, _, _ = saturating_bound(gain, math.log(gain), variation)
-        return BoundCertificate(
-            gain=gain, variation=variation, bound=bound, window=window,
-            sup_grid=sup_grid, tolerances=dict(tolerances),
-            sup_converged=sup_converged, variation_mode=variation_mode,
-            provenance=provenance, cost=cost or QuadStats(),
-        )
 
 
 def _dyadic_sup(values_at, lo, hi, seed_points):
@@ -248,9 +228,10 @@ def certify(
     norm; the variation from the double-integral upper bound
     (``variation_mode`` "double-integral"), or from lambda(J) times the
     integral of ||d/dt G(t, mid J)|| when the field does not depend on u
-    ("derivative").  Both take d/dt G from ``G.d1_many``: the field's
-    ``partial_t``, or central differences for a field without one.  Only
-    G, J and the window enter: the certificate is uniform in f.
+    ("derivative").  Both take d/dt G from ``G.d1_many``, the field's
+    exact ``partial_t``.  An expression field is u-independent when no
+    entry has a u in it.  Only G, J and the window enter: the
+    certificate is uniform in f.
     """
     if not window.is_finite():
         raise ValueError("certification window must be finite")
@@ -275,7 +256,7 @@ def certify(
             f"{window.hi}]: sup of the L1 norm {sup_val}, variation "
             f"{variation}", variation, math.inf)
 
-    return BoundCertificate.from_parts(
+    return BoundCertificate(
         gain=gain, variation=variation, window=window, sup_grid=n_grid,
         tolerances={"certify": tol, "l1": l1_tol},
         sup_converged=conv, variation_mode=variation_mode, cost=cost,

@@ -33,8 +33,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .calculus import (Interval, ScalarPath, central_difference,
-                       refine_until_stable)
+from .calculus import Interval, ScalarPath, refine_until_stable
 from .errors import DomainViolationError, IntegrationError
 from .evolution import CoefficientPath, EvolutionOperator, StepStats, evolve
 from .operators import (Operator, Vector, VectorSpaceSpec, matrix_norm,
@@ -56,9 +55,8 @@ class ConnectionForm:
     ``omega1(xs, us)`` and ``omega2(xs, us)`` take arrays of x and u that
     broadcast against each other and return the stack of the matrices
     over them, of shape broadcast(xs, us) + (r, r); ``d1_omega2``, the
-    x-derivative of omega2 when known analytically, takes and returns the
-    same.  Without it, central differences stand in where it is needed.
-    A source that only gives one point at a time goes through
+    exact x-derivative of omega2, takes and returns the same.  A source
+    that only gives one point at a time goes through
     :func:`evostab.calculus.pointwise`.
     """
 
@@ -67,7 +65,7 @@ class ConnectionForm:
     m_interval: Interval
     j_interval: Interval
     space: VectorSpaceSpec
-    d1_omega2: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    d1_omega2: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
     def check_inside(self, xs: np.ndarray, us: np.ndarray) -> None:
         """Raise DomainViolationError unless every point (x, u) of the
@@ -232,15 +230,13 @@ def sample_connection_bounds(
     rectangle, refining dyadically until all three stabilize to 1%, then
     inflate by 5%.  Each field takes a block of grid rows from one call,
     the x of the rows as a column against the row of u, up to
-    ``_BOUNDS_BLOCK`` points per call; without ``d1_omega2``, d/dx omega2
-    is taken by central differences.  A sup of the exact per-matrix
-    norms does not depend on the blocking.  A sample with a non-finite
-    entry raises DomainViolationError naming the first such (x, u) in row
-    order."""
+    ``_BOUNDS_BLOCK`` points per call; d/dx omega2 is the connection's
+    exact ``d1_omega2``.  A sup of the exact per-matrix norms does not
+    depend on the blocking.  A sample with a non-finite entry raises
+    DomainViolationError naming the first such (x, u) in row order."""
     if not (w.m_interval.is_finite() and w.j_interval.is_finite()):
         raise DomainViolationError("bounds sampling needs a finite rectangle")
     kind = w.space.norm_kind
-    d1 = w.d1_omega2 or (lambda x, us: central_difference(w.omega2, x, us))
 
     def sups(n):
         xs = np.linspace(w.m_interval.lo, w.m_interval.hi, n)
@@ -249,7 +245,7 @@ def sample_connection_bounds(
         rows = max(1, _BOUNDS_BLOCK // n)
         for lo in range(0, n, rows):
             x = xs[lo:lo + rows, None]
-            fields = (w.omega1(x, us), w.omega2(x, us), d1(x, us))
+            fields = (w.omega1(x, us), w.omega2(x, us), w.d1_omega2(x, us))
             if not all(np.isfinite(f).all() for f in fields):
                 _raise_at_first_non_finite(fields, x[:, 0], us)
             for i, f in enumerate(fields):

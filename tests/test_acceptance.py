@@ -196,6 +196,10 @@ def test_criterion_06_frozen_approximants():
                  "approximant verifies against the same bound")
 
 
+# the derivative of abs, which the breakpoint at 0 leaves unevaluated there
+_SIGN = stacked(lambda t: math.copysign(1.0, t))
+
+
 def test_criterion_07_substitution_identity():
     rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
     sp1, sp2 = VectorSpaceSpec(1), VectorSpaceSpec(2)
@@ -214,7 +218,7 @@ def test_criterion_07_substitution_identity():
         (lambda u: np.array([[u, 0.5], [-0.5, -u]]), sp2,
          ScalarPath(eval=np.sin, deriv=np.cos), 1.0, 5.0),
         (lambda u: np.array([[0.2, u], [u * u, -0.1]]), sp2,
-         ScalarPath(eval=stacked(abs), breakpoints=(0.0,)), -1.5, 1.5),
+         ScalarPath(eval=stacked(abs), deriv=_SIGN, breakpoints=(0.0,)), -1.5, 1.5),
         (lambda u: np.array([[math.exp(-u * u)]]), sp1, tri, 0.0, 9.5),
         (lambda u: np.array([[u, 0.0], [0.0, -u]]), sp2, tri, 0.5, 6.5),
         (lambda u: np.array([[0.3 * u]]), sp1,
@@ -232,7 +236,7 @@ def test_criterion_07_substitution_identity():
 
 def test_criterion_08_change_of_variables():
     tri = make_scalar_path("sawtooth", Interval(0.0, 10.0))
-    kinked = ScalarPath(eval=stacked(abs), breakpoints=(0.0,))
+    kinked = ScalarPath(eval=stacked(abs), deriv=_SIGN, breakpoints=(0.0,))
     cases = [
         (lambda u: u, ScalarPath(eval=np.sin, deriv=np.cos), 0.0,
          math.pi / 2),
@@ -283,9 +287,14 @@ def _acceptance_connections():
             return _c * np.array([[math.sin(x + u), 0.0],
                                   [0.0, math.cos(x)]])
 
+        def d1_w2(x, u, _c=c2):
+            return _c * np.array([[math.cos(x + u), 0.0],
+                                  [0.0, -math.sin(x)]])
+
         out.append(ConnectionForm(omega1=pointwise(w1),
                                   omega2=pointwise(w2), m_interval=M,
-                                  j_interval=J, space=sp))
+                                  j_interval=J, space=sp,
+                                  d1_omega2=pointwise(d1_w2)))
     return out
 
 

@@ -63,18 +63,24 @@ def test_partition_mesh():
     assert Partition.uniform(0.0, 1.0, 4).mesh() == pytest.approx(0.25)
 
 
-def test_scalar_path_derivative_fallback():
-    f = ScalarPath(eval=stacked(lambda t: t * t))
-    assert f.d(1.5) == pytest.approx(3.0, abs=1e-6)
+# the derivative of abs, which the breakpoint at 0 leaves unevaluated there
+_SIGN = stacked(lambda t: math.copysign(1.0, t))
+
+
+def test_scalar_path_derivative_is_its_deriv():
+    f = ScalarPath(eval=stacked(lambda t: t * t), deriv=stacked(lambda t: 2 * t))
+    assert f.d(1.5) == 3.0
     g = ScalarPath(eval=stacked(math.sin), deriv=stacked(math.cos))
     assert g.d(0.7) == math.cos(0.7)
+    with pytest.raises(TypeError, match="deriv"):
+        ScalarPath(eval=stacked(math.sin))
 
 
 def test_scalar_path_derivative_is_zero_at_breakpoints():
-    f = ScalarPath(eval=stacked(abs), breakpoints=(0.0,))
+    f = ScalarPath(eval=stacked(abs), deriv=_SIGN, breakpoints=(0.0,))
     assert f.d(0.0) == 0.0
-    assert f.d(1.0) == pytest.approx(1.0, abs=1e-6)
-    assert f.d(-1.0) == pytest.approx(-1.0, abs=1e-6)
+    assert f.d(1.0) == 1.0
+    assert f.d(-1.0) == -1.0
 
 
 def test_scalar_path_derivative_matches_linear_breakpoint_scan():
@@ -151,9 +157,12 @@ def test_non_finite_integrand_raises_naming_its_panel():
 
 
 def _nan_system(bad, u_independent):
+    # G is 1, and NaN where bad(t); so is its t-derivative, 0 and NaN
     G = OperatorField(eval=pointwise(
         lambda t, u: np.array([[math.nan if bad(t) else 1.0]])),
-        space=VectorSpaceSpec(1), u_independent=u_independent)
+        space=VectorSpaceSpec(1), partial_t=pointwise(
+            lambda t, u: np.array([[math.nan if bad(t) else 0.0]])),
+        u_independent=u_independent)
     return SeparableSystem(G=G, f=make_scalar_path("sin", Interval(0, 1)),
                            I=Interval(0, 1), J=Interval(-1, 1), space=G.space)
 
@@ -165,19 +174,20 @@ def test_certify_of_a_non_finite_field_raises_quadrature_error():
     with pytest.raises(QuadratureError, match=r"panel \[-1, 1\]"):
         certify(_nan_system(lambda t: t > 0.5, False), Interval(0, 1))
     # declared u-independent, its gain is |G| times the length of J, and
-    # its variation integrates the central-difference slope: the first
-    # panel over the whole window meets the NaN, which its nodes at and
-    # around t = 1/2 straddle
-    for bad in (lambda t: t > 0.5, lambda t: 0.5 < t < 0.55):
+    # its variation integrates the derivative: the first panel over the
+    # whole window meets the NaN at its nodes past t = 1/2, or at its
+    # centre t = 1/2
+    for bad in (lambda t: t > 0.5, lambda t: t == 0.5):
         with pytest.raises(QuadratureError, match=r"panel \[0, 1\]"):
             certify(_nan_system(bad, True), Interval(0, 1))
-    # a NaN that only the sampled sup sees (the slope takes G at t +- h,
-    # never at t = 1/2, a point of the sup's first grid): the window is
-    # named, and no certificate comes out
+    # a NaN that only the sampled sup sees (no node of that panel lies in
+    # (1/2, 0.55), and the derivative is 0 at all of them, so the panel
+    # is not split; t = 0.53125 is a point of the sup's second grid): the
+    # window is named, and no certificate comes out
     with pytest.raises(QuadratureError,
                        match=r"non-finite certificate on the window "
                              r"\[0, 1\]: sup of the L1 norm nan"):
-        certify(_nan_system(lambda t: t == 0.5, True), Interval(0, 1))
+        certify(_nan_system(lambda t: 0.5 < t < 0.55, True), Interval(0, 1))
 
 
 def test_quadrature_failure_carries_best_estimate():
@@ -202,13 +212,15 @@ def test_signed_integrate_orientation():
 
 def test_l1_norm_constant_unit_field():
     sp = VectorSpaceSpec(1)
-    G = OperatorField(eval=pointwise(lambda t, u: np.array([[1.0]])), space=sp)
+    G = OperatorField(eval=pointwise(lambda t, u: np.array([[1.0]])), space=sp,
+                      partial_t=pointwise(lambda t, u: np.array([[0.0]])))
     assert l1_norm_in_u(G, 0.0, Interval(0.0, 2.0)) == pytest.approx(2.0)
 
 
 def test_l1_norm_linear_field():
     sp = VectorSpaceSpec(1)
-    G = OperatorField(eval=pointwise(lambda t, u: np.array([[u]])), space=sp)
+    G = OperatorField(eval=pointwise(lambda t, u: np.array([[u]])), space=sp,
+                      partial_t=pointwise(lambda t, u: np.array([[0.0]])))
     assert l1_norm_in_u(G, 0.0, Interval(0.0, 1.0)) == pytest.approx(0.5)
 
 
@@ -230,7 +242,7 @@ def test_l1_norm_example_field_matches_midpoint_oracle():
     J = Interval(-1.0, 1.0)
     oracle = _midpoint_l1_oracle(field, 0.0, J)
     # quadrature route (flag stripped) and shortcut route must both agree
-    raw = OperatorField(eval=field.eval, space=field.space)
+    raw = dataclasses.replace(field, u_independent=False)
     assert l1_norm_in_u(raw, 0.0, J, tol=1e-10) == pytest.approx(
         oracle, abs=1e-8)
     assert l1_norm_in_u(field, 0.0, J) == pytest.approx(oracle, abs=1e-12)
@@ -242,7 +254,8 @@ def test_l1_norm_u_dependent_field_matches_midpoint_oracle():
     def ev(t, u):
         return np.array([[math.sin(u), 0.3], [0.0, math.cos(u) * u]])
 
-    G = OperatorField(eval=pointwise(ev), space=sp)
+    G = OperatorField(eval=pointwise(ev), space=sp,
+                      partial_t=pointwise(lambda t, u: np.zeros((2, 2))))
     J = Interval(-1.0, 1.0)
     oracle = _midpoint_l1_oracle(G, 0.0, J, panels=200_000)
     assert l1_norm_in_u(G, 0.0, J, tol=1e-10) == pytest.approx(
@@ -254,40 +267,36 @@ def test_l1_norm_u_dependent_field_matches_midpoint_oracle():
 
 
 def test_variation_constant_is_zero():
-    val = total_variation_path(stacked(lambda t: np.eye(2)),
-                               Interval(0.0, 5.0),
-                               deriv=stacked(lambda t: np.zeros((2, 2))))
+    val = total_variation_path(stacked(lambda t: np.zeros((2, 2))),
+                               Interval(0.0, 5.0))
     assert val == 0.0
 
 
 def test_variation_linear_scalar():
-    val = total_variation_path(lambda ts: ts[:, None, None],
-                               Interval(0.0, 3.0),
-                               deriv=lambda ts: np.ones((len(ts), 1, 1)))
+    val = total_variation_path(lambda ts: np.ones((len(ts), 1, 1)),
+                               Interval(0.0, 3.0))
     assert val == pytest.approx(3.0, abs=1e-10)
 
 
 def test_variation_sine_four_quarter_waves():
-    val = total_variation_path(
-        lambda ts: np.sin(ts)[:, None, None], Interval(0.0, 2 * math.pi),
-        deriv=lambda ts: np.cos(ts)[:, None, None],
-    )
+    val = total_variation_path(lambda ts: np.cos(ts)[:, None, None],
+                               Interval(0.0, 2 * math.pi))
     assert val == pytest.approx(4.0, abs=1e-9)
 
 
-def test_variation_without_deriv_integrates_central_differences():
-    # no deriv: the slope is taken by central differences, and the
-    # variation is still the integral of its norm, to within the
-    # differences' own error
-    G = stacked(lambda t: np.array([[math.sin(t)]]))
-    est = total_variation_path(G, Interval(0.0, 2 * math.pi))
-    assert est == pytest.approx(4.0, abs=1e-9)
-    # (t - 1/3) sin(1/(t - 1/3)) has unbounded variation: no value comes
-    # out, the panel budget runs out instead
-    tip = 1.0 / 3.0
-    wobble = stacked(lambda t: np.array([[(t - tip) * math.sin(1.0 / (t - tip))]]))
-    with pytest.raises(QuadratureError, match="did not converge"):
-        total_variation_path(wobble, Interval(0.0, 1.0))
+def test_unbounded_variation_gives_no_value():
+    # (t - 1/3) sin(1/(t - 1/3)) has unbounded variation: its exact
+    # derivative sin(1/s) - cos(1/s)/s, s = t - 1/3, is not integrable
+    # in norm, so the panels home in on the tip, where the derivative is
+    # not finite, and no value comes out
+    def wobble_dt(ts):
+        s = ts - 1.0 / 3.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return (np.sin(1.0 / s) - np.cos(1.0 / s) / s)[:, None, None]
+
+    with pytest.raises(QuadratureError, match=r"non-finite integrand on the "
+                                              r"panel \[0\.333"):
+        total_variation_path(wobble_dt, Interval(0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +406,7 @@ def test_cov_check_non_monotone_and_kinked_paths():
     res = cov_check(lambda u: math.cos(3.0 * u) + u, f, 0.0, 5.0)
     assert res.defect <= 1e-9
     # kinked: f = |t| with a declared breakpoint
-    g = ScalarPath(eval=stacked(abs), breakpoints=(0.0,))
+    g = ScalarPath(eval=stacked(abs), deriv=_SIGN, breakpoints=(0.0,))
     res2 = cov_check(lambda u: u * u + 1.0, g, -1.0, 2.0)
     assert res2.defect <= 1e-9
     # reversed orientation flips both sides
@@ -474,8 +483,8 @@ def test_certify_of_expression_field_keeps_grid_gain_and_provenance():
 
 def test_batched_path_derivative_keeps_the_breakpoint_rule():
     # d_many is 0 within 1e-14 relative of a breakpoint, as at the stage
-    # times that land exactly on a segment end, and deriv or the central
-    # difference elsewhere; d(t) is its row at the one time
+    # times that land exactly on a segment end, and deriv elsewhere; d(t)
+    # is its row at the one time
     bps = (-3.0, 0.0, 2.5, 1e3)
     ts = np.concatenate([
         np.array(bps), np.array(bps) * (1 + 5e-15) + 5e-15,
@@ -484,23 +493,17 @@ def test_batched_path_derivative_keeps_the_breakpoint_rule():
     def snapped(t):
         return any(abs(t - b) <= 1e-14 * max(1.0, abs(b)) for b in bps)
 
-    def central(t):
-        h = 1e-6 * max(1.0, abs(t))
-        return (math.sin(t + h) - math.sin(t - h)) / (2.0 * h)
-
-    for deriv, slope in ((np.cos, math.cos), (None, central)):
-        want = np.array([0.0 if snapped(t) else slope(t)
-                         for t in ts.tolist()])
-        for path in (ScalarPath(eval=np.sin, deriv=deriv, breakpoints=bps),
-                     ScalarPath(eval=stacked(math.sin),
-                                deriv=deriv and stacked(math.cos),
-                                breakpoints=bps)):
-            assert path.d_many(ts).tobytes() == want.tobytes()
-            assert np.count_nonzero(path.d_many(ts)[:8]) == 0
-            assert np.array([path.d(t) for t in ts.tolist()]).tobytes() \
-                == want.tobytes()
-            assert path.eval(ts).tobytes() == np.array(
-                [path(t) for t in ts.tolist()]).tobytes()
+    want = np.array([0.0 if snapped(t) else math.cos(t)
+                     for t in ts.tolist()])
+    for path in (ScalarPath(eval=np.sin, deriv=np.cos, breakpoints=bps),
+                 ScalarPath(eval=stacked(math.sin), deriv=stacked(math.cos),
+                            breakpoints=bps)):
+        assert path.d_many(ts).tobytes() == want.tobytes()
+        assert np.count_nonzero(path.d_many(ts)[:8]) == 0
+        assert np.array([path.d(t) for t in ts.tolist()]).tobytes() \
+            == want.tobytes()
+        assert path.eval(ts).tobytes() == np.array(
+            [path(t) for t in ts.tolist()]).tobytes()
 
 
 def test_interval_first_outside_agrees_with_contains():

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -173,7 +174,6 @@ def test_derivative_agrees_with_mpmath_diff(src, t, u):
     # numerical derivative of the same tree compiled over mpmath at 50
     # digits, to 1e-12 relative to the larger of the two sides, the value
     # and 1 (an expression constant in t may leave rounding in its d/dt)
-    mpmath = pytest.importorskip("mpmath")
     f = parse_expression(src)
     try:
         value = f(t, u)
@@ -196,6 +196,14 @@ def test_derivative_agrees_with_mpmath_diff(src, t, u):
         exact = float(mpmath.re(mpmath.diff(
             lambda x: g(x, mpmath.mpf(u)), mpmath.mpf(t))))
     assert abs(d - exact) <= 1e-12 * max(abs(exact), abs(value), 1.0)
+
+
+def test_reads_u_is_read_off_the_tree():
+    # a u anywhere in the tree counts, even where it cannot matter
+    for src, reads in (("t", False), ("sin(t)*e + pi", False), ("u", True),
+                       ("0*u", True), ("exp(-t)^u", True),
+                       ("atan(t*(1 + u))", True)):
+        assert parse_expression(src).reads_u is reads
 
 
 def test_derivative_tree_drops_zero_terms_and_unit_factors():

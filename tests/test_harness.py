@@ -38,6 +38,7 @@ from evostab.harness import (
     emit_report,
     run_scenario,
 )
+from evostab.operators import NORM_KINDS
 
 TINY_EVOLVE = {
     "A": [["cos(t)"]],
@@ -93,6 +94,11 @@ def test_readme_config_keys_match_the_tables():
                                      section, re.M | re.S)}
     assert set(KINDS) <= set(documented)
     assert documented == _table_keys()
+    # every norm row documents the values the validator accepts
+    norm_rows = re.findall(r"^\| `norm` \| ([^|]*) \|", section, re.M)
+    assert len(norm_rows) == sum("norm" in keys for keys in documented.values())
+    for values in norm_rows:
+        assert tuple(re.findall(r"`([^`]+)`", values)) == NORM_KINDS
 
 
 def test_readme_example_and_builtin_scenarios_pass_the_tables():
@@ -661,19 +667,16 @@ def test_expression_connection_stacks_over_paired_points():
         assert stack(xs[:, :1], us[0]).shape == (5, 3, 2, 2)
 
 
-def test_expression_connection_samples_its_exact_x_derivative(monkeypatch):
+def test_expression_connection_samples_its_exact_x_derivative():
     # omega2 = [[0, t u], [-t u, 0]] on [-1, 1]^2: d/dx omega2 is the
     # expression matrix's exact partial_t, [[0, u], [-u, 0]], of norm |u|,
-    # so B12 is 1.05 * 1 exactly; central differences are never taken
-    def no_differences(*args):
-        raise AssertionError("central difference of omega2")
-
-    monkeypatch.setattr(transport, "central_difference", no_differences)
+    # so B12 is 1.05 * 1 exactly; omega2 itself is never differenced
     bag = []
     w = _read(_CONNECTION, {"omega1": [["0", "1"], ["-1", "0"]],
                             "omega2": [["0", "t*u"], ["-t*u", "0"]],
                             "M": [-1.0, 1.0], "J": [-1.0, 1.0]}, bag)
     assert not bag
+    assert w.d1_omega2 is w.omega2.partial_t
     calls = []
     w = dataclasses.replace(
         w, omega2=lambda x, u, f=w.omega2: calls.append(1) or f(x, u))
@@ -770,6 +773,16 @@ INTRO_COS = '"system": {"builtin": "intro-cos"}'
      "pairs: expected a non-empty list of [s, t]"),
     ("evolve", '{"A": [["cos(t)"]], "pairs": [[0, true]]}',
      "pairs: expected a non-empty list of [s, t]"),
+    ("verify", '{%s, "window": [0, 5], "num_pairs": 2, "certificate": '
+               '{"gain": Infinity, "variation": 0}}' % INTRO_COS,
+     "certificate: expected {gain >= 1, variation >= 0}, both finite"),
+    ("verify", '{%s, "window": [0, 5], "num_pairs": 2, "certificate": '
+               '{"gain": 3, "variation": Infinity}}' % INTRO_COS,
+     "certificate: expected {gain >= 1, variation >= 0}, both finite"),
+    ("certify", '{"system": {"G": [["u"]], "f": "sin(t)", "J": [-1, 1], '
+                '"u_independent": true}, "window": [0, 5]}',
+     "system.u_independent: unknown key (have ['G', 'G_breakpoints', 'f', "
+     "'f_breakpoints', 'I', 'J', 'norm'])"),
     ("certify", '{"system": {"G": [["u"]], "f": "sin(t)", "J": [-1, 1], '
                 '"I": [0, 1]}, "window": [0, 5]}',
      "window: [0, 5] does not lie inside the system's time interval "
@@ -822,9 +835,12 @@ def _paths(node, path=()):
 @st.composite
 def _mutated_configs(draw):
     """A tiny valid config with one value dropped, retyped, or pushed out
-    of range, or with one unknown key added."""
+    of range, or with one unknown key added; and whether a number was
+    made non-finite."""
     kind, config = draw(st.sampled_from([
         ("evolve", TINY_EVOLVE), ("verify", TINY_VERIFY),
+        ("verify", dict(TINY_VERIFY,
+                        certificate={"gain": 3.0, "variation": 0.0})),
         ("sine-curve", SINE_ZERO)]))
     config = copy.deepcopy(config)
     path = draw(st.sampled_from(list(_paths(config))))
@@ -833,6 +849,7 @@ def _mutated_configs(draw):
         parent = parent[step]
     value = parent[path[-1]] if path else config
     how = draw(st.sampled_from(["drop", "retype", "range", "unknown"]))
+    non_finite = False
     if how == "unknown" and isinstance(value, dict):
         value["bogus"] = 1
     elif how == "drop" and path:
@@ -840,21 +857,23 @@ def _mutated_configs(draw):
     elif how == "range" and path and isinstance(value, (int, float)):
         parent[path[-1]] = draw(st.sampled_from(
             [-1, 0, math.nan, math.inf, -math.inf]))
+        non_finite = not math.isfinite(parent[path[-1]])
     elif how == "retype" or how == "range":
         new = draw(st.sampled_from(["x", True, None, [], {}, [["x"]], 1.5]))
         if path:
             parent[path[-1]] = new
         else:
             config = new
-    return kind, config
+    return kind, config, non_finite
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=_mutated_configs())
 def test_exit_code_contract_on_mutated_configs(case):
-    # 0, 1, 2 or 3; 2 exactly when a config error is printed; 1 only with
+    # 0, 1, 2 or 3; 2 exactly when a config error is printed, and always
+    # for a non-finite number (json reads NaN and Infinity); 1 only with
     # a failed row
-    kind, config = case
+    kind, config, non_finite = case
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "cfg.json"
         cfg.write_text(json.dumps(config))
@@ -865,6 +884,7 @@ def test_exit_code_contract_on_mutated_configs(case):
                              "--out", str(Path(tmp) / "o")])
     assert code in (0, 1, 2, 3)
     assert (code == 2) == ("config error: " in err.getvalue()), err.getvalue()
+    assert code == 2 or not non_finite, config
     if code == 1:
         assert not all(run_scenario(kind, config).row_pass)
 
@@ -911,14 +931,11 @@ def test_non_square_matrix_and_non_finite_sine_inputs_exit_2(
 
 
 @pytest.mark.parametrize("kind, text, problem", [
-    ("certify", '{"system": {"G": [["u"]], "f": "0.5", "J": [-1, 1], '
-                '"u_independent": "false"}, "window": [0, 1]}',
-     "system.u_independent: expected true or false, got 'false'"),
     ("verify", '{%s, "window": [0, 5], "num_pairs": true}' % INTRO_COS,
      "num_pairs: expected a positive integer (or give pairs)"),
     ("verify", '{%s, "window": [0, 5], "num_pairs": 2, "certificate": '
                '{"gain": true, "variation": false}}' % INTRO_COS,
-     "certificate: expected {gain >= 1, variation >= 0}"),
+     "certificate: expected {gain >= 1, variation >= 0}, both finite"),
     ("sine-curve", '{%s, "a": -1.0, "v": [true, false]}' % SINE_ZERO_TEXT,
      "v: expected a non-empty numeric vector"),
     ("certify", '{"system": {"builtin": "constant", "matrix": [[true]]}, '

@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evostab.calculus import (Interval, OperatorField, Partition, ScalarPath,
-                              integrate, pointwise, stacked)
+                              integrate, pointwise, stacked,
+                              tv_l1_upper_bound)
 from evostab.errors import (DomainViolationError, ExpressionError,
                             QuadratureError)
 from evostab.evolution import CoefficientPath, evolve
@@ -127,19 +130,14 @@ def test_replaced_path_evaluator_reaches_every_caller():
     # a ScalarPath has one evaluator per quantity, so a field replaced by
     # dataclasses.replace leaves no stale batched twin behind
     sin = make_scalar_path("sin", Interval(0.0, 10.0))
-    G = OperatorField(eval=pointwise(lambda t, u: np.array([[u]])), space=SP1)
+    G = OperatorField(eval=pointwise(lambda t, u: np.array([[u]])), space=SP1,
+                      partial_t=pointwise(lambda t, u: np.array([[0.0]])))
     ts = np.array([0.3, 1.1, 2.0])
     half = dataclasses.replace(sin, eval=lambda ts: 0.5 * np.sin(ts))
     assert half(0.3) == 0.5 * math.sin(0.3)
     A = assemble_A(SeparableSystem(G=G, f=half, I=Interval(0, 10),
                                    J=Interval(-1, 1), space=SP1))
     assert np.array_equal(A.eval(ts)[:, 0, 0], np.cos(ts) * 0.5 * np.sin(ts))
-    # without deriv, d and d_many difference the replaced evaluator
-    h = 1e-6 * np.maximum(1.0, ts)
-    fd = (0.5 * np.sin(ts + h) - 0.5 * np.sin(ts - h)) / (2.0 * h)
-    half_fd = dataclasses.replace(half, deriv=None)
-    assert np.array_equal(half_fd.d_many(ts), fd)
-    assert half_fd.d(0.3) == fd[0]
     # a replaced deriv reaches d, d_many and the stack
     slow = dataclasses.replace(sin, deriv=lambda ts: 0.25 * np.cos(ts))
     assert np.array_equal(slow.d_many(ts), 0.25 * np.cos(ts))
@@ -200,20 +198,24 @@ def test_certificate_time_independent_field_has_zero_variation():
 
 
 def test_certificate_stores_are_consistent():
-    cert = BoundCertificate.from_parts(
-        gain=2.0, variation=0.1, window=Interval(0, 1), sup_grid=17,
-        tolerances={})
+    # the bound is computed from (gain, variation), never passed in
+    cert = BoundCertificate(gain=2.0, variation=0.1, window=Interval(0, 1),
+                            sup_grid=17)
     assert cert.bound == pytest.approx(
         4.0 * math.exp(2.0 ** 7 * 0.1), rel=1e-12)
-    with pytest.raises(ValueError):
-        BoundCertificate(gain=2.0, variation=0.1, bound=1.0,
-                         window=Interval(0, 1), sup_grid=17)
+    assert cert.log_bound == pytest.approx(math.log(cert.bound), rel=1e-12)
+    assert not cert.overflow
+    for name in ("bound", "log_bound", "overflow"):
+        with pytest.raises(TypeError, match=name):
+            BoundCertificate(gain=2.0, variation=0.1, window=Interval(0, 1),
+                             sup_grid=17, **{name: 1.0})
+    # a copy with another variation recomputes its bound
+    assert dataclasses.replace(cert, variation=0.0).bound == 4.0
 
 
 def test_certificate_overflow_saturates_with_flag():
-    cert = BoundCertificate.from_parts(
-        gain=500.0, variation=5.0, window=Interval(0, 1), sup_grid=17,
-        tolerances={})
+    cert = BoundCertificate(gain=500.0, variation=5.0, window=Interval(0, 1),
+                            sup_grid=17)
     assert cert.bound == math.inf
     assert cert.overflow
 
@@ -250,20 +252,78 @@ def _sigma_max(a, b, c, d):
 
 
 def test_u_independent_expression_field_certifies_its_exact_variation():
-    # the parser's exact d/dt G puts a u-independent field in derivative
-    # mode; V = |J| int_0^10 ||d/dt G||, against scipy's quad of the
-    # analytic derivative (error estimate 7e-13)
+    # no entry has a u in it, so the field is u-independent and its exact
+    # d/dt G puts it in derivative mode; V = |J| int_0^10 ||d/dt G||,
+    # against scipy's quad of the analytic derivative (error estimate
+    # 7e-13), from one integral of 45 panels in t
     config = {"system": {"G": [["atan(t)", "0.1"], ["sin(t)", "exp(-t)"]],
-                         "f": "t", "J": [-1, 1], "u_independent": True},
+                         "f": "t", "J": [-1, 1]},
               "window": [0, 10]}
     summary = run_scenario("certify", config).summary
     assert summary["variation_mode"] == "derivative"
+    assert summary["cost"] == {"quad_panels": 45, "quad_nodes": 675}
     oracle = 2.0 * scipy.integrate.quad(
         lambda t: _sigma_max(1.0 / (1.0 + t * t), 0.0, math.cos(t),
                              -math.exp(-t)),
         0.0, 10.0, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
     assert oracle == pytest.approx(14.374632584185628, abs=1e-11)
     assert abs(summary["variation"] - oracle) <= 1e-8
+
+
+def test_expression_field_that_reads_u_takes_the_double_integral():
+    # G = [[u]] reads u, so the variation is the double integral (0 here)
+    # and the gain is exp(int_-1^1 |u| du) = e: C = e^2.  The shortcut of
+    # a u-independent field would take G(t, mid J) = 0 and C = 1, which
+    # the propagators below exceed (||X|| = 1.608)
+    config = {"system": {"G": [["u"]], "f": "sin(t)", "J": [-1, 1]},
+              "window": [0, 5]}
+    report = run_scenario("certify", config)
+    assert report.summary["variation_mode"] == "double-integral"
+    assert report.rows[0][:3] == (2.7182818284590367, 0.0, 7.389056098930604)
+    verify = run_scenario("verify", dict(config, num_pairs=20), seed=7)
+    assert verify.passed
+    assert 1.6 < verify.summary["max_observed"] <= 7.389056098930604
+    # the flag is read off the entries: one u anywhere, even 0*u, clears it
+    for G, free in (([["t", "0.1"], ["sin(t)", "exp(-t)"]], True),
+                    ([["t", "0.1"], ["sin(t)", "0*u"]], False)):
+        bag = []
+        system = _read(_SYSTEM, {"G": G, "f": "t", "J": [-1, 1]}, bag)
+        assert not bag and system.G.u_independent is free
+
+
+# expressions in t alone whose d/dt stays below about 1e3 on [0, 2]: the
+# quadrature's tolerances are absolute, and a much larger integrand puts
+# them below the rounding of its own sums, in either route
+_T_LEAVES = st.sampled_from(["t", "pi", "0.5", "2", "exp(-t)"]) | st.floats(
+    0.1, 2.0).map(lambda x: repr(round(x, 3)))
+_U_FREE = st.recursive(_T_LEAVES, lambda inner: st.one_of(
+    st.tuples(inner, st.sampled_from("+-*"), inner).map(
+        lambda x: f"({x[0]} {x[1]} {x[2]})"),
+    st.tuples(st.sampled_from(["sin", "cos", "atan"]), inner).map(
+        lambda x: f"{x[0]}({x[1]})")), max_leaves=5)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(_U_FREE, min_size=4, max_size=4))
+def test_derived_u_independence_keeps_the_double_integral_variation(entries):
+    # an expression field with no u in it takes the variation in
+    # derivative mode, |J| int ||d/dt G(t, mid J)|| dt; the double integral
+    # of the same field, built with u_independent=False, agrees.  Below it
+    # by at most tol, the unsafe side of an upper bound.  Above it by up
+    # to 100 tol: the tolerance applies before the factor |J|, and the
+    # Kronrod-Gauss gap is an estimate, not a bound, where ||d/dt G|| has
+    # a kink (an entry's d/dt crossing 0); there the derivative route has
+    # come out up to 13 tol above the double integral, which was within
+    # 2e-10 of the exact V, and never more than 0.43 tol below it
+    bag = []
+    system = _read(_SYSTEM, {"G": [entries[:2], entries[2:]], "f": "t",
+                             "J": [-1, 1]}, bag)
+    assert not bag and system.G.u_independent
+    I, J, tol = Interval(0.0, 2.0), system.J, 1e-8
+    derived = tv_l1_upper_bound(system.G, I, J, tol)
+    double = tv_l1_upper_bound(
+        dataclasses.replace(system.G, u_independent=False), I, J, tol)
+    assert double - tol <= derived <= double + 100.0 * tol
 
 
 def test_expression_field_certifies_a_long_window(tmp_path):
@@ -301,6 +361,7 @@ def test_certificate_u_dependent_field_uses_double_integral_route():
     G = OperatorField(
         eval=pointwise(lambda t, u: np.array([[0.4 + 0.1 * math.sin(t) * u]])),
         space=SP1,
+        partial_t=pointwise(lambda t, u: np.array([[0.1 * math.cos(t) * u]])),
     )
     f = ScalarPath(eval=stacked(lambda t: 0.9 * math.sin(t)),
                    deriv=stacked(lambda t: 0.9 * math.cos(t)))
@@ -327,10 +388,9 @@ def test_certificate_u_dependent_field_uses_double_integral_route():
 _TIP = 1.0 / 3.0  # never a point of a dyadic grid on [0, 1]
 
 
-def _unsettled_system(G_eval, partial_t=None):
+def _unsettled_system(G_eval, partial_t):
     G = OperatorField(eval=pointwise(G_eval), space=SP1,
-                      partial_t=partial_t and pointwise(partial_t),
-                      u_independent=True)
+                      partial_t=pointwise(partial_t), u_independent=True)
     return SeparableSystem(G=G, f=make_scalar_path("constant", Interval(0, 1)),
                            I=Interval(0, 1), J=Interval(-1, 1), space=SP1)
 
@@ -357,19 +417,26 @@ def test_certify_reports_a_sup_unsettled_at_the_grid_cap():
 
 def test_certify_of_an_unbounded_variation_raises_quadrature_error():
     # (t - 1/3) sin(1/(t - 1/3)) has unbounded variation: its derivative's
-    # norm is not integrable at the tip, so the variation quadrature runs
-    # out of panels and no certificate comes out
+    # norm is not integrable at the tip, so the variation quadrature homes
+    # in on the tip itself, where the slope is not defined (NaN), and no
+    # certificate comes out
     def wobble(t, u):
         x = t - _TIP
         return np.array([[1.0 + x * math.sin(1.0 / x)]])
 
-    with pytest.raises(QuadratureError, match="did not converge"):
-        certify(_unsettled_system(wobble), Interval(0.0, 1.0))
-    # the expression parser's exact derivative lets the panels home in on
-    # the tip itself, where the value faults, and its error names the tip
+    def wobble_dt(t, u):
+        x = t - _TIP
+        if x == 0.0:
+            return np.array([[math.nan]])
+        return np.array([[math.sin(1.0 / x) - math.cos(1.0 / x) / x]])
+
+    with pytest.raises(QuadratureError, match=r"non-finite integrand on the "
+                                              r"panel \[0\.333"):
+        certify(_unsettled_system(wobble, wobble_dt), Interval(0.0, 1.0))
+    # the expression parser's derivative takes the panels to the tip as
+    # well, where the value faults, and its error names the tip
     config = {"system": {"G": [["1 + (t - 1/3)*sin(1/(t - 1/3))"]],
-                         "f": "t", "J": [-1, 1], "I": [0, 1],
-                         "u_independent": True},
+                         "f": "t", "J": [-1, 1], "I": [0, 1]},
               "window": [0, 1]}
     with pytest.raises(ExpressionError, match=r"at \(t=0\.3333333333333333, "
                                               r"u=0\.0\): float division"):
@@ -387,6 +454,7 @@ def _example_system_window(window_hi=8.0):
 def test_frozen_single_segment_of_time_independent_field_matches():
     m = np.array([[0.1, 0.0], [0.2, -0.1]])
     G = OperatorField(eval=pointwise(lambda t, u: m), space=SP2,
+                      partial_t=pointwise(lambda t, u: np.zeros((2, 2))),
                       u_independent=True)
     f = ScalarPath(eval=stacked(lambda t: 0.5 * math.sin(t)),
                    deriv=stacked(lambda t: 0.5 * math.cos(t)))

@@ -5,12 +5,13 @@ import re
 import numpy as np
 import pytest
 
-from evostab.calculus import (Interval, ScalarPath, arc_length,
-                              central_difference, pointwise, stacked)
+from evostab.calculus import (Interval, ScalarPath, arc_length, pointwise,
+                              stacked)
 from evostab.errors import DomainViolationError, IntegrationError
 from evostab.evolution import (EvolutionOperator, StepStats, evolve,
                                sweep_vector)
 from evostab.library import (
+    BUILTIN_CONNECTIONS,
     gauge_rotation_matrix,
     gauge_twist_matrix,
     make_connection,
@@ -221,21 +222,9 @@ def test_sample_bounds_tag_an_unsettled_refinement():
     assert b.B1.hex() == b.B2.hex() == "0x1.6f4e0e3494c49p+0"
     assert b.B12 == 0.0
 
-def _central_d1(w, x, u):
-    """d/dx omega2 at one point by central differences, step
-    1e-6 max(1, |x|)."""
-    h = 1e-6 * max(1.0, abs(x))
-    return (w.omega2(x + h, u) - w.omega2(x - h, u)) / (2.0 * h)
-
-
 def _pointwise_bounds(w, n=17):
     """Reference for sample_connection_bounds: one matrix_norm call per
     grid point and field, refined like it."""
-    def d1(x, u):
-        if w.d1_omega2 is None:
-            return _central_d1(w, x, u)
-        return w.d1_omega2(x, u)
-
     def sups(n):
         xs = np.linspace(w.m_interval.lo, w.m_interval.hi, n)
         us = np.linspace(w.j_interval.lo, w.j_interval.hi, n)
@@ -243,7 +232,7 @@ def _pointwise_bounds(w, n=17):
         for x in xs.tolist():
             for u in us.tolist():
                 for k, m in enumerate((w.omega1(x, u), w.omega2(x, u),
-                                       d1(x, u))):
+                                       w.d1_omega2(x, u))):
                     out[k] = max(out[k], matrix_norm(
                         np.asarray(m, dtype=float), w.space.norm_kind))
         return out
@@ -266,10 +255,6 @@ def _pointwise_bounds(w, n=17):
                                   "mixed-bounded"])
 def test_stacked_bounds_equal_pointwise_reference(name, norm):
     w = make_connection(name, RECT_M, RECT_J, norm)
-    if name == "gauge-twist":  # the central-difference d/dx omega2 too
-        w = ConnectionForm(omega1=w.omega1, omega2=w.omega2,
-                           m_interval=w.m_interval,
-                           j_interval=w.j_interval, space=w.space)
     assert sample_connection_bounds(w) == _pointwise_bounds(w)
 
 
@@ -281,8 +266,7 @@ def test_bounds_blocks_of_grid_rows_equal_pointwise_reference(
     # last block one row), one row per block at 33 and beyond
     monkeypatch.setattr(transport, "_BOUNDS_BLOCK", 40)
     w = make_connection(name, RECT_M, RECT_J)
-    for form in (w, dataclasses.replace(w, d1_omega2=None)):
-        assert sample_connection_bounds(form) == _pointwise_bounds(form)
+    assert sample_connection_bounds(w) == _pointwise_bounds(w)
 
 
 @pytest.mark.parametrize("block", [40, 2 ** 15])
@@ -331,18 +315,28 @@ def test_sampled_bounds_dominate_finer_oracle_grid():
     assert b.B2 >= sup2 and b.B12 >= sup12
 
 
+def _quotient_d1(w):
+    """d/dx omega2 by a central difference quotient, step
+    1e-6 max(1, |x|), taking and returning what omega2 does."""
+    def d1(xs, us):
+        xs = np.asarray(xs, dtype=float)
+        h = 1e-6 * np.maximum(1.0, np.abs(xs))
+        dq = w.omega2(xs + h, us) - w.omega2(xs - h, us)
+        return dq / (2.0 * h)[..., None, None]
+    return d1
+
+
 def test_finite_difference_d1_omega2_matches_analytic():
-    w = make_connection("gauge-twist", RECT_M, RECT_J)
-    w_no_analytic = ConnectionForm(
-        omega1=w.omega1, omega2=w.omega2,
-        m_interval=w.m_interval, j_interval=w.j_interval, space=w.space,
-    )
-    for x, u in [(-1.0, 0.3), (0.5, -1.2), (1.7, 0.0)]:
-        fd = central_difference(w_no_analytic.omega2, x, u)
-        assert np.array_equal(fd, _central_d1(w_no_analytic, x, u))
-        assert np.max(np.abs(w.d1_omega2(x, u) - fd)) <= 1e-5
-    assert sample_connection_bounds(w_no_analytic).B12 == pytest.approx(
-        sample_connection_bounds(w).B12, rel=1e-6)
+    # each built-in's hand-written d1_omega2 is d/dx omega2, and the B12
+    # it gives is the one a difference quotient of omega2 gives
+    for name in BUILTIN_CONNECTIONS:
+        w = make_connection(name, RECT_M, RECT_J)
+        d1 = _quotient_d1(w)
+        for x, u in [(-1.0, 0.3), (0.5, -1.2), (1.7, 0.0)]:
+            assert np.max(np.abs(w.d1_omega2(x, u) - d1(x, u))) <= 1e-5
+        quotient = dataclasses.replace(w, d1_omega2=d1)
+        assert sample_connection_bounds(quotient).B12 == pytest.approx(
+            sample_connection_bounds(w).B12, rel=1e-6, abs=1e-12), name
 
 
 # ---------------------------------------------------------------------------
