@@ -22,15 +22,19 @@ fundamental solution Phi across the hull of a set of stops and yields
 Phi y0 for a start state y0 at each stop; the sweep of Phi itself, and
 only that one, carries Phi^{-1} along by the inverse exponentials.  A
 state that stops being finite ends the sweep at the window where that
-happened.  A step is judged on its own matrices, not
-on the state, and a window of up to ``_WINDOW`` equal steps takes one
-``A.eval`` call and one :func:`expm` call.  The step sequence depends
-only on (A, span, tol), and each stop is a side step off it that no
-other stop moves.  :class:`EvolutionOperator` sweeps the identity, and
-every X(t, s) between its times is Phi(t) Phi(s)^{-1}: the certificate
-checks and the sine-curve transports read it.  :func:`sweep_vector` and
-:func:`param_evolution` sweep vectors and stacks, the extension's
-fibers and corridors among them; descending stops sweep t -> -A(-t).
+happened.  A step is judged on its own matrices, not on the state, and
+a window of equal steps takes one ``A.eval`` call and one :func:`expm`
+call.  A segment's windows hold ``_WINDOW`` = 16 steps at first; after
+a window whose steps were all accepted with a step factor of at most
+``_WINDOW_HOLD`` = 1.25 the next holds twice as many, up to
+``_WINDOW_MAX`` = 64, and a rejection brings it back to 16.  The step
+sequence depends only on (A, span, tol), and each stop is a side step
+off it that no other stop moves.  :class:`EvolutionOperator` sweeps the
+identity, and every X(t, s) between its times is Phi(t) Phi(s)^{-1}: the
+certificate checks and the sine-curve transports read it.
+:func:`sweep_vector` and :func:`param_evolution` sweep vectors and
+stacks, the extension's fibers and corridors among them; descending
+stops sweep t -> -A(-t).
 A (k, r, r) stack of A per time sweeps k systems that share their stops
 as one (k, r, c) state, and a step's error is the max over all of them.
 :func:`evolve` is the sweep of the identity over the two stops (s, t),
@@ -64,14 +68,20 @@ _FIRST_SLACK = 1.0 + 2.0 ** -20
 _SAFETY = 0.7
 # attempted steps allowed in one segment before IntegrationError
 _MAX_STEPS = 2_000_000
-# equal steps per window of the stop-blind sweep (_window_sweep): one
-# coefficient call and one expm call each
+# equal steps in a segment's first window of the stop-blind sweep
+# (_window_sweep), and in the window after a rejection: one coefficient
+# call and one expm call each
 _WINDOW = 16
 # a window's step may grow up to 8-fold: its accepted steps all vouch for
-# the error model.  A segment's remainder within _WINDOW steps of 9/8 the
-# proposal is one window of stretched steps, not a window and a short one
+# the error model.  A segment's remainder within a window's length of
+# steps of 9/8 the proposal is one window of stretched steps, not a window
+# and a short one
 _WINDOW_GROWTH = 8.0
 _WINDOW_STRETCH = 1.125
+# a window whose steps were all accepted with a step factor of at most
+# _WINDOW_HOLD makes the next one twice as long, up to _WINDOW_MAX steps
+_WINDOW_HOLD = 1.25
+_WINDOW_MAX = 64
 
 
 @dataclass
@@ -85,13 +95,15 @@ class StepStats:
     per attempted step, and 3 per side step; one value of a (k, r, r)
     stack counts once.  It keeps its name, which the reports' ``cost``
     carries.  ``segments`` counts the breakpoint-free pieces of each
-    sweep's hull.
+    sweep's hull, and ``windows`` the windows attempted, first-step cuts
+    included: one ``A.eval`` call each.
     """
 
     steps: int = 0
     rejected: int = 0
     rhs_evals: int = 0
     segments: int = 0
+    windows: int = 0
 
 
 @dataclass(frozen=True)
@@ -247,9 +259,9 @@ def _window_sweep(A, stops, y0, tol, stats):
 
     The hull is split at the interior breakpoints of ``A``, and every
     segment starts afresh with the first-step cut.  A segment is crossed
-    by windows of up to ``_WINDOW`` equal steps, each made of a whole
-    step exp(Omega) and its two halves exp(Omega_2) exp(Omega_1).  A
-    step is judged on its own matrices: its error is the largest entry of
+    by windows of equal steps, each made of a whole step exp(Omega) and
+    its two halves exp(Omega_2) exp(Omega_1).  A step is judged on its
+    own matrices: its error is the largest entry of
     |exp(Omega) - exp(Omega_2) exp(Omega_1)| / 63 against tol (1 + |.|),
     over every member of a stack, so acceptance does not depend on the
     state.  The steps before a window's first rejected one are accepted.
@@ -262,11 +274,16 @@ def _window_sweep(A, stops, y0, tol, stats):
     rejected step need not be the worst of them.  A second rejection of
     a first step at the same point gauges the error's order from the
     two, so that the step shrinks at once past such a point rather than
-    by the factor 0.2 per window.  The step sequence thus depends on (A,
-    hull, tol) alone.  A segment's last window may stretch its steps by
-    up to ``_WINDOW_STRETCH`` (while the first step is still being cut,
-    by no more than the cut forgives), and a window whose last boundary
-    would round past the segment's end ends on it exactly.
+    by the factor 0.2 per window.  A window's length follows the same
+    verdicts: a segment's windows hold ``_WINDOW`` steps while its first
+    step is being cut and after any rejection, and a window whose steps
+    were all accepted with a factor of at most ``_WINDOW_HOLD`` makes
+    the next twice as long, up to ``_WINDOW_MAX`` steps.  The step
+    sequence thus depends on (A, hull, tol) alone.  A segment's last
+    window may stretch its steps by up to ``_WINDOW_STRETCH`` (while the
+    first step is still being cut, by no more than the cut forgives),
+    and a window whose last boundary would round past the segment's end
+    ends on it exactly.
 
     A stop inside an accepted step is reached by a side step: the
     exponent over [step start, stop] from A at its three Gauss nodes,
@@ -328,6 +345,7 @@ def _window_sweep(A, stops, y0, tol, stats):
         for t0, t1 in zip(cuts, cuts[1:]):
             stats.segments += 1
             t, h, first, taken, last_reject = t0, t1 - t0, True, 0, None
+            width = _WINDOW
             while t < t1:
                 remaining = t1 - t
                 # a span within 2^-40 of n steps is n stretched steps, not
@@ -336,12 +354,12 @@ def _window_sweep(A, stops, y0, tol, stats):
                 # a stretch past the cut's slack would be cut back to h,
                 # and the same window would repeat until _MAX_STEPS
                 stretch = _FIRST_SLACK if first else _WINDOW_STRETCH
-                if remaining <= _WINDOW * h * stretch:
-                    n = min(n, _WINDOW)
+                if remaining <= width * h * stretch:
+                    n = min(n, width)
                     hs = remaining / n
                     b = [t + hs * i for i in range(n)] + [t1]
                 else:
-                    n, hs = _WINDOW, h
+                    n, hs = width, h
                     b = [min(t + hs * i, t1) for i in range(n + 1)]
                 taken += n
                 if taken > _MAX_STEPS:
@@ -366,6 +384,7 @@ def _window_sweep(A, stops, y0, tol, stats):
                 nodes = starts + np.multiply.outer(_GAUSS, spans)
                 coef = np.asarray(evaluate(nodes.ravel()), dtype=float)
                 stats.rhs_evals += nodes.size
+                stats.windows += 1
                 coef = coef.reshape(nodes.shape + coef.shape[1:])
                 if first:
                     size = float(np.abs(coef[:, 0:3 * n:n]).sum(axis=-1).max())
@@ -486,10 +505,13 @@ def _window_sweep(A, stops, y0, tol, stats):
                             f"the step to {caller_t(b[broken])}", start)
                 j += reached
                 t = b[k]
-                first = first and k == 0
                 h = hs * factor
                 if k < n:
+                    width = _WINDOW
                     _check_underflow(h, caller_t(t))
+                elif factor <= _WINDOW_HOLD and not first:
+                    width = min(2 * width, _WINDOW_MAX)
+                first = first and k == 0
 
 
 def evolve(

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .calculus import (Interval, OperatorField, QuadStats, ScalarPath,
-                       arc_length, cov_check, stacked)
+                       arc_length, cov_check)
 from .errors import ConfigError, ExpressionError
 from .evolution import CoefficientPath, StepStats, evolve
 from .expressions import many_together, parse_expression
@@ -257,14 +257,19 @@ def _expr_matrix(rows):
 
 
 def _path(f, breakpoints) -> ScalarPath:
-    """The path t -> f(t, 0) of a parsed expression, with its exact
-    derivative (0 where f is constant in t)."""
+    """The path t -> f(t, 0) of a parsed expression, over an array of
+    times in one ``f.many`` call (a constant's one value spread to the
+    shape of the times), with its exact derivative (0 where f is
+    constant in t)."""
+    def value(ts):
+        out = f.many(ts, 0.0)
+        return out if out.shape == np.shape(ts) else np.full(np.shape(ts), out)
+
     def slope(ts):
         out = np.zeros(np.shape(ts))
         return out if f.dt is None else out + f.dt.many(ts, 0.0)
 
-    return ScalarPath(eval=stacked(lambda t: f(t, 0.0)), deriv=slope,
-                      breakpoints=breakpoints)
+    return ScalarPath(eval=value, deriv=slope, breakpoints=breakpoints)
 
 
 def _named(names, what=""):
@@ -495,12 +500,15 @@ def _run_evolve(c, seed, tol):
 
 def _certificate_summary(cert) -> dict:
     """The summary entries of a certificate; a vacuous one (C = inf) adds
-    its finite ``log_log_bound``."""
+    its ``log_log_bound``, and one whose gain N overflowed adds the finite
+    ln N, ``log_gain``."""
     out = {"gain": cert.gain, "variation": cert.variation,
            "bound": cert.bound, "overflow": cert.overflow,
            "vacuous": math.isinf(cert.bound)}
     if out["vacuous"]:
         out["log_log_bound"] = cert.log_log_bound
+    if math.isinf(cert.gain):
+        out["log_gain"] = cert.log_gain
     return out
 
 

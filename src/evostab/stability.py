@@ -52,6 +52,8 @@ __all__ = [
 ]
 
 DEFAULT_CERT_TOL = 1e-8
+# ln of the largest float: a gain N with a larger ln N overflows to +inf
+_LOG_MAX_FLOAT = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -150,6 +152,9 @@ class BoundCertificate:
 
     ``bound``, ``log_bound`` and ``overflow`` are not arguments: they are
     computed from ``gain`` and ``variation`` (:func:`saturating_bound`).
+    ``log_gain`` is ln N, computed from a finite ``gain``; a gain that
+    overflowed to +inf must come with its ln N, past the float range, as
+    :func:`certify` gives it (the sup of the L1 norm).
     Certificates computed from grid samples are labeled estimates: the
     true sup may exceed the sampled one.  ``variation_mode`` says how V
     was integrated: "double-integral" or, for a field that does not
@@ -166,6 +171,7 @@ class BoundCertificate:
     variation_mode: str = "double-integral"
     provenance: str = "grid-sampled"
     cost: QuadStats = field(default_factory=QuadStats)
+    log_gain: Optional[float] = None
     bound: float = field(init=False)
     log_bound: float = field(init=False)
     overflow: bool = field(init=False)
@@ -175,8 +181,17 @@ class BoundCertificate:
             raise ValueError("certificate gain must be >= 1")
         if self.variation < 0.0:
             raise ValueError("certificate variation must be >= 0")
+        if math.isfinite(self.gain):
+            log_gain = math.log(self.gain)
+        elif (self.log_gain is not None
+              and _LOG_MAX_FLOAT <= self.log_gain < math.inf):
+            log_gain = self.log_gain
+        else:
+            raise ValueError("an infinite certificate gain needs its finite "
+                             "log_gain, past the float range")
+        object.__setattr__(self, "log_gain", log_gain)
         bound, log_bound, overflow = saturating_bound(
-            self.gain, math.log(self.gain), self.variation)
+            self.gain, log_gain, self.variation)
         object.__setattr__(self, "bound", bound)
         object.__setattr__(self, "log_bound", log_bound)
         object.__setattr__(self, "overflow", overflow)
@@ -184,9 +199,12 @@ class BoundCertificate:
     @property
     def log_log_bound(self) -> float:
         """ln(N^{3+2N} V), the log of the exponent in C: finite and
-        comparable where C itself overflows to +inf."""
-        log_v = math.log(self.variation) if self.variation > 0.0 else -math.inf
-        return (3.0 + 2.0 * self.gain) * math.log(self.gain) + log_v
+        comparable where C itself overflows to +inf, unless N does; -inf
+        where V = 0."""
+        if self.variation == 0.0:
+            return -math.inf
+        return ((3.0 + 2.0 * self.gain) * self.log_gain
+                + math.log(self.variation))
 
 
 def _dyadic_sup(values_at, lo, hi, seed_points):
@@ -244,8 +262,6 @@ def certify(
         lambda ts: l1_norm_in_u(G, ts, J, l1_tol, cost),
         window.lo, window.hi, list(G.t_breakpoints),
     )
-    gain = math.exp(sup_val)
-
     variation = tv_l1_upper_bound(G, window, J, tol, cost)
     variation_mode = "derivative" if G.u_independent else "double-integral"
     # the shortcut of a u-independent field's L1 norm (a product) runs no
@@ -255,11 +271,16 @@ def certify(
             f"non-finite certificate on the window [{window.lo}, "
             f"{window.hi}]: sup of the L1 norm {sup_val}, variation "
             f"{variation}", variation, math.inf)
+    try:
+        gain = math.exp(sup_val)
+    except OverflowError:  # N is +inf, and the certificate keeps ln N
+        gain = math.inf
 
     return BoundCertificate(
         gain=gain, variation=variation, window=window, sup_grid=n_grid,
         tolerances={"certify": tol, "l1": l1_tol},
         sup_converged=conv, variation_mode=variation_mode, cost=cost,
+        log_gain=sup_val,
     )
 
 

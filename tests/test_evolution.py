@@ -18,9 +18,11 @@ from evostab.evolution import (
 )
 from evostab.evolution import _GAUSS, _bcr_exponent, _scan_last, expm
 from evostab.calculus import Interval, integrate, pointwise, stacked
-from evostab.library import make_extension_problem, make_system
+from evostab.library import (make_connection, make_extension_problem,
+                             make_system)
 from evostab.operators import VectorSpaceSpec, matrix_norm
 from evostab.stability import assemble_A
+from evostab.transport import _sine_paths, curve_coefficient
 
 from conftest import rk4_propagator, smooth_corpus
 
@@ -685,7 +687,8 @@ def test_param_evolution_cost_on_extension_gauge_grid():
     for level in (p.v0, p.v1):
         param_evolution(coefficient, xs, level, vs, p.omega.space, 1e-10,
                         stats=stats)
-    assert stats == StepStats(steps=6, rejected=2, rhs_evals=198, segments=4)
+    assert stats == StepStats(steps=6, rejected=2, rhs_evals=198, segments=4,
+                              windows=6)
     assert calls == 6
     assert points == 16 * 198
 
@@ -727,7 +730,7 @@ def _counted(fn):
 
 
 def test_one_batched_coefficient_call_per_window():
-    # the coefficients of a window of up to 16 steps come from one call
+    # the coefficients of a window of up to 64 steps come from one call
     # over the 9 nodes of each step (the whole step's and its two
     # halves'); t is a boundary, not a side step, and nothing else calls A
     A = assemble_A(make_system("example39", f_name="sin"))
@@ -742,10 +745,55 @@ def test_one_batched_coefficient_call_per_window():
                stats)
     attempted = stats.steps + stats.rejected
     assert stats.segments == 1 and stats.rejected > 0
-    assert all(size % 9 == 0 and 9 <= size <= 9 * 16 for size in sizes)
+    assert all(size % 9 == 0 and 9 <= size <= 9 * 64 for size in sizes)
     assert len(sizes) < attempted / 4
     assert sum(sizes) == stats.rhs_evals == 9 * attempted
     assert np.array_equal(x.entries, evolve(A, 0.0, 30.0, 1e-10).entries)
+
+
+def _sine_transport():
+    # the sine-curve transport of gauge-twist, whose windows of 32 and 64
+    # steps meet rejections
+    return curve_coefficient(make_connection("gauge-twist"),
+                             _sine_paths(-1.0, -1e-3))
+
+
+@pytest.mark.parametrize("source, span, tol", [
+    (lambda: assemble_A(make_system("example39", f_name="sin")),
+     (0.0, 30.0), 1e-10),
+    (_sine_transport, (-1.0, -1e-3), 1e-8),
+], ids=["example39", "sine-transport"])
+def test_windows_grow_while_the_step_size_holds(source, span, tol):
+    # a window whose steps were all accepted, and after which the step
+    # grew by at most 1.25, makes the next one up to twice as long, to 64
+    # steps; a rejection (a first-step cut among them) brings it back to
+    # 16.  Each window is one coefficient call over the 9 nodes of each
+    # of its steps, the first Gauss nodes of the whole steps first
+    A = source()
+    stats = StepStats()
+    sizes, lengths, rejected = [], [], []
+
+    def many(ts):
+        sizes.append(len(ts))
+        # the first step's last Gauss node less its first
+        span = ts[len(ts) * 2 // 3] - ts[0]
+        lengths.append(span / (_GAUSS[2] - _GAUSS[0]))
+        rejected.append(stats.rejected)  # as of the window before
+        return A.eval(ts)
+
+    evolve(CoefficientPath(eval=many, space=A.space,
+                           breakpoints=A.breakpoints), *span, tol, stats)
+    rejected.append(stats.rejected)
+    assert stats.windows == len(sizes)
+    assert max(sizes) == 9 * 64
+    for i in range(len(sizes) - 1):
+        if rejected[i + 1] > rejected[i]:
+            assert sizes[i + 1] <= 9 * 16
+        elif lengths[i + 1] > 1.25 * lengths[i] * (1.0 + 1e-12) and \
+                i + 2 < len(sizes):  # the last window may stretch its steps
+            assert sizes[i + 1] <= sizes[i]
+        else:
+            assert sizes[i + 1] <= 2 * sizes[i]
 
 
 def test_pointwise_fallback_evaluates_nine_nodes_per_step():
@@ -919,7 +967,7 @@ def test_a_nan_error_is_the_worst_error_of_its_window():
                      [1.0, 0.5], 1e-10, stats)
     assert err.value.location == 1.0
     assert stats == StepStats(steps=8, rejected=302, rhs_evals=2790,
-                              segments=1)
+                              segments=1, windows=21)
 
 
 def _pin_path(breakpoints=()):
@@ -1091,7 +1139,8 @@ def test_three_by_three_sweep_goes_through_scipy_expm(monkeypatch):
     # three windows, one coefficient call each: the first-step cut, then
     # two windows of steps with one expm call each (the first cut short
     # by a rejection, whose 6 later steps count as rejected too)
-    assert stats == StepStats(steps=10, rejected=7, rhs_evals=171, segments=1)
+    assert stats == StepStats(steps=10, rejected=7, rhs_evals=171, segments=1,
+                              windows=3)
     assert calls == {"expm": 2, "eval": 3}
     evolve(CoefficientPath(eval=_two_by_two, space=SP2), 0.0, 3.0)
     assert calls["expm"] == 2

@@ -274,7 +274,8 @@ def test_extend_section_evaluates_omega2_once_per_step():
         w, omega2=omega2))
     stats = StepStats()
     res = extend_section(counted, sig, stats=stats)
-    assert stats == StepStats(steps=6, rejected=2, rhs_evals=198, segments=4)
+    assert stats == StepStats(steps=6, rejected=2, rhs_evals=198, segments=4,
+                              windows=6)
     assert calls == 6
     assert np.array_equal(res.xi1, extend_section(p, sig).xi1)
 

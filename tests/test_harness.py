@@ -13,6 +13,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from evostab.harness import (
     _SCENARIOS,
     _Object,
     _expr_matrix,
+    _path,
     _read,
     emit_report,
     run_scenario,
@@ -200,7 +202,8 @@ def test_evolve_summary_reports_cost():
     # one StepStats counts every pair's forward and backward integration
     report = run_scenario("evolve", TINY_EVOLVE)
     cost = report.summary["cost"]
-    assert set(cost) == {"steps", "rejected", "rhs_evals", "segments"}
+    assert set(cost) == {"steps", "rejected", "rhs_evals", "segments",
+                         "windows"}
     assert cost["rhs_evals"] > cost["steps"] > 0
     assert cost["segments"] == 2 * len(TINY_EVOLVE["pairs"])
 
@@ -256,6 +259,71 @@ def test_certify_reports_vacuous_certificate():
         (3 + 2 * n) * math.log(n) + math.log(v), rel=1e-12)
 
 
+def test_a_config_path_takes_one_array_call():
+    # f over an array of times is one guarded numpy evaluation of its
+    # expression, within an ulp of the scalar one; a constant's one value
+    # is spread to the times' shape, and a domain fault raises the scalar
+    # call's ExpressionError
+    ts = np.linspace(0.0, 2.0, 7)
+    f = parse_expression("sin(3*t) + t")
+    calls = []
+    counted = SimpleNamespace(
+        many=lambda t, u: calls.append(len(t)) or f.many(t, u), dt=f.dt)
+    got = _path(counted, ()).eval(ts)
+    assert calls == [7]
+    assert np.allclose(got, [f(t) for t in ts.tolist()], rtol=1e-15, atol=0)
+    constant = _path(parse_expression("0.5"), ())
+    assert np.array_equal(constant.eval(ts), np.full(7, 0.5))
+    assert np.array_equal(constant.deriv(ts), np.zeros(7))
+    with pytest.raises(ExpressionError, match="t=-1.0"):
+        _path(parse_expression("sqrt(t)"), ()).eval(np.array([1.0, -1.0]))
+
+
+# a field whose gain N overflows: the sup of its L1 norm is e^{e^2} > 709
+OVERFLOW_SYSTEM = {"G": [["u*exp(exp(t))"]], "f": "0.5", "J": [-1, 1]}
+
+
+@pytest.mark.parametrize("kind, extra", [
+    ("certify", {}), ("verify", {"num_pairs": 3})])
+def test_an_overflowing_gain_is_a_vacuous_pass(tmp_path, capsys, kind, extra):
+    # N = +inf, its finite ln N in the summary, and exit 0: no traceback
+    cfg = tmp_path / "overflow.json"
+    cfg.write_text(json.dumps(
+        {"system": OVERFLOW_SYSTEM, "window": [0, 2], **extra}))
+    out = tmp_path / "o"
+    assert cli_main([kind, "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith(f"PASS (vacuous) {kind}")
+    s = json.loads((out / "summary.json").read_text())["summary"]
+    assert s["vacuous"] is True and s["overflow"] is True
+    assert s["gain"] == "inf" and s["bound"] == "inf"
+    assert s["log_gain"] == pytest.approx(math.exp(math.exp(2.0)), rel=1e-3)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_stepping_benchmark_configurations_agree_with_a_tighter_run(seed):
+    # the benchmark's example39 verify (40 pairs) and sine-curve (b down
+    # to -1e-3) configurations: the largest relative error of the
+    # propagator norms against a run at tol / 1000, in units of tol, at
+    # seeds 1-3, was for example39 at most 24.6 with windows of at most
+    # 16 steps and 3.6 with windows of up to 64, for sine-curve at most
+    # 1.6 and 3.7.  The bounds are about twice the worst of either
+    v = np.random.default_rng(seed).normal(size=2).tolist()
+    for kind, config, tol, columns, bound in [
+        ("verify", {"system": {"builtin": "example39", "norm": "euclidean"},
+                    "window": [0.0, 100.0], "num_pairs": 40},
+         1e-10, (2, 3), 50.0),
+        ("sine-curve", {"connection": {"builtin": "gauge-twist"}, "a": -1.0,
+                        "b_list": [-1e-1, -1e-2, -1e-3], "v": v},
+         1e-8, (1,), 10.0),
+    ]:
+        run = run_scenario(kind, config, seed=seed)
+        ref = run_scenario(kind, config, seed=seed, tol=tol / 1000)
+        assert run.passed and ref.passed
+        err = max(abs(r[c] - q[c]) / abs(q[c])
+                  for r, q in zip(run.rows, ref.rows) for c in columns)
+        assert err <= bound * tol, (kind, err / tol)
+
+
 def test_verify_expression_system_with_u_dependence():
     report = run_scenario("verify", {
         "system": {
@@ -278,7 +346,8 @@ def test_substitution_scenario_with_expressions():
     assert report.passed
     assert report.summary["max_defect"] <= 1e-8
     cost = report.summary["cost"]
-    assert set(cost) == {"steps", "rejected", "rhs_evals", "segments"}
+    assert set(cost) == {"steps", "rejected", "rhs_evals", "segments",
+                         "windows"}
     assert cost["rhs_evals"] > cost["steps"] > 0
 
 
@@ -305,7 +374,8 @@ def test_transport_scenario_expression_curves():
     assert report.columns == COLUMNS["transport"]
     assert len(report.rows) == 2
     cost = report.summary["cost"]
-    assert set(cost) == {"steps", "rejected", "rhs_evals", "segments"}
+    assert set(cost) == {"steps", "rejected", "rhs_evals", "segments",
+                         "windows"}
     assert cost["rhs_evals"] > cost["steps"] > 0
 
 
@@ -319,7 +389,8 @@ def test_sine_curve_scenario_zero_connection():
         assert row[1] == pytest.approx(1.0, abs=1e-8)  # norm preserved
     assert report.summary["vacuous"] is False
     cost = report.summary["cost"]
-    assert set(cost) == {"steps", "rejected", "rhs_evals", "segments"}
+    assert set(cost) == {"steps", "rejected", "rhs_evals", "segments",
+                         "windows"}
     assert cost["segments"] == 1 and cost["rhs_evals"] > cost["steps"] > 0
 
 
@@ -332,7 +403,8 @@ def test_extend_scenario_summary_contract():
     assert report.summary["max_gap"] <= 1e-7
     assert report.columns == COLUMNS["extend"]
     cost = report.summary["cost"]
-    assert set(cost) == {"steps", "rejected", "rhs_evals", "segments"}
+    assert set(cost) == {"steps", "rejected", "rhs_evals", "segments",
+                         "windows"}
     assert cost["rhs_evals"] > cost["steps"] > 0
 
 
@@ -454,7 +526,7 @@ def test_emit_report_handles_infinite_bound(tmp_path):
         (3.0 + 2.0 * n) * math.log(n) + math.log(v), rel=1e-12)
     cost = summary["cost"]
     assert set(cost) == {"steps", "rejected", "rhs_evals", "segments",
-                         "quad_panels", "quad_nodes"}
+                         "windows", "quad_panels", "quad_nodes"}
     assert cost["rhs_evals"] > cost["steps"] > 0
     # example39 is u-independent: its only quadrature is the
     # derivative-mode variation, one integrand value per node
@@ -841,6 +913,7 @@ def _mutated_configs(draw):
         ("evolve", TINY_EVOLVE), ("verify", TINY_VERIFY),
         ("verify", dict(TINY_VERIFY,
                         certificate={"gain": 3.0, "variation": 0.0})),
+        ("certify", {"system": OVERFLOW_SYSTEM, "window": [0, 2]}),
         ("sine-curve", SINE_ZERO)]))
     config = copy.deepcopy(config)
     path = draw(st.sampled_from(list(_paths(config))))

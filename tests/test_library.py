@@ -201,11 +201,11 @@ def test_builtin_example39_verify_keeps_its_bytes_and_cost(tmp_path):
     report = run_scenario(kind, config, seed=7)
     csv_path, _ = emit_report(report, tmp_path)
     assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == (
-        "a821ad7e170d05f9d4933390c831cb9b6dc85de9ff66845291057c8c4f8114f8")
+        "778fc3b7a42d5866b8100da371267762263584a706c4b44c0983c4cf01640248")
     cost = report.summary["cost"]
     assert (cost["rhs_evals"], cost["steps"], cost["rejected"],
-            cost["quad_panels"], cost["quad_nodes"]) == (
-        16239, 400, 33, 103, 1545)
+            cost["windows"], cost["quad_panels"], cost["quad_nodes"]) == (
+        16671, 448, 33, 15, 103, 1545)
 
 
 def test_example39_variation_takes_one_partial_t_call_per_bisection(
@@ -254,19 +254,20 @@ def test_certify_expr_takes_one_d1_many_call_per_bisection(monkeypatch,
         98, 226, 50475)
 
 
-# (rhs_evals, steps, rejected, segments) of each built-in at seed 7
+# (rhs_evals, steps, rejected, segments, windows) of each built-in at
+# seed 7
 BUILTIN_COSTS = {
-    "intro-cos": (2253, 48, 17, 1),
-    "sine-curve": (71625, 7899, 55, 1),
-    "extension-gauge": (1005, 49, 10, 39),
+    "intro-cos": (2271, 50, 17, 1, 5),
+    "sine-curve": (71292, 7785, 132, 1, 141),
+    "extension-gauge": (1005, 49, 10, 39, 49),
 }
 
 
 @pytest.mark.parametrize("name, digest", [
     ("intro-cos",
-     "8df3db1201365d1a72de63b127dee910c8eab59291705139c4c8c9246bb0a123"),
+     "500ab760a694b7d39780d6f265be99658fd9152d0eb9fab759c100d92c52c0d1"),
     ("sine-curve",
-     "15599154a19a7e36e6fe12cc9b90541160018d3381918a27a818564f358c89b5"),
+     "d4ba981368b53f3c1fb581ba07295a7b0a33b269d3f69775cb4bc5e10aed3dd0"),
     ("extension-gauge",
      "f9ffe215dc577c1548fd933e0b564389e024868900a922a2e32d75c37d7e0038"),
 ])
@@ -277,4 +278,4 @@ def test_builtin_scenario_keeps_its_bytes(tmp_path, name, digest):
     assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == digest
     cost = report.summary["cost"]
     assert (cost["rhs_evals"], cost["steps"], cost["rejected"],
-            cost["segments"]) == BUILTIN_COSTS[name]
+            cost["segments"], cost["windows"]) == BUILTIN_COSTS[name]

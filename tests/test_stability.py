@@ -220,6 +220,24 @@ def test_certificate_overflow_saturates_with_flag():
     assert cert.overflow
 
 
+def test_an_infinite_gain_carries_its_log():
+    # N = e^800 overflows: the certificate keeps ln N and saturates C
+    cert = BoundCertificate(gain=math.inf, variation=5.0,
+                            window=Interval(0, 1), sup_grid=17, log_gain=800.0)
+    assert cert.log_gain == 800.0
+    assert cert.bound == math.inf and cert.overflow
+    assert cert.log_log_bound == math.inf
+    # V = 0: C = N^2, and the exponent's log is -inf, not inf - inf
+    assert dataclasses.replace(cert, variation=0.0).log_log_bound == -math.inf
+    # a finite gain's log is its own, whatever was passed
+    assert dataclasses.replace(cert, gain=2.0).log_gain == math.log(2.0)
+    for log_gain in (None, 700.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="log_gain"):
+            BoundCertificate(gain=math.inf, variation=5.0,
+                             window=Interval(0, 1), sup_grid=17,
+                             log_gain=log_gain)
+
+
 def test_certificate_settling_field_matches_double_resolution_oracle():
     sys = make_system("example39")
     window = Interval(0.0, 100.0)

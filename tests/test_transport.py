@@ -497,16 +497,18 @@ def test_sine_scenario_failure_keeps_rows_reached_before_it():
 
 def test_sine_scenario_cost_on_benchmark_configuration():
     # one two-sided sweep of [a, max b], which no breakpoint splits: one
-    # segment.  Measured with Python 3.11 and numpy 2.4.  A window sized
-    # after a rejection from the first rejected step alone took 740 steps
-    # and rejected 118 (7,779 coefficient values); separate forward and
-    # reverse integrations per b took 31,908 right-hand sides
+    # segment.  Measured with Python 3.11 and numpy 2.4.  Windows of at
+    # most 16 steps took 793 steps and rejected 60 (7,704 coefficient
+    # values) in 55 windows.  A window sized after a rejection from the
+    # first rejected step alone took 740 steps and rejected 118 (7,779
+    # coefficient values); separate forward and reverse integrations per
+    # b took 31,908 right-hand sides
     report = sine_curve_scenario(make_connection("gauge-twist"), -1.0,
                                  [-1e-1, -1e-2, -1e-3],
                                  Vector(np.array([1.0, 0.5]), SP2), tol=1e-8)
     assert report.passed
-    assert report.stats == StepStats(steps=793, rejected=60, rhs_evals=7_704,
-                                     segments=1)
+    assert report.stats == StepStats(steps=770, rejected=137, rhs_evals=8_190,
+                                     segments=1, windows=32)
 
 
 @pytest.mark.parametrize("name", ["zero", "scalar-decay", "gauge-rotation",
@@ -666,10 +668,12 @@ def test_sampled_bounds_through_batched_rows_match_pointwise_rows(name, norm):
 
 # two-sided sweep across criterion 10's stops at its tolerance: the last
 # pair (X, Y) as float.hex.  Against a sweep at tol 1e-13, the error of
-# these is at most 2.8e-8.  That of the windowed sweep that sized a window
-# after a rejection from the first rejected step alone was 5.2e-8, that
-# of the sweep that clipped its steps to land on every stop 1.0e-7, and
-# that of the 5th-order Runge-Kutta sweep of [X; Y^T] before it 2.0e-7
+# these is at most 5.6e-8 (scalar-decay's).  That of the sweep whose
+# windows held at most 16 steps was 2.8e-8, that of the windowed sweep
+# that sized a window after a rejection from the first rejected step
+# alone 5.2e-8, that of the sweep that clipped its steps to land on every
+# stop 1.0e-7, and that of the 5th-order Runge-Kutta sweep of [X; Y^T]
+# before it 2.0e-7
 _TWO_SIDED_LAST = {
     "zero": (
         ["0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0",
@@ -677,20 +681,20 @@ _TWO_SIDED_LAST = {
         ["0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0",
          "0x1.0000000000000p+0"]),
     "scalar-decay": (
-        ["0x1.fdc37dcc55247p-1", "0x0.0p+0", "0x0.0p+0",
-         "0x1.fdc37dcc55247p-1"],
-        ["0x1.011f8296d7168p+0", "0x0.0p+0", "0x0.0p+0",
-         "0x1.011f8296d7168p+0"]),
+        ["0x1.fdc37ce1adda1p-1", "0x0.0p+0", "0x0.0p+0",
+         "0x1.fdc37ce1adda1p-1"],
+        ["0x1.011f830d32da1p+0", "0x0.0p+0", "0x0.0p+0",
+         "0x1.011f830d32da1p+0"]),
     "gauge-rotation": (
-        ["0x1.fe31243576324p-1", "-0x1.57ec1e51b4e1ep-4",
-         "0x1.57ec1e51b4e37p-4", "0x1.fe31243576341p-1"],
-        ["0x1.fe31243576324p-1", "0x1.57ec1e51b4e37p-4",
-         "-0x1.57ec1e51b4e1ep-4", "0x1.fe31243576341p-1"]),
+        ["0x1.fe3124374e50fp-1", "-0x1.57ec1da29d5bdp-4",
+         "0x1.57ec1da29d5cep-4", "0x1.fe3124374e524p-1"],
+        ["0x1.fe3124374e50fp-1", "0x1.57ec1da29d5cep-4",
+         "-0x1.57ec1da29d5bdp-4", "0x1.fe3124374e524p-1"]),
     "gauge-twist": (
-        ["0x1.f61f2a664da43p-1", "0x1.972e1e1452f04p-3",
-         "-0x1.95db0c804d0e5p-3", "0x1.f59dfb87f6040p-1"],
-        ["0x1.f581e0e67e11dp-1", "-0x1.97174df238e76p-3",
-         "0x1.95c44f5d6b0b9p-3", "0x1.f6030887fa6ddp-1"]),
+        ["0x1.f61f2828d7123p-1", "0x1.972e18ed85d44p-3",
+         "-0x1.95db11005c4c6p-3", "0x1.f59dfcf7e21a4p-1"],
+        ["0x1.f581e32316de2p-1", "-0x1.97174971eaa31p-3",
+         "0x1.95c45482e4507p-3", "0x1.f60307179a06ap-1"]),
 }
 
 
