@@ -64,6 +64,9 @@ _GAUSS_WEIGHTS = np.array([
 ])
 _KRONROD_ROW = _KRONROD_WEIGHTS.reshape(1, 15)
 _GAUSS_ROW = _GAUSS_WEIGHTS.reshape(1, 7)
+# QUADPACK's roundoff floor, per unit of magnitude: the Kronrod-Gauss gap
+# does not settle below it (15.5 eps on a constant, from 15-digit weights)
+_ROUNDOFF = 50.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -266,52 +269,57 @@ class QuadStats:
 
     quad_panels: int = 0
     quad_nodes: int = 0
+    # not a field, as not a counter: the largest tolerance that the
+    # roundoff floor raised an integral's to
+    raised_tol = 0.0
 
 
 def _gk15(gv, cuts, stats: Optional[QuadStats] = None):
     """Gauss-Kronrod 15(7) panels between consecutive cuts: returns the
-    list of their (kronrod value, error est), in order.
+    list of their (kronrod value, error est, largest |kronrod value|).
 
     ``gv`` maps an array of nodes to their values stacked on axis 0.  It
-    takes each panel's nodes in one call, the same call for every panel;
-    each panel's sums, estimate, check and count are then formed from its
-    own rows, one panel at a time, so they are those of a call per panel.
-    If that call raises, the panels take a call each, in order, and the
-    first one that fails raises.  The Kronrod-Gauss gap is used as-is for
-    the error estimate; it is conservative on resolved panels, which only
-    costs an extra bisection level, never a silently optimistic result.
-    A non-finite value makes the estimate non-finite, which raises
-    QuadratureError naming the panel: a NaN estimate would otherwise pass
-    every refinement test.  An integrand with no components counts no
-    panel.
+    takes every panel's nodes in one call.  Each panel's sums are a dot
+    of its own rows (a joint dot moves last bits), the rest is formed for
+    all panels at once, and values, estimates and counts are those of a
+    call per panel.  If that call raises, the panels take a call each, in
+    order, and the first one that fails raises.  The Kronrod-Gauss gap is
+    the error estimate as-is: conservative on resolved panels, it costs
+    an extra bisection level, never a silently optimistic result.  A
+    non-finite value makes it non-finite, which raises QuadratureError
+    naming the first such panel, after those before it are counted: a
+    NaN estimate would otherwise pass every refinement test.  An
+    integrand with no components counts no panel.
     """
-    panels = list(zip(cuts, cuts[1:]))
-    nodes = [0.5 * (a + b) + 0.5 * (b - a) * _KRONROD_NODES for a, b in panels]
+    n = len(cuts) - 1
+    half = np.array([0.5 * (b - a) for a, b in zip(cuts, cuts[1:])])[:, None]
+    nodes = np.array([0.5 * (a + b) for a, b in zip(cuts, cuts[1:])])[
+        :, None] + half * _KRONROD_NODES
     try:
-        batch = np.asarray(gv(np.concatenate(nodes)), dtype=float)
+        batch = np.asarray(gv(nodes.ravel()), dtype=float)
     except Exception:
-        if len(nodes) == 1:
+        if n == 1:
             raise
-        batch = None
-    out = []
-    for i, (a, b) in enumerate(panels):
-        h = 0.5 * (b - a)
-        stacked = (np.asarray(gv(nodes[i]), dtype=float) if batch is None
-                   else batch[15 * i:15 * i + 15])
-        # np.tensordot(weights, stacked, axes=(0, 0)) bit for bit, minus
-        # its set-up; one dot per panel, as a joint one moves last bits
-        shape = stacked.shape[1:]
-        k = h * np.dot(_KRONROD_ROW, stacked.reshape(15, -1)).reshape(shape)
-        g7 = h * np.dot(_GAUSS_ROW, stacked[1::2].reshape(7, -1)).reshape(shape)
-        err = float(np.max(np.abs(k - g7), initial=0.0))
-        if not math.isfinite(err):
-            raise QuadratureError(
-                f"non-finite integrand on the panel [{a}, {b}]", k, err)
-        if stats is not None and stacked.size:
-            stats.quad_panels += 1
-            stats.quad_nodes += stacked.size
-        out.append((k, err))
-    return out
+        return [panel for a, b in zip(cuts, cuts[1:])
+                for panel in _gk15(gv, (a, b), stats)]
+    rows = batch.reshape(n, 15, -1)
+    k, g7 = np.empty((n, rows.shape[2])), np.empty((n, rows.shape[2]))
+    for i in range(n):
+        np.dot(_KRONROD_ROW, rows[i], out=k[i:i + 1])
+        np.dot(_GAUSS_ROW, rows[i, 1::2], out=g7[i:i + 1])
+    k, g7 = k * half, g7 * half
+    err = np.abs(k - g7).max(axis=1, initial=0.0).tolist()
+    mag = np.abs(k).max(axis=1, initial=0.0).tolist()
+    k = k.reshape((n,) + batch.shape[1:])
+    good = next((i for i, e in enumerate(err) if not math.isfinite(e)), n)
+    if stats is not None and rows[0].size:
+        stats.quad_panels += good
+        stats.quad_nodes += good * rows[0].size
+    if good < n:
+        raise QuadratureError(f"non-finite integrand on the panel "
+                              f"[{cuts[good]}, {cuts[good + 1]}]",
+                              k[good], err[good])
+    return list(zip(k, err, mag))
 
 
 def _initial_cuts(lo: float, hi: float, breakpoints: Sequence[float]):
@@ -356,7 +364,8 @@ def _integrate_nodes(gv, interval: Interval, breakpoints=(),
     counts the panels and integrand values.  gv takes each panel's nodes
     in one call, which the initial panels share, and so do the two
     halves of each bisection (see _gk15): the split sequence, values,
-    counters and errors are those of one call per panel.
+    counters and errors are those of one call per panel.  It accepts at
+    max(tol, _ROUNDOFF * the summed magnitudes of the panels).
     """
     if not interval.is_finite():
         raise DomainViolationError("quadrature requested over an unbounded interval")
@@ -366,16 +375,20 @@ def _integrate_nodes(gv, interval: Interval, breakpoints=(),
         return float(v) if np.ndim(v) == 0 else v
     cuts = _initial_cuts(lo, hi, breakpoints)
     heap = []           # (-err, id, a, b), worst segment on top
-    seg_values = {}     # id -> (value, err)
+    seg_values = {}     # id -> (value, err, magnitude)
     counter = 0
-    total_err = 0.0
+    total_err = magnitude = 0.0
     while True:
-        for a, b, (val, err) in zip(cuts, cuts[1:], _gk15(gv, cuts, stats)):
-            heapq.heappush(heap, (-err, counter, a, b))
-            seg_values[counter] = (val, err)
+        for a, b, panel in zip(cuts, cuts[1:], _gk15(gv, cuts, stats)):
+            heapq.heappush(heap, (-panel[1], counter, a, b))
+            seg_values[counter] = panel
             counter += 1
-            total_err += err
-        if not total_err > tol:
+            total_err += panel[1]
+            magnitude += panel[2]
+        floor = _ROUNDOFF * magnitude
+        if not total_err > max(tol, floor):
+            if floor > tol and stats is not None:
+                stats.raised_tol = max(stats.raised_tol, floor)
             break
         if len(heap) >= max_segments:
             raise QuadratureError(
@@ -384,7 +397,8 @@ def _integrate_nodes(gv, interval: Interval, breakpoints=(),
                 _segment_total(seg_values), total_err,
             )
         _, idx, a, b = heapq.heappop(heap)
-        total_err -= seg_values.pop(idx)[1]
+        _, err, mag = seg_values.pop(idx)
+        total_err, magnitude = total_err - err, magnitude - mag
         cuts = (a, 0.5 * (a + b), b)
     total = _segment_total(seg_values)
     if np.ndim(total) == 0:
@@ -393,7 +407,7 @@ def _integrate_nodes(gv, interval: Interval, breakpoints=(),
 
 
 def _segment_total(seg_values):
-    return functools.reduce(operator.add, (v for v, _ in seg_values.values()))
+    return functools.reduce(operator.add, (v[0] for v in seg_values.values()))
 
 
 def _oriented(quad, g, s, t, *args, **kwargs):

@@ -19,22 +19,23 @@ step.
 
 One driver runs that step, :func:`_window_sweep`.  It sweeps a
 fundamental solution Phi across the hull of a set of stops and yields
-Phi y0 for a start state y0 at each stop; the sweep of Phi itself, and
-only that one, carries Phi^{-1} along by the inverse exponentials.  A
-state that stops being finite ends the sweep at the window where that
-happened.  A step is judged on its own matrices, not on the state, and
-a window of equal steps takes one ``A.eval`` call and one :func:`expm`
-call.  A segment's windows hold ``_WINDOW`` = 16 steps at first; after
-a window whose steps were all accepted with a step factor of at most
-``_WINDOW_HOLD`` = 1.25 the next holds twice as many, up to
-``_WINDOW_MAX`` = 64, and a rejection brings it back to 16.  The step
-sequence depends only on (A, span, tol), and each stop is a side step
-off it that no other stop moves.  :class:`EvolutionOperator` sweeps the
-identity, and every X(t, s) between its times is Phi(t) Phi(s)^{-1}: the
-certificate checks and the sine-curve transports read it.
+Phi y0 for a start state y0 at the stops, a stack per window; the sweep
+of Phi itself, and only that one, carries Phi^{-1} along by the inverse
+exponentials.  A state that stops being finite ends the sweep at the
+window where that happened.  A step is judged on its own matrices, not
+on the state, and a window of equal steps takes one ``A.eval`` call and
+one :func:`expm` call.  A segment's windows hold ``_WINDOW`` = 16 steps
+at first; after a window whose steps were all accepted with a step
+factor of at most ``_WINDOW_HOLD`` = 1.25 the next holds twice as many,
+up to ``_WINDOW_MAX`` = 64, and a rejection brings it back to 16.  The
+step sequence depends only on (A, span, tol), and each stop is a side
+step off it that no other stop moves.  :class:`EvolutionOperator` sweeps
+the identity, and every X(t, s) between its times is Phi(t) Phi(s)^{-1}:
+the sine-curve transports read it, and the certificate checks read all
+their X(t, s) and X(s, t) as two stacked products.
 :func:`sweep_vector` and :func:`param_evolution` sweep vectors and
-stacks, the extension's fibers and corridors among them; descending
-stops sweep t -> -A(-t).
+stacks, the extension's fibers and corridors among them, into one stack
+over the stops; descending stops sweep t -> -A(-t).
 A (k, r, r) stack of A per time sweeps k systems that share their stops
 as one (k, r, c) state, and a step's error is the max over all of them.
 :func:`evolve` is the sweep of the identity over the two stops (s, t),
@@ -51,7 +52,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import IntegrationError
+from .errors import IntegrationError, InvalidOperatorError
 from .operators import Operator, VectorSpaceSpec
 
 DEFAULT_ODE_TOL = 1e-10
@@ -248,14 +249,14 @@ def _scan_last(a, mirrored=False):
 
 def _window_sweep(A, stops, y0, tol, stats):
     """Integrate Phi' = A(t) Phi, Phi(stops[0]) = I, across the hull of
-    the monotone ``stops`` and yield (Phi y0, Phi^{-1}) at each of them.
-    ``y0`` is a (r, c) or (k, r, c) state for the (r, r) or (k, r, r)
-    stacks of A, and then the second of each pair is None; y0 = None
-    sweeps the propagator Phi itself, and only that sweep carries Phi^{-1}
-    along, by the inverse exponentials.  Descending stops
-    sweep the reflected coefficient t -> -A(-t) over the negated stops:
-    that sweep has its own step sequence, and its failures are located
-    in the caller's t.
+    the monotone ``stops`` and yield (Phi y0, Phi^{-1}) at them, a pair of
+    stacks for those equal to stops[0] and then one per window.  ``y0`` is
+    a (r, c) or (k, r, c) state for the (r, r) or (k, r, r) stacks of A,
+    and then the second of each pair is None; y0 = None sweeps the
+    propagator Phi itself, and only that sweep carries Phi^{-1} along, by
+    the inverse exponentials.  Descending stops sweep the reflected
+    coefficient t -> -A(-t) over the negated stops: that sweep has its own
+    step sequence, and its failures are located in the caller's t.
 
     The hull is split at the interior breakpoints of ``A``, and every
     segment starts afresh with the first-step cut.  A segment is crossed
@@ -297,8 +298,8 @@ def _window_sweep(A, stops, y0, tol, stats):
     again with a later window.  A stop whose state or Phi^{-1} is not
     finite (a side step into a NaN of A) ends the sweep, and so does a
     window whose carried state or Phi^{-1} is not finite at its end (an
-    overflow): the failure is located at the last of its boundaries
-    where they were still finite.
+    overflow): the failure, raised after the stops before it, is located
+    at the last of its boundaries where they were still finite.
 
     The states at a window's accepted boundaries are running products of
     its steps, formed by doubling.  When the accepted steps reach no
@@ -335,8 +336,7 @@ def _window_sweep(A, stops, y0, tol, stats):
     phi = inv if y0 is None else y0
     lo, hi = stops[0], stops[-1]
     j = bisect_right(stops, lo)
-    for _ in range(j):
-        yield phi, inv
+    yield np.array((phi,) * j), None if inv is None else np.array((inv,) * j)
     inner = [c for c in breakpoints if lo < c < hi]
     cuts = [lo] + inner + [hi] if hi > lo else []
     # overflowing or non-finite exponents only ever reach the error
@@ -469,7 +469,7 @@ def _window_sweep(A, stops, y0, tol, stats):
                         side[:count]]
                     axes = tuple(range(1, phis.ndim))
                     finite = np.isfinite(xs).all(axis=axes)
-                    ys = [None] * reached
+                    ys = None
                     if inv is not None:
                         invs = np.concatenate(((inv,), inv @ back))
                         inv = invs[k]
@@ -488,16 +488,16 @@ def _window_sweep(A, stops, y0, tol, stats):
                         if inv is not None:
                             ok &= np.isfinite(invs).all(axis=axes)
                         broken = int(np.argmin(ok))
-                    for i in range(reached):
-                        if at[i] >= broken:
-                            break
-                        if not finite[i]:
-                            start = caller_t(b[at[i]])
-                            raise IntegrationError(
-                                f"non-finite propagator at the stop "
-                                f"{caller_t(stops[j + i])}, reached from "
-                                f"t = {start}", start)
-                        yield xs[i], ys[i]
+                    # the stops before the first non-finite one, then fail
+                    good = next((i for i in range(reached) if at[i] >= broken
+                                 or not finite[i]), reached)
+                    yield xs[:good], None if ys is None else ys[:good]
+                    if good < reached and at[good] < broken:
+                        start = caller_t(b[at[good]])
+                        raise IntegrationError(
+                            f"non-finite propagator at the stop "
+                            f"{caller_t(stops[j + good])}, reached from "
+                            f"t = {start}", start)
                     if broken <= k:
                         start = caller_t(b[broken - 1])
                         raise IntegrationError(
@@ -536,16 +536,16 @@ def sweep_vector(
     v,
     tol: float = DEFAULT_ODE_TOL,
     stats: Optional[StepStats] = None,
-) -> list:
-    """X(tau, stops[0]) v at every tau of the monotone ``stops``, as
-    ndarrays, from one windowed sweep across them (:func:`_window_sweep`).
+) -> np.ndarray:
+    """X(tau, stops[0]) v at every tau of the monotone ``stops``, as one
+    stack, from one windowed sweep across them (:func:`_window_sweep`).
     ``v`` is a vector, a matrix, or for a (k, r, r) stack of A a (k, r, c)
     stack of states."""
     y = np.array(v, dtype=float)
     if y.ndim == 1:
-        return [x[:, 0] for x in sweep_vector(A, stops, y[:, None], tol,
-                                              stats)]
-    return [x for x, _ in _window_sweep(A, stops, y, tol, stats)]
+        return sweep_vector(A, stops, y[:, None], tol, stats)[..., 0]
+    return np.concatenate([x for x, _ in _window_sweep(A, stops, y, tol,
+                                                       stats)])
 
 
 class EvolutionOperator:
@@ -553,19 +553,20 @@ class EvolutionOperator:
 
     The matrix equation is integrated once, forward across the hull of
     ``times`` (:func:`_window_sweep`); Phi(tau) = X(tau, min(times)) and
-    its inverse are kept at every one of them.  Each accepted step
+    its inverse are kept at every one of them, as two (S, r, r) stacks
+    with an index by time.  Each accepted step
     Phi <- exp(Omega_2) exp(Omega_1) Phi takes the inverse along as
     Y <- Y exp(-Omega_1) exp(-Omega_2), from the step's own exponents, so
     Y Phi = I holds to roundoff.  The steps depend on (source, hull, tol)
     only, and each of ``times`` is reached by a side step off them: a
     query's bits do not depend on which other times were declared.  A
-    query then costs one product, and integrates and inverts nothing.
+    query then costs one product, and :meth:`query_stack` one for many.
     Both arguments of a query must be among ``times``, except that
     query(s, s) is the identity exactly for any s.
 
     An integration failure ends the sweep where it happened: the stops
     reached before it can still be queried, and a query that needs a
-    later one raises the failure.  ``step_stats`` counts the sweep's work.
+    later one raises it, ``failure``; ``step_stats`` counts the sweep's work.
     """
 
     def __init__(
@@ -576,23 +577,23 @@ class EvolutionOperator:
     ):
         self.source = source
         self.step_stats = StepStats()
-        self._failure: Optional[IntegrationError] = None
+        self.failure: Optional[IntegrationError] = None
         stops = sorted(set(float(t) for t in times))
-        self._phi = dict.fromkeys(stops)  # tau -> (Phi(tau), Phi(tau)^-1)
-        sweep = _window_sweep(source, stops, None, tol, self.step_stats)
+        self._index = {tau: i for i, tau in enumerate(stops)}
+        swept = []  # a pair of (Phi, Phi^-1) stacks per window
         try:
-            for tau, pair in zip(stops, sweep):
-                self._phi[tau] = pair
+            swept.extend(_window_sweep(source, stops, None, tol,
+                                       self.step_stats))
         except IntegrationError as exc:
-            self._failure = exc
+            self.failure = exc
+        self._phi, self._inv = (np.concatenate(x) for x in zip(*swept))
 
     def _phi_at(self, tau: float) -> tuple:
-        if tau not in self._phi:
+        if tau not in self._index:
             raise ValueError(f"t = {tau} is not one of the sweep's times")
-        pair = self._phi[tau]
-        if pair is None:
-            raise self._failure
-        return pair
+        if (i := self._index[tau]) >= len(self._phi):
+            raise self.failure
+        return self._phi[i], self._inv[i]
 
     def query(self, t: float, s: float) -> Operator:
         """X(t, s).  query(s, s) is the identity exactly."""
@@ -600,6 +601,22 @@ class EvolutionOperator:
             return Operator.identity(self.source.space)
         x = self._phi_at(t)[0] @ self._phi_at(s)[1]
         return Operator(x, self.source.space)
+
+    def query_stack(self, ts: Sequence[float],
+                    ss: Sequence[float]) -> np.ndarray:
+        """X(t_i, s_i) for the paired declared times ``ts`` and ``ss``, up
+        to the first pair that needs a stop the sweep did not reach, as one
+        stack with the bits and the InvalidOperatorError of :meth:`query`.
+        t_i == s_i reads the first stop, whose Phi and Phi^{-1} are I."""
+        at = [(0, 0) if t == s else (self._index[t], self._index[s])
+              for t, s in zip(ts, ss)]
+        n = next((k for k, ij in enumerate(at) if max(ij) >= len(self._phi)),
+                 len(at))
+        it, js = [i for i, _ in at[:n]], [j for _, j in at[:n]]
+        x = self._phi[it] @ self._inv[js]
+        if not np.isfinite(x).all():
+            raise InvalidOperatorError("operator has non-finite entries")
+        return x
 
 
 @dataclass(frozen=True)
@@ -642,14 +659,15 @@ def param_evolution(
     xs = np.array(x_grid)
     stack = CoefficientPath(eval=lambda vs: A(xs, vs[:, None]), space=space)
     eye = np.tile(np.eye(space.dim), (len(x_grid), 1, 1))
-    at = {}
-    for side in (sorted(v for v in v_targets if v >= v0),
-                 sorted((v for v in v_targets if v < v0), reverse=True)):
-        stops = [v0] + side
-        at.update(zip(stops, sweep_vector(stack, stops, eye, tol, stats)))
+    sides = (sorted(v for v in v_targets if v >= v0),
+             sorted((v for v in v_targets if v < v0), reverse=True))
+    swept = np.concatenate([sweep_vector(stack, [v0] + side, eye, tol,
+                                         stats)[1:] for side in sides])
+    slot = {v: i for i, v in enumerate(sides[0] + sides[1])}
     return ParamEvolutionResult(
         x_grid=x_grid,
         v0=float(v0),
         v_targets=v_targets,
-        propagators=np.stack([at[v] for v in v_targets], axis=1),
+        propagators=np.ascontiguousarray(
+            swept[[slot[v] for v in v_targets]].swapaxes(0, 1)),
     )

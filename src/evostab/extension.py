@@ -94,7 +94,7 @@ class ExtensionProblem:
                 )
 
 
-def _fiber_sweep(w: ConnectionForm, xs, stops, start, tol, stats) -> list:
+def _fiber_sweep(w: ConnectionForm, xs, stops, start, tol, stats):
     """Section values, solutions of D2 Y = -omega2 Y, at every v of the
     monotone ``stops``, from one stacked sweep up or down the fibers over
     the k x's of ``xs``; ``start`` is their (k, r) stack at stops[0]."""
@@ -102,11 +102,10 @@ def _fiber_sweep(w: ConnectionForm, xs, stops, start, tol, stats) -> list:
     A = CoefficientPath(eval=lambda vs: -w.omega2(xs, vs[:, None]),
                         space=w.space)
     start = np.asarray(start, dtype=float)
-    return [s[..., 0] for s in sweep_vector(A, stops, start[..., None], tol,
-                                            stats)]
+    return sweep_vector(A, stops, start[..., None], tol, stats)[..., 0]
 
 
-def _vertical_sweep(p, xs, stops, vecs, tol, stats) -> list:
+def _vertical_sweep(p, xs, stops, vecs, tol, stats) -> np.ndarray:
     """:func:`_fiber_sweep` that refuses to cross the graph of f: every
     column is checked over the whole span before any is swept."""
     v_from, v_to = stops[0], stops[-1]
@@ -121,9 +120,9 @@ def _vertical_sweep(p, xs, stops, vecs, tol, stats) -> list:
     return _fiber_sweep(p.omega, xs, stops, vecs, tol, stats)
 
 
-def _horizontal_sweep(p, v, stops, vec, tol, stats) -> list:
-    """Section values at every x of the monotone ``stops``, from one
-    transport along the horizontal at level v."""
+def _horizontal_sweep(p, v, stops, vec, tol, stats) -> np.ndarray:
+    """Section values at every x of the monotone ``stops``, as a stack,
+    from one transport along the horizontal at level v."""
     A = CoefficientPath(eval=lambda xs: -p.omega.omega1(xs, v),
                         space=p.omega.space)
     return sweep_vector(A, stops, vec, tol, stats)
@@ -243,8 +242,7 @@ def _fill_columns(p, xs, vs, values, level, level_vecs, allowed, tol,
         stops = [level] + [vs[iv] for iv in side]
         states = _vertical_sweep(p, [xs[ix] for ix in ixs], stops,
                                  level_vecs[ixs], tol, stats)
-        for iv, state in zip(side, states[1:]):
-            values[ixs, iv] = state
+        values[np.array(ixs)[:, None], side] = states[1:].swapaxes(0, 1)
 
 
 def _sweep_corridor(p, level, start_vec, xs, x_ref, tol, stats):
@@ -257,8 +255,7 @@ def _sweep_corridor(p, level, start_vec, xs, x_ref, tol, stats):
     for side in (right, left):
         stops = [x_ref] + [xs[i] for i in side]
         states = _horizontal_sweep(p, level, stops, start_vec, tol, stats)
-        for i, state in zip(side, states[1:]):
-            out[i] = state
+        out[side] = states[1:]
     return out
 
 

@@ -58,22 +58,22 @@ def example39_field(norm_kind: str = EUCLIDEAN) -> OperatorField:
     Both evaluators apply libm per element (:func:`libm`: math's atan and
     exp, and pow for the square in dG/dt) and run the algebra in numpy, so
     they have the same bits as math's per-point formula.  The square roots
-    that bound the domain are math's as well, so G at t < 0 and dG/dt at
-    t < -1 raise its ValueError."""
+    that bound the domain are numpy's, correctly rounded as math's are,
+    unless a t is outside it: then they are math's, so that G at t < 0
+    and dG/dt at t <= -1 raise its ValueError or ZeroDivisionError."""
     space = VectorSpaceSpec(2, norm_kind)
 
     def val(t, u):
         t = np.asarray(t, dtype=float)
-        root = libm(math.sqrt, t)  # math's, for its ValueError at t < 0
+        root = libm(math.sqrt, t) if (t < 0.0).any() else np.sqrt(t)
         return _mat2(np.broadcast(t, u).shape,
                      2.0 * libm(math.atan, t), np.sqrt(t + 1.0) - root,
                      -1.0 / (1.0 + t * t), 1.0 + libm(math.exp, -t))
 
     def d_dt(t, u):
         t = np.asarray(t, dtype=float)
-        # in Python, for math's ValueError at t < -1 and ZeroDivisionError
-        # at t = -1
-        head = libm(lambda x: 0.5 / math.sqrt(x + 1.0), t)
+        head = (libm(lambda x: 0.5 / math.sqrt(x + 1.0), t)
+                if (t <= -1.0).any() else 0.5 / np.sqrt(t + 1.0))
         # 0.5 / sqrt(t) where t > 0, and 0.5 / sqrt(inf) = 0 elsewhere
         root = head - 0.5 / np.sqrt(np.where(t > 0.0, t, np.inf))
         q = 1.0 + t * t

@@ -40,7 +40,7 @@ from .calculus import (
     refine_until_stable,
     tv_l1_upper_bound,
 )
-from .errors import DomainViolationError, IntegrationError, QuadratureError
+from .errors import DomainViolationError, QuadratureError
 from .evolution import CoefficientPath, EvolutionOperator, StepStats, evolve
 from .expressions import parse_expression
 from .operators import VectorSpaceSpec, matrix_norm
@@ -276,9 +276,12 @@ def certify(
     except OverflowError:  # N is +inf, and the certificate keeps ln N
         gain = math.inf
 
+    tolerances = {"certify": tol, "l1": l1_tol}
+    if cost.raised_tol:  # an integral met its roundoff floor, not its tol
+        tolerances["roundoff_floor"] = cost.raised_tol
     return BoundCertificate(
         gain=gain, variation=variation, window=window, sup_grid=n_grid,
-        tolerances={"certify": tol, "l1": l1_tol},
+        tolerances=tolerances,
         sup_converged=conv, variation_mode=variation_mode, cost=cost,
         log_gain=sup_val,
     )
@@ -346,9 +349,11 @@ def verify_certificate(
     All propagators come from one sweep of the certificate window that
     stops at the pairs' endpoints (:class:`EvolutionOperator`), whose
     integrator counts are returned as ``stats``; its steps do not depend
-    on the pairs, so neither does any row.  ``coefficient`` overrides the
-    assembled system coefficient so frozen approximants can be verified
-    against the same certificate.
+    on the pairs, so neither does any row.  All rows' X(t, s), X(s, t)
+    and norms come from two stacked products (``query_stack``) and two
+    norm calls, with the bits of a query and a norm per pair.
+    ``coefficient`` overrides the assembled system coefficient so frozen
+    approximants can be verified against the same certificate.
     A pair passes when max(||X||, ||X^-1||) <= bound * (1 + 1e-6); an
     integration failure aborts at the first pair whose endpoint the sweep
     did not reach, keeping the rows before it.
@@ -363,20 +368,16 @@ def verify_certificate(
     ends = (cert.window.lo, cert.window.hi) if cert.window.is_finite() else ()
     ev = EvolutionOperator(A, [*ends, *(tau for pair in pairs for tau in pair)],
                            tol=tol)
+    ts, ss = [t for _, t in pairs], [s for s, _ in pairs]
+    x, x_inv = ev.query_stack(ts, ss), ev.query_stack(ss, ts)
     kind = sys.space.norm_kind
     slack = cert.bound * (1.0 + 1e-6)
     rows = []
     max_obs = 0.0
-    aborted = None
-    for s, t in pairs:
-        try:
-            x = ev.query(t, s)
-            x_inv = ev.query(s, t)
-        except IntegrationError as exc:
-            aborted = f"integration failure at pair ({s}, {t}): {exc}"
-            break
-        n_x = matrix_norm(x.entries, kind)
-        n_inv = matrix_norm(x_inv.entries, kind)
+    aborted = None if len(x) == len(pairs) else (
+        f"integration failure at pair {pairs[len(x)]}: {ev.failure}")
+    for (s, t), n_x, n_inv in zip(pairs, matrix_norm(x, kind).tolist(),
+                                  matrix_norm(x_inv, kind).tolist()):
         worst = max(n_x, n_inv)
         max_obs = max(max_obs, worst)
         ratio = worst / cert.bound if math.isfinite(cert.bound) else 0.0

@@ -440,7 +440,7 @@ def test_gk15_panel_matches_tensordot_reference():
     rng = np.random.default_rng(5)
     for shape in [(), (3,), (2, 2), (4, 4, 2)]:
         vals = rng.standard_normal((15,) + shape)
-        [(k, err)] = _gk15(lambda xs: vals, (-0.3, 1.1))
+        [(k, err, _)] = _gk15(lambda xs: vals, (-0.3, 1.1))
         h = 0.5 * (1.1 - -0.3)
         k_ref = h * np.tensordot(_KRONROD_WEIGHTS, vals, axes=(0, 0))
         g_ref = h * np.tensordot(_GAUSS_WEIGHTS, vals[1::2], axes=(0, 0))
@@ -737,3 +737,25 @@ def test_integrands_with_no_components_integrate_to_empty_arrays():
     assert norms.shape == (0,) and stats == QuadStats(0, 0)
     value = integrate(lambda x: np.array([]), Interval(0.0, 1.0))
     assert isinstance(value, np.ndarray) and value.shape == (0,)
+
+
+def test_an_integral_past_its_absolute_tolerance_stops_at_the_roundoff_floor():
+    # the Kronrod-Gauss gap of a constant is 15.5 eps of it, so 1e6 over
+    # [0, 1] never reaches tol 1e-12 by bisection: it is accepted on its
+    # first panel at 50 eps * 1e6, which the counters record
+    eps = np.finfo(float).eps
+    stats = QuadStats()
+    got = _integrate_nodes(lambda xs: np.full(len(xs), 1e6),
+                           Interval(0.0, 1.0), (), 1e-12, stats=stats)
+    assert abs(got - 1e6) <= 50.0 * eps * 1e6
+    assert stats.quad_panels == 1
+    assert stats.raised_tol == pytest.approx(50.0 * eps * 1e6, rel=1e-12)
+    # a family takes the largest magnitude among its members
+    stats = QuadStats()
+    got = _integrate_nodes(lambda xs: np.outer(np.ones(len(xs)), [1.0, 1e6]),
+                           Interval(0.0, 1.0), (), 1e-12, stats=stats)
+    assert stats.quad_panels == 1 and got.shape == (2,)
+    # where the tolerance is above the floor, nothing is raised
+    stats = QuadStats()
+    _integrate_nodes(np.sin, Interval(0.0, 3.0), (), 1e-10, stats=stats)
+    assert stats.raised_tol == 0.0

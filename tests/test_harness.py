@@ -299,6 +299,31 @@ def test_an_overflowing_gain_is_a_vacuous_pass(tmp_path, capsys, kind, extra):
     assert s["log_gain"] == pytest.approx(math.exp(math.exp(2.0)), rel=1e-3)
 
 
+# a field whose inner integral outgrows the absolute tolerance: the
+# Kronrod-Gauss gap of 0.05 e^{50 t}, up to 3.3e4 on the window, is 15.5 eps
+# of it, above the inner tolerance 1e-10, so that only the roundoff floor
+# lets the variation converge
+ROUNDOFF_SYSTEM = {"G": [["u + 0.001*exp(50*t)"]], "f": "sin(t)",
+                   "J": [-0.5, 0.5]}
+
+
+def test_a_large_inner_integral_certifies_at_its_roundoff_floor(tmp_path):
+    cfg = tmp_path / "roundoff.json"
+    cfg.write_text(json.dumps({"system": ROUNDOFF_SYSTEM,
+                               "window": [0, 0.268]}))
+    out = tmp_path / "o"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli_main(["certify", "--config", str(cfg),
+                         "--out", str(out)]) == 0
+    report = json.loads((out / "summary.json").read_text())
+    tolerances = report["provenance"]["tolerances"]
+    # V = int_0^0.268 int_J 0.05 e^{50 t} du dt, as |J| = 1
+    exact = 0.001 * math.expm1(13.4)
+    assert tolerances["roundoff_floor"] > 1e-10
+    assert abs(report["summary"]["variation"] - exact) <= min(
+        tolerances.values())
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_stepping_benchmark_configurations_agree_with_a_tighter_run(seed):
     # the benchmark's example39 verify (40 pairs) and sine-curve (b down
@@ -914,6 +939,7 @@ def _mutated_configs(draw):
         ("verify", dict(TINY_VERIFY,
                         certificate={"gain": 3.0, "variation": 0.0})),
         ("certify", {"system": OVERFLOW_SYSTEM, "window": [0, 2]}),
+        ("certify", {"system": ROUNDOFF_SYSTEM, "window": [0, 0.268]}),
         ("sine-curve", SINE_ZERO)]))
     config = copy.deepcopy(config)
     path = draw(st.sampled_from(list(_paths(config))))

@@ -13,12 +13,14 @@ from evostab.calculus import (Interval, OperatorField, Partition, ScalarPath,
                               integrate, pointwise, stacked,
                               tv_l1_upper_bound)
 from evostab.errors import (DomainViolationError, ExpressionError,
+                            IntegrationError, InvalidOperatorError,
                             QuadratureError)
-from evostab.evolution import CoefficientPath, evolve
+from evostab.evolution import CoefficientPath, EvolutionOperator, evolve
 from evostab.cli import main as cli_main
 from evostab.harness import _SYSTEM, _read, run_scenario
-from evostab.library import example39_field, make_scalar_path, make_system
-from evostab.operators import VectorSpaceSpec, matrix_norm
+from evostab.library import (constant_field, example39_field,
+                             make_scalar_path, make_system)
+from evostab.operators import NORM_KINDS, Operator, VectorSpaceSpec, matrix_norm
 from evostab.stability import (
     BoundCertificate,
     SeparableSystem,
@@ -640,3 +642,107 @@ def test_verify_accepts_frozen_coefficient_override():
     pairs = np.sort(rng.uniform(0.0, 4.0, size=(20, 2)), axis=1)
     report = verify_certificate(sys, cert, pairs, coefficient=frozen)
     assert report.passed
+
+
+def _rows_one_pair_at_a_time(A, cert, pairs, kind, tol):
+    """The verify rows as they were formed before the stacked products:
+    two queries and two norms per pair, and the abort at the first pair
+    whose query raised.  The oracle of the stacked rows."""
+    ends = (cert.window.lo, cert.window.hi)
+    ev = EvolutionOperator(A, [*ends, *(tau for pair in pairs
+                                        for tau in pair)], tol=tol)
+    rows = []
+    for s, t in pairs:
+        try:
+            x, x_inv = ev.query(t, s), ev.query(s, t)
+        except IntegrationError as exc:
+            return rows, f"integration failure at pair ({s}, {t}): {exc}"
+        rows.append((s, t, matrix_norm(x.entries, kind),
+                     matrix_norm(x_inv.entries, kind)))
+    return rows, None
+
+
+def _bits(rows):
+    return [tuple(float(x).hex() for x in row) for row in rows]
+
+
+@settings(max_examples=40, deadline=None)
+@given(r=st.sampled_from([1, 2, 3]), kind=st.sampled_from(NORM_KINDS),
+       entries=st.lists(st.floats(-2.0, 2.0), min_size=18, max_size=18),
+       picks=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)),
+                      max_size=12),
+       nan_from=st.one_of(st.none(), st.floats(0.2, 2.9)))
+def test_stacked_verify_rows_match_one_query_per_pair(r, kind, entries,
+                                                      picks, nan_from):
+    # pairs of the window's ends, repeated times and s == t, on
+    # A(t) = M0 + cos(3 t) M1, which may turn NaN from nan_from on: the
+    # stacked rows have the bits of two queries and two norms per pair,
+    # and an abort comes after the same rows, with the same message
+    m0 = np.reshape(entries[:r * r], (r, r))
+    m1 = np.reshape(entries[9:9 + r * r], (r, r))
+    space = VectorSpaceSpec(r, kind)
+
+    def coefficient(ts):
+        a = m0 + np.cos(3.0 * ts)[:, None, None] * m1
+        if nan_from is not None:
+            a = np.where((ts < nan_from)[:, None, None], a, math.nan)
+        return a
+
+    A = CoefficientPath(eval=coefficient, space=space)
+    times = [0.0, 3.0, 0.4, 1.1, 1.1 + 2.0 ** -40, 1.7, 2.3, 2.95]
+    pairs = [tuple(sorted((times[i], times[j]))) for i, j in picks]
+    sys = SeparableSystem(G=constant_field(np.eye(r), kind),
+                          f=make_scalar_path("sin", Interval(0.0, 3.0)),
+                          I=Interval(0.0, 3.0), J=Interval(-1.0, 1.0),
+                          space=space)
+    cert = BoundCertificate(gain=2.0, variation=0.1,
+                            window=Interval(0.0, 3.0), sup_grid=0)
+    report = verify_certificate(sys, cert, pairs, 1e-8, coefficient=A)
+    rows, aborted = _rows_one_pair_at_a_time(A, cert, pairs, kind, 1e-8)
+    assert _bits((row.s, row.t, row.norm_X, row.norm_Xinv)
+                 for row in report.rows) == _bits(rows)
+    assert report.aborted == aborted
+    assert report.max_observed == max([0.0] + [max(row[2:])
+                                                for row in rows])
+
+
+def test_verify_raises_on_a_non_finite_product_as_a_query_does():
+    # x' = -690 x on [0, 1], then +690 x: Phi(3) = e^690 and Phi(1)^-1 =
+    # e^690 are finite, but X(3, 1) = e^1380 is not, and both routes raise
+    # InvalidOperatorError.  The breakpoints keep each window's own step
+    # product within 690 e-folds
+    A = CoefficientPath(
+        eval=lambda ts: np.where(ts < 1.0, -690.0, 690.0)[:, None, None],
+        space=SP1, breakpoints=(1.0, 2.0))
+    sys = SeparableSystem(G=unit_field(), f=sin_path(), I=Interval(0, 3),
+                          J=Interval(-1, 1), space=SP1)
+    cert = BoundCertificate(gain=2.0, variation=0.1,
+                            window=Interval(0.0, 3.0), sup_grid=0)
+    pairs = [(0.0, 0.5), (1.0, 3.0), (0.0, 2.0)]
+    with np.errstate(over="ignore"):
+        with pytest.raises(InvalidOperatorError, match="non-finite"):
+            _rows_one_pair_at_a_time(A, cert, pairs, "euclidean", 1e-10)
+        with pytest.raises(InvalidOperatorError, match="non-finite"):
+            verify_certificate(sys, cert, pairs, 1e-10, coefficient=A)
+
+
+def test_verify_takes_two_norm_calls_and_no_operator_per_pair(monkeypatch):
+    # 40 pairs took 80 matrix_norm calls and 80 Operators; the stacked
+    # rows take two norm calls, whatever the number of pairs, and build
+    # no Operator
+    from evostab import stability
+    norms, operators = [], []
+    monkeypatch.setattr(stability, "matrix_norm",
+                        lambda a, kind: norms.append(a.shape) or
+                        matrix_norm(a, kind))
+    build = Operator.__post_init__
+    monkeypatch.setattr(Operator, "__post_init__",
+                        lambda self: operators.append(1) or build(self))
+    sys = make_system("example39")
+    cert = BoundCertificate(gain=2.0, variation=0.1,
+                            window=Interval(0.0, 100.0), sup_grid=0)
+    rng = np.random.default_rng(1)
+    pairs = np.sort(rng.uniform(0.0, 100.0, size=(40, 2)), axis=1)
+    report = verify_certificate(sys, cert, pairs)
+    assert len(report.rows) == 40
+    assert norms == [(40, 2, 2), (40, 2, 2)] and operators == []
