@@ -17,30 +17,21 @@ the coefficient so that no step straddles a jump; the nodes are
 interior, so an undeclared jump can be stepped over by up to 6% of a
 step.
 
-One driver runs that step, :func:`_window_sweep`.  It sweeps a
-fundamental solution Phi across the hull of a set of stops and yields
-Phi y0 for a start state y0 at the stops, a stack per window; the sweep
-of Phi itself, and only that one, carries Phi^{-1} along by the inverse
-exponentials.  A state that stops being finite ends the sweep at the
-window where that happened.  A step is judged on its own matrices, not
-on the state, and a window of equal steps takes one ``A.eval`` call and
-one :func:`expm` call.  A segment's windows hold ``_WINDOW`` = 16 steps
-at first; after a window whose steps were all accepted with a step
-factor of at most ``_WINDOW_HOLD`` = 1.25 the next holds twice as many,
-up to ``_WINDOW_MAX`` = 64, and a rejection brings it back to 16.  The
-step sequence depends only on (A, span, tol), and each stop is a side
-step off it that no other stop moves.  :class:`EvolutionOperator` sweeps
-the identity, and every X(t, s) between its times is Phi(t) Phi(s)^{-1}:
-the sine-curve transports read it, and the certificate checks read all
-their X(t, s) and X(s, t) as two stacked products.
-:func:`sweep_vector` and :func:`param_evolution` sweep vectors and
-stacks, the extension's fibers and corridors among them, into one stack
-over the stops; descending stops sweep t -> -A(-t).
-A (k, r, r) stack of A per time sweeps k systems that share their stops
-as one (k, r, c) state, and a step's error is the max over all of them.
-:func:`evolve` is the sweep of the identity over the two stops (s, t),
-so X(s, t) for t < s is an integration of its own, not the inverse of
-X(t, s).
+One driver runs that step, :func:`_window_sweep`, across the hull of a
+set of stops, in three parts.  :class:`_StepControl` plans windows of 16
+to 64 equal steps and judges them on Python floats, blind to the stops,
+so the steps depend only on (A, hull, tol); :func:`_window_kernel` makes
+a window's one ``A.eval`` call and one :func:`expm` call; and
+:class:`_Applier` carries the state over the accepted steps, reaches each
+stop by a side step that no other stop moves, and hands over the states
+at a window's stops as one stack.  A state that is not finite step by
+step ends the sweep there.  :class:`EvolutionOperator` sweeps the
+identity with Phi^{-1}, so every X(t, s) between its times is
+Phi(t) Phi(s)^{-1}.  :func:`sweep_vector` and :func:`param_evolution`
+sweep vectors and stacks; a (k, r, r) stack of A sweeps k systems as one
+(k, r, c) state, with the max of their step errors.  Descending stops
+sweep t -> -A(-t): :func:`evolve`, the identity swept over (s, t),
+integrates X(s, t) for t < s on its own, not as X(t, s)^{-1}.
 """
 
 from __future__ import annotations
@@ -48,6 +39,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import matmul
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -69,20 +62,13 @@ _FIRST_SLACK = 1.0 + 2.0 ** -20
 _SAFETY = 0.7
 # attempted steps allowed in one segment before IntegrationError
 _MAX_STEPS = 2_000_000
-# equal steps in a segment's first window of the stop-blind sweep
-# (_window_sweep), and in the window after a rejection: one coefficient
-# call and one expm call each
-_WINDOW = 16
-# a window's step may grow up to 8-fold: its accepted steps all vouch for
-# the error model.  A segment's remainder within a window's length of
-# steps of 9/8 the proposal is one window of stretched steps, not a window
-# and a short one
-_WINDOW_GROWTH = 8.0
-_WINDOW_STRETCH = 1.125
-# a window whose steps were all accepted with a step factor of at most
-# _WINDOW_HOLD makes the next one twice as long, up to _WINDOW_MAX steps
-_WINDOW_HOLD = 1.25
-_WINDOW_MAX = 64
+# equal steps in a segment's first window and after a rejection, and up
+# to _WINDOW_MAX after windows all accepted with step factors <= _WINDOW_HOLD
+_WINDOW, _WINDOW_HOLD, _WINDOW_MAX = 16, 1.25, 64
+# a window's step may grow up to 8-fold, as its accepted steps all vouch for
+# the error model; a segment's remainder within a window of steps 9/8 the
+# proposal is one window of stretched steps, not a window and a short one
+_WINDOW_GROWTH, _WINDOW_STRETCH = 8.0, 1.125
 
 
 @dataclass
@@ -227,18 +213,11 @@ def _bcr_exponent(a1, a2, a3, k):
     return omega + _commutator(-20.0 * al1 - al3 + c1, al2 + c2) / 240.0
 
 
-def _check_underflow(h, t):
-    # only meaningful after a rejection, where the controller is shrinking
-    if h < 1e-14 * max(1.0, abs(t)):
-        raise IntegrationError(
-            f"step size underflow at t = {t} (stiffness or singularity)", t)
-
-
 def _scan_last(a, mirrored=False):
     """a[k-1] ... a[1] a[0] for the (k, ...) stack of matrices a (mirrored:
     a[0] a[1] ... a[k-1]), bracketed as the last element of the doubling
-    scan in :func:`_window_sweep`, so with its bits: a right-aligned tree
-    of pairwise products."""
+    scan of :class:`_Applier`, so with its bits: a right-aligned tree of
+    pairwise products."""
     while len(a) > 1:
         odd = len(a) % 2
         hi, lo = a[odd + 1::2], a[odd::2]
@@ -247,84 +226,269 @@ def _scan_last(a, mirrored=False):
     return a[0]
 
 
+class _StepControl:
+    """Step control of a breakpoint-free segment [t, end], on Python
+    floats (which round as numpy's do).  It sees no stop, state or
+    Phi^{-1}, so the steps depend on (A, hull, tol) alone.
+
+    The steps before a window's first rejected one (error > 1, or NaN)
+    are accepted; the next window starts where they end.  Its step grows
+    by at most ``_WINDOW_GROWTH``, from the errors of the last quarter of
+    the steps up to the rejected one (its first steps may sit on a
+    singular point of A) and of the finite ones after it, at the same
+    size; a NaN is an infinite error.  A second rejection of a first step
+    at the same point gauges the error's order from the two, so the step
+    shrinks at once rather than by 0.2 per window.  Windows hold
+    ``_WINDOW`` steps during the first-step cut and after a rejection;
+    one whose steps were all accepted with a factor of at most
+    ``_WINDOW_HOLD`` makes the next twice as long, up to ``_WINDOW_MAX``.
+    The boundaries are t + hs i, or min(t + hs i, end); a last window may
+    stretch its steps by ``_WINDOW_STRETCH`` (during the cut, by no more
+    than the cut forgives), and ends on ``end`` exactly.  ``where`` gives
+    the caller's t, where failures are located.
+    """
+
+    def __init__(self, t, end, where, stats):
+        self.t, self.end, self.where, self.stats = t, end, where, stats
+        self.h, self.width, self.first = end - t, _WINDOW, True
+        self.taken, self.last_reject = 0, None
+
+    def plan(self):
+        """The next window's boundaries, or None at the segment's end."""
+        t, end, h = self.t, self.end, self.h
+        if t >= end:
+            return None
+        remaining = end - t
+        # a span within 2^-40 of n steps is n stretched steps, not n steps
+        # and a sliver
+        n = max(1, math.ceil(remaining / h * (1.0 - 2.0 ** -40)))
+        # a stretch past the cut's slack would be cut back to h, and the
+        # same window would repeat until _MAX_STEPS
+        stretch = _FIRST_SLACK if self.first else _WINDOW_STRETCH
+        if remaining <= self.width * h * stretch:
+            n = min(n, self.width)
+            self.hs = remaining / n
+            self.b = [t + self.hs * i for i in range(n)] + [end]
+        else:
+            n, self.hs = self.width, h
+            self.b = [min(t + h * i, end) for i in range(n + 1)]
+        self.taken += n
+        if self.taken > _MAX_STEPS:
+            raise IntegrationError(f"step budget exhausted near t = "
+                                   f"{self.where(t)}", self.where(t))
+        return self.b
+
+    def cut(self, size):
+        """Whether the cut to h ||A|| <= ``_FIRST_REACH`` rejects the
+        window, for ``size`` the largest row sum of |A| on its first step."""
+        # the sizing may stretch a cut step by rounding; a cut that shrank
+        # it by no more would recur forever
+        if (self.b[1] - self.b[0]) * size <= _FIRST_REACH * _FIRST_SLACK \
+                or not math.isfinite(size):
+            return False
+        self.stats.rejected += len(self.b) - 1
+        self.h = _FIRST_REACH / size
+        self._check_underflow()
+        return True
+
+    def judge(self, err):
+        """The count of accepted steps, from the window's step errors."""
+        n, hs, t = len(err), self.hs, self.t
+        # the first step whose error is not <= 1 (NaN too) is rejected
+        k = next((i for i, x in enumerate(err) if not x <= 1.0), n)
+        judged = err[:k + 1]
+        worst = max(judged[-max(1, len(judged) // 4):])
+        worst = max([worst] + [x for x in err[k:] if math.isfinite(x)])
+        # a NaN can only be the rejected step's, the last judged
+        if not math.isfinite(worst) or math.isnan(judged[-1]):
+            worst = math.inf
+        factor = _WINDOW_GROWTH if worst == 0.0 else min(
+            _WINDOW_GROWTH, max(0.2, _SAFETY * worst ** (-1.0 / 7.0)))
+        last = self.last_reject
+        if k == 0 and last is not None and 1.0 < worst < last[1] and \
+                last[0] == t:
+            # err ~ h^p with p from the two rejections, in [1, 7]
+            p = min(7.0, max(1.0, math.log(last[1] / worst)
+                             / math.log(last[2] / hs)))
+            factor = min(factor, (_SAFETY ** 7 / worst) ** (1.0 / p))
+        self.last_reject = (t, worst, hs) if k == 0 else None
+        self.stats.steps += k
+        self.stats.rejected += n - k
+        self.t, self.h = self.b[k], hs * factor
+        if k < n:
+            self.width = _WINDOW
+            self._check_underflow()
+        elif factor <= _WINDOW_HOLD and not self.first:
+            self.width = min(2 * self.width, _WINDOW_MAX)
+        self.first = self.first and k == 0
+        return k
+
+    def _check_underflow(self):
+        # only meaningful after a rejection, where the controller is shrinking
+        t = self.where(self.t)
+        if self.h < 1e-14 * max(1.0, abs(t)):
+            raise IntegrationError(f"step size underflow at t = {t} "
+                                   "(stiffness or singularity)", t)
+
+
+def _window_kernel(evaluate, b, sides, tol, inverse, stats, cut=None):
+    """The Magnus arithmetic of the steps between the boundaries ``b``,
+    each a whole step exp(Omega) and its halves exp(Omega_2) exp(Omega_1),
+    and of the side steps ``sides`` (their starts and spans): one
+    ``evaluate`` call at all their Gauss nodes, and one :func:`expm` call
+    of their exponents and, for Phi^{-1} (``inverse``), of minus those of
+    the half and side steps.  ``cut(size)`` may reject the window before
+    any exponent is formed; None is then returned.  Otherwise: the step
+    errors, each the largest entry of |exp(Omega) - exp(Omega_2)
+    exp(Omega_1)| / 63 against tol (1 + |.|) over a stack's members, so
+    independent of the state; the products of the halves, and of their
+    inverses; the side steps' exponentials, and their inverses.
+    """
+    n, m = len(b) - 1, len(sides[0])
+    lengths = [y - x for x, y in zip(b, b[1:])]
+    half = [0.5 * x for x in lengths]
+    starts = np.array(b[:-1] + b[:-1] + [x + y for x, y in zip(b, half)]
+                      + sides[0])
+    spans = np.array(lengths + half + half + sides[1])
+    nodes = starts + np.multiply.outer(_GAUSS, spans)
+    coef = np.asarray(evaluate(nodes.ravel()), dtype=float)
+    stats.rhs_evals += nodes.size
+    stats.windows += 1
+    coef = coef.reshape(nodes.shape + coef.shape[1:])
+    if cut is not None and cut(
+            float(np.abs(coef[:, 0:3 * n:n]).sum(axis=-1).max())):
+        return None
+    omega = _bcr_exponent(coef[0], coef[1], coef[2], spans.reshape(
+        spans.shape + (1,) * (coef.ndim - 2)))
+    e = expm(np.concatenate((omega, -omega[n:])) if inverse else omega)
+    e0, prod = e[:n], e[2 * n:3 * n] @ e[n:2 * n]
+    scale = tol + tol * np.maximum(np.abs(e0), np.abs(prod))
+    err = ((np.abs(e0 - prod) / scale).reshape(n, -1).max(axis=1)
+           / 63.0).tolist()
+    i = 3 * n + m  # where the inverse exponentials start
+    back = e[i:i + n] @ e[i + n:i + 2 * n] if inverse else None
+    return err, prod, back, e[3 * n:i], e[i + 2 * n:]
+
+
+class _Applier:
+    """A sweep's state (Phi y0, or Phi with Phi^{-1}) and next stop,
+    carried over the accepted steps; the states at a window's stops are
+    handed over as one stack.  A stop inside a step is a side step from
+    the step's start, found by bisection (not at all in a window without
+    stops); it never feeds back into the stepping, and one past the first
+    rejected step is taken again later.  The states at the boundaries
+    are running products by doubling, or only the end by
+    :func:`_scan_last` where no stop is reached.  Those products run from
+    the window's start and can overflow where the state does not, so a
+    non-finite state or Phi^{-1} is formed again step by step.  One still
+    not finite (an overflow, a side step into a NaN of A) ends the sweep
+    after the stops before it, at the last boundary where all was finite.
+    """
+
+    def __init__(self, stops, y0, dim, where):
+        self.stops, self.where = stops, where
+        self.inv = np.eye(dim) if y0 is None else None
+        self.phi = self.inv if y0 is None else y0
+        self.j = bisect_right(stops, stops[0])
+
+    def place(self, b):
+        """The starts and spans of the side steps to the window's stops."""
+        stops, j = self.stops, self.j
+        # the stops in the window, each from the boundary at or before it
+        # (at); the side steps are those off a boundary
+        self.end, self.at, self.side = j, [], []
+        if j < len(stops) and stops[j] <= b[-1]:
+            self.end = bisect_right(stops, b[-1], j)
+            self.at = [bisect_right(b, x) - 1 for x in stops[j:self.end]]
+            self.side = [i for i, x in enumerate(stops[j:self.end])
+                         if x > b[self.at[i]]]
+        return ([b[self.at[i]] for i in self.side],
+                [stops[j + i] - b[self.at[i]] for i in self.side])
+
+    def apply(self, b, k, prod, back, into, out):
+        """Carry the state over the window's first k steps (the kernel's
+        output); yield the stacks at the stops they reach."""
+        if not k:
+            return
+        stops, j, inv = self.stops, self.j, self.inv
+        prod, back = prod[:k], None if inv is None else back[:k]
+        reached = bisect_right(stops, b[k], j, self.end) - j
+        if not reached:
+            ends = (_scan_last(prod) @ self.phi, None if inv is None
+                    else inv @ _scan_last(back, mirrored=True))
+            if all(x is None or np.isfinite(x).all() for x in ends):
+                self.phi, self.inv = ends
+                return
+        at = self.at[:reached]
+        side = self.side[:bisect_right(self.side, reached - 1)]
+        for stepwise in ((False, True) if reached else (True,)):
+            phis, invs = self._boundaries(prod, back, stepwise)
+            xs, ys = phis[at], None if inv is None else invs[at]
+            if side:
+                xs[side] = into[:len(side)] @ xs[side]
+                if inv is not None:
+                    ys[side] = ys[side] @ out[:len(side)]
+            if all(np.isfinite(x).all() for x in (xs, ys, phis, invs)
+                   if x is not None):
+                yield xs, ys
+                self.j += reached
+                self.phi, self.inv = phis[-1], inv if inv is None else invs[-1]
+                return
+        # not finite step by step either: the stops before the first
+        # non-finite state, then the failure
+        axes = tuple(range(1, phis.ndim))
+        rows = lambda x, y: np.isfinite(x).all(axis=axes) & (
+            y is None or np.isfinite(y).all(axis=axes))
+        broken = int(np.argmin(np.append(rows(phis, invs), False)))
+        good = next((i for i, f in enumerate(rows(xs, ys).tolist())
+                     if at[i] >= broken or not f), reached)
+        yield xs[:good], None if ys is None else ys[:good]
+        if good < reached and at[good] < broken:
+            start = self.where(b[at[good]])
+            raise IntegrationError(f"non-finite propagator at the stop "
+                                   f"{self.where(stops[j + good])}, reached "
+                                   f"from t = {start}", start)
+        start = self.where(b[broken - 1])
+        raise IntegrationError(f"non-finite propagator past t = {start}, in "
+                               f"the step to {self.where(b[broken])}", start)
+
+    def _boundaries(self, prod, back, stepwise):
+        """The state after each of the steps ``prod``, and Phi^{-1} after
+        their inverses ``back``: by doubling, or step by step."""
+        phi, inv = self.phi, self.inv
+        if stepwise:
+            return np.array([*accumulate(prod, lambda x, p: p @ x,
+                                         initial=phi)]), None if inv is None \
+                else np.array([*accumulate(back, matmul, initial=inv)])
+        ahead, s = prod, 1
+        while s < len(prod):
+            ahead = np.concatenate((ahead[:s], ahead[s:] @ ahead[:-s]))
+            if inv is not None:
+                back = np.concatenate((back[:s], back[:-s] @ back[s:]))
+            s *= 2
+        return np.concatenate(((phi,), ahead @ phi)), None if inv is None \
+            else np.concatenate(((inv,), inv @ back))
+
+
 def _window_sweep(A, stops, y0, tol, stats):
     """Integrate Phi' = A(t) Phi, Phi(stops[0]) = I, across the hull of
-    the monotone ``stops`` and yield (Phi y0, Phi^{-1}) at them, a pair of
-    stacks for those equal to stops[0] and then one per window.  ``y0`` is
-    a (r, c) or (k, r, c) state for the (r, r) or (k, r, r) stacks of A,
-    and then the second of each pair is None; y0 = None sweeps the
-    propagator Phi itself, and only that sweep carries Phi^{-1} along, by
-    the inverse exponentials.  Descending stops sweep the reflected
-    coefficient t -> -A(-t) over the negated stops: that sweep has its own
-    step sequence, and its failures are located in the caller's t.
-
-    The hull is split at the interior breakpoints of ``A``, and every
-    segment starts afresh with the first-step cut.  A segment is crossed
-    by windows of equal steps, each made of a whole step exp(Omega) and
-    its two halves exp(Omega_2) exp(Omega_1).  A step is judged on its
-    own matrices: its error is the largest entry of
-    |exp(Omega) - exp(Omega_2) exp(Omega_1)| / 63 against tol (1 + |.|),
-    over every member of a stack, so acceptance does not depend on the
-    state.  The steps before a window's first rejected one are accepted.
-    The next window starts where they end, so its step size comes from
-    the errors of the last quarter of the steps up to the rejected one,
-    not from those of its first steps, which may sit on a singular point
-    of A; it grows by at most ``_WINDOW_GROWTH``.  After a rejection it
-    also heeds the worst finite error of the rejected step and of the
-    steps after it, which were taken at the same size: the first
-    rejected step need not be the worst of them.  A second rejection of
-    a first step at the same point gauges the error's order from the
-    two, so that the step shrinks at once past such a point rather than
-    by the factor 0.2 per window.  A window's length follows the same
-    verdicts: a segment's windows hold ``_WINDOW`` steps while its first
-    step is being cut and after any rejection, and a window whose steps
-    were all accepted with a factor of at most ``_WINDOW_HOLD`` makes
-    the next twice as long, up to ``_WINDOW_MAX`` steps.  The step
-    sequence thus depends on (A, hull, tol) alone.  A segment's last
-    window may stretch its steps by up to ``_WINDOW_STRETCH`` (while the
-    first step is still being cut, by no more than the cut forgives),
-    and a window whose last boundary would round past the segment's end
-    ends on it exactly.
-
-    A stop inside an accepted step is reached by a side step: the
-    exponent over [step start, stop] from A at its three Gauss nodes,
-    applied to the state at the step start.  Side steps never feed back
-    into the stepping, so the stops do not move the steps.  A window's
-    one ``A.eval`` call takes the three Gauss nodes of each of its
-    sub-steps (three per step) and of the side step to each stop it
-    covers, and its one :func:`expm` call the exponents of all of them
-    (and minus those of the half and side steps, for Phi^{-1}).  A side
-    step past the window's first rejected step is discarded and taken
-    again with a later window.  A stop whose state or Phi^{-1} is not
-    finite (a side step into a NaN of A) ends the sweep, and so does a
-    window whose carried state or Phi^{-1} is not finite at its end (an
-    overflow): the failure, raised after the stops before it, is located
-    at the last of its boundaries where they were still finite.
-
-    The states at a window's accepted boundaries are running products of
-    its steps, formed by doubling.  When the accepted steps reach no
-    stop, only the end state (and Phi^{-1}) is formed, by the pairwise
-    product tree of :func:`_scan_last`, which has the bits of the
-    doubling scan's last element; an end that is not finite takes the
-    full path, which locates the failure.
-
-    numpy takes only a window's stacks: the Gauss nodes, the ``A.eval``
-    call, the exponents and their :func:`expm`, the step products and
-    each step's error reduction.  Its scalar control runs on Python
-    floats, whose IEEE operations round as numpy's do: the boundaries
-    (t + hs i, or min(t + hs i, end)), lengths and halves are lists, the
-    stops are found by bisection and not at all in a window that holds
-    none, and the error verdict and step-size factor run on the list of
-    the steps' errors, where a NaN error rejects its step and counts as
-    an infinite worst error.  Stops that are not finite are refused with
-    ValueError, as are stops that are not monotone.
+    the monotone, finite ``stops`` (else ValueError) and yield
+    (Phi y0, Phi^{-1}) at them, a pair of stacks for those equal to
+    stops[0] and then one per window.  ``y0`` is a (r, c) or (k, r, c)
+    state for the (r, r) or (k, r, r) stacks of A, and the second of each
+    pair is then None; y0 = None sweeps Phi itself with Phi^{-1}.
+    Descending stops sweep t -> -A(-t) over the negated stops, with their
+    own steps and failures located in the caller's t.  Each
+    breakpoint-free segment has its own :class:`_StepControl`; each
+    window it plans is one :func:`_window_kernel` call, with the side
+    steps that the :class:`_Applier` places, which then carries the state.
     """
     stats = stats if stats is not None else StepStats()
     stops = np.asarray(stops, dtype=float).tolist()
     if not all(map(math.isfinite, stops)):
         raise ValueError("the stops of a sweep must be finite")
     sign = -1.0 if stops[-1] < stops[0] else 1.0
-    caller_t = lambda t: sign * t + 0.0  # the caller's t, and never -0.0
+    where = lambda t: sign * t + 0.0  # the caller's t, and never -0.0
     evaluate, breakpoints = A.eval, A.breakpoints
     if sign < 0.0:
         evaluate = lambda ts, ev=evaluate: -np.asarray(ev(-ts), dtype=float)
@@ -332,186 +496,23 @@ def _window_sweep(A, stops, y0, tol, stats):
         stops = [-x for x in stops]
     if sorted(stops) != stops:
         raise ValueError("the stops of a sweep must be monotone")
-    inv = np.eye(A.space.dim) if y0 is None else None
-    phi = inv if y0 is None else y0
+    state = _Applier(stops, y0, A.space.dim, where)
+    yield np.array((state.phi,) * state.j), None if y0 is not None else \
+        np.array((state.inv,) * state.j)
     lo, hi = stops[0], stops[-1]
-    j = bisect_right(stops, lo)
-    yield np.array((phi,) * j), None if inv is None else np.array((inv,) * j)
-    inner = [c for c in breakpoints if lo < c < hi]
-    cuts = [lo] + inner + [hi] if hi > lo else []
-    # overflowing or non-finite exponents only ever reach the error
-    # estimates, which then reject: numpy need not warn about them
-    with np.errstate(all="ignore"):
+    cuts = [lo, *(c for c in breakpoints if lo < c < hi), hi] if hi > lo \
+        else []
+    with np.errstate(all="ignore"):  # the errors reject what overflows
         for t0, t1 in zip(cuts, cuts[1:]):
             stats.segments += 1
-            t, h, first, taken, last_reject = t0, t1 - t0, True, 0, None
-            width = _WINDOW
-            while t < t1:
-                remaining = t1 - t
-                # a span within 2^-40 of n steps is n stretched steps, not
-                # n steps and a sliver
-                n = max(1, math.ceil(remaining / h * (1.0 - 2.0 ** -40)))
-                # a stretch past the cut's slack would be cut back to h,
-                # and the same window would repeat until _MAX_STEPS
-                stretch = _FIRST_SLACK if first else _WINDOW_STRETCH
-                if remaining <= width * h * stretch:
-                    n = min(n, width)
-                    hs = remaining / n
-                    b = [t + hs * i for i in range(n)] + [t1]
-                else:
-                    n, hs = width, h
-                    b = [min(t + hs * i, t1) for i in range(n + 1)]
-                taken += n
-                if taken > _MAX_STEPS:
-                    raise IntegrationError(f"step budget exhausted near t = "
-                                           f"{caller_t(t)}", caller_t(t))
-                lengths = [y - x for x, y in zip(b, b[1:])]
-                half = [0.5 * x for x in lengths]
-                # the stops in the window, each from the boundary at or
-                # before it (at); the side steps are those off a boundary
-                end, at, side = j, [], []
-                if j < len(stops) and stops[j] <= b[-1]:
-                    end = bisect_right(stops, b[-1], j)
-                    at = [bisect_right(b, x) - 1 for x in stops[j:end]]
-                    side = [i for i, x in enumerate(stops[j:end])
-                            if x > b[at[i]]]
-                m = len(side)
-                starts = np.array(b[:-1] + b[:-1] + [
-                    x + y for x, y in zip(b, half)] + [
-                    b[at[i]] for i in side])
-                spans = np.array(lengths + half + half + [
-                    stops[j + i] - b[at[i]] for i in side])
-                nodes = starts + np.multiply.outer(_GAUSS, spans)
-                coef = np.asarray(evaluate(nodes.ravel()), dtype=float)
-                stats.rhs_evals += nodes.size
-                stats.windows += 1
-                coef = coef.reshape(nodes.shape + coef.shape[1:])
-                if first:
-                    size = float(np.abs(coef[:, 0:3 * n:n]).sum(axis=-1).max())
-                    # the sizing above may stretch a cut step by rounding;
-                    # a cut that shrank it by no more would recur forever
-                    if (lengths[0] * size > _FIRST_REACH * _FIRST_SLACK
-                            and math.isfinite(size)):
-                        stats.rejected += n
-                        h = _FIRST_REACH / size
-                        _check_underflow(h, caller_t(t))
-                        continue
-                omega = _bcr_exponent(coef[0], coef[1], coef[2], spans.reshape(
-                    spans.shape + (1,) * (coef.ndim - 2)))
-                e = expm(omega if inv is None
-                         else np.concatenate((omega, -omega[n:])))
-                e0, e1, e2 = e[:n], e[n:2 * n], e[2 * n:3 * n]
-                prod = e2 @ e1
-                scale = tol + tol * np.maximum(np.abs(e0), np.abs(prod))
-                err = ((np.abs(e0 - prod) / scale).reshape(n, -1).max(
-                    axis=1) / 63.0).tolist()
-                k = 0
-                while k < n and err[k] <= 1.0:  # NaN rejects too
-                    k += 1
-                judged = err[:k + 1]
-                worst = max(judged[-max(1, len(judged) // 4):])
-                later = [x for x in err[k:] if math.isfinite(x)]
-                if later:
-                    worst = max(worst, *later)
-                # a NaN can only be the rejected step's, the last judged
-                if not math.isfinite(worst) or math.isnan(judged[-1]):
-                    worst = math.inf
-                factor = _WINDOW_GROWTH if worst == 0.0 else min(
-                    _WINDOW_GROWTH, max(0.2, _SAFETY * worst ** (-1.0 / 7.0)))
-                if k == 0 and last_reject is not None and 1.0 < worst < \
-                        last_reject[1] and last_reject[0] == t:
-                    # err ~ h^p with p from the two rejections, in [1, 7]
-                    p = min(7.0, max(1.0, math.log(last_reject[1] / worst)
-                                     / math.log(last_reject[2] / hs)))
-                    factor = min(factor, (_SAFETY ** 7 / worst) ** (1.0 / p))
-                last_reject = (t, worst, hs) if k == 0 else None
-                stats.steps += k
-                stats.rejected += n - k
-                if inv is not None:
-                    i1, i2 = e[3 * n + m:4 * n + m], e[4 * n + m:5 * n + m]
-                # accepted steps that reach no stop need only the state
-                # (and Phi^-1) at b[k]: the last products of the scan below
-                quiet = j == end or stops[j] > b[k]
-                if quiet and k:
-                    end_phi = _scan_last(prod[:k]) @ phi
-                    end_inv = None if inv is None else inv @ _scan_last(
-                        i1[:k] @ i2[:k], mirrored=True)
-                    # an end that is not finite is located below
-                    quiet = np.isfinite(end_phi).all() and (
-                        end_inv is None or np.isfinite(end_inv).all())
-                    if quiet:
-                        phi, inv = end_phi, end_inv
-                reached = 0
-                if not quiet:
-                    # the state (and Phi^-1) at the accepted boundaries
-                    # b[0..k], from running products of the steps by
-                    # doubling
-                    ahead, s = prod[:k], 1
-                    if inv is not None:
-                        back = i1[:k] @ i2[:k]
-                    while s < k:
-                        ahead = np.concatenate((ahead[:s],
-                                                ahead[s:] @ ahead[:-s]))
-                        if inv is not None:
-                            back = np.concatenate((back[:s],
-                                                   back[:-s] @ back[s:]))
-                        s *= 2
-                    phis = np.concatenate(((phi,), ahead @ phi))
-                    phi = phis[k]
-                    # then at the stops in the accepted steps (the side
-                    # steps among them first); a non-finite one ends the
-                    # sweep
-                    reached = bisect_right(stops, b[k], j, end) - j
-                    at = at[:reached]
-                    count = bisect_right(side, reached - 1)
-                    xs = phis[at]
-                    xs[side[:count]] = e[3 * n:3 * n + count] @ xs[
-                        side[:count]]
-                    axes = tuple(range(1, phis.ndim))
-                    finite = np.isfinite(xs).all(axis=axes)
-                    ys = None
-                    if inv is not None:
-                        invs = np.concatenate(((inv,), inv @ back))
-                        inv = invs[k]
-                        ys = invs[at]
-                        ys[side[:count]] = ys[side[:count]] @ e[
-                            5 * n + m:5 * n + m + count]
-                        finite &= np.isfinite(ys).all(axis=axes)
-                    finite = finite.tolist()
-                    # a state that overflowed ends the sweep at the last
-                    # boundary where it was finite, before the stops past
-                    # it
-                    broken = k + 1
-                    if not np.isfinite(phi if inv is None
-                                       else (phi, inv)).all():
-                        ok = np.isfinite(phis).all(axis=axes)
-                        if inv is not None:
-                            ok &= np.isfinite(invs).all(axis=axes)
-                        broken = int(np.argmin(ok))
-                    # the stops before the first non-finite one, then fail
-                    good = next((i for i in range(reached) if at[i] >= broken
-                                 or not finite[i]), reached)
-                    yield xs[:good], None if ys is None else ys[:good]
-                    if good < reached and at[good] < broken:
-                        start = caller_t(b[at[good]])
-                        raise IntegrationError(
-                            f"non-finite propagator at the stop "
-                            f"{caller_t(stops[j + good])}, reached from "
-                            f"t = {start}", start)
-                    if broken <= k:
-                        start = caller_t(b[broken - 1])
-                        raise IntegrationError(
-                            f"non-finite propagator past t = {start}, in "
-                            f"the step to {caller_t(b[broken])}", start)
-                j += reached
-                t = b[k]
-                h = hs * factor
-                if k < n:
-                    width = _WINDOW
-                    _check_underflow(h, caller_t(t))
-                elif factor <= _WINDOW_HOLD and not first:
-                    width = min(2 * width, _WINDOW_MAX)
-                first = first and k == 0
+            control = _StepControl(t0, t1, where, stats)
+            while (b := control.plan()) is not None:
+                window = _window_kernel(
+                    evaluate, b, state.place(b), tol, y0 is None, stats,
+                    control.cut if control.first else None)
+                if window is not None:
+                    err, *steps = window
+                    yield from state.apply(b, control.judge(err), *steps)
 
 
 def evolve(
@@ -552,21 +553,17 @@ class EvolutionOperator:
     """Two-parameter propagator X(t, s) = Phi(t) Phi(s)^{-1} from one sweep.
 
     The matrix equation is integrated once, forward across the hull of
-    ``times`` (:func:`_window_sweep`); Phi(tau) = X(tau, min(times)) and
-    its inverse are kept at every one of them, as two (S, r, r) stacks
-    with an index by time.  Each accepted step
-    Phi <- exp(Omega_2) exp(Omega_1) Phi takes the inverse along as
-    Y <- Y exp(-Omega_1) exp(-Omega_2), from the step's own exponents, so
-    Y Phi = I holds to roundoff.  The steps depend on (source, hull, tol)
-    only, and each of ``times`` is reached by a side step off them: a
-    query's bits do not depend on which other times were declared.  A
-    query then costs one product, and :meth:`query_stack` one for many.
-    Both arguments of a query must be among ``times``, except that
-    query(s, s) is the identity exactly for any s.
-
-    An integration failure ends the sweep where it happened: the stops
-    reached before it can still be queried, and a query that needs a
-    later one raises it, ``failure``; ``step_stats`` counts the sweep's work.
+    ``times`` (:func:`_window_sweep`), and Phi(tau) = X(tau, min(times))
+    and its inverse Y are kept at each as two (S, r, r) stacks.  Each step
+    Phi <- exp(Omega_2) exp(Omega_1) Phi takes Y <- Y exp(-Omega_1)
+    exp(-Omega_2) along, so Y Phi = I to roundoff.  The steps depend on
+    (source, hull, tol) only and the times are side steps off them, so no
+    query's bits depend on the other times.  A query is one product, and
+    :meth:`query_stack` one for many.  Both arguments must be among
+    ``times`` (else ValueError), except that query(s, s) is I for any s.
+    An integration failure ends the sweep: the stops reached before it
+    can still be queried, and a later one raises it, ``failure``;
+    ``step_stats`` counts the sweep's work.
     """
 
     def __init__(
@@ -588,10 +585,13 @@ class EvolutionOperator:
             self.failure = exc
         self._phi, self._inv = (np.concatenate(x) for x in zip(*swept))
 
-    def _phi_at(self, tau: float) -> tuple:
+    def _slot(self, tau: float) -> int:
         if tau not in self._index:
             raise ValueError(f"t = {tau} is not one of the sweep's times")
-        if (i := self._index[tau]) >= len(self._phi):
+        return self._index[tau]
+
+    def _phi_at(self, tau: float) -> tuple:
+        if (i := self._slot(tau)) >= len(self._phi):
             raise self.failure
         return self._phi[i], self._inv[i]
 
@@ -608,7 +608,7 @@ class EvolutionOperator:
         to the first pair that needs a stop the sweep did not reach, as one
         stack with the bits and the InvalidOperatorError of :meth:`query`.
         t_i == s_i reads the first stop, whose Phi and Phi^{-1} are I."""
-        at = [(0, 0) if t == s else (self._index[t], self._index[s])
+        at = [(0, 0) if t == s else (self._slot(t), self._slot(s))
               for t, s in zip(ts, ss)]
         n = next((k for k, ij in enumerate(at) if max(ij) >= len(self._phi)),
                  len(at))

@@ -224,6 +224,29 @@ def test_overflow_in_a_window_without_stops_is_located_there():
         assert overflow - 1.0 < e.value.location < overflow
 
 
+def test_window_products_that_overflow_alone_keep_a_finite_state():
+    # A = -400 on [0, 1) and +400 after it: x(1) = e^-400, and a window on
+    # [1, 3.5] overflows in its own step products e^{400 span} long before
+    # the state does.  That window is formed again step by step, so the
+    # finite x(3.5) = e^600 comes out of both routes, and so does Phi^-1
+    A = CoefficientPath(
+        eval=lambda ts: np.where(ts < 1.0, -400.0, 400.0)[:, None, None],
+        space=SP1, breakpoints=(1.0,))
+    stops = (0.0, 1.0, 3.0, 3.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        xs = sweep_vector(A, stops, [1.0])
+        ev = EvolutionOperator(A, stops)
+    for t, x, ln in zip(stops, xs, (0.0, -400.0, 400.0, 600.0)):
+        assert x[0] == pytest.approx(math.exp(ln), rel=1e-9)
+        assert ev.query(t, 0.0).entries[0, 0] == pytest.approx(math.exp(ln),
+                                                               rel=1e-9)
+        assert ev.query(0.0, t).entries[0, 0] == pytest.approx(
+            math.exp(-ln), rel=1e-9)
+    assert ev.query(3.0, 3.5).entries[0, 0] == pytest.approx(
+        math.exp(-200.0), rel=1e-9)
+
+
 def _doubling_scan(a, mirrored=False):
     """The running products of the stack a by doubling, as the sweep forms
     the states at a window's boundaries: a[i] ... a[0] (mirrored:
@@ -375,6 +398,14 @@ def test_query_outside_declared_times_is_rejected():
     ev = EvolutionOperator(scalar_cos_path(), [0.0, 1.0, 2.0])
     with pytest.raises(ValueError):
         ev.query(1.5, 0.0)
+    # query_stack refuses an undeclared time as query does, in either slot
+    # and after a declared pair
+    for t, s in ((0.5, 0.0), (1.0, 0.5)):
+        for query in (ev.query,
+                      lambda t, s: ev.query_stack([2.0, t], [1.0, s])):
+            with pytest.raises(ValueError, match=r"^t = 0\.5 is not one of "
+                               r"the sweep's times$"):
+                query(t, s)
 
 
 def _example39_sweep(n_pairs=40, seed=1):
@@ -408,18 +439,36 @@ def test_sweep_cost_on_example39():
     assert calls["n"] <= 31
 
 
+def _step_stream(stats):
+    # what the step control decides: the same for any stops on one hull
+    return stats.steps, stats.rejected, stats.windows, stats.segments
+
+
+def _three_by_three(breakpoints=()):
+    # not skew, and scipy's expm: A = skew part + cos(t) diag(0.3, -0.1, 0.2)
+    return CoefficientPath(
+        eval=lambda ts: _skew3(ts) + np.cos(ts)[:, None, None] * np.diag(
+            [0.3, -0.1, 0.2]),
+        space=VectorSpaceSpec(3), breakpoints=breakpoints)
+
+
 def test_query_does_not_depend_on_the_other_stops():
     # the steps depend on (A, hull, tol) alone and a stop is reached by a
     # side step, so 40 more stops on the same hull change no bit of X(t, s)
-    A = assemble_A(make_system("example39"))
-    s, t = 10.0, 60.0
-    extra = np.random.default_rng(5).uniform(s, t, size=40)
-    alone = EvolutionOperator(A, [s, t], tol=1e-10)
-    among = EvolutionOperator(A, [s, t, *extra], tol=1e-10)
-    for x, y in ((t, s), (s, t)):
-        assert alone.query(x, y).entries.tobytes() == \
-            among.query(x, y).entries.tobytes()
-    assert among.step_stats.steps == alone.step_stats.steps
+    # and no count of the step stream: example39, and a 3x3 coefficient
+    # with a breakpoint, whose exponentials are scipy's
+    for A, s, t in ((assemble_A(make_system("example39")), 10.0, 60.0),
+                    (_three_by_three((3.0,)), 0.5, 9.0)):
+        extra = np.random.default_rng(5).uniform(s, t, size=40)
+        alone = EvolutionOperator(A, [s, t], tol=1e-10)
+        among = EvolutionOperator(A, [s, t, *extra], tol=1e-10)
+        for x, y in ((t, s), (s, t)):
+            assert alone.query(x, y).entries.tobytes() == \
+                among.query(x, y).entries.tobytes()
+        assert among.step_stats.steps == alone.step_stats.steps
+        assert _step_stream(among.step_stats) == _step_stream(
+            alone.step_stats)
+        assert among.step_stats.rhs_evals > alone.step_stats.rhs_evals
 
 
 def _constant(m, breakpoints=()):
@@ -576,30 +625,37 @@ def test_descending_sweep_is_the_reflected_forward_sweep():
 
 def test_vector_sweeps_do_not_depend_on_the_other_stops():
     # stops P alone and among more stops Q on the same hull give the same
-    # bits at P, up or down, for sweep_vector and param_evolution alike
+    # bits at P and the same step stream, up or down, for sweep_vector (a
+    # 2x2 coefficient, and a 3x3 one with a breakpoint) and for the
+    # (k, r, r) stack of param_evolution alike
     omega = make_extension_problem("extension-twist").omega
-    A = CoefficientPath(eval=lambda vs: -omega.omega2(0.37, vs),
-                        space=omega.space)
-    v = np.array([0.8, -0.3])
+    twist = CoefficientPath(eval=lambda vs: -omega.omega2(0.37, vs),
+                            space=omega.space)
     p_stops = [-1.5, -0.2, 0.9, 1.9]
     q_stops = list(np.random.default_rng(11).uniform(-1.5, 1.9, size=9))
     both = sorted(p_stops + q_stops)
-    for order in (1, -1):
-        alone = sweep_vector(A, p_stops[::order], v, 1e-10)
-        among = dict(zip(both[::order],
-                         sweep_vector(A, both[::order], v, 1e-10)))
-        for t, x in zip(p_stops[::order], alone):
-            assert x.tobytes() == among[t].tobytes()
+    for A, v in ((twist, np.array([0.8, -0.3])),
+                 (_three_by_three((0.4,)), np.array([0.8, -0.3, 0.5]))):
+        for order in (1, -1):
+            stats = StepStats(), StepStats()
+            alone = sweep_vector(A, p_stops[::order], v, 1e-10, stats[0])
+            among = dict(zip(both[::order], sweep_vector(
+                A, both[::order], v, 1e-10, stats[1])))
+            for t, x in zip(p_stops[::order], alone):
+                assert x.tobytes() == among[t].tobytes()
+            assert _step_stream(stats[0]) == _step_stream(stats[1])
     xs = [-1.7, 0.05, 1.6]
 
     def family(targets):
+        stats = StepStats()
         res = param_evolution(lambda x, u: -omega.omega2(x, u), xs, 0.3,
-                              targets, omega.space, 1e-10)
-        return dict(zip(targets, np.swapaxes(res.propagators, 0, 1)))
+                              targets, omega.space, 1e-10, stats)
+        return dict(zip(targets, np.swapaxes(res.propagators, 0, 1))), stats
 
-    alone, among = family(p_stops), family(both)
+    (alone, alone_stats), (among, among_stats) = family(p_stops), family(both)
     for t in p_stops:
         assert alone[t].tobytes() == among[t].tobytes()
+    assert _step_stream(alone_stats) == _step_stream(among_stats)
 
 
 @pytest.mark.parametrize("name", ["extension-gauge", "extension-twist"])
