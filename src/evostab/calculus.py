@@ -20,9 +20,7 @@ of arc length and the change of variables (``ScalarPath.eval`` and
 Every path and field here has one evaluator, over arrays, and one of its
 exact derivative, which its builder supplies: nothing here differentiates
 numerically.  A source that only gives one point at a time goes through
-:func:`stacked` (paths) or :func:`pointwise` (fields).  A built-in that
-keeps math's last bits takes its libm values from :func:`libm`, element
-by element, and does the rest of its algebra in numpy.
+:func:`stacked` (paths) or :func:`pointwise` (fields).
 """
 
 from __future__ import annotations
@@ -139,39 +137,14 @@ def stacked(fn: Callable[[float], object]):
     return eval_each
 
 
-def libm(fn: Callable[[float], float], t) -> np.ndarray:
-    """fn, a function of one float such as ``math.exp``, at each element
-    of the array t, one call each, in t's shape.  numpy's transcendental
-    functions may differ from math's in the last bits; its +, -, *, / and
-    sqrt cannot, as both round those correctly.  An evaluator that takes
-    its libm values from here and does its algebra in numpy so has the
-    bits of its per-point formula, and raises math's errors where that
-    formula did."""
-    t = np.asarray(t, dtype=float)
-    vals = np.fromiter(map(fn, t.ravel().tolist()), float, t.size)
-    return vals.reshape(t.shape)
-
-
-def _spread(a, *others) -> np.ndarray:
-    """a filled out to the shape that a and ``others`` broadcast to, or a
-    itself when it has that shape already (np.broadcast_arrays costs more
-    than this fill)."""
-    a = np.asarray(a, dtype=float)
-    shape = np.broadcast(a, *others).shape
-    if a.shape == shape:
-        return a
-    out = np.empty(shape)
-    out[...] = a
-    return out
-
-
 def pointwise(fn: Callable[[float, float], np.ndarray]):
     """The array evaluator of a pointwise field source (t, u) -> fn(t, u),
     an (r, r) matrix, for an :class:`OperatorField` or a connection form:
     fn at each point of the arrays t and u, broadcast against each other,
     one call each, of shape broadcast(t, u) + (r, r)."""
     def eval_each(t, u):
-        t, u = _spread(t, u), _spread(u, t)
+        t, u = np.broadcast_arrays(np.asarray(t, dtype=float),
+                                   np.asarray(u, dtype=float))
         vals = np.array([fn(a, b) for a, b in zip(t.ravel().tolist(),
                                                   u.ravel().tolist())],
                         dtype=float)

@@ -69,6 +69,8 @@ _WINDOW, _WINDOW_HOLD, _WINDOW_MAX = 16, 1.25, 64
 # the error model; a segment's remainder within a window of steps 9/8 the
 # proposal is one window of stretched steps, not a window and a short one
 _WINDOW_GROWTH, _WINDOW_STRETCH = 8.0, 1.125
+# the smallest normal float: below it a state has lost its bits
+_TINY = np.finfo(float).tiny
 
 
 @dataclass
@@ -379,10 +381,12 @@ class _Applier:
     rejected step is taken again later.  The states at the boundaries
     are running products by doubling, or only the end by
     :func:`_scan_last` where no stop is reached.  Those products run from
-    the window's start and can overflow where the state does not, so a
-    non-finite state or Phi^{-1} is formed again step by step.  One still
-    not finite (an overflow, a side step into a NaN of A) ends the sweep
-    after the stops before it, at the last boundary where all was finite.
+    the window's start and can overflow or underflow where the state does
+    not, so a non-finite state or Phi^{-1}, or a state normal at the
+    window's start and all zero or subnormal at a boundary, is formed
+    again step by step.  One still not finite (an overflow, a side step
+    into a NaN of A) ends the sweep after the stops before it, at the
+    last boundary where all was finite.
     """
 
     def __init__(self, stops, y0, dim, where):
@@ -416,7 +420,8 @@ class _Applier:
         if not reached:
             ends = (_scan_last(prod) @ self.phi, None if inv is None
                     else inv @ _scan_last(back, mirrored=True))
-            if all(x is None or np.isfinite(x).all() for x in ends):
+            if all(x is None or np.isfinite(x).all() for x in ends) and \
+                    not self._lost(ends[0]):
                 self.phi, self.inv = ends
                 return
         at = self.at[:reached]
@@ -429,7 +434,7 @@ class _Applier:
                 if inv is not None:
                     ys[side] = ys[side] @ out[:len(side)]
             if all(np.isfinite(x).all() for x in (xs, ys, phis, invs)
-                   if x is not None):
+                   if x is not None) and (stepwise or not self._lost(phis)):
                 yield xs, ys
                 self.j += reached
                 self.phi, self.inv = phis[-1], inv if inv is None else invs[-1]
@@ -451,6 +456,16 @@ class _Applier:
         start = self.where(b[broken - 1])
         raise IntegrationError(f"non-finite propagator past t = {start}, in "
                                f"the step to {self.where(b[broken])}", start)
+
+    def _lost(self, phis):
+        """Whether the state, normal at the window's start, is all zero or
+        subnormal at one of the boundaries phis.  (Phi^{-1}'s products
+        cannot underflow where Phi's do not overflow.)  Most windows have
+        no entry below the normal range, and take one reduction."""
+        if np.abs(phis).min() >= _TINY:
+            return False
+        normal = lambda x: (np.abs(x) >= _TINY).any(axis=(-2, -1))
+        return bool((normal(self.phi) & ~normal(phis)).any())
 
     def _boundaries(self, prod, back, stepwise):
         """The state after each of the steps ``prod``, and Phi^{-1} after

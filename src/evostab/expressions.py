@@ -1,4 +1,4 @@
-"""A small arithmetic-expression parser for config-defined fields.
+"""A small arithmetic-expression parser and compiler for fields.
 
 Grammar (whitespace ignored):
 
@@ -12,28 +12,29 @@ Functions: sin, cos, exp, atan, sqrt.  Constants: pi, e.  Variables are
 ``t`` and ``u`` (the second coordinate of two-argument fields binds to u).
 A string is parsed once, into a tree of tuples: ("num", value), ("t",),
 ("u",), ("neg", a), (op, a, b) for + - * / ^ and (name, a) for a
-function.  :func:`compile_tree` makes closures of (t, u) of a tree over
-a function table: ``math`` for scalar calls, and the numpy ufuncs for
-``evaluate.many``, which takes arrays (a quadrature panel's nodes) in one
-call.  :func:`derivative` differentiates the tree in t once, and its tree
-is compiled over numpy: ``evaluate.dt``.  No ``eval`` is involved.
+function.  :func:`derivative` differentiates a tree in t once.
+:func:`compile_program` compiles a list of trees over a function table,
+``math`` for scalar calls or the numpy ufuncs for arrays (a quadrature
+panel's nodes), into one straight-line program that computes each
+distinct subtree once.  :func:`expression_matrix` and
+:func:`expression_path` build the array evaluators of config fields and
+paths, and of the built-ins, which are written as expressions too.  No
+``eval`` is involved.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 
 import numpy as np
 
+from .calculus import ScalarPath
 from .errors import ExpressionError
 
-_BINARY = {  # closure factories, so that each node applies its operator inline
-    "+": lambda a, b: lambda t, u: a(t, u) + b(t, u),
-    "-": lambda a, b: lambda t, u: a(t, u) - b(t, u),
-    "*": lambda a, b: lambda t, u: a(t, u) * b(t, u),
-    "/": lambda a, b: lambda t, u: a(t, u) / b(t, u),
-}
+_ARITHMETIC = {"neg": operator.neg, "+": operator.add, "-": operator.sub,
+               "*": operator.mul, "/": operator.truediv}
 # math.pow raises where ** would turn a negative base complex
 _MATH = {"sin": math.sin, "cos": math.cos, "exp": math.exp,
          "atan": math.atan, "sqrt": math.sqrt, "^": math.pow}
@@ -41,7 +42,7 @@ _MATH = {"sin": math.sin, "cos": math.cos, "exp": math.exp,
 _NUMPY = {"sin": np.sin, "cos": np.cos, "exp": np.exp,
           "atan": np.arctan, "sqrt": np.sqrt, "^": np.power, "log": np.log}
 _FUNCTIONS = sorted(k for k in _MATH if k.isalpha())
-# the numpy evaluators run under this guard; a fault it raises sends the
+# the numpy programs run under this guard; a fault it raises sends the
 # batch back through the scalar evaluator
 _GUARD = {"all": "raise", "under": "ignore"}
 _FAULTS = (FloatingPointError, ZeroDivisionError)
@@ -136,26 +137,39 @@ def parse_tree(src: str) -> tuple:
     return node
 
 
-def compile_tree(node: tuple, fns: dict):
-    """The closure (t, u) -> value of the tree ``node``: Python's + - * /
-    inline, and the functions and ``^`` of the table ``fns``."""
-    op = node[0]
-    if op == "num":
-        return lambda t, u, _v=node[1]: _v
-    if op in VARIABLES:
-        return (lambda t, u: t) if op == "t" else (lambda t, u: u)
-    args = [compile_tree(a, fns) for a in node[1:]]
-    if op == "neg":
-        inner = args[0]
-        return lambda t, u: -inner(t, u)
-    if op in _BINARY:
-        return _BINARY[op](*args)
-    f = fns[op]
-    if op == "^":
-        base, exponent = args
-        return lambda t, u: f(base(t, u), exponent(t, u))
-    arg = args[0]
-    return lambda t, u: f(arg(t, u))
+def compile_program(trees, fns: dict):
+    """The function (t, u) -> [the value of each tree] of the list of
+    trees ``trees``: Python's + - * / and negation, and the functions and
+    ``^`` of the table ``fns``.  It runs one straight-line program over a
+    list of values seeded with t, u and the trees' constants, in which
+    each distinct subtree (an operation on the places of its operands; a
+    constant by its bits, so 0 and -0 differ) has one place and is one
+    instruction, run once per call however many of the trees hold it."""
+    fns = {**_ARITHMETIC, **fns}
+    seed, ops, place = [None, None], [], {("t",): 0, ("u",): 1}
+
+    def emit(node):
+        num = node[0] == "num"
+        key = (("num", node[1].hex()) if num
+               else (node[0], *map(emit, node[1:])))
+        if key not in place:
+            place[key] = len(seed)
+            seed.append(node[1] if num else None)
+            if not num:
+                i, j = (*key[1:], None)[:2]
+                ops.append((fns[node[0]], i, j, place[key]))
+        return place[key]
+
+    outs = [emit(tree) for tree in trees]
+
+    def run(t, u):
+        v = seed.copy()
+        v[0], v[1] = t, u
+        for f, i, j, k in ops:
+            v[k] = f(v[i]) if j is None else f(v[i], v[j])
+        return [v[k] for k in outs]
+
+    return run
 
 
 _ONE = ("num", 1.0)
@@ -213,13 +227,16 @@ def _reads_u(node: tuple) -> bool:
                                  for a in node[1:])
 
 
-def _guarded(raw, scalar):
-    """The array evaluator of ``raw`` under the floating-point guard; a
-    batch with a fault is redone point by point through ``scalar``."""
+def _guarded(run, scalar):
+    """The array evaluator (t, u) -> value of the one-tree program ``run``
+    over numpy, under the floating-point guard; a batch with a fault is
+    redone point by point through ``scalar``."""
     def many(t, u):
+        # arrays in: Python's float arithmetic would overflow unguarded
+        t, u = np.asarray(t, dtype=float), np.asarray(u, dtype=float)
         try:
             with np.errstate(**_GUARD):
-                return np.asarray(raw(t, u), dtype=float)
+                return np.asarray(run(t, u)[0], dtype=float)
         except _FAULTS:
             return np.vectorize(scalar, otypes=[float])(t, u)
     return many
@@ -233,59 +250,117 @@ def parse_expression(src: str):
     negative number, a complex power and the like).  ``evaluate.many``
     takes arrays; a batch with a floating-point fault is redone point by
     point, so it raises exactly what the scalar call raises.
-    ``evaluate.reads_u`` says whether the expression has a u in it.
-    ``evaluate.dt`` is the exact t-derivative, with a ``many`` of its
-    own, or None for an expression constant in t.  It runs in numpy under
-    the same guard: where the value faults it raises the value's error,
-    and where only it does (sqrt at 0, an overflow) one that names d/dt;
-    it never returns a non-finite value.
+    ``evaluate.tree`` is the parsed tree, and ``evaluate.reads_u`` says
+    whether the expression has a u in it.  ``evaluate.dt`` is the exact
+    t-derivative, with a ``many`` and a ``tree`` of its own, or None for
+    an expression constant in t.  It runs in numpy under the same guard:
+    where the value faults it raises the value's error, and where only it
+    does (sqrt at 0, an overflow) one that names d/dt; it never returns a
+    non-finite value.
     """
     if not isinstance(src, str) or not src.strip():
         raise ExpressionError("expression must be a non-empty string")
     tree = parse_tree(src)
-    raw = compile_tree(tree, _MATH)
+    scalar = compile_program([tree], _MATH)
 
     def evaluate(t: float, u: float = 0.0) -> float:
         try:
-            return float(raw(t, u))
+            return float(scalar(t, u)[0])
         except (ValueError, OverflowError, ZeroDivisionError) as exc:
             raise ExpressionError(
                 f"evaluation of {src!r} failed at (t={t}, u={u}): {exc}"
             ) from exc
 
-    evaluate.source = src
+    evaluate.source, evaluate.tree = src, tree
     evaluate.reads_u = _reads_u(tree)
-    evaluate.raw_many = compile_tree(tree, _NUMPY)
-    evaluate.many = _guarded(evaluate.raw_many, evaluate)
+    evaluate.many = _guarded(compile_program([tree], _NUMPY), evaluate)
     evaluate.dt = None
     d_tree = derivative(tree)
     if d_tree is not None:
-        raw_dt = compile_tree(d_tree, _NUMPY)
+        run_dt = compile_program([d_tree], _NUMPY)
 
         def dt(t: float, u: float = 0.0) -> float:
             evaluate(t, u)  # a fault of the value raises as the value's
             try:
                 with np.errstate(**_GUARD):
-                    return float(dt.raw_many(t, u))
+                    return float(run_dt(np.asarray(t, dtype=float),
+                                        np.asarray(u, dtype=float))[0])
             except _FAULTS as exc:
                 raise ExpressionError(f"evaluation of d/dt {src!r} failed "
                                       f"at (t={t}, u={u}): {exc}") from exc
 
-        # arrays in: Python's float arithmetic would overflow unguarded
-        dt.raw_many = lambda t, u: raw_dt(np.asarray(t, dtype=float),
-                                          np.asarray(u, dtype=float))
-        dt.many = _guarded(dt.raw_many, dt)
+        dt.tree, dt.many = d_tree, _guarded(run_dt, dt)
         evaluate.dt = dt
     return evaluate
 
 
-def many_together(fs, t, u) -> list:
-    """``[f.many(t, u) for f in fs]`` for parsed expressions ``fs`` (or
-    their ``dt``), all under one floating-point guard.  A fault redoes
-    the list through each f's own ``many``, so it raises exactly what the
-    scalar call of the first faulting f raises."""
+def parse_entry(src, where: str = ""):
+    """:func:`parse_expression` of ``src`` as a string (a config may give
+    a number), its errors, and a nesting too deep to parse, prefixed by
+    ``where``."""
     try:
-        with np.errstate(**_GUARD):
-            return [np.asarray(f.raw_many(t, u), dtype=float) for f in fs]
-    except _FAULTS:
-        return [f.many(t, u) for f in fs]
+        return parse_expression(str(src))
+    except (ExpressionError, RecursionError) as exc:
+        raise ExpressionError(f"{where}{exc}") from None
+
+
+def _matrix(fs, r: int):
+    """The array evaluator (t, u) -> matrix of the r*r parsed entries fs
+    (or their ``dt``), row by row, t and u numbers or arrays broadcast
+    together: one program of their trees over numpy, under one
+    floating-point guard.  An entry None or the number 0 is not evaluated,
+    but filled in.  A fault redoes the entries through their own ``many``,
+    so it raises exactly what the scalar call of the first faulting entry
+    raises."""
+    ks = [k for k, f in enumerate(fs) if f is not None
+          and not (f.tree[0] == "num" and str(f.tree[1]) == "0.0")]
+    run = compile_program([fs[k].tree for k in ks], _NUMPY)
+    fill = np.empty if len(ks) == len(fs) else np.zeros
+
+    def matrix(t, u):
+        t, u = np.asarray(t, dtype=float), np.asarray(u, dtype=float)
+        try:
+            with np.errstate(**_GUARD):
+                values = run(t, u)
+        except _FAULTS:
+            values = [fs[k].many(t, u) for k in ks]
+        shape = np.broadcast(t, u).shape
+        out = fill(shape + (r * r,))
+        for k, x in zip(ks, values):
+            out[..., k] = x
+        return out.reshape(shape + (r, r))
+
+    return matrix
+
+
+def expression_matrix(rows):
+    """The array evaluator (t, u) -> matrix of a square list-of-lists of
+    expression strings, t and u numbers or arrays broadcast together, with
+    its dimension as ``.dim``, its exact t-derivative as ``.partial_t``,
+    which leaves the entries constant in t at 0 without evaluating them,
+    and as ``.u_independent`` whether no entry has a u in it.  Each of the
+    two is one program, so a subexpression that several entries share is
+    computed once per call."""
+    entries = [parse_entry(s, f"entry [{i}][{j}]: ")
+               for i, row in enumerate(rows) for j, s in enumerate(row)]
+    matrix = _matrix(entries, len(rows))
+    matrix.partial_t = _matrix([f.dt for f in entries], len(rows))
+    matrix.dim = len(rows)
+    matrix.u_independent = not any(f.reads_u for f in entries)
+    return matrix
+
+
+def expression_path(f, breakpoints=()) -> ScalarPath:
+    """The path t -> f(t, 0) of a parsed expression, over an array of
+    times in one ``f.many`` call (a constant's one value spread to the
+    shape of the times), with its exact derivative (0 where f is
+    constant in t)."""
+    def value(ts):
+        out = f.many(ts, 0.0)
+        return out if out.shape == np.shape(ts) else np.full(np.shape(ts), out)
+
+    def slope(ts):
+        out = np.zeros(np.shape(ts))
+        return out if f.dt is None else out + f.dt.many(ts, 0.0)
+
+    return ScalarPath(eval=value, deriv=slope, breakpoints=breakpoints)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, Optional
@@ -22,17 +22,19 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import __version__
-from .calculus import (Interval, OperatorField, QuadStats, ScalarPath,
-                       arc_length, cov_check)
+from .calculus import Interval, QuadStats, arc_length, cov_check
 from .errors import ConfigError, ExpressionError
 from .evolution import CoefficientPath, StepStats, evolve
-from .expressions import many_together, parse_expression
+from .expressions import expression_matrix, expression_path, parse_entry
 from .library import (
     BUILTIN_CONNECTIONS,
     BUILTIN_EXTENSIONS,
     BUILTIN_FIELDS,
     BUILTIN_PATHS,
-    constant_field,
+    builtin_system,
+    constant_matrix,
+    expression_connection,
+    expression_system,
     make_connection,
     make_extension_problem,
     make_system,
@@ -40,14 +42,12 @@ from .library import (
 from .operators import NORM_KINDS, Vector, VectorSpaceSpec, matrix_norm
 from .stability import (
     BoundCertificate,
-    SeparableSystem,
     assemble_A,
     certify,
     substitution_check,
     verify_certificate,
 )
 from .transport import (
-    ConnectionForm,
     Curve,
     beta_bound,
     parallel_transport,
@@ -215,63 +215,6 @@ def _square(entry_ok):
     return lambda v: _list_of(lambda r: row_ok(r) and len(r) == len(v))(v)
 
 
-def _parsed(src, where=""):
-    try:
-        return parse_expression(str(src))
-    except (ExpressionError, RecursionError) as exc:
-        raise ExpressionError(f"{where}{exc}") from None
-
-
-def _matrix_of(fs, r: int):
-    """The array evaluator (t, u) -> matrix of the r*r entry evaluators
-    fs, row by row, t and u numbers or arrays broadcast together.  An
-    entry None is 0 and is not evaluated."""
-    ks = [k for k, f in enumerate(fs) if f is not None]
-    live = [fs[k] for k in ks]
-    fill = np.empty if len(live) == len(fs) else np.zeros
-
-    def matrix(t, u):
-        shape = np.broadcast(t, u).shape
-        out = fill(shape + (r * r,))
-        for k, values in zip(ks, many_together(live, t, u)):
-            out[..., k] = values
-        return out.reshape(shape + (r, r))
-
-    return matrix
-
-
-def _expr_matrix(rows):
-    """The array evaluator (t, u) -> matrix of a square list-of-lists of
-    expression strings, t and u numbers or arrays broadcast together, with
-    its dimension as ``.dim``, its exact t-derivative as ``.partial_t``,
-    which leaves the entries constant in t at 0 without evaluating them,
-    and as ``.u_independent`` whether no entry has a u in it."""
-    r = len(rows)
-    entries = [_parsed(s, f"entry [{i}][{j}]: ")
-               for i, row in enumerate(rows) for j, s in enumerate(row)]
-    matrix = _matrix_of(entries, r)
-    matrix.partial_t = _matrix_of([f.dt for f in entries], r)
-    matrix.dim = r
-    matrix.u_independent = not any(f.reads_u for f in entries)
-    return matrix
-
-
-def _path(f, breakpoints) -> ScalarPath:
-    """The path t -> f(t, 0) of a parsed expression, over an array of
-    times in one ``f.many`` call (a constant's one value spread to the
-    shape of the times), with its exact derivative (0 where f is
-    constant in t)."""
-    def value(ts):
-        out = f.many(ts, 0.0)
-        return out if out.shape == np.shape(ts) else np.full(np.shape(ts), out)
-
-    def slope(ts):
-        out = np.zeros(np.shape(ts))
-        return out if f.dt is None else out + f.dt.many(ts, 0.0)
-
-    return ScalarPath(eval=value, deriv=slope, breakpoints=breakpoints)
-
-
 def _named(names, what=""):
     """The type of a built-in name."""
     return (str, (lambda v: isinstance(v, str) and v in names,
@@ -295,8 +238,8 @@ _COUNT = (int, (lambda v: _is_number(v) and v >= 2
                 "expected a whole number >= 2, got {v!r}"),
           (lambda v: v <= _MAX_GRID_COUNT,
            f"expected at most {_MAX_GRID_COUNT}, got {{v!r}}"))
-_EXPRESSION = (_parsed,)
-_MATRIX = (_expr_matrix, (_square(lambda s: True), "expected a square "
+_EXPRESSION = (parse_entry,)
+_MATRIX = (expression_matrix, (_square(lambda s: True), "expected a square "
                           "list-of-lists of expression strings"))
 _BREAKPOINTS = (lambda v: tuple(map(float, v)),
                 (lambda v: isinstance(v, list) and all(map(_finite, v)),
@@ -307,23 +250,6 @@ _NORM = ("norm", "euclidean", (str, (lambda v: v in NORM_KINDS,
          f"must be one of {NORM_KINDS}, got {{v!r}}")))
 
 
-def _builtin_system(c) -> SeparableSystem:
-    system = make_system(c.builtin, c.norm, c.f)
-    if c.matrix is None:
-        return system
-    field = constant_field(c.matrix, c.norm)
-    return replace(system, G=field, space=field.space)
-
-
-def _expression_system(c) -> SeparableSystem:
-    space = VectorSpaceSpec(c.G.dim, c.norm)
-    field = OperatorField(eval=c.G, space=space, partial_t=c.G.partial_t,
-                          t_breakpoints=c.G_breakpoints,
-                          u_independent=c.G.u_independent)
-    return SeparableSystem(G=field, f=_path(c.f, c.f_breakpoints), I=c.I,
-                           J=c.J, space=space)
-
-
 _SYSTEM = _Object((
     ("G", _REQUIRED, _MATRIX),
     ("G_breakpoints", [], _BREAKPOINTS),
@@ -332,15 +258,18 @@ _SYSTEM = _Object((
     ("I", [-math.inf, math.inf], _INTERVAL),
     ("J", _REQUIRED, _BOUNDED),
     _NORM,
-), build=_expression_system, alt=("builtin", _Object((
+), build=lambda c: expression_system(
+    c.G, expression_path(c.f, c.f_breakpoints), c.I, c.J, c.norm,
+    c.G_breakpoints), alt=("builtin", _Object((
     ("builtin", _REQUIRED, _named(BUILTIN_FIELDS, "field ")),
     ("f", "sin", _named(BUILTIN_PATHS, "scalar path ")),
-    ("matrix", None, (lambda v: np.array(v, dtype=float), (_square(_finite),
+    ("matrix", None, (constant_matrix, (_square(_finite),
      "expected a square matrix of finite numbers, got {v!r}"))),
     _NORM,
 ), rules=(lambda c, cfg: c.matrix is not None and c.builtin != "constant"
           and "matrix: only the constant field takes a matrix",),
-    build=_builtin_system)))
+    build=lambda c: make_system(c.builtin, c.norm, c.f) if c.matrix is None
+    else builtin_system(c.matrix, c.norm, c.f))))
 
 _CONNECTION = _Object((
     ("omega1", _REQUIRED, _MATRIX),
@@ -350,10 +279,8 @@ _CONNECTION = _Object((
     _NORM,
 ), rules=(lambda c, cfg: c.omega1.dim != c.omega2.dim
           and "omega2: dimension differs from omega1's",),
-    build=lambda c: ConnectionForm(
-        omega1=c.omega1, omega2=c.omega2, m_interval=c.M, j_interval=c.J,
-        space=VectorSpaceSpec(c.omega1.dim, c.norm),
-        d1_omega2=c.omega2.partial_t),
+    build=lambda c: expression_connection(c.omega1, c.omega2, c.M, c.J,
+                                          c.norm),
     alt=("builtin", _Object((
         ("builtin", _REQUIRED, _named(BUILTIN_CONNECTIONS)),
         ("M", None, _BOUNDED),
@@ -367,8 +294,8 @@ _CURVE = _Object((
     ("gamma2", _REQUIRED, _EXPRESSION),
     ("gamma2_breakpoints", [], _BREAKPOINTS),
     ("domain", _REQUIRED, _BOUNDED),
-), build=lambda c: Curve(_path(c.gamma1, c.gamma1_breakpoints),
-                         _path(c.gamma2, c.gamma2_breakpoints),
+), build=lambda c: Curve(expression_path(c.gamma1, c.gamma1_breakpoints),
+                         expression_path(c.gamma2, c.gamma2_breakpoints),
                          c.domain.lo, c.domain.hi))
 
 _PROBLEM = _Object((
@@ -555,7 +482,7 @@ def _run_verify(c, seed, tol):
 def _run_substitution(c, seed, tol):
     space = VectorSpaceSpec(c.B.dim, c.norm)
     B = lambda us: c.B(us, us)
-    f = _path(c.f, c.f_breakpoints)
+    f = expression_path(c.f, c.f_breakpoints)
     stats = StepStats()
 
     def one(s, t):
@@ -567,7 +494,7 @@ def _run_substitution(c, seed, tol):
 
 
 def _run_cov_check(c, seed, tol):
-    f = _path(c.f, c.f_breakpoints)
+    f = expression_path(c.f, c.f_breakpoints)
 
     def y(u):
         return np.array([comp(u, u) for comp in c.y])
@@ -703,7 +630,7 @@ _SCENARIOS = {
     "cov-check": (_run_cov_check, _Object((
         ("f", _REQUIRED, _EXPRESSION),
         ("f_breakpoints", [], _BREAKPOINTS),
-        ("y", _REQUIRED, (lambda v: [_parsed(s, f"entry [{i}]: ")
+        ("y", _REQUIRED, (lambda v: [parse_entry(s, f"entry [{i}]: ")
                                      for i, s in enumerate(v)],
                           (_list_of(lambda s: True), "expected a non-empty "
                            "list of expression strings"))),

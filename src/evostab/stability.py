@@ -42,13 +42,12 @@ from .calculus import (
 )
 from .errors import DomainViolationError, QuadratureError
 from .evolution import CoefficientPath, EvolutionOperator, StepStats, evolve
-from .expressions import parse_expression
 from .operators import VectorSpaceSpec, matrix_norm
 
 __all__ = [
     "SeparableSystem", "BoundCertificate", "VerifyRow",
     "VerificationReport", "assemble_A", "certify", "frozen_system",
-    "substitution_check", "verify_certificate", "parse_expression",
+    "substitution_check", "verify_certificate",
 ]
 
 DEFAULT_CERT_TOL = 1e-8

@@ -72,8 +72,25 @@ def small_corpus():
 
 # ---------------------------------------------------------------------------
 # the built-in fields and connections one point at a time, transcribed
-# from their definitions with math: the formulas their array evaluators
-# must reproduce bit for bit
+# from their definitions with math: independent oracles of the built-ins'
+# expressions, which compute the same values in another order (numpy's
+# atan and exp where these take math's, gauge-twist's omega2 written out
+# entry by entry where this multiplies e S e^T)
+
+# each entry of a built-in is within ULPS ulps of the largest entry of its
+# formula's matrix (of the path's value) at the same point
+ULPS = 8
+
+
+def assert_within_ulps(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    if want.ndim >= 2 and want.shape[-1] == want.shape[-2]:
+        scale = np.abs(want).max(axis=(-2, -1), keepdims=True)
+    else:
+        scale = np.abs(want)
+    assert np.all(np.abs(got - want) <= ULPS * np.spacing(scale))
+
 
 _R = np.array([[0.0, 1.0], [-1.0, 0.0]])
 _S = np.array([[0.3, 0.1], [0.1, -0.2]])

@@ -35,7 +35,7 @@ from evostab.errors import (DomainViolationError, ExpressionError,
                             QuadratureError)
 from evostab.expressions import parse_expression
 from evostab.harness import _SYSTEM, _read
-from evostab.library import example39_field, make_scalar_path
+from evostab.library import make_scalar_path, make_system
 from evostab.operators import VectorSpaceSpec, matrix_norm
 from evostab.stability import SeparableSystem, certify
 
@@ -238,7 +238,7 @@ def _midpoint_l1_oracle(field, t, J, panels=1_000_000):
 
 
 def test_l1_norm_example_field_matches_midpoint_oracle():
-    field = example39_field()
+    field = make_system("example39").G
     J = Interval(-1.0, 1.0)
     oracle = _midpoint_l1_oracle(field, 0.0, J)
     # quadrature route (flag stripped) and shortcut route must both agree
@@ -688,7 +688,7 @@ def test_batched_panels_match_one_call_per_panel_from_breakpoints():
 
 def test_batched_panels_match_one_call_per_panel_on_example39():
     # the 1/sqrt(t)-singular derivative of example39's field on [0, 100]
-    G = example39_field()
+    G = make_system("example39").G
     got, calls = _assert_same_outcome(
         lambda ts: matrix_norm(G.d1_many(ts, 0.0), G.space.norm_kind),
         Interval(0.0, 100.0), G.t_breakpoints, 1e-8)

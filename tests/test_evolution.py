@@ -247,6 +247,25 @@ def test_window_products_that_overflow_alone_keep_a_finite_state():
         math.exp(-200.0), rel=1e-9)
 
 
+def test_window_products_that_underflow_alone_keep_a_normal_state():
+    # A = +400 on [0, 1) and -400 after it: x(1) = e^400, and the products
+    # of a window on [1, 3.5], e^{-400 span}, underflow to 0 long before
+    # the state does.  That window is formed again step by step, so the
+    # normal x(3.5) = e^-600 comes out of both routes
+    A = CoefficientPath(
+        eval=lambda ts: np.where(ts < 1.0, 400.0, -400.0)[:, None, None],
+        space=SP1, breakpoints=(1.0,))
+    stops = (0.0, 1.0, 3.0, 3.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        xs = sweep_vector(A, stops, [1.0])
+        ev = EvolutionOperator(A, stops)
+    for t, x, ln in zip(stops, xs, (0.0, 400.0, -400.0, -600.0)):
+        assert math.isclose(x[0], math.exp(ln), rel_tol=1e-9)
+        assert math.isclose(ev.query(t, 0.0).entries[0, 0], math.exp(ln),
+                            rel_tol=1e-9)
+
+
 def _doubling_scan(a, mirrored=False):
     """The running products of the stack a by doubling, as the sweep forms
     the states at a window's boundaries: a[i] ... a[0] (mirrored:

@@ -1,4 +1,5 @@
 import math
+import operator
 
 import mpmath
 import numpy as np
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evostab.errors import ExpressionError
-from evostab.expressions import (compile_tree, derivative, parse_expression,
+from evostab.expressions import (compile_program, derivative,
+                                 expression_matrix, parse_expression,
                                  parse_tree)
 
 
@@ -191,10 +193,10 @@ def test_derivative_agrees_with_mpmath_diff(src, t, u):
     table = {"sin": mpmath.sin, "cos": mpmath.cos, "exp": mpmath.exp,
              "atan": mpmath.atan, "sqrt": mpmath.sqrt, "^": mpmath.power,
              "log": mpmath.log}
-    g = compile_tree(parse_tree(src), table)
+    g = compile_program([parse_tree(src)], table)
     with mpmath.workdps(50):
         exact = float(mpmath.re(mpmath.diff(
-            lambda x: g(x, mpmath.mpf(u)), mpmath.mpf(t))))
+            lambda x: g(x, mpmath.mpf(u))[0], mpmath.mpf(t))))
     assert abs(d - exact) <= 1e-12 * max(abs(exact), abs(value), 1.0)
 
 
@@ -253,3 +255,61 @@ def test_derivative_fault_raises_the_value_fault_or_names_d_dt():
     assert math.isfinite(g(26.6))
     with pytest.raises(ExpressionError, match="d/dt.*overflow"):
         g.dt.many(np.array([1.0, 26.6]), 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the compiled program: a point's bits do not depend on where it sits
+
+_NAIVE = {"neg": operator.neg, "+": operator.add, "-": operator.sub,
+          "*": operator.mul, "/": operator.truediv, "sin": np.sin,
+          "cos": np.cos, "exp": np.exp, "atan": np.arctan, "sqrt": np.sqrt,
+          "^": np.power, "log": np.log}
+
+
+def _naive(node, t, u):
+    """The tree at one point, node by node, recursively."""
+    if node[0] == "num":
+        return node[1]
+    if node[0] in ("t", "u"):
+        return t if node[0] == "t" else u
+    return _NAIVE[node[0]](*(_naive(a, t, u) for a in node[1:]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_EXPRESSIONS, min_size=4, max_size=4),
+       st.lists(st.floats(0.1, 2.0), min_size=1, max_size=4),
+       st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=4), st.randoms())
+def test_program_bits_do_not_depend_on_where_a_point_sits(srcs, ts, us, rnd):
+    # a 2x2 expression matrix and its d/dt, at points where no operation
+    # faults: each point's matrix is that of a naive evaluation of each
+    # tree, alone, at any position of the stepper's flat node array, and
+    # in the quadrature's (k, n) x (n,) and the bounds sampler's
+    # (rows, 1) x (n,) broadcasts
+    G = expression_matrix([srcs[:2], srcs[2:]])
+    trees = [parse_tree(src) for src in srcs]
+    ts, us = np.array(ts), np.array(us)
+    points = [(t, u) for t in ts.tolist() for u in us.tolist()]
+    for fn, roots in ((G, trees), (G.partial_t, map(derivative, trees))):
+        roots = list(roots)
+        try:
+            with np.errstate(all="raise", under="ignore"):
+                want = {p: np.array([0.0 if r is None else _naive(
+                    r, np.float64(p[0]), np.float64(p[1])) for r in roots],
+                    dtype=float).reshape(2, 2) for p in points}
+        except (FloatingPointError, ZeroDivisionError):
+            continue
+
+        def check(t, u):
+            shape = np.broadcast(t, u).shape
+            flat = zip(np.broadcast_to(t, shape).ravel().tolist(),
+                       np.broadcast_to(u, shape).ravel().tolist())
+            expected = np.array([want[p] for p in flat])
+            expected = expected.reshape(shape + (2, 2))
+            assert fn(t, u).tobytes() == expected.tobytes()
+
+        for t, u in points:
+            check(t, u)
+        shuffled = rnd.sample(points, len(points)) + points[:3]
+        check(*map(np.array, zip(*shuffled)))
+        check(np.resize(ts, (3, len(us))), us)
+        check(ts[:, None], us)

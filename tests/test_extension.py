@@ -26,7 +26,6 @@ from evostab.operators import VectorSpaceSpec, vector_norm
 from evostab.transport import (Curve, curve_coefficient,
                                sample_connection_bounds)
 
-from conftest import POINTWISE_EXTENSION_OMEGA2
 
 SP2 = VectorSpaceSpec(2)
 
@@ -239,13 +238,13 @@ def test_extensions_agree_with_sigma_on_their_defining_sides():
 
 @pytest.mark.parametrize("name", ["extension-gauge", "extension-twist"])
 def test_extend_section_matches_param_evolution_bit_for_bit(name):
-    # the per-point route: param_evolution of omega2's pointwise formula,
-    # its propagator columns times the section's corridor rows
+    # the per-point route: param_evolution of omega2 called one point at
+    # a time, its propagator columns times the section's corridor rows
     p = make_extension_problem(name)
     xs, vs = default_grids(p)
     sig = build_sigma(p, xs, vs)
     res = extend_section(p, sig)
-    omega2 = POINTWISE_EXTENSION_OMEGA2[name]
+    omega2 = p.omega.omega2
     for level, row, xi in ((p.v0, sig.row_v0, res.xi0),
                            (p.v1, sig.row_v1, res.xi1)):
         fam = param_evolution(pointwise(lambda x, v: -omega2(x, v)),

@@ -23,7 +23,8 @@ from hypothesis import strategies as st
 from evostab import transport
 from evostab.cli import main as cli_main
 from evostab.errors import ConfigError, ExpressionError
-from evostab.expressions import parse_expression
+from evostab.expressions import (expression_matrix, expression_path,
+                                 parse_expression)
 from evostab.harness import (
     BUILTIN_SCENARIOS,
     COLUMNS,
@@ -34,8 +35,6 @@ from evostab.harness import (
     _MAX_PAIRS,
     _SCENARIOS,
     _Object,
-    _expr_matrix,
-    _path,
     _read,
     emit_report,
     run_scenario,
@@ -269,14 +268,15 @@ def test_a_config_path_takes_one_array_call():
     calls = []
     counted = SimpleNamespace(
         many=lambda t, u: calls.append(len(t)) or f.many(t, u), dt=f.dt)
-    got = _path(counted, ()).eval(ts)
+    got = expression_path(counted).eval(ts)
     assert calls == [7]
     assert np.allclose(got, [f(t) for t in ts.tolist()], rtol=1e-15, atol=0)
-    constant = _path(parse_expression("0.5"), ())
+    constant = expression_path(parse_expression("0.5"))
     assert np.array_equal(constant.eval(ts), np.full(7, 0.5))
     assert np.array_equal(constant.deriv(ts), np.zeros(7))
     with pytest.raises(ExpressionError, match="t=-1.0"):
-        _path(parse_expression("sqrt(t)"), ()).eval(np.array([1.0, -1.0]))
+        expression_path(parse_expression("sqrt(t)")).eval(
+            np.array([1.0, -1.0]))
 
 
 # a field whose gain N overflows: the sup of its L1 norm is e^{e^2} > 709
@@ -727,7 +727,7 @@ def test_certify_complex_expression_exits_3(tmp_path, capsys):
 
 def test_expression_matrix_stack_faults_like_its_faulting_entry():
     rows = [["1", "exp(-t)"], ["sqrt(u)", "t*u"]]
-    G = _expr_matrix(rows)
+    G = expression_matrix(rows)
     us = np.array([0.25, 4.0, 9.0])
     stack = G(0.5, us)
     for i, j in np.ndindex(2, 2):

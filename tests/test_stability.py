@@ -18,7 +18,7 @@ from evostab.errors import (DomainViolationError, ExpressionError,
 from evostab.evolution import CoefficientPath, EvolutionOperator, evolve
 from evostab.cli import main as cli_main
 from evostab.harness import _SYSTEM, _read, run_scenario
-from evostab.library import (constant_field, example39_field,
+from evostab.library import (constant_matrix, expression_system,
                              make_scalar_path, make_system)
 from evostab.operators import NORM_KINDS, Operator, VectorSpaceSpec, matrix_norm
 from evostab.stability import (
@@ -70,7 +70,7 @@ def test_assemble_reproduces_scalar_cosine():
 
 
 def test_assemble_spot_checks_settling_field():
-    field = example39_field()
+    field = make_system("example39").G
     sys = SeparableSystem(G=field, f=sin_path(), I=Interval(0, math.inf),
                           J=Interval(-1, 1), space=field.space)
     A = assemble_A(sys)
@@ -691,10 +691,9 @@ def test_stacked_verify_rows_match_one_query_per_pair(r, kind, entries,
     A = CoefficientPath(eval=coefficient, space=space)
     times = [0.0, 3.0, 0.4, 1.1, 1.1 + 2.0 ** -40, 1.7, 2.3, 2.95]
     pairs = [tuple(sorted((times[i], times[j]))) for i, j in picks]
-    sys = SeparableSystem(G=constant_field(np.eye(r), kind),
-                          f=make_scalar_path("sin", Interval(0.0, 3.0)),
-                          I=Interval(0.0, 3.0), J=Interval(-1.0, 1.0),
-                          space=space)
+    sys = expression_system(constant_matrix(np.eye(r)),
+                            make_scalar_path("sin", Interval(0.0, 3.0)),
+                            Interval(0.0, 3.0), Interval(-1.0, 1.0), kind)
     cert = BoundCertificate(gain=2.0, variation=0.1,
                             window=Interval(0.0, 3.0), sup_grid=0)
     report = verify_certificate(sys, cert, pairs, 1e-8, coefficient=A)
