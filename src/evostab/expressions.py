@@ -38,9 +38,31 @@ _ARITHMETIC = {"neg": operator.neg, "+": operator.add, "-": operator.sub,
 # math.pow raises where ** would turn a negative base complex
 _MATH = {"sin": math.sin, "cos": math.cos, "exp": math.exp,
          "atan": math.atan, "sqrt": math.sqrt, "^": math.pow}
+# numpy computes a^0.5, a^2 and a^-1 as sqrt(a), a*a and 1/a where the
+# exponent is one number (a constant, a 0-d array or one broadcast along
+# the loop), but as pow over an array of exponents, and the two can differ
+# in the last bit
+_SHORTCUTS = (0.5, 2.0, -1.0)
+
+
+def _power(a, b):
+    """np.power(a, b) with the bits of a one-number exponent at every
+    point, so a point's bits do not depend on how its exponent is laid
+    out."""
+    out = np.power(a, b)
+    if np.ndim(b) == 0:
+        return out
+    for x in _SHORTCUTS:
+        hit = b == x
+        if hit.any():
+            hit = np.broadcast_to(hit, out.shape)
+            out[hit] = np.power(np.broadcast_to(a, out.shape)[hit], x)
+    return out
+
+
 # log enters only derivative trees, which are compiled over numpy alone
 _NUMPY = {"sin": np.sin, "cos": np.cos, "exp": np.exp,
-          "atan": np.arctan, "sqrt": np.sqrt, "^": np.power, "log": np.log}
+          "atan": np.arctan, "sqrt": np.sqrt, "^": _power, "log": np.log}
 _FUNCTIONS = sorted(k for k in _MATH if k.isalpha())
 # the numpy programs run under this guard; a fault it raises sends the
 # batch back through the scalar evaluator
