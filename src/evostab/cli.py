@@ -40,7 +40,7 @@ def _load_config(source: str, kind: str) -> dict:
         raise ConfigError([f"config: no such file {source!r}"])
     try:
         config = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ConfigError([f"config: invalid JSON in {source!r}: {exc}"])
     if not isinstance(config, dict):
         raise ConfigError(["config: top level must be a JSON object"])

@@ -420,8 +420,7 @@ class _Applier:
         if not reached:
             ends = (_scan_last(prod) @ self.phi, None if inv is None
                     else inv @ _scan_last(back, mirrored=True))
-            if all(x is None or np.isfinite(x).all() for x in ends) and \
-                    not self._lost(ends[0]):
+            if self._sound(*ends):
                 self.phi, self.inv = ends
                 return
         at = self.at[:reached]
@@ -433,8 +432,7 @@ class _Applier:
                 xs[side] = into[:len(side)] @ xs[side]
                 if inv is not None:
                     ys[side] = ys[side] @ out[:len(side)]
-            if all(np.isfinite(x).all() for x in (xs, ys, phis, invs)
-                   if x is not None) and (stepwise or not self._lost(phis)):
+            if self._sound(phis, xs, ys, invs, lost=not stepwise):
                 yield xs, ys
                 self.j += reached
                 self.phi, self.inv = phis[-1], inv if inv is None else invs[-1]
@@ -457,15 +455,21 @@ class _Applier:
         raise IntegrationError(f"non-finite propagator past t = {start}, in "
                                f"the step to {self.where(b[broken])}", start)
 
-    def _lost(self, phis):
-        """Whether the state, normal at the window's start, is all zero or
-        subnormal at one of the boundaries phis.  (Phi^{-1}'s products
-        cannot underflow where Phi's do not overflow.)  Most windows have
-        no entry below the normal range, and take one reduction."""
-        if np.abs(phis).min() >= _TINY:
+    def _sound(self, phis, *rest, lost=True):
+        """Whether the states phis and the stacks ``rest`` are finite and,
+        with ``lost``, no state normal at the window's start is all zero or
+        subnormal at a boundary phis.  (Phi^{-1}'s products cannot
+        underflow where Phi's do not overflow.)  One abs of phis decides:
+        its max the finiteness (a NaN fails it), in most windows its min
+        the normality."""
+        a = np.abs(phis)
+        if not (a.max() < math.inf and all(
+                np.isfinite(x).all() for x in rest if x is not None)):
             return False
-        normal = lambda x: (np.abs(x) >= _TINY).any(axis=(-2, -1))
-        return bool((normal(self.phi) & ~normal(phis)).any())
+        if not lost or a.min() >= _TINY:
+            return True
+        normal = lambda x: (x >= _TINY).any(axis=(-2, -1))
+        return not (normal(np.abs(self.phi)) & ~normal(a)).any()
 
     def _boundaries(self, prod, back, stepwise):
         """The state after each of the steps ``prod``, and Phi^{-1} after
@@ -605,24 +609,20 @@ class EvolutionOperator:
             raise ValueError(f"t = {tau} is not one of the sweep's times")
         return self._index[tau]
 
-    def _phi_at(self, tau: float) -> tuple:
-        if (i := self._slot(tau)) >= len(self._phi):
-            raise self.failure
-        return self._phi[i], self._inv[i]
-
     def query(self, t: float, s: float) -> Operator:
-        """X(t, s).  query(s, s) is the identity exactly."""
-        if t == s:
-            return Operator.identity(self.source.space)
-        x = self._phi_at(t)[0] @ self._phi_at(s)[1]
-        return Operator(x, self.source.space)
+        """X(t, s), the one pair of :meth:`query_stack`, or ``failure``
+        where its stop was not reached; query(s, s) is I exactly."""
+        x = self.query_stack((t,), (s,))
+        if not len(x):
+            raise self.failure
+        return Operator(x[0], self.source.space)
 
     def query_stack(self, ts: Sequence[float],
                     ss: Sequence[float]) -> np.ndarray:
         """X(t_i, s_i) for the paired declared times ``ts`` and ``ss``, up
         to the first pair that needs a stop the sweep did not reach, as one
-        stack with the bits and the InvalidOperatorError of :meth:`query`.
-        t_i == s_i reads the first stop, whose Phi and Phi^{-1} are I."""
+        stack; InvalidOperatorError where one is not finite.  t_i == s_i
+        reads the first stop, whose Phi and Phi^{-1} are I."""
         at = [(0, 0) if t == s else (self._slot(t), self._slot(s))
               for t, s in zip(ts, ss)]
         n = next((k for k, ij in enumerate(at) if max(ij) >= len(self._phi)),

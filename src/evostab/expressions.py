@@ -13,10 +13,10 @@ Functions: sin, cos, exp, atan, sqrt.  Constants: pi, e.  Variables are
 A string is parsed once, into a tree of tuples: ("num", value), ("t",),
 ("u",), ("neg", a), (op, a, b) for + - * / ^ and (name, a) for a
 function.  :func:`derivative` differentiates a tree in t once.
-:func:`compile_program` compiles a list of trees over a function table,
-``math`` for scalar calls or the numpy ufuncs for arrays (a quadrature
-panel's nodes), into one straight-line program that computes each
-distinct subtree once.  :func:`expression_matrix` and
+:func:`compile_program` compiles a list of trees over a function table
+into one straight-line program that computes each distinct subtree once;
+every evaluator here runs it over numpy, on arrays or at one point, under
+one floating-point guard.  :func:`expression_matrix` and
 :func:`expression_path` build the array evaluators of config fields and
 paths, and of the built-ins, which are written as expressions too.  No
 ``eval`` is involved.
@@ -35,9 +35,6 @@ from .errors import ExpressionError
 
 _ARITHMETIC = {"neg": operator.neg, "+": operator.add, "-": operator.sub,
                "*": operator.mul, "/": operator.truediv}
-# math.pow raises where ** would turn a negative base complex
-_MATH = {"sin": math.sin, "cos": math.cos, "exp": math.exp,
-         "atan": math.atan, "sqrt": math.sqrt, "^": math.pow}
 # numpy computes a^0.5, a^2 and a^-1 as sqrt(a), a*a and 1/a where the
 # exponent is one number (a constant, a 0-d array or one broadcast along
 # the loop), but as pow over an array of exponents, and the two can differ
@@ -60,14 +57,14 @@ def _power(a, b):
     return out
 
 
-# log enters only derivative trees, which are compiled over numpy alone
-_NUMPY = {"sin": np.sin, "cos": np.cos, "exp": np.exp,
-          "atan": np.arctan, "sqrt": np.sqrt, "^": _power, "log": np.log}
-_FUNCTIONS = sorted(k for k in _MATH if k.isalpha())
-# the numpy programs run under this guard; a fault it raises sends the
-# batch back through the scalar evaluator
+# log enters only derivative trees; a constant is a read-only 0-d array,
+# so an operation on two of them is guarded too, and every call shares it
+_NUMPY = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "atan": np.arctan,
+          "sqrt": np.sqrt, "^": _power, "log": np.log,
+          "num": lambda x: np.broadcast_to(x, ())}
+# the programs run under this guard; a fault it raises at a point is an
+# ExpressionError, and sends a batch back point by point
 _GUARD = {"all": "raise", "under": "ignore"}
-_FAULTS = (FloatingPointError, ZeroDivisionError)
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 VARIABLES = ("t", "u")
 # a number has a digit, and takes an exponent only where a digit follows
@@ -163,11 +160,11 @@ def compile_program(trees, fns: dict):
     """The function (t, u) -> [the value of each tree] of the list of
     trees ``trees``: Python's + - * / and negation, and the functions and
     ``^`` of the table ``fns``.  It runs one straight-line program over a
-    list of values seeded with t, u and the trees' constants, in which
-    each distinct subtree (an operation on the places of its operands; a
-    constant by its bits, so 0 and -0 differ) has one place and is one
-    instruction, run once per call however many of the trees hold it."""
-    fns = {**_ARITHMETIC, **fns}
+    list of values seeded with t, u and the trees' constants (the table's
+    "num" of them), in which each distinct subtree (an operation on the
+    places of its operands; a constant by its bits, so 0 and -0 differ)
+    has one place and is one instruction, run once per call."""
+    fns = {**_ARITHMETIC, "num": float, **fns}
     seed, ops, place = [None, None], [], {("t",): 0, ("u",): 1}
 
     def emit(node):
@@ -176,7 +173,7 @@ def compile_program(trees, fns: dict):
                else (node[0], *map(emit, node[1:])))
         if key not in place:
             place[key] = len(seed)
-            seed.append(node[1] if num else None)
+            seed.append(fns["num"](node[1]) if num else None)
             if not num:
                 i, j = (*key[1:], None)[:2]
                 ops.append((fns[node[0]], i, j, place[key]))
@@ -203,6 +200,7 @@ _CHAIN = {
     "atan": lambda a, fa: ("/", _ONE, ("+", _ONE, ("*", a, a))),
     "sqrt": lambda a, fa: ("/", ("num", 0.5), fa),
 }
+_FUNCTIONS = sorted(_CHAIN)
 
 
 def _op(op, a, b=None):
@@ -249,70 +247,59 @@ def _reads_u(node: tuple) -> bool:
                                  for a in node[1:])
 
 
-def _guarded(run, scalar):
-    """The array evaluator (t, u) -> value of the one-tree program ``run``
-    over numpy, under the floating-point guard; a batch with a fault is
-    redone point by point through ``scalar``."""
+def _compiled(tree, name: str, value=None):
+    """The evaluator (t, u) -> float of ``tree``'s numpy program on 0-d
+    arrays, and its ``.many`` on arrays, under the floating-point guard; a
+    fault raises ``value``'s error there, else one naming ``name``, and a
+    batch with a fault is redone point by point."""
+    run = compile_program([tree], _NUMPY)
+
+    def evaluate(t: float, u: float = 0.0) -> float:
+        if value is not None:
+            value(t, u)
+        try:
+            with np.errstate(**_GUARD):
+                return float(run(np.asarray(t, dtype=float),
+                                 np.asarray(u, dtype=float))[0])
+        except FloatingPointError as exc:
+            raise ExpressionError(f"evaluation of {name} failed at "
+                                  f"(t={t}, u={u}): {exc}") from exc
+
     def many(t, u):
-        # arrays in: Python's float arithmetic would overflow unguarded
         t, u = np.asarray(t, dtype=float), np.asarray(u, dtype=float)
         try:
             with np.errstate(**_GUARD):
                 return np.asarray(run(t, u)[0], dtype=float)
-        except _FAULTS:
-            return np.vectorize(scalar, otypes=[float])(t, u)
-    return many
+        except FloatingPointError:
+            return np.vectorize(evaluate, otypes=[float])(t, u)
+
+    evaluate.tree, evaluate.many = tree, many
+    return evaluate
 
 
 def parse_expression(src: str):
     """Compile an expression string to a function of (t, u).
 
     Raises ExpressionError with the offending position on bad input; the
-    returned callable raises ExpressionError on domain faults (sqrt of a
-    negative number, a complex power and the like).  ``evaluate.many``
-    takes arrays; a batch with a floating-point fault is redone point by
-    point, so it raises exactly what the scalar call raises.
-    ``evaluate.tree`` is the parsed tree, and ``evaluate.reads_u`` says
-    whether the expression has a u in it.  ``evaluate.dt`` is the exact
-    t-derivative, with a ``many`` and a ``tree`` of its own, or None for
-    an expression constant in t.  It runs in numpy under the same guard:
+    returned callable raises ExpressionError naming the point on every
+    floating-point fault (sqrt of a negative number, an overflow and the
+    like).  ``evaluate.many`` is the same program over arrays, so a point
+    has the bits of its one-point call, and a faulting batch raises what
+    its first faulting point's call raises.  ``evaluate.tree`` is the
+    parsed tree, and ``evaluate.reads_u`` says whether the expression has
+    a u in it.  ``evaluate.dt`` is the exact t-derivative, with a ``many``
+    and a ``tree`` of its own, or None for an expression constant in t:
     where the value faults it raises the value's error, and where only it
-    does (sqrt at 0, an overflow) one that names d/dt; it never returns a
-    non-finite value.
+    does (sqrt at 0, an overflow) one that names d/dt; it is never
+    non-finite.
     """
     if not isinstance(src, str) or not src.strip():
         raise ExpressionError("expression must be a non-empty string")
     tree = parse_tree(src)
-    scalar = compile_program([tree], _MATH)
-
-    def evaluate(t: float, u: float = 0.0) -> float:
-        try:
-            return float(scalar(t, u)[0])
-        except (ValueError, OverflowError, ZeroDivisionError) as exc:
-            raise ExpressionError(
-                f"evaluation of {src!r} failed at (t={t}, u={u}): {exc}"
-            ) from exc
-
-    evaluate.source, evaluate.tree = src, tree
-    evaluate.reads_u = _reads_u(tree)
-    evaluate.many = _guarded(compile_program([tree], _NUMPY), evaluate)
-    evaluate.dt = None
+    evaluate = _compiled(tree, repr(src))
+    evaluate.source, evaluate.reads_u = src, _reads_u(tree)
     d_tree = derivative(tree)
-    if d_tree is not None:
-        run_dt = compile_program([d_tree], _NUMPY)
-
-        def dt(t: float, u: float = 0.0) -> float:
-            evaluate(t, u)  # a fault of the value raises as the value's
-            try:
-                with np.errstate(**_GUARD):
-                    return float(run_dt(np.asarray(t, dtype=float),
-                                        np.asarray(u, dtype=float))[0])
-            except _FAULTS as exc:
-                raise ExpressionError(f"evaluation of d/dt {src!r} failed "
-                                      f"at (t={t}, u={u}): {exc}") from exc
-
-        dt.tree, dt.many = d_tree, _guarded(run_dt, dt)
-        evaluate.dt = dt
+    evaluate.dt = d_tree and _compiled(d_tree, f"d/dt {src!r}", evaluate)
     return evaluate
 
 
@@ -344,7 +331,7 @@ def _matrix(fs, r: int):
         try:
             with np.errstate(**_GUARD):
                 values = run(t, u)
-        except _FAULTS:
+        except FloatingPointError:
             values = [fs[k].many(t, u) for k in ks]
         shape = np.broadcast(t, u).shape
         out = fill(shape + (r * r,))

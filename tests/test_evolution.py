@@ -1122,8 +1122,9 @@ def _layout_digests(name):
         # the same steps, whatever the side steps
         assert (ev.step_stats.steps, ev.step_stats.rejected) == (
             stats.steps, stats.rejected)
-        pairs = _digest(x for tau in sorted(set(stops))
-                        for x in ev._phi_at(tau))
+        # Phi and Phi^{-1} at every stop, in the order of the stops
+        assert len(ev._phi) == len(ev._inv) == len(set(stops))
+        pairs = _digest(x for pair in zip(ev._phi, ev._inv) for x in pair)
     return states, pairs, (stats.steps, stats.rejected, stats.rhs_evals,
                            stats.segments)
 

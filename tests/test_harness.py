@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -641,6 +642,23 @@ def test_cli_missing_file_and_wrong_builtin_kind(tmp_path, capsys):
                      "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("data, problem", [
+    (b'{"a": "\xff"}', "'utf-8' codec can't decode byte 0xff"),
+    (b"[" * 200_000, "maximum recursion depth exceeded"),
+])
+def test_cli_undecodable_or_too_deep_config_exits_2(tmp_path, capsys, data,
+                                                     problem):
+    cfg = tmp_path / "bad.json"
+    cfg.write_bytes(data)
+    assert cli_main(["evolve", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"config error: config: invalid JSON in "
+                             f"{str(cfg)!r}: ")
+    assert problem in err[0]
+
+
 def test_cli_builtin_listing(capsys):
     assert cli_main(["list"]) == 0
     out = capsys.readouterr().out
@@ -723,6 +741,26 @@ def test_certify_complex_expression_exits_3(tmp_path, capsys):
                      "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert "evaluation of '(0-8)^0.5' failed" in err
+
+
+def test_certify_of_an_overflowing_entry_exits_3_without_warnings(
+        tmp_path, capsys):
+    # t*1e300*t overflows from t of about 1.34e4: the panel that reaches
+    # it raises the entry's ExpressionError, not a non-finite certificate
+    cfg = tmp_path / "overflow.json"
+    cfg.write_text(json.dumps({
+        "system": {"G": [["atan(t) + 0*(t*1e300*t)"]], "f": "sin(t)",
+                   "J": [-1, 1]},
+        "window": [0, 20000]}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli_main(["certify", "--config", str(cfg),
+                         "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert re.search(r"^error: evaluation of 'atan\(t\) \+ 0\*\(t\*1e300\*t\)'"
+                     r" failed at \(t=[0-9.]+, u=0\.0\): overflow", err, re.M)
+    assert "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_expression_matrix_stack_faults_like_its_faulting_entry():

@@ -459,7 +459,8 @@ def test_certify_of_an_unbounded_variation_raises_quadrature_error():
                          "f": "t", "J": [-1, 1], "I": [0, 1]},
               "window": [0, 1]}
     with pytest.raises(ExpressionError, match=r"at \(t=0\.3333333333333333, "
-                                              r"u=0\.0\): float division"):
+                                              r"u=0\.0\): divide by zero"
+                                              r" encountered in divide"):
         run_scenario("certify", config)
 
 # ---------------------------------------------------------------------------
