@@ -5,19 +5,23 @@
 ``--config`` takes a JSON file path, or ``builtin:<name>`` for one of the
 shipped scenarios (intro-cos, example39, sine-curve, extension-gauge).
 Writes ``rows.csv`` and ``summary.json`` into the output directory and
-exits 0 exactly when every row passed.  The first line printed is the
-verdict; it reads ``PASS (vacuous)`` when the bound checked was +inf.
+exits 0 exactly when every row passed; a run that fails with exit 2 or 3
+removes ``rows.csv`` and writes a ``summary.json`` of ``"pass": false``
+and the error.  The first line printed is the verdict; it reads
+``PASS (vacuous)`` when the bound checked was +inf.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
 
 from .errors import ConfigError, EvoStabError
-from .harness import BUILTIN_SCENARIOS, KINDS, emit_report, run_scenario
+from .harness import (BUILTIN_SCENARIOS, KINDS, emit_failure, emit_report,
+                      run_scenario)
 
 
 def _load_config(source: str, kind: str) -> dict:
@@ -78,16 +82,16 @@ def main(argv=None) -> int:
         config = _load_config(args.config, args.kind)
         report = run_scenario(args.kind, config, seed=args.seed, tol=args.tol)
         csv_path, summary_path = emit_report(report, args.out)
-    except ConfigError as exc:
-        for problem in exc.problems:
-            print(f"config error: {problem}", file=sys.stderr)
-        return 2
-    except EvoStabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 3
+    except (EvoStabError, OSError) as exc:
+        if isinstance(exc, ConfigError):
+            for problem in exc.problems:
+                print(f"config error: {problem}", file=sys.stderr)
+        else:
+            label = "error" if isinstance(exc, EvoStabError) else "i/o error"
+            print(f"{label}: {exc}", file=sys.stderr)
+        with contextlib.suppress(OSError):
+            emit_failure(args.kind, exc, args.out)
+        return 2 if isinstance(exc, ConfigError) else 3
     status = "PASS" if report.passed else "FAIL"
     if report.summary.get("vacuous"):
         status += " (vacuous)"

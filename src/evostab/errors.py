@@ -6,7 +6,7 @@ class EvoStabError(Exception):
 
 
 class InvalidOperatorError(EvoStabError):
-    """An operator or vector has non-finite entries or a shape mismatch."""
+    """A propagator has non-finite entries."""
 
 
 class QuadratureError(EvoStabError):

@@ -27,11 +27,12 @@ stop by a side step that no other stop moves, and hands over the states
 at a window's stops as one stack.  A state that is not finite step by
 step ends the sweep there.  :class:`EvolutionOperator` sweeps the
 identity with Phi^{-1}, so every X(t, s) between its times is
-Phi(t) Phi(s)^{-1}.  :func:`sweep_vector` and :func:`param_evolution`
-sweep vectors and stacks; a (k, r, r) stack of A sweeps k systems as one
-(k, r, c) state, with the max of their step errors.  Descending stops
-sweep t -> -A(-t): :func:`evolve`, the identity swept over (s, t),
-integrates X(s, t) for t < s on its own, not as X(t, s)^{-1}.
+Phi(t) Phi(s)^{-1}.  :func:`sweep_vector` sweeps vectors and stacks; a
+(k, r, r) stack of A sweeps k systems as one (k, r, c) state, with the
+max of their step errors.  Every propagator is returned as the array the
+sweep made.  Descending stops sweep t -> -A(-t): :func:`evolve`, the
+identity swept over (s, t), integrates X(s, t) for t < s on its own, not
+as X(t, s)^{-1}.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import IntegrationError, InvalidOperatorError
-from .operators import Operator, VectorSpaceSpec
+from .operators import VectorSpaceSpec
 
 DEFAULT_ODE_TOL = 1e-10
 
@@ -540,14 +541,13 @@ def evolve(
     t: float,
     tol: float = DEFAULT_ODE_TOL,
     stats: Optional[StepStats] = None,
-) -> Operator:
-    """Propagator X(t, s) of x' = A(t) x, as an operator: the last state
+) -> np.ndarray:
+    """Propagator X(t, s) of x' = A(t) x, an (r, r) array: the last state
     of the windowed sweep of Y' = A Y, Y(s) = id, over the stops (s, t)
     (:func:`sweep_vector`).  For t < s that is the sweep of the reflected
     coefficient, not the inverse of X(s, t).
     """
-    x = sweep_vector(A, (s, t), np.eye(A.space.dim), tol, stats)[-1]
-    return Operator(x, A.space)
+    return sweep_vector(A, (s, t), np.eye(A.space.dim), tol, stats)[-1]
 
 
 def sweep_vector(
@@ -609,13 +609,13 @@ class EvolutionOperator:
             raise ValueError(f"t = {tau} is not one of the sweep's times")
         return self._index[tau]
 
-    def query(self, t: float, s: float) -> Operator:
+    def query(self, t: float, s: float) -> np.ndarray:
         """X(t, s), the one pair of :meth:`query_stack`, or ``failure``
         where its stop was not reached; query(s, s) is I exactly."""
         x = self.query_stack((t,), (s,))
         if not len(x):
             raise self.failure
-        return Operator(x[0], self.source.space)
+        return x[0]
 
     def query_stack(self, ts: Sequence[float],
                     ss: Sequence[float]) -> np.ndarray:
@@ -633,56 +633,3 @@ class EvolutionOperator:
             raise InvalidOperatorError("operator has non-finite entries")
         return x
 
-
-@dataclass(frozen=True)
-class ParamEvolutionResult:
-    """Propagators of D2 X = A(x, .) X, X(x, v0) = id on a grid.
-
-    ``propagators[i, j]`` is X(x_grid[i], v_targets[j]), of shape
-    (len(x_grid), len(v_targets), r, r).
-    """
-
-    x_grid: tuple
-    v0: float
-    v_targets: tuple
-    propagators: np.ndarray
-
-
-def param_evolution(
-    A: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    x_grid: Sequence[float],
-    v0: float,
-    v_targets: Sequence[float],
-    space: VectorSpaceSpec,
-    tol: float = DEFAULT_ODE_TOL,
-    stats: Optional[StepStats] = None,
-) -> ParamEvolutionResult:
-    """Solve the parameter-dependent family: for each frozen x, evolve in
-    v from v0 to every target.
-
-    ``A(xs, vs)`` takes arrays of x and v that broadcast against each
-    other and returns the stack of the matrices over them, as the fields
-    of a connection form do.  All columns share their stops, so they are
-    integrated as one stacked (nx, r, r) state: one windowed sweep
-    (:func:`sweep_vector`) per direction from v0 across that side's
-    targets, whose step errors are the max over every column.  Each
-    window takes A over every x at all its nodes from one call, and the
-    targets are side steps, so a target's propagators do not depend on
-    the other targets."""
-    x_grid = tuple(float(x) for x in x_grid)
-    v_targets = tuple(float(v) for v in v_targets)
-    xs = np.array(x_grid)
-    stack = CoefficientPath(eval=lambda vs: A(xs, vs[:, None]), space=space)
-    eye = np.tile(np.eye(space.dim), (len(x_grid), 1, 1))
-    sides = (sorted(v for v in v_targets if v >= v0),
-             sorted((v for v in v_targets if v < v0), reverse=True))
-    swept = np.concatenate([sweep_vector(stack, [v0] + side, eye, tol,
-                                         stats)[1:] for side in sides])
-    slot = {v: i for i, v in enumerate(sides[0] + sides[1])}
-    return ParamEvolutionResult(
-        x_grid=x_grid,
-        v0=float(v0),
-        v_targets=v_targets,
-        propagators=np.ascontiguousarray(
-            swept[[slot[v] for v in v_targets]].swapaxes(0, 1)),
-    )

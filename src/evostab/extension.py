@@ -16,12 +16,14 @@ complement is path-independent, which the builder verifies by loop
 transports and fine-stencil residual probes unless asked to only report.
 
 Every fiber and corridor sweep is one windowed sweep across its stops
-(:func:`evostab.evolution.sweep_vector`).  Fiber sweeps that share their
-stops are one stacked state: the Y_j of every grid column at once, and
-the sigma columns (and probe stencils) that reach the same v's from the
-same corridor level.  A step's error is the max over all members, so
-each column is stepped at least as strictly as alone, and a window of
-steps takes omega2 over the whole stack from one call of the field.
+(:func:`evostab.evolution.sweep_vector`), and every fiber sweep takes its
+coefficient -omega2 over a set of columns from :func:`_fiber_sweep`.
+Fiber sweeps that share their stops are one stacked state: the Y_j of
+every grid column at once, and the sigma columns (and probe stencils)
+that reach the same v's from the same corridor level.  A step's error
+is the max over all members, so each column is stepped at least as
+strictly as alone, and a window of steps takes omega2 over the whole
+stack from one call of the field.
 
 Also here: the graph-approximation utility that replaces a continuous
 graph by a polynomial one agreeing at a chosen point and staying inside a
@@ -38,8 +40,7 @@ import numpy as np
 
 from .calculus import Interval
 from .errors import ApproximationError, ConstructionError
-from .evolution import (CoefficientPath, StepStats, param_evolution,
-                        sweep_vector)
+from .evolution import CoefficientPath, StepStats, sweep_vector
 from .operators import vector_norm
 from .transport import ConnectionForm
 
@@ -95,19 +96,19 @@ class ExtensionProblem:
 
 
 def _fiber_sweep(w: ConnectionForm, xs, stops, start, tol, stats):
-    """Section values, solutions of D2 Y = -omega2 Y, at every v of the
-    monotone ``stops``, from one stacked sweep up or down the fibers over
-    the k x's of ``xs``; ``start`` is their (k, r) stack at stops[0]."""
+    """Solutions of D2 Y = -omega2 Y at every v of the monotone ``stops``,
+    from one stacked sweep up or down the fibers over the k x's of
+    ``xs``; ``start`` is their (k, r, c) stack at stops[0]."""
     xs = np.asarray(xs, dtype=float)
     A = CoefficientPath(eval=lambda vs: -w.omega2(xs, vs[:, None]),
                         space=w.space)
-    start = np.asarray(start, dtype=float)
-    return sweep_vector(A, stops, start[..., None], tol, stats)[..., 0]
+    return sweep_vector(A, stops, start, tol, stats)
 
 
 def _vertical_sweep(p, xs, stops, vecs, tol, stats) -> np.ndarray:
-    """:func:`_fiber_sweep` that refuses to cross the graph of f: every
-    column is checked over the whole span before any is swept."""
+    """Section values by :func:`_fiber_sweep` from the (k, r) stack
+    ``vecs``, refusing to cross the graph of f: every column is checked
+    over the whole span before any is swept."""
     v_from, v_to = stops[0], stops[-1]
     for x in xs:
         if x > p.a and v_from != v_to:
@@ -117,7 +118,8 @@ def _vertical_sweep(p, xs, stops, vecs, tol, stats) -> np.ndarray:
                     f"vertical path at x = {x} from v = {v_from} to {v_to} "
                     f"crosses the graph (f(x) = {fx})"
                 )
-    return _fiber_sweep(p.omega, xs, stops, vecs, tol, stats)
+    vecs = np.asarray(vecs, dtype=float)[..., None]
+    return _fiber_sweep(p.omega, xs, stops, vecs, tol, stats)[..., 0]
 
 
 def _horizontal_sweep(p, v, stops, vec, tol, stats) -> np.ndarray:
@@ -410,18 +412,23 @@ def extend_section(
     and compare them.
 
     xi_j = Y_j sigma(., v_j), where the propagators Y_j of every grid
-    column come from :func:`evostab.evolution.param_evolution` of
-    -omega2 from level v_j, one stacked sweep up and one down.  The
-    extension is accepted when max ||xi1 - xi0|| <= 100 * tol.  A larger
-    gap is returned as data (worst point included), never silently
-    accepted.
+    column come from two stacked :func:`_fiber_sweep` calls of the
+    identity from level v_j, one up across the v's at or above it and one
+    down across those below.  The extension is accepted when
+    max ||xi1 - xi0|| <= 100 * tol.  A larger gap is returned as data
+    (worst point included), never silently accepted.
     """
     xs, vs = sigma.x_grid, sigma.v_grid
     space = p.omega.space
+    eye = np.tile(np.eye(space.dim), (len(xs), 1, 1))
 
     def extension_from(level, row):
-        Y = param_evolution(lambda x, v: -p.omega.omega2(x, v), xs, level,
-                            vs, space, tol, stats=stats).propagators
+        sides = (sorted(v for v in vs if v >= level),
+                 sorted((v for v in vs if v < level), reverse=True))
+        Y = np.concatenate([_fiber_sweep(p.omega, xs, [level] + side, eye,
+                                         tol, stats)[1:] for side in sides])
+        slot = {v: i for i, v in enumerate(sides[0] + sides[1])}
+        Y = np.ascontiguousarray(Y[[slot[v] for v in vs]].swapaxes(0, 1))
         return (Y @ row[:, None, :, None])[..., 0]
 
     xi0 = extension_from(p.v0, sigma.row_v0)
@@ -452,8 +459,9 @@ def section_at(
     if not matches:
         raise ValueError(f"x = {x} is not a sigma grid column")
     ix = matches[0]
-    return _fiber_sweep(p.omega, (xs[ix],), (p.v0, v), sigma.row_v0[ix:ix + 1],
-                        tol, None)[-1][0]
+    start = sigma.row_v0[ix:ix + 1, :, None]
+    return _fiber_sweep(p.omega, (xs[ix],), (p.v0, v), start, tol,
+                        None)[-1, 0, :, 0]
 
 
 # near_graph_mask marks the points this many v-spacings from the graph

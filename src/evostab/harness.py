@@ -39,7 +39,7 @@ from .library import (
     make_extension_problem,
     make_system,
 )
-from .operators import NORM_KINDS, Vector, VectorSpaceSpec, matrix_norm
+from .operators import NORM_KINDS, VectorSpaceSpec, matrix_norm
 from .stability import (
     BoundCertificate,
     assemble_A,
@@ -415,8 +415,8 @@ def _run_evolve(c, seed, tol):
     stats = StepStats()
 
     def one(s, t):
-        x = evolve(A, s, t, tol, stats).entries
-        x_inv = evolve(A, t, s, tol, stats).entries
+        x = evolve(A, s, t, tol, stats)
+        x_inv = evolve(A, t, s, tol, stats)
         defect = matrix_norm(x @ x_inv - eye, kind)
         return (s, t, matrix_norm(x, kind), matrix_norm(x_inv, kind), defect,
                 defect <= 100.0 * tol)
@@ -518,7 +518,7 @@ def _run_transport(c, seed, tol):
         p = parallel_transport(w, curve, tol, stats=stats)
         L1 = arc_length(curve.gamma1, curve.a, curve.b)
         beta = beta_bound(bounds, L1)
-        norm_p = matrix_norm(p.entries, w.space.norm_kind)
+        norm_p = matrix_norm(p, w.space.norm_kind)
         rows.append((i, L1, norm_p, beta, norm_p <= beta * (1.0 + 1e-6)))
     return _tabulate(rows, stats, bounds=asdict(bounds)) + (
         {"norm": w.space.norm_kind},)
@@ -526,8 +526,8 @@ def _run_transport(c, seed, tol):
 
 def _run_sine_curve(c, seed, tol):
     w = c.connection
-    report = sine_curve_scenario(w, c.a, c.b_list, Vector(c.v, w.space),
-                                 tol=tol, b_floor=c.b_floor)
+    report = sine_curve_scenario(w, c.a, c.b_list, c.v, tol=tol,
+                                 b_floor=c.b_floor)
     rows = [(r.b_requested, r.norm_P, r.beta_b, r.passed)
             for r in report.rows]
     row_pass = [r.passed for r in report.rows]
@@ -678,22 +678,25 @@ def run_scenario(kind: str, config: dict, seed: int = 0,
     if not (_is_number(tol) and 0 < tol < math.inf):
         raise ConfigError([f"tol: expected a finite number > 0, got {tol!r}"])
     tol = float(tol)
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError([f"seed: expected a whole number >= 0, "
+                           f"got {seed!r}"])
     bag = []
     run, table = _SCENARIOS[kind]
     typed = _read(table, config, bag)
     if bag:
         raise ConfigError(bag)
-    rows, row_pass, summary, extra = run(typed, int(seed), tol)
+    rows, row_pass, summary, extra = run(typed, seed, tol)
     provenance = {
         "tool": "evostab",
         "version": __version__,
         "tol": tol,
-        "seed": int(seed),
+        "seed": seed,
     }
     provenance.update(extra)
     return Report(
         kind=kind,
-        scenario={"kind": kind, "config": config, "seed": int(seed),
+        scenario={"kind": kind, "config": config, "seed": seed,
                   "tol": tol},
         columns=COLUMNS[kind],
         rows=rows,
@@ -725,17 +728,32 @@ def emit_report(report: Report, out_dir) -> tuple:
         lines.append(",".join([_format_cell(x) for x in row]))
     csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     summary_path = out / "summary.json"
-    payload = _jsonable({
+    _write_summary(summary_path, {
         "kind": report.kind,
         "scenario": report.scenario,
         "summary": report.summary,
         "provenance": report.provenance,
     })
-    summary_path.write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
     return csv_path, summary_path
+
+
+def emit_failure(kind: str, exc: Exception, out_dir) -> None:
+    """Leave no earlier verdict under out_dir: remove rows.csv and write a
+    summary.json holding only the failure ``exc`` of a ``kind`` run, with
+    the ``location`` of an error that has one."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "rows.csv").unlink(missing_ok=True)
+    error = {"type": type(exc).__name__, "message": str(exc)}
+    if getattr(exc, "location", None) is not None:
+        error["location"] = exc.location
+    _write_summary(out / "summary.json",
+                   {"kind": kind, "summary": {"pass": False, "error": error}})
+
+
+def _write_summary(path, payload):
+    path.write_text(json.dumps(_jsonable(payload), sort_keys=True, indent=2)
+                    + "\n", encoding="utf-8")
 
 
 def _jsonable(x):

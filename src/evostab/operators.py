@@ -1,10 +1,11 @@
-"""Finite-dimensional normed spaces R^r, their operators, and induced norms.
+"""Finite-dimensional normed spaces R^r and the norms they induce.
 
 Everything downstream works on a normed space fixed by a
-:class:`VectorSpaceSpec` (dimension + norm choice).  Operators are dense
-r-by-r matrices; r is expected to be small, so norms are computed exactly
-(the euclidean operator norm in closed form for r = 2, and through a full
-singular value decomposition rather than iteration for r >= 3).
+:class:`VectorSpaceSpec` (dimension + norm choice).  Vectors and operators
+are bare numpy arrays, (r,) and (r, r) or stacks of them; r is expected to
+be small, so norms are computed exactly (the euclidean operator norm in
+closed form for r = 2, and through a full singular value decomposition
+rather than iteration for r >= 3).
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import InvalidOperatorError
 
 EUCLIDEAN = "euclidean"
 ONE_NORM = "one-norm"
@@ -35,54 +34,6 @@ class VectorSpaceSpec:
             raise ValueError(
                 f"norm_kind must be one of {NORM_KINDS}, got {self.norm_kind!r}"
             )
-
-
-def _as_matrix(entries, dim):
-    a = np.asarray(entries, dtype=float)
-    if a.shape != (dim, dim):
-        raise InvalidOperatorError(
-            f"expected a {dim}x{dim} matrix, got shape {a.shape}"
-        )
-    if not np.all(np.isfinite(a)):
-        raise InvalidOperatorError("operator has non-finite entries")
-    return a
-
-
-@dataclass(frozen=True)
-class Operator:
-    """A linear map on R^r, stored as a dense matrix."""
-
-    entries: np.ndarray
-    space: VectorSpaceSpec
-
-    def __post_init__(self):
-        a = _as_matrix(self.entries, self.space.dim).copy()
-        a.flags.writeable = False
-        object.__setattr__(self, "entries", a)
-
-    @staticmethod
-    def identity(space: VectorSpaceSpec) -> "Operator":
-        return Operator(np.eye(space.dim), space)
-
-
-@dataclass(frozen=True)
-class Vector:
-    """An element of R^r."""
-
-    entries: np.ndarray
-    space: VectorSpaceSpec
-
-    def __post_init__(self):
-        v = np.asarray(self.entries, dtype=float)
-        if v.shape != (self.space.dim,):
-            raise InvalidOperatorError(
-                f"expected a length-{self.space.dim} vector, got shape {v.shape}"
-            )
-        if not np.all(np.isfinite(v)):
-            raise InvalidOperatorError("vector has non-finite entries")
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "entries", v)
 
 
 def _sigma_max_2x2(a: np.ndarray) -> np.ndarray:

@@ -312,7 +312,7 @@ def substitution_check(
     x_direct = evolve(A, s, t, tol, stats)
     B_path = CoefficientPath(eval=B, space=space)
     y_pulled = evolve(B_path, float(f(s)), float(f(t)), tol, stats)
-    return matrix_norm(x_direct.entries - y_pulled.entries, space.norm_kind)
+    return matrix_norm(x_direct - y_pulled, space.norm_kind)
 
 
 @dataclass(frozen=True)

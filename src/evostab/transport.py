@@ -36,8 +36,7 @@ import numpy as np
 from .calculus import Interval, ScalarPath, refine_until_stable
 from .errors import DomainViolationError, IntegrationError
 from .evolution import CoefficientPath, EvolutionOperator, StepStats, evolve
-from .operators import (Operator, Vector, VectorSpaceSpec, matrix_norm,
-                        vector_norm)
+from .operators import VectorSpaceSpec, matrix_norm, vector_norm
 from .stability import saturating_bound
 
 __all__ = [
@@ -141,9 +140,9 @@ def curve_coefficient(w: ConnectionForm, g: Curve) -> CoefficientPath:
 
 
 def parallel_transport(w: ConnectionForm, g: Curve, tol: float = 1e-10,
-                       stats: Optional[StepStats] = None) -> Operator:
-    """Transport operator along the curve, from gamma(a) to gamma(b).
-    ``stats``, if given, counts the integration."""
+                       stats: Optional[StepStats] = None) -> np.ndarray:
+    """Transport operator along the curve, from gamma(a) to gamma(b), as
+    an (r, r) array.  ``stats``, if given, counts the integration."""
     return evolve(curve_coefficient(w, g), g.a, g.b, tol, stats)
 
 
@@ -307,7 +306,7 @@ def sine_curve_scenario(
     w: ConnectionForm,
     a: float,
     b_list: Sequence[float],
-    v: Vector,
+    v,
     tol: float = 1e-9,
     b_floor: float = -1e-4,
     bounds: Optional[ConnectionBounds] = None,
@@ -326,10 +325,15 @@ def sine_curve_scenario(
     exponentials of P's own steps, so ``inverse_defect`` = ||P_rev P - I||
     sits at roundoff and does not measure truncation error.
 
-    Rows keep the order of ``b_list``.  An integration failure ends the
-    sweep: the rows it reached keep their values, and the rest report
-    the failure.  ``stats`` counts the sweep's work.
+    ``v`` is a finite vector of the connection's dimension (else
+    ValueError).  Rows keep the order of ``b_list``.  An integration
+    failure ends the sweep: the rows it reached keep their values, and
+    the rest report the failure.  ``stats`` counts the sweep's work.
     """
+    v = np.array(v, dtype=float)
+    if v.shape != (w.space.dim,) or not np.isfinite(v).all():
+        raise ValueError(f"v must be a finite vector of length "
+                         f"{w.space.dim}, got {v!r}")
     if not a < 0.0:
         raise ValueError("a must be negative")
     if not b_floor > a:
@@ -347,7 +351,7 @@ def sine_curve_scenario(
     cap = beta_bound(bounds, -a)
     slack = cap * (1.0 + 1e-6)
     kind = w.space.norm_kind
-    v_norm = vector_norm(v.entries, kind)
+    v_norm = vector_norm(v, kind)
     b_used = [min(b_req, b_floor) for b_req in b_list]
     ev = EvolutionOperator(curve_coefficient(w, _sine_paths(a, max(b_used))),
                            [a] + b_used, tol)
@@ -355,8 +359,8 @@ def sine_curve_scenario(
     for b_req, b in zip(b_list, b_used):
         beta_b = beta_bound(bounds, b - a)
         try:
-            p_op = ev.query(b, a).entries
-            p_rev = ev.query(a, b).entries
+            p_op = ev.query(b, a)
+            p_rev = ev.query(a, b)
         except IntegrationError as exc:
             rows.append(SineCurveRow(
                 b_requested=b_req, b_used=b, norm_P=math.nan,
@@ -365,7 +369,7 @@ def sine_curve_scenario(
                 passed=False, error=str(exc),
             ))
             continue
-        pv = p_op @ v.entries
+        pv = p_op @ v
         norm_pv = vector_norm(pv, kind)
         ratio = norm_pv / v_norm if v_norm > 0 else 1.0
         n_op = matrix_norm(p_op, kind)

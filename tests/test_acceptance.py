@@ -27,7 +27,7 @@ from evostab.library import (
     make_scalar_path,
     make_system,
 )
-from evostab.operators import NORM_KINDS, Vector, VectorSpaceSpec, matrix_norm
+from evostab.operators import NORM_KINDS, VectorSpaceSpec, matrix_norm
 from evostab.stability import (
     SeparableSystem,
     assemble_A,
@@ -66,14 +66,14 @@ def test_criterion_01_scalar_cosine_system():
     worst_err = 0.0
     max_norm = 0.0
     for s, t in pairs:
-        x = evolve(A, s, t).entries[0, 0]
+        x = evolve(A, s, t)[0, 0]
         worst_err = max(worst_err,
                         abs(x - math.exp(math.sin(t) - math.sin(s))))
         lo, hi = sorted((s, t))
-        max_norm = max(max_norm, abs(evolve(A, lo, hi).entries[0, 0]))
+        max_norm = max(max_norm, abs(evolve(A, lo, hi)[0, 0]))
     # include the extremal ordered pair sin s = -1, sin t = +1
     s_star, t_star = 3 * math.pi / 2, 4 * math.pi + math.pi / 2
-    max_norm = max(max_norm, abs(evolve(A, s_star, t_star).entries[0, 0]))
+    max_norm = max(max_norm, abs(evolve(A, s_star, t_star)[0, 0]))
     ok = worst_err <= 1e-8 and max_norm <= math.e ** 2 + 1e-6
     _line(1, ok, f"closed-form error {worst_err:.2e} <= 1e-8, "
                  f"max norm {max_norm:.6f} <= e^2 + 1e-6")
@@ -88,10 +88,10 @@ def test_criterion_02_evolution_laws_corpus():
         eye = np.eye(A.space.dim)
         for _ in range(50):
             s, t, u = rng.uniform(0.0, 3.0, size=3)
-            xts = evolve(A, s, t).entries
-            xst = evolve(A, t, s).entries
-            xut = evolve(A, t, u).entries
-            xus = evolve(A, s, u).entries
+            xts = evolve(A, s, t)
+            xst = evolve(A, t, s)
+            xut = evolve(A, t, u)
+            xus = evolve(A, s, u)
             worst_inv = max(worst_inv, matrix_norm(xts @ xst - eye, kind))
             worst_coc = max(worst_coc, matrix_norm(xut @ xts - xus, kind))
     ok = worst_inv <= 1e-8 and worst_coc <= 1e-8
@@ -112,7 +112,7 @@ def test_criterion_03_standard_estimate_corpus():
                                Interval(s, t), tol=1e-9)
             cap = math.exp(budget) + 1e-6
             for m in (evolve(A, s, t), evolve(A, t, s)):
-                val = matrix_norm(m.entries, kind)
+                val = matrix_norm(m, kind)
                 worst_margin = max(worst_margin, val - cap)
                 ok = ok and val <= cap
     _line(3, ok, f"||X^(+-1)|| <= exp(int ||A||) + 1e-6 on the corpus "
@@ -332,7 +332,7 @@ def test_criterion_09_transport_bound():
             p = parallel_transport(w, curve, tol=1e-9)
             L1 = arc_length(curve.gamma1, curve.a, curve.b)
             cap = beta_bound(bounds, L1)
-            val = matrix_norm(p.entries, w.space.norm_kind)
+            val = matrix_norm(p, w.space.norm_kind)
             ok = ok and val <= cap * (1.0 + 1e-6)
             if math.isfinite(cap):
                 worst_ratio = max(worst_ratio, val / cap)
@@ -345,7 +345,7 @@ def test_criterion_09_transport_bound():
     ok = ok and (beta_bound(bounds, L_slow) == beta_bound(bounds, L_fast))
     for curve in (slow, fast):
         p = parallel_transport(w, curve, tol=1e-9)
-        ok = ok and matrix_norm(p.entries, "euclidean") <= \
+        ok = ok and matrix_norm(p, "euclidean") <= \
             beta_bound(bounds, L_slow) * (1.0 + 1e-6)
     _line(9, ok, f"10 connections x 20 curves dominated by the certified "
                  f"bound (worst ratio {worst_ratio:.3f}); bound is blind to "
@@ -364,7 +364,7 @@ def _oscillation_pair(freq):
 
 def test_criterion_10_topologists_sine_curve():
     b_list = [-1e-1, -1e-2, -1e-3, -1e-4]
-    v = Vector(np.array([1.0, 0.5]), VectorSpaceSpec(2))
+    v = np.array([1.0, 0.5])
     ok = True
     notes = []
     for name in ("zero", "scalar-decay", "gauge-rotation", "gauge-twist"):

@@ -13,7 +13,6 @@ from evostab.evolution import (
     EvolutionOperator,
     StepStats,
     evolve,
-    param_evolution,
     sweep_vector,
 )
 from evostab.evolution import _GAUSS, _bcr_exponent, _scan_last, expm
@@ -42,14 +41,14 @@ def test_zero_coefficient_gives_identity():
                         space=VectorSpaceSpec(3))
     for s, t in [(0.0, 0.0), (-2.0, 5.0), (3.0, -1.0)]:
         x = evolve(A, s, t)
-        assert np.allclose(x.entries, np.eye(3), atol=1e-12)
+        assert np.allclose(x, np.eye(3), atol=1e-12)
 
 
 def test_scalar_cosine_closed_form():
     A = scalar_cos_path()
     for s, t in [(0.0, math.pi / 2), (1.0, 4.0), (5.0, 2.0)]:
         x = evolve(A, s, t)
-        assert x.entries[0, 0] == pytest.approx(
+        assert x[0, 0] == pytest.approx(
             math.exp(math.sin(t) - math.sin(s)), abs=1e-9)
 
 
@@ -57,7 +56,7 @@ def test_constant_rotation_generator():
     A = CoefficientPath(eval=stacked(lambda t: ROT), space=SP2)
     x = evolve(A, 0.0, 1.3)
     expected = scipy.linalg.expm(1.3 * ROT)
-    assert np.max(np.abs(x.entries - expected)) <= 1e-9
+    assert np.max(np.abs(x - expected)) <= 1e-9
 
 
 def test_backward_is_inverse_of_forward(small_corpus):
@@ -65,21 +64,21 @@ def test_backward_is_inverse_of_forward(small_corpus):
         x = evolve(A, 0.0, 2.0)
         back = evolve(A, 2.0, 0.0)
         eye = np.eye(A.space.dim)
-        assert matrix_norm(back.entries @ x.entries - eye,
+        assert matrix_norm(back @ x - eye,
                            A.space.norm_kind) <= 1e-8
 
 
 def test_identity_inverse_cocycle_laws(small_corpus):
     rng = np.random.default_rng(99)
     for A in small_corpus:
-        assert np.array_equal(evolve(A, 1.0, 1.0).entries,
+        assert np.array_equal(evolve(A, 1.0, 1.0),
                               np.eye(A.space.dim))
         for _ in range(10):
             s, t, u = rng.uniform(0.0, 3.0, size=3)
-            xts = evolve(A, s, t).entries
-            xst = evolve(A, t, s).entries
-            xut = evolve(A, t, u).entries
-            xus = evolve(A, s, u).entries
+            xts = evolve(A, s, t)
+            xst = evolve(A, t, s)
+            xut = evolve(A, t, u)
+            xus = evolve(A, s, u)
             kind = A.space.norm_kind
             eye = np.eye(A.space.dim)
             assert matrix_norm(xts @ xst - eye, kind) <= 1e-8
@@ -93,7 +92,7 @@ def test_growth_within_coefficient_l1_estimate(small_corpus):
             budget = integrate(
                 lambda tau: matrix_norm(A(tau), kind), Interval(s, t))
             for m in (evolve(A, s, t), evolve(A, t, s)):
-                assert matrix_norm(m.entries, kind) <= \
+                assert matrix_norm(m, kind) <= \
                     math.exp(budget) + 1e-6
 
 
@@ -101,7 +100,7 @@ def test_adaptive_matches_fixed_step_oracle():
     A = smooth_corpus(seed=42, count=1, dims=(3,))[0]
     x = evolve(A, 0.0, 1.5, tol=1e-10)
     oracle = rk4_propagator(A, 0.0, 1.5, h=1e-5)
-    assert np.max(np.abs(x.entries - oracle)) <= 1e-7
+    assert np.max(np.abs(x - oracle)) <= 1e-7
 
 
 def test_breakpoint_restart_handles_jump():
@@ -112,7 +111,7 @@ def test_breakpoint_restart_handles_jump():
 
     A = CoefficientPath(eval=stacked(ev), space=SP1, breakpoints=(1.0,))
     x = evolve(A, 0.0, 2.0)
-    assert x.entries[0, 0] == pytest.approx(math.exp(1.0) * math.exp(-2.0),
+    assert x[0, 0] == pytest.approx(math.exp(1.0) * math.exp(-2.0),
                                             rel=1e-9)
 
 
@@ -153,13 +152,13 @@ def test_single_magnus_step_matches_formula():
     want = scipy.linalg.expm(om2) @ scipy.linalg.expm(om1)
     want_inv = scipy.linalg.expm(-om1) @ scipy.linalg.expm(-om2)
     stats = StepStats()
-    got = evolve(A, t0, t0 + h, tol=1.0, stats=stats).entries
+    got = evolve(A, t0, t0 + h, tol=1.0, stats=stats)
     assert stats.steps == 1 and stats.rejected == 0
     assert stats.rhs_evals == 9
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
     ev = EvolutionOperator(A, [t0, t0 + h], tol=1.0)
     assert ev.step_stats.steps == 1 and ev.step_stats.rejected == 0
-    got_inv = ev.query(t0, t0 + h).entries
+    got_inv = ev.query(t0, t0 + h)
     assert np.max(np.abs(got_inv - want_inv)) <= 1e-14 * np.max(
         np.abs(want_inv))
 
@@ -196,7 +195,7 @@ def test_propagator_overflow_is_located_at_its_window():
     # ln(max float) / 100 = 7.0978...: the sweep ends in the window where
     # that happens, and the stop before it stays queryable
     ev = EvolutionOperator(_fast_decay(), (0.0, 5.0, 10.0))
-    assert ev.query(5.0, 0.0).entries[0, 0] == pytest.approx(
+    assert ev.query(5.0, 0.0)[0, 0] == pytest.approx(
         math.exp(-500.0), rel=1e-9)
     with pytest.raises(IntegrationError, match="non-finite propagator") as err:
         ev.query(10.0, 0.0)
@@ -239,11 +238,11 @@ def test_window_products_that_overflow_alone_keep_a_finite_state():
         ev = EvolutionOperator(A, stops)
     for t, x, ln in zip(stops, xs, (0.0, -400.0, 400.0, 600.0)):
         assert x[0] == pytest.approx(math.exp(ln), rel=1e-9)
-        assert ev.query(t, 0.0).entries[0, 0] == pytest.approx(math.exp(ln),
+        assert ev.query(t, 0.0)[0, 0] == pytest.approx(math.exp(ln),
                                                                rel=1e-9)
-        assert ev.query(0.0, t).entries[0, 0] == pytest.approx(
+        assert ev.query(0.0, t)[0, 0] == pytest.approx(
             math.exp(-ln), rel=1e-9)
-    assert ev.query(3.0, 3.5).entries[0, 0] == pytest.approx(
+    assert ev.query(3.0, 3.5)[0, 0] == pytest.approx(
         math.exp(-200.0), rel=1e-9)
 
 
@@ -262,7 +261,7 @@ def test_window_products_that_underflow_alone_keep_a_normal_state():
         ev = EvolutionOperator(A, stops)
     for t, x, ln in zip(stops, xs, (0.0, 400.0, -400.0, -600.0)):
         assert math.isclose(x[0], math.exp(ln), rel_tol=1e-9)
-        assert math.isclose(ev.query(t, 0.0).entries[0, 0], math.exp(ln),
+        assert math.isclose(ev.query(t, 0.0)[0, 0], math.exp(ln),
                             rel_tol=1e-9)
 
 
@@ -335,43 +334,48 @@ def test_propagate_vector_agrees_with_operator_route():
     A = smooth_corpus(seed=5, count=1, dims=(3,))[0]
     v0 = np.array([0.3, -1.2, 0.7])
     via_vec = sweep_vector(A, (0.0, 2.0), v0)[-1]
-    via_op = evolve(A, 0.0, 2.0).entries @ v0
+    via_op = evolve(A, 0.0, 2.0) @ v0
     assert np.max(np.abs(via_vec - via_op)) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
-# parameter-dependent evolution
+# parameter-dependent families: D2 X = A(x, .) X over a set of x's, swept
+# as one (k, r, r) stack of coefficients from a stack of identities
 
 
-def test_param_evolution_zero_everywhere_identity():
-    res = param_evolution(pointwise(lambda x, v: np.zeros((2, 2))),
-                          [0.0, 0.5, 1.0], 0.0, [0.5, 1.0], SP2)
-    assert res.propagators.shape == (3, 2, 2, 2)
-    for col in res.propagators:
-        for mat in col:
-            assert np.allclose(mat, np.eye(2), atol=1e-12)
+def family(A, xs, space):
+    """The coefficient v -> (A(x, v) for x in xs), a (k, r, r) stack, and
+    the (k, r, r) identities it sweeps."""
+    xs = np.array(xs, dtype=float)
+    return (CoefficientPath(eval=lambda vs: A(xs, vs[:, None]), space=space),
+            np.tile(np.eye(space.dim), (len(xs), 1, 1)))
 
 
-def test_param_evolution_separable_scalar():
-    res = param_evolution(pointwise(lambda x, v: np.array([[x]])),
-                          [0.0, 0.7, 1.3], 0.5, [0.0, 1.5], SP1)
-    for ix, x in enumerate(res.x_grid):
-        for iv, v in enumerate(res.v_targets):
-            expected = math.exp(x * (v - 0.5))
-            assert res.propagators[ix][iv][0, 0] == pytest.approx(
-                expected, rel=1e-9)
+def test_family_zero_everywhere_identity():
+    A, eye = family(pointwise(lambda x, v: np.zeros((2, 2))),
+                    [0.0, 0.5, 1.0], SP2)
+    swept = sweep_vector(A, (0.0, 0.5, 1.0), eye)
+    assert swept.shape == (3, 3, 2, 2)
+    assert np.allclose(swept, np.eye(2), atol=1e-12)
 
 
-def test_param_evolution_rotation_family_closed_form():
+def test_family_separable_scalar():
+    xs = [0.0, 0.7, 1.3]
+    A, eye = family(pointwise(lambda x, v: np.array([[x]])), xs, SP1)
+    for v in (0.0, 1.5):
+        for x, got in zip(xs, sweep_vector(A, (0.5, v), eye)[-1]):
+            assert got[0, 0] == pytest.approx(math.exp(x * (v - 0.5)),
+                                              rel=1e-9)
+
+
+def test_family_rotation_closed_form():
     # A(x, v) = v R commutes across v: the sweep is a rotation by
     # (v^2 - v0^2)/2, independent of x
-    res = param_evolution(pointwise(lambda x, v: v * ROT), [0.0, 1.0], 1.0,
-                          [2.0, 0.5], SP2)
-    for iv, v in enumerate(res.v_targets):
-        angle = 0.5 * (v * v - 1.0)
-        expected = scipy.linalg.expm(angle * ROT)
-        for ix in range(2):
-            assert np.max(np.abs(res.propagators[ix][iv] - expected)) <= 1e-9
+    A, eye = family(pointwise(lambda x, v: v * ROT), [0.0, 1.0], SP2)
+    for v in (2.0, 0.5):
+        expected = scipy.linalg.expm(0.5 * (v * v - 1.0) * ROT)
+        for got in sweep_vector(A, (1.0, v), eye)[-1]:
+            assert np.max(np.abs(got - expected)) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +384,7 @@ def test_param_evolution_rotation_family_closed_form():
 
 def test_query_at_equal_times_is_exact_identity():
     ev = EvolutionOperator(scalar_cos_path(), [0.0, 5.0])
-    assert np.array_equal(ev.query(2.7, 2.7).entries, np.eye(1))
+    assert np.array_equal(ev.query(2.7, 2.7), np.eye(1))
 
 
 def test_query_matches_closed_form_and_laws():
@@ -390,13 +394,13 @@ def test_query_matches_closed_form_and_laws():
     times = [tau for pair in pairs for tau in pair] + [s, t, u]
     ev = EvolutionOperator(scalar_cos_path(), times, tol=1e-10)
     for s_, t_ in pairs:
-        x = ev.query(t_, s_).entries[0, 0]
+        x = ev.query(t_, s_)[0, 0]
         assert x == pytest.approx(math.exp(math.sin(t_) - math.sin(s_)),
                                   abs=1e-8)
     q = ev.query
-    assert matrix_norm(q(t, s).entries @ q(s, t).entries - np.eye(1),
+    assert matrix_norm(q(t, s) @ q(s, t) - np.eye(1),
                        "euclidean") <= 1e-8
-    assert matrix_norm(q(u, t).entries @ q(t, s).entries - q(u, s).entries,
+    assert matrix_norm(q(u, t) @ q(t, s) - q(u, s),
                        "euclidean") <= 1e-8
 
 
@@ -404,10 +408,10 @@ def test_concurrent_queries_match_sequential():
     pairs = [(0.5 * i, 0.25 * i + 0.1) for i in range(16)]
     times = [tau for pair in pairs for tau in pair]
     seq_op = EvolutionOperator(scalar_cos_path(), times)
-    sequential = [seq_op.query(t, s).entries.copy() for s, t in pairs]
+    sequential = [seq_op.query(t, s).copy() for s, t in pairs]
     par_op = EvolutionOperator(scalar_cos_path(), times)
     with ThreadPoolExecutor(max_workers=4) as pool:
-        parallel = list(pool.map(lambda p: par_op.query(p[1], p[0]).entries,
+        parallel = list(pool.map(lambda p: par_op.query(p[1], p[0]),
                                  pairs))
     for a, b in zip(sequential, parallel):
         assert np.array_equal(a, b)
@@ -437,9 +441,9 @@ def _example39_sweep(n_pairs=40, seed=1):
 def test_sweep_matches_per_pair_evolve_on_example39():
     A, pairs, ev = _example39_sweep()
     for s, t in pairs:
-        ref = evolve(A, s, t, 1e-10).entries
-        for got, want in ((ev.query(t, s).entries, ref),
-                          (ev.query(s, t).entries, np.linalg.inv(ref))):
+        ref = evolve(A, s, t, 1e-10)
+        for got, want in ((ev.query(t, s), ref),
+                          (ev.query(s, t), np.linalg.inv(ref))):
             n_want = matrix_norm(want, "euclidean")
             assert abs(matrix_norm(got, "euclidean") - n_want) <= 1e-7 * n_want
 
@@ -482,8 +486,8 @@ def test_query_does_not_depend_on_the_other_stops():
         alone = EvolutionOperator(A, [s, t], tol=1e-10)
         among = EvolutionOperator(A, [s, t, *extra], tol=1e-10)
         for x, y in ((t, s), (s, t)):
-            assert alone.query(x, y).entries.tobytes() == \
-                among.query(x, y).entries.tobytes()
+            assert alone.query(x, y).tobytes() == \
+                among.query(x, y).tobytes()
         assert among.step_stats.steps == alone.step_stats.steps
         assert _step_stream(among.step_stats) == _step_stream(
             alone.step_stats)
@@ -515,7 +519,7 @@ def test_window_ends_on_the_segment_end(t0, t1, breakpoints, attempted):
     assert stats.steps + stats.rejected == attempted
     assert stats.segments == 1 + len(breakpoints)
     want = scipy.linalg.expm((t1 - t0) * w * ROT)
-    assert np.max(np.abs(ev.query(t1, t0).entries - want)) <= 1e-12
+    assert np.max(np.abs(ev.query(t1, t0) - want)) <= 1e-12
 
 
 @pytest.mark.parametrize("r", [2, 3])
@@ -550,7 +554,7 @@ def test_non_finite_coefficient_ends_the_sweep_in_mid_window(r):
         assert np.any(nodes >= 1.0) == past
     for s, t in ((0.0, 0.9), (0.3, 0.6), (0.9, 0.3)):
         want = scipy.linalg.expm((t - s) * base)
-        assert np.max(np.abs(op.query(t, s).entries - want)) <= 1e-12
+        assert np.max(np.abs(op.query(t, s) - want)) <= 1e-12
     for s, t in ((0.0, 1.02), (1.05, 0.3)):
         with pytest.raises(IntegrationError) as err:
             op.query(t, s)
@@ -576,7 +580,7 @@ def test_non_finite_side_step_ends_the_sweep():
         op = EvolutionOperator(A, [0.0, 0.5, 0.735, 1.05])
     assert op.step_stats.steps == 1
     want = scipy.linalg.expm(0.5 * base)
-    assert np.max(np.abs(op.query(0.5, 0.0).entries - want)) <= 1e-14
+    assert np.max(np.abs(op.query(0.5, 0.0) - want)) <= 1e-14
     for t in (0.735, 1.05):
         with pytest.raises(IntegrationError, match="non-finite") as err:
             op.query(t, 0.0)
@@ -645,8 +649,8 @@ def test_descending_sweep_is_the_reflected_forward_sweep():
 def test_vector_sweeps_do_not_depend_on_the_other_stops():
     # stops P alone and among more stops Q on the same hull give the same
     # bits at P and the same step stream, up or down, for sweep_vector (a
-    # 2x2 coefficient, and a 3x3 one with a breakpoint) and for the
-    # (k, r, r) stack of param_evolution alike
+    # 2x2 coefficient, and a 3x3 one with a breakpoint) and for a (k, r, r)
+    # family of coefficients alike
     omega = make_extension_problem("extension-twist").omega
     twist = CoefficientPath(eval=lambda vs: -omega.omega2(0.37, vs),
                             space=omega.space)
@@ -654,7 +658,9 @@ def test_vector_sweeps_do_not_depend_on_the_other_stops():
     q_stops = list(np.random.default_rng(11).uniform(-1.5, 1.9, size=9))
     both = sorted(p_stops + q_stops)
     for A, v in ((twist, np.array([0.8, -0.3])),
-                 (_three_by_three((0.4,)), np.array([0.8, -0.3, 0.5]))):
+                 (_three_by_three((0.4,)), np.array([0.8, -0.3, 0.5])),
+                 family(lambda x, u: -omega.omega2(x, u), [-1.7, 0.05, 1.6],
+                        omega.space)):
         for order in (1, -1):
             stats = StepStats(), StepStats()
             alone = sweep_vector(A, p_stops[::order], v, 1e-10, stats[0])
@@ -663,18 +669,6 @@ def test_vector_sweeps_do_not_depend_on_the_other_stops():
             for t, x in zip(p_stops[::order], alone):
                 assert x.tobytes() == among[t].tobytes()
             assert _step_stream(stats[0]) == _step_stream(stats[1])
-    xs = [-1.7, 0.05, 1.6]
-
-    def family(targets):
-        stats = StepStats()
-        res = param_evolution(lambda x, u: -omega.omega2(x, u), xs, 0.3,
-                              targets, omega.space, 1e-10, stats)
-        return dict(zip(targets, np.swapaxes(res.propagators, 0, 1))), stats
-
-    (alone, alone_stats), (among, among_stats) = family(p_stops), family(both)
-    for t in p_stops:
-        assert alone[t].tobytes() == among[t].tobytes()
-    assert _step_stream(alone_stats) == _step_stream(among_stats)
 
 
 @pytest.mark.parametrize("name", ["extension-gauge", "extension-twist"])
@@ -735,53 +729,22 @@ def test_non_finite_stops_are_refused(sweep):
         sweep(scalar_cos_path())
 
 
-def test_param_evolution_cost_on_extension_gauge_grid():
-    # the built-in extension-gauge grid (16 x 13), swept from both corridor
-    # levels as one stacked state per side: four windowed sweeps of one
-    # segment each.  omega2 does not depend on v, so every step is exact:
-    # the 2 rejected steps are first-step cuts (one window of one step
-    # each), and the other 4 windows hold the 6 accepted steps.  Each
-    # window is one call of the family over its nodes x 16 columns: 9 per
-    # step and 3 per side step to a target (a cut window's side steps are
-    # taken again by the window after it), 198 coefficient values in all.
-    # The sweep that stepped from target to target took 225 from 25 calls
-    p = make_extension_problem("extension-gauge")
-    xs = np.concatenate([np.linspace(-1.8, -0.2, 6),
-                         np.linspace(1e-3, 1.8, 10)])
-    vs = np.linspace(-1.8, 1.8, 13)
-    stats = StepStats()
-    calls = points = 0
-
-    def coefficient(x, v):
-        nonlocal calls, points
-        calls += 1
-        out = -p.omega.omega2(x, v)
-        points += out[..., 0, 0].size
-        return out
-
-    for level in (p.v0, p.v1):
-        param_evolution(coefficient, xs, level, vs, p.omega.space, 1e-10,
-                        stats=stats)
-    assert stats == StepStats(steps=6, rejected=2, rhs_evals=198, segments=4,
-                              windows=6)
-    assert calls == 6
-    assert points == 16 * 198
-
-
 @pytest.mark.parametrize("name", ["extension-gauge", "extension-twist"])
-def test_stacked_param_evolution_matches_per_column_evolve(name):
+def test_stacked_family_matches_per_column_evolve(name):
     omega = make_extension_problem(name).omega
     xs = [-1.7, -0.4, 0.05, 0.9, 1.6]
-    vs = [-1.8, -1.1, -0.2, 0.6, 1.3, 1.9]
-    res = param_evolution(lambda x, v: -omega.omega2(x, v), xs, 0.3, vs,
-                          omega.space, 1e-10)
-    for ix, x in enumerate(xs):
-        A = CoefficientPath(eval=stacked(lambda v, _x=x: -omega.omega2(_x, v)),
-                            space=omega.space)
-        for iv, v in enumerate(vs):
-            want = evolve(A, 0.3, v, 1e-10).entries
-            got = res.propagators[ix][iv]
-            assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+    A, eye = family(lambda x, v: -omega.omega2(x, v), xs, omega.space)
+    # one sweep up from 0.3 and one down
+    for stops in ([0.3, 0.6, 1.3, 1.9], [0.3, -0.2, -1.1, -1.8]):
+        swept = sweep_vector(A, stops, eye, 1e-10)
+        for ix, x in enumerate(xs):
+            column = CoefficientPath(
+                eval=stacked(lambda v, _x=x: -omega.omega2(_x, v)),
+                space=omega.space)
+            for v, got in zip(stops, swept[:, ix]):
+                want = evolve(column, 0.3, v, 1e-10)
+                assert np.linalg.norm(got - want) <= \
+                    1e-9 * np.linalg.norm(want)
 
 
 def test_step_stats_accumulate():
@@ -823,7 +786,7 @@ def test_one_batched_coefficient_call_per_window():
     assert all(size % 9 == 0 and 9 <= size <= 9 * 64 for size in sizes)
     assert len(sizes) < attempted / 4
     assert sum(sizes) == stats.rhs_evals == 9 * attempted
-    assert np.array_equal(x.entries, evolve(A, 0.0, 30.0, 1e-10).entries)
+    assert np.array_equal(x, evolve(A, 0.0, 30.0, 1e-10))
 
 
 def _sine_transport():
@@ -882,7 +845,7 @@ def test_pointwise_fallback_evaluates_nine_nodes_per_step():
     attempted = stats.steps + stats.rejected
     assert calls["n"] == 9 * attempted
     assert stats.rhs_evals == 9 * attempted
-    assert np.array_equal(x.entries, evolve(A, 0.0, 30.0, 1e-10).entries)
+    assert np.array_equal(x, evolve(A, 0.0, 30.0, 1e-10))
 
 
 def _rel(got, want):
@@ -1146,7 +1109,7 @@ def test_fixed_step_magnus_is_sixth_order():
             x = expm(_bcr_exponent(coef[0], coef[1], coef[2], h)) @ x
         return x
 
-    want = evolve(A, 0.0, 2.0, 1e-14).entries
+    want = evolve(A, 0.0, 2.0, 1e-14)
     errs = [np.max(np.abs(fixed(n) - want)) for n in (8, 16, 32)]
     for coarse, fine in zip(errs, errs[1:]):
         assert 56.0 <= coarse / fine <= 72.0

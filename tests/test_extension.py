@@ -7,7 +7,7 @@ import pytest
 
 from evostab.calculus import Interval, ScalarPath, pointwise
 from evostab.errors import ApproximationError, ConstructionError
-from evostab.evolution import StepStats, param_evolution
+from evostab.evolution import CoefficientPath, StepStats, sweep_vector
 from evostab.extension import (
     ExtensionProblem,
     build_sigma,
@@ -125,7 +125,6 @@ def test_grouped_column_fill_matches_per_column_sweeps():
     # columns with equal stops are swept as one stacked state; each must
     # match its own unstacked sweep from the corridor level
     from evostab.calculus import stacked
-    from evostab.evolution import CoefficientPath, sweep_vector
     for name in ("extension-gauge", "extension-twist"):
         p = make_extension_problem(name)
         xs, vs = default_grids(p)
@@ -237,37 +236,51 @@ def test_extensions_agree_with_sigma_on_their_defining_sides():
 
 
 @pytest.mark.parametrize("name", ["extension-gauge", "extension-twist"])
-def test_extend_section_matches_param_evolution_bit_for_bit(name):
-    # the per-point route: param_evolution of omega2 called one point at
-    # a time, its propagator columns times the section's corridor rows
+def test_extend_section_matches_a_per_point_route_bit_for_bit(name):
+    # the per-point route: -omega2 called one point at a time, over every
+    # column as one (k, r, r) stack, swept from each corridor level once up
+    # and once down; its propagators times the section's corridor rows
     p = make_extension_problem(name)
     xs, vs = default_grids(p)
     sig = build_sigma(p, xs, vs)
     res = extend_section(p, sig)
-    omega2 = p.omega.omega2
+    omega2 = pointwise(lambda x, v: -p.omega.omega2(x, v))
+    cols = np.array(sig.x_grid)
+    A = CoefficientPath(eval=lambda us: omega2(cols, us[:, None]),
+                        space=p.omega.space)
+    eye = np.tile(np.eye(2), (len(cols), 1, 1))
     for level, row, xi in ((p.v0, sig.row_v0, res.xi0),
                            (p.v1, sig.row_v1, res.xi1)):
-        fam = param_evolution(pointwise(lambda x, v: -omega2(x, v)),
-                              sig.x_grid, level, sig.v_grid, p.omega.space,
-                              1e-10)
-        want = (fam.propagators @ row[:, None, :, None])[..., 0]
-        assert np.array_equal(xi, want)
+        Y = {}
+        for side in ([v for v in sig.v_grid if v >= level],
+                     [v for v in sig.v_grid[::-1] if v < level]):
+            Y.update(zip(side, sweep_vector(A, [level] + side, eye)[1:]))
+        Y = np.stack([Y[v] for v in sig.v_grid], axis=1)
+        assert np.array_equal(xi, (Y @ row[:, None, :, None])[..., 0])
 
 
 def test_extend_section_evaluates_omega2_once_per_step():
-    # one omega2 call covers every column at all the nodes of a window of
-    # steps: on this grid 6 windows, 198 coefficient values (as in
-    # test_param_evolution_cost_on_extension_gauge_grid)
+    # the built-in extension-gauge grid (16 x 13), swept from both corridor
+    # levels as one stacked state per side: four windowed sweeps of one
+    # segment each.  omega2 does not depend on v, so every step is exact:
+    # the 2 rejected steps are first-step cuts (one window of one step
+    # each), and the other 4 windows hold the 6 accepted steps.  Each
+    # window is one omega2 call over its nodes x 16 columns: 9 per step
+    # and 3 per side step to a target (a cut window's side steps are taken
+    # again by the window after it), 198 coefficient values in all.  The
+    # sweep that stepped from target to target took 225 from 25 calls
     p = gauge_problem()
     xs, vs = default_grids(p)
     sig = build_sigma(p, xs, vs)
     w = p.omega
-    calls = 0
+    calls = points = 0
 
     def omega2(xs, us):
-        nonlocal calls
+        nonlocal calls, points
         calls += 1
-        return w.omega2(xs, us)
+        out = w.omega2(xs, us)
+        points += out[..., 0, 0].size
+        return out
 
     counted = dataclasses.replace(p, omega=dataclasses.replace(
         w, omega2=omega2))
@@ -276,6 +289,7 @@ def test_extend_section_evaluates_omega2_once_per_step():
     assert stats == StepStats(steps=6, rejected=2, rhs_evals=198, segments=4,
                               windows=6)
     assert calls == 6
+    assert points == 16 * 198
     assert np.array_equal(res.xi1, extend_section(p, sig).xi1)
 
 

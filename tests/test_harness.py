@@ -835,6 +835,69 @@ def test_cli_bad_tolerance_exits_2(tmp_path, capsys, tol):
     assert "tol" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", [-1, True, 1.5, "3"])
+def test_run_scenario_rejects_bad_seed(seed):
+    with pytest.raises(ConfigError, match="seed: expected a whole number"):
+        run_scenario("evolve", TINY_EVOLVE, seed=seed)
+
+
+def test_cli_negative_seed_exits_2(tmp_path, capsys):
+    # it used to reach numpy's random generator and end in a traceback
+    assert cli_main(["verify", "--config", "builtin:intro-cos",
+                     "--out", str(tmp_path), "--seed", "-1"]) == 2
+    assert "seed: expected a whole number >= 0, got -1" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, config, code, error", [
+    ("verify", dict(TINY_VERIFY, num_pairs=0), 2, {
+        "type": "ConfigError",
+        "message": "invalid configuration: num_pairs: expected a "
+                   "positive integer (or give pairs)"}),
+    ("certify", {"system": {"G": [["atan(t) + 0*(t*1e300*t)"]],
+                            "f": "sin(t)", "J": [-1, 1]},
+                 "window": [0, 20000]}, 3, {
+        "type": "ExpressionError",
+        "message": "evaluation of 'atan(t) + 0*(t*1e300*t)' failed at "
+                   "(t=13750.0, u=0.0): overflow encountered in multiply"}),
+    ("evolve", {"A": [["0", "1"], ["-exp(t)", "0"]], "window": [0.0, 40.0],
+                "num_pairs": 3}, 3, {
+        "type": "IntegrationError", "location": 20.47286498801027,
+        "message": "step size underflow at t = 20.47286498801027 "
+                   "(stiffness or singularity)"}),
+])
+def test_a_failed_run_leaves_no_earlier_verdict(tmp_path, kind, config,
+                                                code, error):
+    # a passing run's rows.csv and summary.json used to survive a later
+    # failed run into the same directory
+    out = tmp_path / "d"
+    assert cli_main(["verify", "--config", "builtin:intro-cos",
+                     "--out", str(out)]) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert cli_main([kind, "--config", str(cfg), "--out", str(out),
+                     "--seed", "1"]) == code
+    assert sorted(p.name for p in out.iterdir()) == ["summary.json"]
+    text = (out / "summary.json").read_text()
+    assert json.loads(text) == {"kind": kind, "summary": {
+        "pass": False, "error": error}}
+    assert text == json.dumps(json.loads(text), sort_keys=True,
+                              indent=2) + "\n"
+
+
+def test_failure_summary_that_cannot_be_written_keeps_the_exit_code(
+        tmp_path, capsys):
+    # --out names a file: neither the report nor the failure summary can
+    # be written, and the run still exits 2 with its config error
+    out = tmp_path / "file"
+    out.write_text("x")
+    assert cli_main(["verify", "--config", "builtin:intro-cos",
+                     "--out", str(out), "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == \
+        "config error: seed: expected a whole number >= 0, got -1\n"
+    assert out.read_text() == "x"
+
+
 @pytest.mark.parametrize("kind, config, field", [
     ("evolve", dict(TINY_EVOLVE, breakpoints=["x"]), "breakpoints"),
     ("certify", {"system": {"G": [["u"]], "f": "sin(t)", "J": [-1.0, 1.0],

@@ -3,24 +3,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evostab.errors import InvalidOperatorError
+from evostab.library import make_connection
 from evostab.operators import (
     EUCLIDEAN,
     INF_NORM,
     NORM_KINDS,
     ONE_NORM,
-    Operator,
-    Vector,
     VectorSpaceSpec,
     matrix_norm,
     vector_norm,
 )
+from evostab.transport import sine_curve_scenario
 
 
 def test_identity_norm_is_one_for_every_kind():
     for kind in NORM_KINDS:
-        sp = VectorSpaceSpec(3, kind)
-        assert matrix_norm(Operator.identity(sp).entries, kind) == 1.0
+        assert matrix_norm(np.eye(3), kind) == 1.0
 
 
 def test_diagonal_inf_norm():
@@ -45,19 +43,13 @@ def test_vector_norms():
     assert vector_norm(v, INF_NORM) == 4.0
 
 
-def test_non_finite_entries_rejected():
-    sp = VectorSpaceSpec(2)
-    with pytest.raises(InvalidOperatorError):
-        Operator(np.array([[1.0, np.nan], [0.0, 1.0]]), sp)
-    with pytest.raises(InvalidOperatorError):
-        Vector(np.array([np.inf, 0.0]), sp)
-
-
-def test_shape_mismatch_rejected():
-    with pytest.raises(InvalidOperatorError):
-        Operator(np.zeros((2, 3)), VectorSpaceSpec(2))
-    with pytest.raises(InvalidOperatorError):
-        Operator(np.zeros((3, 3)), VectorSpaceSpec(2))
+@pytest.mark.parametrize("v", [[1.0], [1.0, 0.0, 0.0], [[1.0, 0.0]],
+                               [np.inf, 0.0], [0.0, np.nan]])
+def test_sine_curve_scenario_rejects_a_malformed_vector(v):
+    # the transported vector is a bare array: one of the wrong length or
+    # with a non-finite entry is refused before any sweep
+    with pytest.raises(ValueError, match="v must be a finite vector"):
+        sine_curve_scenario(make_connection("zero"), -1.0, [-0.5], v)
 
 
 def test_submultiplicativity_random_operators():

@@ -20,7 +20,7 @@ from evostab.cli import main as cli_main
 from evostab.harness import _SYSTEM, _read, run_scenario
 from evostab.library import (constant_matrix, expression_system,
                              make_scalar_path, make_system)
-from evostab.operators import NORM_KINDS, Operator, VectorSpaceSpec, matrix_norm
+from evostab.operators import NORM_KINDS, VectorSpaceSpec, matrix_norm
 from evostab.stability import (
     BoundCertificate,
     SeparableSystem,
@@ -556,7 +556,7 @@ def test_substitution_scalar_cosine_closed_form():
     A = CoefficientPath(eval=stacked(lambda t: np.array([[math.cos(t)]])),
                         space=SP1)
     x = evolve(A, 0.0, 2.5)
-    assert x.entries[0, 0] == pytest.approx(math.exp(math.sin(2.5)),
+    assert x[0, 0] == pytest.approx(math.exp(math.sin(2.5)),
                                             abs=1e-8)
 
 
@@ -568,7 +568,7 @@ def test_substitution_rotation_family_closed_form():
     A = CoefficientPath(eval=stacked(lambda t: f.d(t) * B(f(t))), space=SP2)
     x = evolve(A, 0.0, 1.2)
     angle = 0.5 * (f(1.2) ** 2 - f(0.0) ** 2)
-    assert np.max(np.abs(x.entries - scipy.linalg.expm(angle * ROT))) <= 1e-8
+    assert np.max(np.abs(x - scipy.linalg.expm(angle * ROT))) <= 1e-8
 
 
 def test_substitution_non_monotone_path():
@@ -658,8 +658,8 @@ def _rows_one_pair_at_a_time(A, cert, pairs, kind, tol):
             x, x_inv = ev.query(t, s), ev.query(s, t)
         except IntegrationError as exc:
             return rows, f"integration failure at pair ({s}, {t}): {exc}"
-        rows.append((s, t, matrix_norm(x.entries, kind),
-                     matrix_norm(x_inv.entries, kind)))
+        rows.append((s, t, matrix_norm(x, kind),
+                     matrix_norm(x_inv, kind)))
     return rows, None
 
 
@@ -726,18 +726,14 @@ def test_verify_raises_on_a_non_finite_product_as_a_query_does():
             verify_certificate(sys, cert, pairs, 1e-10, coefficient=A)
 
 
-def test_verify_takes_two_norm_calls_and_no_operator_per_pair(monkeypatch):
-    # 40 pairs took 80 matrix_norm calls and 80 Operators; the stacked
-    # rows take two norm calls, whatever the number of pairs, and build
-    # no Operator
+def test_verify_takes_two_norm_calls_whatever_the_pairs(monkeypatch):
+    # 40 pairs took 80 matrix_norm calls; the stacked rows take two norm
+    # calls, whatever the number of pairs
     from evostab import stability
-    norms, operators = [], []
+    norms = []
     monkeypatch.setattr(stability, "matrix_norm",
                         lambda a, kind: norms.append(a.shape) or
                         matrix_norm(a, kind))
-    build = Operator.__post_init__
-    monkeypatch.setattr(Operator, "__post_init__",
-                        lambda self: operators.append(1) or build(self))
     sys = make_system("example39")
     cert = BoundCertificate(gain=2.0, variation=0.1,
                             window=Interval(0.0, 100.0), sup_grid=0)
@@ -745,4 +741,4 @@ def test_verify_takes_two_norm_calls_and_no_operator_per_pair(monkeypatch):
     pairs = np.sort(rng.uniform(0.0, 100.0, size=(40, 2)), axis=1)
     report = verify_certificate(sys, cert, pairs)
     assert len(report.rows) == 40
-    assert norms == [(40, 2, 2), (40, 2, 2)] and operators == []
+    assert norms == [(40, 2, 2), (40, 2, 2)]

@@ -16,7 +16,7 @@ from evostab.library import (
     gauge_twist_matrix,
     make_connection,
 )
-from evostab.operators import Vector, VectorSpaceSpec, matrix_norm
+from evostab.operators import VectorSpaceSpec, matrix_norm
 from evostab import transport
 from evostab.transport import _sine_paths
 from evostab.transport import (
@@ -67,14 +67,14 @@ def wiggle_curve(freq=1.0, a=0.0, b=1.0):
 
 def test_flat_connection_transport_is_identity():
     p = parallel_transport(zero_connection(), wiggle_curve(3.0))
-    assert np.allclose(p.entries, np.eye(2), atol=1e-12)
+    assert np.allclose(p, np.eye(2), atol=1e-12)
 
 
 def test_scalar_fiber_decay_closed_form():
     w = make_connection("scalar-decay", RECT_M, RECT_J)  # omega2 = 0.3 id
     curve = line_curve(0.0, 0.0, -1.0, 1.0)
     p = parallel_transport(w, curve)
-    assert np.allclose(p.entries, math.exp(-0.3 * 2.0) * np.eye(2),
+    assert np.allclose(p, math.exp(-0.3 * 2.0) * np.eye(2),
                        atol=1e-9)
 
 
@@ -86,7 +86,7 @@ def test_gauge_transport_matches_gauge_oracle():
     end = (curve.gamma1(curve.b), curve.gamma2(curve.b))
     oracle = gauge_rotation_matrix(*end) @ np.linalg.inv(
         gauge_rotation_matrix(*start))
-    assert np.max(np.abs(p.entries - oracle)) <= 1e-9
+    assert np.max(np.abs(p - oracle)) <= 1e-9
 
 
 def test_twist_gauge_transport_matches_gauge_oracle():
@@ -97,7 +97,7 @@ def test_twist_gauge_transport_matches_gauge_oracle():
     end = (curve.gamma1(curve.b), curve.gamma2(curve.b))
     oracle = gauge_twist_matrix(*end) @ np.linalg.inv(
         gauge_twist_matrix(*start))
-    assert np.max(np.abs(p.entries - oracle)) <= 1e-9
+    assert np.max(np.abs(p - oracle)) <= 1e-9
 
 
 def test_transport_rejects_curve_leaving_rectangle():
@@ -115,10 +115,10 @@ def test_path_composition_and_reverse():
         w, Curve(curve.gamma1, curve.gamma2, 0.0, 0.4), tol=1e-11)
     second = parallel_transport(
         w, Curve(curve.gamma1, curve.gamma2, 0.4, 1.0), tol=1e-11)
-    assert matrix_norm(second.entries @ first.entries - whole.entries,
+    assert matrix_norm(second @ first - whole,
                        "euclidean") <= 1e-8
     rev = parallel_transport(w, reverse_curve(curve), tol=1e-11)
-    assert matrix_norm(rev.entries @ whole.entries - np.eye(2),
+    assert matrix_norm(rev @ whole - np.eye(2),
                        "euclidean") <= 1e-8
 
 
@@ -128,7 +128,7 @@ def test_transport_vector_route_matches_operator_route():
     v = np.array([0.7, -0.2])
     via_vec = sweep_vector(curve_coefficient(w, curve), (curve.a, curve.b),
                            v)[-1]
-    via_op = parallel_transport(w, curve).entries @ v
+    via_op = parallel_transport(w, curve) @ v
     assert np.max(np.abs(via_vec - via_op)) <= 1e-9
 
 
@@ -352,7 +352,7 @@ def test_transport_norm_dominated_by_beta():
             curve = wiggle_curve(freq)
             p = parallel_transport(w, curve)
             L1 = arc_length(curve.gamma1, curve.a, curve.b)
-            assert matrix_norm(p.entries, "euclidean") <= \
+            assert matrix_norm(p, "euclidean") <= \
                 beta_bound(bounds, L1) * (1.0 + 1e-6)
 
 
@@ -368,7 +368,7 @@ def test_bound_ignores_second_component_oscillation():
     assert beta_bound(bounds, L_slow) == beta_bound(bounds, L_fast)
     for curve in (slow, fast):
         p = parallel_transport(w, curve)
-        assert matrix_norm(p.entries, "euclidean") <= \
+        assert matrix_norm(p, "euclidean") <= \
             beta_bound(bounds, L_slow) * (1.0 + 1e-6)
     # while the fiber lengths really did change tenfold
     assert arc_length(fast.gamma2, 0.0, 1.0) >= \
@@ -381,7 +381,7 @@ def test_bound_ignores_second_component_oscillation():
 
 def test_sine_scenario_flat_connection_preserves_norm():
     w = make_connection("zero")
-    v = Vector(np.array([0.6, -0.8]), SP2)
+    v = np.array([0.6, -0.8])
     report = sine_curve_scenario(w, -1.0, [-0.5, -1e-2], v, tol=1e-9)
     assert report.passed
     assert report.bound >= 1.0
@@ -392,7 +392,7 @@ def test_sine_scenario_flat_connection_preserves_norm():
 
 def test_sine_scenario_two_sided_bound_and_monotonicity():
     w = make_connection("gauge-twist")
-    v = Vector(np.array([1.0, 0.5]), SP2)
+    v = np.array([1.0, 0.5])
     report = sine_curve_scenario(w, -1.0, [-0.3, -0.05, -1e-2, -1e-3], v,
                                  tol=1e-9)
     assert report.passed
@@ -405,7 +405,7 @@ def test_sine_scenario_two_sided_bound_and_monotonicity():
 
 def test_sine_scenario_clamps_to_floor():
     w = make_connection("zero")
-    v = Vector(np.array([1.0, 0.0]), SP2)
+    v = np.array([1.0, 0.0])
     report = sine_curve_scenario(w, -1.0, [-1e-6], v, b_floor=-1e-3)
     assert report.rows[0].b_used == -1e-3
     assert report.rows[0].b_requested == -1e-6
@@ -413,7 +413,7 @@ def test_sine_scenario_clamps_to_floor():
 
 def test_sine_scenario_validates_inputs():
     w = make_connection("zero")
-    v = Vector(np.array([1.0, 0.0]), SP2)
+    v = np.array([1.0, 0.0])
     with pytest.raises(ValueError):
         sine_curve_scenario(w, 1.0, [-0.5], v)
     with pytest.raises(ValueError):
@@ -428,9 +428,9 @@ def test_sine_sweep_reverse_matches_reverse_path_transport():
     for b in (-0.1, -0.01):
         curve = _sine_paths(-1.0, b)
         ev = EvolutionOperator(curve_coefficient(w, curve), (-1.0, b), 1e-9)
-        forward, reverse = ev.query(b, -1.0).entries, ev.query(-1.0, b).entries
-        p = parallel_transport(w, curve, 1e-9).entries
-        p_rev = parallel_transport(w, reverse_curve(curve), 1e-9).entries
+        forward, reverse = ev.query(b, -1.0), ev.query(-1.0, b)
+        p = parallel_transport(w, curve, 1e-9)
+        p_rev = parallel_transport(w, reverse_curve(curve), 1e-9)
         assert np.max(np.abs(forward - p)) <= 1e-8
         assert np.max(np.abs(reverse - p_rev)) <= 1e-8
 
@@ -441,7 +441,7 @@ def test_two_sided_sweep_halves_are_inverse():
     stops = (0.0, 0.3, 0.7, 1.0)
     ev = EvolutionOperator(curve_coefficient(w, wiggle_curve(3.0)), stops,
                            tol)
-    pairs = [(ev.query(b, 0.0).entries, ev.query(0.0, b).entries)
+    pairs = [(ev.query(b, 0.0), ev.query(0.0, b))
              for b in stops]
     assert np.array_equal(pairs[0][0], np.eye(2))
     for x, y in pairs[1:]:
@@ -452,7 +452,7 @@ def test_two_sided_sweep_halves_are_inverse():
 
 def test_sine_scenario_rows_keep_input_order_with_duplicates():
     w = make_connection("gauge-twist")
-    v = Vector(np.array([1.0, 0.5]), SP2)
+    v = np.array([1.0, 0.5])
     b_list = [-1e-2, -1e-6, -0.3, -1e-5, -1e-2]
     report = sine_curve_scenario(w, -1.0, b_list, v, tol=1e-9,
                                  b_floor=-1e-3)
@@ -480,7 +480,7 @@ def test_sine_scenario_failure_keeps_rows_reached_before_it():
         return out
 
     broken = dataclasses.replace(clean, omega1=nan_right)
-    v = Vector(np.array([1.0, 0.5]), SP2)
+    v = np.array([1.0, 0.5])
     bounds = sample_connection_bounds(clean)
     b_list = [-0.01, -0.5, -0.1, -0.02]
     good = sine_curve_scenario(clean, -1.0, b_list, v, bounds=bounds)
@@ -505,7 +505,7 @@ def test_sine_scenario_cost_on_benchmark_configuration():
     # b took 31,908 right-hand sides
     report = sine_curve_scenario(make_connection("gauge-twist"), -1.0,
                                  [-1e-1, -1e-2, -1e-3],
-                                 Vector(np.array([1.0, 0.5]), SP2), tol=1e-8)
+                                 np.array([1.0, 0.5]), tol=1e-8)
     assert report.passed
     assert report.stats == StepStats(steps=770, rejected=137, rhs_evals=8_190,
                                      segments=1, windows=32)
@@ -702,8 +702,8 @@ def test_two_sided_sweep_keeps_the_previous_results(name):
     coefficient = curve_coefficient(make_connection(name),
                                     _sine_paths(-1.0, stops[-1]))
     ev = EvolutionOperator(coefficient, stops, 1e-8)
-    x = ev.query(stops[-1], stops[0]).entries
-    y = ev.query(stops[0], stops[-1]).entries
+    x = ev.query(stops[-1], stops[0])
+    y = ev.query(stops[0], stops[-1])
     want_x, want_y = _TWO_SIDED_LAST[name]
     assert [v.hex() for v in x.ravel().tolist()] == want_x
     assert [v.hex() for v in y.ravel().tolist()] == want_y
